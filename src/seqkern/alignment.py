@@ -11,13 +11,34 @@ Flexibility (discrete masses) holds iff the gap-extension penalty is
 large enough relative to the letter kernel through the scalar
 ``sigma = 1' K^{-1} 1``; see :func:`has_discrete_masses_alignment`.
 
-All kernels run on a shared O(|x||y|) dynamic programme over tables
-``M / I_X / I_Y`` (last column is a match / insertion in x / insertion
-in y).  Between adjacent matches the programme places x-insertions
-before y-insertions, so each alignment is generated exactly once.  The
-l-resolved variant :func:`alignment_dp_R` additionally tracks how many
-matched pairs satisfy a marker predicate, which is what the heavy-tailed
-variants integrate over.
+Every kernel here, and the spectrum kernels built on the same sums, runs
+on one engine, :func:`alignment_R_batch`.  It evaluates the O(|x||y|)
+dynamic programme over tables ``M / I_X / I_Y`` (last column is a match
+/ insertion in x / insertion in y) for a whole batch of (x, y) pairs at
+once.  Between adjacent matches the programme places x-insertions before
+y-insertions, so each alignment is generated exactly once.  Each cell
+holds a vector indexed by how many matched pairs satisfy a marker
+predicate, which is what the heavy-tailed variants integrate over.
+
+The engine loops in Python over DP rows only; each row is one numpy pass
+over (column, pair, count).  ``M`` and ``I_X`` read only the previous
+row.  The in-row insertion recurrence ``I_Y[j] = u[j] + e I_Y[j-1]``,
+with ``u[j] = e_open (M + I_X)[j-1]`` and ``e = exp(-mu)``, is the
+lower-triangular product ``I_Y = T u`` with ``T[j, k] = e**(j - k)``
+(the code folds ``e_open`` and the one-column shift into ``T``).  With a
+nonnegative letter kernel every term is nonnegative, so the product
+costs a few ulps against the sequential recurrence and no cancellation.
+
+Pairs of different lengths share padded tables.  A cell depends only on
+cells with smaller indices, so a pair's result, read at its own
+``(|x|, |y|)`` cell (or, for the local kernel, summed over its own
+cells), never depends on padding.  Padded letters also score zero and
+padded insertion inputs are masked out of ``T u``, so padding cannot
+overflow or carry NaN into a real cell.  Pairs are sorted by length and
+split into chunks under a fixed element cap, so memory stays bounded
+whatever the batch.  :func:`alignment_value`,
+:func:`local_alignment_value` and :func:`alignment_dp_R` are the engine
+on a batch of one.
 """
 
 from __future__ import annotations
@@ -28,7 +49,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import HAS_MASSES, LACKS_MASSES, UNKNOWN_MASSES, Kernel
+from .core import HAS_MASSES, LACKS_MASSES, UNKNOWN_MASSES, BatchKernel
 from .errors import DataError, NumericalError
 from .seqcore import Alphabet, Sequence
 
@@ -91,12 +112,14 @@ class AlignmentParams:
 
 
 def has_discrete_masses_alignment(params: AlignmentParams) -> bool:
-    """Flexibility condition for the global alignment kernel.
+    """Flexibility condition for the global and the local alignment kernel.
 
     With a finite positive gap-start penalty the kernel has discrete
     masses iff ``2 mu >= log sigma``; with no gap-start penalty the
     inequality must be strict.  An infinite gap-start penalty reduces the
-    kernel to a position-wise product, which always has them.
+    global kernel to a position-wise product and forbids all but the
+    boundary runs in the local one; both then have discrete masses for
+    every ``mu`` and letter kernel.
     """
     if params.delta_mu == math.inf:
         return True
@@ -105,18 +128,8 @@ def has_discrete_masses_alignment(params: AlignmentParams) -> bool:
     return 2.0 * params.mu > math.log(params.sigma)
 
 
-def has_discrete_masses_local(params: AlignmentParams) -> bool:
-    """Flexibility condition for the local alignment kernel.
-
-    Same thresholds as the global kernel for finite gap-start penalties;
-    with an infinite one the local kernel keeps discrete masses for every
-    ``mu`` and letter kernel.
-    """
-    if params.delta_mu == math.inf:
-        return True
-    if params.delta_mu > 0:
-        return 2.0 * params.mu >= math.log(params.sigma)
-    return 2.0 * params.mu > math.log(params.sigma)
+#: the local kernel has the same thresholds
+has_discrete_masses_local = has_discrete_masses_alignment
 
 
 LType = Union[str, Callable[[int, int], int], np.ndarray]
@@ -152,76 +165,140 @@ def _gap_factors(mu: float, delta_mu: float) -> tuple[float, float]:
     return ext, start
 
 
-def _check_finite(value, x: Sequence, y: Sequence):
-    if not np.all(np.isfinite(value)):
+#: element cap per engine chunk, for the (column, pair, count) tables
+#: and the (row, column, pair) letter scores alike: 2 MB of float64 each
+CHUNK_ELEMENTS = 2 ** 18
+
+
+def alignment_R_batch(xs, ys, ks: np.ndarray, mu: float, delta_mu: float,
+                      ltype: LType = "none", local: bool = False) -> np.ndarray:
+    """Alignment sums of the pairs ``(xs[p], ys[p])``, split by marked-match count.
+
+    Row ``p`` is pair ``p``'s vector ``R`` (see :func:`alignment_dp_R`)
+    for the global kernel or, with ``local``, the local one.  Rows are
+    zero-padded to one length: the batch's largest
+    ``min(|x|, |y|) + 1``, or 1 when ``ltype`` marks nothing, so
+    ``R[:, 0]`` is then the kernel value.  Raises
+    :class:`NumericalError` naming the lengths of the first pair whose
+    sums overflow.
+    """
+    K = np.asarray(ks, dtype=float)
+    lmat = _ltype_matrix(ltype, K.shape[0])
+    if len(xs) != len(ys):
+        raise DataError("alignment_R_batch needs as many ys as xs")
+    nx = np.array([len(x) for x in xs], dtype=np.intp)
+    ny = np.array([len(y) for y in ys], dtype=np.intp)
+    width = 1 if lmat is None else int(np.minimum(nx, ny).max(initial=0)) + 1
+    out = np.zeros((len(nx), width))
+    for idx in _length_chunks(nx, ny, lmat is not None):
+        R = _chunk_R([xs[p] for p in idx], [ys[p] for p in idx], nx[idx], ny[idx],
+                     K, lmat, mu, delta_mu, local)
+        out[idx, : R.shape[1]] = R
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        p = int(np.argmax(bad))
         raise NumericalError(
-            f"alignment recursion overflowed on |x|={len(x)}, |y|={len(y)}"
+            f"alignment recursion overflowed on |x|={nx[p]}, |y|={ny[p]}"
         )
-    return value
+    return out
+
+
+def _length_chunks(nx: np.ndarray, ny: np.ndarray, counted: bool):
+    """Pair indices sorted by length, cut where a chunk would pass the cap."""
+    chunk: list[int] = []
+    mx = my = 0
+    for p in np.lexsort((ny, nx)).tolist():
+        a, b = max(mx, int(nx[p])), max(my, int(ny[p]))
+        per_pair = max((b + 1) * (min(a, b) + 1 if counted else 1), a * b)
+        if chunk and (len(chunk) + 1) * per_pair > CHUNK_ELEMENTS:
+            yield np.array(chunk)
+            chunk, a, b = [], int(nx[p]), int(ny[p])
+        chunk.append(p)
+        mx, my = a, b
+    if chunk:
+        yield np.array(chunk)
+
+
+def _chunk_R(xs, ys, nx: np.ndarray, ny: np.ndarray, K: np.ndarray,
+             lmat: Optional[np.ndarray], mu: float, delta_mu: float,
+             local: bool) -> np.ndarray:
+    """One chunk of :func:`alignment_R_batch` on padded tables.
+
+    Tables hold one DP row as ``(column, pair, count)`` arrays; the
+    letter scores ``S[i - 1]`` of row ``i`` are ``(column, pair)``.
+    """
+    P, mx, my = len(xs), int(nx.max()), int(ny.max())
+    nl = 1 if lmat is None else int(np.minimum(nx, ny).max()) + 1
+    X = np.zeros((mx, P), dtype=np.intp)
+    Y = np.zeros((my, P), dtype=np.intp)
+    for p, (x, y) in enumerate(zip(xs, ys)):
+        X[: nx[p], p] = x.codes
+        Y[: ny[p], p] = y.codes
+    rows = np.arange(mx + 1)[:, None, None]
+    cols = np.arange(my + 1)[:, None]
+    padded_col = cols > ny
+    real = (rows[1:] <= nx) & ~padded_col[1:]
+    S = np.where(real, K[X[:, None, :], Y[None, :, :]], 0.0)
+    marked = None if lmat is None else lmat[X[:, None, :], Y[None, :, :]][..., None]
+    e_ext, e_open = _gap_factors(mu, delta_mu)
+    gaps = e_open > 0
+    # I_Y[j] = sum_{k < j} e_open e_ext**(j - 1 - k) (M + I_X)[k]
+    lag = cols - cols.T - 1
+    T = np.where(lag >= 0, e_open * e_ext ** np.maximum(lag, 0), 0.0)
+
+    M = np.zeros((my + 1, P, nl))
+    IX = np.zeros_like(M)
+    IY = np.zeros_like(M)
+    R = np.zeros((P, nl))
+    if local:
+        R[:, 0] = np.exp(-mu * (nx + ny))  # the matchless alignment
+        lead = np.exp(-mu * (rows[:-1, :, 0] + cols[:-1, 0]))[..., None]
+        ends = (rows <= nx) & ~padded_col  # the pair's own cells ...
+        tails = np.exp(-mu * np.where(ends, (nx - rows) + (ny - cols), 0))[..., None]
+    else:
+        M[0, :, 0] = 1.0
+        by_rows = np.argsort(nx, kind="stable")
+        starts = np.searchsorted(nx[by_rows], np.arange(mx + 2))
+    for i in range(mx + 1):
+        if i:
+            inner = MX[:-1] + IY[:-1]
+            if local:
+                inner[..., 0] += lead[i - 1]
+            if marked is not None:
+                up = np.zeros_like(inner)
+                up[..., 1:] = inner[..., :-1]
+                inner = np.where(marked[i - 1], up, inner)
+            if gaps:
+                IX = e_open * M + e_ext * IX
+            M = np.zeros_like(M)
+            M[1:] = S[i - 1][..., None] * inner
+        MX = M + IX
+        MX[padded_col] = 0.0
+        if gaps:
+            # padded inputs are zero, so a NaN from T's zeros can only meet
+            # a real cell that overflowed, which the results check reports
+            with np.errstate(invalid="ignore"):
+                IY = (T @ MX.reshape(my + 1, -1)).reshape(MX.shape)
+        if local:
+            # ... each weighted by the boundary runs that close it
+            R += np.where(ends[i][..., None], M * tails[i], 0.0).sum(axis=0)
+        elif starts[i] < starts[i + 1]:
+            done = by_rows[starts[i] : starts[i + 1]]
+            at = ny[done]
+            R[done] = MX[at, done] + IY[at, done]
+    return R
 
 
 def alignment_value(x: Sequence, y: Sequence, ks: np.ndarray, mu: float,
                     delta_mu: float) -> float:
     """Global alignment kernel value (sum over all alignments)."""
-    cx, cy = x.codes, y.codes
-    nx, ny = len(cx), len(cy)
-    e_ext, e_open = _gap_factors(mu, delta_mu)
-    K = ks
-    # row-rolling tables over j = 0..ny; row i = 0 seeds M(0,0) = 1
-    M_prev = [0.0] * (ny + 1)
-    IX_prev = [0.0] * (ny + 1)
-    IY_prev = [0.0] * (ny + 1)
-    M_prev[0] = 1.0
-    for j in range(1, ny + 1):
-        IY_prev[j] = e_open * (M_prev[j - 1] + IX_prev[j - 1]) + e_ext * IY_prev[j - 1]
-    for i in range(1, nx + 1):
-        M_cur = [0.0] * (ny + 1)
-        IX_cur = [0.0] * (ny + 1)
-        IY_cur = [0.0] * (ny + 1)
-        IX_cur[0] = e_open * M_prev[0] + e_ext * IX_prev[0]
-        a = cx[i - 1]
-        Krow = K[a]
-        for j in range(1, ny + 1):
-            M_cur[j] = Krow[cy[j - 1]] * (
-                M_prev[j - 1] + IX_prev[j - 1] + IY_prev[j - 1]
-            )
-            IX_cur[j] = e_open * M_prev[j] + e_ext * IX_prev[j]
-            IY_cur[j] = e_open * (M_cur[j - 1] + IX_cur[j - 1]) + e_ext * IY_cur[j - 1]
-        M_prev, IX_prev, IY_prev = M_cur, IX_cur, IY_cur
-    total = M_prev[ny] + IX_prev[ny] + IY_prev[ny]
-    return float(_check_finite(total, x, y))
+    return float(alignment_R_batch([x], [y], ks, mu, delta_mu)[0, 0])
 
 
 def local_alignment_value(x: Sequence, y: Sequence, ks: np.ndarray, mu: float,
                           delta_mu: float) -> float:
     """Local alignment kernel value: boundary gap runs skip the start penalty."""
-    cx, cy = x.codes, y.codes
-    nx, ny = len(cx), len(cy)
-    e_ext, e_open = _gap_factors(mu, delta_mu)
-    K = ks
-    total = math.exp(-mu * (nx + ny))  # the matchless alignment
-    M_prev = [0.0] * (ny + 1)
-    IX_prev = [0.0] * (ny + 1)
-    IY_prev = [0.0] * (ny + 1)
-    lead_prev = [math.exp(-mu * j) for j in range(ny + 1)]  # e^{-mu(i+j)} at i=0
-    for i in range(1, nx + 1):
-        M_cur = [0.0] * (ny + 1)
-        IX_cur = [0.0] * (ny + 1)
-        IY_cur = [0.0] * (ny + 1)
-        lead_cur = [math.exp(-mu * (i + j)) for j in range(ny + 1)]
-        IX_cur[0] = e_open * M_prev[0] + e_ext * IX_prev[0]
-        a = cx[i - 1]
-        Krow = K[a]
-        tail_x = math.exp(-mu * (nx - i))
-        for j in range(1, ny + 1):
-            M_cur[j] = Krow[cy[j - 1]] * (
-                M_prev[j - 1] + IX_prev[j - 1] + IY_prev[j - 1] + lead_prev[j - 1]
-            )
-            IX_cur[j] = e_open * M_prev[j] + e_ext * IX_prev[j]
-            IY_cur[j] = e_open * (M_cur[j - 1] + IX_cur[j - 1]) + e_ext * IY_cur[j - 1]
-            total += M_cur[j] * tail_x * math.exp(-mu * (ny - j))
-        M_prev, IX_prev, IY_prev, lead_prev = M_cur, IX_cur, IY_cur, lead_cur
-    return float(_check_finite(total, x, y))
+    return float(alignment_R_batch([x], [y], ks, mu, delta_mu, local=True)[0, 0])
 
 
 def alignment_dp_R(x: Sequence, y: Sequence, ks: np.ndarray, mu: float,
@@ -234,36 +311,32 @@ def alignment_dp_R(x: Sequence, y: Sequence, ks: np.ndarray, mu: float,
     "none", a callable, or a 0/1 matrix).  ``R.sum()`` is the plain
     alignment kernel value; ``len(R) == min(|x|, |y|) + 1``.
     """
-    cx, cy = x.codes, y.codes
-    nx, ny = len(cx), len(cy)
-    nl = min(nx, ny) + 1
-    e_ext, e_open = _gap_factors(mu, delta_mu)
-    K = np.asarray(ks, dtype=float)
-    lmat = _ltype_matrix(ltype, K.shape[0])
-    M = np.zeros((nx + 1, ny + 1, nl))
-    IX = np.zeros((nx + 1, ny + 1, nl))
-    IY = np.zeros((nx + 1, ny + 1, nl))
-    M[0, 0, 0] = 1.0
-    for j in range(1, ny + 1):
-        IY[0, j] = e_open * (M[0, j - 1] + IX[0, j - 1]) + e_ext * IY[0, j - 1]
-    for i in range(1, nx + 1):
-        a = cx[i - 1]
-        IX[i, 0] = e_open * M[i - 1, 0] + e_ext * IX[i - 1, 0]
-        for j in range(1, ny + 1):
-            b = cy[j - 1]
-            kv = K[a, b]
-            J = M[i - 1, j - 1] + IX[i - 1, j - 1] + IY[i - 1, j - 1]
-            if lmat is not None and lmat[a, b]:
-                M[i, j, 1:] = kv * J[:-1]
-            else:
-                M[i, j] = kv * J
-            IX[i, j] = e_open * M[i - 1, j] + e_ext * IX[i - 1, j]
-            IY[i, j] = e_open * (M[i, j - 1] + IX[i, j - 1]) + e_ext * IY[i, j - 1]
-    R = M[nx, ny] + IX[nx, ny] + IY[nx, ny]
-    return _check_finite(R, x, y)
+    R = np.zeros(min(len(x), len(y)) + 1)
+    row = alignment_R_batch([x], [y], ks, mu, delta_mu, ltype)[0]
+    R[: len(row)] = row
+    return R
 
 
-class AlignmentKernel(Kernel):
+def power_law_mixture(R: np.ndarray, nx, ny, base: Callable, beta: float) -> np.ndarray:
+    """Per pair ``sum_L base(L, |x|, |y|)**-beta R[L]``, the heavy-tailed sums.
+
+    ``R`` holds one count vector per row (as from
+    :func:`alignment_R_batch`), ``nx`` and ``ny`` the pairs' lengths;
+    ``base`` is called on broadcast arrays and must be positive on every
+    count ``L <= min(|x|, |y|)`` a pair can reach.  Counts past a pair's
+    reach are masked out before the power, since ``base`` may be zero or
+    negative there.
+    """
+    R = np.atleast_2d(R)
+    nx = np.asarray(nx)[:, None]
+    ny = np.asarray(ny)[:, None]
+    L = np.arange(R.shape[1])[None, :]
+    reach = L <= np.minimum(nx, ny)
+    b = np.where(reach, base(L, nx, ny), 1.0)
+    return (np.where(reach, b ** -beta, 0.0) * R).sum(axis=1)
+
+
+class AlignmentKernel(BatchKernel):
     """Global alignment kernel (all alignments, affine gap weights)."""
 
     family = "alignment"
@@ -281,8 +354,11 @@ class AlignmentKernel(Kernel):
     def __call__(self, x: Sequence, y: Sequence) -> float:
         return alignment_value(x, y, self.p.ks, self.p.mu, self.p.delta_mu)
 
+    def batch(self, xs, ys) -> np.ndarray:
+        return alignment_R_batch(xs, ys, self.p.ks, self.p.mu, self.p.delta_mu)[:, 0]
 
-class LocalAlignmentKernel(Kernel):
+
+class LocalAlignmentKernel(BatchKernel):
     """Local alignment kernel: no start penalty for boundary gap runs."""
 
     family = "local_alignment"
@@ -300,8 +376,12 @@ class LocalAlignmentKernel(Kernel):
     def __call__(self, x: Sequence, y: Sequence) -> float:
         return local_alignment_value(x, y, self.p.ks, self.p.mu, self.p.delta_mu)
 
+    def batch(self, xs, ys) -> np.ndarray:
+        return alignment_R_batch(xs, ys, self.p.ks, self.p.mu, self.p.delta_mu,
+                                 local=True)[:, 0]
 
-class HeavyTailedAlignmentMatches(Kernel):
+
+class HeavyTailedAlignmentMatches(BatchKernel):
     """Alignment kernel with a power-law tail in matched-pair mismatches.
 
     Each alignment contributes ``(C + m)**-beta`` times its gap weight,
@@ -336,11 +416,17 @@ class HeavyTailedAlignmentMatches(Kernel):
 
     def __call__(self, x: Sequence, y: Sequence) -> float:
         R = alignment_dp_R(x, y, self._ones, self.mu, self.delta_mu, "mismatch")
-        L = np.arange(len(R))
-        return float(((self.C + L) ** -self.beta) @ R)
+        return float(self._mix(R, [len(x)], [len(y)])[0])
+
+    def batch(self, xs, ys) -> np.ndarray:
+        R = alignment_R_batch(xs, ys, self._ones, self.mu, self.delta_mu, "mismatch")
+        return self._mix(R, [len(x) for x in xs], [len(y) for y in ys])
+
+    def _mix(self, R, nx, ny) -> np.ndarray:
+        return power_law_mixture(R, nx, ny, lambda L, nx, ny: self.C + L, self.beta)
 
 
-class HeavyTailedAlignmentGaps(Kernel):
+class HeavyTailedAlignmentGaps(BatchKernel):
     """Alignment kernel with a power-law tail in total inserted length.
 
     Each alignment contributes ``(C + |x| + |y| - 2 L)**-beta`` times its
@@ -373,9 +459,16 @@ class HeavyTailedAlignmentGaps(Kernel):
 
     def __call__(self, x: Sequence, y: Sequence) -> float:
         R = alignment_dp_R(x, y, self.ks, 0.0, self.delta_mu, "all")
-        L = np.arange(len(R))
-        inserted = len(x) + len(y) - 2 * L
-        return float(((self.C + inserted) ** -self.beta) @ R)
+        return float(self._mix(R, [len(x)], [len(y)])[0])
+
+    def batch(self, xs, ys) -> np.ndarray:
+        R = alignment_R_batch(xs, ys, self.ks, 0.0, self.delta_mu, "all")
+        return self._mix(R, [len(x) for x in xs], [len(y) for y in ys])
+
+    def _mix(self, R, nx, ny) -> np.ndarray:
+        return power_law_mixture(R, nx, ny,
+                                 lambda L, nx, ny: self.C + (nx + ny - 2 * L),
+                                 self.beta)
 
 
 def alignment_kernel(params: AlignmentParams) -> AlignmentKernel:

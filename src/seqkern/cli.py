@@ -43,8 +43,6 @@ KERNEL_FLAGS = [
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="INI file with [kernel]/[data]/[run] sections")
     parser.add_argument("--seed", type=int, default=None, help="global random seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for Gram assembly")
     parser.add_argument("--alphabet", default=None,
                         help="'dna', 'protein', or explicit letters (default dna)")
     parser.add_argument("--output", default=None, help="output CSV path")
@@ -136,7 +134,7 @@ def cmd_gram(args) -> int:
                 f"records {seen[s]!r} and {rec_id!r} hold the same sequence; "
                 f"Gram matrices are defined over distinct sequences")
         seen[s] = rec_id
-    G = gram(kernel, seqs, threads=max(1, args.threads))
+    G = gram(kernel, seqs)
     out = _need(run_cfg, "output", "output path")
     rows = [[ids[i]] + list(G.entries[i]) for i in range(len(ids))]
     io.write_csv(out, ["id"] + ids, rows)
@@ -173,7 +171,7 @@ def cmd_regress(args) -> int:
     train_idx = np.sort(order[:n_train])
     eval_idx = np.sort(order[n_train:]) if n_train < n else train_idx
 
-    G = gram(kernel, [seqs[i] for i in train_idx], threads=max(1, args.threads))
+    G = gram(kernel, [seqs[i] for i in train_idx])
     fit = fit_regression(G, y[train_idx], ridge)
     pred = predict_many(fit, seqs)
 

@@ -83,6 +83,39 @@ class _NormalizingTilt:
     def __call__(self, x) -> float:
         return self._kernel(x, x) ** -0.5
 
+    def many(self, xs) -> np.ndarray:
+        return self._kernel.self_similarities(xs) ** -0.5
+
+
+class BatchKernel(Kernel):
+    """A kernel evaluated a batch of pairs at a time.
+
+    Subclasses implement :meth:`batch`.  :meth:`pairwise` sends it the
+    upper triangle of a symmetric block (mirrored, so symmetric matrices
+    are exactly symmetric) or every pair of a rectangular one, and
+    :meth:`self_similarities` the ``(x, x)`` pairs.
+    """
+
+    def batch(self, xs: Seq, ys: Seq) -> np.ndarray:
+        """Values ``k(xs[p], ys[p])`` of equally long lists of pairs."""
+        raise NotImplementedError
+
+    def pairwise(self, xs: Seq, ys: Optional[Seq] = None) -> np.ndarray:
+        xs = list(xs)
+        if ys is None:
+            i, j = np.triu_indices(len(xs))
+            out = np.empty((len(xs), len(xs)))
+            out[i, j] = out[j, i] = self.batch([xs[a] for a in i], [xs[b] for b in j])
+            return out
+        ys = list(ys)
+        i, j = np.divmod(np.arange(len(xs) * len(ys)), max(len(ys), 1))
+        values = self.batch([xs[a] for a in i], [ys[b] for b in j])
+        return values.reshape(len(xs), len(ys))
+
+    def self_similarities(self, xs: Seq) -> np.ndarray:
+        xs = list(xs)
+        return self.batch(xs, xs)
+
 
 class SumKernel(Kernel):
     """Positive combination ``sum_n a_n * k_n``.
@@ -128,7 +161,9 @@ class TiltedKernel(Kernel):
 
     Tilting rescales the kernel's view of sequence space (normalisation
     is the special case ``A = k(x,x)**-0.5``) and preserves discrete
-    masses.
+    masses.  A weight that also offers ``many(xs)`` is asked for the
+    weights of a whole list at once (normalisation answers with one
+    ``self_similarities`` batch of the base kernel).
     """
 
     family = "tilt"
@@ -142,19 +177,31 @@ class TiltedKernel(Kernel):
     def params(self) -> dict:
         return {"base": self.base.family}
 
-    def _a(self, x) -> float:
-        a = float(self.weight(x))
-        if not a > 0:
-            raise DataError(f"tilt weight must be positive, got {a} on {x!r}")
+    def _weights(self, xs) -> np.ndarray:
+        """Weights of ``xs``, in one batch when the weight offers ``many``."""
+        xs = list(xs)
+        many = getattr(self.weight, "many", None)
+        if many is not None:
+            a = np.asarray(many(xs), dtype=float)
+        else:
+            a = np.array([float(self.weight(x)) for x in xs])
+        bad = np.flatnonzero(~(a > 0))
+        if bad.size:
+            raise DataError(
+                f"tilt weight must be positive, got {a[bad[0]]} on {xs[bad[0]]!r}")
         return a
 
     def __call__(self, x, y) -> float:
-        return self._a(x) * self.base(x, y) * self._a(y)
+        ax, ay = self._weights([x, y])
+        return float(ax * self.base(x, y) * ay)
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
-        ax = np.array([self._a(x) for x in xs])
-        ay = ax if ys is None else np.array([self._a(y) for y in ys])
+        ax = self._weights(xs)
+        ay = ax if ys is None else self._weights(ys)
         return ax[:, None] * self.base.pairwise(xs, ys) * ay[None, :]
+
+    def self_similarities(self, xs) -> np.ndarray:
+        return self._weights(xs) ** 2 * self.base.self_similarities(xs)
 
 
 def tilt_kernel(base: Kernel, weight: Callable[[Sequence], float]) -> TiltedKernel:

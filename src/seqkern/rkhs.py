@@ -11,7 +11,6 @@ blow-ups or singular Grams expose degenerate kernels.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence as Seq
 
@@ -105,25 +104,12 @@ class GramMatrix:
         return V @ (inv * (V.T @ b))
 
 
-def gram(kernel: Kernel, sequences: Seq, threads: int = 1) -> GramMatrix:
+def gram(kernel: Kernel, sequences: Seq) -> GramMatrix:
     """Assemble and validate the Gram matrix over distinct sequences."""
     sequences = list(sequences)
     if len(set(sequences)) != len(sequences):
         raise DataError("gram() requires distinct sequences")
-    if threads > 1 and len(sequences) > 1:
-        entries = np.empty((len(sequences), len(sequences)))
-        rows = np.array_split(np.arange(len(sequences)), threads)
-
-        def fill(idx):
-            block = kernel.pairwise([sequences[i] for i in idx], sequences)
-            return idx, block
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, block in pool.map(fill, [r for r in rows if len(r)]):
-                entries[idx, :] = block
-    else:
-        entries = kernel.pairwise(sequences)
-    return GramMatrix(kernel, sequences, entries)
+    return GramMatrix(kernel, sequences, kernel.pairwise(sequences))
 
 
 @dataclass

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import alignment_dp_R
-from .core import HAS_MASSES, LACKS_MASSES, Kernel
+from .alignment import (alignment_dp_R, alignment_R_batch, local_alignment_value,
+                        power_law_mixture)
+from .core import HAS_MASSES, LACKS_MASSES, BatchKernel, Kernel
 from .errors import DataError
 from .seqcore import Sequence
 
@@ -75,26 +76,28 @@ def finite_spectrum_kernel(L_max: int) -> FiniteSpectrumKernel:
     return FiniteSpectrumKernel(L_max)
 
 
-class InfiniteSpectrumKernel(Kernel):
+class InfiniteSpectrumKernel(BatchKernel):
     """Shared-kmer count kernel over kmers of every length.
 
     ``k(x, y) = 1 + sum_{V != empty} occ(V, x) occ(V, y)``; the unit term
     is the empty kmer's contribution, forced by the identity with the
     tilted insertion-free local alignment kernel (each shared-substring
     occurrence pair corresponds to exactly one contiguous match block,
-    and the matchless alignment gives the 1).
+    and the matchless alignment gives the 1).  It is computed by that
+    identity: the local alignment engine with identity letters, ``mu = 0``
+    and ``delta_mu = inf``, in O(|x| |y|) and exactly (every sum is an
+    integer).
     """
 
     family = "infinite_spectrum"
     mass_status = HAS_MASSES
 
     def __call__(self, x: Sequence, y: Sequence) -> float:
-        total = 1.0
-        for length in range(1, min(len(x), len(y)) + 1):
-            cx = substring_counts(x, length)
-            for codes, ny in substring_counts(y, length).items():
-                total += cx.get(codes, 0) * ny
-        return total
+        return local_alignment_value(x, y, np.eye(x.alphabet.size), 0.0, math.inf)
+
+    def batch(self, xs, ys) -> np.ndarray:
+        letters = np.eye(xs[0].alphabet.size if xs else 1)
+        return alignment_R_batch(xs, ys, letters, 0.0, math.inf, local=True)[:, 0]
 
 
 def infinite_spectrum_kernel() -> InfiniteSpectrumKernel:
@@ -166,7 +169,7 @@ def gapped_kmer_feature(v: Sequence, x: Sequence, zeta: float,
     return math.exp(0.5 * zeta * len(v)) * total
 
 
-class HeavyTailedGappedSpectrumKernel(Kernel):
+class HeavyTailedGappedSpectrumKernel(BatchKernel):
     """Gapped-kmer kernel with power-law weights in kmer length.
 
     ``k(x, y) = sum_V (C + (|x|+|y|)/2 - |V|)**-beta u~_V(x) u~_V(y)``
@@ -196,9 +199,16 @@ class HeavyTailedGappedSpectrumKernel(Kernel):
 
     def __call__(self, x: Sequence, y: Sequence) -> float:
         R = alignment_dp_R(x, y, self._eye, 0.0, self.delta_mu, "all")
-        L = np.arange(len(R))
-        half = 0.5 * (len(x) + len(y))
-        return float(((self.C + half - L) ** -self.beta) @ R)
+        return float(self._mix(R, [len(x)], [len(y)])[0])
+
+    def batch(self, xs, ys) -> np.ndarray:
+        R = alignment_R_batch(xs, ys, self._eye, 0.0, self.delta_mu, "all")
+        return self._mix(R, [len(x) for x in xs], [len(y) for y in ys])
+
+    def _mix(self, R, nx, ny) -> np.ndarray:
+        return power_law_mixture(R, nx, ny,
+                                 lambda L, nx, ny: self.C + 0.5 * (nx + ny) - L,
+                                 self.beta)
 
 
 def heavy_tailed_gapped_spectrum(alphabet_size: int, C: float, beta: float,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +24,24 @@ from seqkern import (
     local_alignment_kernel,
     seq,
 )
-from seqkern.alignment import alignment_value, exponential_letter_matrix, sigma_of
+from seqkern import alignment as alignment_module
+from seqkern.alignment import (
+    alignment_R_batch,
+    alignment_value,
+    exponential_letter_matrix,
+    local_alignment_value,
+    sigma_of,
+)
+from seqkern.spectrum import (
+    heavy_tailed_gapped_spectrum,
+    infinite_spectrum_kernel,
+)
 
 from conftest import random_distinct_sequences, random_sequence
 from oracles import (
     alignment_sum_by_count,
     alignment_total,
+    count_occurrences,
     gamma_quadrature,
 )
 
@@ -50,9 +63,15 @@ class TestDpMatchesEnumeration:
         params = AlignmentParams.exponential(AB, lam, mu, delta_mu)
         k = alignment_kernel(params)
         seqs = enumerate_up_to(AB, 4)
-        for x, y in itertools.product(seqs, repeat=2):
-            expected = alignment_total(x, y, exp_ks_fn(lam), mu, delta_mu)
-            assert k(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        expected = np.array([[alignment_total(x, y, exp_ks_fn(lam), mu, delta_mu)
+                              for y in seqs] for x in seqs])
+        for (a, x), (b, y) in itertools.product(enumerate(seqs), repeat=2):
+            assert k(x, y) == pytest.approx(expected[a, b], rel=1e-12, abs=1e-300)
+        # the batched paths: all pairs at once, of mixed lengths with the
+        # empty sequence among them
+        np.testing.assert_allclose(k.pairwise(seqs), expected, rtol=1e-12)
+        np.testing.assert_allclose(k.pairwise(seqs[::3], seqs), expected[::3],
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("delta_mu", DMU_GRID)
     def test_local_kernel_all_short_pairs(self, delta_mu):
@@ -60,10 +79,14 @@ class TestDpMatchesEnumeration:
         params = AlignmentParams.exponential(AB, lam, mu, delta_mu)
         k = local_alignment_kernel(params)
         seqs = enumerate_up_to(AB, 4)
-        for x, y in itertools.product(seqs, repeat=2):
-            expected = alignment_total(x, y, exp_ks_fn(lam), mu, delta_mu,
-                                       local=True)
-            assert k(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        expected = np.array([[alignment_total(x, y, exp_ks_fn(lam), mu, delta_mu,
+                                              local=True)
+                              for y in seqs] for x in seqs])
+        for (a, x), (b, y) in itertools.product(enumerate(seqs), repeat=2):
+            assert k(x, y) == pytest.approx(expected[a, b], rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(k.pairwise(seqs), expected, rtol=1e-12)
+        np.testing.assert_allclose(k.pairwise(seqs[::3], seqs), expected[::3],
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("delta_mu", DMU_GRID)
     @pytest.mark.parametrize("marker", ["mismatch", "all"])
@@ -72,13 +95,20 @@ class TestDpMatchesEnumeration:
         ks = exponential_letter_matrix(2, lam)
         ell = {"mismatch": lambda a, b: int(a != b), "all": lambda a, b: 1}[marker]
         seqs = enumerate_up_to(AB, 3)
-        for x, y in itertools.product(seqs, repeat=2):
+        pairs = list(itertools.product(seqs, repeat=2))
+        batch = alignment_R_batch([x for x, _ in pairs], [y for _, y in pairs],
+                                  ks, mu, delta_mu, marker)
+        assert batch.shape == (len(pairs), 4)
+        for (x, y), row in zip(pairs, batch):
             R = alignment_dp_R(x, y, ks, mu, delta_mu, marker)
             by_count = alignment_sum_by_count(x, y, exp_ks_fn(lam), mu,
                                               delta_mu, ell)
             for L, value in enumerate(R):
                 assert value == pytest.approx(
                     by_count.get(L, 0.0), rel=1e-12, abs=1e-14)
+            # a batch row is R, zero-padded past the pair's reach
+            np.testing.assert_allclose(row[: len(R)], R, rtol=1e-12, atol=1e-14)
+            assert not row[len(R):].any()
 
     def test_matrix_and_callable_markers(self):
         # explicit 0/1 matrices and callables work as marker predicates
@@ -96,6 +126,19 @@ class TestDpMatchesEnumeration:
             for L, v in enumerate(R_mat):
                 assert v == pytest.approx(by_count.get(L, 0.0), rel=1e-12,
                                           abs=1e-14)
+        # the same markers through one batch of mixed lengths, global and local
+        seqs = enumerate_up_to(AB, 3)
+        xs = [x for x in seqs for _ in seqs]
+        ys = [y for _ in seqs for y in seqs]
+        for local in (False, True):
+            B_mat = alignment_R_batch(xs, ys, K, 0.4, 0.5, marker_matrix, local)
+            B_fn = alignment_R_batch(xs, ys, K, 0.4, 0.5, marker_fn, local)
+            np.testing.assert_allclose(B_mat, B_fn, rtol=0, atol=0)
+            for x, y, row in zip(xs, ys, B_mat):
+                by_count = alignment_sum_by_count(
+                    x, y, lambda a, b: K[a, b], 0.4, 0.5, marker_fn, local)
+                expected = [by_count.get(L, 0.0) for L in range(len(row))]
+                np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-14)
 
     def test_count_vector_shape_and_total(self):
         lam, mu, dmu = 0.5, 0.2, 0.4
@@ -316,3 +359,148 @@ class TestStructuralProperties:
             AlignmentParams.exponential(AB, 1.0, -0.1, 0.5)
         with pytest.raises(DataError):
             AlignmentParams.exponential(AB, 1.0, 0.5, -0.5)
+
+
+# Mixed lengths, the empty sequence among them, for the batched paths.
+MIXED = enumerate_up_to(AB, 2) + [seq(AB, s) for s in ("ABB", "BABBA", "AABAB")]
+
+
+def _mixture_oracle(ks_fn, mu, dmu, marker, C, beta, base):
+    ell = {"mismatch": lambda a, b: int(a != b), "all": lambda a, b: 1}[marker]
+
+    def oracle(x, y):
+        by_count = alignment_sum_by_count(x, y, ks_fn, mu, dmu, ell)
+        return sum(base(C, L, len(x), len(y)) ** -beta * v
+                   for L, v in by_count.items())
+    return oracle
+
+
+def _spectrum_oracle(x, y):
+    substrings = {x[i:j] for i in range(len(x)) for j in range(i + 1, len(x) + 1)}
+    return 1.0 + sum(count_occurrences(v, x) * count_occurrences(v, y)
+                     for v in substrings)
+
+
+def _families():
+    """(name, kernel, oracle) for every family on the alignment engine."""
+    lam, mu, dmu = 0.7, 0.4, 0.5
+    params = AlignmentParams.exponential(AB, lam, mu, dmu)
+    ks_fn = exp_ks_fn(lam)
+    eye_fn = lambda a, b: float(a == b)  # noqa: E731
+    C, beta = 1.5, 1.3
+
+    def normalized_oracle(x, y):
+        k = lambda u, v: alignment_total(u, v, ks_fn, mu, dmu)  # noqa: E731
+        return k(x, y) / math.sqrt(k(x, x) * k(y, y))
+
+    return [
+        ("alignment", alignment_kernel(params),
+         lambda x, y: alignment_total(x, y, ks_fn, mu, dmu)),
+        ("local_alignment", local_alignment_kernel(params),
+         lambda x, y: alignment_total(x, y, ks_fn, mu, dmu, local=True)),
+        ("ht_alignment_matches", HeavyTailedAlignmentMatches(AB, C, beta, mu, dmu),
+         _mixture_oracle(lambda a, b: 1.0, mu, dmu, "mismatch", C, beta,
+                         lambda C, L, nx, ny: C + L)),
+        ("ht_alignment_gaps",
+         HeavyTailedAlignmentGaps(AB, C, beta, dmu, params.ks),
+         _mixture_oracle(ks_fn, 0.0, dmu, "all", C, beta,
+                         lambda C, L, nx, ny: C + nx + ny - 2 * L)),
+        ("ht_gapped_spectrum", heavy_tailed_gapped_spectrum(2, C, beta, dmu),
+         _mixture_oracle(eye_fn, 0.0, dmu, "all", C, beta,
+                         lambda C, L, nx, ny: C + 0.5 * (nx + ny) - L)),
+        ("infinite_spectrum", infinite_spectrum_kernel(), _spectrum_oracle),
+        ("normalized_alignment", alignment_kernel(params).normalized(),
+         normalized_oracle),
+    ]
+
+
+FAMILIES = _families()
+
+
+class TestBatchedEngine:
+    """``pairwise`` and ``self_similarities`` of every family on the
+    engine equal the scalar call and the enumeration oracles."""
+
+    @pytest.mark.parametrize("name,kernel,oracle", FAMILIES,
+                             ids=[f[0] for f in FAMILIES])
+    def test_batched_matches_scalar_and_oracle(self, name, kernel, oracle):
+        expected = np.array([[oracle(x, y) for y in MIXED] for x in MIXED])
+        scalar = np.array([[kernel(x, y) for y in MIXED] for x in MIXED])
+        np.testing.assert_allclose(scalar, expected, rtol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = kernel.pairwise(MIXED)
+            rect = kernel.pairwise(MIXED[:4], MIXED)
+            diag = kernel.self_similarities(MIXED)
+        np.testing.assert_allclose(K, scalar, rtol=1e-12)
+        np.testing.assert_allclose(K, expected, rtol=1e-12)
+        if name != "normalized_alignment":  # tilting rounds per side
+            np.testing.assert_array_equal(K, K.T)
+        np.testing.assert_allclose(rect, scalar[:4], rtol=1e-12)
+        np.testing.assert_allclose(diag, np.diag(scalar), rtol=1e-12)
+        assert kernel.pairwise([]).shape == (0, 0)
+        assert kernel.pairwise(MIXED[:2], []).shape == (2, 0)
+        assert kernel.self_similarities([]).shape == (0,)
+
+    @pytest.mark.parametrize("name,kernel,oracle", FAMILIES,
+                             ids=[f[0] for f in FAMILIES])
+    def test_chunking_does_not_change_values(self, name, kernel, oracle,
+                                             monkeypatch):
+        whole = kernel.pairwise(MIXED)
+        # a cap this small puts one or two pairs in each chunk
+        monkeypatch.setattr(alignment_module, "CHUNK_ELEMENTS", 40)
+        np.testing.assert_allclose(kernel.pairwise(MIXED), whole, rtol=1e-13)
+
+    @pytest.mark.parametrize("make", [
+        lambda C, beta: HeavyTailedAlignmentGaps(AB, C, beta, 0.4,
+                                                 exponential_letter_matrix(2, 0.7)),
+        lambda C, beta: heavy_tailed_gapped_spectrum(2, C, beta, 0.4),
+    ], ids=["ht_alignment_gaps", "ht_gapped_spectrum"])
+    def test_weights_at_unreachable_counts_stay_masked(self, make):
+        # next to a long pair the count axis reaches L = 4, where a short
+        # pair's power-law base C + |x| + |y| - 2L (or its half-length
+        # form) is zero or negative: a non-integer power of it is NaN or
+        # inf, and only masking keeps it out of the value
+        k = make(0.5, 1.3)
+        xs, ys = [seq(AB, "A"), seq(AB, "ABAB")], [empty(AB), seq(AB, "BABA")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = k.pairwise(xs, ys)
+        expected = np.array([[k(x, y) for y in ys] for x in xs])
+        assert np.all(np.isfinite(K))
+        np.testing.assert_allclose(K, expected, rtol=1e-12)
+        # the short pairs alone give the same values
+        assert K[0, 0] == pytest.approx(k(seq(AB, "A"), empty(AB)), rel=1e-15)
+        assert K[1, 0] == pytest.approx(k(seq(AB, "ABAB"), empty(AB)), rel=1e-15)
+
+    def test_padded_cells_stay_quiet(self):
+        # letter score 1e200: a real 2 x 2 pair would overflow, so padded
+        # cells that scored their pad letters would warn; a batch of the
+        # short pairs padded to 2 x 2 must do neither
+        ks = np.array([[1e200]])
+        a, aa = seq(ONE, "A"), seq(ONE, "AA")
+        xs, ys = [a, aa, empty(ONE)], [aa, a, aa]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for local in (False, True):
+                R = alignment_R_batch(xs, ys, ks, 0.3, 0.6, local=local)[:, 0]
+                value = local_alignment_value if local else alignment_value
+                expected = [value(x, y, ks, 0.3, 0.6) for x, y in zip(xs, ys)]
+                np.testing.assert_allclose(R, expected, rtol=1e-12)
+                oracle = [alignment_total(x, y, lambda p, q: 1e200, 0.3, 0.6, local)
+                          for x, y in zip(xs, ys)]
+                np.testing.assert_allclose(R, oracle, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_pair_in_a_batch_is_named(self):
+        # only AAAAA against AAA squares the huge A score often enough to
+        # overflow; the error names that pair, not the batch
+        params = AlignmentParams(AB, np.diag([1e150, 1.0]), 0.2, 0.5)
+        k = alignment_kernel(params)
+        xs = [seq(AB, "B"), seq(AB, "AAAAA")]
+        ys = [seq(AB, "BB"), seq(AB, "B"), seq(AB, "AAA")]
+        k.pairwise(xs, ys[:2])  # the other pairs are fine
+        with pytest.raises(NumericalError, match=r"\|x\|=5, \|y\|=3"):
+            k.pairwise(xs, ys)
+        with pytest.raises(NumericalError, match=r"\|x\|=5, \|y\|=3"):
+            k.pairwise(list(reversed(xs)), ys)

@@ -73,14 +73,6 @@ class TestGram:
         with pytest.raises(DataError):
             gram(k, [x, x])
 
-    def test_threaded_assembly_matches(self):
-        k = imq_hamming_kernel(1.0, 2.0)
-        rng = np.random.default_rng(40)
-        seqs = random_distinct_sequences(rng, DNA, 9, 6)
-        G1 = gram(k, seqs, threads=1)
-        G4 = gram(k, seqs, threads=4)
-        np.testing.assert_allclose(G1.entries, G4.entries, rtol=0, atol=0)
-
     def test_indefinite_matrix_rejected(self):
         # a fast-decaying base makes the offset-sum kernel indefinite;
         # Gram construction must refuse it rather than hand it onward
