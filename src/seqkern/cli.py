@@ -297,12 +297,9 @@ def cmd_diagnose(args) -> int:
         if target not in s:
             raise DataError(
                 f"target {target} is absent from a nested set (size {len(s)})")
-    values = discrete_mass_diagnostic(kernel, target, sets)
-    from .rkhs import gram as _gram
-    rows = []
-    for s, c in zip(sets, values):
-        G = _gram(kernel, s)
-        rows.append((len(s), c, G.min_eigenvalue))
+    grams = [gram(kernel, s) for s in sets]
+    values = discrete_mass_diagnostic(kernel, target, grams)
+    rows = [(len(G), c, G.min_eigenvalue) for G, c in zip(grams, values)]
     out = _need(run_cfg, "output", "output path")
     io.write_csv(out, ["set_size", "C", "min_eigenvalue"], rows)
     for size, c, ev in rows:

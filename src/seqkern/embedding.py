@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import HAS_MASSES, Kernel, UNKNOWN_MASSES
 from .errors import DataError
-from .seqcore import Sequence
+from .seqcore import Sequence, element_blocks
 
 
 class Embedding:
@@ -186,7 +186,12 @@ class EmbeddingKernel(Kernel):
     def pairwise(self, xs, ys=None) -> np.ndarray:
         A = self.embedding.matrix(list(xs))
         B = A if ys is None else self.embedding.matrix(list(ys))
-        d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+        # exact differences, not |a|^2 + |b|^2 - 2 a.b, which cancels on
+        # the long shells of scaled embeddings; row blocks bound the memory
+        d2 = np.empty((len(A), len(B)))
+        for blk in element_blocks(len(A), len(B) * self.embedding.dim):
+            diff = A[blk, None, :] - B[None, :, :]
+            d2[blk] = np.einsum("ijk,ijk->ij", diff, diff)
         return self.euclidean.of_sqdist(d2)
 
     def self_similarities(self, xs) -> np.ndarray:

@@ -5,6 +5,13 @@ position but have limited flexibility (the weighted-degree / lag-L
 Hamming kernel), and their flexible replacements built from the same
 notion of similarity (exponential Hamming, inverse-multiquadric Hamming,
 centre-justified and shifted variants).
+
+Matrices of the position-wise kernels are assembled without an
+``n x m x width`` temporary: Hamming-type kernels sum a letter table
+over stop-padded positions as BLAS products of one-hot encodings (a
+mismatch table counts Hamming distances exactly; a log letter table
+gives the products), in blocks of positions under ``BLOCK_ELEMENTS``,
+and the window-count kernel accumulates one position at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 
 import numpy as np
 
+from .alignment import exponential_letter_matrix
 from .core import (
     HAS_MASSES,
     LACKS_MASSES,
@@ -20,7 +28,7 @@ from .core import (
     tensor_kernel,
 )
 from .errors import DataError
-from .seqcore import PAD_CODE, Alphabet, Sequence, encode_padded
+from .seqcore import PAD_CODE, Alphabet, Sequence, element_blocks, encode_padded
 
 
 class LetterKernel:
@@ -64,10 +72,8 @@ class LetterKernel:
         if lam <= 0:
             raise DataError("mismatch rate lambda must be positive")
         n = alphabet.size
-        off = math.exp(-lam)
-        K = np.full((n, n), off)
-        np.fill_diagonal(K, 1.0)
-        return cls(alphabet, K, stop_row=np.full(n, off))
+        return cls(alphabet, exponential_letter_matrix(n, lam),
+                   stop_row=np.full(n, math.exp(-lam)))
 
     def value(self, a: int, b: int) -> float:
         """Evaluate on letter codes; ``PAD_CODE`` stands for stop."""
@@ -117,10 +123,12 @@ class WeightedDegreeKernel(Kernel):
         width = max((len(s) for s in list(xs) + list(ys_)), default=0)
         wx = _window_codes(xs, self.L, width)
         wy = wx if sym else _window_codes(ys_, self.L, width)
-        valid_x = wx >= 0
-        valid_y = wy >= 0
-        eq = (wx[:, None, :] == wy[None, :, :]) & valid_x[:, None, :] & valid_y[None, :, :]
-        return eq.sum(axis=2).astype(float)
+        # absent windows are -1 on the left and -2 on the right: they match nothing
+        wy = np.where(wy >= 0, wy, -2)
+        out = np.zeros((len(xs), len(ys_)), dtype=np.int32)
+        for l in range(wx.shape[1]):
+            out += wx[:, l, None] == wy[None, :, l]
+        return out.astype(float)
 
 
 def _window_codes(seqs, L: int, width: int) -> np.ndarray:
@@ -177,26 +185,48 @@ class BasePositionwiseKernel(Kernel):
         return v
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
-        sym = ys is None
-        ys_ = xs if sym else ys
-        cx = encode_padded(list(xs))
-        cy = cx if sym else encode_padded(list(ys_))
-        width = max(cx.shape[1], cy.shape[1])
-        cx = _pad_to(cx, width)
-        cy = _pad_to(cy, width)
-        n = self.letter_kernel.alphabet.size
         ext = self.letter_kernel.extended
-        ix = np.where(cx == PAD_CODE, n, cx)
-        iy = np.where(cy == PAD_CODE, n, cy)
-        vals = ext[ix[:, None, :], iy[None, :, :]]
-        return vals.prod(axis=2)
+        cx, cy = _stop_coded(xs, ys, self.letter_kernel.alphabet.size)
+        mag = np.abs(ext)
+        out = _position_sum(cx, cy, np.log(np.where(mag > 0, mag, 1.0)))
+        np.exp(out, out=out)
+        # the log table drops zeros and signs; their counts are exact
+        if (ext == 0).any():
+            out[_position_sum(cx, cy, (ext == 0).astype(float)) > 0] = 0.0
+        if (ext < 0).any():
+            out[_position_sum(cx, cy, (ext < 0).astype(float)) % 2 == 1] *= -1.0
+        return out
 
 
-def _pad_to(codes: np.ndarray, width: int) -> np.ndarray:
-    if codes.shape[1] == width:
-        return codes
-    extra = np.full((codes.shape[0], width - codes.shape[1]), PAD_CODE, dtype=codes.dtype)
-    return np.concatenate([codes, extra], axis=1)
+def _stop_coded(xs, ys, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Letter codes of ``xs`` and ``ys`` (``xs`` again when ``None``) at
+    one common width, with the stop symbol as code ``size``."""
+    xs = list(xs)
+    ys_ = xs if ys is None else list(ys)
+    width = max((len(s) for s in xs + ys_), default=0)
+    cx = encode_padded(xs, width)
+    cy = cx if ys is None else encode_padded(ys_, width)
+    return np.where(cx == PAD_CODE, size, cx), np.where(cy == PAD_CODE, size, cy)
+
+
+def _position_sum(cx: np.ndarray, cy: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``S[i, j] = sum_l table[cx[i, l], cy[j, l]]`` over equally wide codes.
+
+    Each block of positions is one BLAS product: the rows of ``table``
+    picked by ``cx`` (one-hot of ``cx`` times ``table``) against the
+    one-hot encoding of ``cy``.  No ``n x m x width`` array is formed;
+    blocks of positions keep both encodings under ``BLOCK_ELEMENTS``.
+    Positions past both sequences add ``table[stop, stop]``, so callers
+    keep that entry 0.  Sums of small integers are exact.
+    """
+    n, m, size = len(cx), len(cy), len(table)
+    onehot = np.eye(size)
+    out = np.zeros((n, m))
+    for blk in element_blocks(cx.shape[1], max(n, m) * size):
+        hx = table[cx[:, blk]].reshape(n, -1)
+        hy = onehot[cy[:, blk]].reshape(m, -1)
+        out += hx @ hy.T
+    return out
 
 
 def base_positionwise_kernel(letter_kernel: LetterKernel) -> BasePositionwiseKernel:
@@ -254,20 +284,16 @@ class ImqHammingKernel(Kernel):
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         d = _hamming_matrix(xs, ys)
-        return (self.C + d) ** -self.beta
+        d += self.C
+        return np.power(d, -self.beta, out=d)
 
 
 def _hamming_matrix(xs, ys=None) -> np.ndarray:
-    sym = ys is None
-    ys_ = xs if sym else ys
-    cx = encode_padded(list(xs))
-    cy = cx if sym else encode_padded(list(ys_))
-    width = max(cx.shape[1], cy.shape[1], 1)
-    cx = _pad_to(cx, width)
-    cy = _pad_to(cy, width)
-    neq = cx[:, None, :] != cy[None, :, :]
-    both_pad = (cx[:, None, :] == PAD_CODE) & (cy[None, :, :] == PAD_CODE)
-    return (neq & ~both_pad).sum(axis=2)
+    """Exact stop-padded Hamming distances, as floats."""
+    seqs = list(xs) + ([] if ys is None else list(ys))
+    size = max((s.alphabet.size for s in seqs), default=0)
+    cx, cy = _stop_coded(xs, ys, size)
+    return _position_sum(cx, cy, 1.0 - np.eye(size + 1))
 
 
 def imq_hamming_kernel(C: float = 1.0, beta: float = 2.0) -> ImqHammingKernel:

@@ -6,6 +6,14 @@ over a growing family of finite sets ``B`` containing a target sequence,
 delta function at the target lives in the kernel's space iff the values
 stay bounded.  Stabilising C values are evidence of flexibility;
 blow-ups or singular Grams expose degenerate kernels.
+
+A :class:`GramMatrix` pays only for the factorisations its tasks use:
+validation is one Cholesky factorisation, ridge fits another, and
+minimum-norm fits and the diagnostic use a Cholesky factor of ``K``
+whenever a shifted factorisation certifies that ``K`` is nonsingular
+at their tolerance.  The eigendecomposition runs when validation or the
+certificate fails, or when a caller asks for it.  Triangular solves are
+blocked substitutions in numpy, O(n^2) per right-hand side.
 """
 
 from __future__ import annotations
@@ -32,8 +40,20 @@ PSD_RTOL = 1e-8
 class GramMatrix:
     """Dense symmetric PSD matrix of pairwise kernel values.
 
-    Validates symmetry and positive semidefiniteness (to round-off) at
-    construction and caches the eigendecomposition for solves.
+    Construction rejects non-finite and asymmetric entries and checks
+    positive semidefiniteness (to round-off) with one Cholesky
+    factorisation of ``K + PSD_RTOL tr(K) I``.  Only when that fails
+    does the eigendecomposition decide, and name the minimum eigenvalue
+    in the error; otherwise it is computed on demand and cached.
+
+    Solves avoid it where a Cholesky certificate allows.  If
+    ``K - 2 rtol ||K||_inf I`` factorises, every eigenvalue exceeds
+    ``2 rtol ||K||_inf >= 2 rtol lambda_max`` up to round-off, so the
+    Gram is nonsingular at relative tolerance ``rtol``:
+    :meth:`is_singular`, :meth:`solve_pinv` and the diagnostic's
+    ``(K^-1)_tt`` then use a Cholesky factor of ``K``.  Without the
+    certificate they use the eigendecomposition, so every answer means
+    what the eigenvalue rule says it means.
     """
 
     def __init__(self, kernel: Kernel, sequences: list, entries: np.ndarray):
@@ -41,6 +61,9 @@ class GramMatrix:
         n = len(sequences)
         if entries.shape != (n, n):
             raise DataError("Gram entries must be square over the sequences")
+        if not np.isfinite(entries).all():
+            i, j = np.argwhere(~np.isfinite(entries))[0]
+            raise NumericalError(f"Gram entry ({i}, {j}) is not finite: {entries[i, j]}")
         scale = np.abs(entries).max() if n else 0.0
         if scale and np.abs(entries - entries.T).max() > 1e-12 * scale:
             raise NumericalError("Gram matrix is not symmetric")
@@ -49,8 +72,11 @@ class GramMatrix:
         self.sequences = list(sequences)
         self.entries = entries
         self._eig: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._factor: Optional[np.ndarray] = None
+        self._certified: dict[float, bool] = {}
         tr = float(np.trace(entries))
-        if n and self.eig()[0].min() < -PSD_RTOL * max(tr, 1e-300):
+        slack = PSD_RTOL * max(tr, 1e-300)
+        if n and _cholesky(entries, slack) is None and self.eig()[0].min() < -slack:
             raise NumericalError(
                 f"Gram matrix is not positive semidefinite "
                 f"(min eigenvalue {self.eig()[0].min():.3e}, trace {tr:.3e})"
@@ -69,7 +95,21 @@ class GramMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eig()[0].min()) if len(self) else 0.0
 
+    def _certified_factor(self, rtol: float) -> Optional[np.ndarray]:
+        """Cholesky factor of ``K`` if the certificate at ``rtol`` holds."""
+        if rtol not in self._certified:
+            n = len(self)
+            norm = float(np.abs(self.entries).sum(axis=1).max()) if n else 0.0
+            certified = n > 0 and _cholesky(self.entries, -2.0 * rtol * norm) is not None
+            if certified and self._factor is None:
+                self._factor = _cholesky(self.entries, 0.0)
+                certified = self._factor is not None
+            self._certified[rtol] = certified
+        return self._factor if self._certified[rtol] else None
+
     def is_singular(self, rtol: float = SINGULAR_RTOL) -> bool:
+        if self._certified_factor(rtol) is not None:
+            return False
         w, _ = self.eig()
         wmax = float(w.max()) if len(self) else 0.0
         return wmax <= 0.0 or float(w.min()) <= rtol * wmax
@@ -77,18 +117,15 @@ class GramMatrix:
     def solve_ridge(self, b: np.ndarray, ridge: float) -> np.ndarray:
         """Solve ``(K + ridge I) a = b`` by Cholesky with jitter escalation."""
         K = self.entries
-        n = len(self)
         tr = max(float(np.trace(K)), 1e-300)
         jitter = 0.0
         while True:
-            try:
-                L = np.linalg.cholesky(K + (ridge + jitter) * np.eye(n))
-                z = np.linalg.solve(L, b)
-                return np.linalg.solve(L.T, z)
-            except np.linalg.LinAlgError:
-                jitter = 1e-12 * tr if jitter == 0.0 else jitter * 10.0
-                if jitter > 1e-6 * tr:
-                    break
+            L = _cholesky(K, ridge + jitter)
+            if L is not None:
+                return _cholesky_solve(L, b)
+            jitter = 1e-12 * tr if jitter == 0.0 else jitter * 10.0
+            if jitter > 1e-6 * tr:
+                break
         # eigendecomposition fallback
         w, V = self.eig()
         w = np.maximum(w + ridge, 0.0)
@@ -97,11 +134,65 @@ class GramMatrix:
 
     def solve_pinv(self, b: np.ndarray, rtol: float = PINV_RTOL) -> np.ndarray:
         """Minimum-norm least-squares solution of ``K a = b``."""
+        L = self._certified_factor(rtol)
+        if L is not None:
+            return _cholesky_solve(L, b)
         w, V = self.eig()
         wmax = float(w.max()) if len(self) else 0.0
         cut = rtol * max(wmax, 1e-300)
         inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
         return V @ (inv * (V.T @ b))
+
+    def _inverse_diagonal(self, i: int) -> float:
+        """``(K^-1)_ii`` of a Gram that is not singular."""
+        L = self._certified_factor(SINGULAR_RTOL)
+        if L is not None:
+            # rows above i of L^-1 e_i vanish
+            unit = np.zeros(len(self) - i)
+            unit[0] = 1.0
+            z = _solve_lower(L[i:, i:], unit)
+            return float(z @ z)
+        w, V = self.eig()
+        return float((V[i] ** 2 / w).sum())
+
+
+#: row block of the triangular solves; their cost is O(n^2 + n * block^2)
+_TRIANGULAR_BLOCK = 64
+
+
+def _cholesky(K: np.ndarray, shift: float) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of ``K + shift I``, or None if it fails."""
+    M = K.copy()
+    M.flat[:: len(K) + 1] += shift
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``L^-1 b`` by blocked forward substitution."""
+    x = np.array(b, dtype=float)
+    for lo in range(0, len(L), _TRIANGULAR_BLOCK):
+        hi = lo + _TRIANGULAR_BLOCK
+        x[lo:hi] -= L[lo:hi, :lo] @ x[:lo]
+        x[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], x[lo:hi])
+    return x
+
+
+def _solve_upper(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``L^-T b`` by blocked back substitution."""
+    x = np.array(b, dtype=float)
+    for hi in range(len(L), 0, -_TRIANGULAR_BLOCK):
+        lo = max(hi - _TRIANGULAR_BLOCK, 0)
+        x[lo:hi] -= L[hi:, lo:hi].T @ x[hi:]
+        x[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi].T, x[lo:hi])
+    return x
+
+
+def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(L L^T)^-1 b`` in O(n^2) work."""
+    return _solve_upper(L, _solve_lower(L, b))
 
 
 def gram(kernel: Kernel, sequences: Seq) -> GramMatrix:
@@ -217,8 +308,15 @@ def discrete_mass_diagnostic(kernel: Kernel, target, nested_sets) -> np.ndarray:
     ``inf`` where the Gram matrix is numerically singular.  The finite
     values are nondecreasing; a stabilising sequence is desk-scale
     evidence that the delta function at the target has finite norm.
+
+    A set may also be given as a :class:`GramMatrix` of ``kernel`` over
+    it, which is used as it is instead of being built again.
     """
-    nested_sets = [list(s) for s in nested_sets]
+    grams = [s if isinstance(s, GramMatrix) else None for s in nested_sets]
+    nested_sets = [g.sequences if g is not None else list(s)
+                   for g, s in zip(grams, nested_sets)]
+    if any(g is not None and g.kernel is not kernel for g in grams):
+        raise DataError("a given Gram matrix belongs to another kernel")
     prev: set = set()
     for i, s in enumerate(nested_sets):
         if target not in s:
@@ -229,11 +327,9 @@ def discrete_mass_diagnostic(kernel: Kernel, target, nested_sets) -> np.ndarray:
         prev = cur
     out = np.empty(len(nested_sets))
     for i, s in enumerate(nested_sets):
-        G = gram(kernel, s)
+        G = grams[i] if grams[i] is not None else gram(kernel, s)
         if G.is_singular():
             out[i] = math.inf
             continue
-        idx = s.index(target)
-        w, V = G.eig()
-        out[i] = math.sqrt(float((V[idx] ** 2 / w).sum()))
+        out[i] = math.sqrt(G._inverse_diagonal(s.index(target)))
     return out

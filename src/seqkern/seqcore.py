@@ -21,6 +21,9 @@ STOP = "$"
 #: Pad code used when sequences are packed into fixed-width integer arrays.
 PAD_CODE = -1
 
+#: Element cap on each temporary of the vectorised kernels' blocked loops.
+BLOCK_ELEMENTS = 2**20
+
 
 class Alphabet:
     """An ordered set of distinct letters with a reserved stop symbol.
@@ -210,6 +213,21 @@ def encode_padded(seqs: list[Sequence], width: Optional[int] = None) -> np.ndarr
             raise ValueError("sequence longer than requested width")
         out[i, : len(s)] = s.codes
     return out
+
+
+def element_blocks(count: int, per_item: int) -> list[slice]:
+    """Cut ``range(count)`` into near-equal slices for a blocked loop.
+
+    Each slice holds at most ``BLOCK_ELEMENTS // per_item`` items (and
+    at least one), so a temporary of ``per_item`` elements per item
+    stays under the cap whatever ``count`` is.
+    """
+    if count <= 0:
+        return []
+    step = max(1, BLOCK_ELEMENTS // max(per_item, 1))
+    nblocks = -(-count // step)
+    step = -(-count // nblocks)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from seqkern import Alphabet, enumerate_sequences, imq_hamming_kernel, seq
+from seqkern import Alphabet, enumerate_sequences, enumerate_up_to, imq_hamming_kernel, seq
 from seqkern.cli import main, most_common_letter_count
-from seqkern.io import parse_alphabet, read_fasta, read_labels
+from seqkern.config import build_kernel
+from seqkern.io import fmt, parse_alphabet, read_fasta, read_labels
 
 DNA = Alphabet("ACGT")
 
@@ -223,6 +224,37 @@ class TestDiagnoseCommand:
         assert code == 0
         text = out.read_text()
         assert "inf" in text.splitlines()[1]
+
+    @pytest.mark.parametrize("flags", [["--family", "imq_hamming", "--C", "1", "--beta", "2"],
+                                       ["--family", "weighted_degree", "--L", "2"]],
+                             ids=["imq_hamming", "weighted_degree"])
+    def test_builds_each_gram_once(self, tmp_path, monkeypatch, capsys, flags):
+        # one Gram per nested set serves both C and the minimum eigenvalue,
+        # which is still the full eigendecomposition's
+        import seqkern.cli
+        import seqkern.rkhs
+        built = []
+
+        def counting_gram(kernel, seqs, _gram=seqkern.rkhs.gram):
+            built.append(len(seqs))
+            return _gram(kernel, seqs)
+
+        monkeypatch.setattr(seqkern.rkhs, "gram", counting_gram)
+        monkeypatch.setattr(seqkern.cli, "gram", counting_gram)
+        out = tmp_path / "diag.csv"
+        code = main(["diagnose", "--alphabet", "AB", "--target", "A",
+                     "--cutoffs", "1,2,3", "--output", str(out)] + flags)
+        assert code == 0
+        assert built == [3, 7, 15]
+        kernel = build_kernel(Alphabet("AB"), {f[2:]: v for f, v in zip(flags[::2], flags[1::2])})
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        printed = capsys.readouterr().out.splitlines()
+        for c, row, line in zip((1, 2, 3), rows, printed):
+            K = kernel.pairwise(enumerate_up_to(Alphabet("AB"), c))
+            assert row["min_eigenvalue"] == fmt(float(np.linalg.eigh(K)[0].min()))
+            assert line == (f"set_size={row['set_size']} C={row['C']} "
+                            f"min_eigenvalue={row['min_eigenvalue']}")
 
     def test_imq_stabilizes(self, tmp_path):
         out = tmp_path / "diag.csv"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from seqkern import (
     tensor_kernel,
     weighted_degree_kernel,
 )
-from seqkern.positional import lag_window_mismatches
+import seqkern.seqcore
+from seqkern.embedding import EuclideanKernel, embedding_kernel, random_ball_embedding
+from seqkern.positional import _hamming_matrix, lag_window_mismatches
 
 from conftest import random_distinct_sequences, random_sequence
 from oracles import gamma_quadrature, padded_window_mismatches
@@ -130,13 +133,27 @@ class TestBasePositionwise:
         with pytest.raises(DataError):
             LetterKernel(AB, np.eye(3))
 
-    def test_pairwise_matches_scalar(self):
-        k = exp_hamming_kernel(DNA, 0.5)
+    # a letter table with zero and negative entries, where a log table
+    # alone is wrong (still strictly positive definite with the stop)
+    SIGNED = np.array([[1.0, 0.0, -0.3, 0.2], [0.0, 1.0, 0.1, -0.2],
+                       [-0.3, 0.1, 1.0, 0.0], [0.2, -0.2, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("make,rel", [
+        (lambda: exp_hamming_kernel(DNA, 0.5), 1e-14),
+        (lambda: base_positionwise_kernel(LetterKernel(DNA, TestBasePositionwise.SIGNED)), 1e-13),
+        (lambda: base_positionwise_kernel(LetterKernel(
+            DNA, TestBasePositionwise.SIGNED, stop_row=[0.0, 0.1, -0.1, 0.2])), 1e-13),
+    ], ids=["exp_hamming", "signed_letters", "signed_letters_and_stop"])
+    def test_pairwise_matches_scalar(self, make, rel):
+        # one-hot position sums against the scalar product, on mixed
+        # lengths with the empty sequence, square and rectangular
+        k = make()
         rng = np.random.default_rng(4)
-        seqs = random_distinct_sequences(rng, DNA, 8, 6)
-        G = k.pairwise(seqs)
-        for i, j in itertools.product(range(8), repeat=2):
-            assert G[i, j] == pytest.approx(k(seqs[i], seqs[j]), rel=1e-14)
+        seqs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 30, 7, min_len=1)
+        ys = random_distinct_sequences(rng, DNA, 9, 10)
+        for G, left, right in ((k.pairwise(seqs), seqs, seqs), (k.pairwise(seqs, ys), seqs, ys)):
+            expected = np.array([[k(x, y) for y in right] for x in left])
+            np.testing.assert_allclose(G, expected, rtol=rel, atol=0)
 
 
 class TestImqHamming:
@@ -174,6 +191,18 @@ class TestImqHamming:
         base = seq(DNA, "AAAA")
         vals = [k(base, x) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_pairwise_distances_are_exact(self):
+        k = imq_hamming_kernel(1.3, 1.7)
+        rng = np.random.default_rng(5)
+        xs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 30, 9, min_len=1)
+        ys = random_distinct_sequences(rng, DNA, 9, 12)
+        for left, right in ((xs, None), (xs, ys)):
+            right_ = left if right is None else right
+            d = np.array([[hamming_distance(x, y) for y in right_] for x in left])
+            np.testing.assert_array_equal(_hamming_matrix(left, right), d)
+            np.testing.assert_allclose(k.pairwise(left, right),
+                                       [[k(x, y) for y in right_] for x in left], rtol=1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(DataError):
@@ -292,3 +321,32 @@ class TestShifted:
         seqs = [s2 for L in range(4) for s2 in enumerate_sequences(AB, L)]
         w = np.linalg.eigvalsh(s.pairwise(seqs))
         assert w.min() < -1e-8 * np.trace(s.pairwise(seqs))
+
+
+class TestBoundedMemory:
+    """Gram assembly never forms an ``n x n x width`` temporary."""
+
+    N, WIDTH = 96, 1500
+
+    @pytest.mark.parametrize("make", [
+        lambda: imq_hamming_kernel(1.0, 2.0),
+        lambda: exp_hamming_kernel(DNA, 0.5),
+        lambda: weighted_degree_kernel(3),
+        lambda: embedding_kernel(random_ball_embedding(1, TestBoundedMemory.WIDTH),
+                                 EuclideanKernel("imq")),
+    ], ids=["imq_hamming", "exp_hamming", "weighted_degree", "embedding"])
+    def test_pairwise_peak_stays_below_one_byte_per_triple(self, make, monkeypatch):
+        # with a small block cap the traced peak is a few (n x width)
+        # arrays; one bool per (i, j, position) would already exceed it
+        monkeypatch.setattr(seqkern.seqcore, "BLOCK_ELEMENTS", 2**14, raising=False)
+        k = make()
+        rng = np.random.default_rng(14)
+        seqs = random_distinct_sequences(rng, DNA, self.N, self.WIDTH, min_len=self.WIDTH - 50)
+        tracemalloc.start()
+        try:
+            G = k.pairwise(seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.shape == (self.N, self.N)
+        assert peak < self.N * self.N * self.WIDTH, peak

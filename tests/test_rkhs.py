@@ -8,6 +8,7 @@ from seqkern import (
     AlignmentParams,
     DataError,
     EmpiricalMeasure,
+    GramMatrix,
     IdentityKernel,
     NumericalError,
     Sequence,
@@ -33,11 +34,21 @@ from seqkern import (
     weighted_degree_kernel,
 )
 
+from seqkern.rkhs import PINV_RTOL, PSD_RTOL, SINGULAR_RTOL
+
 from conftest import random_distinct_sequences
 
 AB = Alphabet("AB")
 ONE = Alphabet("A")
 DNA = Alphabet("ACGT")
+
+# growing subsets of the length-3 sequences; the window-count Gram turns
+# singular once a linear relation among the window features (here a
+# 4-cycle AAA - AAB - BAB - BAA) fits inside the set, from s6 on
+WD_SETS = {name: [seq(AB, s) for s in names.split()] for name, names in (
+    ("s4", "AAA AAB ABA BAA"), ("s5", "AAA AAB ABA BAA ABB"),
+    ("s6", "AAA AAB ABA BAA ABB BAB"),
+    ("a1", "AAA AAB ABA ABB BAA BAB BBA BBB"))}
 
 
 class TestGram:
@@ -75,11 +86,37 @@ class TestGram:
 
     def test_indefinite_matrix_rejected(self):
         # a fast-decaying base makes the offset-sum kernel indefinite;
-        # Gram construction must refuse it rather than hand it onward
+        # Gram construction must refuse it rather than hand it onward,
+        # naming its minimum eigenvalue
         k = shifted_kernel(exp_hamming_kernel(AB, 4.0), 2)
         seqs = enumerate_up_to(AB, 3)
-        with pytest.raises(NumericalError):
+        wmin = np.linalg.eigvalsh(k.pairwise(seqs)).min()
+        with pytest.raises(NumericalError, match=f"min eigenvalue {wmin:.3e}"):
             gram(k, seqs)
+
+    @pytest.mark.parametrize("factor,accepted", [(0.5, True), (2.0, False)])
+    def test_psd_slack_is_the_eigenvalue_rule(self, factor, accepted):
+        # min eigenvalue -factor * PSD_RTOL * trace: accepted inside the
+        # slack, refused with that eigenvalue in the message outside it
+        rng = np.random.default_rng(47)
+        V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        w = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        w[0] = -factor * PSD_RTOL * w.sum()
+        K = (V * w) @ V.T
+        seqs = random_distinct_sequences(rng, DNA, 6, 4)
+        if accepted:
+            assert len(GramMatrix(IdentityKernel(), seqs, K)) == 6
+        else:
+            with pytest.raises(NumericalError, match=f"min eigenvalue {w[0]:.3e}"):
+                GramMatrix(IdentityKernel(), seqs, K)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        K = np.eye(3)
+        K[0, 2] = K[2, 0] = bad
+        seqs = [seq(DNA, s) for s in ("A", "C", "G")]
+        with pytest.raises(NumericalError, match=r"entry \(0, 2\) is not finite"):
+            GramMatrix(IdentityKernel(), seqs, K)
 
 
 class TestRegression:
@@ -128,6 +165,79 @@ class TestRegression:
         fit = fit_regression(G, y, ridge=rho)
         direct = np.linalg.solve(G.entries + rho * np.eye(8), y)
         np.testing.assert_allclose(fit.coefficients, direct, rtol=1e-9, atol=1e-12)
+
+
+def eig_pinv(K, b, rtol=PINV_RTOL):
+    """Reference minimum-norm solve from the eigendecomposition."""
+    w, V = np.linalg.eigh(K)
+    inv = np.where(w > rtol * w.max(), 1.0 / np.where(w > rtol * w.max(), w, 1.0), 0.0)
+    return V @ (inv * (V.T @ b))
+
+
+def eig_is_singular(K, rtol=SINGULAR_RTOL):
+    w = np.linalg.eigvalsh(K)
+    return w.max() <= 0 or w.min() <= rtol * w.max()
+
+
+class TestCertifiedSolves:
+    """The Cholesky-certified answers equal the eigenvalue rule's."""
+
+    CASES = [
+        ("imq_hamming", imq_hamming_kernel(1.0, 2.0), enumerate_up_to(DNA, 3)),
+        ("exp_hamming", exp_hamming_kernel(AB, 0.7), enumerate_up_to(AB, 4)),
+        ("weighted_degree_s4", weighted_degree_kernel(2), WD_SETS["s4"]),
+        ("weighted_degree_s5", weighted_degree_kernel(2), WD_SETS["s5"]),
+        ("weighted_degree_s6", weighted_degree_kernel(2), WD_SETS["s6"]),
+        ("weighted_degree_a1", weighted_degree_kernel(2), WD_SETS["a1"]),
+    ]
+
+    @pytest.mark.parametrize("name,k,seqs", CASES, ids=[c[0] for c in CASES])
+    def test_singularity_and_pinv_match_eigen_path(self, name, k, seqs):
+        G = gram(k, seqs)
+        K = G.entries
+        singular = eig_is_singular(K)
+        assert G.is_singular() == singular
+        y = np.random.default_rng(48).normal(size=len(seqs))
+        np.testing.assert_allclose(G.solve_pinv(y), eig_pinv(K, y), rtol=1e-9, atol=1e-12)
+        # certified Grams never decompose
+        assert (G._eig is None) == (not singular)
+
+    @pytest.mark.parametrize("name,k,seqs", CASES, ids=[c[0] for c in CASES])
+    def test_diagnostic_matches_eigen_path(self, name, k, seqs):
+        target = seqs[0]
+        C = discrete_mass_diagnostic(k, target, [seqs])[0]
+        K = gram(k, seqs).entries
+        if eig_is_singular(K):
+            assert C == math.inf
+        else:
+            w, V = np.linalg.eigh(K)
+            assert C == pytest.approx(math.sqrt((V[0] ** 2 / w).sum()), rel=1e-10)
+
+    def test_given_grams_are_used_as_they_are(self):
+        k = imq_hamming_kernel()
+        sets = [enumerate_up_to(AB, c) for c in (1, 2)]
+        grams = [gram(k, s) for s in sets]
+        np.testing.assert_array_equal(discrete_mass_diagnostic(k, sets[0][1], grams),
+                                      discrete_mass_diagnostic(k, sets[0][1], sets))
+        with pytest.raises(DataError):
+            discrete_mass_diagnostic(imq_hamming_kernel(), sets[0][1], grams)
+
+    def test_ridge_jitter_escalation_on_rank_deficient_gram(self):
+        # a one-letter sequence has no length-2 window: its zero row
+        # stops the plain Cholesky of K at the first pivot, so the solve
+        # escalates to the first jitter
+        G = gram(weighted_degree_kernel(2), [seq(AB, "A")] + WD_SETS["a1"])
+        K = G.entries
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(K)
+        y = np.random.default_rng(49).normal(size=len(K))
+        alpha = G.solve_ridge(y, 0.0)
+        # the null-space part of the answer is y_null / jitter, so this
+        # pins the jitter; round-off perturbs it by about eps ||K|| / jitter
+        jitter = 1e-12 * np.trace(K)
+        direct = np.linalg.solve(K + jitter * np.eye(len(K)), y)
+        np.testing.assert_allclose(alpha, direct, rtol=1e-3)
+        assert G._eig is None  # no eigendecomposition fallback
 
 
 class TestPredict:
@@ -226,17 +336,9 @@ class TestDiscreteMassDiagnostic:
         np.testing.assert_allclose(values, 1.0, rtol=1e-12)
 
     def test_window_count_kernel_hits_singular_sentinel(self):
-        # growing subsets of the length-3 sequences: the Gram turns
-        # singular once a linear relation among the window features
-        # (here a 4-cycle AAA - AAB - BAB - BAA) fits inside the set
         k = weighted_degree_kernel(2)
-        a1 = enumerate_sequences(AB, 3)
-        by_name = {str(x): x for x in a1}
-        s4 = [by_name[n] for n in ("AAA", "AAB", "ABA", "BAA")]
-        s5 = s4 + [by_name["ABB"]]
-        s6 = s5 + [by_name["BAB"]]
-        target = by_name["AAA"]
-        values = discrete_mass_diagnostic(k, target, [s4, s5, s6, a1])
+        target = WD_SETS["s4"][0]
+        values = discrete_mass_diagnostic(k, target, [WD_SETS[n] for n in ("s4", "s5", "s6", "a1")])
         assert np.isfinite(values[0]) and np.isfinite(values[1])
         assert values[2] == math.inf and values[3] == math.inf
 
