@@ -138,22 +138,27 @@ class TestBasePositionwise:
     SIGNED = np.array([[1.0, 0.0, -0.3, 0.2], [0.0, 1.0, 0.1, -0.2],
                        [-0.3, 0.1, 1.0, 0.0], [0.2, -0.2, 0.0, 1.0]])
 
-    @pytest.mark.parametrize("make,rel", [
-        (lambda: exp_hamming_kernel(DNA, 0.5), 1e-14),
-        (lambda: base_positionwise_kernel(LetterKernel(DNA, TestBasePositionwise.SIGNED)), 1e-13),
-        (lambda: base_positionwise_kernel(LetterKernel(
-            DNA, TestBasePositionwise.SIGNED, stop_row=[0.0, 0.1, -0.1, 0.2])), 1e-13),
-    ], ids=["exp_hamming", "signed_letters", "signed_letters_and_stop"])
-    def test_pairwise_matches_scalar(self, make, rel):
+    @staticmethod
+    def _check_pairwise_against_scalar(k, rel):
         # one-hot position sums against the scalar product, on mixed
         # lengths with the empty sequence, square and rectangular
-        k = make()
         rng = np.random.default_rng(4)
         seqs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 30, 7, min_len=1)
         ys = random_distinct_sequences(rng, DNA, 9, 10)
         for G, left, right in ((k.pairwise(seqs), seqs, seqs), (k.pairwise(seqs, ys), seqs, ys)):
             expected = np.array([[k(x, y) for y in right] for x in left])
             np.testing.assert_allclose(G, expected, rtol=rel, atol=0)
+
+    def test_pairwise_matches_scalar(self):
+        self._check_pairwise_against_scalar(exp_hamming_kernel(DNA, 0.5), 1e-14)
+
+    @pytest.mark.parametrize("make", [
+        lambda: base_positionwise_kernel(LetterKernel(DNA, TestBasePositionwise.SIGNED)),
+        lambda: base_positionwise_kernel(LetterKernel(
+            DNA, TestBasePositionwise.SIGNED, stop_row=[0.0, 0.1, -0.1, 0.2])),
+    ], ids=["signed_letters", "signed_letters_and_stop"])
+    def test_pairwise_matches_scalar_signed_letters(self, make):
+        self._check_pairwise_against_scalar(make(), 1e-13)
 
 
 class TestImqHamming:
