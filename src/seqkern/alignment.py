@@ -49,7 +49,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import HAS_MASSES, LACKS_MASSES, UNKNOWN_MASSES, BatchKernel
+from .core import HAS_MASSES, LACKS_MASSES, UNKNOWN_MASSES, Kernel
 from .errors import DataError, NumericalError
 from .seqcore import Alphabet, Sequence
 
@@ -58,6 +58,26 @@ def exponential_letter_matrix(size: int, lam: float) -> np.ndarray:
     """Letter matrix ``exp(-lam * 1(b != b'))`` restricted to the alphabet."""
     K = np.full((size, size), math.exp(-lam))
     np.fill_diagonal(K, 1.0)
+    return K
+
+
+def checked_letter_matrix(matrix, size: int) -> np.ndarray:
+    """``matrix`` as floats, checked to be a letter matrix over ``size`` letters.
+
+    A letter matrix is ``size x size``, symmetric and strictly positive
+    definite; raises :class:`DataError` naming the first condition that
+    fails.  Position-wise kernels pass the matrix extended by the stop
+    symbol.
+    """
+    K = np.asarray(matrix, dtype=float)
+    if K.shape != (size, size):
+        raise DataError(f"letter matrix must be {size}x{size}, got shape {K.shape}")
+    if not np.allclose(K, K.T, rtol=1e-12, atol=1e-12):
+        raise DataError("letter matrix must be symmetric")
+    eigmin = float(np.linalg.eigvalsh(K).min())
+    if not eigmin > 0:
+        raise DataError(f"letter matrix must be strictly positive definite "
+                        f"(min eigenvalue {eigmin:.3e})")
     return K
 
 
@@ -85,14 +105,8 @@ class AlignmentParams:
     zeta: float = field(init=False)
 
     def __post_init__(self):
-        K = np.asarray(self.ks, dtype=float)
         n = self.alphabet.size
-        if K.shape != (n, n):
-            raise DataError("letter matrix must be |B| x |B|")
-        if not np.allclose(K, K.T, rtol=1e-12, atol=1e-12):
-            raise DataError("letter matrix must be symmetric")
-        if float(np.linalg.eigvalsh(K).min()) <= 0:
-            raise DataError("letter matrix must be strictly positive definite")
+        K = checked_letter_matrix(self.ks, n)
         if self.mu < 0:
             raise DataError("gap extension penalty mu must be >= 0")
         if not (self.delta_mu >= 0):
@@ -336,7 +350,7 @@ def power_law_mixture(R: np.ndarray, nx, ny, base: Callable, beta: float) -> np.
     return (np.where(reach, b ** -beta, 0.0) * R).sum(axis=1)
 
 
-class AlignmentKernel(BatchKernel):
+class AlignmentKernel(Kernel):
     """Global alignment kernel (all alignments, affine gap weights)."""
 
     family = "alignment"
@@ -358,7 +372,7 @@ class AlignmentKernel(BatchKernel):
         return alignment_R_batch(xs, ys, self.p.ks, self.p.mu, self.p.delta_mu)[:, 0]
 
 
-class LocalAlignmentKernel(BatchKernel):
+class LocalAlignmentKernel(Kernel):
     """Local alignment kernel: no start penalty for boundary gap runs."""
 
     family = "local_alignment"
@@ -381,7 +395,7 @@ class LocalAlignmentKernel(BatchKernel):
                                  local=True)[:, 0]
 
 
-class HeavyTailedAlignmentMatches(BatchKernel):
+class HeavyTailedAlignmentMatches(Kernel):
     """Alignment kernel with a power-law tail in matched-pair mismatches.
 
     Each alignment contributes ``(C + m)**-beta`` times its gap weight,
@@ -426,7 +440,7 @@ class HeavyTailedAlignmentMatches(BatchKernel):
         return power_law_mixture(R, nx, ny, lambda L, nx, ny: self.C + L, self.beta)
 
 
-class HeavyTailedAlignmentGaps(BatchKernel):
+class HeavyTailedAlignmentGaps(Kernel):
     """Alignment kernel with a power-law tail in total inserted length.
 
     Each alignment contributes ``(C + |x| + |y| - 2 L)**-beta`` times its
@@ -444,14 +458,11 @@ class HeavyTailedAlignmentGaps(BatchKernel):
             raise DataError("C and beta must be positive")
         if not (delta_mu >= 0):
             raise DataError("delta_mu must be >= 0 or inf")
-        K = np.asarray(ks, dtype=float)
-        if K.shape != (alphabet.size, alphabet.size):
-            raise DataError("letter matrix must be |B| x |B|")
         self.alphabet = alphabet
         self.C = float(C)
         self.beta = float(beta)
         self.delta_mu = float(delta_mu)
-        self.ks = K
+        self.ks = checked_letter_matrix(ks, alphabet.size)
 
     @property
     def params(self) -> dict:

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import io
 from .config import PAIR_FAMILIES, build_kernel
-from .core import Kernel
 from .errors import ConfigError, DataError, NumericalError
 from .optimize import greedy_mmd_optimize
 from .rkhs import EmpiricalMeasure, discrete_mass_diagnostic, fit_regression, gram, predict_many
@@ -31,10 +30,8 @@ from .stats import mmd_two_sample_test
 # configuration plumbing
 
 KERNEL_FLAGS = [
-    ("family", str), ("L", str), ("C", str), ("beta", str), ("lambda", str),
-    ("mu", str), ("delta_mu", str), ("k_s", str), ("L_max", str),
-    ("shift_max", str), ("base", str), ("D", str), ("scale_epsilon", str),
-    ("k_E", str), ("gamma", str), ("kernel_seed", str),
+    "family", "L", "C", "beta", "lambda", "mu", "delta_mu", "k_s", "L_max",
+    "shift_max", "base", "D", "scale_epsilon", "k_E", "gamma", "kernel_seed",
 ]
 # `normalize` stays reachable through --kernel normalize=true; a named
 # flag would collide with optimize's --normalize trace option
@@ -46,7 +43,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alphabet", default=None,
                         help="'dna', 'protein', or explicit letters (default dna)")
     parser.add_argument("--output", default=None, help="output CSV path")
-    for key, _ in KERNEL_FLAGS:
+    for key in KERNEL_FLAGS:
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=f"kernel_{key}", default=None,
                             help=argparse.SUPPRESS)
@@ -78,7 +75,7 @@ def _load_config(path: Optional[str]) -> dict[str, dict[str, str]]:
 def _gather(args) -> tuple[dict, dict, dict, Alphabet, int]:
     sections = _load_config(args.config)
     kernel_cfg = dict(sections["kernel"])
-    for key, _ in KERNEL_FLAGS:
+    for key in KERNEL_FLAGS:
         value = getattr(args, f"kernel_{key}", None)
         if value is not None:
             if key == "kernel_seed":
@@ -108,11 +105,6 @@ def _need(cfg: dict, key: str, what: str) -> str:
     return str(cfg[key]).strip()
 
 
-def _build(alphabet: Alphabet, kernel_cfg: dict, seed: int) -> Kernel:
-    kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
-    return kernel
-
-
 def _is_pair_family(kernel_cfg: dict) -> bool:
     return str(kernel_cfg.get("family", "")).strip() in PAIR_FAMILIES
 
@@ -124,7 +116,7 @@ def cmd_gram(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
     if getattr(args, "fasta", None):
         data_cfg["fasta"] = args.fasta
-    kernel = _build(alphabet, kernel_cfg, seed)
+    kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     ids, seqs = io.read_fasta(_need(data_cfg, "fasta", "input FASTA"), alphabet,
                               allow_pairs=_is_pair_family(kernel_cfg))
     seen: dict = {}
@@ -151,7 +143,7 @@ def cmd_regress(args) -> int:
         run_cfg["ridge"] = str(args.ridge)
     if getattr(args, "train_fraction", None) is not None:
         run_cfg["train_fraction"] = str(args.train_fraction)
-    kernel = _build(alphabet, kernel_cfg, seed)
+    kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     ids, seqs = io.read_fasta(_need(data_cfg, "fasta", "input FASTA"), alphabet,
                               allow_pairs=_is_pair_family(kernel_cfg))
     labels = io.read_labels(_need(data_cfg, "labels", "labels CSV"))
@@ -203,7 +195,7 @@ def cmd_mmd_test(args) -> int:
         value = getattr(args, key, None)
         if value is not None:
             run_cfg[key] = str(value)
-    kernel = _build(alphabet, kernel_cfg, seed)
+    kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     pairs = _is_pair_family(kernel_cfg)
     _, xs = io.read_fasta(_need(data_cfg, "fasta_x", "first sample FASTA"),
                           alphabet, allow_pairs=pairs)
@@ -240,7 +232,7 @@ def cmd_optimize(args) -> int:
         run_cfg["normalize_trace"] = "true"
     if _is_pair_family(kernel_cfg):
         raise ConfigError("optimize does not support kernels on sequence pairs")
-    kernel = _build(alphabet, kernel_cfg, seed)
+    kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     _, targets = io.read_fasta(
         _need(data_cfg, "target_fasta", "target FASTA"), alphabet)
     target = EmpiricalMeasure.uniform(targets)
@@ -280,7 +272,7 @@ def cmd_diagnose(args) -> int:
         data_cfg["set_files"] = args.set_files
     if _is_pair_family(kernel_cfg):
         raise ConfigError("diagnose does not support kernels on sequence pairs")
-    kernel = _build(alphabet, kernel_cfg, seed)
+    kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     target = Sequence.from_letters(alphabet, _need(run_cfg, "target", "target sequence"))
     if "cutoffs" in run_cfg and "set_files" in data_cfg:
         raise ConfigError("give either length cutoffs or explicit set files")

@@ -79,17 +79,9 @@ def _letter_matrix(alphabet: Alphabet, cfg: dict) -> np.ndarray:
         raise ConfigError("give either 'lambda' or 'k_s', not both")
     if "k_s" in cfg:
         try:
-            K = np.loadtxt(cfg["k_s"], delimiter=",", ndmin=2)
-        except OSError as exc:
+            return np.loadtxt(cfg["k_s"], delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
             raise DataError(f"cannot read letter matrix {cfg['k_s']!r}: {exc}")
-        if K.shape != (alphabet.size, alphabet.size):
-            raise DataError(
-                f"letter matrix {cfg['k_s']!r} must be "
-                f"{alphabet.size}x{alphabet.size}"
-            )
-        return K
-    if "lambda" not in cfg:
-        raise ConfigError("alignment kernels need 'lambda' or a 'k_s' matrix file")
     lam = _to_float("lambda", cfg["lambda"])
     if lam <= 0:
         raise ConfigError("'lambda' must be positive")
@@ -177,15 +169,12 @@ def _build(family: str, alphabet: Alphabet, cfg: dict, inner_cfg: dict,
         if family == "centre_justified":
             return pos.centre_justified_kernel(inner)
         return pos.shifted_kernel(inner, _to_int("shift_max", cfg["shift_max"]))
-    if family == "alignment":
+    if family in ("alignment", "local_alignment"):
         params = al.AlignmentParams(alphabet, _letter_matrix(alphabet, cfg),
                                     _to_float("mu", cfg["mu"]),
                                     _to_delta_mu(cfg["delta_mu"]))
-        return al.alignment_kernel(params)
-    if family == "local_alignment":
-        params = al.AlignmentParams(alphabet, _letter_matrix(alphabet, cfg),
-                                    _to_float("mu", cfg["mu"]),
-                                    _to_delta_mu(cfg["delta_mu"]))
+        if family == "alignment":
+            return al.alignment_kernel(params)
         return al.local_alignment_kernel(params)
     if family == "ht_alignment_matches":
         return al.HeavyTailedAlignmentMatches(

@@ -7,12 +7,19 @@ the property behind universality, characteristicness, and metrization of
 the space of sequence distributions.  The flag is derived from
 closed-form conditions on the kernel family, never probed at runtime.
 
+:class:`Kernel` is the one generic way to turn a kernel into a matrix:
+``pairwise`` and ``self_similarities`` hand lists of pairs to
+``batch``, which calls the scalar evaluator per pair unless a family
+batches them (the alignment and spectrum recursions do).  Families
+with vectorised matrix assembly override ``pairwise`` itself.
+
 Combinators here (positive sums, tilting, tensor products) preserve the
 discrete-mass property.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence as Seq
 
 import numpy as np
@@ -28,9 +35,12 @@ UNKNOWN_MASSES = "unknown"
 class Kernel:
     """Base class: an evaluatable PSD similarity ``k(x, y)``.
 
-    Subclasses implement :meth:`__call__`; evaluators must be pure and
-    deterministic (any randomness happens at construction, behind a
-    seed), so kernels are safe to share across threads.
+    Subclasses implement :meth:`__call__`, and also :meth:`batch` when
+    their pairs can be evaluated together; :meth:`pairwise` and
+    :meth:`self_similarities` reach the kernel only through
+    :meth:`batch`.  Evaluators must be pure and deterministic (any
+    randomness happens at construction, behind a seed), so kernels are
+    safe to share across threads.
     """
 
     family: str = "generic"
@@ -43,29 +53,36 @@ class Kernel:
     def __call__(self, x, y) -> float:
         raise NotImplementedError
 
+    def batch(self, xs: Seq, ys: Seq) -> np.ndarray:
+        """Values ``k(xs[p], ys[p])`` of equally long lists of pairs.
+
+        Calls :meth:`__call__` once per pair; families that evaluate
+        many pairs at once override this.
+        """
+        return np.array([self(x, y) for x, y in zip(xs, ys)], dtype=float)
+
     def pairwise(self, xs: Seq, ys: Optional[Seq] = None) -> np.ndarray:
         """Dense matrix of kernel values, ``out[i, j] = k(xs[i], ys[j])``.
 
-        With ``ys=None`` computes the symmetric matrix over ``xs``,
-        filling only the upper triangle and mirroring it.  Families with
-        vectorisable evaluators override this.
+        With ``ys=None`` the matrix is symmetric over ``xs``: one
+        :meth:`batch` of the upper triangle, mirrored, so it is exactly
+        symmetric.  Otherwise one batch of every pair.  Families with
+        vectorised matrix assembly override this.
         """
+        xs = _objects(xs)
         if ys is None:
-            n = len(xs)
-            out = np.empty((n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    out[i, j] = self(xs[i], xs[j])
-                    out[j, i] = out[i, j]
+            i, j = np.triu_indices(len(xs))
+            out = np.empty((len(xs), len(xs)))
+            out[i, j] = out[j, i] = self.batch(xs[i].tolist(), xs[j].tolist())
             return out
-        out = np.empty((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = self(x, y)
-        return out
+        ys = _objects(ys)
+        values = self.batch(np.repeat(xs, len(ys)).tolist(), np.tile(ys, len(xs)).tolist())
+        return values.reshape(len(xs), len(ys))
 
     def self_similarities(self, xs: Seq) -> np.ndarray:
-        return np.array([self(x, x) for x in xs])
+        """Diagonal values ``k(x, x)``, as one :meth:`batch`."""
+        xs = list(xs)
+        return self.batch(xs, xs)
 
     def normalized(self) -> "Kernel":
         """Tilt by ``k(x, x)**-0.5`` so the diagonal becomes 1."""
@@ -74,6 +91,12 @@ class Kernel:
     def __repr__(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"{type(self).__name__}({ps})"
+
+
+def _objects(items) -> np.ndarray:
+    """``items`` as a 1-D object array, so pairs are gathered by index."""
+    items = list(items)
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 class _NormalizingTilt:
@@ -85,36 +108,6 @@ class _NormalizingTilt:
 
     def many(self, xs) -> np.ndarray:
         return self._kernel.self_similarities(xs) ** -0.5
-
-
-class BatchKernel(Kernel):
-    """A kernel evaluated a batch of pairs at a time.
-
-    Subclasses implement :meth:`batch`.  :meth:`pairwise` sends it the
-    upper triangle of a symmetric block (mirrored, so symmetric matrices
-    are exactly symmetric) or every pair of a rectangular one, and
-    :meth:`self_similarities` the ``(x, x)`` pairs.
-    """
-
-    def batch(self, xs: Seq, ys: Seq) -> np.ndarray:
-        """Values ``k(xs[p], ys[p])`` of equally long lists of pairs."""
-        raise NotImplementedError
-
-    def pairwise(self, xs: Seq, ys: Optional[Seq] = None) -> np.ndarray:
-        xs = list(xs)
-        if ys is None:
-            i, j = np.triu_indices(len(xs))
-            out = np.empty((len(xs), len(xs)))
-            out[i, j] = out[j, i] = self.batch([xs[a] for a in i], [xs[b] for b in j])
-            return out
-        ys = list(ys)
-        i, j = np.divmod(np.arange(len(xs) * len(ys)), max(len(ys), 1))
-        values = self.batch([xs[a] for a in i], [ys[b] for b in j])
-        return values.reshape(len(xs), len(ys))
-
-    def self_similarities(self, xs: Seq) -> np.ndarray:
-        xs = list(xs)
-        return self.batch(xs, xs)
 
 
 class SumKernel(Kernel):
@@ -253,10 +246,6 @@ class IdentityKernel(Kernel):
     def __call__(self, x, y) -> float:
         return 1.0 if x == y else 0.0
 
-    def pairwise(self, xs, ys=None) -> np.ndarray:
-        ys_ = xs if ys is None else ys
-        return np.array([[1.0 if x == y else 0.0 for y in ys_] for x in xs])
-
 
 def eval_vector_encoded(kernel: Kernel, v: VectorSequence, w: VectorSequence) -> float:
     """Evaluate a sequence kernel on vector-encoded (reparameterised) input.
@@ -267,26 +256,22 @@ def eval_vector_encoded(kernel: Kernel, v: VectorSequence, w: VectorSequence) ->
 
         sum_{|X|=|v|} sum_{|Y|=|w|} (prod_l v[l, X_l]) (prod_l w[l, Y_l]) k(X, Y)
 
-    One-hot inputs recover ``k`` exactly.  Cost is ``|B|**(|v|+|w|)``
-    kernel evaluations; intended as an exact small-scale oracle.
+    One-hot inputs recover ``k`` exactly.  The double sum is one
+    ``kernel.pairwise`` matrix over the two bases (sequences with a
+    nonzero coefficient), between the two coefficient vectors; it holds
+    up to ``|B|**(|v|+|w|)`` kernel values, so this is an exact
+    small-scale oracle.
     """
     if v.alphabet.size != w.alphabet.size:
         raise DataError("vector encodings must share the alphabet dimension")
 
-    def expansion(vs: VectorSequence):
-        L = len(vs)
-        for x in enumerate_sequences(vs.alphabet, L):
-            coef = 1.0
-            for l, c in enumerate(x.codes):
-                coef *= vs.columns[l, c]
-                if coef == 0.0:
-                    break
-            if coef != 0.0:
-                yield coef, x
+    def expansion(vs: VectorSequence) -> tuple[np.ndarray, list]:
+        basis = enumerate_sequences(vs.alphabet, len(vs))
+        coefs = np.array([math.prod(vs.columns[l, c] for l, c in enumerate(x.codes))
+                          for x in basis])
+        keep = np.flatnonzero(coefs)
+        return coefs[keep], [basis[i] for i in keep]
 
-    total = 0.0
-    terms_w = list(expansion(w))
-    for cv, x in expansion(v):
-        for cw, y in terms_w:
-            total += cv * cw * kernel(x, y)
-    return total
+    cv, basis_v = expansion(v)
+    cw, basis_w = expansion(w)
+    return float(cv @ kernel.pairwise(basis_v, basis_w) @ cw)

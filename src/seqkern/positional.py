@@ -10,8 +10,11 @@ Matrices of the position-wise kernels are assembled without an
 ``n x m x width`` temporary: Hamming-type kernels sum a letter table
 over stop-padded positions as BLAS products of one-hot encodings (a
 mismatch table counts Hamming distances exactly; a log letter table
-gives the products), in blocks of positions under ``BLOCK_ELEMENTS``,
-and the window-count kernel accumulates one position at a time.
+gives the products), in blocks of positions under ``BLOCK_ELEMENTS``.
+The two window kernels (weighted degree and lag-L Hamming) give every
+stop-padded L-window an exact integer id and count equal ids one
+position at a time; for the lag kernel stop is a letter, for the
+weighted degree a window reaching past its sequence matches nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 
 import numpy as np
 
-from .alignment import exponential_letter_matrix
+from .alignment import checked_letter_matrix, exponential_letter_matrix
 from .core import (
     HAS_MASSES,
     LACKS_MASSES,
@@ -41,30 +44,18 @@ class LetterKernel:
     """
 
     def __init__(self, alphabet: Alphabet, matrix, stop_row=None):
-        K = np.asarray(matrix, dtype=float)
         n = alphabet.size
-        if K.shape != (n, n):
-            raise DataError("letter matrix must be |B| x |B|")
-        if not np.allclose(K, K.T, rtol=1e-12, atol=1e-12):
-            raise DataError("letter matrix must be symmetric")
         t = np.zeros(n) if stop_row is None else np.asarray(stop_row, dtype=float)
         if t.shape != (n,):
             raise DataError("stop row must have one entry per letter")
-        ext = np.zeros((n + 1, n + 1))
-        ext[:n, :n] = K
-        ext[:n, n] = t
-        ext[n, :n] = t
-        ext[n, n] = 1.0
-        eigmin = float(np.linalg.eigvalsh(ext).min())
-        if eigmin <= 0:
-            raise DataError(
-                f"letter kernel is not strictly positive definite on the "
-                f"extended alphabet (min eigenvalue {eigmin:.3e})"
-            )
+        try:
+            ext = np.block([[np.asarray(matrix, dtype=float), t[:, None]], [t, 1.0]])
+        except ValueError:
+            raise DataError(f"letter matrix must be {n}x{n}")
         self.alphabet = alphabet
-        self.matrix = K
+        self.extended = checked_letter_matrix(ext, n + 1)
+        self.matrix = self.extended[:n, :n]
         self.stop_row = t
-        self.extended = ext
 
     @classmethod
     def exponential(cls, alphabet: Alphabet, lam: float) -> "LetterKernel":
@@ -118,36 +109,46 @@ class WeightedDegreeKernel(Kernel):
         return float(count)
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
-        sym = ys is None
-        ys_ = xs if sym else ys
-        width = max((len(s) for s in list(xs) + list(ys_)), default=0)
-        wx = _window_codes(xs, self.L, width)
-        wy = wx if sym else _window_codes(ys_, self.L, width)
-        # absent windows are -1 on the left and -2 on the right: they match nothing
-        wy = np.where(wy >= 0, wy, -2)
-        out = np.zeros((len(xs), len(ys_)), dtype=np.int32)
-        for l in range(wx.shape[1]):
-            out += wx[:, l, None] == wy[None, :, l]
-        return out.astype(float)
+        xs = list(xs)
+        ys_ = xs if ys is None else list(ys)
+        ix, iy = _window_ids(xs, ys, self.L)
+        nwin = max(ix.shape[1] - self.L + 1, 0)
+        # windows reaching past their sequence match nothing: -1 on the
+        # left, -2 on the right
+        end = np.arange(nwin) + self.L
+        ix = np.where(end <= np.array([len(s) for s in xs])[:, None], ix[:, :nwin], -1)
+        iy = np.where(end <= np.array([len(s) for s in ys_])[:, None], iy[:, :nwin], -2)
+        return _count_equal(ix, iy).astype(float)
 
 
-def _window_codes(seqs, L: int, width: int) -> np.ndarray:
-    """Encode every in-range L-window as a single integer; -1 where absent."""
-    if not seqs:
-        return np.zeros((0, max(width - L + 1, 0)), dtype=np.int64)
-    base = max(s.alphabet.size for s in seqs)
-    codes = encode_padded(list(seqs), width)
-    nwin = max(width - L + 1, 0)
-    out = np.full((len(seqs), nwin), -1, dtype=np.int64)
-    if nwin == 0:
-        return out
-    acc = np.zeros((len(seqs), nwin), dtype=np.int64)
-    ok = np.ones((len(seqs), nwin), dtype=bool)
-    for d in range(L):
-        c = codes[:, d : d + nwin]
-        ok &= c != PAD_CODE
-        acc = acc * base + np.where(c == PAD_CODE, 0, c)
-    out[ok] = acc[ok]
+def _window_ids(xs, ys, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the stop-padded L-windows of ``xs`` and ``ys`` (``xs``
+    again when ``None``) at every position below the longest length.
+
+    Two windows share an id iff they are equal as strings over the
+    letters plus stop.  Ids grow one letter at a time and are renumbered
+    after each, so they stay below the number of windows and are exact
+    for any ``L`` and alphabet.
+    """
+    xs = list(xs)
+    seqs = xs + ([] if ys is None else list(ys))
+    size = max((s.alphabet.size for s in seqs), default=0)
+    cx, cy = _stop_coded(xs, ys, size)
+    codes = cx if ys is None else np.vstack([cx, cy])
+    width = codes.shape[1]
+    codes = np.pad(codes, ((0, 0), (0, L - 1)), constant_values=size)
+    ids = codes[:, :width]
+    for t in range(1, L):
+        ids = ids * (size + 1) + codes[:, t : t + width]
+        ids = np.unique(ids.ravel(), return_inverse=True)[1].reshape(ids.shape)
+    return (ids, ids) if ys is None else (ids[: len(xs)], ids[len(xs):])
+
+
+def _count_equal(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """``out[i, j] = #{l : ix[i, l] == iy[j, l]}``, one position at a time."""
+    out = np.zeros((len(ix), len(iy)), dtype=np.int32)
+    for l in range(ix.shape[1]):
+        out += ix[:, l, None] == iy[None, :, l]
     return out
 
 
@@ -223,8 +224,9 @@ def _position_sum(cx: np.ndarray, cy: np.ndarray, table: np.ndarray) -> np.ndarr
     onehot = np.eye(size)
     out = np.zeros((n, m))
     for blk in element_blocks(cx.shape[1], max(n, m) * size):
-        hx = table[cx[:, blk]].reshape(n, -1)
-        hy = onehot[cy[:, blk]].reshape(m, -1)
+        cols = (blk.stop - blk.start) * size
+        hx = table[cx[:, blk]].reshape(n, cols)
+        hy = onehot[cy[:, blk]].reshape(m, cols)
         out += hx @ hy.T
     return out
 
@@ -332,16 +334,10 @@ class ImqHammingLagKernel(Kernel):
         return (self.C + d) ** -self.beta
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
-        sym = ys is None
-        ys_ = xs if sym else ys
-        out = np.empty((len(xs), len(ys_)))
-        for i, x in enumerate(xs):
-            lo = i if sym else 0
-            for j in range(lo, len(ys_)):
-                out[i, j] = self(x, ys_[j])
-                if sym:
-                    out[j, i] = out[i, j]
-        return out
+        ix, iy = _window_ids(xs, ys, self.L)
+        d = (ix.shape[1] - _count_equal(ix, iy)).astype(float)
+        d += self.C
+        return np.power(d, -self.beta, out=d)
 
 
 def lag_window_mismatches(x: Sequence, y: Sequence, L: int) -> int:

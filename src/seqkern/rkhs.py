@@ -18,6 +18,7 @@ blocked substitutions in numpy, O(n^2) per right-hand side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence as Seq
@@ -27,11 +28,9 @@ import numpy as np
 from .core import Kernel
 from .errors import DataError, NumericalError
 
-#: relative eigenvalue floor below which a Gram matrix counts as singular
+#: relative eigenvalue floor below which a Gram matrix counts as
+#: singular; the minimum-norm solve drops eigenvalues below it too
 SINGULAR_RTOL = 1e-10
-
-#: relative cutoff for the minimum-norm pseudo-inverse solve
-PINV_RTOL = 1e-10
 
 #: PSD validation slack: smallest eigenvalue >= -PSD_RTOL * trace
 PSD_RTOL = 1e-8
@@ -47,9 +46,10 @@ class GramMatrix:
     in the error; otherwise it is computed on demand and cached.
 
     Solves avoid it where a Cholesky certificate allows.  If
-    ``K - 2 rtol ||K||_inf I`` factorises, every eigenvalue exceeds
-    ``2 rtol ||K||_inf >= 2 rtol lambda_max`` up to round-off, so the
-    Gram is nonsingular at relative tolerance ``rtol``:
+    ``K - 2 rtol ||K||_inf I`` factorises (``rtol = SINGULAR_RTOL``),
+    every eigenvalue exceeds ``2 rtol ||K||_inf >= 2 rtol lambda_max``
+    up to round-off, so the Gram is nonsingular at relative tolerance
+    ``rtol``:
     :meth:`is_singular`, :meth:`solve_pinv` and the diagnostic's
     ``(K^-1)_tt`` then use a Cholesky factor of ``K``.  Without the
     certificate they use the eigendecomposition, so every answer means
@@ -72,8 +72,6 @@ class GramMatrix:
         self.sequences = list(sequences)
         self.entries = entries
         self._eig: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._factor: Optional[np.ndarray] = None
-        self._certified: dict[float, bool] = {}
         tr = float(np.trace(entries))
         slack = PSD_RTOL * max(tr, 1e-300)
         if n and _cholesky(entries, slack) is None and self.eig()[0].min() < -slack:
@@ -95,24 +93,21 @@ class GramMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eig()[0].min()) if len(self) else 0.0
 
-    def _certified_factor(self, rtol: float) -> Optional[np.ndarray]:
-        """Cholesky factor of ``K`` if the certificate at ``rtol`` holds."""
-        if rtol not in self._certified:
-            n = len(self)
-            norm = float(np.abs(self.entries).sum(axis=1).max()) if n else 0.0
-            certified = n > 0 and _cholesky(self.entries, -2.0 * rtol * norm) is not None
-            if certified and self._factor is None:
-                self._factor = _cholesky(self.entries, 0.0)
-                certified = self._factor is not None
-            self._certified[rtol] = certified
-        return self._factor if self._certified[rtol] else None
+    @functools.cached_property
+    def _certified_factor(self) -> Optional[np.ndarray]:
+        """Cholesky factor of ``K`` if the certificate holds, else None."""
+        n = len(self)
+        norm = float(np.abs(self.entries).sum(axis=1).max()) if n else 0.0
+        if n and _cholesky(self.entries, -2.0 * SINGULAR_RTOL * norm) is not None:
+            return _cholesky(self.entries, 0.0)
+        return None
 
-    def is_singular(self, rtol: float = SINGULAR_RTOL) -> bool:
-        if self._certified_factor(rtol) is not None:
+    def is_singular(self) -> bool:
+        if self._certified_factor is not None:
             return False
         w, _ = self.eig()
         wmax = float(w.max()) if len(self) else 0.0
-        return wmax <= 0.0 or float(w.min()) <= rtol * wmax
+        return wmax <= 0.0 or float(w.min()) <= SINGULAR_RTOL * wmax
 
     def solve_ridge(self, b: np.ndarray, ridge: float) -> np.ndarray:
         """Solve ``(K + ridge I) a = b`` by Cholesky with jitter escalation."""
@@ -132,20 +127,20 @@ class GramMatrix:
         inv = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), 0.0)
         return V @ (inv * (V.T @ b))
 
-    def solve_pinv(self, b: np.ndarray, rtol: float = PINV_RTOL) -> np.ndarray:
+    def solve_pinv(self, b: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares solution of ``K a = b``."""
-        L = self._certified_factor(rtol)
+        L = self._certified_factor
         if L is not None:
             return _cholesky_solve(L, b)
         w, V = self.eig()
         wmax = float(w.max()) if len(self) else 0.0
-        cut = rtol * max(wmax, 1e-300)
+        cut = SINGULAR_RTOL * max(wmax, 1e-300)
         inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
         return V @ (inv * (V.T @ b))
 
     def _inverse_diagonal(self, i: int) -> float:
         """``(K^-1)_ii`` of a Gram that is not singular."""
-        L = self._certified_factor(SINGULAR_RTOL)
+        L = self._certified_factor
         if L is not None:
             # rows above i of L^-1 e_i vanish
             unit = np.zeros(len(self) - i)

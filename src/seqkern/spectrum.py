@@ -22,7 +22,7 @@ import numpy as np
 
 from .alignment import (alignment_dp_R, alignment_R_batch, local_alignment_value,
                         power_law_mixture)
-from .core import HAS_MASSES, LACKS_MASSES, BatchKernel, Kernel
+from .core import HAS_MASSES, LACKS_MASSES, Kernel
 from .errors import DataError
 from .seqcore import Sequence
 
@@ -76,7 +76,7 @@ def finite_spectrum_kernel(L_max: int) -> FiniteSpectrumKernel:
     return FiniteSpectrumKernel(L_max)
 
 
-class InfiniteSpectrumKernel(BatchKernel):
+class InfiniteSpectrumKernel(Kernel):
     """Shared-kmer count kernel over kmers of every length.
 
     ``k(x, y) = 1 + sum_{V != empty} occ(V, x) occ(V, y)``; the unit term
@@ -169,7 +169,7 @@ def gapped_kmer_feature(v: Sequence, x: Sequence, zeta: float,
     return math.exp(0.5 * zeta * len(v)) * total
 
 
-class HeavyTailedGappedSpectrumKernel(BatchKernel):
+class HeavyTailedGappedSpectrumKernel(Kernel):
     """Gapped-kmer kernel with power-law weights in kmer length.
 
     ``k(x, y) = sum_V (C + (|x|+|y|)/2 - |V|)**-beta u~_V(x) u~_V(y)``

@@ -271,6 +271,12 @@ class TestHeavyTailedGaps:
                 lambda mu: alignment_value(x, y, ks, mu, dmu), C, beta)
             assert k(x, y) == pytest.approx(q, rel=1e-4)
 
+    @pytest.mark.parametrize("ks", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.3], [0.1, 1.0]]],
+                             ids=["indefinite", "asymmetric"])
+    def test_letter_matrix_validated(self, ks):
+        with pytest.raises(DataError):
+            HeavyTailedAlignmentGaps(AB, 1.0, 1.0, 0.5, np.array(ks))
+
     def test_insertion_side_exchange_invariance(self):
         # with a diagonal letter kernel and free gap starts the weight
         # depends only on total inserted length |x|+|y|-2L

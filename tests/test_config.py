@@ -68,6 +68,22 @@ class TestFamilies:
             build_kernel(AB, {"family": "alignment", "mu": "0.5",
                               "delta_mu": "0.5", "k_s": str(path)})
 
+    def test_ks_file_must_be_numeric(self, tmp_path):
+        path = tmp_path / "ks.csv"
+        path.write_text("1,a\n0.2,1\n")
+        with pytest.raises(DataError, match="cannot read letter matrix"):
+            build_kernel(AB, {"family": "alignment", "mu": "0.5",
+                              "delta_mu": "0.5", "k_s": str(path)})
+
+    @pytest.mark.parametrize("ks", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.3], [0.1, 1.0]]],
+                             ids=["indefinite", "asymmetric"])
+    def test_ht_alignment_gaps_ks_file_validated(self, tmp_path, ks):
+        path = tmp_path / "ks.csv"
+        np.savetxt(path, np.array(ks), delimiter=",")
+        with pytest.raises(DataError):
+            build_kernel(AB, {"family": "ht_alignment_gaps", "C": "1", "beta": "1",
+                              "delta_mu": "0.5", "k_s": str(path)})
+
     def test_normalize_wrapper(self):
         k = build_kernel(DNA, {"family": "infinite_spectrum", "normalize": "true"})
         for letters in ("A", "ATG", "GGGG"):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from seqkern import (
     DataError,
     HAS_MASSES,
     IdentityKernel,
+    Kernel,
     VectorSequence,
     empty,
     enumerate_sequences,
@@ -108,6 +110,42 @@ class TestTensorKernel:
         for x1, x2, y1, y2 in zip(seqs[:2], seqs[2:4], seqs[4:6], seqs[6:8]):
             assert t((x1, x2), (y1, y2)) == pytest.approx(
                 t((x2, x1), (y2, y1)), rel=1e-12)
+
+
+class _ScalarOnly(Kernel):
+    """Defines only ``__call__``, and not symmetrically, so argument order shows."""
+
+    def __call__(self, x, y) -> float:
+        return math.sin(1.0 + len(x)) / (1.5 + sum(y.codes)) + 0.1 * len(y)
+
+
+def _scalar_loop(k, xs, ys=None):
+    """The pair-by-pair loop the generic path replaces."""
+    if ys is None:
+        out = np.empty((len(xs), len(xs)))
+        for i in range(len(xs)):
+            for j in range(i, len(xs)):
+                out[i, j] = k(xs[i], xs[j])
+                out[j, i] = out[i, j]
+        return out
+    out = np.empty((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i, j] = k(x, y)
+    return out
+
+
+class TestGenericPairwise:
+    def test_scalar_only_kernel_matches_the_scalar_loop(self):
+        k = _ScalarOnly()
+        rng = np.random.default_rng(3)
+        xs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 12, 6, min_len=1)
+        ys = random_distinct_sequences(rng, DNA, 5, 8)
+        for left, right in ((xs, None), (xs, ys), ([], None), ([], ys), (xs, [])):
+            np.testing.assert_array_equal(k.pairwise(left, right),
+                                          _scalar_loop(k, left, right))
+        np.testing.assert_array_equal(k.self_similarities(xs), [k(x, x) for x in xs])
+        assert k.self_similarities([]).shape == (0,)
 
 
 class TestIdentityKernel:

@@ -26,6 +26,7 @@ from seqkern import (
 import seqkern.seqcore
 from seqkern.embedding import EuclideanKernel, embedding_kernel, random_ball_embedding
 from seqkern.positional import _hamming_matrix, lag_window_mismatches
+from seqkern.seqcore import PROTEIN
 
 from conftest import random_distinct_sequences, random_sequence
 from oracles import gamma_quadrature, padded_window_mismatches
@@ -65,6 +66,20 @@ class TestWeightedDegree:
         G = k.pairwise(seqs)
         for i, j in itertools.product(range(10), repeat=2):
             assert G[i, j] == k(seqs[i], seqs[j])
+
+    @pytest.mark.parametrize("alphabet,L", [(DNA, 32), (DNA, 33), (PROTEIN, 15)],
+                             ids=["dna-32", "dna-33", "protein-15"])
+    def test_pairwise_matches_scalar_at_long_windows(self, alphabet, L):
+        # base**L window codes would overflow int64 here
+        rng = np.random.default_rng(L)
+        xs = random_distinct_sequences(rng, alphabet, 8, L + 6, min_len=L - 2)
+        # each x again, with its first letter changed
+        ys = [Sequence(alphabet, ((x.codes[0] + 1) % alphabet.size,) + x.codes[1:]) for x in xs]
+        k = weighted_degree_kernel(L)
+        for left, right in ((xs, None), (xs, ys)):
+            right_ = left if right is None else right
+            np.testing.assert_array_equal(k.pairwise(left, right),
+                                          [[k(x, y) for y in right_] for x in left])
 
     def test_pairwise_with_mismatched_width_lists(self):
         # short-vs-long rectangular blocks must align windows by position
@@ -239,6 +254,19 @@ class TestImqHammingLag:
                 y = random_sequence(rng, DNA, 7)
                 assert lag_window_mismatches(x, y, L) == padded_window_mismatches(x, y, L)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 12])
+    def test_pairwise_matches_scalar(self, L):
+        # L = 12 is wider than every sequence
+        k = imq_hamming_lag_kernel(1.3, 1.7, L)
+        rng = np.random.default_rng(L)
+        xs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 25, 9, min_len=1)
+        ys = random_distinct_sequences(rng, DNA, 7, 11)
+        for left, right in ((xs, None), (xs, ys)):
+            right_ = left if right is None else right
+            np.testing.assert_allclose(k.pairwise(left, right),
+                                       [[k(x, y) for y in right_] for x in left],
+                                       rtol=1e-14, atol=0)
+
     def test_lag_two_frozen_values(self):
         # padded windows of ATGC vs ATCC: TG/TC and GC/CC differ, C$/C$ agree
         k = imq_hamming_lag_kernel(1.0, 1.0, 2)
@@ -326,6 +354,20 @@ class TestShifted:
         seqs = [s2 for L in range(4) for s2 in enumerate_sequences(AB, L)]
         w = np.linalg.eigvalsh(s.pairwise(seqs))
         assert w.min() < -1e-8 * np.trace(s.pairwise(seqs))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: exp_hamming_kernel(DNA, 0.5),
+    lambda: imq_hamming_kernel(1.0, 2.0),
+    lambda: imq_hamming_lag_kernel(1.0, 2.0, 2),
+    lambda: weighted_degree_kernel(2),
+], ids=["exp_hamming", "imq_hamming", "imq_hamming_lag", "weighted_degree"])
+def test_pairwise_with_an_empty_side(make):
+    k = make()
+    xs = [seq(DNA, "ACG"), seq(DNA, "T")]
+    assert k.pairwise([], xs).shape == (0, 2)
+    assert k.pairwise(xs, []).shape == (2, 0)
+    assert k.pairwise([]).shape == (0, 0)
 
 
 class TestBoundedMemory:

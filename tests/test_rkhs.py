@@ -34,7 +34,7 @@ from seqkern import (
     weighted_degree_kernel,
 )
 
-from seqkern.rkhs import PINV_RTOL, PSD_RTOL, SINGULAR_RTOL
+from seqkern.rkhs import PSD_RTOL, SINGULAR_RTOL
 
 from conftest import random_distinct_sequences
 
@@ -167,7 +167,7 @@ class TestRegression:
         np.testing.assert_allclose(fit.coefficients, direct, rtol=1e-9, atol=1e-12)
 
 
-def eig_pinv(K, b, rtol=PINV_RTOL):
+def eig_pinv(K, b, rtol=SINGULAR_RTOL):
     """Reference minimum-norm solve from the eigendecomposition."""
     w, V = np.linalg.eigh(K)
     inv = np.where(w > rtol * w.max(), 1.0 / np.where(w > rtol * w.max(), w, 1.0), 0.0)
