@@ -128,8 +128,7 @@ def cmd_gram(args) -> int:
         seen[s] = rec_id
     G = gram(kernel, seqs)
     out = _need(run_cfg, "output", "output path")
-    rows = [[ids[i]] + list(G.entries[i]) for i in range(len(ids))]
-    io.write_csv(out, ["id"] + ids, rows)
+    io.write_csv(out, ["id"] + ids, zip(ids, G.entries))
     return 0
 
 
@@ -177,7 +176,8 @@ def cmd_regress(args) -> int:
     else:
         nrmse = rmse / std
     out = _need(run_cfg, "output", "output path")
-    split = ["train" if i in set(train_idx) else "heldout" for i in range(n)]
+    trained = set(train_idx.tolist())
+    split = ["train" if i in trained else "heldout" for i in range(n)]
     rows = [(ids[i], y[i], pred[i], split[i]) for i in range(n)]
     io.write_csv(out, ["id", "true", "predicted", "split"], rows,
                  footer_comments=[f"normalized_rmse={io.fmt(nrmse)}"])

@@ -246,6 +246,15 @@ class IdentityKernel(Kernel):
     def __call__(self, x, y) -> float:
         return 1.0 if x == y else 0.0
 
+    def pairwise(self, xs, ys=None) -> np.ndarray:
+        """Equality matrix: items are interned to integer ids by one dict
+        and the ids compared by broadcasting."""
+        ids: dict = {}
+        a = np.array([ids.setdefault(x, len(ids)) for x in xs], dtype=np.int64)
+        b = a if ys is None else np.array([ids.setdefault(y, len(ids)) for y in ys],
+                                          dtype=np.int64)
+        return (a[:, None] == b[None, :]).astype(float)
+
 
 def eval_vector_encoded(kernel: Kernel, v: VectorSequence, w: VectorSequence) -> float:
     """Evaluate a sequence kernel on vector-encoded (reparameterised) input.

@@ -7,12 +7,17 @@ For kernels on sequence pairs, a single ``|`` marker may split a record
 into a left and right part.
 
 CSV output uses '.' decimals, 17 significant digits, and LF endings.
+A row may hand :func:`write_csv` a whole float array (a Gram row) as
+one cell; each distinct value of those arrays is formatted once and
+looked up, so a matrix costs one ``format`` per distinct value instead
+of one per entry, and the bytes are those of formatting every entry.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import DataError
 from .seqcore import Alphabet, Sequence
@@ -43,6 +48,7 @@ def read_fasta(path, alphabet: Alphabet,
     reversed, so both halves read outward from the marker.
     """
     ids: list[str] = []
+    seen: set[str] = set()
     raw: list[str] = []
     current: Optional[list[str]] = None
     try:
@@ -59,8 +65,9 @@ def read_fasta(path, alphabet: Alphabet,
                 if not header:
                     raise DataError(f"{path}: FASTA record with empty header")
                 rec_id = header.split()[0]
-                if rec_id in ids:
+                if rec_id in seen:
                     raise DataError(f"{path}: duplicate FASTA ID {rec_id!r}")
+                seen.add(rec_id)
                 ids.append(rec_id)
                 current = []
                 raw.append("")
@@ -138,17 +145,39 @@ def read_labels(path) -> dict[str, float]:
 def fmt(value) -> str:
     """Full-precision, locale-independent number formatting."""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
 
 
 def write_csv(path, header: list[str], rows: Iterable[Iterable],
               footer_comments: Iterable[str] = ()) -> None:
+    """Write ``header``, one line per row, then ``# `` comment lines.
+
+    A cell is a scalar, printed by :func:`fmt`, or a 1-D float64 array
+    whose entries become consecutive cells.  Array entries are keyed by
+    their bit pattern (so ``-0.0`` keeps printing ``-0``), each distinct
+    key is printed once by :func:`fmt`, and the rows are joined from the
+    looked-up strings.
+    """
+    rows = [list(row) for row in rows]
+    arrays = [cell for row in rows for cell in row if isinstance(cell, np.ndarray)]
+    texts: list[str] = []
+    if arrays:
+        flat = np.concatenate(arrays, dtype=np.float64)
+        keys, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        table = np.array([fmt(v) for v in keys.view(np.float64).tolist()], dtype=object)
+        texts = table[inverse].tolist()
+    at = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+            cells = []
+            for v in row:
+                if isinstance(v, np.ndarray):
+                    cells += texts[at:at + v.size]
+                    at += v.size
+                else:
+                    cells.append(fmt(v))
+            fh.write(",".join(cells) + "\n")
         for line in footer_comments:
             fh.write(f"# {line}\n")

@@ -6,7 +6,8 @@ import pytest
 from seqkern import Alphabet, enumerate_sequences, enumerate_up_to, imq_hamming_kernel, seq
 from seqkern.cli import main, most_common_letter_count
 from seqkern.config import build_kernel
-from seqkern.io import fmt, parse_alphabet, read_fasta, read_labels
+from seqkern.errors import DataError
+from seqkern.io import fmt, parse_alphabet, read_fasta, read_labels, write_csv
 
 DNA = Alphabet("ACGT")
 
@@ -43,6 +44,13 @@ class TestFastaParsing:
         with pytest.raises(Exception, match="duplicate"):
             read_fasta(p, DNA)
 
+    def test_duplicate_id_message_names_path_and_id(self, tmp_path):
+        p = tmp_path / "a.fasta"
+        p.write_text(">s1\nA\n>s2 x\nC\n>s1 again\nG\n")
+        with pytest.raises(DataError) as info:
+            read_fasta(p, DNA)
+        assert str(info.value) == f"{p}: duplicate FASTA ID 's1'"
+
     def test_pair_marker(self, tmp_path):
         p = tmp_path / "a.fasta"
         p.write_text(">s\nAAC|TG\n")
@@ -64,6 +72,63 @@ class TestLabels:
         assert read_labels(p) == {"s1": 2.0, "s2": -1.0}
 
 
+def reference_csv(header, rows):
+    """Every cell printed on its own: floats by ``format(v, ".17g")``."""
+    def cells(row):
+        for v in row:
+            values = v.tolist() if isinstance(v, np.ndarray) else [v]
+            for u in values:
+                yield format(u, ".17g") if isinstance(u, float) else str(u)
+
+    return "".join(",".join(line) + "\n" for line in [header] + [list(cells(r)) for r in rows])
+
+
+class TestWriteCsv:
+    def check(self, tmp_path, header, rows):
+        path = tmp_path / "out.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == reference_csv(header, rows).encode()
+
+    def test_few_valued_gram(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 40
+        codes = np.triu(rng.integers(5, size=(n, n)))
+        G = np.array([1.0, 0.5, 1 / 3, 0.1 + 0.2, 2.0 ** -0.5])[codes + np.triu(codes, 1).T]
+        self.check(tmp_path, ["id"] + [f"s{i}" for i in range(n)],
+                   [(f"s{i}", G[i]) for i in range(n)])
+
+    def test_all_distinct_symmetric(self, tmp_path):
+        rng = np.random.default_rng(1)
+        R = rng.normal(size=(30, 30)) * 10.0 ** rng.integers(-300, 300, size=(30, 30))
+        R = 0.5 * (R + R.T)
+        assert len(np.unique(R)) == 30 * 31 // 2
+        self.check(tmp_path, ["id"] + [str(i) for i in range(30)],
+                   [(i, R[i]) for i in range(30)])
+
+    def test_signed_zero_and_extreme_values(self, tmp_path):
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                            1e308, -1e308, 3.0, -7.0, 1e16, 2.0 ** 53, 0.1,
+                            np.inf, -np.inf])
+        self.check(tmp_path, ["a", "b"], [("x", special), ("y", special[::-1]),
+                                         ("z", -special)])
+        text = (tmp_path / "out.csv").read_text()
+        assert "x,0,-0,4.9406564584124654e-324," in text
+
+    def test_scalar_cells_mixed_with_arrays(self, tmp_path):
+        rows = [("r0", 3, 0.25, np.inf, np.array([0.5, -0.0]), -np.inf, "tail"),
+                ("r1", -2, np.float64(1 / 3), float("inf"), np.array([]), 0.0, "t"),
+                ("r2", np.array([1e-5]), np.array([7.0, 0.5]), -0.0, 12)]
+        self.check(tmp_path, ["c"] * 7, rows)
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert lines[1] == "r0,3,0.25,inf,0.5,-0,-inf,tail"
+        assert lines[2] == "r1,-2,0.33333333333333331,inf,0,t"
+
+    def test_footer_and_no_arrays(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a"], [(1.5,)], footer_comments=["done=1"])
+        assert path.read_text() == "a\n1.5\n# done=1\n"
+
+
 class TestGramCommand:
     def test_round_trip_and_determinism(self, tmp_path):
         fasta = tmp_path / "in.fasta"
@@ -78,6 +143,24 @@ class TestGramCommand:
         seqs = [seq(DNA, s) for s in ("ATGC", "ATGG", "TTGC")]
         expected = k.pairwise(seqs)
         np.testing.assert_allclose(data, expected, rtol=1e-12)
+
+    def test_csv_text_equals_a_reference_rendering(self, tmp_path):
+        letters = [str(s) for s in enumerate_up_to(DNA, 3)]
+        ids = [f"s{i}" for i in range(len(letters))]
+        fasta = tmp_path / "in.fasta"
+        write_fasta(fasta, list(zip(ids, letters)))
+        for flags, cfg in (
+                (["--family", "imq_hamming", "--C", "1", "--beta", "2"],
+                 {"family": "imq_hamming", "C": "1", "beta": "2"}),
+                (["--family", "infinite_spectrum", "--kernel", "normalize=true"],
+                 {"family": "infinite_spectrum", "normalize": "true"})):
+            out = tmp_path / "gram.csv"
+            assert main(["gram", "--fasta", str(fasta), "--output", str(out)] + flags) == 0
+            kernel = build_kernel(DNA, cfg)
+            K = kernel.pairwise([seq(DNA, s) for s in letters])
+            # a tilted product is symmetric only to rounding; gram() averages it with its transpose
+            K = 0.5 * (K + K.T)
+            assert out.read_text() == reference_csv(["id"] + ids, [(i, r) for i, r in zip(ids, K)])
 
     def test_normalized_diagonal(self, tmp_path):
         fasta = tmp_path / "in.fasta"

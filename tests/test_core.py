@@ -155,6 +155,20 @@ class TestIdentityKernel:
         assert k(x, x) == 1.0 and k(x, y) == 0.0
         assert k.mass_status == HAS_MASSES
 
+    def test_pairwise_matches_the_scalar_loop(self):
+        k = IdentityKernel()
+        rng = np.random.default_rng(4)
+        xs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 10, 5, min_len=1)
+        # shares items with xs, in another order, plus new ones
+        ys = xs[7:2:-1] + random_distinct_sequences(rng, DNA, 4, 7, min_len=6)
+        pairs = list(zip(xs, xs[::-1])) + [(xs[1], xs[2])]
+        cases = ((xs, None), (xs, ys), (ys, xs), ([], None), ([], ys), (xs, []),
+                 (pairs, None), (pairs, pairs[3:]))
+        for left, right in cases:
+            got = k.pairwise(left, right)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, _scalar_loop(k, left, right))
+
 
 class TestEvalVectorEncoded:
     def test_one_hot_recovers_kernel(self):
