@@ -2,8 +2,15 @@
 
 Subcommands: ``gram``, ``regress``, ``mmd-test``, ``optimize``,
 ``diagnose``, ``synth``.  Configuration comes from an INI file with
-``[kernel]``, ``[data]``, and ``[run]`` sections, every key of which can
-be overridden by a flag of the same name.  FASTA in, CSV out.  Exit
+``[kernel]``, ``[data]``, and ``[run]`` sections.  Each named flag sets
+one key of one section (its ``dest`` is ``section.key``) and overrides
+the file; ``--kernel KEY=VALUE`` sets any kernel key and is applied
+last.  ``--kernel-seed`` sets the kernel's ``seed`` key, since
+``--seed`` is the global seed.  Keys without a flag are set in the
+file: ``min_improvement``, ``which``, ``min_length`` and ``max_length``;
+``normalize`` and the ``inner_*`` kernel keys also through ``--kernel``.
+Values in every section are type-checked, and a malformed one is a
+configuration error that names its key.  FASTA in, CSV out.  Exit
 codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
 """
@@ -18,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import io
-from .config import PAIR_FAMILIES, build_kernel
+from .config import FAMILIES, PAIR_FAMILIES, _to_bool, _to_float, _to_int, build_kernel
 from .errors import ConfigError, DataError, NumericalError
 from .optimize import greedy_mmd_optimize
 from .rkhs import EmpiricalMeasure, discrete_mass_diagnostic, fit_regression, gram, predict_many
@@ -29,34 +36,28 @@ from .stats import mmd_two_sample_test
 # --------------------------------------------------------------------------
 # configuration plumbing
 
-KERNEL_FLAGS = [
-    "family", "L", "C", "beta", "lambda", "mu", "delta_mu", "k_s", "L_max",
-    "shift_max", "base", "D", "scale_epsilon", "k_E", "gamma", "kernel_seed",
-]
-# `normalize` stays reachable through --kernel normalize=true; a named
-# flag would collide with optimize's --normalize trace option
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="INI file with [kernel]/[data]/[run] sections")
-    parser.add_argument("--seed", type=int, default=None, help="global random seed")
-    parser.add_argument("--alphabet", default=None,
+    parser.add_argument("--seed", type=int, dest="run.seed", help="global random seed")
+    parser.add_argument("--alphabet", dest="run.alphabet",
                         help="'dna', 'protein', or explicit letters (default dna)")
-    parser.add_argument("--output", default=None, help="output CSV path")
-    for key in KERNEL_FLAGS:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=f"kernel_{key}", default=None,
-                            help=argparse.SUPPRESS)
+    parser.add_argument("--output", dest="run.output", help="output CSV path")
+    # every family key has a hidden flag; `normalize` has none because it
+    # would collide with optimize's --normalize trace option
+    for key in sorted({"family"}.union(*(req | opt for req, opt in FAMILIES.values()))):
+        flag = "--kernel-seed" if key == "seed" else "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest="kernel." + key, help=argparse.SUPPRESS)
     parser.add_argument("--kernel", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="extra kernel key (repeatable), e.g. inner_family=exp_hamming")
 
 
-def _load_config(path: Optional[str]) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {"kernel": {}, "data": {}, "run": {}}
+def _load_config(path: Optional[str]) -> dict[str, dict]:
+    sections: dict[str, dict] = {"kernel": {}, "data": {}, "run": {}}
     if path is None:
         return sections
-    parser = configparser.ConfigParser()
+    # values are read literally: a '%' in a path or a number is not interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case sensitive (C vs c)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -73,30 +74,24 @@ def _load_config(path: Optional[str]) -> dict[str, dict[str, str]]:
 
 
 def _gather(args) -> tuple[dict, dict, dict, Alphabet, int]:
+    """The [kernel], [data] and [run] sections, the alphabet and the seed.
+
+    Precedence: INI file < named flag < ``--kernel KEY=VALUE``.
+    """
     sections = _load_config(args.config)
-    kernel_cfg = dict(sections["kernel"])
-    for key in KERNEL_FLAGS:
-        value = getattr(args, f"kernel_{key}", None)
-        if value is not None:
-            if key == "kernel_seed":
-                kernel_cfg["seed"] = value
-            else:
-                kernel_cfg[key] = value
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            sections[section][key] = value
     for item in args.kernel:
         if "=" not in item:
             raise ConfigError(f"--kernel expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        kernel_cfg[key.strip()] = value.strip()
-    data_cfg = dict(sections["data"])
-    run_cfg = dict(sections["run"])
-    if args.seed is not None:
-        run_cfg["seed"] = str(args.seed)
-    seed = int(run_cfg.get("seed", 0))
-    alphabet_spec = args.alphabet or run_cfg.get("alphabet", "dna")
-    alphabet = io.parse_alphabet(alphabet_spec)
-    if args.output is not None:
-        run_cfg["output"] = args.output
-    return kernel_cfg, data_cfg, run_cfg, alphabet, seed
+        sections["kernel"][key.strip()] = value.strip()
+    run_cfg = sections["run"]
+    seed = _to_int("seed", run_cfg.get("seed", 0), minimum=0)
+    alphabet = io.parse_alphabet(str(run_cfg.get("alphabet", "dna")))
+    return sections["kernel"], sections["data"], run_cfg, alphabet, seed
 
 
 def _need(cfg: dict, key: str, what: str) -> str:
@@ -114,8 +109,6 @@ def _is_pair_family(kernel_cfg: dict) -> bool:
 
 def cmd_gram(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
-    if getattr(args, "fasta", None):
-        data_cfg["fasta"] = args.fasta
     kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     ids, seqs = io.read_fasta(_need(data_cfg, "fasta", "input FASTA"), alphabet,
                               allow_pairs=_is_pair_family(kernel_cfg))
@@ -134,14 +127,10 @@ def cmd_gram(args) -> int:
 
 def cmd_regress(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
-    if getattr(args, "fasta", None):
-        data_cfg["fasta"] = args.fasta
-    if getattr(args, "labels", None):
-        data_cfg["labels"] = args.labels
-    if getattr(args, "ridge", None) is not None:
-        run_cfg["ridge"] = str(args.ridge)
-    if getattr(args, "train_fraction", None) is not None:
-        run_cfg["train_fraction"] = str(args.train_fraction)
+    ridge = _to_float("ridge", run_cfg.get("ridge", 0.0))
+    frac = _to_float("train_fraction", run_cfg.get("train_fraction", 1.0))
+    if not 0.0 < frac <= 1.0:
+        raise ConfigError(f"key 'train_fraction' must be in (0, 1], got {frac}")
     kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     ids, seqs = io.read_fasta(_need(data_cfg, "fasta", "input FASTA"), alphabet,
                               allow_pairs=_is_pair_family(kernel_cfg))
@@ -151,10 +140,6 @@ def cmd_regress(args) -> int:
         raise DataError(f"labels missing for FASTA IDs: {', '.join(missing[:5])}")
     y = np.array([labels[i] for i in ids])
 
-    ridge = float(run_cfg.get("ridge", 0.0))
-    frac = float(run_cfg.get("train_fraction", 1.0))
-    if not 0.0 < frac <= 1.0:
-        raise ConfigError("train_fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
     n = len(seqs)
     n_train = max(2, int(round(frac * n))) if frac < 1.0 else n
@@ -187,27 +172,16 @@ def cmd_regress(args) -> int:
 
 def cmd_mmd_test(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
-    if getattr(args, "fasta_x", None):
-        data_cfg["fasta_x"] = args.fasta_x
-    if getattr(args, "fasta_y", None):
-        data_cfg["fasta_y"] = args.fasta_y
-    for key in ("n_bootstrap", "level", "method"):
-        value = getattr(args, key, None)
-        if value is not None:
-            run_cfg[key] = str(value)
+    n_bootstrap = _to_int("n_bootstrap", run_cfg.get("n_bootstrap", 200))
+    level = _to_float("level", run_cfg.get("level", 0.05))
     kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     pairs = _is_pair_family(kernel_cfg)
     _, xs = io.read_fasta(_need(data_cfg, "fasta_x", "first sample FASTA"),
                           alphabet, allow_pairs=pairs)
     _, ys = io.read_fasta(_need(data_cfg, "fasta_y", "second sample FASTA"),
                           alphabet, allow_pairs=pairs)
-    result = mmd_two_sample_test(
-        kernel, xs, ys,
-        n_bootstrap=int(run_cfg.get("n_bootstrap", 200)),
-        level=float(run_cfg.get("level", 0.05)),
-        seed=seed,
-        method=run_cfg.get("method", "permutation"),
-    )
+    result = mmd_two_sample_test(kernel, xs, ys, n_bootstrap=n_bootstrap, level=level,
+                                 seed=seed, method=run_cfg.get("method", "permutation"))
     out = _need(run_cfg, "output", "output path")
     io.write_csv(
         out,
@@ -222,14 +196,9 @@ def cmd_mmd_test(args) -> int:
 
 def cmd_optimize(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
-    if getattr(args, "target_fasta", None):
-        data_cfg["target_fasta"] = args.target_fasta
-    if getattr(args, "init", None):
-        run_cfg["init"] = args.init
-    if getattr(args, "max_steps", None) is not None:
-        run_cfg["max_steps"] = str(args.max_steps)
-    if getattr(args, "normalize_trace", False):
-        run_cfg["normalize_trace"] = "true"
+    max_steps = _to_int("max_steps", run_cfg.get("max_steps", 100))
+    min_improvement = _to_float("min_improvement", run_cfg.get("min_improvement", 1e-12))
+    normalize = _to_bool("normalize_trace", run_cfg.get("normalize_trace", False))
     if _is_pair_family(kernel_cfg):
         raise ConfigError("optimize does not support kernels on sequence pairs")
     kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
@@ -243,13 +212,8 @@ def cmd_optimize(args) -> int:
         init = atom + atom
     else:
         init = Sequence.from_letters(alphabet, init_spec)
-    trace = greedy_mmd_optimize(
-        kernel, target, init,
-        max_steps=int(run_cfg.get("max_steps", 100)),
-        min_improvement=float(run_cfg.get("min_improvement", 1e-12)),
-    )
-    normalize = str(run_cfg.get("normalize_trace", "false")).lower() in (
-        "1", "true", "yes", "on")
+    trace = greedy_mmd_optimize(kernel, target, init, max_steps=max_steps,
+                                min_improvement=min_improvement)
     base = trace.steps[0].mmd
     scale = base if (normalize and base > 0) else 1.0
     out = _need(run_cfg, "output", "output path")
@@ -264,27 +228,19 @@ def cmd_optimize(args) -> int:
 
 def cmd_diagnose(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
-    if getattr(args, "target", None):
-        run_cfg["target"] = args.target
-    if getattr(args, "cutoffs", None):
-        run_cfg["cutoffs"] = args.cutoffs
-    if getattr(args, "set_files", None):
-        data_cfg["set_files"] = args.set_files
+    if "cutoffs" in run_cfg and "set_files" in data_cfg:
+        raise ConfigError("give either length cutoffs or explicit set files")
+    cutoffs = [_to_int("cutoffs", c, minimum=0)
+               for c in str(run_cfg.get("cutoffs", "1,2,3")).split(",")]
     if _is_pair_family(kernel_cfg):
         raise ConfigError("diagnose does not support kernels on sequence pairs")
     kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     target = Sequence.from_letters(alphabet, _need(run_cfg, "target", "target sequence"))
-    if "cutoffs" in run_cfg and "set_files" in data_cfg:
-        raise ConfigError("give either length cutoffs or explicit set files")
-    sets: list[list[Sequence]] = []
     if "set_files" in data_cfg:
-        for path in str(data_cfg["set_files"]).split(","):
-            _, seqs = io.read_fasta(path.strip(), alphabet)
-            sets.append(list(seqs))
+        sets = [list(io.read_fasta(path.strip(), alphabet)[1])
+                for path in str(data_cfg["set_files"]).split(",")]
     else:
-        cutoffs = [int(c) for c in str(run_cfg.get("cutoffs", "1,2,3")).split(",")]
-        for c in cutoffs:
-            sets.append(enumerate_up_to(alphabet, c))
+        sets = [enumerate_up_to(alphabet, c) for c in cutoffs]
     for s in sets:
         if target not in s:
             raise DataError(
@@ -300,29 +256,21 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _, data_cfg, run_cfg, alphabet, seed = _gather(args)
-    if getattr(args, "preset", None):
-        run_cfg["preset"] = args.preset
-    for key in ("n", "length"):
-        value = getattr(args, key, None)
-        if value is not None:
-            run_cfg[key] = str(value)
-    if getattr(args, "labels_output", None):
-        run_cfg["labels_output"] = args.labels_output
+    _, _, run_cfg, alphabet, seed = _gather(args)
     preset = _need(run_cfg, "preset", "synth preset")
     out = _need(run_cfg, "output", "output path")
     rng = np.random.default_rng(seed)
     if preset == "toy-regression":
         dna = io.parse_alphabet("dna")
-        seqs = enumerate_sequences(dna, int(run_cfg.get("length", 4)))
+        seqs = enumerate_sequences(dna, _to_int("length", run_cfg.get("length", 4), minimum=0))
         ids = [f"s{i:04d}" for i in range(len(seqs))]
         io.write_fasta(out, ids, seqs)
         labels_out = _need(run_cfg, "labels_output", "labels output path")
         rows = [(i, most_common_letter_count(s)) for i, s in zip(ids, seqs)]
         io.write_csv(labels_out, ["id", "label"], rows)
     elif preset == "mirrored-halves":
-        n = int(run_cfg.get("n", 200))
-        length = int(run_cfg.get("length", 4))
+        n = _to_int("n", run_cfg.get("n", 200), minimum=1)
+        length = _to_int("length", run_cfg.get("length", 4), minimum=0)
         if length % 2:
             raise ConfigError("mirrored-halves needs an even length")
         which = run_cfg.get("which", "mirrored")
@@ -339,9 +287,9 @@ def cmd_synth(args) -> int:
         io.write_fasta(out, [f"s{i:05d}" for i in range(n)], seqs)
     elif preset == "tcr-like":
         protein = io.parse_alphabet("protein")
-        n = int(run_cfg.get("n", 100))
-        lo = int(run_cfg.get("min_length", 10))
-        hi = int(run_cfg.get("max_length", 17))
+        n = _to_int("n", run_cfg.get("n", 100), minimum=1)
+        lo = _to_int("min_length", run_cfg.get("min_length", 10), minimum=0)
+        hi = _to_int("max_length", run_cfg.get("max_length", 17), minimum=lo)
         seqs = []
         for _ in range(n):
             length = int(rng.integers(lo, hi + 1))
@@ -373,50 +321,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="write the Gram matrix of a FASTA file")
     _add_common(p)
-    p.add_argument("--fasta")
+    p.add_argument("--fasta", dest="data.fasta")
     p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("regress", help="kernel (ridge) regression on labelled sequences")
     _add_common(p)
-    p.add_argument("--fasta")
-    p.add_argument("--labels")
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--train-fraction", type=float, default=None, dest="train_fraction")
+    p.add_argument("--fasta", dest="data.fasta")
+    p.add_argument("--labels", dest="data.labels")
+    p.add_argument("--ridge", type=float, dest="run.ridge")
+    p.add_argument("--train-fraction", type=float, dest="run.train_fraction")
     p.set_defaults(fn=cmd_regress)
 
     p = sub.add_parser("mmd-test", help="two-sample test between two FASTA files")
     _add_common(p)
-    p.add_argument("--fasta-x", dest="fasta_x")
-    p.add_argument("--fasta-y", dest="fasta_y")
-    p.add_argument("--n-bootstrap", type=int, default=None, dest="n_bootstrap")
-    p.add_argument("--level", type=float, default=None)
-    p.add_argument("--method", choices=("permutation", "multiplier"), default=None)
+    p.add_argument("--fasta-x", dest="data.fasta_x")
+    p.add_argument("--fasta-y", dest="data.fasta_y")
+    p.add_argument("--n-bootstrap", type=int, dest="run.n_bootstrap")
+    p.add_argument("--level", type=float, dest="run.level")
+    p.add_argument("--method", choices=("permutation", "multiplier"), dest="run.method")
     p.set_defaults(fn=cmd_mmd_test)
 
     p = sub.add_parser("optimize", help="greedy single-edit MMD minimisation")
     _add_common(p)
-    p.add_argument("--target-fasta", dest="target_fasta")
-    p.add_argument("--init", help="initial sequence letters or 'double_random_atom'")
-    p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
-    p.add_argument("--normalize", action="store_true", dest="normalize_trace",
+    p.add_argument("--target-fasta", dest="data.target_fasta")
+    p.add_argument("--init", dest="run.init",
+                   help="initial sequence letters or 'double_random_atom'")
+    p.add_argument("--max-steps", type=int, dest="run.max_steps")
+    p.add_argument("--normalize", action="store_true", default=None, dest="run.normalize_trace",
                    help="normalise the MMD column to the step-0 value")
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("diagnose", help="flexibility diagnostic over nested sets")
     _add_common(p)
-    p.add_argument("--target", help="target sequence letters")
-    p.add_argument("--cutoffs", help="comma-separated length cutoffs, e.g. 1,2,3")
-    p.add_argument("--set-files", dest="set_files",
+    p.add_argument("--target", dest="run.target", help="target sequence letters")
+    p.add_argument("--cutoffs", dest="run.cutoffs",
+                   help="comma-separated length cutoffs, e.g. 1,2,3")
+    p.add_argument("--set-files", dest="data.set_files",
                    help="comma-separated FASTA paths (explicit nested sets)")
     p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("synth", help="write synthetic data sets")
     _add_common(p)
-    p.add_argument("--preset",
+    p.add_argument("--preset", dest="run.preset",
                    choices=("toy-regression", "mirrored-halves", "tcr-like"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--labels-output", dest="labels_output")
+    p.add_argument("--n", type=int, dest="run.n")
+    p.add_argument("--length", type=int, dest="run.length")
+    p.add_argument("--labels-output", dest="run.labels_output")
     p.set_defaults(fn=cmd_synth)
 
     return parser

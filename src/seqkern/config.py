@@ -8,6 +8,7 @@ strings (INI sections or command-line flags) and are coerced here.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -48,14 +49,17 @@ def _to_float(key: str, value: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"kernel key {key!r} must be a number, got {value!r}")
+        raise ConfigError(f"key {key!r} must be a number, got {value!r}")
 
 
-def _to_int(key: str, value: str) -> int:
+def _to_int(key: str, value: str, minimum: Optional[int] = None) -> int:
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"kernel key {key!r} must be an integer, got {value!r}")
+        raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"key {key!r} must be at least {minimum}, got {number}")
+    return number
 
 
 def _to_delta_mu(value: str) -> float:
@@ -70,7 +74,7 @@ def _to_bool(key: str, value) -> bool:
         return True
     if s in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"kernel key {key!r} must be a boolean, got {value!r}")
+    raise ConfigError(f"key {key!r} must be a boolean, got {value!r}")
 
 
 def _letter_matrix(alphabet: Alphabet, cfg: dict) -> np.ndarray:

@@ -49,7 +49,7 @@ def read_fasta(path, alphabet: Alphabet,
     """
     ids: list[str] = []
     seen: set[str] = set()
-    raw: list[str] = []
+    records: list[list[str]] = []
     current: Optional[list[str]] = None
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -70,11 +70,11 @@ def read_fasta(path, alphabet: Alphabet,
                 seen.add(rec_id)
                 ids.append(rec_id)
                 current = []
-                raw.append("")
+                records.append(current)
             else:
                 if current is None:
                     raise DataError(f"{path}: sequence data before any '>' header")
-                raw[-1] += "".join(line.split())
+                current.extend(line.split())
     if not ids:
         raise DataError(f"{path}: no FASTA records found")
 
@@ -88,7 +88,8 @@ def read_fasta(path, alphabet: Alphabet,
         return Sequence.from_letters(alphabet, letters)
 
     out = []
-    for rec_id, letters in zip(ids, raw):
+    for rec_id, parts in zip(ids, records):
+        letters = "".join(parts)
         if allow_pairs and PAIR_MARKER in letters:
             if letters.count(PAIR_MARKER) != 1:
                 raise DataError(

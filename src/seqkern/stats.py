@@ -83,8 +83,8 @@ def _multiplier_stats(K: np.ndarray, m: int, n_boot: int,
     """
     N = K.shape[0]
     n = N - m
-    H = np.eye(N) - np.full((N, N), 1.0 / N)
-    Kt = H @ K @ H
+    # H K H with H = I - 1/N, without forming H
+    Kt = K - K.mean(axis=0) - K.mean(axis=1)[:, None] + K.mean()
     E = rng.integers(0, 2, size=(N, n_boot)) * 2.0 - 1.0
     Ex, Ey = E[:m], E[m:]
     KtXX, KtYY, KtXY = Kt[:m, :m], Kt[m:, m:], Kt[:m, m:]

@@ -1,10 +1,11 @@
+import argparse
 import csv
 
 import numpy as np
 import pytest
 
 from seqkern import Alphabet, enumerate_sequences, enumerate_up_to, imq_hamming_kernel, seq
-from seqkern.cli import main, most_common_letter_count
+from seqkern.cli import _gather, build_parser, main, most_common_letter_count
 from seqkern.config import build_kernel
 from seqkern.errors import DataError
 from seqkern.io import fmt, parse_alphabet, read_fasta, read_labels, write_csv
@@ -50,6 +51,15 @@ class TestFastaParsing:
         with pytest.raises(DataError) as info:
             read_fasta(p, DNA)
         assert str(info.value) == f"{p}: duplicate FASTA ID 's1'"
+
+    def test_record_wrapped_over_many_lines(self, tmp_path):
+        rng = np.random.default_rng(0)
+        lines = ["".join(rng.choice(list("ACGT"), size=60)) for _ in range(2000)]
+        p = tmp_path / "a.fasta"
+        p.write_text(">long\n" + "\n".join(lines) + "\n>short\nA C\nG\n")
+        ids, seqs = read_fasta(p, DNA)
+        assert ids == ["long", "short"]
+        assert [str(s) for s in seqs] == ["".join(lines), "ACG"]
 
     def test_pair_marker(self, tmp_path):
         p = tmp_path / "a.fasta"
@@ -447,3 +457,125 @@ class TestConfigFileAndExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "'a'" in err and "'b'" in err
+
+
+class TestSynthRanges:
+    @pytest.mark.parametrize("argv,ini,key", [
+        (["--preset", "tcr-like"], "min_length = 12\nmax_length = 5\n", "max_length"),
+        (["--preset", "tcr-like"], "min_length = -1\n", "min_length"),
+        (["--preset", "tcr-like", "--n", "0"], "", "n"),
+        (["--preset", "mirrored-halves", "--length", "-2"], "", "length"),
+        (["--preset", "mirrored-halves", "--n", "0"], "", "n"),
+        (["--preset", "toy-regression", "--length", "-1"], "", "length"),
+    ], ids=["min_above_max", "negative_min_length", "tcr_no_records",
+            "mirrored_negative_length", "mirrored_no_records", "toy_negative_length"])
+    def test_out_of_range_size_is_config_error(self, tmp_path, capsys, argv, ini, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\n" + ini)
+        out = tmp_path / "s.fasta"
+        code = main(["synth", "--config", str(cfg), "--output", str(out),
+                     "--labels-output", str(tmp_path / "l.csv")] + argv)
+        assert code == 2
+        assert f"configuration error: key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# every [run] key read as a number or a boolean, with a subcommand that
+# reads it and a value that is malformed for its type or below its minimum
+MALFORMED = [
+    ("gram", "seed", "x1"),
+    ("gram", "seed", "-1"),
+    ("regress", "ridge", "small"),
+    ("regress", "train_fraction", "half"),
+    ("mmd-test", "n_bootstrap", "many"),
+    ("mmd-test", "level", "5%"),
+    ("optimize", "max_steps", "10.5"),
+    ("optimize", "min_improvement", "tiny"),
+    ("optimize", "normalize_trace", "maybe"),
+    ("diagnose", "cutoffs", "1,x"),
+    ("diagnose", "cutoffs", "2,-1"),
+    ("synth", "n", "ten"),
+    ("synth", "length", "4.0"),
+    ("synth", "min_length", "short"),
+    ("synth", "max_length", ""),
+]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("command,key,value", MALFORMED,
+                             ids=[f"{c}-{k}={v}" for c, k, v in MALFORMED])
+    def test_malformed_run_value_exits_2_naming_key(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "run.ini"
+        preset = ""
+        if command == "synth":
+            preset = f"preset = {'tcr-like' if key.endswith('_length') else 'mirrored-halves'}\n"
+        cfg.write_text(f"[kernel]\nfamily = identity\n[run]\n{preset}{key} = {value}\n")
+        code = main([command, "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"configuration error: key {key!r}" in capsys.readouterr().err
+
+    def test_malformed_cutoffs_flag(self, tmp_path, capsys):
+        code = main(["diagnose", "--target", "A", "--cutoffs", "1,x", "--family", "identity",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "key 'cutoffs' must be an integer, got 'x'" in capsys.readouterr().err
+
+
+def flag_actions(parser):
+    """(subcommand, action) for every flag whose dest names a section key."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        for action in p._actions:
+            if "." in action.dest:
+                yield name, action
+
+
+class TestSectionFlags:
+    def test_every_flag_overrides_its_ini_key(self, tmp_path):
+        parser = build_parser()
+        checked = 0
+        for command, action in flag_actions(parser):
+            section, key = action.dest.split(".")
+            # the file holds a value of the key's type that differs from the flag's
+            if action.nargs == 0:  # --normalize
+                in_file, value, want = "false", [], True
+            elif action.choices:
+                in_file, value, want = action.choices[0], [action.choices[-1]], action.choices[-1]
+            else:
+                in_file, flag_value = {int: ("3", "7"), float: ("0.25", "0.5")}.get(
+                    action.type, ("AB", "XY"))
+                value, want = [flag_value], (action.type or str)(flag_value)
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[{section}]\n{key} = {in_file}\n")
+            args = parser.parse_args([command, "--config", str(cfg), action.option_strings[0]]
+                                     + value)
+            sections = dict(zip(("kernel", "data", "run"), _gather(args)[:3]))
+            assert sections[section][key] == want, (command, action.option_strings)
+            checked += 1
+        # 19 flags common to the six subcommands, and 21 of their own
+        assert checked == 6 * 19 + 21
+
+    def test_kernel_option_beats_named_flag(self, tmp_path):
+        fasta = tmp_path / "in.fasta"
+        write_fasta(fasta, [("a", "AT"), ("b", "GC")])
+        out = tmp_path / "gram.csv"
+        code = main(["gram", "--fasta", str(fasta), "--output", str(out),
+                     "--family", "imq_hamming", "--C", "1", "--kernel", "beta=2", "--beta", "5"])
+        assert code == 0
+        _, _, data = read_matrix_csv(out)
+        assert data[0, 1] == imq_hamming_kernel(1.0, 2.0)(seq(DNA, "AT"), seq(DNA, "GC"))
+
+    def test_named_kernel_flags(self):
+        per_command: dict = {}
+        for command, action in flag_actions(build_parser()):
+            if action.dest.startswith("kernel."):
+                per_command.setdefault(command, {})[action.option_strings[0]] = action.dest
+        assert len(per_command) == 6
+        for command, flags in per_command.items():
+            assert set(flags) == {
+                "--family", "--L", "--C", "--beta", "--lambda", "--mu", "--delta-mu", "--k-s",
+                "--L-max", "--shift-max", "--base", "--D", "--scale-epsilon", "--k-E",
+                "--gamma", "--kernel-seed"}, command
+            assert flags["--kernel-seed"] == "kernel.seed"
+            assert all(dest == "kernel." + flag[2:].replace("-", "_")
+                       for flag, dest in flags.items() if flag != "--kernel-seed")

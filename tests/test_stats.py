@@ -33,6 +33,7 @@ from seqkern import (
 )
 from seqkern.alignment import exponential_letter_matrix
 from seqkern.positional import LetterKernel
+from seqkern.stats import _multiplier_stats
 
 AB = Alphabet("AB")
 DNA = Alphabet("ACGT")
@@ -182,6 +183,25 @@ class TestMultiplierVariant:
                                       method="multiplier")
             rejections += res.rejected
         assert 0.01 <= rejections / trials <= 0.12
+
+    def test_centring_equals_explicit_projection(self):
+        rng = np.random.default_rng(67)
+        pooled = sample_sequences(rng, 30) + sample_sequences(rng, 20)
+        K = imq_hamming_kernel(1.0, 2.0).pairwise(pooled)
+        m, n_boot = 30, 50
+        got = _multiplier_stats(K, m, n_boot, np.random.default_rng(5))
+        # the reference: the same signs on H K H with H = I - 11^T/N formed explicitly
+        N = len(pooled)
+        H = np.eye(N) - np.full((N, N), 1.0 / N)
+        Kt = H @ K @ H
+        E = np.random.default_rng(5).integers(0, 2, size=(N, n_boot)) * 2.0 - 1.0
+        quad = lambda A, a, b: (a * (A @ b)).sum(axis=0)
+        xx = quad(Kt[:m, :m], E[:m], E[:m]) - np.trace(Kt[:m, :m])
+        yy = quad(Kt[m:, m:], E[m:], E[m:]) - np.trace(Kt[m:, m:])
+        xy = quad(Kt[:m, m:], E[:m], E[m:])
+        n = N - m
+        want = xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2.0 * xy / (m * n)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestPowerCurve:
