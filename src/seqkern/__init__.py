@@ -66,6 +66,7 @@ from .rkhs import (
     fit_regression,
     gram,
     mmd,
+    nested_order,
     predict,
     predict_many,
 )

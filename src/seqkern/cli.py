@@ -28,7 +28,8 @@ from . import io
 from .config import FAMILIES, PAIR_FAMILIES, _to_bool, _to_float, _to_int, build_kernel
 from .errors import ConfigError, DataError, NumericalError
 from .optimize import greedy_mmd_optimize
-from .rkhs import EmpiricalMeasure, discrete_mass_diagnostic, fit_regression, gram, predict_many
+from .rkhs import (EmpiricalMeasure, discrete_mass_diagnostic, fit_regression, gram,
+                   nested_order, predict_many)
 from .seqcore import Alphabet, Sequence, enumerate_sequences, enumerate_up_to
 from .stats import mmd_two_sample_test
 
@@ -245,9 +246,10 @@ def cmd_diagnose(args) -> int:
         if target not in s:
             raise DataError(
                 f"target {target} is absent from a nested set (size {len(s)})")
-    grams = [gram(kernel, s) for s in sets]
-    values = discrete_mass_diagnostic(kernel, target, grams)
-    rows = [(len(G), c, G.min_eigenvalue) for G, c in zip(grams, values)]
+    # one Gram, over the largest set ordered so that each set is a prefix
+    G = gram(kernel, nested_order(target, sets))
+    values = discrete_mass_diagnostic(kernel, target, sets, G)
+    rows = [(len(s), c, G.leading(len(s)).min_eigenvalue) for s, c in zip(sets, values)]
     out = _need(run_cfg, "output", "output path")
     io.write_csv(out, ["set_size", "C", "min_eigenvalue"], rows)
     for size, c, ev in rows:
@@ -357,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoffs", dest="run.cutoffs",
                    help="comma-separated length cutoffs, e.g. 1,2,3")
     p.add_argument("--set-files", dest="data.set_files",
-                   help="comma-separated FASTA paths (explicit nested sets)")
+                   help="comma-separated FASTA paths (explicit nested sets, smallest "
+                        "first; each file may list its sequences in any order)")
     p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("synth", help="write synthetic data sets")

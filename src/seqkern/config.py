@@ -47,9 +47,12 @@ PAIR_FAMILIES = {"centre_justified"}
 
 def _to_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"key {key!r} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _to_int(key: str, value: str, minimum: Optional[int] = None) -> int:

@@ -191,7 +191,8 @@ class TiltedKernel(Kernel):
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ax = self._weights(xs)
         ay = ax if ys is None else self._weights(ys)
-        return ax[:, None] * self.base.pairwise(xs, ys) * ay[None, :]
+        # the weight product first, so a symmetric base Gram stays exactly symmetric
+        return (ax[:, None] * ay[None, :]) * self.base.pairwise(xs, ys)
 
     def self_similarities(self, xs) -> np.ndarray:
         return self._weights(xs) ** 2 * self.base.self_similarities(xs)

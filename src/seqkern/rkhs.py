@@ -8,12 +8,16 @@ stay bounded.  Stabilising C values are evidence of flexibility;
 blow-ups or singular Grams expose degenerate kernels.
 
 A :class:`GramMatrix` pays only for the factorisations its tasks use:
-validation is one Cholesky factorisation, ridge fits another, and
-minimum-norm fits and the diagnostic use a Cholesky factor of ``K``
-whenever a shifted factorisation certifies that ``K`` is nonsingular
-at their tolerance.  The eigendecomposition runs when validation or the
-certificate fails, or when a caller asks for it.  Triangular solves are
-blocked substitutions in numpy, O(n^2) per right-hand side.
+construction tries one shifted Cholesky factorisation, which both
+validates ``K`` and certifies it nonsingular, and falls back to a
+second, validating one only when that fails; ridge fits factor once
+more, and minimum-norm fits and the diagnostic use one Cholesky factor
+of a certified ``K``.  Eigenvalues alone serve the minimum eigenvalue
+and the singularity rule of an uncertified Gram; eigenvectors are
+computed only for the solves that need them.  The diagnostic builds one
+Gram, over the largest set, and reads every smaller set's Gram as a
+leading block of it.  Triangular solves are blocked substitutions in
+numpy, O(n^2) per right-hand side.
 """
 
 from __future__ import annotations
@@ -39,49 +43,90 @@ PSD_RTOL = 1e-8
 class GramMatrix:
     """Dense symmetric PSD matrix of pairwise kernel values.
 
-    Construction rejects non-finite and asymmetric entries and checks
-    positive semidefiniteness (to round-off) with one Cholesky
-    factorisation of ``K + PSD_RTOL tr(K) I``.  Only when that fails
-    does the eigendecomposition decide, and name the minimum eigenvalue
-    in the error; otherwise it is computed on demand and cached.
+    Construction copies the entries and rejects non-finite and
+    asymmetric ones; an exactly symmetric array is kept as it is, one
+    off by round-off is averaged with its transpose.  It then tries the
+    certificate: if ``K - 2 rtol ||K||_inf I`` factorises
+    (``rtol = SINGULAR_RTOL``), every eigenvalue exceeds
+    ``2 rtol ||K||_inf >= 2 rtol lambda_max`` up to round-off, so the
+    Gram is positive definite and nonsingular at relative tolerance
+    ``rtol``.  Otherwise positive semidefiniteness (to round-off) is
+    checked by one Cholesky factorisation of ``K + PSD_RTOL tr(K) I``,
+    and only when that fails do the eigenvalues decide, naming the
+    minimum one in the error.
 
-    Solves avoid it where a Cholesky certificate allows.  If
-    ``K - 2 rtol ||K||_inf I`` factorises (``rtol = SINGULAR_RTOL``),
-    every eigenvalue exceeds ``2 rtol ||K||_inf >= 2 rtol lambda_max``
-    up to round-off, so the Gram is nonsingular at relative tolerance
-    ``rtol``:
-    :meth:`is_singular`, :meth:`solve_pinv` and the diagnostic's
-    ``(K^-1)_tt`` then use a Cholesky factor of ``K``.  Without the
-    certificate they use the eigendecomposition, so every answer means
-    what the eigenvalue rule says it means.
+    A certified Gram's :meth:`is_singular`, :meth:`solve_pinv` and the
+    diagnostic's ``(K^-1)_tt`` use a Cholesky factor of ``K``.  Without
+    the certificate, :meth:`is_singular` and :attr:`min_eigenvalue` use
+    the cached :attr:`eigenvalues` (no eigenvectors), and the solves use
+    the eigendecomposition :meth:`eig`, so every answer means what the
+    eigenvalue rule says it means.  :meth:`leading` gives the Gram of the
+    first ``n`` sequences as a block of this one.
     """
 
     def __init__(self, kernel: Kernel, sequences: list, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=float)
+        entries = np.array(entries, dtype=float)
         n = len(sequences)
         if entries.shape != (n, n):
             raise DataError("Gram entries must be square over the sequences")
         if not np.isfinite(entries).all():
             i, j = np.argwhere(~np.isfinite(entries))[0]
             raise NumericalError(f"Gram entry ({i}, {j}) is not finite: {entries[i, j]}")
-        scale = np.abs(entries).max() if n else 0.0
-        if scale and np.abs(entries - entries.T).max() > 1e-12 * scale:
-            raise NumericalError("Gram matrix is not symmetric")
-        entries = 0.5 * (entries + entries.T)
+        if not np.array_equal(entries, entries.T):
+            if np.abs(entries - entries.T).max() > 1e-12 * np.abs(entries).max():
+                raise NumericalError("Gram matrix is not symmetric")
+            entries = 0.5 * (entries + entries.T)
+        self._init(kernel, sequences, entries, _certifies(entries))
+        # K - sI > 0 with s > 0 implies K + slack I > 0: certified Grams are valid
+        if n and not self._certified and _cholesky(entries, self._psd_slack()) is None:
+            self._check_psd()
+
+    def _init(self, kernel: Kernel, sequences: list, entries: np.ndarray,
+              certified: bool) -> None:
         self.kernel = kernel
         self.sequences = list(sequences)
         self.entries = entries
+        self._certified = certified
         self._eig: Optional[tuple[np.ndarray, np.ndarray]] = None
-        tr = float(np.trace(entries))
-        slack = PSD_RTOL * max(tr, 1e-300)
-        if n and _cholesky(entries, slack) is None and self.eig()[0].min() < -slack:
+        self._blocks: dict[int, GramMatrix] = {}
+
+    def _psd_slack(self) -> float:
+        return PSD_RTOL * max(float(np.trace(self.entries)), 1e-300)
+
+    def _check_psd(self) -> None:
+        """The eigenvalue rule: min eigenvalue >= -PSD_RTOL * trace."""
+        if self.min_eigenvalue < -self._psd_slack():
             raise NumericalError(
                 f"Gram matrix is not positive semidefinite "
-                f"(min eigenvalue {self.eig()[0].min():.3e}, trace {tr:.3e})"
+                f"(min eigenvalue {self.min_eigenvalue:.3e}, "
+                f"trace {float(np.trace(self.entries)):.3e})"
             )
 
     def __len__(self) -> int:
         return len(self.sequences)
+
+    def leading(self, n: int) -> "GramMatrix":
+        """The Gram of the first ``n`` sequences: a leading block, cached.
+
+        A block keeps the checks its own construction would make.  The
+        blocks of a certified Gram are certified too: by Cauchy
+        interlacing ``lambda_min(K_B) >= lambda_min(K)``, and
+        ``||K_B||_inf <= ||K||_inf``.  Otherwise a block tries its own
+        certificate, and without one its eigenvalues decide positive
+        semidefiniteness, since its singularity needs them anyway.
+        """
+        if not 0 <= n <= len(self):
+            raise DataError(f"a leading block of a Gram of {len(self)} cannot hold {n}")
+        if n == len(self):
+            return self
+        if n not in self._blocks:
+            K = self.entries[:n, :n]
+            block = GramMatrix.__new__(GramMatrix)
+            block._init(self.kernel, self.sequences[:n], K, self._certified or _certifies(K))
+            if not block._certified:
+                block._check_psd()
+            self._blocks[n] = block
+        return self._blocks[n]
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
@@ -89,25 +134,26 @@ class GramMatrix:
             self._eig = (w, V)
         return self._eig
 
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues in ascending order, without eigenvectors."""
+        return np.linalg.eigvalsh(self.entries)
+
     @property
     def min_eigenvalue(self) -> float:
-        return float(self.eig()[0].min()) if len(self) else 0.0
+        return float(self.eigenvalues[0]) if len(self) else 0.0
 
     @functools.cached_property
     def _certified_factor(self) -> Optional[np.ndarray]:
         """Cholesky factor of ``K`` if the certificate holds, else None."""
-        n = len(self)
-        norm = float(np.abs(self.entries).sum(axis=1).max()) if n else 0.0
-        if n and _cholesky(self.entries, -2.0 * SINGULAR_RTOL * norm) is not None:
-            return _cholesky(self.entries, 0.0)
-        return None
+        return _cholesky(self.entries, 0.0) if self._certified else None
 
     def is_singular(self) -> bool:
-        if self._certified_factor is not None:
+        if self._certified:
             return False
-        w, _ = self.eig()
-        wmax = float(w.max()) if len(self) else 0.0
-        return wmax <= 0.0 or float(w.min()) <= SINGULAR_RTOL * wmax
+        w = self.eigenvalues
+        wmax = float(w[-1]) if len(self) else 0.0
+        return wmax <= 0.0 or float(w[0]) <= SINGULAR_RTOL * wmax
 
     def solve_ridge(self, b: np.ndarray, ridge: float) -> np.ndarray:
         """Solve ``(K + ridge I) a = b`` by Cholesky with jitter escalation."""
@@ -142,11 +188,7 @@ class GramMatrix:
         """``(K^-1)_ii`` of a Gram that is not singular."""
         L = self._certified_factor
         if L is not None:
-            # rows above i of L^-1 e_i vanish
-            unit = np.zeros(len(self) - i)
-            unit[0] = 1.0
-            z = _solve_lower(L[i:, i:], unit)
-            return float(z @ z)
+            return float(_leading_inverse_diagonals(L, i)[-1])
         w, V = self.eig()
         return float((V[i] ** 2 / w).sum())
 
@@ -165,6 +207,14 @@ def _cholesky(K: np.ndarray, shift: float) -> Optional[np.ndarray]:
         return None
 
 
+def _certifies(K: np.ndarray) -> bool:
+    """Whether ``K - 2 SINGULAR_RTOL ||K||_inf I`` factorises."""
+    if not len(K):
+        return False
+    norm = float(np.abs(K).sum(axis=1).max())
+    return _cholesky(K, -2.0 * SINGULAR_RTOL * norm) is not None
+
+
 def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``L^-1 b`` by blocked forward substitution."""
     x = np.array(b, dtype=float)
@@ -173,6 +223,18 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
         x[lo:hi] -= L[lo:hi, :lo] @ x[:lo]
         x[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], x[lo:hi])
     return x
+
+
+def _leading_inverse_diagonals(L: np.ndarray, i: int) -> np.ndarray:
+    """``(K_n^-1)_ii`` for ``n = i + 1, ..., len(L)``, where ``K = L L^T``.
+
+    ``K_n``, the leading n x n block of ``K``, is factored by the leading
+    block of ``L``, and rows above ``i`` of ``L^-1 e_i`` vanish, so one
+    solve gives every value as a running sum of squares.
+    """
+    unit = np.zeros(len(L) - i)
+    unit[0] = 1.0
+    return np.cumsum(_solve_lower(L[i:, i:], unit) ** 2)
 
 
 def _solve_upper(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,7 +357,33 @@ def mmd(kernel: Kernel, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return math.sqrt(max(float(m2), 0.0))
 
 
-def discrete_mass_diagnostic(kernel: Kernel, target, nested_sets) -> np.ndarray:
+def nested_order(target, nested_sets) -> list:
+    """The largest of the nested sets, ordered so every set is a prefix.
+
+    Each set's new sequences follow those of its predecessor, in the
+    order the set lists them, so the Gram over the result holds every
+    set's Gram as a leading block.  Raises :class:`DataError` unless
+    every set contains the target, repeats no sequence, and strictly
+    contains its predecessor.
+    """
+    order: list = []
+    prev: set = set()
+    for s in nested_sets:
+        s = list(s)
+        cur = set(s)
+        if target not in cur:
+            raise DataError("every nested set must contain the target sequence")
+        if len(cur) != len(s):
+            raise DataError("a nested set lists a sequence twice")
+        if not prev < cur:
+            raise DataError("sets must be strictly growing supersets")
+        order += [x for x in s if x not in prev]
+        prev = cur
+    return order
+
+
+def discrete_mass_diagnostic(kernel: Kernel, target, nested_sets,
+                             G: Optional[GramMatrix] = None) -> np.ndarray:
     """C values of the Gram-matrix flexibility criterion over nested sets.
 
     For each set ``B`` (each containing the target, each containing its
@@ -304,27 +392,31 @@ def discrete_mass_diagnostic(kernel: Kernel, target, nested_sets) -> np.ndarray:
     values are nondecreasing; a stabilising sequence is desk-scale
     evidence that the delta function at the target has finite norm.
 
-    A set may also be given as a :class:`GramMatrix` of ``kernel`` over
-    it, which is used as it is instead of being built again.
+    One Gram is built, over :func:`nested_order` of the sets, and each
+    ``K_B`` is a leading block of it; ``G``, that Gram of ``kernel``, is
+    used as it is if given.  When ``G`` is certified, one Cholesky factor
+    ``L`` and one triangular solve give every value: with
+    ``z = L^-1 e_t``, ``(K_B^-1)_tt`` is the sum of the first
+    ``|B| - t`` terms of ``z**2``.  Otherwise each block decides for
+    itself (see :meth:`GramMatrix.leading`).
     """
-    grams = [s if isinstance(s, GramMatrix) else None for s in nested_sets]
-    nested_sets = [g.sequences if g is not None else list(s)
-                   for g, s in zip(grams, nested_sets)]
-    if any(g is not None and g.kernel is not kernel for g in grams):
-        raise DataError("a given Gram matrix belongs to another kernel")
-    prev: set = set()
-    for i, s in enumerate(nested_sets):
-        if target not in s:
-            raise DataError("every nested set must contain the target sequence")
-        cur = set(s)
-        if not prev.issubset(cur) or (i > 0 and len(cur) <= len(prev)):
-            raise DataError("sets must be strictly growing supersets")
-        prev = cur
-    out = np.empty(len(nested_sets))
-    for i, s in enumerate(nested_sets):
-        G = grams[i] if grams[i] is not None else gram(kernel, s)
-        if G.is_singular():
-            out[i] = math.inf
-            continue
-        out[i] = math.sqrt(G._inverse_diagonal(s.index(target)))
+    nested_sets = [list(s) for s in nested_sets]
+    order = nested_order(target, nested_sets)
+    if not nested_sets:
+        return np.empty(0)
+    if G is None:
+        G = gram(kernel, order)
+    elif G.kernel is not kernel:
+        raise DataError("the given Gram matrix belongs to another kernel")
+    elif G.sequences != order:
+        raise DataError("the given Gram matrix is not over the nested order of the sets")
+    t = order.index(target)
+    sizes = [len(s) for s in nested_sets]
+    L = G._certified_factor
+    if L is not None:
+        return np.sqrt(_leading_inverse_diagonals(L, t)[np.array(sizes) - t - 1])
+    out = np.empty(len(sizes))
+    for i, n in enumerate(sizes):
+        B = G.leading(n)
+        out[i] = math.inf if B.is_singular() else math.sqrt(B._inverse_diagonal(t))
     return out

@@ -322,8 +322,8 @@ class TestDiagnoseCommand:
                                        ["--family", "weighted_degree", "--L", "2"]],
                              ids=["imq_hamming", "weighted_degree"])
     def test_builds_each_gram_once(self, tmp_path, monkeypatch, capsys, flags):
-        # one Gram per nested set serves both C and the minimum eigenvalue,
-        # which is still the full eigendecomposition's
+        # one Gram, over the largest set, serves every C and every
+        # minimum eigenvalue, which come from eigenvalues alone
         import seqkern.cli
         import seqkern.rkhs
         built = []
@@ -338,16 +338,58 @@ class TestDiagnoseCommand:
         code = main(["diagnose", "--alphabet", "AB", "--target", "A",
                      "--cutoffs", "1,2,3", "--output", str(out)] + flags)
         assert code == 0
-        assert built == [3, 7, 15]
+        assert built == [15]
         kernel = build_kernel(Alphabet("AB"), {f[2:]: v for f, v in zip(flags[::2], flags[1::2])})
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         printed = capsys.readouterr().out.splitlines()
         for c, row, line in zip((1, 2, 3), rows, printed):
             K = kernel.pairwise(enumerate_up_to(Alphabet("AB"), c))
-            assert row["min_eigenvalue"] == fmt(float(np.linalg.eigh(K)[0].min()))
+            assert row["min_eigenvalue"] == fmt(float(np.linalg.eigvalsh(K)[0]))
+            norm = np.abs(K).sum(axis=1).max()
+            assert abs(float(row["min_eigenvalue"]) - np.linalg.eigh(K)[0][0]) <= 1e-12 * norm
             assert line == (f"set_size={row['set_size']} C={row['C']} "
                             f"min_eigenvalue={row['min_eigenvalue']}")
+
+    def test_certified_diagnose_factors_twice(self, tmp_path, monkeypatch):
+        # the certificate in construction and the factor behind every C;
+        # the leading blocks inherit the certificate
+        import seqkern.rkhs
+        calls = []
+
+        def counting_cholesky(K, shift, _cholesky=seqkern.rkhs._cholesky):
+            calls.append(len(K))
+            return _cholesky(K, shift)
+
+        monkeypatch.setattr(seqkern.rkhs, "_cholesky", counting_cholesky)
+        code = main(["diagnose", "--alphabet", "dna", "--target", "GA", "--cutoffs", "2,3,4",
+                     "--output", str(tmp_path / "diag.csv"),
+                     "--family", "imq_hamming", "--C", "1", "--beta", "2"])
+        assert code == 0
+        assert calls == [341, 341]
+
+    def test_set_files_in_any_order(self, tmp_path):
+        # the largest set listed out of prefix order gives the C values
+        # (and sizes) of the same sets listed in prefix order
+        dna = Alphabet("ACGT")
+        sets = [enumerate_up_to(dna, c) for c in (1, 2, 3)]
+        shuffled = [sets[2][i] for i in np.random.default_rng(5).permutation(len(sets[2]))]
+        values = []
+        for name, largest in (("prefix", sets[2]), ("shuffled", shuffled)):
+            paths = []
+            for i, s in enumerate(sets[:2] + [largest]):
+                path = tmp_path / f"{name}{i}.fasta"
+                write_fasta(path, [(f"s{j}", str(x)) for j, x in enumerate(s)])
+                paths.append(str(path))
+            out = tmp_path / f"{name}.csv"
+            code = main(["diagnose", "--target", "G", "--set-files", ",".join(paths),
+                         "--output", str(out), "--family", "exp_hamming", "--lambda", "0.5"])
+            assert code == 0
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            assert [int(r["set_size"]) for r in rows] == [5, 21, 85]
+            values.append([float(r["C"]) for r in rows])
+        np.testing.assert_allclose(values[1], values[0], rtol=1e-14)
 
     def test_imq_stabilizes(self, tmp_path):
         out = tmp_path / "diag.csv"
@@ -513,6 +555,26 @@ class TestMalformedValues:
         code = main([command, "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
         assert code == 2
         assert f"configuration error: key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--family", "imq_hamming", "--C", "nan", "--beta", "2"], "C"),
+        (["--family", "local_alignment", "--mu", "inf", "--delta-mu", "0.5", "--lambda", "1"],
+         "mu"),
+        (["--family", "embedding", "--base", "random_ball", "--D", "4",
+          "--scale-epsilon", "inf"], "scale_epsilon"),
+        (["--family", "imq_hamming", "--C", "1", "--beta=-inf"], "beta"),
+    ], ids=["C=nan", "mu=inf", "scale_epsilon=inf", "beta=-inf"])
+    def test_non_finite_kernel_value_exits_2(self, tmp_path, capsys, flags, key):
+        code = main(["diagnose", "--target", "A", "--cutoffs", "1",
+                     "--output", str(tmp_path / "o.csv")] + flags)
+        assert code == 2
+        assert f"key {key!r} must be a finite number" in capsys.readouterr().err
+
+    def test_infinite_delta_mu_still_builds(self, tmp_path):
+        code = main(["diagnose", "--target", "A", "--cutoffs", "1,2",
+                     "--output", str(tmp_path / "o.csv"), "--family", "alignment",
+                     "--mu", "0.5", "--delta-mu", "inf", "--lambda", "1"])
+        assert code == 0
 
     def test_malformed_cutoffs_flag(self, tmp_path, capsys):
         code = main(["diagnose", "--target", "A", "--cutoffs", "1,x", "--family", "identity",

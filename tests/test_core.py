@@ -15,7 +15,9 @@ from seqkern import (
     enumerate_sequences,
     eval_vector_encoded,
     exp_hamming_kernel,
+    enumerate_up_to,
     imq_hamming_kernel,
+    infinite_spectrum_kernel,
     seq,
     sum_kernel,
     tensor_kernel,
@@ -80,6 +82,17 @@ class TestTiltKernel:
         rng = np.random.default_rng(3)
         for x, y in itertools.product(random_distinct_sequences(rng, DNA, 6, 5), repeat=2):
             assert double(x, y) == pytest.approx(combined(x, y), rel=1e-12)
+
+    def test_normalized_gram_is_exactly_symmetric(self):
+        # the weight product is formed first, so rounding cannot depend on
+        # which side of the diagonal an entry sits
+        k = infinite_spectrum_kernel().normalized()
+        seqs = enumerate_up_to(DNA, 3)
+        K = k.pairwise(seqs)
+        assert np.array_equal(K, K.T)
+        for i in range(0, len(seqs), 7):
+            scalar = np.array([k(seqs[i], y) for y in seqs])
+            np.testing.assert_allclose(K[i], scalar, rtol=1e-15, atol=0)
 
     def test_nonpositive_weight_raises_at_evaluation(self):
         t = tilt_kernel(imq_hamming_kernel(), lambda x: float(len(x)))

@@ -78,6 +78,32 @@ class TestGram:
         ])
         np.testing.assert_allclose(G.entries, expected, rtol=1e-14)
 
+    def test_entries_are_a_private_copy(self):
+        k = imq_hamming_kernel(1.0, 2.0)
+        seqs = enumerate_up_to(DNA, 2)
+        K = k.pairwise(seqs)
+        assert np.array_equal(K, K.T)
+        G = GramMatrix(k, seqs, K)
+        assert not np.shares_memory(G.entries, K)
+        np.testing.assert_array_equal(G.entries, K)
+        # entries off by round-off are averaged with the transpose
+        K[0, 1] *= 1.0 + 1e-15
+        G = GramMatrix(k, seqs, K)
+        assert np.array_equal(G.entries, G.entries.T)
+        assert G.entries[0, 1] == 0.5 * (K[0, 1] + K[1, 0])
+
+    def test_leading_block_keeps_its_own_psd_check(self):
+        # -1.5e-8 passes the whole Gram's slack (PSD_RTOL * trace 11) but
+        # not that of the leading block over the first two (trace 1)
+        K = np.diag([1.0, -1.5 * PSD_RTOL, 10.0])
+        seqs = [seq(DNA, s) for s in ("A", "C", "G")]
+        k = IdentityKernel()
+        G = GramMatrix(k, seqs, K)
+        with pytest.raises(NumericalError, match="min eigenvalue -1.500e-08"):
+            G.leading(2)
+        with pytest.raises(NumericalError):
+            discrete_mass_diagnostic(k, seqs[0], [seqs[:2], seqs], G)
+
     def test_duplicates_rejected(self):
         k = imq_hamming_kernel()
         x = seq(DNA, "AT")
@@ -216,11 +242,49 @@ class TestCertifiedSolves:
     def test_given_grams_are_used_as_they_are(self):
         k = imq_hamming_kernel()
         sets = [enumerate_up_to(AB, c) for c in (1, 2)]
-        grams = [gram(k, s) for s in sets]
-        np.testing.assert_array_equal(discrete_mass_diagnostic(k, sets[0][1], grams),
+        G = gram(k, sets[-1])
+        np.testing.assert_array_equal(discrete_mass_diagnostic(k, sets[0][1], sets, G),
                                       discrete_mass_diagnostic(k, sets[0][1], sets))
         with pytest.raises(DataError):
-            discrete_mass_diagnostic(imq_hamming_kernel(), sets[0][1], grams)
+            discrete_mass_diagnostic(imq_hamming_kernel(), sets[0][1], sets, G)
+        # the Gram must be over the nested order, where each set is a prefix
+        with pytest.raises(DataError):
+            discrete_mass_diagnostic(k, sets[0][1], sets, gram(k, sets[-1][::-1]))
+
+    @pytest.mark.parametrize("k", [imq_hamming_kernel(1.0, 2.0), exp_hamming_kernel(DNA, 0.7)],
+                             ids=["imq_hamming", "exp_hamming"])
+    def test_one_factor_matches_eigen_oracle_per_set(self, k):
+        # every C from one factor of the largest Gram equals the eigen
+        # path on that set's own Gram
+        sets = [enumerate_up_to(DNA, c) for c in (2, 3, 4)]
+        oracles = [np.linalg.eigh(k.pairwise(s)) for s in sets]
+        for t in (0, 1, 7, 20):
+            C = discrete_mass_diagnostic(k, sets[0][t], sets)
+            for c, (w, V) in zip(C, oracles):
+                assert c == pytest.approx(math.sqrt((V[t] ** 2 / w).sum()), rel=1e-12)
+
+    def test_uncertified_gram_lets_each_block_decide(self):
+        # the leading 5-block's smallest eigenvalue, 1.5e-10 lambda_max,
+        # passes the eigenvalue rule (1e-10) but not the certificate
+        # (2e-10 ||K||_inf >= 2e-10 lambda_max), so it takes the eigen path;
+        # the sixth sequence repeats the first one's features, so the
+        # whole Gram is singular
+        rng = np.random.default_rng(49)
+        V, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        A = V * np.sqrt([3e-10, 0.5, 1.0, 1.5, 2.0])
+        A = np.vstack([A, A[:1]])
+        K = A @ A.T
+        K = 0.5 * (K + K.T)
+        seqs = random_distinct_sequences(rng, DNA, 6, 4)
+        k = IdentityKernel()
+        G = GramMatrix(k, seqs, K)
+        block = G.leading(5)
+        assert not G._certified and not block._certified
+        C = discrete_mass_diagnostic(k, seqs[2], [seqs[:5], seqs], G)
+        w, V = np.linalg.eigh(K[:5, :5])
+        assert C[0] == pytest.approx(math.sqrt((V[2] ** 2 / w).sum()), rel=1e-12)
+        assert C[1] == math.inf
+        assert block._eig is not None and G._eig is None
 
     def test_ridge_jitter_escalation_on_rank_deficient_gram(self):
         # a one-letter sequence has no length-2 window: its zero row
@@ -385,3 +449,5 @@ class TestDiscreteMassDiagnostic:
         x = seq(AB, "A")
         with pytest.raises(DataError):
             discrete_mass_diagnostic(k, x, [[x, seq(AB, "B")], [x]])
+        with pytest.raises(DataError):
+            discrete_mass_diagnostic(k, x, [[x], [x, seq(AB, "B"), x]])
