@@ -90,7 +90,6 @@ from .spectrum import (
     gapped_kmer_feature,
     heavy_tailed_gapped_spectrum,
     infinite_spectrum_kernel,
-    occurrences,
 )
 from .stats import TestResult, mmd_two_sample_test, power_curve
 from .config import build_kernel

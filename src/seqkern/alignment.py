@@ -12,13 +12,16 @@ large enough relative to the letter kernel through the scalar
 ``sigma = 1' K^{-1} 1``; see :func:`has_discrete_masses_alignment`.
 
 Every kernel here, and the spectrum kernels built on the same sums, runs
-on one engine, :func:`alignment_R_batch`.  It evaluates the O(|x||y|)
+on one engine, :func:`alignment_R_pairs`.  It evaluates the O(|x||y|)
 dynamic programme over tables ``M / I_X / I_Y`` (last column is a match
-/ insertion in x / insertion in y) for a whole batch of (x, y) pairs at
-once.  Between adjacent matches the programme places x-insertions before
-y-insertions, so each alignment is generated exactly once.  Each cell
-holds a vector indexed by how many matched pairs satisfy a marker
-predicate, which is what the heavy-tailed variants integrate over.
+/ insertion in x / insertion in y) for a whole batch of pairs at once,
+given as one list of sequences and two index arrays (the contract of
+:meth:`Kernel.batch`); :func:`alignment_R_batch` takes two equally long
+lists instead.  Between adjacent matches the programme places
+x-insertions before y-insertions, so each alignment is generated
+exactly once.  Each cell holds a vector indexed by how many matched
+pairs satisfy a marker predicate, which is what the heavy-tailed
+variants integrate over.
 
 The engine loops in Python over DP rows only; each row is one numpy pass
 over (column, pair, count).  ``M`` and ``I_X`` read only the previous
@@ -36,7 +39,14 @@ cells), never depends on padding.  Padded letters also score zero and
 padded insertion inputs are masked out of ``T u``, so padding cannot
 overflow or carry NaN into a real cell.  Pairs are sorted by length and
 split into chunks under a fixed element cap, so memory stays bounded
-whatever the batch.  :func:`alignment_value`,
+whatever the batch.
+
+The sequences are encoded once (``seqcore.encode_padded``), and each
+chunk gathers its pairs' code rows by index, so no Python loop runs
+over pairs.  The chunk cuts are found with numpy (a sort, then a
+running maximum from each chunk start); a batch that fits under the
+cap at its overall largest lengths, the usual case, is one chunk after
+a constant number of numpy calls.  :func:`alignment_value`,
 :func:`local_alignment_value` and :func:`alignment_dp_R` are the engine
 on a batch of one.
 """
@@ -51,7 +61,7 @@ import numpy as np
 
 from .core import HAS_MASSES, LACKS_MASSES, UNKNOWN_MASSES, Kernel
 from .errors import DataError, NumericalError
-from .seqcore import Alphabet, Sequence
+from .seqcore import Alphabet, Sequence, encode_padded
 
 
 def exponential_letter_matrix(size: int, lam: float) -> np.ndarray:
@@ -184,70 +194,105 @@ def _gap_factors(mu: float, delta_mu: float) -> tuple[float, float]:
 CHUNK_ELEMENTS = 2 ** 18
 
 
-def alignment_R_batch(xs, ys, ks: np.ndarray, mu: float, delta_mu: float,
-                      ltype: LType = "none", local: bool = False) -> np.ndarray:
-    """Alignment sums of the pairs ``(xs[p], ys[p])``, split by marked-match count.
+def alignment_R_pairs(seqs, i: np.ndarray, j: np.ndarray, ks: np.ndarray, mu: float,
+                      delta_mu: float, ltype: LType = "none",
+                      local: bool = False) -> np.ndarray:
+    """Alignment sums of the pairs ``(seqs[i[p]], seqs[j[p]])``, split by
+    marked-match count.
 
-    Row ``p`` is pair ``p``'s vector ``R`` (see :func:`alignment_dp_R`)
-    for the global kernel or, with ``local``, the local one.  Rows are
-    zero-padded to one length: the batch's largest
-    ``min(|x|, |y|) + 1``, or 1 when ``ltype`` marks nothing, so
+    ``seqs`` is encoded once; each chunk gathers its pairs' code rows by
+    index.  Row ``p`` is pair ``p``'s vector ``R`` (see
+    :func:`alignment_dp_R`) for the global kernel or, with ``local``,
+    the local one.  Rows are zero-padded to one length: the batch's
+    largest ``min(|x|, |y|) + 1``, or 1 when ``ltype`` marks nothing, so
     ``R[:, 0]`` is then the kernel value.  Raises
     :class:`NumericalError` naming the lengths of the first pair whose
     sums overflow.
     """
     K = np.asarray(ks, dtype=float)
     lmat = _ltype_matrix(ltype, K.shape[0])
-    if len(xs) != len(ys):
-        raise DataError("alignment_R_batch needs as many ys as xs")
-    nx = np.array([len(x) for x in xs], dtype=np.intp)
-    ny = np.array([len(y) for y in ys], dtype=np.intp)
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    # pad letters score zero whatever their code; code 0 keeps lookups in range
+    codes = encode_padded(seqs, pad=0)
+    nx, ny = lengths.take(i), lengths.take(j)
     width = 1 if lmat is None else int(np.minimum(nx, ny).max(initial=0)) + 1
     out = np.zeros((len(nx), width))
     for idx in _length_chunks(nx, ny, lmat is not None):
-        R = _chunk_R([xs[p] for p in idx], [ys[p] for p in idx], nx[idx], ny[idx],
-                     K, lmat, mu, delta_mu, local)
+        R = _chunk_R(codes.take(i.take(idx), axis=0), codes.take(j.take(idx), axis=0),
+                     nx.take(idx), ny.take(idx), K, lmat, mu, delta_mu, local)
         out[idx, : R.shape[1]] = R
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
-        p = int(np.argmax(bad))
+    if not np.isfinite(out).all():
+        p = int(np.argmax(~np.isfinite(out).all(axis=1)))
         raise NumericalError(
             f"alignment recursion overflowed on |x|={nx[p]}, |y|={ny[p]}"
         )
     return out
 
 
-def _length_chunks(nx: np.ndarray, ny: np.ndarray, counted: bool):
-    """Pair indices sorted by length, cut where a chunk would pass the cap."""
-    chunk: list[int] = []
-    mx = my = 0
-    for p in np.lexsort((ny, nx)).tolist():
-        a, b = max(mx, int(nx[p])), max(my, int(ny[p]))
-        per_pair = max((b + 1) * (min(a, b) + 1 if counted else 1), a * b)
-        if chunk and (len(chunk) + 1) * per_pair > CHUNK_ELEMENTS:
-            yield np.array(chunk)
-            chunk, a, b = [], int(nx[p]), int(ny[p])
-        chunk.append(p)
-        mx, my = a, b
-    if chunk:
-        yield np.array(chunk)
+def alignment_R_batch(xs, ys, ks: np.ndarray, mu: float, delta_mu: float,
+                      ltype: LType = "none", local: bool = False) -> np.ndarray:
+    """:func:`alignment_R_pairs` of the pairs ``(xs[p], ys[p])``."""
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys):
+        raise DataError("alignment_R_batch needs as many ys as xs")
+    n = len(xs)
+    return alignment_R_pairs(xs + ys, np.arange(n), np.arange(n, 2 * n), ks, mu, delta_mu,
+                             ltype, local)
 
 
-def _chunk_R(xs, ys, nx: np.ndarray, ny: np.ndarray, K: np.ndarray,
-             lmat: Optional[np.ndarray], mu: float, delta_mu: float,
+def _per_pair(a, b, counted: bool):
+    """Table elements per pair at the largest lengths ``a`` and ``b``."""
+    return np.maximum((b + 1) * (np.minimum(a, b) + 1) if counted else b + 1, a * b)
+
+
+def _length_chunks(nx: np.ndarray, ny: np.ndarray, counted: bool) -> list:
+    """Pair indices sorted by length, cut where a chunk would pass the cap.
+
+    Pairs are taken in ``(|x|, |y|)`` order; a chunk ends before the
+    first pair that would bring its size times :func:`_per_pair` at its
+    running largest lengths over ``CHUNK_ELEMENTS``.  A batch that fits
+    whole at its overall largest lengths is one chunk; otherwise each
+    cut is found by a running maximum over a window that doubles until
+    it holds the cut.
+    """
+    P = len(nx)
+    if P <= 1:
+        return [np.arange(P)] if P else []
+    order = np.lexsort((ny, nx))
+    a, b = nx[order], ny[order]
+    if P * _per_pair(a[-1], b.max(), counted) <= CHUNK_ELEMENTS:
+        return [order]
+    chunks, start, span = [], 0, 16
+    while start < P:
+        while True:
+            stop = min(start + span, P)
+            per = _per_pair(a[start:stop], np.maximum.accumulate(b[start:stop]), counted)
+            over = np.arange(1, stop - start + 1) * per > CHUNK_ELEMENTS
+            over[0] = False  # a chunk takes at least one pair
+            if over.any() or stop == P:
+                break
+            span *= 2
+        if over.any():
+            stop = start + int(over.argmax())
+        chunks.append(order[start:stop])
+        span = 2 * (stop - start)
+        start = stop
+    return chunks
+
+
+def _chunk_R(cx: np.ndarray, cy: np.ndarray, nx: np.ndarray, ny: np.ndarray,
+             K: np.ndarray, lmat: Optional[np.ndarray], mu: float, delta_mu: float,
              local: bool) -> np.ndarray:
-    """One chunk of :func:`alignment_R_batch` on padded tables.
+    """One chunk of :func:`alignment_R_pairs` on padded tables.
 
+    ``cx`` and ``cy`` hold the pairs' code rows, zero past each length.
     Tables hold one DP row as ``(column, pair, count)`` arrays; the
     letter scores ``S[i - 1]`` of row ``i`` are ``(column, pair)``.
     """
-    P, mx, my = len(xs), int(nx.max()), int(ny.max())
+    P, mx, my = len(nx), int(nx.max()), int(ny.max())
     nl = 1 if lmat is None else int(np.minimum(nx, ny).max()) + 1
-    X = np.zeros((mx, P), dtype=np.intp)
-    Y = np.zeros((my, P), dtype=np.intp)
-    for p, (x, y) in enumerate(zip(xs, ys)):
-        X[: nx[p], p] = x.codes
-        Y[: ny[p], p] = y.codes
+    X = cx[:, :mx].T
+    Y = cy[:, :my].T
     rows = np.arange(mx + 1)[:, None, None]
     cols = np.arange(my + 1)[:, None]
     padded_col = cols > ny
@@ -303,16 +348,21 @@ def _chunk_R(xs, ys, nx: np.ndarray, ny: np.ndarray, K: np.ndarray,
     return R
 
 
+#: index arrays of the one pair ``(seqs[0], seqs[1])``
+_FIRST, _SECOND = np.array([0]), np.array([1])
+
+
 def alignment_value(x: Sequence, y: Sequence, ks: np.ndarray, mu: float,
                     delta_mu: float) -> float:
     """Global alignment kernel value (sum over all alignments)."""
-    return float(alignment_R_batch([x], [y], ks, mu, delta_mu)[0, 0])
+    return float(alignment_R_pairs([x, y], _FIRST, _SECOND, ks, mu, delta_mu)[0, 0])
 
 
 def local_alignment_value(x: Sequence, y: Sequence, ks: np.ndarray, mu: float,
                           delta_mu: float) -> float:
     """Local alignment kernel value: boundary gap runs skip the start penalty."""
-    return float(alignment_R_batch([x], [y], ks, mu, delta_mu, local=True)[0, 0])
+    return float(alignment_R_pairs([x, y], _FIRST, _SECOND, ks, mu, delta_mu,
+                                   local=True)[0, 0])
 
 
 def alignment_dp_R(x: Sequence, y: Sequence, ks: np.ndarray, mu: float,
@@ -326,7 +376,7 @@ def alignment_dp_R(x: Sequence, y: Sequence, ks: np.ndarray, mu: float,
     alignment kernel value; ``len(R) == min(|x|, |y|) + 1``.
     """
     R = np.zeros(min(len(x), len(y)) + 1)
-    row = alignment_R_batch([x], [y], ks, mu, delta_mu, ltype)[0]
+    row = alignment_R_pairs([x, y], _FIRST, _SECOND, ks, mu, delta_mu, ltype)[0]
     R[: len(row)] = row
     return R
 
@@ -335,7 +385,7 @@ def power_law_mixture(R: np.ndarray, nx, ny, base: Callable, beta: float) -> np.
     """Per pair ``sum_L base(L, |x|, |y|)**-beta R[L]``, the heavy-tailed sums.
 
     ``R`` holds one count vector per row (as from
-    :func:`alignment_R_batch`), ``nx`` and ``ny`` the pairs' lengths;
+    :func:`alignment_R_pairs`), ``nx`` and ``ny`` the pairs' lengths;
     ``base`` is called on broadcast arrays and must be positive on every
     count ``L <= min(|x|, |y|)`` a pair can reach.  Counts past a pair's
     reach are masked out before the power, since ``base`` may be zero or
@@ -368,8 +418,8 @@ class AlignmentKernel(Kernel):
     def __call__(self, x: Sequence, y: Sequence) -> float:
         return alignment_value(x, y, self.p.ks, self.p.mu, self.p.delta_mu)
 
-    def batch(self, xs, ys) -> np.ndarray:
-        return alignment_R_batch(xs, ys, self.p.ks, self.p.mu, self.p.delta_mu)[:, 0]
+    def batch(self, seqs, i, j) -> np.ndarray:
+        return alignment_R_pairs(seqs, i, j, self.p.ks, self.p.mu, self.p.delta_mu)[:, 0]
 
 
 class LocalAlignmentKernel(Kernel):
@@ -390,8 +440,8 @@ class LocalAlignmentKernel(Kernel):
     def __call__(self, x: Sequence, y: Sequence) -> float:
         return local_alignment_value(x, y, self.p.ks, self.p.mu, self.p.delta_mu)
 
-    def batch(self, xs, ys) -> np.ndarray:
-        return alignment_R_batch(xs, ys, self.p.ks, self.p.mu, self.p.delta_mu,
+    def batch(self, seqs, i, j) -> np.ndarray:
+        return alignment_R_pairs(seqs, i, j, self.p.ks, self.p.mu, self.p.delta_mu,
                                  local=True)[:, 0]
 
 
@@ -432,9 +482,10 @@ class HeavyTailedAlignmentMatches(Kernel):
         R = alignment_dp_R(x, y, self._ones, self.mu, self.delta_mu, "mismatch")
         return float(self._mix(R, [len(x)], [len(y)])[0])
 
-    def batch(self, xs, ys) -> np.ndarray:
-        R = alignment_R_batch(xs, ys, self._ones, self.mu, self.delta_mu, "mismatch")
-        return self._mix(R, [len(x) for x in xs], [len(y) for y in ys])
+    def batch(self, seqs, i, j) -> np.ndarray:
+        R = alignment_R_pairs(seqs, i, j, self._ones, self.mu, self.delta_mu, "mismatch")
+        n = np.array([len(s) for s in seqs])
+        return self._mix(R, n[i], n[j])
 
     def _mix(self, R, nx, ny) -> np.ndarray:
         return power_law_mixture(R, nx, ny, lambda L, nx, ny: self.C + L, self.beta)
@@ -472,9 +523,10 @@ class HeavyTailedAlignmentGaps(Kernel):
         R = alignment_dp_R(x, y, self.ks, 0.0, self.delta_mu, "all")
         return float(self._mix(R, [len(x)], [len(y)])[0])
 
-    def batch(self, xs, ys) -> np.ndarray:
-        R = alignment_R_batch(xs, ys, self.ks, 0.0, self.delta_mu, "all")
-        return self._mix(R, [len(x) for x in xs], [len(y) for y in ys])
+    def batch(self, seqs, i, j) -> np.ndarray:
+        R = alignment_R_pairs(seqs, i, j, self.ks, 0.0, self.delta_mu, "all")
+        n = np.array([len(s) for s in seqs])
+        return self._mix(R, n[i], n[j])
 
     def _mix(self, R, nx, ny) -> np.ndarray:
         return power_law_mixture(R, nx, ny,

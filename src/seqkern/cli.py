@@ -9,10 +9,11 @@ last.  ``--kernel-seed`` sets the kernel's ``seed`` key, since
 ``--seed`` is the global seed.  Keys without a flag are set in the
 file: ``min_improvement``, ``which``, ``min_length`` and ``max_length``;
 ``normalize`` and the ``inner_*`` kernel keys also through ``--kernel``.
-Values in every section are type-checked, and a malformed one is a
-configuration error that names its key.  FASTA in, CSV out.  Exit
-codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Values in every section are type- and range-checked where they are
+read, and a malformed or out-of-range one is a configuration error that
+names its key; the contents of files a key names (a ``k_s`` letter
+matrix, an embedding table) are data.  FASTA in, CSV out.  Exit codes:
+0 success, 2 configuration error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .optimize import greedy_mmd_optimize
 from .rkhs import (EmpiricalMeasure, discrete_mass_diagnostic, fit_regression, gram,
                    nested_order, predict_many)
 from .seqcore import Alphabet, Sequence, enumerate_sequences, enumerate_up_to
-from .stats import mmd_two_sample_test
+from .stats import MIN_BOOTSTRAP, mmd_two_sample_test
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +129,7 @@ def cmd_gram(args) -> int:
 
 def cmd_regress(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
-    ridge = _to_float("ridge", run_cfg.get("ridge", 0.0))
+    ridge = _to_float("ridge", run_cfg.get("ridge", 0.0), minimum=0)
     frac = _to_float("train_fraction", run_cfg.get("train_fraction", 1.0))
     if not 0.0 < frac <= 1.0:
         raise ConfigError(f"key 'train_fraction' must be in (0, 1], got {frac}")
@@ -173,8 +174,15 @@ def cmd_regress(args) -> int:
 
 def cmd_mmd_test(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
-    n_bootstrap = _to_int("n_bootstrap", run_cfg.get("n_bootstrap", 200))
+    n_bootstrap = _to_int("n_bootstrap", run_cfg.get("n_bootstrap", 200),
+                          minimum=MIN_BOOTSTRAP)
     level = _to_float("level", run_cfg.get("level", 0.05))
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"key 'level' must be in (0, 1), got {level:g}")
+    method = str(run_cfg.get("method", "permutation")).strip()
+    if method not in ("permutation", "multiplier"):
+        raise ConfigError(
+            f"key 'method' must be 'permutation' or 'multiplier', got {method!r}")
     kernel = build_kernel(alphabet, kernel_cfg, default_seed=seed)
     pairs = _is_pair_family(kernel_cfg)
     _, xs = io.read_fasta(_need(data_cfg, "fasta_x", "first sample FASTA"),
@@ -182,7 +190,7 @@ def cmd_mmd_test(args) -> int:
     _, ys = io.read_fasta(_need(data_cfg, "fasta_y", "second sample FASTA"),
                           alphabet, allow_pairs=pairs)
     result = mmd_two_sample_test(kernel, xs, ys, n_bootstrap=n_bootstrap, level=level,
-                                 seed=seed, method=run_cfg.get("method", "permutation"))
+                                 seed=seed, method=method)
     out = _need(run_cfg, "output", "output path")
     io.write_csv(
         out,
@@ -197,7 +205,7 @@ def cmd_mmd_test(args) -> int:
 
 def cmd_optimize(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
-    max_steps = _to_int("max_steps", run_cfg.get("max_steps", 100))
+    max_steps = _to_int("max_steps", run_cfg.get("max_steps", 100), minimum=1)
     min_improvement = _to_float("min_improvement", run_cfg.get("min_improvement", 1e-12))
     normalize = _to_bool("normalize_trace", run_cfg.get("normalize_trace", False))
     if _is_pair_family(kernel_cfg):

@@ -45,13 +45,17 @@ GENERIC_KEYS = {"family", "normalize"}
 PAIR_FAMILIES = {"centre_justified"}
 
 
-def _to_float(key: str, value: str) -> float:
+def _to_float(key: str, value: str, minimum: Optional[float] = None) -> float:
+    """``value`` as a finite float, at least ``minimum`` when given;
+    anything else is a :class:`ConfigError` naming ``key``."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"key {key!r} must be a number, got {value!r}")
     if not math.isfinite(number):
         raise ConfigError(f"key {key!r} must be a finite number, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"key {key!r} must be at least {minimum:g}, got {number:g}")
     return number
 
 
@@ -68,7 +72,14 @@ def _to_int(key: str, value: str, minimum: Optional[int] = None) -> int:
 def _to_delta_mu(value: str) -> float:
     if str(value).strip().lower() in ("inf", "infinity"):
         return math.inf
-    return _to_float("delta_mu", value)
+    return _to_float("delta_mu", value, minimum=0)
+
+
+def _positive(cfg: dict, key: str) -> float:
+    number = _to_float(key, cfg[key])
+    if not number > 0:
+        raise ConfigError(f"key {key!r} must be positive, got {number:g}")
+    return number
 
 
 def _to_bool(key: str, value) -> bool:
@@ -89,10 +100,7 @@ def _letter_matrix(alphabet: Alphabet, cfg: dict) -> np.ndarray:
             return np.loadtxt(cfg["k_s"], delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot read letter matrix {cfg['k_s']!r}: {exc}")
-    lam = _to_float("lambda", cfg["lambda"])
-    if lam <= 0:
-        raise ConfigError("'lambda' must be positive")
-    return al.exponential_letter_matrix(alphabet.size, lam)
+    return al.exponential_letter_matrix(alphabet.size, _positive(cfg, "lambda"))
 
 
 def _split_inner(cfg: dict) -> tuple[dict, dict]:
@@ -154,53 +162,46 @@ def _build(family: str, alphabet: Alphabet, cfg: dict, inner_cfg: dict,
     if family == "identity":
         return IdentityKernel()
     if family == "weighted_degree":
-        return pos.weighted_degree_kernel(_to_int("L", cfg["L"]))
+        return pos.weighted_degree_kernel(_to_int("L", cfg["L"], minimum=1))
     if family == "exp_hamming":
-        lam = _to_float("lambda", cfg["lambda"])
-        try:
-            return pos.exp_hamming_kernel(alphabet, lam)
-        except DataError as exc:
-            raise ConfigError(str(exc))
+        return pos.exp_hamming_kernel(alphabet, _positive(cfg, "lambda"))
     if family == "imq_hamming":
-        return pos.imq_hamming_kernel(_to_float("C", cfg["C"]),
-                                      _to_float("beta", cfg["beta"]))
+        return pos.imq_hamming_kernel(_positive(cfg, "C"), _positive(cfg, "beta"))
     if family == "imq_hamming_lag":
-        return pos.imq_hamming_lag_kernel(
-            _to_float("C", cfg["C"]), _to_float("beta", cfg["beta"]),
-            _to_int("L", cfg["L"]),
-        )
+        return pos.imq_hamming_lag_kernel(_positive(cfg, "C"), _positive(cfg, "beta"),
+                                          _to_int("L", cfg["L"], minimum=1))
     if family in ("centre_justified", "shifted"):
         if "family" not in inner_cfg:
             raise ConfigError(f"family {family!r} needs an 'inner_family' key")
         inner = build_kernel(alphabet, inner_cfg, default_seed)
         if family == "centre_justified":
             return pos.centre_justified_kernel(inner)
-        return pos.shifted_kernel(inner, _to_int("shift_max", cfg["shift_max"]))
+        return pos.shifted_kernel(inner, _to_int("shift_max", cfg["shift_max"], minimum=0))
     if family in ("alignment", "local_alignment"):
         params = al.AlignmentParams(alphabet, _letter_matrix(alphabet, cfg),
-                                    _to_float("mu", cfg["mu"]),
+                                    _to_float("mu", cfg["mu"], minimum=0),
                                     _to_delta_mu(cfg["delta_mu"]))
         if family == "alignment":
             return al.alignment_kernel(params)
         return al.local_alignment_kernel(params)
     if family == "ht_alignment_matches":
         return al.HeavyTailedAlignmentMatches(
-            alphabet, _to_float("C", cfg["C"]), _to_float("beta", cfg["beta"]),
-            _to_float("mu", cfg["mu"]), _to_delta_mu(cfg["delta_mu"]),
+            alphabet, _positive(cfg, "C"), _positive(cfg, "beta"),
+            _to_float("mu", cfg["mu"], minimum=0), _to_delta_mu(cfg["delta_mu"]),
         )
     if family == "ht_alignment_gaps":
         return al.HeavyTailedAlignmentGaps(
-            alphabet, _to_float("C", cfg["C"]), _to_float("beta", cfg["beta"]),
+            alphabet, _positive(cfg, "C"), _positive(cfg, "beta"),
             _to_delta_mu(cfg["delta_mu"]), _letter_matrix(alphabet, cfg),
         )
     if family == "finite_spectrum":
-        return spec.finite_spectrum_kernel(_to_int("L_max", cfg["L_max"]))
+        return spec.finite_spectrum_kernel(_to_int("L_max", cfg["L_max"], minimum=1))
     if family == "infinite_spectrum":
         return spec.infinite_spectrum_kernel()
     if family == "ht_gapped_spectrum":
         return spec.heavy_tailed_gapped_spectrum(
-            alphabet.size, _to_float("C", cfg["C"]),
-            _to_float("beta", cfg["beta"]), _to_delta_mu(cfg["delta_mu"]),
+            alphabet.size, _positive(cfg, "C"), _positive(cfg, "beta"),
+            _to_delta_mu(cfg["delta_mu"]),
         )
     if family == "embedding":
         return _build_embedding(alphabet, cfg, default_seed)
@@ -208,7 +209,7 @@ def _build(family: str, alphabet: Alphabet, cfg: dict, inner_cfg: dict,
 
 
 def _build_embedding(alphabet: Alphabet, cfg: dict, default_seed: int) -> Kernel:
-    dim = _to_int("D", cfg["D"])
+    dim = _to_int("D", cfg["D"], minimum=1)
     seed = _to_int("seed", cfg.get("seed", default_seed))
     base_spec = str(cfg["base"]).strip()
     if base_spec == "random_ball":
@@ -219,12 +220,11 @@ def _build_embedding(alphabet: Alphabet, cfg: dict, default_seed: int) -> Kernel
         raise ConfigError(
             "embedding 'base' must be 'random_ball' or 'table:<path>'"
         )
-    eps = _to_float("scale_epsilon", cfg.get("scale_epsilon", 0.0))
+    # 0 disables scaling
+    eps = _to_float("scale_epsilon", cfg.get("scale_epsilon", 0.0), minimum=0)
     embedding: emb.Embedding = base
     if eps > 0:
         embedding = emb.scaled_embedding(base, eps, alphabet.size)
-    elif eps < 0:
-        raise ConfigError("'scale_epsilon' must be >= 0 (0 disables scaling)")
     form = str(cfg.get("k_E", "imq")).strip()
     gamma = _to_float("gamma", cfg.get("gamma", 1.0))
     try:

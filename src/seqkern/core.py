@@ -8,10 +8,13 @@ the space of sequence distributions.  The flag is derived from
 closed-form conditions on the kernel family, never probed at runtime.
 
 :class:`Kernel` is the one generic way to turn a kernel into a matrix:
-``pairwise`` and ``self_similarities`` hand lists of pairs to
-``batch``, which calls the scalar evaluator per pair unless a family
-batches them (the alignment and spectrum recursions do).  Families
-with vectorised matrix assembly override ``pairwise`` itself.
+``pairwise`` and ``self_similarities`` hand ``batch`` one list of the
+sequences and two index arrays, the pairs ``(seqs[i[p]], seqs[j[p]])``
+(the upper triangle, every row-column pair, or the diagonal), so no
+per-pair object lists are formed.  ``batch`` calls the scalar evaluator
+per index pair unless a family evaluates them together (the alignment
+and spectrum recursions encode each sequence once and gather by index).
+Families with vectorised matrix assembly override ``pairwise`` itself.
 
 Combinators here (positive sums, tilting, tensor products) preserve the
 discrete-mass property.
@@ -38,9 +41,10 @@ class Kernel:
     Subclasses implement :meth:`__call__`, and also :meth:`batch` when
     their pairs can be evaluated together; :meth:`pairwise` and
     :meth:`self_similarities` reach the kernel only through
-    :meth:`batch`.  Evaluators must be pure and deterministic (any
-    randomness happens at construction, behind a seed), so kernels are
-    safe to share across threads.
+    :meth:`batch`, as index pairs into one list of sequences.
+    Evaluators must be pure and deterministic (any randomness happens at
+    construction, behind a seed), so kernels are safe to share across
+    threads.
     """
 
     family: str = "generic"
@@ -53,36 +57,43 @@ class Kernel:
     def __call__(self, x, y) -> float:
         raise NotImplementedError
 
-    def batch(self, xs: Seq, ys: Seq) -> np.ndarray:
-        """Values ``k(xs[p], ys[p])`` of equally long lists of pairs.
+    def batch(self, seqs: list, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Values ``k(seqs[i[p]], seqs[j[p]])`` for index arrays ``i``, ``j``.
 
-        Calls :meth:`__call__` once per pair; families that evaluate
-        many pairs at once override this.
+        ``seqs`` is a list; ``i`` and ``j`` are equally long integer
+        arrays into it.  Calls :meth:`__call__` once per index pair;
+        families that evaluate many pairs at once override this.
         """
-        return np.array([self(x, y) for x, y in zip(xs, ys)], dtype=float)
+        return np.array([self(seqs[a], seqs[b]) for a, b in zip(i.tolist(), j.tolist())],
+                        dtype=float)
 
     def pairwise(self, xs: Seq, ys: Optional[Seq] = None) -> np.ndarray:
         """Dense matrix of kernel values, ``out[i, j] = k(xs[i], ys[j])``.
 
         With ``ys=None`` the matrix is symmetric over ``xs``: one
-        :meth:`batch` of the upper triangle, mirrored, so it is exactly
-        symmetric.  Otherwise one batch of every pair.  Families with
-        vectorised matrix assembly override this.
+        :meth:`batch` of the upper triangle's indices, mirrored, so it
+        is exactly symmetric.  Otherwise one batch over ``xs + ys`` of
+        every row-column index pair.  Families with vectorised matrix
+        assembly override this.
         """
-        xs = _objects(xs)
+        xs = list(xs)
+        n = len(xs)
         if ys is None:
-            i, j = np.triu_indices(len(xs))
-            out = np.empty((len(xs), len(xs)))
-            out[i, j] = out[j, i] = self.batch(xs[i].tolist(), xs[j].tolist())
+            i, j = np.triu_indices(n)
+            out = np.empty((n, n))
+            out[i, j] = out[j, i] = self.batch(xs, i, j)
             return out
-        ys = _objects(ys)
-        values = self.batch(np.repeat(xs, len(ys)).tolist(), np.tile(ys, len(xs)).tolist())
-        return values.reshape(len(xs), len(ys))
+        ys = list(ys)
+        m = len(ys)
+        i = np.repeat(np.arange(n), m)
+        j = np.tile(np.arange(n, n + m), n)
+        return self.batch(xs + ys, i, j).reshape(n, m)
 
     def self_similarities(self, xs: Seq) -> np.ndarray:
         """Diagonal values ``k(x, x)``, as one :meth:`batch`."""
         xs = list(xs)
-        return self.batch(xs, xs)
+        i = np.arange(len(xs))
+        return self.batch(xs, i, i)
 
     def normalized(self) -> "Kernel":
         """Tilt by ``k(x, x)**-0.5`` so the diagonal becomes 1."""
@@ -91,12 +102,6 @@ class Kernel:
     def __repr__(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"{type(self).__name__}({ps})"
-
-
-def _objects(items) -> np.ndarray:
-    """``items`` as a 1-D object array, so pairs are gathered by index."""
-    items = list(items)
-    return np.fromiter(items, dtype=object, count=len(items))
 
 
 class _NormalizingTilt:

@@ -120,6 +120,11 @@ class WeightedDegreeKernel(Kernel):
         iy = np.where(end <= np.array([len(s) for s in ys_])[:, None], iy[:, :nwin], -2)
         return _count_equal(ix, iy).astype(float)
 
+    def self_similarities(self, xs) -> np.ndarray:
+        """``k(x, x)``: every window inside ``x`` matches itself."""
+        lengths = np.array([len(s) for s in xs], dtype=float)
+        return np.maximum(lengths - (self.L - 1), 0.0)
+
 
 def _window_ids(xs, ys, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the stop-padded L-windows of ``xs`` and ``ys`` (``xs``
@@ -198,16 +203,27 @@ class BasePositionwiseKernel(Kernel):
             out[_position_sum(cx, cy, (ext < 0).astype(float)) % 2 == 1] *= -1.0
         return out
 
+    def self_similarities(self, xs) -> np.ndarray:
+        """``k(x, x)``: the letter diagonal multiplied over positions left
+        to right, as the scalar call does; stop pads multiply by
+        ``k_s(stop, stop) = 1``, which is exact."""
+        cx, _ = _stop_coded(xs, None, self.letter_kernel.alphabet.size)
+        factors = np.diag(self.letter_kernel.extended)[cx]
+        out = np.ones(len(cx))
+        for l in range(cx.shape[1]):
+            out *= factors[:, l]
+        return out
+
 
 def _stop_coded(xs, ys, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Letter codes of ``xs`` and ``ys`` (``xs`` again when ``None``) at
     one common width, with the stop symbol as code ``size``."""
     xs = list(xs)
     ys_ = xs if ys is None else list(ys)
-    width = max((len(s) for s in xs + ys_), default=0)
-    cx = encode_padded(xs, width)
-    cy = cx if ys is None else encode_padded(ys_, width)
-    return np.where(cx == PAD_CODE, size, cx), np.where(cy == PAD_CODE, size, cy)
+    width = max(map(len, xs + ys_), default=0)
+    cx = encode_padded(xs, width, pad=size)
+    cy = cx if ys is None else encode_padded(ys_, width, pad=size)
+    return cx, cy
 
 
 def _position_sum(cx: np.ndarray, cy: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -289,6 +305,10 @@ class ImqHammingKernel(Kernel):
         d += self.C
         return np.power(d, -self.beta, out=d)
 
+    def self_similarities(self, xs) -> np.ndarray:
+        """``k(x, x) = C**-beta``: a sequence is at distance 0 from itself."""
+        return np.full(len(xs), self.C ** -self.beta)
+
 
 def _hamming_matrix(xs, ys=None) -> np.ndarray:
     """Exact stop-padded Hamming distances, as floats."""
@@ -338,6 +358,10 @@ class ImqHammingLagKernel(Kernel):
         d = (ix.shape[1] - _count_equal(ix, iy)).astype(float)
         d += self.C
         return np.power(d, -self.beta, out=d)
+
+    def self_similarities(self, xs) -> np.ndarray:
+        """``k(x, x) = C**-beta``: no window differs from itself."""
+        return np.full(len(xs), self.C ** -self.beta)
 
 
 def lag_window_mismatches(x: Sequence, y: Sequence, L: int) -> int:

@@ -200,19 +200,20 @@ def enumerate_up_to(alphabet: Alphabet, L_max: int) -> list[Sequence]:
     return out
 
 
-def encode_padded(seqs: list[Sequence], width: Optional[int] = None) -> np.ndarray:
-    """Pack sequences into an ``(n, width)`` int array padded with -1.
+def encode_padded(seqs: list[Sequence], width: Optional[int] = None,
+                  pad: int = PAD_CODE) -> np.ndarray:
+    """Pack sequences into an ``(n, width)`` int array padded with ``pad``.
 
-    The pad code stands in for the stop symbol in vectorised kernels.
+    The default pad code stands in for the stop symbol in vectorised
+    kernels.  Every code is read in one pass over the padded tuples.
     """
     if width is None:
-        width = max((len(s) for s in seqs), default=0)
-    out = np.full((len(seqs), width), PAD_CODE, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        if len(s) > width:
-            raise ValueError("sequence longer than requested width")
-        out[i, : len(s)] = s.codes
-    return out
+        width = max(map(len, seqs), default=0)
+    elif any(len(s) > width for s in seqs):
+        raise ValueError("sequence longer than requested width")
+    tail = (pad,) * width
+    flat = itertools.chain.from_iterable([s.codes + tail[len(s):] for s in seqs])
+    return np.fromiter(flat, dtype=np.int64, count=len(seqs) * width).reshape(len(seqs), width)
 
 
 def element_blocks(count: int, per_item: int) -> list[slice]:

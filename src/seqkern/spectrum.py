@@ -2,10 +2,11 @@
 
 The finite spectrum kernel counts shared kmers up to a length cap and is
 the classic baseline; its feature space is finite, which caps its
-flexibility.  The infinite spectrum kernel counts shared kmers of every
-length (plus an empty-kmer unit term) and coincides with a tilted local
-alignment kernel whose insertions are forbidden, which is how it earns
-discrete masses and an O(|x| |y|) evaluation.  Gapped kmer features
+flexibility; its matrices are products of kmer count features.  The
+infinite spectrum kernel counts shared kmers of every length (plus an
+empty-kmer unit term) and coincides with a tilted local alignment
+kernel whose insertions are forbidden, which is how it earns discrete
+masses and an O(|x| |y|) evaluation.  Gapped kmer features
 generalise substring occurrence to subsequence occurrence with a
 per-gap-run weight; the heavy-tailed gapped spectrum kernel re-weights
 those features with a power law in kmer length.
@@ -20,25 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (alignment_dp_R, alignment_R_batch, local_alignment_value,
+from .alignment import (alignment_dp_R, alignment_R_pairs, local_alignment_value,
                         power_law_mixture)
 from .core import HAS_MASSES, LACKS_MASSES, Kernel
 from .errors import DataError
-from .seqcore import Sequence
-
-
-def substring_counts(x: Sequence, length: int) -> Counter:
-    """Occurrence counts of every length-``length`` substring of ``x``."""
-    return Counter(x.codes[i : i + length] for i in range(len(x) - length + 1))
-
-
-def occurrences(v: Sequence, x: Sequence) -> int:
-    """Number of times ``v`` occurs in ``x`` as a contiguous substring."""
-    if len(v) == 0:
-        return len(x) + 1
-    return sum(
-        x.codes[i : i + len(v)] == v.codes for i in range(len(x) - len(v) + 1)
-    )
+from .seqcore import PAD_CODE, Sequence, element_blocks, encode_padded
 
 
 class FiniteSpectrumKernel(Kernel):
@@ -47,6 +34,16 @@ class FiniteSpectrumKernel(Kernel):
     ``k(x, y) = sum_{1 <= |V| <= L_max} occ(V, x) occ(V, y)``.  The
     feature space has dimension ``sum_{l<=L_max} |B|**l``; Gram matrices
     over more sequences than that are necessarily singular.
+
+    Matrices are products of count features, ``K = sum_l F_l F_l^T``
+    with ``F_l[n, V] = occ(V, x_n)`` over the kmers ``V`` of length
+    ``l`` that occur (Leslie, Eskin & Noble 2002).  Kmer ids come from
+    the stop-free windows, grown one letter at a time and renumbered by
+    ``np.unique`` after each, so they are exact for any length and
+    alphabet.  ``F_l`` is built in column blocks under
+    ``BLOCK_ELEMENTS``, so memory does not grow as n times the number of
+    distinct kmers.  Every sum is an integer, so the values are exact
+    and a symmetric matrix is exactly symmetric.
     """
 
     family = "finite_spectrum"
@@ -63,13 +60,45 @@ class FiniteSpectrumKernel(Kernel):
 
     def __call__(self, x: Sequence, y: Sequence) -> float:
         total = 0
-        for length in range(1, self.L_max + 1):
-            cx = substring_counts(x, length)
-            if not cx:
-                break
-            for codes, ny in substring_counts(y, length).items():
-                total += cx.get(codes, 0) * ny
+        for length in range(1, min(len(x), len(y), self.L_max) + 1):
+            in_x = Counter(x.codes[p : p + length] for p in range(len(x) - length + 1))
+            total += sum(in_x[y.codes[p : p + length]] for p in range(len(y) - length + 1))
         return float(total)
+
+    def pairwise(self, xs, ys=None) -> np.ndarray:
+        xs = list(xs)
+        seqs = xs if ys is None else xs + list(ys)
+        n, total = len(xs), len(seqs)
+        out = np.zeros((n, n if ys is None else total - n))
+        for rows, ids, count in _kmer_windows(seqs, self.L_max):
+            for blk in element_blocks(count, total):
+                width = blk.stop - blk.start
+                keep = (ids >= blk.start) & (ids < blk.stop)
+                F = np.bincount(rows[keep] * width + (ids[keep] - blk.start),
+                                minlength=total * width).reshape(total, width).astype(float)
+                out += F[:n] @ (F if ys is None else F[n:]).T
+        return out
+
+
+def _kmer_windows(seqs, L_max: int):
+    """``(rows, ids, count)`` for each kmer length ``l = 1 .. L_max``.
+
+    Over the stop-free length-``l`` windows of ``seqs``: the sequence
+    index of each window and its kmer id in ``[0, count)``; two windows
+    share an id iff they spell the same kmer.  Stops at the first length
+    no sequence reaches.
+    """
+    size = max((s.alphabet.size for s in seqs), default=1)
+    codes = encode_padded(seqs)
+    ids = np.zeros_like(codes)  # id of the window starting at each position
+    for l in range(1, L_max + 1):
+        rows, pos = np.nonzero(codes[:, l - 1:] != PAD_CODE)
+        if not rows.size:
+            return
+        uniq, window_ids = np.unique(ids[rows, pos] * size + codes[rows, pos + l - 1],
+                                     return_inverse=True)
+        yield rows, window_ids, len(uniq)
+        ids[rows, pos] = window_ids
 
 
 def finite_spectrum_kernel(L_max: int) -> FiniteSpectrumKernel:
@@ -95,9 +124,9 @@ class InfiniteSpectrumKernel(Kernel):
     def __call__(self, x: Sequence, y: Sequence) -> float:
         return local_alignment_value(x, y, np.eye(x.alphabet.size), 0.0, math.inf)
 
-    def batch(self, xs, ys) -> np.ndarray:
-        letters = np.eye(xs[0].alphabet.size if xs else 1)
-        return alignment_R_batch(xs, ys, letters, 0.0, math.inf, local=True)[:, 0]
+    def batch(self, seqs, i, j) -> np.ndarray:
+        letters = np.eye(seqs[0].alphabet.size if seqs else 1)
+        return alignment_R_pairs(seqs, i, j, letters, 0.0, math.inf, local=True)[:, 0]
 
 
 def infinite_spectrum_kernel() -> InfiniteSpectrumKernel:
@@ -201,9 +230,10 @@ class HeavyTailedGappedSpectrumKernel(Kernel):
         R = alignment_dp_R(x, y, self._eye, 0.0, self.delta_mu, "all")
         return float(self._mix(R, [len(x)], [len(y)])[0])
 
-    def batch(self, xs, ys) -> np.ndarray:
-        R = alignment_R_batch(xs, ys, self._eye, 0.0, self.delta_mu, "all")
-        return self._mix(R, [len(x) for x in xs], [len(y) for y in ys])
+    def batch(self, seqs, i, j) -> np.ndarray:
+        R = alignment_R_pairs(seqs, i, j, self._eye, 0.0, self.delta_mu, "all")
+        n = np.array([len(s) for s in seqs])
+        return self._mix(R, n[i], n[j])
 
     def _mix(self, R, nx, ny) -> np.ndarray:
         return power_law_mixture(R, nx, ny,

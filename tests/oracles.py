@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from scipy.integrate import quad
 
@@ -94,6 +95,20 @@ def padded_window_mismatches(x: Sequence, y: Sequence, L: int) -> int:
     sx = list(x.letters) + ["$"] * (n + L)
     sy = list(y.letters) + ["$"] * (n + L)
     return sum(sx[l : l + L] != sy[l : l + L] for l in range(n))
+
+
+def substring_counts(x: Sequence, length: int) -> Counter:
+    """Occurrence counts of every length-``length`` substring of ``x``."""
+    return Counter(x.codes[i : i + length] for i in range(len(x) - length + 1))
+
+
+def finite_spectrum_value(x: Sequence, y: Sequence, L_max: int) -> int:
+    """Shared kmers of lengths 1..L_max, from Counters of each side."""
+    total = 0
+    for length in range(1, L_max + 1):
+        cx = substring_counts(x, length)
+        total += sum(n * cx[codes] for codes, n in substring_counts(y, length).items())
+    return total
 
 
 def count_occurrences(v: Sequence, x: Sequence) -> int:

@@ -510,3 +510,90 @@ class TestBatchedEngine:
             k.pairwise(xs, ys)
         with pytest.raises(NumericalError, match=r"\|x\|=5, \|y\|=3"):
             k.pairwise(list(reversed(xs)), ys)
+
+
+def _greedy_chunks(nx, ny, counted, cap):
+    """The pair-by-pair greedy cut: pairs in ``(|x|, |y|)`` order; a chunk
+    ends before the pair that would bring its size times the per-pair
+    table size, at its running largest lengths, over ``cap``."""
+    out, chunk = [], []
+    mx = my = 0
+    for p in np.lexsort((ny, nx)).tolist():
+        a, b = max(mx, int(nx[p])), max(my, int(ny[p]))
+        per_pair = max((b + 1) * (min(a, b) + 1 if counted else 1), a * b)
+        if chunk and (len(chunk) + 1) * per_pair > cap:
+            out.append(chunk)
+            chunk, a, b = [], int(nx[p]), int(ny[p])
+        chunk.append(p)
+        mx, my = a, b
+    if chunk:
+        out.append(chunk)
+    return out
+
+
+ENGINE_FAMILIES = [f for f in FAMILIES if f[0] != "normalized_alignment"]
+
+
+def _per_pair_lists(kernel, pairs):
+    """``batch`` with each pair's items as their own list entries."""
+    P = len(pairs)
+    items = [x for x, _ in pairs] + [y for _, y in pairs]
+    return kernel.batch(items, np.arange(P), np.arange(P, 2 * P))
+
+
+class TestIndexPairs:
+    """``batch(seqs, i, j)`` on the engine: the sequences encoded once,
+    pairs gathered by index."""
+
+    @pytest.mark.parametrize("counted", [False, True])
+    def test_chunk_cuts_equal_the_greedy_pair_loop(self, counted, monkeypatch):
+        rng = np.random.default_rng(23)
+        for cap in (1, 40, 300, 5000, 2 ** 18):
+            monkeypatch.setattr(alignment_module, "CHUNK_ELEMENTS", cap)
+            for P in (0, 1, 2, 57, 400):
+                nx = rng.integers(0, 30, size=P)
+                ny = rng.integers(0, 30, size=P)
+                got = [c.tolist() for c in alignment_module._length_chunks(nx, ny, counted)]
+                assert got == _greedy_chunks(nx, ny, counted, cap)
+
+    @pytest.mark.parametrize("cap", [2 ** 18, 40], ids=["one_chunk", "forced_cuts"])
+    @pytest.mark.parametrize("name,kernel,oracle", ENGINE_FAMILIES,
+                             ids=[f[0] for f in ENGINE_FAMILIES])
+    def test_repeated_and_empty_items(self, name, kernel, oracle, cap, monkeypatch):
+        monkeypatch.setattr(alignment_module, "CHUNK_ELEMENTS", cap)
+        seqs = MIXED + [MIXED[6], empty(AB), MIXED[0], MIXED[8]]
+        rng = np.random.default_rng(24)
+        i = rng.integers(len(seqs), size=60)
+        j = rng.integers(len(seqs), size=60)
+        got = kernel.batch(seqs, i, j)
+        pairs = [(seqs[a], seqs[b]) for a, b in zip(i, j)]
+        np.testing.assert_array_equal(got, _per_pair_lists(kernel, pairs))
+        np.testing.assert_allclose(got, [oracle(x, y) for x, y in pairs], rtol=1e-12)
+        none = np.array([], dtype=np.intp)
+        assert kernel.batch(seqs, none, none).shape == (0,)
+
+    @pytest.mark.parametrize("cap", [2 ** 18, 40], ids=["one_chunk", "forced_cuts"])
+    @pytest.mark.parametrize("name,kernel,oracle", ENGINE_FAMILIES,
+                             ids=[f[0] for f in ENGINE_FAMILIES])
+    def test_rectangular_block_with_shared_items(self, name, kernel, oracle, cap,
+                                                 monkeypatch):
+        monkeypatch.setattr(alignment_module, "CHUNK_ELEMENTS", cap)
+        xs = MIXED[:6]
+        ys = MIXED[4:] + [MIXED[0], MIXED[0]]  # shares MIXED[0], [4] and [5]
+        got = kernel.pairwise(xs, ys)
+        pairs = [(x, y) for x in xs for y in ys]
+        np.testing.assert_array_equal(got.ravel(), _per_pair_lists(kernel, pairs))
+        np.testing.assert_allclose(got, [[oracle(x, y) for y in ys] for x in xs],
+                                   rtol=1e-12)
+        diag = kernel.self_similarities(ys)
+        np.testing.assert_array_equal(diag, _per_pair_lists(kernel, list(zip(ys, ys))))
+
+    def test_scalar_call_is_a_batch_of_one(self):
+        # the scalar entry points run the same engine on one index pair
+        ks = exponential_letter_matrix(2, 0.7)
+        for x, y in itertools.product(MIXED, repeat=2):
+            row = alignment_R_batch([x], [y], ks, 0.4, 0.5, "all")[0]
+            R = alignment_dp_R(x, y, ks, 0.4, 0.5, "all")
+            np.testing.assert_array_equal(R, row[: len(R)])
+            assert alignment_value(x, y, ks, 0.4, 0.5) == \
+                alignment_R_batch([x], [y], ks, 0.4, 0.5)[0, 0]

@@ -522,16 +522,21 @@ class TestSynthRanges:
         assert not out.exists()
 
 
-# every [run] key read as a number or a boolean, with a subcommand that
-# reads it and a value that is malformed for its type or below its minimum
+# every [run] key read as a number, a boolean or a choice, with a subcommand
+# that reads it and a value that is malformed for its type or out of range
 MALFORMED = [
     ("gram", "seed", "x1"),
     ("gram", "seed", "-1"),
     ("regress", "ridge", "small"),
+    ("regress", "ridge", "-1"),
     ("regress", "train_fraction", "half"),
     ("mmd-test", "n_bootstrap", "many"),
+    ("mmd-test", "n_bootstrap", "0"),
     ("mmd-test", "level", "5%"),
+    ("mmd-test", "level", "2"),
+    ("mmd-test", "method", "jackknife"),
     ("optimize", "max_steps", "10.5"),
+    ("optimize", "max_steps", "0"),
     ("optimize", "min_improvement", "tiny"),
     ("optimize", "normalize_trace", "maybe"),
     ("diagnose", "cutoffs", "1,x"),
@@ -569,6 +574,45 @@ class TestMalformedValues:
                      "--output", str(tmp_path / "o.csv")] + flags)
         assert code == 2
         assert f"key {key!r} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--family", "imq_hamming", "--C", "-1", "--beta", "2"], "C"),
+        (["--family", "imq_hamming", "--C", "1", "--beta", "0"], "beta"),
+        (["--family", "imq_hamming_lag", "--C", "1", "--beta", "2", "--L", "0"], "L"),
+        (["--family", "weighted_degree", "--L", "0"], "L"),
+        (["--family", "exp_hamming", "--lambda", "-0.5"], "lambda"),
+        (["--family", "shifted", "--shift-max", "-1", "--kernel", "inner_family=identity"],
+         "shift_max"),
+        (["--family", "alignment", "--mu", "-1", "--delta-mu", "0", "--lambda", "1"], "mu"),
+        (["--family", "local_alignment", "--mu", "1", "--delta-mu", "-0.5", "--lambda", "1"],
+         "delta_mu"),
+        (["--family", "alignment", "--mu", "1", "--delta-mu", "0", "--lambda", "0"], "lambda"),
+        (["--family", "ht_alignment_matches", "--C", "1", "--beta", "2", "--mu", "-0.1",
+          "--delta-mu", "0"], "mu"),
+        (["--family", "ht_alignment_gaps", "--C", "0", "--beta", "2", "--delta-mu", "0",
+          "--lambda", "1"], "C"),
+        (["--family", "ht_gapped_spectrum", "--C", "1", "--beta", "-2", "--delta-mu", "0"],
+         "beta"),
+        (["--family", "finite_spectrum", "--L-max", "0"], "L_max"),
+        (["--family", "embedding", "--base", "random_ball", "--D", "0"], "D"),
+        (["--family", "embedding", "--base", "random_ball", "--D", "4",
+          "--scale-epsilon", "-0.1"], "scale_epsilon"),
+    ])
+    def test_out_of_range_kernel_value_exits_2(self, tmp_path, capsys, flags, key):
+        code = main(["diagnose", "--target", "A", "--cutoffs", "1",
+                     "--output", str(tmp_path / "o.csv")] + flags)
+        assert code == 2
+        assert f"configuration error: key {key!r}" in capsys.readouterr().err
+
+    def test_bad_letter_matrix_file_stays_a_data_error(self, tmp_path, capsys):
+        # the file's contents are data: an indefinite k_s is exit 3
+        path = tmp_path / "ks.csv"
+        np.savetxt(path, np.array([[1.0, 2.0], [2.0, 1.0]]), delimiter=",")
+        code = main(["diagnose", "--target", "A", "--cutoffs", "1", "--alphabet", "AB",
+                     "--output", str(tmp_path / "o.csv"), "--family", "alignment",
+                     "--mu", "1", "--delta-mu", "0", "--k-s", str(path)])
+        assert code == 3
+        assert "data error: letter matrix" in capsys.readouterr().err
 
     def test_infinite_delta_mu_still_builds(self, tmp_path):
         code = main(["diagnose", "--target", "A", "--cutoffs", "1,2",

@@ -160,6 +160,29 @@ class TestGenericPairwise:
         np.testing.assert_array_equal(k.self_similarities(xs), [k(x, x) for x in xs])
         assert k.self_similarities([]).shape == (0,)
 
+    def test_batch_takes_index_pairs_into_one_list(self):
+        # repeated and empty sequences, indices in any order and repeated
+        k = _ScalarOnly()
+        rng = np.random.default_rng(5)
+        seqs = random_distinct_sequences(rng, DNA, 6, 5)
+        seqs = seqs + [empty(DNA), seqs[2], empty(DNA)]
+        i = rng.integers(len(seqs), size=40)
+        j = rng.integers(len(seqs), size=40)
+        np.testing.assert_array_equal(k.batch(seqs, i, j),
+                                      [k(seqs[a], seqs[b]) for a, b in zip(i, j)])
+        none = np.array([], dtype=np.intp)
+        assert k.batch(seqs, none, none).shape == (0,)
+        assert k.batch([], none, none).shape == (0,)
+
+    def test_rectangular_block_with_shared_items(self):
+        # items shared by rows and columns are separate entries of the one list
+        k = _ScalarOnly()
+        rng = np.random.default_rng(6)
+        xs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 7, 5, min_len=1)
+        ys = xs[5:1:-1] + [xs[0], xs[0]]
+        np.testing.assert_array_equal(k.pairwise(xs, ys), _scalar_loop(k, xs, ys))
+        np.testing.assert_array_equal(k.pairwise(ys, xs), _scalar_loop(k, ys, xs))
+
 
 class TestIdentityKernel:
     def test_values(self):

@@ -176,6 +176,45 @@ class TestBasePositionwise:
         self._check_pairwise_against_scalar(make(), 1e-13)
 
 
+def _uneven_letters():
+    """A letter kernel on DNA whose diagonal is far from 1, so the order
+    of the products over positions shows in the last bits."""
+    rng = np.random.default_rng(40)
+    A = rng.normal(size=(5, 5))
+    M = A @ A.T + np.diag([0.9, 0.4, 1.7, 2.6, 0.0])
+    M /= M[4, 4]  # k_s(stop, stop) = 1
+    return LetterKernel(DNA, M[:4, :4], stop_row=M[4, :4])
+
+
+SELF_SIMILARITY_KERNELS = [
+    ("imq_hamming", lambda: imq_hamming_kernel(0.7, 1.3)),
+    ("imq_hamming_lag", lambda: imq_hamming_lag_kernel(1.5, 2.0, 3)),
+    ("exp_hamming", lambda: exp_hamming_kernel(DNA, 0.5)),
+    ("base_positionwise", lambda: base_positionwise_kernel(_uneven_letters())),
+    ("weighted_degree_1", lambda: weighted_degree_kernel(1)),
+    ("weighted_degree_3", lambda: weighted_degree_kernel(3)),
+]
+
+
+class TestSelfSimilarities:
+    """Vectorised diagonals equal the scalar ``k(x, x)`` bit for bit."""
+
+    @pytest.mark.parametrize("name,make", SELF_SIMILARITY_KERNELS,
+                             ids=[n for n, _ in SELF_SIMILARITY_KERNELS])
+    def test_equal_the_diagonal_of_the_scalar_call(self, name, make, monkeypatch):
+        k = make()
+        rng = np.random.default_rng(41)
+        seqs = [empty(DNA), seq(DNA, "A"), seq(DNA, "AC")] + \
+            random_distinct_sequences(rng, DNA, 40, 40, min_len=3)
+        expected = np.array([k(x, x) for x in seqs])
+        # no scalar call is made
+        monkeypatch.setattr(type(k), "__call__", None)
+        got = k.self_similarities(seqs)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
+        assert k.self_similarities([]).shape == (0,)
+
+
 class TestImqHamming:
     def test_diagonal_with_unit_c(self):
         k = imq_hamming_kernel(1.0, 2.0)

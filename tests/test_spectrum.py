@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,14 +20,16 @@ from seqkern import (
     heavy_tailed_gapped_spectrum,
     infinite_spectrum_kernel,
     local_alignment_kernel,
-    occurrences,
     seq,
     tilt_kernel,
 )
+import seqkern.seqcore
 from seqkern.alignment import alignment_dp_R
+from seqkern.seqcore import PROTEIN
 
-from conftest import random_sequence
-from oracles import count_occurrences, gamma_quadrature
+from conftest import random_distinct_sequences, random_sequence
+from oracles import (count_occurrences, finite_spectrum_value, gamma_quadrature,
+                     substring_counts)
 
 AB = Alphabet("AB")
 DNA = Alphabet("ACGT")
@@ -35,14 +38,14 @@ DMU_GRID = (0.0, 0.5, math.inf)
 
 class TestOccurrences:
     def test_empty_kmer_convention(self):
-        assert occurrences(empty(AB), seq(AB, "ABA")) == 4
+        assert count_occurrences(empty(AB), seq(AB, "ABA")) == 4
 
     def test_against_string_scan(self):
         rng = np.random.default_rng(20)
         for _ in range(200):
             x = random_sequence(rng, DNA, 8)
             v = random_sequence(rng, DNA, 3)
-            assert occurrences(v, x) == count_occurrences(v, x)
+            assert count_occurrences(v, x) == substring_counts(x, len(v))[v.codes]
 
     def test_extension_monotonicity(self):
         rng = np.random.default_rng(21)
@@ -51,7 +54,7 @@ class TestOccurrences:
             v = random_sequence(rng, AB, 3)
             for code in range(AB.size):
                 extended = v + Sequence(AB, (code,))
-                assert occurrences(v, x) >= occurrences(extended, x)
+                assert count_occurrences(v, x) >= count_occurrences(extended, x)
 
 
 class TestFiniteSpectrum:
@@ -94,6 +97,49 @@ class TestFiniteSpectrum:
     def test_validation(self):
         with pytest.raises(DataError):
             finite_spectrum_kernel(0)
+
+    @pytest.mark.parametrize("L_max", [1, 2, 3, 4])
+    def test_count_features_equal_the_counter_oracle(self, L_max):
+        # the empty sequence and sequences shorter than L_max among them
+        k = finite_spectrum_kernel(L_max)
+        rng = np.random.default_rng(30 + L_max)
+        seqs = enumerate_up_to(AB, 2) + random_distinct_sequences(rng, AB, 12, 9, min_len=3)
+        expected = np.array([[finite_spectrum_value(x, y, L_max) for y in seqs]
+                             for x in seqs], dtype=float)
+        K = k.pairwise(seqs)
+        assert np.array_equal(K, expected)
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(k.pairwise(seqs[:5], seqs[3:]), expected[:5, 3:])
+        assert np.array_equal(k.self_similarities(seqs), np.diag(expected))
+        assert np.array_equal([[k(x, y) for y in seqs] for x in seqs], expected)
+        assert k.pairwise([]).shape == (0, 0)
+        assert k.pairwise(seqs[:2], []).shape == (2, 0)
+
+    def test_column_blocks_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        seqs = random_distinct_sequences(rng, DNA, 40, 12)
+        k = finite_spectrum_kernel(3)
+        whole = k.pairwise(seqs)
+        # a cap this small gives each block a few kmer columns
+        monkeypatch.setattr(seqkern.seqcore, "BLOCK_ELEMENTS", 100)
+        assert np.array_equal(k.pairwise(seqs), whole)
+        assert np.array_equal(k.pairwise(seqs[:7], seqs), whole[:7])
+
+    def test_memory_does_not_grow_with_distinct_kmers(self, monkeypatch):
+        # long protein sequences have far more distinct 4-mers than a block
+        # holds; the traced peak stays below one dense n x kmers count matrix
+        monkeypatch.setattr(seqkern.seqcore, "BLOCK_ELEMENTS", 2 ** 14)
+        rng = np.random.default_rng(35)
+        seqs = random_distinct_sequences(rng, PROTEIN, 60, 400, min_len=380)
+        distinct = len({x.codes[p : p + 4] for x in seqs for p in range(len(x) - 3)})
+        tracemalloc.start()
+        try:
+            K = finite_spectrum_kernel(4).pairwise(seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (60, 60)
+        assert peak < 8 * len(seqs) * distinct, (peak, distinct)
 
 
 class TestInfiniteSpectrum:
