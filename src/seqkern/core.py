@@ -14,10 +14,14 @@ sequences and two index arrays, the pairs ``(seqs[i[p]], seqs[j[p]])``
 per-pair object lists are formed.  ``batch`` calls the scalar evaluator
 per index pair unless a family evaluates them together (the alignment
 and spectrum recursions encode each sequence once and gather by index).
-Families with vectorised matrix assembly override ``pairwise`` itself.
+Families with vectorised matrix assembly override ``pairwise`` itself,
+and most also ``self_similarities``.
 
 Combinators here (positive sums, tilting, tensor products) preserve the
-discrete-mass property.
+discrete-mass property and build their matrices and diagonals from their
+parts'.  Normalisation, the tilt by ``k(x, x)**-0.5``, takes its weights
+from the base values of the same call, so each call evaluates the base
+once; those ``k(x, x)`` must be finite and positive.
 """
 
 from __future__ import annotations
@@ -96,7 +100,12 @@ class Kernel:
         return self.batch(xs, i, i)
 
     def normalized(self) -> "Kernel":
-        """Tilt by ``k(x, x)**-0.5`` so the diagonal becomes 1."""
+        """Tilt by ``k(x, x)**-0.5`` so the diagonal becomes 1.
+
+        The weights come from this kernel's values in the same call (see
+        :class:`TiltedKernel`); a ``k(x, x)`` that is not finite and
+        positive raises :class:`DataError` naming ``x``.
+        """
         return tilt_kernel(self, _NormalizingTilt(self))
 
     def __repr__(self) -> str:
@@ -104,15 +113,33 @@ class Kernel:
         return f"{type(self).__name__}({ps})"
 
 
+def _finite_positive(a: np.ndarray, xs: list, what: str) -> np.ndarray:
+    """``a``, or :class:`DataError` naming the first sequence whose entry
+    is not finite and positive."""
+    bad = np.flatnonzero(~(np.isfinite(a) & (a > 0)))
+    if bad.size:
+        raise DataError(f"{what} must be finite and positive, got {a[bad[0]]} on {xs[bad[0]]!r}")
+    return a
+
+
 class _NormalizingTilt:
+    """The weight ``k(x, x)**-0.5``, from ``k(x, x)`` finite and positive."""
+
     def __init__(self, kernel: Kernel):
-        self._kernel = kernel
+        self.kernel = kernel
 
     def __call__(self, x) -> float:
-        return self._kernel(x, x) ** -0.5
+        return float(self.many([x])[0])
 
     def many(self, xs) -> np.ndarray:
-        return self._kernel.self_similarities(xs) ** -0.5
+        xs = list(xs)
+        return self.of_self_similarities(self.kernel.self_similarities(xs), xs)
+
+    @staticmethod
+    def of_self_similarities(d: np.ndarray, xs: list) -> np.ndarray:
+        """Weights from the values ``d = k(x, x)`` of ``xs``; checked
+        before the power, so a zero or infinite ``k(x, x)`` raises."""
+        return _finite_positive(d, xs, "k(x, x) of a normalized kernel") ** -0.5
 
 
 class SumKernel(Kernel):
@@ -142,12 +169,22 @@ class SumKernel(Kernel):
     def __call__(self, x, y) -> float:
         return sum(w * k(x, y) for w, k in self.parts)
 
-    def pairwise(self, xs, ys=None) -> np.ndarray:
+    def _total(self, values: Callable[[Kernel], np.ndarray]) -> np.ndarray:
+        """``sum_n a_n * values(k_n)``, added up in the order of the parts."""
         total = None
         for w, k in self.parts:
-            m = w * k.pairwise(xs, ys)
+            m = w * values(k)
             total = m if total is None else total + m
         return total
+
+    def pairwise(self, xs, ys=None) -> np.ndarray:
+        xs = list(xs)
+        ys = None if ys is None else list(ys)
+        return self._total(lambda k: k.pairwise(xs, ys))
+
+    def self_similarities(self, xs) -> np.ndarray:
+        xs = list(xs)
+        return self._total(lambda k: k.self_similarities(xs))
 
 
 def sum_kernel(parts: Iterable[tuple[float, Kernel]]) -> SumKernel:
@@ -155,13 +192,16 @@ def sum_kernel(parts: Iterable[tuple[float, Kernel]]) -> SumKernel:
 
 
 class TiltedKernel(Kernel):
-    """``k^A(x, y) = A(x) k(x, y) A(y)`` for a positive weight ``A``.
+    """``k^A(x, y) = A(x) k(x, y) A(y)`` for a finite positive weight ``A``.
 
-    Tilting rescales the kernel's view of sequence space (normalisation
-    is the special case ``A = k(x,x)**-0.5``) and preserves discrete
-    masses.  A weight that also offers ``many(xs)`` is asked for the
-    weights of a whole list at once (normalisation answers with one
-    ``self_similarities`` batch of the base kernel).
+    Tilting rescales the kernel's view of sequence space and preserves
+    discrete masses.  A weight that also offers ``many(xs)`` is asked for
+    the weights of a whole list at once.  Normalisation, the weight
+    ``A = k(x,x)**-0.5`` of :meth:`Kernel.normalized`, takes its weights
+    from the base values of the same call: a Gram reads them off its own
+    diagonal, a block asks one ``self_similarities`` batch over both
+    sides, and ``self_similarities`` asks the base once.  Weights that
+    are not finite and positive raise :class:`DataError`.
     """
 
     family = "tilt"
@@ -170,6 +210,7 @@ class TiltedKernel(Kernel):
         self.base = base
         self.weight = weight
         self.mass_status = base.mass_status
+        self._normalizes = isinstance(weight, _NormalizingTilt) and weight.kernel is base
 
     @property
     def params(self) -> dict:
@@ -183,24 +224,32 @@ class TiltedKernel(Kernel):
             a = np.asarray(many(xs), dtype=float)
         else:
             a = np.array([float(self.weight(x)) for x in xs])
-        bad = np.flatnonzero(~(a > 0))
-        if bad.size:
-            raise DataError(
-                f"tilt weight must be positive, got {a[bad[0]]} on {xs[bad[0]]!r}")
-        return a
+        return _finite_positive(a, xs, "tilt weight")
 
     def __call__(self, x, y) -> float:
         ax, ay = self._weights([x, y])
         return float(ax * self.base(x, y) * ay)
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
-        ax = self._weights(xs)
-        ay = ax if ys is None else self._weights(ys)
+        xs = list(xs)
+        ys = None if ys is None else list(ys)
+        K = self.base.pairwise(xs, ys)
+        if not self._normalizes:
+            ax = self._weights(xs)
+            ay = ax if ys is None else self._weights(ys)
+        elif ys is None:
+            ax = ay = self.weight.of_self_similarities(K.diagonal(), xs)
+        else:
+            a = self.weight.many(xs + ys)
+            ax, ay = a[:len(xs)], a[len(xs):]
         # the weight product first, so a symmetric base Gram stays exactly symmetric
-        return (ax[:, None] * ay[None, :]) * self.base.pairwise(xs, ys)
+        return (ax[:, None] * ay[None, :]) * K
 
     def self_similarities(self, xs) -> np.ndarray:
-        return self._weights(xs) ** 2 * self.base.self_similarities(xs)
+        xs = list(xs)
+        d = self.base.self_similarities(xs)
+        a = self.weight.of_self_similarities(d, xs) if self._normalizes else self._weights(xs)
+        return a ** 2 * d
 
 
 def tilt_kernel(base: Kernel, weight: Callable[[Sequence], float]) -> TiltedKernel:
@@ -238,6 +287,11 @@ class TensorKernel(Kernel):
         y1, y2 = [p[0] for p in ys], [p[1] for p in ys]
         return self.left.pairwise(x1, y1) * self.right.pairwise(x2, y2)
 
+    def self_similarities(self, xs) -> np.ndarray:
+        xs = list(xs)
+        return (self.left.self_similarities([p[0] for p in xs])
+                * self.right.self_similarities([p[1] for p in xs]))
+
 
 def tensor_kernel(left: Kernel, right: Kernel) -> TensorKernel:
     return TensorKernel(left, right)
@@ -260,6 +314,9 @@ class IdentityKernel(Kernel):
         b = a if ys is None else np.array([ids.setdefault(y, len(ids)) for y in ys],
                                           dtype=np.int64)
         return (a[:, None] == b[None, :]).astype(float)
+
+    def self_similarities(self, xs) -> np.ndarray:
+        return np.ones(len(list(xs)))
 
 
 def eval_vector_encoded(kernel: Kernel, v: VectorSequence, w: VectorSequence) -> float:

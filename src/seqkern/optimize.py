@@ -4,15 +4,20 @@ Starting from an initial sequence, repeatedly evaluate
 ``MMD(delta_X', target)`` for every single-edit neighbour X' (all
 substitutions, single-letter insertions, and deletions), move to the
 best neighbour while it improves by at least ``min_improvement``, and
-stop otherwise.  Kernels that do not metrize the space of
-distributions can send the walk off towards ever-longer (or degenerate)
-sequences; a metrizing kernel stops that runaway.  It does not make the
-minimising point mass share the target's lengths: that is a property of
-minimising MMD over distributions (the minimiser of ``MMD(Q, target)``
-is ``Q = target``).  With i.i.d. representations rescaled by length,
-for example, ``k(x, a)`` depends on ``x`` almost only through the
-representation norm, which grows with ``|x|``, so the best single
-sequence is a short one.
+stop otherwise.  Different edits can reach the same neighbour (an
+insertion next to an equal letter, for example); each distinct
+neighbour is scored once and its value shared by every edit that
+reaches it, so ties still go to the first edit in canonical order.
+
+Kernels that do not metrize the space of distributions can send the
+walk off towards ever-longer (or degenerate) sequences; a metrizing
+kernel stops that runaway.  It does not make the minimising point mass
+share the target's lengths: that is a property of minimising MMD over
+distributions (the minimiser of ``MMD(Q, target)`` is ``Q = target``).
+With i.i.d. representations rescaled by length, for example,
+``k(x, a)`` depends on ``x`` almost only through the representation
+norm, which grows with ``|x|``, so the best single sequence is a short
+one.
 """
 
 from __future__ import annotations
@@ -138,7 +143,11 @@ def greedy_mmd_optimize(kernel: Kernel, target: EmpiricalMeasure,
     converged = False
     for step in range(1, max_steps + 1):
         neighbors = single_edit_neighbors(current)
-        values = objective.many([s for _, s in neighbors])
+        # score each distinct neighbour once; values stay in canonical
+        # order, so argmin's first-minimum tie-break is unchanged
+        ids: dict = {}
+        slot = np.array([ids.setdefault(s, len(ids)) for _, s in neighbors], dtype=np.intp)
+        values = objective.many(list(ids)).take(slot)
         best = int(np.argmin(values))
         if values[best] <= current_mmd - min_improvement:
             current = neighbors[best][1]

@@ -79,6 +79,17 @@ class FiniteSpectrumKernel(Kernel):
                 out += F[:n] @ (F if ys is None else F[n:]).T
         return out
 
+    def self_similarities(self, xs) -> np.ndarray:
+        """Per sequence, the sum over kmers of its squared kmer counts."""
+        xs = list(xs)
+        out = np.zeros(len(xs))
+        for rows, ids, count in _kmer_windows(xs, self.L_max):
+            # one key per (sequence, kmer); its multiplicity is the count
+            keys, counts = np.unique(rows * count + ids, return_counts=True)
+            out += np.bincount(keys // count, weights=counts.astype(float) ** 2,
+                               minlength=len(xs))
+        return out
+
 
 def _kmer_windows(seqs, L_max: int):
     """``(rows, ids, count)`` for each kmer length ``l = 1 .. L_max``.

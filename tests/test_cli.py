@@ -183,6 +183,19 @@ class TestGramCommand:
         _, _, data = read_matrix_csv(out)
         np.testing.assert_allclose(np.diag(data), 1.0, rtol=1e-12)
 
+    def test_normalizing_a_zero_self_similarity_is_a_data_error(self, tmp_path, capsys):
+        # weighted_degree with L = 3 counts no window of "A" or "GG": k(x, x) = 0
+        fasta = tmp_path / "in.fasta"
+        write_fasta(fasta, [("a", "A"), ("b", "ACGT"), ("c", "GG")])
+        out = tmp_path / "gram.csv"
+        code = main(["gram", "--fasta", str(fasta), "--output", str(out),
+                     "--family", "weighted_degree", "--L", "3", "--kernel", "normalize=true"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == ("data error: k(x, x) of a normalized kernel must be finite and "
+                       "positive, got 0.0 on Sequence('A')\n")
+        assert not out.exists()
+
     def test_single_sequence(self, tmp_path):
         fasta = tmp_path / "in.fasta"
         write_fasta(fasta, [("only", "AT")])

@@ -1,27 +1,35 @@
 import itertools
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from seqkern import (
     Alphabet,
+    AlignmentParams,
     DataError,
     HAS_MASSES,
     IdentityKernel,
     Kernel,
     VectorSequence,
+    alignment_kernel,
+    centre_justified_kernel,
     empty,
     enumerate_sequences,
     eval_vector_encoded,
     exp_hamming_kernel,
     enumerate_up_to,
+    finite_spectrum_kernel,
     imq_hamming_kernel,
     infinite_spectrum_kernel,
+    local_alignment_kernel,
     seq,
     sum_kernel,
     tensor_kernel,
     tilt_kernel,
+    weighted_degree_kernel,
 )
 
 from conftest import random_distinct_sequences
@@ -98,6 +106,128 @@ class TestTiltKernel:
         t = tilt_kernel(imq_hamming_kernel(), lambda x: float(len(x)))
         with pytest.raises(DataError):
             t(empty(DNA), seq(DNA, "A"))
+
+    def test_infinite_weight_raises(self):
+        t = tilt_kernel(imq_hamming_kernel(), lambda x: math.inf if len(x) == 2 else 1.0)
+        xs = [seq(DNA, "A"), seq(DNA, "AT")]
+        with pytest.raises(DataError, match="finite and positive.*'AT'"):
+            t.pairwise(xs)
+        with pytest.raises(DataError, match="finite and positive"):
+            t(xs[0], xs[1])
+
+
+# k(x, x) = 0 on the second sequence: weighted_degree counts no window of
+# a sequence shorter than L, and finite_spectrum no kmer of the empty one
+ZERO_DIAGONAL = [
+    ("weighted_degree", lambda: weighted_degree_kernel(3), ["ACGT", "A", "GGC"]),
+    ("finite_spectrum", lambda: finite_spectrum_kernel(2), ["AC", "", "G"]),
+]
+
+
+class TestNormalizedZeroSelfSimilarity:
+    """A zero ``k(x, x)`` is a DataError naming the sequence, not a NaN or
+    a divide-by-zero warning (pyproject.toml turns RuntimeWarnings into errors)."""
+
+    @pytest.mark.parametrize("name,make,letters", ZERO_DIAGONAL,
+                             ids=[n for n, _, _ in ZERO_DIAGONAL])
+    def test_every_entry_point_raises(self, name, make, letters):
+        k = make().normalized()
+        xs = [seq(DNA, s) for s in letters]
+        calls = (lambda: k.pairwise(xs), lambda: k.pairwise(xs[:1], xs[1:]),
+                 lambda: k.pairwise(xs[1:], xs[:1]), lambda: k.self_similarities(xs),
+                 lambda: k(xs[0], xs[1]), lambda: k(xs[1], xs[1]))
+        message = rf"k\(x, x\) .* must be finite and positive, got 0.0 on {re.escape(repr(xs[1]))}"
+        for call in calls:
+            with pytest.raises(DataError, match=message):
+                call()
+
+    @pytest.mark.parametrize("name,make,letters", ZERO_DIAGONAL,
+                             ids=[n for n, _, _ in ZERO_DIAGONAL])
+    def test_sequences_with_a_positive_diagonal_still_work(self, name, make, letters):
+        k = make().normalized()
+        xs = [seq(DNA, s) for s in letters[:1] + letters[2:]]
+        np.testing.assert_allclose(np.diag(k.pairwise(xs)), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(k.self_similarities(xs), 1.0, rtol=1e-15)
+
+
+class _Counting(Kernel):
+    """Forwards to ``base``, counting calls of each evaluation method."""
+
+    def __init__(self, base: Kernel):
+        self.base = base
+        self.calls: Counter = Counter()
+
+    def __call__(self, x, y) -> float:
+        self.calls["__call__"] += 1
+        return self.base(x, y)
+
+    def pairwise(self, xs, ys=None) -> np.ndarray:
+        self.calls["pairwise"] += 1
+        return self.base.pairwise(xs, ys)
+
+    def self_similarities(self, xs) -> np.ndarray:
+        self.calls["self_similarities"] += 1
+        return self.base.self_similarities(xs)
+
+
+NORMALIZED_BASES = [
+    ("alignment", lambda: alignment_kernel(AlignmentParams.exponential(DNA, 1.0, 0.2, 0.0))),
+    ("local_alignment",
+     lambda: local_alignment_kernel(AlignmentParams.exponential(DNA, 1.0, 0.3, 0.5))),
+    ("infinite_spectrum", infinite_spectrum_kernel),
+    ("imq_hamming", lambda: imq_hamming_kernel(1.0, 2.0)),
+]
+
+
+class TestNormalizedEvaluatesTheBaseOnce:
+    """Normalisation takes its weights from the base values of the same call."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(17)
+        xs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 9, 9, min_len=1)
+        ys = random_distinct_sequences(rng, DNA, 5, 12, min_len=1) + [xs[3]]
+        return xs, ys
+
+    @pytest.mark.parametrize("name,make", NORMALIZED_BASES, ids=[n for n, _ in NORMALIZED_BASES])
+    def test_base_calls(self, name, make):
+        xs, ys = self._inputs()
+        base = _Counting(make())
+        k = base.normalized()
+        k.pairwise(xs)
+        assert base.calls == {"pairwise": 1}
+        base.calls.clear()
+        k.pairwise(xs, ys)
+        assert base.calls == {"pairwise": 1, "self_similarities": 1}
+        base.calls.clear()
+        k.self_similarities(xs)
+        assert base.calls == {"self_similarities": 1}
+
+    @pytest.mark.parametrize("name,make", NORMALIZED_BASES, ids=[n for n, _ in NORMALIZED_BASES])
+    def test_values_follow_the_normalizing_formula(self, name, make):
+        # k(x, y) / sqrt(k(x, x) k(y, y)), from separately computed diagonals
+        xs, ys = self._inputs()
+        base = make()
+        k = base.normalized()
+        dx, dy = base.self_similarities(xs), base.self_similarities(ys)
+        for left, right, dl, dr in ((xs, None, dx, dx), (xs, ys, dx, dy), (ys, xs, dy, dx)):
+            expected = (dl[:, None] ** -0.5 * dr[None, :] ** -0.5) * base.pairwise(left, right)
+            np.testing.assert_allclose(k.pairwise(left, right), expected, rtol=1e-15, atol=0)
+        K = k.pairwise(xs)
+        assert np.array_equal(K, K.T)
+        np.testing.assert_allclose(k.self_similarities(xs), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(np.diag(K), 1.0, rtol=1e-15)
+
+    def test_generic_tilts_keep_their_weight(self):
+        # a weight that is not the base's own normalisation is asked as before
+        base = _Counting(infinite_spectrum_kernel())
+        other = infinite_spectrum_kernel().normalized().weight
+        k = tilt_kernel(base, other)
+        xs, ys = self._inputs()
+        np.testing.assert_array_equal(
+            k.pairwise(xs, ys),
+            (other.many(xs)[:, None] * other.many(ys)[None, :]) * base.base.pairwise(xs, ys))
+        assert base.calls == {"pairwise": 1}
 
 
 class TestTensorKernel:
@@ -204,6 +334,62 @@ class TestIdentityKernel:
             got = k.pairwise(left, right)
             assert got.dtype == np.float64
             np.testing.assert_array_equal(got, _scalar_loop(k, left, right))
+
+
+def _dna(rng, n=30, max_len=12):
+    return [empty(DNA), seq(DNA, "A")] + random_distinct_sequences(rng, DNA, n, max_len,
+                                                                   min_len=2)
+
+
+def _dna_pairs(rng):
+    xs = _dna(rng)
+    return list(zip(xs, xs[::-1])) + [(xs[4], xs[4])]
+
+
+_ALIGN = AlignmentParams.exponential(DNA, 1.0, 0.2, 0.0)
+# (name, kernel, inputs, rtol): integer-valued families must agree exactly;
+# engine values may differ in the last place between a batch of one and a
+# larger batch, which pads to other widths
+SELF_SIMILARITY_CASES = [
+    ("sum_of_integer_families",
+     lambda: sum_kernel([(2.0, finite_spectrum_kernel(3)), (1.0, IdentityKernel()),
+                         (3.0, weighted_degree_kernel(2))]), _dna, 0.0),
+    ("sum_of_engine_families",
+     lambda: sum_kernel([(0.5, alignment_kernel(_ALIGN)), (2.0, infinite_spectrum_kernel())]),
+     _dna, 1e-15),
+    ("centre_justified", lambda: centre_justified_kernel(exp_hamming_kernel(DNA, 0.7)),
+     _dna_pairs, 0.0),
+    ("tensor_of_integer_families",
+     lambda: tensor_kernel(finite_spectrum_kernel(2), weighted_degree_kernel(1)), _dna_pairs, 0.0),
+    ("identity", IdentityKernel, _dna, 0.0),
+    ("identity_on_pairs", IdentityKernel, _dna_pairs, 0.0),
+    ("finite_spectrum", lambda: finite_spectrum_kernel(3), _dna, 0.0),
+    ("finite_spectrum_long_kmers", lambda: finite_spectrum_kernel(40),
+     lambda rng: _dna(rng, max_len=30), 0.0),
+]
+
+
+class TestSelfSimilarities:
+    """Combinators and ``__call__``-only families compute diagonals in batches."""
+
+    @pytest.mark.parametrize("name,make,inputs,rtol", SELF_SIMILARITY_CASES,
+                             ids=[c[0] for c in SELF_SIMILARITY_CASES])
+    def test_equal_the_scalar_call_without_making_one(self, name, make, inputs, rtol,
+                                                      monkeypatch):
+        k = make()
+        xs = inputs(np.random.default_rng(23))
+        expected = np.array([k(x, x) for x in xs])
+        # no scalar call is made, by the kernel or by any of its parts
+        for part in [k] + [p for _, p in getattr(k, "parts", [])] + \
+                [getattr(k, side) for side in ("left", "right") if hasattr(k, side)]:
+            monkeypatch.setattr(type(part), "__call__", None)
+        got = k.self_similarities(xs)
+        assert got.dtype == np.float64
+        if rtol:
+            np.testing.assert_allclose(got, expected, rtol=rtol, atol=0)
+        else:
+            np.testing.assert_array_equal(got, expected)
+        assert k.self_similarities([]).shape == (0,)
 
 
 class TestEvalVectorEncoded:

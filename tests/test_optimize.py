@@ -12,12 +12,14 @@ from seqkern import (
     embedding_kernel,
     greedy_mmd_optimize,
     imq_hamming_kernel,
+    infinite_spectrum_kernel,
     length_statistics,
     mmd,
     seq,
     single_edit_neighbors,
 )
 
+import seqkern.optimize as optimize
 from conftest import random_distinct_sequences
 from oracles import exhaustive_mmd_minimum
 
@@ -123,6 +125,67 @@ class TestGreedyDescent:
         target = EmpiricalMeasure.point(seq(DNA, "A"))
         with pytest.raises(DataError):
             greedy_mmd_optimize(k, target, seq(DNA, "A"), max_steps=0)
+
+
+def _score_every_neighbour(kernel, target, init, max_steps):
+    """The descent scoring every neighbour, duplicates included: the
+    reference the distinct-neighbour loop must reproduce bit for bit."""
+    objective = optimize._MmdToTarget(kernel, target)
+    current, current_mmd = init, float(objective(init))
+    out = [("none", current, current_mmd)]
+    for _ in range(max_steps):
+        neighbors = single_edit_neighbors(current)
+        values = objective.many([s for _, s in neighbors])
+        best = int(np.argmin(values))
+        if not values[best] <= current_mmd - 1e-12:
+            break
+        current, current_mmd = neighbors[best][1], float(values[best])
+        out.append((str(neighbors[best][0]), current, current_mmd))
+    return out
+
+
+class TestDistinctNeighbours:
+    KERNELS = [("imq_hamming", lambda: imq_hamming_kernel(1.0, 1.5)),
+               ("normalized_infinite_spectrum",
+                lambda: infinite_spectrum_kernel().normalized())]
+
+    @pytest.mark.parametrize("name,make", KERNELS, ids=[n for n, _ in KERNELS])
+    def test_each_step_scores_each_distinct_neighbour_once(self, name, make, monkeypatch):
+        scored = []
+        many = optimize._MmdToTarget.many
+        monkeypatch.setattr(optimize._MmdToTarget, "many",
+                            lambda obj, xs: scored.append(list(xs)) or many(obj, xs))
+        rng = np.random.default_rng(52)
+        target = EmpiricalMeasure.uniform(random_distinct_sequences(rng, DNA, 5, 5, min_len=2))
+        trace = greedy_mmd_optimize(make(), target, seq(DNA, "GGAATT"), max_steps=6)
+        assert scored[0] == [trace.steps[0].sequence]  # the start
+        steps = scored[1:]
+        assert len(steps) == len(trace.steps) - (0 if trace.converged else 1)
+        for current, xs in zip([s.sequence for s in trace.steps], steps):
+            neighbours = [s for _, s in single_edit_neighbors(current)]
+            assert xs == list(dict.fromkeys(neighbours))
+            assert len(xs) < len(neighbours)  # "GG", "AA", "TT" repeat insertions
+
+    @pytest.mark.parametrize("name,make", KERNELS, ids=[n for n, _ in KERNELS])
+    def test_trace_equals_scoring_every_neighbour(self, name, make):
+        rng = np.random.default_rng(53)
+        for init in ("GGAATT", "", "CCCC", "ACGTTGCA"):
+            target = EmpiricalMeasure.uniform(random_distinct_sequences(rng, DNA, 4, 6))
+            kernel = make()
+            trace = greedy_mmd_optimize(kernel, target, seq(DNA, init), max_steps=8)
+            got = [(str(s.edit), s.sequence, s.mmd) for s in trace.steps]
+            # equal floats, compared by bit pattern
+            expected = _score_every_neighbour(kernel, target, seq(DNA, init), 8)
+            assert [(e, s, v.hex()) for e, s, v in got] == \
+                [(e, s, v.hex()) for e, s, v in expected]
+
+    def test_ties_go_to_the_first_canonical_edit(self):
+        # inserting A at positions 0, 1 and 2 of "AA" all give the target "AAA"
+        k = imq_hamming_kernel(1.0, 2.0)
+        trace = greedy_mmd_optimize(k, EmpiricalMeasure.point(seq(AB, "AAA")), seq(AB, "AA"),
+                                    max_steps=5)
+        assert [str(s.edit) for s in trace.steps] == ["none", "insertion@0:A"]
+        assert trace.converged and trace.final.mmd == 0.0
 
 
 class TestLengthStatistics:
