@@ -16,8 +16,7 @@ on one engine, :func:`alignment_R_pairs`.  It evaluates the O(|x||y|)
 dynamic programme over tables ``M / I_X / I_Y`` (last column is a match
 / insertion in x / insertion in y) for a whole batch of pairs at once,
 given as one list of sequences and two index arrays (the contract of
-:meth:`Kernel.batch`); :func:`alignment_R_batch` takes two equally long
-lists instead.  Between adjacent matches the programme places
+:meth:`Kernel.batch`).  Between adjacent matches the programme places
 x-insertions before y-insertions, so each alignment is generated
 exactly once.  Each cell holds a vector indexed by how many matched
 pairs satisfy a marker predicate, which is what the heavy-tailed
@@ -46,9 +45,10 @@ chunk gathers its pairs' code rows by index, so no Python loop runs
 over pairs.  The chunk cuts are found with numpy (a sort, then a
 running maximum from each chunk start); a batch that fits under the
 cap at its overall largest lengths, the usual case, is one chunk after
-a constant number of numpy calls.  :func:`alignment_value`,
-:func:`local_alignment_value` and :func:`alignment_dp_R` are the engine
-on a batch of one.
+a constant number of numpy calls.  Every family on the engine is an
+:class:`AlignmentSumKernel`, which owns its evaluation; the public
+:func:`alignment_value`, :func:`local_alignment_value` and
+:func:`alignment_dp_R` are the engine on a batch of one.
 """
 
 from __future__ import annotations
@@ -74,14 +74,16 @@ def exponential_letter_matrix(size: int, lam: float) -> np.ndarray:
 def checked_letter_matrix(matrix, size: int) -> np.ndarray:
     """``matrix`` as floats, checked to be a letter matrix over ``size`` letters.
 
-    A letter matrix is ``size x size``, symmetric and strictly positive
-    definite; raises :class:`DataError` naming the first condition that
-    fails.  Position-wise kernels pass the matrix extended by the stop
-    symbol.
+    A letter matrix is ``size x size``, finite, symmetric and strictly
+    positive definite; raises :class:`DataError` naming the first
+    condition that fails.  Position-wise kernels pass the matrix
+    extended by the stop symbol.
     """
     K = np.asarray(matrix, dtype=float)
     if K.shape != (size, size):
         raise DataError(f"letter matrix must be {size}x{size}, got shape {K.shape}")
+    if not np.isfinite(K).all():
+        raise DataError("letter matrix entries must be finite")
     if not np.allclose(K, K.T, rtol=1e-12, atol=1e-12):
         raise DataError("letter matrix must be symmetric")
     eigmin = float(np.linalg.eigvalsh(K).min())
@@ -89,6 +91,21 @@ def checked_letter_matrix(matrix, size: int) -> np.ndarray:
         raise DataError(f"letter matrix must be strictly positive definite "
                         f"(min eigenvalue {eigmin:.3e})")
     return K
+
+
+def check_gap_penalties(mu: float, delta_mu: float) -> None:
+    """:class:`DataError` unless ``mu >= 0`` is finite and ``delta_mu >= 0`` or inf."""
+    if not 0 <= mu < math.inf:
+        raise DataError(f"gap extension penalty mu must be finite and >= 0, got {mu}")
+    if not delta_mu >= 0:
+        raise DataError(f"gap start penalty delta_mu must be >= 0 or inf, got {delta_mu}")
+
+
+def check_positive(**values: float) -> None:
+    """:class:`DataError` naming the first of ``values`` not finite and positive."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise DataError(f"{name} must be finite and positive, got {value}")
 
 
 def sigma_of(ks_matrix: np.ndarray) -> float:
@@ -117,10 +134,7 @@ class AlignmentParams:
     def __post_init__(self):
         n = self.alphabet.size
         K = checked_letter_matrix(self.ks, n)
-        if self.mu < 0:
-            raise DataError("gap extension penalty mu must be >= 0")
-        if not (self.delta_mu >= 0):
-            raise DataError("gap start penalty delta_mu must be >= 0 or inf")
+        check_gap_penalties(self.mu, self.delta_mu)
         object.__setattr__(self, "ks", K)
         sigma = sigma_of(K)
         object.__setattr__(self, "sigma", sigma)
@@ -132,6 +146,7 @@ class AlignmentParams:
     def exponential(
         cls, alphabet: Alphabet, lam: float, mu: float, delta_mu: float
     ) -> "AlignmentParams":
+        check_positive(**{"lambda": lam})
         return cls(alphabet, exponential_letter_matrix(alphabet.size, lam), mu, delta_mu)
 
 
@@ -227,17 +242,6 @@ def alignment_R_pairs(seqs, i: np.ndarray, j: np.ndarray, ks: np.ndarray, mu: fl
             f"alignment recursion overflowed on |x|={nx[p]}, |y|={ny[p]}"
         )
     return out
-
-
-def alignment_R_batch(xs, ys, ks: np.ndarray, mu: float, delta_mu: float,
-                      ltype: LType = "none", local: bool = False) -> np.ndarray:
-    """:func:`alignment_R_pairs` of the pairs ``(xs[p], ys[p])``."""
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise DataError("alignment_R_batch needs as many ys as xs")
-    n = len(xs)
-    return alignment_R_pairs(xs + ys, np.arange(n), np.arange(n, 2 * n), ks, mu, delta_mu,
-                             ltype, local)
 
 
 def _per_pair(a, b, counted: bool):
@@ -385,28 +389,58 @@ def power_law_mixture(R: np.ndarray, nx, ny, base: Callable, beta: float) -> np.
     """Per pair ``sum_L base(L, |x|, |y|)**-beta R[L]``, the heavy-tailed sums.
 
     ``R`` holds one count vector per row (as from
-    :func:`alignment_R_pairs`), ``nx`` and ``ny`` the pairs' lengths;
+    :func:`alignment_R_pairs`), the arrays ``nx`` and ``ny`` the pairs'
+    lengths;
     ``base`` is called on broadcast arrays and must be positive on every
     count ``L <= min(|x|, |y|)`` a pair can reach.  Counts past a pair's
     reach are masked out before the power, since ``base`` may be zero or
     negative there.
     """
-    R = np.atleast_2d(R)
-    nx = np.asarray(nx)[:, None]
-    ny = np.asarray(ny)[:, None]
+    nx, ny = nx[:, None], ny[:, None]
     L = np.arange(R.shape[1])[None, :]
     reach = L <= np.minimum(nx, ny)
     b = np.where(reach, base(L, nx, ny), 1.0)
     return (np.where(reach, b ** -beta, 0.0) * R).sum(axis=1)
 
 
-class AlignmentKernel(Kernel):
+class AlignmentSumKernel(Kernel):
+    """A sum over alignments: one :func:`alignment_R_pairs` call per batch.
+
+    A family sets the engine arguments ``ks``, ``mu`` (default 0),
+    ``delta_mu``, ``ltype`` and ``local``; its value is ``R[:, 0]``, or
+    with ``beta`` set the :func:`power_law_mixture` by its
+    ``base(L, nx, ny)``.
+    """
+
+    mu: float = 0.0
+    ltype: LType = "none"
+    local: bool = False
+    beta: Optional[float] = None
+
+    def letters(self, seqs: list) -> np.ndarray:
+        """The letter matrix of a batch over ``seqs``."""
+        return self.ks
+
+    def __call__(self, x: Sequence, y: Sequence) -> float:
+        return float(self.batch([x, y], _FIRST, _SECOND)[0])
+
+    def batch(self, seqs, i, j) -> np.ndarray:
+        R = alignment_R_pairs(seqs, i, j, self.letters(seqs), self.mu, self.delta_mu,
+                              self.ltype, self.local)
+        if self.beta is None:
+            return R[:, 0]
+        n = np.array([len(s) for s in seqs])
+        return power_law_mixture(R, n[i], n[j], self.base, self.beta)
+
+
+class AlignmentKernel(AlignmentSumKernel):
     """Global alignment kernel (all alignments, affine gap weights)."""
 
     family = "alignment"
 
     def __init__(self, params: AlignmentParams):
         self.p = params
+        self.ks, self.mu, self.delta_mu = params.ks, params.mu, params.delta_mu
         self.mass_status = (
             HAS_MASSES if has_discrete_masses_alignment(params) else LACKS_MASSES
         )
@@ -415,20 +449,18 @@ class AlignmentKernel(Kernel):
     def params(self) -> dict:
         return {"mu": self.p.mu, "delta_mu": self.p.delta_mu, "sigma": self.p.sigma}
 
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        return alignment_value(x, y, self.p.ks, self.p.mu, self.p.delta_mu)
-
-    def batch(self, seqs, i, j) -> np.ndarray:
-        return alignment_R_pairs(seqs, i, j, self.p.ks, self.p.mu, self.p.delta_mu)[:, 0]
+    __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
 
 
-class LocalAlignmentKernel(Kernel):
+class LocalAlignmentKernel(AlignmentSumKernel):
     """Local alignment kernel: no start penalty for boundary gap runs."""
 
     family = "local_alignment"
+    local = True
 
     def __init__(self, params: AlignmentParams):
         self.p = params
+        self.ks, self.mu, self.delta_mu = params.ks, params.mu, params.delta_mu
         self.mass_status = (
             HAS_MASSES if has_discrete_masses_local(params) else LACKS_MASSES
         )
@@ -437,15 +469,10 @@ class LocalAlignmentKernel(Kernel):
     def params(self) -> dict:
         return {"mu": self.p.mu, "delta_mu": self.p.delta_mu, "sigma": self.p.sigma}
 
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        return local_alignment_value(x, y, self.p.ks, self.p.mu, self.p.delta_mu)
-
-    def batch(self, seqs, i, j) -> np.ndarray:
-        return alignment_R_pairs(seqs, i, j, self.p.ks, self.p.mu, self.p.delta_mu,
-                                 local=True)[:, 0]
+    __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
 
 
-class HeavyTailedAlignmentMatches(Kernel):
+class HeavyTailedAlignmentMatches(AlignmentSumKernel):
     """Alignment kernel with a power-law tail in matched-pair mismatches.
 
     Each alignment contributes ``(C + m)**-beta`` times its gap weight,
@@ -456,19 +483,18 @@ class HeavyTailedAlignmentMatches(Kernel):
     """
 
     family = "ht_alignment_matches"
+    ltype = "mismatch"
 
     def __init__(self, alphabet: Alphabet, C: float, beta: float, mu: float,
                  delta_mu: float):
-        if C <= 0 or beta <= 0:
-            raise DataError("C and beta must be positive")
-        if mu < 0 or not (delta_mu >= 0):
-            raise DataError("gap penalties must be nonnegative")
+        check_positive(C=C, beta=beta)
+        check_gap_penalties(mu, delta_mu)
         self.alphabet = alphabet
         self.C = float(C)
         self.beta = float(beta)
         self.mu = float(mu)
         self.delta_mu = float(delta_mu)
-        self._ones = np.ones((alphabet.size, alphabet.size))
+        self.ks = np.ones((alphabet.size, alphabet.size))
         # mu = 0 keeps the whole mixture outside the flexible regime, so
         # the closed-form flag cannot assert either way.
         self.mass_status = HAS_MASSES if mu > 0 else UNKNOWN_MASSES
@@ -478,20 +504,13 @@ class HeavyTailedAlignmentMatches(Kernel):
         return {"C": self.C, "beta": self.beta, "mu": self.mu,
                 "delta_mu": self.delta_mu}
 
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        R = alignment_dp_R(x, y, self._ones, self.mu, self.delta_mu, "mismatch")
-        return float(self._mix(R, [len(x)], [len(y)])[0])
+    def base(self, L, nx, ny):
+        return self.C + L
 
-    def batch(self, seqs, i, j) -> np.ndarray:
-        R = alignment_R_pairs(seqs, i, j, self._ones, self.mu, self.delta_mu, "mismatch")
-        n = np.array([len(s) for s in seqs])
-        return self._mix(R, n[i], n[j])
-
-    def _mix(self, R, nx, ny) -> np.ndarray:
-        return power_law_mixture(R, nx, ny, lambda L, nx, ny: self.C + L, self.beta)
+    __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
 
 
-class HeavyTailedAlignmentGaps(Kernel):
+class HeavyTailedAlignmentGaps(AlignmentSumKernel):
     """Alignment kernel with a power-law tail in total inserted length.
 
     Each alignment contributes ``(C + |x| + |y| - 2 L)**-beta`` times its
@@ -502,13 +521,12 @@ class HeavyTailedAlignmentGaps(Kernel):
 
     family = "ht_alignment_gaps"
     mass_status = HAS_MASSES
+    ltype = "all"
 
     def __init__(self, alphabet: Alphabet, C: float, beta: float,
                  delta_mu: float, ks: np.ndarray):
-        if C <= 0 or beta <= 0:
-            raise DataError("C and beta must be positive")
-        if not (delta_mu >= 0):
-            raise DataError("delta_mu must be >= 0 or inf")
+        check_positive(C=C, beta=beta)
+        check_gap_penalties(0.0, delta_mu)
         self.alphabet = alphabet
         self.C = float(C)
         self.beta = float(beta)
@@ -519,19 +537,10 @@ class HeavyTailedAlignmentGaps(Kernel):
     def params(self) -> dict:
         return {"C": self.C, "beta": self.beta, "delta_mu": self.delta_mu}
 
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        R = alignment_dp_R(x, y, self.ks, 0.0, self.delta_mu, "all")
-        return float(self._mix(R, [len(x)], [len(y)])[0])
+    def base(self, L, nx, ny):
+        return self.C + (nx + ny - 2 * L)
 
-    def batch(self, seqs, i, j) -> np.ndarray:
-        R = alignment_R_pairs(seqs, i, j, self.ks, 0.0, self.delta_mu, "all")
-        n = np.array([len(s) for s in seqs])
-        return self._mix(R, n[i], n[j])
-
-    def _mix(self, R, nx, ny) -> np.ndarray:
-        return power_law_mixture(R, nx, ny,
-                                 lambda L, nx, ny: self.C + (nx + ny - 2 * L),
-                                 self.beta)
+    __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
 
 
 def alignment_kernel(params: AlignmentParams) -> AlignmentKernel:

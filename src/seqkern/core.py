@@ -12,8 +12,8 @@ closed-form conditions on the kernel family, never probed at runtime.
 sequences and two index arrays, the pairs ``(seqs[i[p]], seqs[j[p]])``
 (the upper triangle, every row-column pair, or the diagonal), so no
 per-pair object lists are formed.  ``batch`` calls the scalar evaluator
-per index pair unless a family evaluates them together (the alignment
-and spectrum recursions encode each sequence once and gather by index).
+per index pair unless a family evaluates them together (the six
+alignment-engine families share ``alignment.AlignmentSumKernel.batch``).
 Families with vectorised matrix assembly override ``pairwise`` itself,
 and most also ``self_similarities``.
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .alignment import checked_letter_matrix, exponential_letter_matrix
+from .alignment import check_positive, checked_letter_matrix, exponential_letter_matrix
 from .core import (
     HAS_MASSES,
     LACKS_MASSES,
@@ -60,8 +60,7 @@ class LetterKernel:
     @classmethod
     def exponential(cls, alphabet: Alphabet, lam: float) -> "LetterKernel":
         """Mismatch kernel ``exp(-lam * 1(b != b'))`` with stop as a letter."""
-        if lam <= 0:
-            raise DataError("mismatch rate lambda must be positive")
+        check_positive(**{"lambda": lam})
         n = alphabet.size
         return cls(alphabet, exponential_letter_matrix(n, lam),
                    stop_row=np.full(n, math.exp(-lam)))
@@ -285,8 +284,7 @@ class ImqHammingKernel(Kernel):
     mass_status = HAS_MASSES
 
     def __init__(self, C: float = 1.0, beta: float = 2.0):
-        if C <= 0 or beta <= 0:
-            raise DataError("C and beta must be positive")
+        check_positive(C=C, beta=beta)
         self.C = float(C)
         self.beta = float(beta)
 
@@ -337,8 +335,7 @@ class ImqHammingLagKernel(Kernel):
     mass_status = HAS_MASSES
 
     def __init__(self, C: float = 1.0, beta: float = 2.0, L: int = 1):
-        if C <= 0 or beta <= 0:
-            raise DataError("C and beta must be positive")
+        check_positive(C=C, beta=beta)
         if L < 1:
             raise DataError("lag L must be >= 1")
         self.C = float(C)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (alignment_dp_R, alignment_R_pairs, local_alignment_value,
-                        power_law_mixture)
+from .alignment import AlignmentSumKernel, check_gap_penalties, check_positive
+from .alignment import alignment_dp_R  # noqa: F401 (bench/tracing.py wraps it here)
 from .core import HAS_MASSES, LACKS_MASSES, Kernel
 from .errors import DataError
 from .seqcore import PAD_CODE, Sequence, element_blocks, encode_padded
@@ -116,7 +116,7 @@ def finite_spectrum_kernel(L_max: int) -> FiniteSpectrumKernel:
     return FiniteSpectrumKernel(L_max)
 
 
-class InfiniteSpectrumKernel(Kernel):
+class InfiniteSpectrumKernel(AlignmentSumKernel):
     """Shared-kmer count kernel over kmers of every length.
 
     ``k(x, y) = 1 + sum_{V != empty} occ(V, x) occ(V, y)``; the unit term
@@ -131,13 +131,13 @@ class InfiniteSpectrumKernel(Kernel):
 
     family = "infinite_spectrum"
     mass_status = HAS_MASSES
+    delta_mu = math.inf
+    local = True
 
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        return local_alignment_value(x, y, np.eye(x.alphabet.size), 0.0, math.inf)
+    def letters(self, seqs: list) -> np.ndarray:
+        return np.eye(seqs[0].alphabet.size if seqs else 1)
 
-    def batch(self, seqs, i, j) -> np.ndarray:
-        letters = np.eye(seqs[0].alphabet.size if seqs else 1)
-        return alignment_R_pairs(seqs, i, j, letters, 0.0, math.inf, local=True)[:, 0]
+    __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
 
 
 def infinite_spectrum_kernel() -> InfiniteSpectrumKernel:
@@ -209,7 +209,7 @@ def gapped_kmer_feature(v: Sequence, x: Sequence, zeta: float,
     return math.exp(0.5 * zeta * len(v)) * total
 
 
-class HeavyTailedGappedSpectrumKernel(Kernel):
+class HeavyTailedGappedSpectrumKernel(AlignmentSumKernel):
     """Gapped-kmer kernel with power-law weights in kmer length.
 
     ``k(x, y) = sum_V (C + (|x|+|y|)/2 - |V|)**-beta u~_V(x) u~_V(y)``
@@ -222,34 +222,24 @@ class HeavyTailedGappedSpectrumKernel(Kernel):
 
     family = "ht_gapped_spectrum"
     mass_status = HAS_MASSES
+    ltype = "all"
 
     def __init__(self, alphabet_size: int, C: float, beta: float, delta_mu: float):
-        if C <= 0 or beta <= 0:
-            raise DataError("C and beta must be positive")
-        if not (delta_mu >= 0):
-            raise DataError("delta_mu must be >= 0 or inf")
+        check_positive(C=C, beta=beta)
+        check_gap_penalties(0.0, delta_mu)
         self.C = float(C)
         self.beta = float(beta)
         self.delta_mu = float(delta_mu)
-        self._eye = np.eye(alphabet_size)
+        self.ks = np.eye(alphabet_size)
 
     @property
     def params(self) -> dict:
         return {"C": self.C, "beta": self.beta, "delta_mu": self.delta_mu}
 
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        R = alignment_dp_R(x, y, self._eye, 0.0, self.delta_mu, "all")
-        return float(self._mix(R, [len(x)], [len(y)])[0])
+    def base(self, L, nx, ny):
+        return self.C + 0.5 * (nx + ny) - L
 
-    def batch(self, seqs, i, j) -> np.ndarray:
-        R = alignment_R_pairs(seqs, i, j, self._eye, 0.0, self.delta_mu, "all")
-        n = np.array([len(s) for s in seqs])
-        return self._mix(R, n[i], n[j])
-
-    def _mix(self, R, nx, ny) -> np.ndarray:
-        return power_law_mixture(R, nx, ny,
-                                 lambda L, nx, ny: self.C + 0.5 * (nx + ny) - L,
-                                 self.beta)
+    __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
 
 
 def heavy_tailed_gapped_spectrum(alphabet_size: int, C: float, beta: float,

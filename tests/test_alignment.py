@@ -26,7 +26,7 @@ from seqkern import (
 )
 from seqkern import alignment as alignment_module
 from seqkern.alignment import (
-    alignment_R_batch,
+    alignment_R_pairs,
     alignment_value,
     exponential_letter_matrix,
     local_alignment_value,
@@ -96,8 +96,8 @@ class TestDpMatchesEnumeration:
         ell = {"mismatch": lambda a, b: int(a != b), "all": lambda a, b: 1}[marker]
         seqs = enumerate_up_to(AB, 3)
         pairs = list(itertools.product(seqs, repeat=2))
-        batch = alignment_R_batch([x for x, _ in pairs], [y for _, y in pairs],
-                                  ks, mu, delta_mu, marker)
+        i, j = np.divmod(np.arange(len(pairs)), len(seqs))
+        batch = alignment_R_pairs(seqs, i, j, ks, mu, delta_mu, marker)
         assert batch.shape == (len(pairs), 4)
         for (x, y), row in zip(pairs, batch):
             R = alignment_dp_R(x, y, ks, mu, delta_mu, marker)
@@ -130,9 +130,10 @@ class TestDpMatchesEnumeration:
         seqs = enumerate_up_to(AB, 3)
         xs = [x for x in seqs for _ in seqs]
         ys = [y for _ in seqs for y in seqs]
+        i, j = np.divmod(np.arange(len(xs)), len(seqs))
         for local in (False, True):
-            B_mat = alignment_R_batch(xs, ys, K, 0.4, 0.5, marker_matrix, local)
-            B_fn = alignment_R_batch(xs, ys, K, 0.4, 0.5, marker_fn, local)
+            B_mat = alignment_R_pairs(seqs, i, j, K, 0.4, 0.5, marker_matrix, local)
+            B_fn = alignment_R_pairs(seqs, i, j, K, 0.4, 0.5, marker_fn, local)
             np.testing.assert_allclose(B_mat, B_fn, rtol=0, atol=0)
             for x, y, row in zip(xs, ys, B_mat):
                 by_count = alignment_sum_by_count(
@@ -486,10 +487,11 @@ class TestBatchedEngine:
         ks = np.array([[1e200]])
         a, aa = seq(ONE, "A"), seq(ONE, "AA")
         xs, ys = [a, aa, empty(ONE)], [aa, a, aa]
+        i, j = np.arange(3), np.arange(3, 6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for local in (False, True):
-                R = alignment_R_batch(xs, ys, ks, 0.3, 0.6, local=local)[:, 0]
+                R = alignment_R_pairs(xs + ys, i, j, ks, 0.3, 0.6, local=local)[:, 0]
                 value = local_alignment_value if local else alignment_value
                 expected = [value(x, y, ks, 0.3, 0.6) for x, y in zip(xs, ys)]
                 np.testing.assert_allclose(R, expected, rtol=1e-12)
@@ -591,9 +593,10 @@ class TestIndexPairs:
     def test_scalar_call_is_a_batch_of_one(self):
         # the scalar entry points run the same engine on one index pair
         ks = exponential_letter_matrix(2, 0.7)
+        first, second = np.array([0]), np.array([1])
         for x, y in itertools.product(MIXED, repeat=2):
-            row = alignment_R_batch([x], [y], ks, 0.4, 0.5, "all")[0]
+            row = alignment_R_pairs([x, y], first, second, ks, 0.4, 0.5, "all")[0]
             R = alignment_dp_R(x, y, ks, 0.4, 0.5, "all")
             np.testing.assert_array_equal(R, row[: len(R)])
             assert alignment_value(x, y, ks, 0.4, 0.5) == \
-                alignment_R_batch([x], [y], ks, 0.4, 0.5)[0, 0]
+                alignment_R_pairs([x, y], first, second, ks, 0.4, 0.5)[0, 0]
