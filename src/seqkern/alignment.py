@@ -34,8 +34,11 @@ costs a few ulps against the sequential recurrence and no cancellation.
 Pairs of different lengths share padded tables.  A cell depends only on
 cells with smaller indices, so a pair's result, read at its own
 ``(|x|, |y|)`` cell (or, for the local kernel, summed over its own
-cells), never depends on padding.  Padded letters also score zero and
-padded insertion inputs are masked out of ``T u``, so padding cannot
+cells), never depends on padding.  Padding is the stop code ``|B|``
+(``seqcore.encode_padded``), which indexes one zero row and column
+appended to the letter matrix and one ``False`` row and column appended
+to the marker matrix: padded letters score zero and are never marked.
+Padded insertion inputs are masked out of ``T u``, so padding cannot
 overflow or carry NaN into a real cell.  Pairs are sorted by length and
 split into chunks under a fixed element cap, so memory stays bounded
 whatever the batch.
@@ -226,9 +229,11 @@ def alignment_R_pairs(seqs, i: np.ndarray, j: np.ndarray, ks: np.ndarray, mu: fl
     """
     K = np.asarray(ks, dtype=float)
     lmat = _ltype_matrix(ltype, K.shape[0])
+    # the stop code pads: it scores zero and marks nothing
+    K = np.pad(K, (0, 1))
+    lmat = None if lmat is None else np.pad(lmat, (0, 1))
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
-    # pad letters score zero whatever their code; code 0 keeps lookups in range
-    codes = encode_padded(seqs, pad=0)
+    codes = encode_padded(seqs)
     nx, ny = lengths.take(i), lengths.take(j)
     width = 1 if lmat is None else int(np.minimum(nx, ny).max(initial=0)) + 1
     out = np.zeros((len(nx), width))
@@ -289,7 +294,9 @@ def _chunk_R(cx: np.ndarray, cy: np.ndarray, nx: np.ndarray, ny: np.ndarray,
              local: bool) -> np.ndarray:
     """One chunk of :func:`alignment_R_pairs` on padded tables.
 
-    ``cx`` and ``cy`` hold the pairs' code rows, zero past each length.
+    ``cx`` and ``cy`` hold the pairs' code rows, stop past each length;
+    ``K`` and ``lmat`` have a stop row and column that score zero and
+    mark nothing.
     Tables hold one DP row as ``(column, pair, count)`` arrays; the
     letter scores ``S[i - 1]`` of row ``i`` are ``(column, pair)``.
     """
@@ -300,8 +307,7 @@ def _chunk_R(cx: np.ndarray, cy: np.ndarray, nx: np.ndarray, ny: np.ndarray,
     rows = np.arange(mx + 1)[:, None, None]
     cols = np.arange(my + 1)[:, None]
     padded_col = cols > ny
-    real = (rows[1:] <= nx) & ~padded_col[1:]
-    S = np.where(real, K[X[:, None, :], Y[None, :, :]], 0.0)
+    S = K[X[:, None, :], Y[None, :, :]]
     marked = None if lmat is None else lmat[X[:, None, :], Y[None, :, :]][..., None]
     e_ext, e_open = _gap_factors(mu, delta_mu)
     gaps = e_open > 0
@@ -452,22 +458,14 @@ class AlignmentKernel(AlignmentSumKernel):
     __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
 
 
-class LocalAlignmentKernel(AlignmentSumKernel):
-    """Local alignment kernel: no start penalty for boundary gap runs."""
+class LocalAlignmentKernel(AlignmentKernel):
+    """Local alignment kernel: no start penalty for boundary gap runs.
+
+    It has the global kernel's parameters and flexibility thresholds.
+    """
 
     family = "local_alignment"
     local = True
-
-    def __init__(self, params: AlignmentParams):
-        self.p = params
-        self.ks, self.mu, self.delta_mu = params.ks, params.mu, params.delta_mu
-        self.mass_status = (
-            HAS_MASSES if has_discrete_masses_local(params) else LACKS_MASSES
-        )
-
-    @property
-    def params(self) -> dict:
-        return {"mu": self.p.mu, "delta_mu": self.p.delta_mu, "sigma": self.p.sigma}
 
     __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
 

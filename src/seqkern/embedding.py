@@ -96,8 +96,9 @@ class ScaledEmbedding(Embedding):
         self.alphabet_size = int(alphabet_size)
 
     def _compute(self, x: Sequence) -> np.ndarray:
+        # not base.vector: only the scaled vector is read again, from this cache
         scale = self.alphabet_size ** ((1.0 + self.epsilon) * len(x) / self.dim)
-        return scale * self.base.vector(x)
+        return scale * np.asarray(self.base._compute(x), dtype=float)
 
 
 class FunctionEmbedding(Embedding):

@@ -11,10 +11,13 @@ Matrices of the position-wise kernels are assembled without an
 over stop-padded positions as BLAS products of one-hot encodings (a
 mismatch table counts Hamming distances exactly; a log letter table
 gives the products), in blocks of positions under ``BLOCK_ELEMENTS``.
-The two window kernels (weighted degree and lag-L Hamming) give every
-stop-padded L-window an exact integer id and count equal ids one
-position at a time; for the lag kernel stop is a letter, for the
-weighted degree a window reaching past its sequence matches nothing.
+Sequences are stop-padded with the stop code ``|B|``
+(``seqcore.encode_padded``), which indexes the stop row and column of
+a ``(|B|+1)``-dimensional letter table directly.  The two window
+kernels (weighted degree and lag-L Hamming) take exact integer ids of
+the stop-padded L-windows from ``seqcore.window_ids`` and count equal
+ids one position at a time; for the lag kernel stop is a letter, for
+the weighted degree a window reaching past its sequence matches nothing.
 """
 
 from __future__ import annotations
@@ -31,14 +34,15 @@ from .core import (
     tensor_kernel,
 )
 from .errors import DataError
-from .seqcore import PAD_CODE, Alphabet, Sequence, element_blocks, encode_padded
+from .seqcore import Alphabet, Sequence, element_blocks, encode_padded, window_ids
 
 
 class LetterKernel:
     """A strictly positive-definite similarity on letters plus stop.
 
     Holds the ``|B| x |B|`` letter matrix, the letter-vs-stop column, and
-    fixes ``k(stop, stop) = 1``.  Strict positive definiteness of the
+    fixes ``k(stop, stop) = 1``; :attr:`extended` is indexed by letter
+    codes with stop as code ``|B|``.  Strict positive definiteness of the
     extended ``(|B|+1)``-dimensional matrix is required; it is what makes
     the induced position-wise product kernel fully flexible.
     """
@@ -64,14 +68,6 @@ class LetterKernel:
         n = alphabet.size
         return cls(alphabet, exponential_letter_matrix(n, lam),
                    stop_row=np.full(n, math.exp(-lam)))
-
-    def value(self, a: int, b: int) -> float:
-        """Evaluate on letter codes; ``PAD_CODE`` stands for stop."""
-        ext = self.extended
-        n = self.alphabet.size
-        ia = n if a == PAD_CODE else a
-        ib = n if b == PAD_CODE else b
-        return ext[ia, ib]
 
 
 class WeightedDegreeKernel(Kernel):
@@ -127,24 +123,13 @@ class WeightedDegreeKernel(Kernel):
 
 def _window_ids(xs, ys, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the stop-padded L-windows of ``xs`` and ``ys`` (``xs``
-    again when ``None``) at every position below the longest length.
-
-    Two windows share an id iff they are equal as strings over the
-    letters plus stop.  Ids grow one letter at a time and are renumbered
-    after each, so they stay below the number of windows and are exact
-    for any ``L`` and alphabet.
-    """
+    again when ``None``) at every position below the longest length,
+    from :func:`seqcore.window_ids` over both sides at once."""
     xs = list(xs)
-    seqs = xs + ([] if ys is None else list(ys))
-    size = max((s.alphabet.size for s in seqs), default=0)
-    cx, cy = _stop_coded(xs, ys, size)
+    cx, cy, stop = _stop_coded(xs, ys)
     codes = cx if ys is None else np.vstack([cx, cy])
-    width = codes.shape[1]
-    codes = np.pad(codes, ((0, 0), (0, L - 1)), constant_values=size)
-    ids = codes[:, :width]
-    for t in range(1, L):
-        ids = ids * (size + 1) + codes[:, t : t + width]
-        ids = np.unique(ids.ravel(), return_inverse=True)[1].reshape(ids.shape)
+    for ids in window_ids(codes, stop, L):
+        pass
     return (ids, ids) if ys is None else (ids[: len(xs)], ids[len(xs):])
 
 
@@ -180,18 +165,18 @@ class BasePositionwiseKernel(Kernel):
         return {"alphabet": "".join(self.letter_kernel.alphabet.letters)}
 
     def __call__(self, x: Sequence, y: Sequence) -> float:
-        lk = self.letter_kernel
-        n = max(len(x), len(y))
+        ext = self.letter_kernel.extended
+        stop = len(ext) - 1
         v = 1.0
-        for l in range(n):
-            a = x.codes[l] if l < len(x) else PAD_CODE
-            b = y.codes[l] if l < len(y) else PAD_CODE
-            v *= lk.value(a, b)
+        for l in range(max(len(x), len(y))):
+            a = x.codes[l] if l < len(x) else stop
+            b = y.codes[l] if l < len(y) else stop
+            v *= ext[a, b]
         return v
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ext = self.letter_kernel.extended
-        cx, cy = _stop_coded(xs, ys, self.letter_kernel.alphabet.size)
+        cx, cy, _ = _stop_coded(xs, ys)
         mag = np.abs(ext)
         out = _position_sum(cx, cy, np.log(np.where(mag > 0, mag, 1.0)))
         np.exp(out, out=out)
@@ -206,7 +191,7 @@ class BasePositionwiseKernel(Kernel):
         """``k(x, x)``: the letter diagonal multiplied over positions left
         to right, as the scalar call does; stop pads multiply by
         ``k_s(stop, stop) = 1``, which is exact."""
-        cx, _ = _stop_coded(xs, None, self.letter_kernel.alphabet.size)
+        cx, _, _ = _stop_coded(xs, None)
         factors = np.diag(self.letter_kernel.extended)[cx]
         out = np.ones(len(cx))
         for l in range(cx.shape[1]):
@@ -214,15 +199,15 @@ class BasePositionwiseKernel(Kernel):
         return out
 
 
-def _stop_coded(xs, ys, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Letter codes of ``xs`` and ``ys`` (``xs`` again when ``None``) at
-    one common width, with the stop symbol as code ``size``."""
+def _stop_coded(xs, ys) -> tuple[np.ndarray, np.ndarray, int]:
+    """Stop-padded letter codes of ``xs`` and ``ys`` (``xs`` again when
+    ``None``) at one common width, and the stop code ``|B|``."""
     xs = list(xs)
     ys_ = xs if ys is None else list(ys)
     width = max(map(len, xs + ys_), default=0)
-    cx = encode_padded(xs, width, pad=size)
-    cy = cx if ys is None else encode_padded(ys_, width, pad=size)
-    return cx, cy
+    cx = encode_padded(xs, width)
+    cy = cx if ys is None else encode_padded(ys_, width)
+    return cx, cy, max((s.alphabet.size for s in xs + ys_), default=0)
 
 
 def _position_sum(cx: np.ndarray, cy: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -310,10 +295,8 @@ class ImqHammingKernel(Kernel):
 
 def _hamming_matrix(xs, ys=None) -> np.ndarray:
     """Exact stop-padded Hamming distances, as floats."""
-    seqs = list(xs) + ([] if ys is None else list(ys))
-    size = max((s.alphabet.size for s in seqs), default=0)
-    cx, cy = _stop_coded(xs, ys, size)
-    return _position_sum(cx, cy, 1.0 - np.eye(size + 1))
+    cx, cy, stop = _stop_coded(xs, ys)
+    return _position_sum(cx, cy, 1.0 - np.eye(stop + 1))
 
 
 def imq_hamming_kernel(C: float = 1.0, beta: float = 2.0) -> ImqHammingKernel:
@@ -371,11 +354,12 @@ def lag_window_mismatches(x: Sequence, y: Sequence, L: int) -> int:
     """
     n = max(len(x), len(y))
     cx, cy = x.codes, y.codes
+    stop = x.alphabet.size
     d = 0
     for l in range(n):
         for t in range(L):
-            a = cx[l + t] if l + t < len(cx) else PAD_CODE
-            b = cy[l + t] if l + t < len(cy) else PAD_CODE
+            a = cx[l + t] if l + t < len(cx) else stop
+            b = cy[l + t] if l + t < len(cy) else stop
             if a != b:
                 d += 1
                 break

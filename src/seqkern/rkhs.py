@@ -9,12 +9,12 @@ blow-ups or singular Grams expose degenerate kernels.
 
 A :class:`GramMatrix` pays only for the factorisations its tasks use:
 construction tries one shifted Cholesky factorisation, which both
-validates ``K`` and certifies it nonsingular, and falls back to a
-second, validating one only when that fails; ridge fits factor once
-more, and minimum-norm fits and the diagnostic use one Cholesky factor
-of a certified ``K``.  Eigenvalues alone serve the minimum eigenvalue
-and the singularity rule of an uncertified Gram; eigenvectors are
-computed only for the solves that need them.  The diagnostic builds one
+validates ``K`` and certifies it nonsingular, and lets the eigenvalues
+decide only when that fails; ridge fits factor once more, and
+minimum-norm fits and the diagnostic use one Cholesky factor of a
+certified ``K``.  Eigenvalues alone serve the minimum eigenvalue, the
+PSD rule and the singularity rule of an uncertified Gram; eigenvectors
+are computed only for the solves that need them.  The diagnostic builds one
 Gram, over the largest set, and reads every smaller set's Gram as a
 leading block of it.  Triangular solves are blocked substitutions in
 numpy, O(n^2) per right-hand side.
@@ -50,10 +50,9 @@ class GramMatrix:
     (``rtol = SINGULAR_RTOL``), every eigenvalue exceeds
     ``2 rtol ||K||_inf >= 2 rtol lambda_max`` up to round-off, so the
     Gram is positive definite and nonsingular at relative tolerance
-    ``rtol``.  Otherwise positive semidefiniteness (to round-off) is
-    checked by one Cholesky factorisation of ``K + PSD_RTOL tr(K) I``,
-    and only when that fails do the eigenvalues decide, naming the
-    minimum one in the error.
+    ``rtol``.  Otherwise the eigenvalues decide positive
+    semidefiniteness (to round-off, ``PSD_RTOL tr(K)``), naming the
+    minimum one in the error; the singularity rule needs them anyway.
 
     A certified Gram's :meth:`is_singular`, :meth:`solve_pinv` and the
     diagnostic's ``(K^-1)_tt`` use a Cholesky factor of ``K``.  Without
@@ -77,8 +76,8 @@ class GramMatrix:
                 raise NumericalError("Gram matrix is not symmetric")
             entries = 0.5 * (entries + entries.T)
         self._init(kernel, sequences, entries, _certifies(entries))
-        # K - sI > 0 with s > 0 implies K + slack I > 0: certified Grams are valid
-        if n and not self._certified and _cholesky(entries, self._psd_slack()) is None:
+        # K - sI > 0 with s > 0: certified Grams are positive definite
+        if not self._certified:
             self._check_psd()
 
     def _init(self, kernel: Kernel, sequences: list, entries: np.ndarray,
@@ -90,16 +89,13 @@ class GramMatrix:
         self._eig: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._blocks: dict[int, GramMatrix] = {}
 
-    def _psd_slack(self) -> float:
-        return PSD_RTOL * max(float(np.trace(self.entries)), 1e-300)
-
     def _check_psd(self) -> None:
         """The eigenvalue rule: min eigenvalue >= -PSD_RTOL * trace."""
-        if self.min_eigenvalue < -self._psd_slack():
+        trace = float(np.trace(self.entries))
+        if self.min_eigenvalue < -PSD_RTOL * max(trace, 1e-300):
             raise NumericalError(
                 f"Gram matrix is not positive semidefinite "
-                f"(min eigenvalue {self.min_eigenvalue:.3e}, "
-                f"trace {float(np.trace(self.entries)):.3e})"
+                f"(min eigenvalue {self.min_eigenvalue:.3e}, trace {trace:.3e})"
             )
 
     def __len__(self) -> int:

@@ -18,9 +18,6 @@ from .errors import DataError
 
 STOP = "$"
 
-#: Pad code used when sequences are packed into fixed-width integer arrays.
-PAD_CODE = -1
-
 #: Element cap on each temporary of the vectorised kernels' blocked loops.
 BLOCK_ELEMENTS = 2**20
 
@@ -200,20 +197,39 @@ def enumerate_up_to(alphabet: Alphabet, L_max: int) -> list[Sequence]:
     return out
 
 
-def encode_padded(seqs: list[Sequence], width: Optional[int] = None,
-                  pad: int = PAD_CODE) -> np.ndarray:
-    """Pack sequences into an ``(n, width)`` int array padded with ``pad``.
+def encode_padded(seqs: list[Sequence], width: Optional[int] = None) -> np.ndarray:
+    """Pack sequences into an ``(n, width)`` int array padded with stop.
 
-    The default pad code stands in for the stop symbol in vectorised
-    kernels.  Every code is read in one pass over the padded tuples.
+    The stop code is the alphabet size ``|B|``, one past the letters, so
+    a table over the letters plus stop is indexed by codes directly.
+    Every code is read in one pass over the padded tuples.
     """
     if width is None:
         width = max(map(len, seqs), default=0)
     elif any(len(s) > width for s in seqs):
         raise ValueError("sequence longer than requested width")
-    tail = (pad,) * width
+    tail = (seqs[0].alphabet.size if seqs else 0,) * width
     flat = itertools.chain.from_iterable([s.codes + tail[len(s):] for s in seqs])
     return np.fromiter(flat, dtype=np.int64, count=len(seqs) * width).reshape(len(seqs), width)
+
+
+def window_ids(codes: np.ndarray, stop: int, L: int) -> Iterator[np.ndarray]:
+    """For ``l = 1 .. L``, the ids of the windows ``codes[i, p : p + l]``.
+
+    ``codes`` is stop-padded and read as ``stop`` past its end too; two
+    windows share an id iff they are equal as strings over the letters
+    plus stop.  Ids grow one letter at a time and are renumbered by
+    ``np.unique`` after each, so they stay below the number of windows
+    and are exact for any ``L`` and alphabet.
+    """
+    width = codes.shape[1]
+    padded = np.pad(codes, ((0, 0), (0, L - 1)), constant_values=stop)
+    ids = codes
+    yield ids
+    for t in range(1, L):
+        ids = ids * (stop + 1) + padded[:, t : t + width]
+        ids = np.unique(ids.ravel(), return_inverse=True)[1].reshape(ids.shape)
+        yield ids
 
 
 def element_blocks(count: int, per_item: int) -> list[slice]:

@@ -2,8 +2,9 @@
 
 The finite spectrum kernel counts shared kmers up to a length cap and is
 the classic baseline; its feature space is finite, which caps its
-flexibility; its matrices are products of kmer count features.  The
-infinite spectrum kernel counts shared kmers of every length (plus an
+flexibility; its matrices are products of kmer count features, keyed by
+the window ids of ``seqcore.window_ids`` that ``positional`` uses too.
+The infinite spectrum kernel counts shared kmers of every length (plus an
 empty-kmer unit term) and coincides with a tilted local alignment
 kernel whose insertions are forbidden, which is how it earns discrete
 masses and an O(|x| |y|) evaluation.  Gapped kmer features
@@ -25,7 +26,7 @@ from .alignment import AlignmentSumKernel, check_gap_penalties, check_positive
 from .alignment import alignment_dp_R  # noqa: F401 (bench/tracing.py wraps it here)
 from .core import HAS_MASSES, LACKS_MASSES, Kernel
 from .errors import DataError
-from .seqcore import PAD_CODE, Sequence, element_blocks, encode_padded
+from .seqcore import Sequence, element_blocks, encode_padded, window_ids
 
 
 class FiniteSpectrumKernel(Kernel):
@@ -37,13 +38,12 @@ class FiniteSpectrumKernel(Kernel):
 
     Matrices are products of count features, ``K = sum_l F_l F_l^T``
     with ``F_l[n, V] = occ(V, x_n)`` over the kmers ``V`` of length
-    ``l`` that occur (Leslie, Eskin & Noble 2002).  Kmer ids come from
-    the stop-free windows, grown one letter at a time and renumbered by
-    ``np.unique`` after each, so they are exact for any length and
-    alphabet.  ``F_l`` is built in column blocks under
-    ``BLOCK_ELEMENTS``, so memory does not grow as n times the number of
-    distinct kmers.  Every sum is an integer, so the values are exact
-    and a symmetric matrix is exactly symmetric.
+    ``l`` that occur (Leslie, Eskin & Noble 2002).  Kmer ids are the
+    exact ids of ``seqcore.window_ids``, kept for the windows that lie
+    inside their sequence and renumbered over those.  ``F_l`` is built
+    in column blocks under ``BLOCK_ELEMENTS``, so memory does not grow
+    as n times the number of distinct kmers.  Every sum is an integer,
+    so the values are exact and a symmetric matrix is exactly symmetric.
     """
 
     family = "finite_spectrum"
@@ -94,22 +94,23 @@ class FiniteSpectrumKernel(Kernel):
 def _kmer_windows(seqs, L_max: int):
     """``(rows, ids, count)`` for each kmer length ``l = 1 .. L_max``.
 
-    Over the stop-free length-``l`` windows of ``seqs``: the sequence
-    index of each window and its kmer id in ``[0, count)``; two windows
-    share an id iff they spell the same kmer.  Stops at the first length
-    no sequence reaches.
+    Over the length-``l`` windows that lie inside their sequence: the
+    sequence index of each window and its kmer id in ``[0, count)``; two
+    windows share an id iff they spell the same kmer.  Stops at the
+    first length no sequence reaches.
     """
-    size = max((s.alphabet.size for s in seqs), default=1)
+    stop = max((s.alphabet.size for s in seqs), default=0)
     codes = encode_padded(seqs)
-    ids = np.zeros_like(codes)  # id of the window starting at each position
-    for l in range(1, L_max + 1):
-        rows, pos = np.nonzero(codes[:, l - 1:] != PAD_CODE)
+    for l, ids in enumerate(window_ids(codes, stop, L_max), start=1):
+        # a window lies inside iff its last letter does
+        rows, pos = np.nonzero(codes[:, l - 1:] != stop)
         if not rows.size:
             return
-        uniq, window_ids = np.unique(ids[rows, pos] * size + codes[rows, pos + l - 1],
-                                     return_inverse=True)
-        yield rows, window_ids, len(uniq)
-        ids[rows, pos] = window_ids
+        kept = ids[rows, pos]
+        present = np.zeros(kept.max() + 1, dtype=bool)
+        present[kept] = True
+        renumber = np.cumsum(present) - 1  # in id order, over [0, count)
+        yield rows, renumber[kept], int(renumber[-1]) + 1
 
 
 def finite_spectrum_kernel(L_max: int) -> FiniteSpectrumKernel:

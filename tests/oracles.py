@@ -97,6 +97,12 @@ def padded_window_mismatches(x: Sequence, y: Sequence, L: int) -> int:
     return sum(sx[l : l + L] != sy[l : l + L] for l in range(n))
 
 
+def window_matches(x: Sequence, y: Sequence, L: int) -> int:
+    """Count positions whose width-L windows both lie inside and spell the same string."""
+    sx, sy = str(x), str(y)
+    return sum(sx[l : l + L] == sy[l : l + L] for l in range(min(len(sx), len(sy)) - L + 1))
+
+
 def substring_counts(x: Sequence, length: int) -> Counter:
     """Occurrence counts of every length-``length`` substring of ``x``."""
     return Counter(x.codes[i : i + length] for i in range(len(x) - length + 1))

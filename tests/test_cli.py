@@ -381,6 +381,23 @@ class TestDiagnoseCommand:
         assert code == 0
         assert calls == [341, 341]
 
+    def test_uncertified_diagnose_factors_only_for_certificates(self, tmp_path, monkeypatch):
+        # the Gram and each leading block try the certificate and fail;
+        # the eigenvalues the diagnostic needs anyway decide the PSD rule
+        import seqkern.rkhs
+        calls = []
+
+        def counting_cholesky(K, shift, _cholesky=seqkern.rkhs._cholesky):
+            calls.append(len(K))
+            return _cholesky(K, shift)
+
+        monkeypatch.setattr(seqkern.rkhs, "_cholesky", counting_cholesky)
+        code = main(["diagnose", "--alphabet", "dna", "--target", "GA", "--cutoffs", "2,3,4",
+                     "--output", str(tmp_path / "diag.csv"),
+                     "--family", "weighted_degree", "--L", "2"])
+        assert code == 0
+        assert calls == [341, 21, 85]
+
     def test_set_files_in_any_order(self, tmp_path):
         # the largest set listed out of prefix order gives the C values
         # (and sizes) of the same sets listed in prefix order

@@ -137,6 +137,18 @@ class TestScaledEmbedding:
         with pytest.raises(DataError):
             scaled_embedding(base, 0.0, 4)
 
+    def test_only_the_scaled_vector_is_cached(self):
+        base = random_ball_embedding(seed=3, dim=5)
+        emb = scaled_embedding(base, 0.1, AB.size)
+        xs = enumerate_up_to(AB, 3)
+        M = emb.matrix(xs)
+        assert base._cache == {}
+        assert len(emb._cache) == len(xs)
+        reference = random_ball_embedding(seed=3, dim=5)
+        for x, row in zip(xs, M):
+            scale = AB.size ** ((1.0 + 0.1) * len(x) / 5)
+            assert np.array_equal(row, scale * reference.vector(x))
+
 
 class TestEmbeddingKernel:
     def test_unit_self_similarity(self):

@@ -29,7 +29,7 @@ from seqkern.positional import _hamming_matrix, lag_window_mismatches
 from seqkern.seqcore import PROTEIN
 
 from conftest import random_distinct_sequences, random_sequence
-from oracles import gamma_quadrature, padded_window_mismatches
+from oracles import gamma_quadrature, padded_window_mismatches, window_matches
 
 DNA = Alphabet("ACGT")
 AB = Alphabet("AB")
@@ -312,6 +312,34 @@ class TestImqHammingLag:
         assert k(seq(DNA, "ATGC"), seq(DNA, "ATCC")) == pytest.approx(1.0 / 3.0, rel=1e-14)
         # ATGC vs ATCA differs in the windows at positions 1, 2, 3
         assert k(seq(DNA, "ATGC"), seq(DNA, "ATCA")) == pytest.approx(1.0 / 4.0, rel=1e-14)
+
+
+class TestWindowKernelsOnMixedLengths:
+    """Both window kernels against string oracles, on the empty sequence,
+    sequences shorter than the window and a window longer than all."""
+
+    XS = [empty(DNA)] + random_distinct_sequences(np.random.default_rng(40), DNA, 20, 9,
+                                                  min_len=1)
+    YS = random_distinct_sequences(np.random.default_rng(41), DNA, 6, 11)
+
+    def blocks(self, k, value):
+        for left, right in ((self.XS, None), (self.XS, self.YS), (self.YS, self.XS[:4])):
+            right_ = left if right is None else right
+            yield k.pairwise(left, right), [[value(x, y) for y in right_] for x in left]
+        yield k.self_similarities(self.XS), [value(x, x) for x in self.XS]
+
+    @pytest.mark.parametrize("L", [1, 2, 4, 12])
+    def test_weighted_degree_counts_window_matches(self, L):
+        k = weighted_degree_kernel(L)
+        for got, expected in self.blocks(k, lambda x, y: window_matches(x, y, L)):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("L", [1, 2, 4, 12])
+    def test_imq_hamming_lag_counts_padded_window_mismatches(self, L):
+        k = imq_hamming_lag_kernel(1.3, 1.7, L)
+        value = lambda x, y: (1.3 + padded_window_mismatches(x, y, L)) ** -1.7
+        for got, expected in self.blocks(k, value):
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
 
 class TestCentreJustified:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from seqkern import (
     seq,
     window,
 )
+from seqkern.seqcore import encode_padded, window_ids
 
 
 def make_seq(alphabet, codes):
@@ -135,6 +138,24 @@ class TestWindow:
     def test_window_length_must_be_positive(self):
         with pytest.raises(ValueError):
             window(seq(DNA, "A"), 0, 0)
+
+
+class TestStopPaddedCodes:
+    def test_pads_with_the_alphabet_size(self):
+        codes = encode_padded([seq(DNA, "GA"), empty(DNA), seq(DNA, "T")])
+        assert codes.tolist() == [[2, 0], [4, 4], [3, 4]]
+        assert encode_padded([seq(AB, "B")], width=3).tolist() == [[1, 2, 2]]
+        assert encode_padded([]).shape == (0, 0)
+
+    def test_window_ids_are_equal_iff_padded_windows_are(self):
+        seqs = [empty(DNA), seq(DNA, "A"), seq(DNA, "AC"), seq(DNA, "ACA"), seq(DNA, "CA")]
+        codes = encode_padded(seqs)
+        for L, ids in enumerate(window_ids(codes, DNA.size, 5), start=1):
+            assert ids.shape == codes.shape
+            windows = [(str(s) + "$" * (codes.shape[1] + L))[p : p + L]
+                       for s in seqs for p in range(codes.shape[1])]
+            for (a, u), (b, v) in itertools.combinations(zip(ids.ravel(), windows), 2):
+                assert (a == b) == (u == v), (L, u, v)
 
 
 class TestEnumerateSequences:

@@ -98,9 +98,10 @@ class TestFiniteSpectrum:
         with pytest.raises(DataError):
             finite_spectrum_kernel(0)
 
-    @pytest.mark.parametrize("L_max", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L_max", [1, 2, 3, 4, 12])
     def test_count_features_equal_the_counter_oracle(self, L_max):
-        # the empty sequence and sequences shorter than L_max among them
+        # the empty sequence and sequences shorter than L_max among them;
+        # L_max = 12 is longer than every sequence
         k = finite_spectrum_kernel(L_max)
         rng = np.random.default_rng(30 + L_max)
         seqs = enumerate_up_to(AB, 2) + random_distinct_sequences(rng, AB, 12, 9, min_len=3)
