@@ -22,14 +22,25 @@ exactly once.  Each cell holds a vector indexed by how many matched
 pairs satisfy a marker predicate, which is what the heavy-tailed
 variants integrate over.
 
-The engine loops in Python over DP rows only; each row is one numpy pass
-over (column, pair, count).  ``M`` and ``I_X`` read only the previous
-row.  The in-row insertion recurrence ``I_Y[j] = u[j] + e I_Y[j-1]``,
-with ``u[j] = e_open (M + I_X)[j-1]`` and ``e = exp(-mu)``, is the
-lower-triangular product ``I_Y = T u`` with ``T[j, k] = e**(j - k)``
-(the code folds ``e_open`` and the one-column shift into ``T``).  With a
-nonnegative letter kernel every term is nonnegative, so the product
-costs a few ulps against the sequential recurrence and no cancellation.
+The engine loops in Python over DP rows only, and updates buffers
+allocated once per chunk in place.  Each matched pair adds at most one
+mark, so row ``i`` reaches the counts ``0 .. i`` only, and a row's
+operations run on the counts it reaches.  ``M`` and ``I_X`` read only
+the previous row; they are laid out (count, column, pair), so the
+reached counts are a leading block over which the row's letter scores
+broadcast.  A marker splits the letter scores once into unmarked and
+marked parts, so moving the marked matches up one count is a second
+product, not a copy.  The in-row insertion recurrence
+``I_Y[j] = u[j] + e I_Y[j-1]``, with ``u[j] = e_open (M + I_X)[j-1]``
+and ``e = exp(-mu)``, is the lower-triangular product ``I_Y = T u`` with
+``T[j, k] = e**(j - k)`` (the code folds ``e_open`` and the one-column
+shift into ``T``).  ``M + I_X`` and ``I_Y`` are laid out (column,
+count, pair), so the product over the reached counts is one matrix
+product however few pairs a chunk holds.  With a nonnegative letter
+kernel every term is nonnegative, so the product costs a few ulps
+against the sequential recurrence and no cancellation.  How BLAS rounds
+it can depend on the product's width, so values can differ in the last
+place with the batch they are computed in.
 
 Pairs of different lengths share padded tables.  A cell depends only on
 cells with smaller indices, so a pair's result, read at its own
@@ -207,8 +218,9 @@ def _gap_factors(mu: float, delta_mu: float) -> tuple[float, float]:
     return ext, start
 
 
-#: element cap per engine chunk, for the (column, pair, count) tables
-#: and the (row, column, pair) letter scores alike: 2 MB of float64 each
+#: element cap per engine chunk, for each DP row table (a column, count
+#: and pair each) and the (row, column, pair) letter scores alike: 2 MB
+#: of float64 each
 CHUNK_ELEMENTS = 2 ** 18
 
 
@@ -223,15 +235,20 @@ def alignment_R_pairs(seqs, i: np.ndarray, j: np.ndarray, ks: np.ndarray, mu: fl
     :func:`alignment_dp_R`) for the global kernel or, with ``local``,
     the local one.  Rows are zero-padded to one length: the batch's
     largest ``min(|x|, |y|) + 1``, or 1 when ``ltype`` marks nothing, so
-    ``R[:, 0]`` is then the kernel value.  Raises
+    ``R[:, 0]`` is then the kernel value.  Raises :class:`DataError`
+    unless ``ks`` is ``|B| x |B|`` for the sequences' alphabet, and
     :class:`NumericalError` naming the lengths of the first pair whose
     sums overflow.
     """
     K = np.asarray(ks, dtype=float)
-    lmat = _ltype_matrix(ltype, K.shape[0])
+    size = seqs[0].alphabet.size if seqs else K.shape[0]
+    if K.shape != (size, size):
+        raise DataError(f"letter matrix has shape {K.shape}, but the sequences' "
+                        f"alphabet has {size} letters")
+    lmat = _ltype_matrix(ltype, size)
     # the stop code pads: it scores zero and marks nothing
-    K = np.pad(K, (0, 1))
-    lmat = None if lmat is None else np.pad(lmat, (0, 1))
+    K = _with_stop(K)
+    lmat = None if lmat is None else _with_stop(lmat)
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
     codes = encode_padded(seqs)
     nx, ny = lengths.take(i), lengths.take(j)
@@ -246,6 +263,13 @@ def alignment_R_pairs(seqs, i: np.ndarray, j: np.ndarray, ks: np.ndarray, mu: fl
         raise NumericalError(
             f"alignment recursion overflowed on |x|={nx[p]}, |y|={ny[p]}"
         )
+    return out
+
+
+def _with_stop(table: np.ndarray) -> np.ndarray:
+    """``table`` with a zero row and column appended for the stop code."""
+    out = np.zeros((len(table) + 1, len(table) + 1), dtype=table.dtype)
+    out[:-1, :-1] = table
     return out
 
 
@@ -296,9 +320,19 @@ def _chunk_R(cx: np.ndarray, cy: np.ndarray, nx: np.ndarray, ny: np.ndarray,
 
     ``cx`` and ``cy`` hold the pairs' code rows, stop past each length;
     ``K`` and ``lmat`` have a stop row and column that score zero and
-    mark nothing.
-    Tables hold one DP row as ``(column, pair, count)`` arrays; the
-    letter scores ``S[i - 1]`` of row ``i`` are ``(column, pair)``.
+    mark nothing.  Returns the chunk's rows of ``R``.
+
+    A DP row lives in buffers allocated once and updated in place.  Row
+    ``i`` reaches the counts ``0 .. min(i, nl - 1)`` only, since each
+    matched pair adds at most one mark, so every row operation runs on
+    the first ``c`` counts and the counts past them stay zero.  ``M``
+    and ``I_X`` are ``(count, column, pair)`` arrays: the reached counts
+    are a leading block, over which the letter scores ``S[i - 1]`` of
+    row ``i``, ``(column, pair)``, broadcast.  ``M + I_X`` and ``I_Y``
+    are ``(column, count * pair)`` arrays, so the insertion product over
+    the reached counts is one matrix product however few the pairs.  A
+    marker splits the scores once into unmarked and marked parts, so a
+    row's count shift is two products.
     """
     P, mx, my = len(nx), int(nx.max()), int(ny.max())
     nl = 1 if lmat is None else int(np.minimum(nx, ny).max()) + 1
@@ -308,54 +342,64 @@ def _chunk_R(cx: np.ndarray, cy: np.ndarray, nx: np.ndarray, ny: np.ndarray,
     cols = np.arange(my + 1)[:, None]
     padded_col = cols > ny
     S = K[X[:, None, :], Y[None, :, :]]
-    marked = None if lmat is None else lmat[X[:, None, :], Y[None, :, :]][..., None]
+    if lmat is not None:
+        marked = lmat[X[:, None, :], Y[None, :, :]]
+        S, S_marked = S * ~marked, S * marked  # unmarked and marked matches
     e_ext, e_open = _gap_factors(mu, delta_mu)
     gaps = e_open > 0
-    # I_Y[j] = sum_{k < j} e_open e_ext**(j - 1 - k) (M + I_X)[k]
-    lag = cols - cols.T - 1
-    T = np.where(lag >= 0, e_open * e_ext ** np.maximum(lag, 0), 0.0)
+    if gaps:
+        # I_Y[j] = sum_{k < j} e_open e_ext**(j - 1 - k) (M + I_X)[k]
+        lag = cols - cols.T - 1
+        T = np.where(lag >= 0, e_open * e_ext ** np.maximum(lag, 0), 0.0)
 
-    M = np.zeros((my + 1, P, nl))
-    IX = np.zeros_like(M)
-    IY = np.zeros_like(M)
-    R = np.zeros((P, nl))
+    M, IX, scratch = (np.zeros((nl, my + 1, P)) for _ in range(3))
+    inner = np.zeros((nl, my, P))
+    MX, IY = (np.zeros((my + 1, nl * P)) for _ in range(2))
+    R = np.zeros((nl, P))
     if local:
-        R[:, 0] = np.exp(-mu * (nx + ny))  # the matchless alignment
+        R[0] = np.exp(-mu * (nx + ny))  # the matchless alignment
         lead = np.exp(-mu * (rows[:-1, :, 0] + cols[:-1, 0]))[..., None]
         ends = (rows <= nx) & ~padded_col  # the pair's own cells ...
-        tails = np.exp(-mu * np.where(ends, (nx - rows) + (ny - cols), 0))[..., None]
+        tails = np.exp(-mu * np.where(ends, (nx - rows) + (ny - cols), 0))
     else:
-        M[0, :, 0] = 1.0
+        M[0, 0] = 1.0
         by_rows = np.argsort(nx, kind="stable")
         starts = np.searchsorted(nx[by_rows], np.arange(mx + 2))
-    for i in range(mx + 1):
-        if i:
-            inner = MX[:-1] + IY[:-1]
-            if local:
-                inner[..., 0] += lead[i - 1]
-            if marked is not None:
-                up = np.zeros_like(inner)
-                up[..., 1:] = inner[..., :-1]
-                inner = np.where(marked[i - 1], up, inner)
+    # an invalid value needs an overflow first, which warns and fails the
+    # results check if it reaches a real cell; padded inputs are zero, so
+    # a NaN from T's zeros can only meet a real cell that overflowed
+    with np.errstate(invalid="ignore"):
+        for i in range(mx + 1):
+            if i < nl:  # the reach grows by one count per row
+                c = i + 1
+                m, ix, inn, tmp = M[:c], IX[:c], inner[:c], scratch[:c]
+                mix, iy = MX[:, : c * P], IY[:, : c * P]
+                # the same cells as (count, column, pair) views
+                mix_c, iy_c = (a.reshape(my + 1, c, P).transpose(1, 0, 2) for a in (mix, iy))
+            if i:
+                np.add(mix_c[:, :-1], iy_c[:, :-1], out=inn)
+                if local:
+                    inn[0] += lead[i - 1]
+                if gaps:
+                    ix *= e_ext
+                    ix += np.multiply(m, e_open, out=tmp)
+                if i == 1:
+                    m[0, 0] = 0.0  # the global start cell is row 0's alone
+                np.multiply(S[i - 1], inn, out=m[:, 1:])
+                if lmat is not None:
+                    m[1:, 1:] += np.multiply(S_marked[i - 1], inn[:-1], out=tmp[1:, 1:])
+            np.add(m, ix, out=mix_c)
+            np.copyto(mix_c, 0.0, where=padded_col)
             if gaps:
-                IX = e_open * M + e_ext * IX
-            M = np.zeros_like(M)
-            M[1:] = S[i - 1][..., None] * inner
-        MX = M + IX
-        MX[padded_col] = 0.0
-        if gaps:
-            # padded inputs are zero, so a NaN from T's zeros can only meet
-            # a real cell that overflowed, which the results check reports
-            with np.errstate(invalid="ignore"):
-                IY = (T @ MX.reshape(my + 1, -1)).reshape(MX.shape)
-        if local:
-            # ... each weighted by the boundary runs that close it
-            R += np.where(ends[i][..., None], M * tails[i], 0.0).sum(axis=0)
-        elif starts[i] < starts[i + 1]:
-            done = by_rows[starts[i] : starts[i + 1]]
-            at = ny[done]
-            R[done] = MX[at, done] + IY[at, done]
-    return R
+                np.matmul(T, mix, out=iy)
+            if local:
+                # ... each weighted by the boundary runs that close it
+                R[:c] += np.where(ends[i], m * tails[i], 0.0).sum(axis=1)
+            elif starts[i] < starts[i + 1]:
+                done = by_rows[starts[i] : starts[i + 1]]
+                at = ny[done]
+                R[:c, done] = mix_c[:, at, done] + iy_c[:, at, done]
+    return R.T
 
 
 #: index arrays of the one pair ``(seqs[0], seqs[1])``

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqkern import (
     Alphabet,
@@ -513,6 +514,17 @@ class TestBatchedEngine:
         with pytest.raises(NumericalError, match=r"\|x\|=5, \|y\|=3"):
             k.pairwise(list(reversed(xs)), ys)
 
+    def test_letter_matrix_must_fit_the_alphabet(self):
+        # unchecked, a matrix over fewer letters would score a letter by the
+        # stop code's zero row, and one over more by its extra row as stop
+        seqs = [seq(AB, "AB"), seq(AB, "BBA")]
+        first, second = np.array([0]), np.array([1])
+        for ks in (np.eye(1), exponential_letter_matrix(3, 0.7)):
+            with pytest.raises(DataError, match=rf"shape \({len(ks)}, {len(ks)}\).* 2 letters"):
+                alignment_R_pairs(seqs, first, second, ks, 0.3, 0.5, "all")
+        with pytest.raises(DataError, match=r"shape \(1, 1\).* 2 letters"):
+            heavy_tailed_gapped_spectrum(1, 1.5, 1.3, 0.5).pairwise(seqs)
+
 
 def _greedy_chunks(nx, ny, counted, cap):
     """The pair-by-pair greedy cut: pairs in ``(|x|, |y|)`` order; a chunk
@@ -600,3 +612,59 @@ class TestIndexPairs:
             np.testing.assert_array_equal(R, row[: len(R)])
             assert alignment_value(x, y, ks, 0.4, 0.5) == \
                 alignment_R_pairs([x, y], first, second, ks, 0.4, 0.5)[0, 0]
+
+
+ALPHABETS = [Alphabet("A"), AB, Alphabet("ABC")]
+
+
+@st.composite
+def engine_batches(draw):
+    """A batch of index pairs over mixed-length sequences, the empty one
+    included, with every engine argument that shapes the count axis."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    size = alphabet.size
+    words = draw(st.lists(st.lists(st.integers(0, size - 1), max_size=5),
+                          min_size=1, max_size=6))
+    seqs = [empty(alphabet)] + [Sequence(alphabet, tuple(w)) for w in words]
+    index = st.integers(0, len(seqs) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=10))
+    # the longest pair sits in the batch with the empty sequence's pairs,
+    # so short pairs run below the batch's count width
+    longest = max(range(len(seqs)), key=lambda a: len(seqs[a]))
+    pairs += [(longest, longest), (0, longest)]
+    marker = draw(st.sampled_from(["none", "mismatch", "all", "matrix"]))
+    if marker == "matrix":
+        marker = np.array(draw(st.lists(st.lists(st.booleans(), min_size=size,
+                                                 max_size=size),
+                                        min_size=size, max_size=size)))
+    return dict(seqs=seqs, pairs=pairs, marker=marker,
+                lam=draw(st.floats(0.1, 2.0)), mu=draw(st.floats(0.0, 1.0)),
+                delta_mu=draw(st.sampled_from(DMU_GRID)), local=draw(st.booleans()),
+                cap=draw(st.sampled_from([alignment_module.CHUNK_ELEMENTS, 40])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_batches())
+def test_count_rows_equal_the_enumeration(batch):
+    """Every row of ``alignment_R_pairs`` is the pair's alignment sum by
+    marked count, and exactly zero past the pair's reach."""
+    seqs, marker, size = batch["seqs"], batch["marker"], batch["seqs"][0].alphabet.size
+    i, j = (np.array(side) for side in zip(*batch["pairs"]))
+    ks = exponential_letter_matrix(size, batch["lam"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alignment_module, "CHUNK_ELEMENTS", batch["cap"])
+        R = alignment_R_pairs(seqs, i, j, ks, batch["mu"], batch["delta_mu"], marker,
+                              batch["local"])
+    if isinstance(marker, str):
+        ell = {"none": None, "mismatch": lambda a, b: int(a != b),
+               "all": lambda a, b: 1}[marker]
+    else:
+        ell = lambda a, b: int(marker[a, b])  # noqa: E731
+    for a, b, row in zip(i, j, R):
+        x, y = seqs[a], seqs[b]
+        by_count = alignment_sum_by_count(x, y, exp_ks_fn(batch["lam"]), batch["mu"],
+                                          batch["delta_mu"], ell, batch["local"])
+        reach = min(len(x), len(y)) + 1 if ell is not None else 1
+        expected = [by_count.get(L, 0.0) for L in range(reach)]
+        np.testing.assert_allclose(row[:reach], expected, rtol=1e-12, atol=0)
+        assert not row[reach:].any()
