@@ -43,6 +43,7 @@ from .embedding import (
 from .errors import ConfigError, DataError, NumericalError, SeqKernError
 from .optimize import (
     Edit,
+    Edits,
     OptimizationTrace,
     greedy_mmd_optimize,
     length_statistics,

@@ -241,6 +241,7 @@ def alignment_R_pairs(seqs, i: np.ndarray, j: np.ndarray, ks: np.ndarray, mu: fl
     sums overflow.
     """
     K = np.asarray(ks, dtype=float)
+    codes = encode_padded(seqs)
     size = seqs[0].alphabet.size if seqs else K.shape[0]
     if K.shape != (size, size):
         raise DataError(f"letter matrix has shape {K.shape}, but the sequences' "
@@ -250,7 +251,6 @@ def alignment_R_pairs(seqs, i: np.ndarray, j: np.ndarray, ks: np.ndarray, mu: fl
     K = _with_stop(K)
     lmat = None if lmat is None else _with_stop(lmat)
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
-    codes = encode_padded(seqs)
     nx, ny = lengths.take(i), lengths.take(j)
     width = 1 if lmat is None else int(np.minimum(nx, ny).max(initial=0)) + 1
     out = np.zeros((len(nx), width))

@@ -206,7 +206,8 @@ def cmd_mmd_test(args) -> int:
 def cmd_optimize(args) -> int:
     kernel_cfg, data_cfg, run_cfg, alphabet, seed = _gather(args)
     max_steps = _to_int("max_steps", run_cfg.get("max_steps", 100), minimum=1)
-    min_improvement = _to_float("min_improvement", run_cfg.get("min_improvement", 1e-12))
+    min_improvement = _to_float("min_improvement", run_cfg.get("min_improvement", 1e-12),
+                                minimum=0)
     normalize = _to_bool("normalize_trace", run_cfg.get("normalize_trace", False))
     if _is_pair_family(kernel_cfg):
         raise ConfigError("optimize does not support kernels on sequence pairs")

@@ -99,6 +99,18 @@ class Kernel:
         i = np.arange(len(xs))
         return self.batch(xs, i, i)
 
+    def neighbour_values(self, edits, ys: Seq) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, d)`` for the neighbours ``z_i`` that single-letter
+        ``edits`` (an :class:`optimize.Edits`) of one sequence reach:
+        ``K[i, j] = k(z_i, ys[j])`` and ``d[i] = k(z_i, z_i)``.
+
+        Builds the neighbours and asks :meth:`pairwise` and
+        :meth:`self_similarities`; a family that can score edits without
+        building them overrides this.
+        """
+        zs = edits.sequences()
+        return self.pairwise(zs, ys), self.self_similarities(zs)
+
     def normalized(self) -> "Kernel":
         """Tilt by ``k(x, x)**-0.5`` so the diagonal becomes 1.
 

@@ -9,6 +9,20 @@ insertion next to an equal letter, for example); each distinct
 neighbour is scored once and its value shared by every edit that
 reaches it, so ties still go to the first edit in canonical order.
 
+A step's edits are arrays (:class:`Edits`), and the duplicates follow
+from the current sequence alone, so no neighbour is built to find them.
+The kernel scores the distinct ones through
+:meth:`Kernel.neighbour_values`, which by default builds those
+neighbours for one ``pairwise`` and one ``self_similarities`` call.
+``imq_hamming`` overrides it: a neighbour's Hamming distance to an atom
+follows from the current sequence's prefix and suffix match counts
+against that atom at shifts -1, 0 and +1, exact integers, so its values
+equal those of the built neighbours bit for bit and only the accepted
+neighbour is ever built.  From a 28-residue protein start against 300
+atoms that step takes about 4 ms instead of about 16 ms (2 vCPUs, BLAS
+at 2 threads); wrapped ``imq_hamming`` kernels (normalized, sums) take
+the default.
+
 Kernels that do not metrize the space of distributions can send the
 walk off towards ever-longer (or degenerate) sequences; a metrizing
 kernel stops that runaway.  It does not make the minimising point mass
@@ -22,6 +36,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +45,7 @@ import numpy as np
 from .core import Kernel
 from .errors import DataError
 from .rkhs import EmpiricalMeasure
-from .seqcore import Sequence
+from .seqcore import Sequence, shared_alphabet
 
 
 @dataclass(frozen=True)
@@ -70,35 +85,111 @@ class OptimizationTrace:
         return self.steps[-1]
 
 
+class Edits:
+    """Single-letter edits of one sequence ``x``, as parallel arrays.
+
+    ``kind`` holds :attr:`SUBSTITUTION`, :attr:`DELETION` or
+    :attr:`INSERTION`, ``position`` the edited position and ``code`` the
+    letter code written there (-1 for a deletion).  Nothing here builds a neighbour until :meth:`neighbour` or
+    :meth:`sequences` is asked.
+    """
+
+    SUBSTITUTION, DELETION, INSERTION = 0, 1, 2
+    KINDS = ("substitution", "deletion", "insertion")
+
+    def __init__(self, x: Sequence, kind: np.ndarray, position: np.ndarray, code: np.ndarray):
+        self.x = x
+        self.kind = kind
+        self.position = position
+        self.code = code
+
+    @classmethod
+    def of(cls, x: Sequence) -> "Edits":
+        """Every single-letter edit of ``x``, in canonical (tie-break)
+        order: substitutions (by position, then letter), then deletions
+        (by position), then insertions (by position, then letter)."""
+        n, size = len(x), x.alphabet.size
+        codes = np.array(x.codes, dtype=np.intp)
+        sub_pos, sub_code = np.nonzero(np.arange(size) != codes[:, None])
+        ins_pos, ins_code = np.divmod(np.arange((n + 1) * size), size)
+        kind = np.repeat([cls.SUBSTITUTION, cls.DELETION, cls.INSERTION],
+                         [len(sub_pos), n, len(ins_pos)])
+        position = np.concatenate([sub_pos, np.arange(n), ins_pos])
+        code = np.concatenate([sub_code, np.full(n, -1), ins_code])
+        return cls(x, kind, position, code)
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def take(self, rows: np.ndarray) -> "Edits":
+        """The edits picked by an index array or a mask."""
+        return Edits(self.x, self.kind[rows], self.position[rows], self.code[rows])
+
+    def first_seen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Of every edit, as :meth:`of` orders them: a mask of the edits
+        that reach each distinct neighbour first, and for each edit the
+        index among those of the one that reaches its neighbour.
+
+        Substitutions all differ.  Deleting at ``p`` and ``q > p`` gives
+        the same neighbour iff ``x[p..q]`` is one letter repeated, and
+        inserting ``c`` at both iff ``x[p..q-1]`` is ``c`` repeated; so
+        a deletion at ``p > 0`` repeats one at ``p - 1`` when
+        ``x[p] == x[p-1]``, an insertion of ``c`` at ``p > 0`` repeats
+        one at ``p - 1`` when ``x[p-1] == c``, and each edit's first is
+        the last first-seen edit of its kind (and letter) at or before
+        its position.
+        """
+        x = self.x
+        n, size = len(x), x.alphabet.size
+        codes = np.array(x.codes, dtype=np.intp)
+        n_sub = n * (size - 1)
+        del_first = np.ones(n, dtype=bool)
+        del_first[1:] = codes[1:] != codes[:-1]
+        ins_first = np.ones((n + 1, size), dtype=bool)
+        ins_first[1:] = codes[:, None] != np.arange(size)
+        first = np.concatenate([np.ones(n_sub, dtype=bool), del_first, ins_first.ravel()])
+        del_origin = np.maximum.accumulate(np.where(del_first, np.arange(n), 0))
+        ins_origin = np.maximum.accumulate(
+            np.where(ins_first, np.arange(n + 1)[:, None], 0), axis=0)
+        origin = np.concatenate([np.arange(n_sub), n_sub + del_origin,
+                                 n_sub + n + ins_origin * size + np.arange(size)], axis=None)
+        return first, (np.cumsum(first) - 1)[origin]
+
+    def _rows(self):
+        return zip(self.kind.tolist(), self.position.tolist(), self.code.tolist())
+
+    def neighbour(self, i: int) -> tuple[Edit, Sequence]:
+        """Edit ``i`` and the neighbour it reaches."""
+        x, k, p, c = self.x, int(self.kind[i]), int(self.position[i]), int(self.code[i])
+        return _edit(x.alphabet, k, p, c), Sequence(x.alphabet, _applied(x.codes, k, p, c))
+
+    def sequences(self) -> list[Sequence]:
+        """The neighbours these edits reach, in order."""
+        alphabet, codes = self.x.alphabet, self.x.codes
+        return [Sequence(alphabet, _applied(codes, k, p, c)) for k, p, c in self._rows()]
+
+
+def _edit(alphabet, kind: int, p: int, c: int) -> Edit:
+    return Edit(Edits.KINDS[kind], p, None if kind == Edits.DELETION else alphabet.letters[c])
+
+
+def _applied(codes: tuple, kind: int, p: int, c: int) -> tuple:
+    """``codes`` with one edit applied."""
+    if kind == Edits.DELETION:
+        return codes[:p] + codes[p + 1:]
+    return codes[:p] + (c,) + codes[p + (kind == Edits.SUBSTITUTION):]
+
+
 def single_edit_neighbors(x: Sequence) -> list[tuple[Edit, Sequence]]:
     """All single-edit neighbours in canonical (tie-break) order.
 
     Substitutions first (by position, then letter), then deletions (by
     position), then insertions (by position, then letter); this order is
-    the tie-break for equal MMD values.
+    the tie-break for equal MMD values.  The edits are :meth:`Edits.of`.
     """
-    alphabet = x.alphabet
-    out: list[tuple[Edit, Sequence]] = []
-    codes = x.codes
-    for pos in range(len(codes)):
-        for c, letter in enumerate(alphabet.letters):
-            if c != codes[pos]:
-                out.append((
-                    Edit("substitution", pos, letter),
-                    Sequence(alphabet, codes[:pos] + (c,) + codes[pos + 1:]),
-                ))
-    for pos in range(len(codes)):
-        out.append((
-            Edit("deletion", pos),
-            Sequence(alphabet, codes[:pos] + codes[pos + 1:]),
-        ))
-    for pos in range(len(codes) + 1):
-        for c, letter in enumerate(alphabet.letters):
-            out.append((
-                Edit("insertion", pos, letter),
-                Sequence(alphabet, codes[:pos] + (c,) + codes[pos:]),
-            ))
-    return out
+    alphabet, codes = x.alphabet, x.codes
+    return [(_edit(alphabet, k, p, c), Sequence(alphabet, _applied(codes, k, p, c)))
+            for k, p, c in Edits.of(x)._rows()]
 
 
 class _MmdToTarget:
@@ -115,9 +206,15 @@ class _MmdToTarget:
         return self.many([x])[0]
 
     def many(self, xs: list[Sequence]) -> np.ndarray:
-        cross = self.kernel.pairwise(xs, self.atoms) @ self.w
-        self_sim = self.kernel.self_similarities(xs)
-        m2 = self_sim + self.tt - 2.0 * cross
+        return self._mmd(self.kernel.pairwise(xs, self.atoms), self.kernel.self_similarities(xs))
+
+    def of_edits(self, edits: Edits) -> np.ndarray:
+        """The MMD of each neighbour that ``edits`` reach, from the
+        kernel's :meth:`Kernel.neighbour_values`."""
+        return self._mmd(*self.kernel.neighbour_values(edits, self.atoms))
+
+    def _mmd(self, K: np.ndarray, self_sim: np.ndarray) -> np.ndarray:
+        m2 = self_sim + self.tt - 2.0 * (K @ self.w)
         return np.sqrt(np.maximum(m2, 0.0))
 
 
@@ -127,32 +224,35 @@ def greedy_mmd_optimize(kernel: Kernel, target: EmpiricalMeasure,
     """Greedy single-edit descent on ``MMD(delta_x, target)``.
 
     Accepts the strictly best neighbour while it improves the objective
-    by at least ``min_improvement`` (default: strict descent up to
-    round-off, which guarantees termination); otherwise stops with
-    ``converged=True``.  ``converged=False`` means the step budget ran
-    out first.
+    by at least ``min_improvement`` (finite and ``>= 0``; the default is
+    strict descent up to round-off, which guarantees termination);
+    otherwise stops with ``converged=True``.  ``converged=False`` means
+    the step budget ran out first.  The start and the target atoms must
+    share one alphabet.
     """
     if max_steps < 1:
         raise DataError("max_steps must be >= 1")
+    if not (math.isfinite(min_improvement) and min_improvement >= 0):
+        raise DataError(f"min_improvement must be finite and >= 0, got {min_improvement}")
     if len(target) == 0:
         raise DataError("target measure must be nonempty")
+    shared_alphabet([init, *target.atoms])
     objective = _MmdToTarget(kernel, target)
     current = init
     current_mmd = float(objective(init))
     steps = [TraceStep(0, current, current_mmd, Edit("none"))]
     converged = False
     for step in range(1, max_steps + 1):
-        neighbors = single_edit_neighbors(current)
         # score each distinct neighbour once; values stay in canonical
         # order, so argmin's first-minimum tie-break is unchanged
-        ids: dict = {}
-        slot = np.array([ids.setdefault(s, len(ids)) for _, s in neighbors], dtype=np.intp)
-        values = objective.many(list(ids)).take(slot)
+        edits = Edits.of(current)
+        first, slot = edits.first_seen()
+        values = objective.of_edits(edits.take(first)).take(slot)
         best = int(np.argmin(values))
         if values[best] <= current_mmd - min_improvement:
-            current = neighbors[best][1]
+            edit, current = edits.neighbour(best)
             current_mmd = float(values[best])
-            steps.append(TraceStep(step, current, current_mmd, neighbors[best][0]))
+            steps.append(TraceStep(step, current, current_mmd, edit))
         else:
             converged = True
             break

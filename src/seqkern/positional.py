@@ -201,13 +201,14 @@ class BasePositionwiseKernel(Kernel):
 
 def _stop_coded(xs, ys) -> tuple[np.ndarray, np.ndarray, int]:
     """Stop-padded letter codes of ``xs`` and ``ys`` (``xs`` again when
-    ``None``) at one common width, and the stop code ``|B|``."""
+    ``None``) at one common width, and the stop code ``|B|``.  Both
+    sides are packed by one :func:`seqcore.encode_padded` call, which
+    rejects a second alphabet."""
     xs = list(xs)
-    ys_ = xs if ys is None else list(ys)
-    width = max(map(len, xs + ys_), default=0)
-    cx = encode_padded(xs, width)
-    cy = cx if ys is None else encode_padded(ys_, width)
-    return cx, cy, max((s.alphabet.size for s in xs + ys_), default=0)
+    seqs = xs if ys is None else xs + list(ys)
+    codes = encode_padded(seqs)
+    cy = codes if ys is None else codes[len(xs):]
+    return codes[:len(xs)], cy, seqs[0].alphabet.size if seqs else 0
 
 
 def _position_sum(cx: np.ndarray, cy: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -284,19 +285,81 @@ class ImqHammingKernel(Kernel):
         return (self.C + d) ** -self.beta
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
-        d = _hamming_matrix(xs, ys)
-        d += self.C
-        return np.power(d, -self.beta, out=d)
+        return self._of_distances(_hamming_matrix(xs, ys))
 
     def self_similarities(self, xs) -> np.ndarray:
         """``k(x, x) = C**-beta``: a sequence is at distance 0 from itself."""
         return np.full(len(xs), self.C ** -self.beta)
+
+    def neighbour_values(self, edits, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the neighbours that ``edits`` reach, from the match
+        counts of the edited sequence (:func:`_edit_distances`); no
+        neighbour is built.  Equal to ``pairwise`` over the built
+        neighbours, bit for bit."""
+        d = _edit_distances(edits, ys)
+        return self._of_distances(d), np.full(len(d), self.C ** -self.beta)
+
+    def _of_distances(self, d: np.ndarray) -> np.ndarray:
+        """``(C + d)**-beta`` in place of the distances ``d``."""
+        d += self.C
+        return np.power(d, -self.beta, out=d)
 
 
 def _hamming_matrix(xs, ys=None) -> np.ndarray:
     """Exact stop-padded Hamming distances, as floats."""
     cx, cy, stop = _stop_coded(xs, ys)
     return _position_sum(cx, cy, 1.0 - np.eye(stop + 1))
+
+
+def _edit_distances(edits, ys) -> np.ndarray:
+    """Stop-padded Hamming distances, as floats, from each neighbour that
+    single-letter ``edits`` of ``x`` reach to each of ``ys``.
+
+    Against an atom ``a`` of length ``m``, let ``e_s[l] = [x_l ==
+    a_(l+s)]``, ``E(p)`` count the matches ``e_0`` before ``p`` and
+    ``S_s(p)`` those of ``e_s`` from ``p`` to ``n = |x|``.  A neighbour's
+    distance is its stop-padded length ``max(., m)`` less its matches:
+
+    - substitution of ``c`` at ``p``: ``E(n) - e_0[p] + [c == a_p]``
+      over length ``n``;
+    - deletion at ``p``: ``E(p) + S_-1(p + 1)`` over ``n - 1``;
+    - insertion of ``c`` at ``p``: ``E(p) + [c == a_p] + S_+1(p)`` over
+      ``n + 1``;
+
+    with ``[c == a_p] = 0`` past the atom's end (a letter never equals
+    stop).  Each edit is one row of a ``(3n + 1) x |ys|`` table of
+    length less shared matches, minus its letter's one-hot row: exact
+    integers, equal to :func:`_hamming_matrix` of the built neighbours.
+    """
+    x = edits.x
+    n, size, m = len(x), x.alphabet.size, len(ys)
+    codes = encode_padded([x, *ys], max(n + 1, max(map(len, ys), default=0)))
+    xc, at = codes[0, :n, None], codes[1:].T  # at[l, j]: letter l of atom j, or stop
+    lengths = np.array([len(y) for y in ys])
+    e0 = at[:n] == xc
+    E = np.zeros((n + 1, m), dtype=np.int64)
+    np.cumsum(e0, axis=0, out=E[1:])
+    S_plus = _suffix_sums(at[1:n + 1] == xc)  # S_+1(p), p = 0..n
+    S_minus = _suffix_sums(at[:max(n - 1, 0)] == xc[1:])[:n]  # S_-1(p + 1), p = 0..n-1
+    table = np.concatenate([np.maximum(n, lengths) - (E[n] - e0),
+                            np.maximum(n - 1, lengths) - (E[:n] + S_minus),
+                            np.maximum(n + 1, lengths) - (E + S_plus)]).astype(float)
+    # one-hot rows of the atoms' letters at p = 0..n, then a zero row for deletions
+    hits = np.zeros(((n + 1) * size + 1, m), dtype=bool)
+    hits[:-1] = (at[:n + 1, None, :] == np.arange(size)[:, None]).reshape(-1, m)
+    kind, position, code = edits.kind, edits.position, edits.code
+    offset = np.zeros(3, dtype=np.intp)
+    offset[edits.DELETION], offset[edits.INSERTION] = n, 2 * n
+    d = table.take(position + offset[kind], axis=0)
+    d -= hits.take(np.where(code < 0, len(hits) - 1, position * size + code), axis=0)
+    return d
+
+
+def _suffix_sums(e: np.ndarray) -> np.ndarray:
+    """``out[p] = e[p:].sum(axis=0)`` for ``p = 0 .. len(e)``."""
+    out = np.zeros((len(e) + 1, e.shape[1]), dtype=np.int64)
+    np.cumsum(e[::-1], axis=0, out=out[-2::-1])
+    return out
 
 
 def imq_hamming_kernel(C: float = 1.0, beta: float = 2.0) -> ImqHammingKernel:

@@ -112,7 +112,7 @@ class Sequence:
         return self.alphabet.letters[self.codes[item]]
 
     def __add__(self, other: "Sequence") -> "Sequence":
-        _check_same_alphabet(self, other)
+        shared_alphabet((self, other))
         return Sequence(self.alphabet, self.codes + other.codes)
 
     def __eq__(self, other) -> bool:
@@ -146,9 +146,22 @@ def empty(alphabet: Alphabet) -> Sequence:
     return Sequence(alphabet, ())
 
 
-def _check_same_alphabet(x: Sequence, y: Sequence) -> None:
-    if x.alphabet.letters != y.alphabet.letters:
-        raise DataError("sequences use different alphabets")
+def shared_alphabet(seqs: Iterable[Sequence]) -> Optional[Alphabet]:
+    """The one alphabet of ``seqs`` (``None`` when there are none).
+
+    Letter codes mean different letters in different alphabets, and
+    code ``|B|`` is the stop of one alphabet but a letter of a larger
+    one, so codes of two alphabets must never be compared: two that
+    differ raise :class:`DataError` naming both.
+    """
+    first = None
+    for s in seqs:
+        a = s.alphabet
+        if first is None:
+            first = a
+        elif a is not first and a.letters != first.letters:
+            raise DataError(f"sequences use different alphabets: {first!r} and {a!r}")
+    return first
 
 
 def hamming_distance(x: Sequence, y: Sequence) -> int:
@@ -157,7 +170,7 @@ def hamming_distance(x: Sequence, y: Sequence) -> int:
     Positions past the end of the shorter sequence compare a letter with
     the stop symbol and always count as mismatches.
     """
-    _check_same_alphabet(x, y)
+    shared_alphabet((x, y))
     m = min(len(x), len(y))
     d = max(len(x), len(y)) - m
     cx, cy = x.codes, y.codes
@@ -202,13 +215,15 @@ def encode_padded(seqs: list[Sequence], width: Optional[int] = None) -> np.ndarr
 
     The stop code is the alphabet size ``|B|``, one past the letters, so
     a table over the letters plus stop is indexed by codes directly.
+    The sequences must share one alphabet (:func:`shared_alphabet`).
     Every code is read in one pass over the padded tuples.
     """
+    alphabet = shared_alphabet(seqs)
     if width is None:
         width = max(map(len, seqs), default=0)
     elif any(len(s) > width for s in seqs):
         raise ValueError("sequence longer than requested width")
-    tail = (seqs[0].alphabet.size if seqs else 0,) * width
+    tail = (alphabet.size if seqs else 0,) * width
     flat = itertools.chain.from_iterable([s.codes + tail[len(s):] for s in seqs])
     return np.fromiter(flat, dtype=np.int64, count=len(seqs) * width).reshape(len(seqs), width)
 

@@ -525,6 +525,18 @@ class TestBatchedEngine:
         with pytest.raises(DataError, match=r"shape \(1, 1\).* 2 letters"):
             heavy_tailed_gapped_spectrum(1, 1.5, 1.3, 0.5).pairwise(seqs)
 
+    @pytest.mark.parametrize("name,kernel,oracle", FAMILIES,
+                             ids=[f[0] for f in FAMILIES])
+    def test_a_batch_of_two_alphabets_is_rejected(self, name, kernel, oracle):
+        # AB's stop code 2 would read as the third letter of a larger alphabet
+        other = Alphabet("ABC")
+        mixed = [seq(AB, "A"), seq(other, "AC")]
+        for call in (lambda: kernel.pairwise(mixed), lambda: kernel.pairwise(mixed[:1], mixed[1:]),
+                     lambda: kernel.self_similarities(mixed)):
+            with pytest.raises(DataError, match=r"different alphabets: Alphabet\('AB'\) and "
+                                                r"Alphabet\('ABC'\)"):
+                call()
+
 
 def _greedy_chunks(nx, ny, counted, cap):
     """The pair-by-pair greedy cut: pairs in ``(|x|, |y|)`` order; a chunk

@@ -568,6 +568,8 @@ MALFORMED = [
     ("optimize", "max_steps", "10.5"),
     ("optimize", "max_steps", "0"),
     ("optimize", "min_improvement", "tiny"),
+    ("optimize", "min_improvement", "-1e-3"),
+    ("optimize", "min_improvement", "nan"),
     ("optimize", "normalize_trace", "maybe"),
     ("diagnose", "cutoffs", "1,x"),
     ("diagnose", "cutoffs", "2,-1"),

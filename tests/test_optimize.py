@@ -10,6 +10,8 @@ from seqkern import (
     FunctionEmbedding,
     Sequence,
     embedding_kernel,
+    empty,
+    exp_hamming_kernel,
     greedy_mmd_optimize,
     imq_hamming_kernel,
     infinite_spectrum_kernel,
@@ -20,6 +22,9 @@ from seqkern import (
 )
 
 import seqkern.optimize as optimize
+from seqkern.optimize import Edits
+from seqkern.positional import _edit_distances, _hamming_matrix
+from seqkern.seqcore import PROTEIN
 from conftest import random_distinct_sequences
 from oracles import exhaustive_mmd_minimum
 
@@ -50,6 +55,26 @@ class TestNeighborhood:
                 assert len(s) == len(x) - 1
             else:
                 assert len(s) == len(x) + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=7))
+    def test_equals_the_nested_loop(self, codes):
+        x = Sequence(DNA, tuple(codes))
+        expected = []
+        for pos in range(len(codes)):
+            for c, letter in enumerate(DNA.letters):
+                if c != codes[pos]:
+                    expected.append((f"substitution@{pos}:{letter}",
+                                     Sequence(DNA, x.codes[:pos] + (c,) + x.codes[pos + 1:])))
+        for pos in range(len(codes)):
+            expected.append((f"deletion@{pos}", Sequence(DNA, x.codes[:pos] + x.codes[pos + 1:])))
+        for pos in range(len(codes) + 1):
+            for c, letter in enumerate(DNA.letters):
+                expected.append((f"insertion@{pos}:{letter}",
+                                 Sequence(DNA, x.codes[:pos] + (c,) + x.codes[pos:])))
+        assert [(str(e), s) for e, s in single_edit_neighbors(x)] == expected
+        edits = Edits.of(x)
+        assert [(str(e), s) for e, s in map(edits.neighbour, range(len(edits)))] == expected
 
     def test_canonical_order_is_sub_del_ins(self):
         kinds = [e.kind for e, _ in single_edit_neighbors(seq(AB, "AB"))]
@@ -126,6 +151,33 @@ class TestGreedyDescent:
         with pytest.raises(DataError):
             greedy_mmd_optimize(k, target, seq(DNA, "A"), max_steps=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), -1e-3, float("inf"), -float("inf")])
+    def test_min_improvement_must_be_finite_and_nonnegative(self, value):
+        # NaN stopped at step 0 as converged; a negative value accepted uphill moves
+        k = imq_hamming_kernel()
+        target = EmpiricalMeasure.point(seq(DNA, "ACGT"))
+        with pytest.raises(DataError, match="min_improvement must be finite and >= 0"):
+            greedy_mmd_optimize(k, target, seq(DNA, "A"), min_improvement=value)
+
+    def test_zero_min_improvement_is_nonincreasing(self):
+        k = imq_hamming_kernel(1.0, 1.0)
+        rng = np.random.default_rng(54)
+        target = EmpiricalMeasure.uniform(random_distinct_sequences(rng, DNA, 6, 5, min_len=2))
+        trace = greedy_mmd_optimize(k, target, seq(DNA, "TTTTTTT"), max_steps=15,
+                                    min_improvement=0.0)
+        vals = [s.mmd for s in trace.steps]
+        assert len(vals) > 1 and all(b <= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("make", [lambda: imq_hamming_kernel(),
+                                      lambda: infinite_spectrum_kernel()],
+                             ids=["imq_hamming", "infinite_spectrum"])
+    def test_start_and_target_share_an_alphabet(self, make):
+        # DNA's stop code 4 is the protein letter F
+        target = EmpiricalMeasure.uniform([seq(PROTEIN, "AF"), seq(PROTEIN, "W")])
+        with pytest.raises(DataError, match="different alphabets") as err:
+            greedy_mmd_optimize(make(), target, seq(DNA, "A"))
+        assert repr(DNA) in str(err.value) and repr(PROTEIN) in str(err.value)
+
 
 def _score_every_neighbour(kernel, target, init, max_steps):
     """The descent scoring every neighbour, duplicates included: the
@@ -146,25 +198,40 @@ def _score_every_neighbour(kernel, target, init, max_steps):
 
 class TestDistinctNeighbours:
     KERNELS = [("imq_hamming", lambda: imq_hamming_kernel(1.0, 1.5)),
+               ("exp_hamming", lambda: exp_hamming_kernel(DNA, 0.5)),
                ("normalized_infinite_spectrum",
                 lambda: infinite_spectrum_kernel().normalized())]
 
     @pytest.mark.parametrize("name,make", KERNELS, ids=[n for n, _ in KERNELS])
     def test_each_step_scores_each_distinct_neighbour_once(self, name, make, monkeypatch):
-        scored = []
-        many = optimize._MmdToTarget.many
-        monkeypatch.setattr(optimize._MmdToTarget, "many",
-                            lambda obj, xs: scored.append(list(xs)) or many(obj, xs))
+        # every family is handed each distinct edit once per step; the
+        # generic default builds those neighbours for one pairwise call,
+        # imq_hamming scores them from match counts and builds none
+        kernel = make()
+        handed, built = [], []
+        values = type(kernel).neighbour_values
+        monkeypatch.setattr(type(kernel), "neighbour_values",
+                            lambda k, edits, ys: handed.append(edits) or values(k, edits, ys))
+        pairwise = kernel.pairwise
+        monkeypatch.setattr(kernel, "pairwise",
+                            lambda xs, ys=None: built.append(list(xs)) or pairwise(xs, ys))
         rng = np.random.default_rng(52)
         target = EmpiricalMeasure.uniform(random_distinct_sequences(rng, DNA, 5, 5, min_len=2))
-        trace = greedy_mmd_optimize(make(), target, seq(DNA, "GGAATT"), max_steps=6)
-        assert scored[0] == [trace.steps[0].sequence]  # the start
-        steps = scored[1:]
-        assert len(steps) == len(trace.steps) - (0 if trace.converged else 1)
-        for current, xs in zip([s.sequence for s in trace.steps], steps):
-            neighbours = [s for _, s in single_edit_neighbors(current)]
-            assert xs == list(dict.fromkeys(neighbours))
-            assert len(xs) < len(neighbours)  # "GG", "AA", "TT" repeat insertions
+        trace = greedy_mmd_optimize(kernel, target, seq(DNA, "GGAATT"), max_steps=6)
+        currents = [s.sequence for s in trace.steps]
+        assert len(handed) == len(trace.steps) - (0 if trace.converged else 1)
+        assert built[:2] == [list(target.atoms), [currents[0]]]  # the target Gram, the start
+        distinct_per_step = []
+        for current, edits in zip(currents, handed):
+            neighbours = single_edit_neighbors(current)
+            first = {}
+            for e, s in neighbours:
+                first.setdefault(s, str(e))
+            assert edits.x == current
+            assert [str(edits.neighbour(i)[0]) for i in range(len(edits))] == list(first.values())
+            assert len(edits) < len(neighbours)  # "GG", "AA", "TT" repeat insertions
+            distinct_per_step.append(list(first))
+        assert built[2:] == ([] if name == "imq_hamming" else distinct_per_step)
 
     @pytest.mark.parametrize("name,make", KERNELS, ids=[n for n, _ in KERNELS])
     def test_trace_equals_scoring_every_neighbour(self, name, make):
@@ -186,6 +253,57 @@ class TestDistinctNeighbours:
                                     max_steps=5)
         assert [str(s.edit) for s in trace.steps] == ["none", "insertion@0:A"]
         assert trace.converged and trace.final.mmd == 0.0
+
+
+@st.composite
+def starts_and_atoms(draw):
+    """A start of length 0-12 and atoms of length 0-15 (the empty one
+    always among them) over a 1-, 2-, 4- or 20-letter alphabet."""
+    size = draw(st.sampled_from([1, 2, 4, 20]))
+    alphabet = Alphabet(PROTEIN.letters[:size])
+    letters = st.integers(0, size - 1)
+    x = Sequence(alphabet, tuple(draw(st.lists(letters, max_size=12))))
+    atoms = [Sequence(alphabet, tuple(codes))
+             for codes in draw(st.lists(st.lists(letters, max_size=15), max_size=6))]
+    return x, [empty(alphabet)] + atoms
+
+
+class TestMatchCountScoring:
+    """``imq_hamming`` scores neighbours from the start's match counts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(starts_and_atoms())
+    def test_distances_equal_those_of_the_built_neighbours(self, case):
+        x, atoms = case
+        neighbours = [s for _, s in single_edit_neighbors(x)]
+        first_index = {}
+        for i, s in enumerate(neighbours):
+            first_index.setdefault(s, i)
+        edits = Edits.of(x)
+        first, slot = edits.first_seen()
+        expected_first = np.zeros(len(neighbours), dtype=bool)
+        expected_first[list(first_index.values())] = True
+        np.testing.assert_array_equal(first, expected_first)
+        first_seen = list(first_index)
+        distinct = edits.take(first)
+        assert distinct.sequences() == first_seen
+        assert [first_seen[k] for k in slot] == neighbours
+        got = _edit_distances(distinct, atoms)
+        assert got.dtype == np.float64 and got.shape == (len(first_seen), len(atoms))
+        assert got.tobytes() == _hamming_matrix(first_seen, atoms).tobytes()
+
+    @pytest.mark.parametrize("C,beta", [(1.0, 2.0), (0.5, 1.3), (2.0, 0.5)])
+    def test_protein_trace_equals_scoring_every_neighbour(self, C, beta):
+        rng = np.random.default_rng(55)
+        kernel = imq_hamming_kernel(C, beta)
+        for n in (0, 1, 9, 20):
+            atoms = random_distinct_sequences(rng, PROTEIN, 12, 16)
+            target = EmpiricalMeasure.uniform([empty(PROTEIN)] + [a for a in atoms if len(a)])
+            init = Sequence(PROTEIN, tuple(int(c) for c in rng.integers(20, size=n)))
+            trace = greedy_mmd_optimize(kernel, target, init, max_steps=6)
+            got = [(str(s.edit), s.sequence, s.mmd.hex()) for s in trace.steps]
+            expected = _score_every_neighbour(kernel, target, init, 6)
+            assert got == [(e, s, v.hex()) for e, s, v in expected]
 
 
 class TestLengthStatistics:

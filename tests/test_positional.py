@@ -437,6 +437,32 @@ def test_pairwise_with_an_empty_side(make):
     assert k.pairwise([]).shape == (0, 0)
 
 
+class TestMixedAlphabets:
+    """Codes of two alphabets are never compared.  DNA's stop code 4 is
+    the protein letter F, so DNA ``A`` once matched protein ``AF``
+    exactly (1.0 where the scalar call gives 0.25)."""
+
+    KERNELS = [("imq_hamming", lambda: imq_hamming_kernel(1.0, 2.0)),
+               ("exp_hamming", lambda: exp_hamming_kernel(DNA, 0.5)),
+               ("imq_hamming_lag", lambda: imq_hamming_lag_kernel(1.0, 2.0, 2)),
+               ("weighted_degree", lambda: weighted_degree_kernel(1))]
+
+    @pytest.mark.parametrize("name,make", KERNELS, ids=[n for n, _ in KERNELS])
+    def test_pairwise_rejects_two_alphabets(self, name, make):
+        k = make()
+        for x, y in [(seq(DNA, "A"), seq(PROTEIN, "AF")), (seq(DNA, "ACGT"), seq(PROTEIN, "ACGT"))]:
+            for call in (lambda: k.pairwise([x], [y]), lambda: k.pairwise([y], [x]),
+                         lambda: k.pairwise([x, y])):
+                with pytest.raises(DataError, match="different alphabets") as err:
+                    call()
+                assert repr(DNA) in str(err.value) and repr(PROTEIN) in str(err.value)
+
+    def test_self_similarities_reject_two_alphabets(self):
+        k = exp_hamming_kernel(DNA, 0.5)
+        with pytest.raises(DataError, match="different alphabets"):
+            k.self_similarities([seq(DNA, "A"), seq(PROTEIN, "AF")])
+
+
 class TestBoundedMemory:
     """Gram assembly never forms an ``n x n x width`` temporary."""
 

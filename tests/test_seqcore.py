@@ -15,7 +15,7 @@ from seqkern import (
     seq,
     window,
 )
-from seqkern.seqcore import encode_padded, window_ids
+from seqkern.seqcore import PROTEIN, encode_padded, shared_alphabet, window_ids
 
 
 def make_seq(alphabet, codes):
@@ -146,6 +146,21 @@ class TestStopPaddedCodes:
         assert codes.tolist() == [[2, 0], [4, 4], [3, 4]]
         assert encode_padded([seq(AB, "B")], width=3).tolist() == [[1, 2, 2]]
         assert encode_padded([]).shape == (0, 0)
+
+    def test_two_alphabets_are_rejected_naming_both(self):
+        # DNA's stop code 4 is the protein letter F
+        with pytest.raises(DataError, match=r"different alphabets: Alphabet\('ACGT'\) and "
+                                            r"Alphabet\('ACDEFGHIKLMNPQRSTVWY'\)"):
+            encode_padded([seq(DNA, "A"), seq(PROTEIN, "AF")])
+        with pytest.raises(DataError, match="different alphabets"):
+            encode_padded([empty(DNA), empty(AB)])
+
+    def test_shared_alphabet(self):
+        # equal letters are one alphabet, whichever object holds them
+        assert shared_alphabet([seq(DNA, "A"), seq(Alphabet("ACGT"), "T")]) == DNA
+        assert shared_alphabet([]) is None
+        with pytest.raises(DataError, match="different alphabets"):
+            shared_alphabet([seq(AB, "A"), seq(DNA, "A")])
 
     def test_window_ids_are_equal_iff_padded_windows_are(self):
         seqs = [empty(DNA), seq(DNA, "A"), seq(DNA, "AC"), seq(DNA, "ACA"), seq(DNA, "CA")]
