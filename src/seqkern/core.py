@@ -7,15 +7,19 @@ the property behind universality, characteristicness, and metrization of
 the space of sequence distributions.  The flag is derived from
 closed-form conditions on the kernel family, never probed at runtime.
 
-:class:`Kernel` is the one generic way to turn a kernel into a matrix:
+:class:`Kernel` is the one generic way to turn a kernel into values.  A
+family implements ``pairwise``, ``batch`` or ``__call__``, and
+``k(x, y)`` is the one-pair block ``pairwise([x], [y])[0, 0]``, so
+scalar and matrix values come from one evaluator.  The generic
 ``pairwise`` and ``self_similarities`` hand ``batch`` one list of the
 sequences and two index arrays, the pairs ``(seqs[i[p]], seqs[j[p]])``
-(the upper triangle, every row-column pair, or the diagonal), so no
-per-pair object lists are formed.  ``batch`` calls the scalar evaluator
-per index pair unless a family evaluates them together (the six
-alignment-engine families share ``alignment.AlignmentSumKernel.batch``).
-Families with vectorised matrix assembly override ``pairwise`` itself,
-and most also ``self_similarities``.
+(the upper triangle, every row-column pair, or the diagonal); the
+generic ``batch`` calls ``__call__`` per pair, for a family that
+defines only that.  The six alignment-engine families share
+``alignment.AlignmentSumKernel.batch``; families with vectorised matrix
+assembly override ``pairwise`` and most also ``self_similarities``.
+Build matrices, not loops of scalar calls: each scalar call is a whole
+``pairwise`` call on one pair.
 
 Combinators here (positive sums, tilting, tensor products) preserve the
 discrete-mass property and build their matrices and diagonals from their
@@ -42,10 +46,12 @@ UNKNOWN_MASSES = "unknown"
 class Kernel:
     """Base class: an evaluatable PSD similarity ``k(x, y)``.
 
-    Subclasses implement :meth:`__call__`, and also :meth:`batch` when
-    their pairs can be evaluated together; :meth:`pairwise` and
+    Subclasses implement :meth:`pairwise`, :meth:`batch` or
+    :meth:`__call__`.  ``k(x, y)`` is the one-pair block of
+    :meth:`pairwise`; the generic :meth:`pairwise` and
     :meth:`self_similarities` reach the kernel only through
-    :meth:`batch`, as index pairs into one list of sequences.
+    :meth:`batch`, as index pairs into one list of sequences, and the
+    generic :meth:`batch` calls :meth:`__call__` once per pair.
     Evaluators must be pure and deterministic (any randomness happens at
     construction, behind a seed), so kernels are safe to share across
     threads.
@@ -59,7 +65,12 @@ class Kernel:
         return {}
 
     def __call__(self, x, y) -> float:
-        raise NotImplementedError
+        """``k(x, y)``: the one-pair block ``pairwise([x], [y])[0, 0]``."""
+        cls = type(self)
+        if cls.pairwise is Kernel.pairwise and cls.batch is Kernel.batch:
+            raise NotImplementedError(
+                f"{cls.__name__} must implement __call__, batch or pairwise")
+        return float(self.pairwise([x], [y])[0, 0])
 
     def batch(self, seqs: list, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Values ``k(seqs[i[p]], seqs[j[p]])`` for index arrays ``i``, ``j``.
@@ -135,13 +146,10 @@ def _finite_positive(a: np.ndarray, xs: list, what: str) -> np.ndarray:
 
 
 class _NormalizingTilt:
-    """The weight ``k(x, x)**-0.5``, from ``k(x, x)`` finite and positive."""
+    """The weights ``k(x, x)**-0.5`` of a list, from ``k(x, x)`` finite and positive."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-
-    def __call__(self, x) -> float:
-        return float(self.many([x])[0])
 
     def many(self, xs) -> np.ndarray:
         xs = list(xs)
@@ -178,9 +186,6 @@ class SumKernel(Kernel):
     def params(self) -> dict:
         return {"n_parts": len(self.parts)}
 
-    def __call__(self, x, y) -> float:
-        return sum(w * k(x, y) for w, k in self.parts)
-
     def _total(self, values: Callable[[Kernel], np.ndarray]) -> np.ndarray:
         """``sum_n a_n * values(k_n)``, added up in the order of the parts."""
         total = None
@@ -207,13 +212,14 @@ class TiltedKernel(Kernel):
     """``k^A(x, y) = A(x) k(x, y) A(y)`` for a finite positive weight ``A``.
 
     Tilting rescales the kernel's view of sequence space and preserves
-    discrete masses.  A weight that also offers ``many(xs)`` is asked for
-    the weights of a whole list at once.  Normalisation, the weight
-    ``A = k(x,x)**-0.5`` of :meth:`Kernel.normalized`, takes its weights
-    from the base values of the same call: a Gram reads them off its own
-    diagonal, a block asks one ``self_similarities`` batch over both
-    sides, and ``self_similarities`` asks the base once.  Weights that
-    are not finite and positive raise :class:`DataError`.
+    discrete masses.  A weight that offers ``many(xs)`` is asked for the
+    weights of a whole list at once; any other is called per sequence.
+    Normalisation, the weight ``A = k(x,x)**-0.5`` of
+    :meth:`Kernel.normalized`, takes its weights from the base values of
+    the same call: a Gram reads them off its own diagonal, a block asks
+    one ``self_similarities`` batch over both sides, and
+    ``self_similarities`` asks the base once.  Weights that are not
+    finite and positive raise :class:`DataError`.
     """
 
     family = "tilt"
@@ -237,10 +243,6 @@ class TiltedKernel(Kernel):
         else:
             a = np.array([float(self.weight(x)) for x in xs])
         return _finite_positive(a, xs, "tilt weight")
-
-    def __call__(self, x, y) -> float:
-        ax, ay = self._weights([x, y])
-        return float(ax * self.base(x, y) * ay)
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         xs = list(xs)
@@ -288,10 +290,6 @@ class TensorKernel(Kernel):
     def params(self) -> dict:
         return {"left": self.left.family, "right": self.right.family}
 
-    def __call__(self, x, y) -> float:
-        (x1, x2), (y1, y2) = x, y
-        return self.left(x1, y1) * self.right(x2, y2)
-
     def pairwise(self, xs, ys=None) -> np.ndarray:
         x1, x2 = [p[0] for p in xs], [p[1] for p in xs]
         if ys is None:
@@ -314,9 +312,6 @@ class IdentityKernel(Kernel):
 
     family = "identity"
     mass_status = HAS_MASSES
-
-    def __call__(self, x, y) -> float:
-        return 1.0 if x == y else 0.0
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         """Equality matrix: items are interned to integer ids by one dict

@@ -148,10 +148,6 @@ class EuclideanKernel:
             return 1.0 / (1.0 + d2)
         return np.exp(-self.gamma * d2)
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
-        diff = a - b
-        return float(self.of_sqdist(diff @ diff))
-
 
 class EmbeddingKernel(Kernel):
     """``k(x, y) = k_E(F(x), F(y))`` for an embedding ``F``.
@@ -180,9 +176,6 @@ class EmbeddingKernel(Kernel):
     @property
     def params(self) -> dict:
         return {"dim": self.embedding.dim, "form": self.euclidean.form}
-
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        return self.euclidean(self.embedding.vector(x), self.embedding.vector(y))
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         A = self.embedding.matrix(list(xs))

@@ -18,6 +18,11 @@ kernels (weighted degree and lag-L Hamming) take exact integer ids of
 the stop-padded L-windows from ``seqcore.window_ids`` and count equal
 ids one position at a time; for the lag kernel stop is a letter, for
 the weighted degree a window reaching past its sequence matches nothing.
+
+Each family here implements ``pairwise``, and most also
+``self_similarities``; ``k(x, y)`` is the one-pair block of ``pairwise``
+(``core.Kernel.__call__``), so a scalar value and a matrix entry come
+from the same code.  Build matrices, not loops of scalar calls.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .core import (
     tensor_kernel,
 )
 from .errors import DataError
-from .seqcore import Alphabet, Sequence, element_blocks, encode_padded, window_ids
+from .seqcore import Alphabet, element_blocks, encode_padded, window_ids
 
 
 class LetterKernel:
@@ -93,15 +98,6 @@ class WeightedDegreeKernel(Kernel):
     @property
     def params(self) -> dict:
         return {"L": self.L}
-
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        L = self.L
-        n = min(len(x), len(y)) - L + 1
-        count = 0
-        for l in range(max(n, 0)):
-            if x.codes[l : l + L] == y.codes[l : l + L]:
-                count += 1
-        return float(count)
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         xs = list(xs)
@@ -164,16 +160,6 @@ class BasePositionwiseKernel(Kernel):
     def params(self) -> dict:
         return {"alphabet": "".join(self.letter_kernel.alphabet.letters)}
 
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        ext = self.letter_kernel.extended
-        stop = len(ext) - 1
-        v = 1.0
-        for l in range(max(len(x), len(y))):
-            a = x.codes[l] if l < len(x) else stop
-            b = y.codes[l] if l < len(y) else stop
-            v *= ext[a, b]
-        return v
-
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ext = self.letter_kernel.extended
         cx, cy, _ = _stop_coded(xs, ys)
@@ -189,8 +175,9 @@ class BasePositionwiseKernel(Kernel):
 
     def self_similarities(self, xs) -> np.ndarray:
         """``k(x, x)``: the letter diagonal multiplied over positions left
-        to right, as the scalar call does; stop pads multiply by
-        ``k_s(stop, stop) = 1``, which is exact."""
+        to right; stop pads multiply by ``k_s(stop, stop) = 1``, which is
+        exact.  ``pairwise`` takes exp of a sum of logs instead, so its
+        diagonal can differ from this in the last bit."""
         cx, _, _ = _stop_coded(xs, None)
         factors = np.diag(self.letter_kernel.extended)[cx]
         out = np.ones(len(cx))
@@ -255,18 +242,13 @@ def exp_hamming_kernel(alphabet: Alphabet, lam: float) -> ExpHammingKernel:
     return ExpHammingKernel(alphabet, lam)
 
 
-class ImqHammingKernel(Kernel):
-    """Inverse-multiquadric Hamming kernel ``(C + d_H(x, y))**-beta``.
+class _ImqOfDistance(Kernel):
+    """``(C + d(x, y))**-beta`` of an integer distance with ``d(x, x) = 0``.
 
-    The same similarity as the exponential Hamming kernel, but with a
-    power-law (heavy) tail in the Hamming distance: the closed form of a
-    Gamma-weighted mixture of exponential Hamming kernels over all
-    mismatch rates.  Heavy tails avoid diagonal dominance, and the
-    mixture contains arbitrarily flexible members, so the kernel keeps
-    discrete masses.
+    Matrices and diagonals take the same power of ``C + d``, so a Gram
+    diagonal equals :meth:`self_similarities` bit for bit.
     """
 
-    family = "imq_hamming"
     mass_status = HAS_MASSES
 
     def __init__(self, C: float = 1.0, beta: float = 2.0):
@@ -278,18 +260,31 @@ class ImqHammingKernel(Kernel):
     def params(self) -> dict:
         return {"C": self.C, "beta": self.beta}
 
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        m = min(len(x), len(y))
-        d = max(len(x), len(y)) - m
-        d += sum(a != b for a, b in zip(x.codes[:m], y.codes[:m]))
-        return (self.C + d) ** -self.beta
+    def self_similarities(self, xs) -> np.ndarray:
+        """``k(x, x) = C**-beta``: a sequence is at distance 0 from itself."""
+        return self._of_distances(np.zeros(len(xs)))
+
+    def _of_distances(self, d: np.ndarray) -> np.ndarray:
+        """``(C + d)**-beta`` in place of the distances ``d``."""
+        d += self.C
+        return np.power(d, -self.beta, out=d)
+
+
+class ImqHammingKernel(_ImqOfDistance):
+    """Inverse-multiquadric Hamming kernel ``(C + d_H(x, y))**-beta``.
+
+    The same similarity as the exponential Hamming kernel, but with a
+    power-law (heavy) tail in the Hamming distance: the closed form of a
+    Gamma-weighted mixture of exponential Hamming kernels over all
+    mismatch rates.  Heavy tails avoid diagonal dominance, and the
+    mixture contains arbitrarily flexible members, so the kernel keeps
+    discrete masses.
+    """
+
+    family = "imq_hamming"
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         return self._of_distances(_hamming_matrix(xs, ys))
-
-    def self_similarities(self, xs) -> np.ndarray:
-        """``k(x, x) = C**-beta``: a sequence is at distance 0 from itself."""
-        return np.full(len(xs), self.C ** -self.beta)
 
     def neighbour_values(self, edits, ys) -> tuple[np.ndarray, np.ndarray]:
         """Values of the neighbours that ``edits`` reach, from the match
@@ -297,12 +292,7 @@ class ImqHammingKernel(Kernel):
         neighbour is built.  Equal to ``pairwise`` over the built
         neighbours, bit for bit."""
         d = _edit_distances(edits, ys)
-        return self._of_distances(d), np.full(len(d), self.C ** -self.beta)
-
-    def _of_distances(self, d: np.ndarray) -> np.ndarray:
-        """``(C + d)**-beta`` in place of the distances ``d``."""
-        d += self.C
-        return np.power(d, -self.beta, out=d)
+        return self._of_distances(d), self._of_distances(np.zeros(len(d)))
 
 
 def _hamming_matrix(xs, ys=None) -> np.ndarray:
@@ -366,7 +356,7 @@ def imq_hamming_kernel(C: float = 1.0, beta: float = 2.0) -> ImqHammingKernel:
     return ImqHammingKernel(C, beta)
 
 
-class ImqHammingLagKernel(Kernel):
+class ImqHammingLagKernel(_ImqOfDistance):
     """Lag-L inverse-multiquadric Hamming kernel.
 
     ``(C + sum_l 1(x[l:l+L] != y[l:l+L]))**-beta`` where ``l`` runs over
@@ -378,55 +368,20 @@ class ImqHammingLagKernel(Kernel):
     """
 
     family = "imq_hamming_lag"
-    mass_status = HAS_MASSES
 
     def __init__(self, C: float = 1.0, beta: float = 2.0, L: int = 1):
-        check_positive(C=C, beta=beta)
+        super().__init__(C, beta)
         if L < 1:
             raise DataError("lag L must be >= 1")
-        self.C = float(C)
-        self.beta = float(beta)
         self.L = int(L)
 
     @property
     def params(self) -> dict:
-        return {"C": self.C, "beta": self.beta, "L": self.L}
-
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        d = lag_window_mismatches(x, y, self.L)
-        return (self.C + d) ** -self.beta
+        return {**super().params, "L": self.L}
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ix, iy = _window_ids(xs, ys, self.L)
-        d = (ix.shape[1] - _count_equal(ix, iy)).astype(float)
-        d += self.C
-        return np.power(d, -self.beta, out=d)
-
-    def self_similarities(self, xs) -> np.ndarray:
-        """``k(x, x) = C**-beta``: no window differs from itself."""
-        return np.full(len(xs), self.C ** -self.beta)
-
-
-def lag_window_mismatches(x: Sequence, y: Sequence, L: int) -> int:
-    """Number of positions whose stop-padded L-windows differ.
-
-    Positions run over ``[0, max(|x|, |y|))``; a window is the padded
-    slice ``x_(l:l+L)``, so windows past both ends agree and windows
-    overlapping the padding compare padded letters.  For ``L = 1`` this
-    is the Hamming distance.
-    """
-    n = max(len(x), len(y))
-    cx, cy = x.codes, y.codes
-    stop = x.alphabet.size
-    d = 0
-    for l in range(n):
-        for t in range(L):
-            a = cx[l + t] if l + t < len(cx) else stop
-            b = cy[l + t] if l + t < len(cy) else stop
-            if a != b:
-                d += 1
-                break
-    return d
+        return self._of_distances((ix.shape[1] - _count_equal(ix, iy)).astype(float))
 
 
 def imq_hamming_lag_kernel(C: float = 1.0, beta: float = 2.0, L: int = 1) -> ImqHammingLagKernel:
@@ -467,12 +422,6 @@ class ShiftedKernel(Kernel):
     @property
     def params(self) -> dict:
         return {"base": self.base.family, "shift_max": self.shift_max}
-
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        total = 0.0
-        for l in range(self.shift_max + 1):
-            total += self.base(x[l:], y) + self.base(x, y[l:])
-        return total
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ys_ = xs if ys is None else ys

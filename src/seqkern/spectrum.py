@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +57,7 @@ class FiniteSpectrumKernel(Kernel):
     def params(self) -> dict:
         return {"L_max": self.L_max}
 
-    def __call__(self, x: Sequence, y: Sequence) -> float:
-        total = 0
-        for length in range(1, min(len(x), len(y), self.L_max) + 1):
-            in_x = Counter(x.codes[p : p + length] for p in range(len(x) - length + 1))
-            total += sum(in_x[y.codes[p : p + length]] for p in range(len(y) - length + 1))
-        return float(total)
+    __call__ = Kernel.__call__  # bench/tracing.py wraps it in this __dict__
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         xs = list(xs)
@@ -138,7 +132,7 @@ class InfiniteSpectrumKernel(AlignmentSumKernel):
     def letters(self, seqs: list) -> np.ndarray:
         return np.eye(seqs[0].alphabet.size if seqs else 1)
 
-    __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
+    __call__ = Kernel.__call__  # bench/tracing.py wraps it in this __dict__
 
 
 def infinite_spectrum_kernel() -> InfiniteSpectrumKernel:
@@ -240,7 +234,7 @@ class HeavyTailedGappedSpectrumKernel(AlignmentSumKernel):
     def base(self, L, nx, ny):
         return self.C + 0.5 * (nx + ny) - L
 
-    __call__ = AlignmentSumKernel.__call__  # bench/tracing.py wraps it in this __dict__
+    __call__ = Kernel.__call__  # bench/tracing.py wraps it in this __dict__
 
 
 def heavy_tailed_gapped_spectrum(alphabet_size: int, C: float, beta: float,

@@ -89,6 +89,18 @@ def gamma_quadrature(f, C: float, beta: float, upper: float = 80.0) -> float:
     return value
 
 
+def positionwise_product(x: Sequence, y: Sequence, extended) -> float:
+    """``prod_l extended[x_(l), y_(l)]`` over stop-padded positions ``l <
+    max(|x|, |y|)``, multiplied left to right; stop is code ``|B|``."""
+    stop = len(extended) - 1
+    v = 1.0
+    for l in range(max(len(x), len(y))):
+        a = x.codes[l] if l < len(x) else stop
+        b = y.codes[l] if l < len(y) else stop
+        v *= float(extended[a][b])
+    return v
+
+
 def padded_window_mismatches(x: Sequence, y: Sequence, L: int) -> int:
     """Count positions whose stop-padded width-L window strings differ."""
     n = max(len(x), len(y))

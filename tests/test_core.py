@@ -314,6 +314,23 @@ class TestGenericPairwise:
         np.testing.assert_array_equal(k.pairwise(ys, xs), _scalar_loop(k, ys, xs))
 
 
+class _Bare(Kernel):
+    """Overrides none of ``__call__``, ``batch`` and ``pairwise``."""
+
+
+class TestBareKernel:
+    def test_every_evaluation_raises_not_implemented(self):
+        k = _Bare()
+        x = seq(DNA, "AC")
+        calls = (lambda: k(x, x), lambda: k.pairwise([x]), lambda: k.pairwise([x], [x]),
+                 lambda: k.self_similarities([x]))
+        for call in calls:
+            # not a RecursionError between the generic evaluators
+            with pytest.raises(NotImplementedError, match=r"_Bare must implement "
+                                                          r"__call__, batch or pairwise"):
+                call()
+
+
 class TestIdentityKernel:
     def test_values(self):
         k = IdentityKernel()
@@ -333,7 +350,8 @@ class TestIdentityKernel:
         for left, right in cases:
             got = k.pairwise(left, right)
             assert got.dtype == np.float64
-            np.testing.assert_array_equal(got, _scalar_loop(k, left, right))
+            np.testing.assert_array_equal(got, _scalar_loop(lambda x, y: float(x == y),
+                                                            left, right))
 
 
 def _dna(rng, n=30, max_len=12):

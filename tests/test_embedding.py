@@ -42,12 +42,11 @@ class TestEuclideanKernel:
     def test_unit_diagonal(self):
         for form, gamma in (("imq", 1.0), ("rbf", 0.5)):
             k = EuclideanKernel(form, gamma)
-            v = np.array([1.0, -2.0])
-            assert k(v, v) == 1.0
+            assert k.of_sqdist(0.0) == 1.0
 
     def test_imq_value_at_distance_two(self):
         k = EuclideanKernel("imq")
-        assert k(np.array([0.0]), np.array([2.0])) == pytest.approx(0.2, rel=1e-14)
+        assert k.of_sqdist(2.0 ** 2) == pytest.approx(0.2, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(DataError):
@@ -189,10 +188,11 @@ class TestEmbeddingKernel:
         assert np.linalg.eigvalsh(K).min() >= -1e-8 * np.trace(K)
 
     def test_pairwise_matches_scalar(self):
-        k = embedding_kernel(random_ball_embedding(seed=9, dim=4),
-                             EuclideanKernel("rbf", 0.7))
+        emb = random_ball_embedding(seed=9, dim=4)
+        k = embedding_kernel(emb, EuclideanKernel("rbf", 0.7))
         rng = np.random.default_rng(34)
         seqs = random_distinct_sequences(rng, AB, 6, 6)
         K = k.pairwise(seqs, seqs[:3])
         for i, j in itertools.product(range(6), range(3)):
-            assert K[i, j] == pytest.approx(k(seqs[i], seqs[j]), rel=1e-12)
+            diff = emb.vector(seqs[i]) - emb.vector(seqs[j])
+            assert K[i, j] == pytest.approx(k.euclidean.of_sqdist(diff @ diff), rel=1e-12)

@@ -25,11 +25,12 @@ from seqkern import (
 )
 import seqkern.seqcore
 from seqkern.embedding import EuclideanKernel, embedding_kernel, random_ball_embedding
-from seqkern.positional import _hamming_matrix, lag_window_mismatches
+from seqkern.positional import _hamming_matrix
 from seqkern.seqcore import PROTEIN
 
 from conftest import random_distinct_sequences, random_sequence
-from oracles import gamma_quadrature, padded_window_mismatches, window_matches
+from oracles import (gamma_quadrature, padded_window_mismatches, positionwise_product,
+                     window_matches)
 
 DNA = Alphabet("ACGT")
 AB = Alphabet("AB")
@@ -65,7 +66,7 @@ class TestWeightedDegree:
         seqs = random_distinct_sequences(rng, DNA, 10, 7)
         G = k.pairwise(seqs)
         for i, j in itertools.product(range(10), repeat=2):
-            assert G[i, j] == k(seqs[i], seqs[j])
+            assert G[i, j] == window_matches(seqs[i], seqs[j], 2)
 
     @pytest.mark.parametrize("alphabet,L", [(DNA, 32), (DNA, 33), (PROTEIN, 15)],
                              ids=["dna-32", "dna-33", "protein-15"])
@@ -79,7 +80,7 @@ class TestWeightedDegree:
         for left, right in ((xs, None), (xs, ys)):
             right_ = left if right is None else right
             np.testing.assert_array_equal(k.pairwise(left, right),
-                                          [[k(x, y) for y in right_] for x in left])
+                                          [[window_matches(x, y, L) for y in right_] for x in left])
 
     def test_pairwise_with_mismatched_width_lists(self):
         # short-vs-long rectangular blocks must align windows by position
@@ -89,7 +90,7 @@ class TestWeightedDegree:
         ys = random_distinct_sequences(rng, DNA, 5, 8, min_len=5)
         B = k.pairwise(xs, ys)
         for i, j in itertools.product(range(5), repeat=2):
-            assert B[i, j] == k(xs[i], ys[j])
+            assert B[i, j] == window_matches(xs[i], ys[j], 2)
 
     @pytest.mark.parametrize("letters,L", [("AB", 1), ("AB", 2), ("ACGT", 1), ("ACGT", 2)])
     def test_degenerate_average_identity(self, letters, L):
@@ -155,13 +156,14 @@ class TestBasePositionwise:
 
     @staticmethod
     def _check_pairwise_against_scalar(k, rel):
-        # one-hot position sums against the scalar product, on mixed
-        # lengths with the empty sequence, square and rectangular
+        # one-hot position sums against the left-to-right product, on
+        # mixed lengths with the empty sequence, square and rectangular
         rng = np.random.default_rng(4)
         seqs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 30, 7, min_len=1)
         ys = random_distinct_sequences(rng, DNA, 9, 10)
         for G, left, right in ((k.pairwise(seqs), seqs, seqs), (k.pairwise(seqs, ys), seqs, ys)):
-            expected = np.array([[k(x, y) for y in right] for x in left])
+            ext = k.letter_kernel.extended
+            expected = np.array([[positionwise_product(x, y, ext) for y in right] for x in left])
             np.testing.assert_allclose(G, expected, rtol=rel, atol=0)
 
     def test_pairwise_matches_scalar(self):
@@ -197,7 +199,9 @@ SELF_SIMILARITY_KERNELS = [
 
 
 class TestSelfSimilarities:
-    """Vectorised diagonals equal the scalar ``k(x, x)`` bit for bit."""
+    """Vectorised diagonals equal ``k(x, x)`` bit for bit; a product over
+    positions equals the left-to-right product oracle instead, since
+    ``pairwise`` takes it as exp of a sum of logs."""
 
     @pytest.mark.parametrize("name,make", SELF_SIMILARITY_KERNELS,
                              ids=[n for n, _ in SELF_SIMILARITY_KERNELS])
@@ -206,13 +210,29 @@ class TestSelfSimilarities:
         rng = np.random.default_rng(41)
         seqs = [empty(DNA), seq(DNA, "A"), seq(DNA, "AC")] + \
             random_distinct_sequences(rng, DNA, 40, 40, min_len=3)
-        expected = np.array([k(x, x) for x in seqs])
+        if hasattr(k, "letter_kernel"):
+            ext = k.letter_kernel.extended
+            expected = np.array([positionwise_product(x, x, ext) for x in seqs])
+        else:
+            expected = np.array([k(x, x) for x in seqs])
         # no scalar call is made
         monkeypatch.setattr(type(k), "__call__", None)
         got = k.self_similarities(seqs)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, expected)
         assert k.self_similarities([]).shape == (0,)
+
+    @pytest.mark.parametrize("C", [0.3, 0.7, 1.0, 1.5, 2.9])
+    @pytest.mark.parametrize("beta", [0.5, 1.3, 2.0, 3.7])
+    @pytest.mark.parametrize("make", [imq_hamming_kernel,
+                                      lambda C, beta: imq_hamming_lag_kernel(C, beta, 3)],
+                             ids=["imq_hamming", "imq_hamming_lag"])
+    def test_imq_gram_diagonal_is_bit_identical(self, make, C, beta):
+        # (C + 0)**-beta as the Gram computes it, not a second power
+        k = make(C, beta)
+        seqs = [empty(DNA), seq(DNA, "A")] + \
+            random_distinct_sequences(np.random.default_rng(42), DNA, 9, 12, min_len=2)
+        np.testing.assert_array_equal(np.diag(k.pairwise(seqs)), k.self_similarities(seqs))
 
 
 class TestImqHamming:
@@ -260,8 +280,7 @@ class TestImqHamming:
             right_ = left if right is None else right
             d = np.array([[hamming_distance(x, y) for y in right_] for x in left])
             np.testing.assert_array_equal(_hamming_matrix(left, right), d)
-            np.testing.assert_allclose(k.pairwise(left, right),
-                                       [[k(x, y) for y in right_] for x in left], rtol=1e-15)
+            np.testing.assert_allclose(k.pairwise(left, right), (1.3 + d) ** -1.7, rtol=1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(DataError):
@@ -285,14 +304,6 @@ class TestImqHammingLag:
             y = random_sequence(rng, DNA, 6)
             assert k1(x, y) == pytest.approx(k0(x, y), rel=1e-14)
 
-    def test_window_mismatch_count_against_oracle(self):
-        rng = np.random.default_rng(8)
-        for L in (1, 2, 3):
-            for _ in range(60):
-                x = random_sequence(rng, DNA, 7)
-                y = random_sequence(rng, DNA, 7)
-                assert lag_window_mismatches(x, y, L) == padded_window_mismatches(x, y, L)
-
     @pytest.mark.parametrize("L", [1, 2, 3, 12])
     def test_pairwise_matches_scalar(self, L):
         # L = 12 is wider than every sequence
@@ -302,9 +313,9 @@ class TestImqHammingLag:
         ys = random_distinct_sequences(rng, DNA, 7, 11)
         for left, right in ((xs, None), (xs, ys)):
             right_ = left if right is None else right
-            np.testing.assert_allclose(k.pairwise(left, right),
-                                       [[k(x, y) for y in right_] for x in left],
-                                       rtol=1e-14, atol=0)
+            expected = [[(1.3 + padded_window_mismatches(x, y, L)) ** -1.7 for y in right_]
+                        for x in left]
+            np.testing.assert_allclose(k.pairwise(left, right), expected, rtol=1e-14, atol=0)
 
     def test_lag_two_frozen_values(self):
         # padded windows of ATGC vs ATCC: TG/TC and GC/CC differ, C$/C$ agree
@@ -367,6 +378,11 @@ class TestCentreJustified:
             assert cj(pair_x, pair_y) == tk(pair_x, pair_y)
 
 
+def _shifted_oracle(base, shift_max):
+    """The offset sum of ``base(x, y)``, a function of two sequences."""
+    return lambda x, y: sum(base(x[l:], y) + base(x, y[l:]) for l in range(shift_max + 1))
+
+
 class TestShifted:
     def test_zero_shift_doubles_base(self):
         k = exp_hamming_kernel(DNA, 0.8)
@@ -394,23 +410,22 @@ class TestShifted:
             assert s(x, y) == pytest.approx(s(y, x), rel=1e-12)
 
     def test_agrees_with_explicit_offset_sum(self):
-        k = imq_hamming_kernel(1.0, 1.0)
-        s = shifted_kernel(k, 3)
+        s = shifted_kernel(imq_hamming_kernel(1.0, 1.0), 3)
+        oracle = _shifted_oracle(lambda a, b: 1.0 / (1.0 + padded_window_mismatches(a, b, 1)), 3)
         rng = np.random.default_rng(12)
         for _ in range(50):
             x = random_sequence(rng, DNA, 6)
             y = random_sequence(rng, DNA, 6)
-            expected = sum(k(x[l:], y) + k(x, y[l:]) for l in range(4))
-            assert s(x, y) == pytest.approx(expected, rel=1e-13)
+            assert s(x, y) == pytest.approx(oracle(x, y), rel=1e-13)
 
     def test_pairwise_matches_scalar(self):
-        k = exp_hamming_kernel(AB, 0.4)
-        s = shifted_kernel(k, 1)
+        s = shifted_kernel(exp_hamming_kernel(AB, 0.4), 1)
+        oracle = _shifted_oracle(lambda a, b: math.exp(-0.4 * padded_window_mismatches(a, b, 1)), 1)
         rng = np.random.default_rng(13)
         seqs = random_distinct_sequences(rng, AB, 6, 5)
         G = s.pairwise(seqs)
         for i, j in itertools.product(range(6), repeat=2):
-            assert G[i, j] == pytest.approx(s(seqs[i], seqs[j]), rel=1e-13)
+            assert G[i, j] == pytest.approx(oracle(seqs[i], seqs[j]), rel=1e-13)
 
     def test_indefinite_for_fast_decaying_base(self):
         # known limitation: the one-sided offset sums are not separately
@@ -440,7 +455,8 @@ def test_pairwise_with_an_empty_side(make):
 class TestMixedAlphabets:
     """Codes of two alphabets are never compared.  DNA's stop code 4 is
     the protein letter F, so DNA ``A`` once matched protein ``AF``
-    exactly (1.0 where the scalar call gives 0.25)."""
+    exactly (1.0 in ``pairwise``, and 0.25 from a hand-written scalar
+    call)."""
 
     KERNELS = [("imq_hamming", lambda: imq_hamming_kernel(1.0, 2.0)),
                ("exp_hamming", lambda: exp_hamming_kernel(DNA, 0.5)),
@@ -452,7 +468,7 @@ class TestMixedAlphabets:
         k = make()
         for x, y in [(seq(DNA, "A"), seq(PROTEIN, "AF")), (seq(DNA, "ACGT"), seq(PROTEIN, "ACGT"))]:
             for call in (lambda: k.pairwise([x], [y]), lambda: k.pairwise([y], [x]),
-                         lambda: k.pairwise([x, y])):
+                         lambda: k.pairwise([x, y]), lambda: k(x, y)):
                 with pytest.raises(DataError, match="different alphabets") as err:
                     call()
                 assert repr(DNA) in str(err.value) and repr(PROTEIN) in str(err.value)
