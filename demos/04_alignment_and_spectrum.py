@@ -1,11 +1,10 @@
-"""Alignment kernels, their flexibility threshold, and kmer features.
+"""Alignment kernels, their flexibility threshold, and the spectrum kernel.
 
 The alignment kernel sums a letter-kernel score over every pairwise
 alignment with affine gap weights.  Its flexibility depends on the gap
 extension penalty mu through sigma = 1'K^-1 1: it has discrete masses
 iff 2 mu >= log sigma (strictly, when gap starts are free).  Tilting by
-exp(mu |x|) turns the alignment kernel into a gapped-kmer feature dot
-product, and the insertion-free local variant into the plain
+exp(mu |x|) turns the insertion-free local variant into the plain
 shared-substring-count kernel.
 """
 
@@ -17,8 +16,6 @@ from seqkern import (
     BINARY,
     AlignmentParams,
     alignment_kernel,
-    enumerate_sequences,
-    gapped_kmer_feature,
     has_discrete_masses_alignment,
     infinite_spectrum_kernel,
     local_alignment_kernel,
@@ -35,23 +32,6 @@ for mu in (0.1, 0.2, 1.0):
     flag = "flexible" if has_discrete_masses_alignment(params) else "NOT flexible"
     print(f"  mu={mu:.1f}: k(x,y)={k(x, y):.5f}  "
           f"2mu={2 * mu:.2f} vs log sigma={math.log(params.sigma):.2f} -> {flag}")
-print()
-
-# the feature view: gapped-kmer occurrences with per-gap-run weights
-sigma, mu, dmu = 3.0, 0.3, 0.5
-zeta = 2 * mu - math.log(sigma) + math.log(BINARY.size)
-k = alignment_kernel(AlignmentParams(
-    BINARY, (BINARY.size / sigma) * np.eye(2), mu, dmu))
-v = seq(BINARY, "AB")
-print(f"gapped-occurrence feature u_AB(ABBA) = "
-      f"{gapped_kmer_feature(v, x, zeta, dmu):.5f}")
-lhs = sum(
-    gapped_kmer_feature(w, x, zeta, dmu) * gapped_kmer_feature(w, y, zeta, dmu)
-    for L in range(4)
-    for w in enumerate_sequences(BINARY, L))
-rhs = math.exp(mu * (len(x) + len(y))) * k(x, y)
-print(f"sum_V u_V(x) u_V(y) = {lhs:.6f}")
-print(f"tilted alignment     = {rhs:.6f}   (equal: feature basis)")
 print()
 
 # the substring-count kernel is an insertion-free local alignment kernel

@@ -24,7 +24,6 @@ from .core import (
     UNKNOWN_MASSES,
     IdentityKernel,
     Kernel,
-    eval_vector_encoded,
     sum_kernel,
     tensor_kernel,
     tilt_kernel,
@@ -77,18 +76,13 @@ from .seqcore import (
     PROTEIN,
     Alphabet,
     Sequence,
-    VectorSequence,
     empty,
     enumerate_sequences,
     enumerate_up_to,
-    hamming_distance,
     seq,
-    window,
 )
 from .spectrum import (
-    GappedKmerIndex,
     finite_spectrum_kernel,
-    gapped_kmer_feature,
     heavy_tailed_gapped_spectrum,
     infinite_spectrum_kernel,
 )

@@ -30,13 +30,12 @@ once; those ``k(x, x)`` must be finite and positive.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Optional, Sequence as Seq
 
 import numpy as np
 
 from .errors import DataError
-from .seqcore import Sequence, VectorSequence, enumerate_sequences
+from .seqcore import Sequence
 
 HAS_MASSES = "has_discrete_masses"
 LACKS_MASSES = "lacks_discrete_masses"
@@ -129,7 +128,7 @@ class Kernel:
         :class:`TiltedKernel`); a ``k(x, x)`` that is not finite and
         positive raises :class:`DataError` naming ``x``.
         """
-        return tilt_kernel(self, _NormalizingTilt(self))
+        return TiltedKernel(self)
 
     def __repr__(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -143,23 +142,6 @@ def _finite_positive(a: np.ndarray, xs: list, what: str) -> np.ndarray:
     if bad.size:
         raise DataError(f"{what} must be finite and positive, got {a[bad[0]]} on {xs[bad[0]]!r}")
     return a
-
-
-class _NormalizingTilt:
-    """The weights ``k(x, x)**-0.5`` of a list, from ``k(x, x)`` finite and positive."""
-
-    def __init__(self, kernel: Kernel):
-        self.kernel = kernel
-
-    def many(self, xs) -> np.ndarray:
-        xs = list(xs)
-        return self.of_self_similarities(self.kernel.self_similarities(xs), xs)
-
-    @staticmethod
-    def of_self_similarities(d: np.ndarray, xs: list) -> np.ndarray:
-        """Weights from the values ``d = k(x, x)`` of ``xs``; checked
-        before the power, so a zero or infinite ``k(x, x)`` raises."""
-        return _finite_positive(d, xs, "k(x, x) of a normalized kernel") ** -0.5
 
 
 class SumKernel(Kernel):
@@ -212,49 +194,45 @@ class TiltedKernel(Kernel):
     """``k^A(x, y) = A(x) k(x, y) A(y)`` for a finite positive weight ``A``.
 
     Tilting rescales the kernel's view of sequence space and preserves
-    discrete masses.  A weight that offers ``many(xs)`` is asked for the
-    weights of a whole list at once; any other is called per sequence.
-    Normalisation, the weight ``A = k(x,x)**-0.5`` of
-    :meth:`Kernel.normalized`, takes its weights from the base values of
-    the same call: a Gram reads them off its own diagonal, a block asks
-    one ``self_similarities`` batch over both sides, and
+    discrete masses.  The weight is called once per sequence.  With
+    ``weight=None`` the tilt normalizes (:meth:`Kernel.normalized`):
+    ``A = k(x, x)**-0.5``, from the base values of the same call, so a
+    Gram reads them off its own diagonal, a block asks one
+    ``self_similarities`` batch over both sides, and
     ``self_similarities`` asks the base once.  Weights that are not
     finite and positive raise :class:`DataError`.
     """
 
     family = "tilt"
 
-    def __init__(self, base: Kernel, weight: Callable[[Sequence], float]):
+    def __init__(self, base: Kernel, weight: Optional[Callable[[Sequence], float]] = None):
         self.base = base
         self.weight = weight
         self.mass_status = base.mass_status
-        self._normalizes = isinstance(weight, _NormalizingTilt) and weight.kernel is base
 
     @property
     def params(self) -> dict:
         return {"base": self.base.family}
 
-    def _weights(self, xs) -> np.ndarray:
-        """Weights of ``xs``, in one batch when the weight offers ``many``."""
-        xs = list(xs)
-        many = getattr(self.weight, "many", None)
-        if many is not None:
-            a = np.asarray(many(xs), dtype=float)
-        else:
-            a = np.array([float(self.weight(x)) for x in xs])
-        return _finite_positive(a, xs, "tilt weight")
+    def _weights(self, xs: list, d: Optional[np.ndarray] = None) -> np.ndarray:
+        """Weights of ``xs``; a normalizing tilt takes them from the values
+        ``d = k(x, x)`` when given and asks the base otherwise, checked
+        before the power, so a zero or infinite ``k(x, x)`` raises."""
+        if self.weight is not None:
+            return _finite_positive(np.array([float(self.weight(x)) for x in xs]), xs,
+                                    "tilt weight")
+        if d is None:
+            d = self.base.self_similarities(xs)
+        return _finite_positive(d, xs, "k(x, x) of a normalized kernel") ** -0.5
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         xs = list(xs)
         ys = None if ys is None else list(ys)
         K = self.base.pairwise(xs, ys)
-        if not self._normalizes:
-            ax = self._weights(xs)
-            ay = ax if ys is None else self._weights(ys)
-        elif ys is None:
-            ax = ay = self.weight.of_self_similarities(K.diagonal(), xs)
+        if ys is None:
+            ax = ay = self._weights(xs, K.diagonal())
         else:
-            a = self.weight.many(xs + ys)
+            a = self._weights(xs + ys)
             ax, ay = a[:len(xs)], a[len(xs):]
         # the weight product first, so a symmetric base Gram stays exactly symmetric
         return (ax[:, None] * ay[None, :]) * K
@@ -262,8 +240,7 @@ class TiltedKernel(Kernel):
     def self_similarities(self, xs) -> np.ndarray:
         xs = list(xs)
         d = self.base.self_similarities(xs)
-        a = self.weight.of_self_similarities(d, xs) if self._normalizes else self._weights(xs)
-        return a ** 2 * d
+        return self._weights(xs, d) ** 2 * d
 
 
 def tilt_kernel(base: Kernel, weight: Callable[[Sequence], float]) -> TiltedKernel:
@@ -324,33 +301,3 @@ class IdentityKernel(Kernel):
 
     def self_similarities(self, xs) -> np.ndarray:
         return np.ones(len(list(xs)))
-
-
-def eval_vector_encoded(kernel: Kernel, v: VectorSequence, w: VectorSequence) -> float:
-    """Evaluate a sequence kernel on vector-encoded (reparameterised) input.
-
-    Expands each encoding as a formal linear combination of ordinary
-    sequences of the same length and sums the kernel over the product
-    basis:
-
-        sum_{|X|=|v|} sum_{|Y|=|w|} (prod_l v[l, X_l]) (prod_l w[l, Y_l]) k(X, Y)
-
-    One-hot inputs recover ``k`` exactly.  The double sum is one
-    ``kernel.pairwise`` matrix over the two bases (sequences with a
-    nonzero coefficient), between the two coefficient vectors; it holds
-    up to ``|B|**(|v|+|w|)`` kernel values, so this is an exact
-    small-scale oracle.
-    """
-    if v.alphabet.size != w.alphabet.size:
-        raise DataError("vector encodings must share the alphabet dimension")
-
-    def expansion(vs: VectorSequence) -> tuple[np.ndarray, list]:
-        basis = enumerate_sequences(vs.alphabet, len(vs))
-        coefs = np.array([math.prod(vs.columns[l, c] for l, c in enumerate(x.codes))
-                          for x in basis])
-        keep = np.flatnonzero(coefs)
-        return coefs[keep], [basis[i] for i in keep]
-
-    cv, basis_v = expansion(v)
-    cw, basis_w = expansion(w)
-    return float(cv @ kernel.pairwise(basis_v, basis_w) @ cw)

@@ -424,14 +424,33 @@ class ShiftedKernel(Kernel):
         return {"base": self.base.family, "shift_max": self.shift_max}
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
-        ys_ = xs if ys is None else ys
-        total = np.zeros((len(xs), len(ys_)))
+        """A Gram is ``sum_l B_l + B_l^T`` with ``B_l = base(x[l:], x)``
+        over the rows: one base call per offset, exactly symmetric.  A
+        block asks the base for both one-sided terms at each offset."""
+        xs = list(xs)
+        if ys is None:
+            total = np.zeros((len(xs), len(xs)))
+            for l in range(self.shift_max + 1):
+                B = self.base.pairwise([x[l:] for x in xs], xs)
+                total += B + B.T  # the sum first keeps the total exactly symmetric
+            return total
+        ys = list(ys)
+        total = np.zeros((len(xs), len(ys)))
         for l in range(self.shift_max + 1):
-            xs_l = [x[l:] for x in xs]
-            ys_l = [y[l:] for y in ys_]
-            total += self.base.pairwise(xs_l, list(ys_))
-            total += self.base.pairwise(list(xs), ys_l)
+            total += self.base.pairwise([x[l:] for x in xs], ys)
+            total += self.base.pairwise(xs, [y[l:] for y in ys])
         return total
+
+    def self_similarities(self, xs) -> np.ndarray:
+        """``sum_l 2 base(x[l:], x)``, the diagonals of the Gram's base
+        matrices, computed in row blocks under ``BLOCK_ELEMENTS``."""
+        xs = list(xs)
+        out = np.zeros(len(xs))
+        for l in range(self.shift_max + 1):
+            for blk in element_blocks(len(xs), len(xs)):
+                rows = xs[blk]
+                out[blk] += 2 * np.diag(self.base.pairwise([x[l:] for x in rows], rows))
+        return out
 
 
 def shifted_kernel(base: Kernel, shift_max: int) -> ShiftedKernel:

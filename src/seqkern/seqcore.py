@@ -9,7 +9,6 @@ is never stored.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -164,35 +163,6 @@ def shared_alphabet(seqs: Iterable[Sequence]) -> Optional[Alphabet]:
     return first
 
 
-def hamming_distance(x: Sequence, y: Sequence) -> int:
-    """Mismatch count between two stop-padded sequences.
-
-    Positions past the end of the shorter sequence compare a letter with
-    the stop symbol and always count as mismatches.
-    """
-    shared_alphabet((x, y))
-    m = min(len(x), len(y))
-    d = max(len(x), len(y)) - m
-    cx, cy = x.codes, y.codes
-    for l in range(m):
-        if cx[l] != cy[l]:
-            d += 1
-    return d
-
-
-def window(x: Sequence, l: int, L: int) -> Optional[Sequence]:
-    """The length-``L`` subsequence at position ``l``, or ``None``.
-
-    Windows that would overlap the stop padding do not exist: they can
-    never match a kmer over the alphabet.
-    """
-    if L < 1:
-        raise ValueError("window length must be >= 1")
-    if l < 0 or l + L > len(x):
-        return None
-    return x[l : l + L]
-
-
 def enumerate_sequences(alphabet: Alphabet, L: int) -> list[Sequence]:
     """All ``|B|**L`` sequences of length exactly ``L``, lexicographic."""
     n = alphabet.size
@@ -260,47 +230,3 @@ def element_blocks(count: int, per_item: int) -> list[slice]:
     nblocks = -(-count // step)
     step = -(-count // nblocks)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-@dataclass(frozen=True)
-class VectorSequence:
-    """A sequence of real column vectors, one per position.
-
-    A one-hot encoded :class:`VectorSequence` represents an ordinary
-    sequence; general columns represent formal linear combinations of
-    letters (a reparameterised alphabet).
-    """
-
-    alphabet: Alphabet
-    columns: np.ndarray = field()  # shape (length, |B|)
-
-    def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
-        if cols.ndim != 2 or cols.shape[1] != self.alphabet.size:
-            if cols.size == 0:
-                cols = cols.reshape(0, self.alphabet.size)
-            else:
-                raise DataError(
-                    "columns must have shape (length, alphabet size)"
-                )
-        object.__setattr__(self, "columns", cols)
-
-    @classmethod
-    def one_hot(cls, x: Sequence) -> "VectorSequence":
-        cols = np.zeros((len(x), x.alphabet.size))
-        for l, c in enumerate(x.codes):
-            cols[l, c] = 1.0
-        return cls(x.alphabet, cols)
-
-    def __len__(self) -> int:
-        return self.columns.shape[0]
-
-    def to_sequence(self) -> Sequence:
-        """Decode a one-hot encoding back to its :class:`Sequence`."""
-        codes = []
-        for col in self.columns:
-            hits = np.flatnonzero(col == 1.0)
-            if len(hits) != 1 or abs(col.sum() - 1.0) > 0:
-                raise DataError("not a one-hot encoding")
-            codes.append(int(hits[0]))
-        return Sequence(self.alphabet, tuple(codes))

@@ -7,17 +7,16 @@ the window ids of ``seqcore.window_ids`` that ``positional`` uses too.
 The infinite spectrum kernel counts shared kmers of every length (plus an
 empty-kmer unit term) and coincides with a tilted local alignment
 kernel whose insertions are forbidden, which is how it earns discrete
-masses and an O(|x| |y|) evaluation.  Gapped kmer features
-generalise substring occurrence to subsequence occurrence with a
-per-gap-run weight; the heavy-tailed gapped spectrum kernel re-weights
-those features with a power law in kmer length.
+masses and an O(|x| |y|) evaluation.  The heavy-tailed gapped spectrum
+kernel re-weights gapped kmer features, which generalise substring
+occurrence to subsequence occurrence with a per-gap-run weight, by a
+power law in kmer length; it is computed by the alignment engine, never
+from the features (their exact enumeration is a test oracle).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .alignment import AlignmentSumKernel, check_gap_penalties, check_positive
 from .alignment import alignment_dp_R  # noqa: F401 (bench/tracing.py wraps it here)
 from .core import HAS_MASSES, LACKS_MASSES, Kernel
 from .errors import DataError
-from .seqcore import Sequence, element_blocks, encode_padded, window_ids
+from .seqcore import element_blocks, encode_padded, window_ids
 
 
 class FiniteSpectrumKernel(Kernel):
@@ -139,76 +138,14 @@ def infinite_spectrum_kernel() -> InfiniteSpectrumKernel:
     return InfiniteSpectrumKernel()
 
 
-@dataclass(frozen=True)
-class GappedKmerIndex:
-    """A strictly increasing selection of positions within ``[0, L)``.
-
-    ``gap_runs`` counts the maximal unselected runs, including a leading
-    run before the first selected position and a trailing run after the
-    last one.
-    """
-
-    positions: tuple[int, ...]
-    length: int
-
-    def __post_init__(self):
-        pos = self.positions
-        if any(p < 0 or p >= self.length for p in pos):
-            raise DataError("positions must lie in [0, length)")
-        if any(a >= b for a, b in zip(pos, pos[1:])):
-            raise DataError("positions must be strictly increasing")
-
-    @property
-    def gap_runs(self) -> int:
-        selected = set(self.positions)
-        runs = 0
-        in_run = False
-        for p in range(self.length):
-            if p not in selected:
-                if not in_run:
-                    runs += 1
-                in_run = True
-            else:
-                in_run = False
-        return runs
-
-
-def gapped_kmer_feature(v: Sequence, x: Sequence, zeta: float,
-                        delta_mu: float, max_len: int = 8) -> float:
-    """Gapped-occurrence feature of ``x`` indexed by the kmer ``v``.
-
-    ``exp(zeta |v| / 2) * sum_J exp(-delta_mu * gap_runs(J)) 1(x_(J) = v)``
-    over all increasing position selections ``J`` of size ``|v|`` in
-    ``[0, |x|)``; ``delta_mu = inf`` keeps only gap-free selections.
-    Exact enumeration, exponential in ``|x|``: an oracle for short
-    sequences.
-    """
-    n = len(x)
-    if n > max_len:
-        raise DataError(
-            f"gapped feature enumeration limited to |x| <= {max_len}, got {n}"
-        )
-    if len(v) > n:
-        return 0.0
-    total = 0.0
-    target = v.codes
-    for J in itertools.combinations(range(n), len(v)):
-        if tuple(x.codes[j] for j in J) != target:
-            continue
-        g = GappedKmerIndex(J, n).gap_runs
-        if delta_mu == math.inf:
-            w = 1.0 if g == 0 else 0.0
-        else:
-            w = math.exp(-delta_mu * g)
-        total += w
-    return math.exp(0.5 * zeta * len(v)) * total
-
-
 class HeavyTailedGappedSpectrumKernel(AlignmentSumKernel):
     """Gapped-kmer kernel with power-law weights in kmer length.
 
     ``k(x, y) = sum_V (C + (|x|+|y|)/2 - |V|)**-beta u~_V(x) u~_V(y)``
-    where ``u~_V`` is the unscaled gapped-occurrence feature.  Computed
+    where the unscaled gapped-occurrence feature ``u~_V(x)`` sums
+    ``exp(-delta_mu * gap_runs(J))`` over the increasing position
+    selections ``J`` with ``x_(J) = V`` (a leading and a trailing
+    unselected run count as gap runs too).  Computed
     by the match-count-resolved alignment recursion with an exact-match
     letter kernel, zero gap-extension penalty, and ``delta_mu`` as the
     per-gap-run weight; the Gamma-mixture structure over the length

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from seqkern import Alphabet, Sequence
+from seqkern import Alphabet, Kernel, Sequence
 
 
 @pytest.fixture
@@ -34,3 +35,23 @@ def random_distinct_sequences(rng, alphabet, n, max_len, min_len=0):
             seen.add(s)
             out.append(s)
     return out
+
+
+class Counting(Kernel):
+    """Forwards to ``base``, counting calls of each evaluation method."""
+
+    def __init__(self, base: Kernel):
+        self.base = base
+        self.calls: Counter = Counter()
+
+    def __call__(self, x, y) -> float:
+        self.calls["__call__"] += 1
+        return self.base(x, y)
+
+    def pairwise(self, xs, ys=None) -> np.ndarray:
+        self.calls["pairwise"] += 1
+        return self.base.pairwise(xs, ys)
+
+    def self_similarities(self, xs) -> np.ndarray:
+        self.calls["self_similarities"] += 1
+        return self.base.self_similarities(xs)

@@ -2,7 +2,10 @@
 
 Everything here computes kernel values by explicit enumeration or
 numeric quadrature, sharing no code path with the library's dynamic
-programmes or closed forms.
+programmes or closed forms.  The one exception is
+:func:`eval_vector_encoded`, a harness around ``kernel.pairwise`` that
+expands vector encodings over ordinary sequences; it checks
+reparameterisation identities, not the kernel's own values.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 from scipy.integrate import quad
 
-from seqkern.seqcore import Sequence
+from seqkern.seqcore import Sequence, enumerate_sequences
 
 
 def enum_alignments(nx: int, ny: int):
@@ -135,6 +139,50 @@ def count_occurrences(v: Sequence, x: Sequence) -> int:
         return len(x) + 1
     sv, sx = str(v), str(x)
     return sum(sx[i : i + len(sv)] == sv for i in range(len(sx) - len(sv) + 1))
+
+
+def gapped_kmer_feature(v: Sequence, x: Sequence, zeta: float, delta_mu: float) -> float:
+    """Gapped-occurrence feature of ``x`` indexed by the kmer ``v``.
+
+    ``exp(zeta |v| / 2) * sum_J exp(-delta_mu * gap_runs(J)) 1(x_(J) = v)``
+    over the increasing position selections ``J`` of size ``|v|`` in
+    ``[0, |x|)``; ``gap_runs`` counts the maximal unselected runs, a
+    leading and a trailing one included, and ``delta_mu = inf`` keeps
+    only gap-free selections.  Exponential in ``|x|``.
+    """
+    n, total = len(x), 0.0
+    for J in itertools.combinations(range(n), len(v)):
+        if tuple(x.codes[j] for j in J) != v.codes:
+            continue
+        bounds = (-1, *J, n)
+        g = sum(b - a > 1 for a, b in zip(bounds, bounds[1:]))
+        total += (g == 0) if delta_mu == math.inf else math.exp(-delta_mu * g)
+    return math.exp(0.5 * zeta * len(v)) * total
+
+
+def eval_vector_encoded(kernel, alphabet, v: np.ndarray, w: np.ndarray) -> float:
+    """``kernel`` on vector-encoded (reparameterised) input.
+
+    ``v`` and ``w`` are ``(length, |B|)`` coefficient arrays, one column
+    vector per position, expanded as formal linear combinations of the
+    sequences of their length:
+
+        sum_{|X|=|v|} sum_{|Y|=|w|} (prod_l v[l, X_l]) (prod_l w[l, Y_l]) k(X, Y)
+
+    One-hot rows recover ``k``.  The double sum is one ``kernel.pairwise``
+    over the sequences with a nonzero coefficient, between the two
+    coefficient vectors.
+    """
+    def expansion(cols):
+        basis = enumerate_sequences(alphabet, len(cols))
+        coefs = np.array([math.prod(cols[l, c] for l, c in enumerate(x.codes))
+                          for x in basis])
+        keep = np.flatnonzero(coefs)
+        return coefs[keep], [basis[i] for i in keep]
+
+    cv, basis_v = expansion(v)
+    cw, basis_w = expansion(w)
+    return float(cv @ kernel.pairwise(basis_v, basis_w) @ cw)
 
 
 def exhaustive_mmd_minimum(objective, alphabet, max_len: int):

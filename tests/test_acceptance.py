@@ -42,7 +42,7 @@ from seqkern import (
 from seqkern.alignment import alignment_value, alignment_dp_R, exponential_letter_matrix
 from seqkern.cli import most_common_letter_count
 
-from oracles import alignment_total, gamma_quadrature
+from oracles import alignment_total, gamma_quadrature, gapped_kmer_feature, padded_window_mismatches
 
 AB = Alphabet("AB")
 DNA = Alphabet("ACGT")
@@ -218,7 +218,7 @@ def test_criterion_06_feature_basis_identities():
     """Gapped-occurrence features reproduce the tilted alignment kernel,
     and the shared-substring kernel is the insertion-free tilted local
     alignment kernel."""
-    from seqkern import gapped_kmer_feature, infinite_spectrum_kernel, tilt_kernel
+    from seqkern import infinite_spectrum_kernel, tilt_kernel
 
     t0 = time.perf_counter()
     sigma, mu = 3.0, 0.3
@@ -274,10 +274,9 @@ def test_criterion_07_heavy_tail_quadrature_oracles():
              "ht_gapped_spectrum": 0.0}
 
     imq = imq_hamming_kernel(C, beta)
-    from seqkern import hamming_distance
     for _ in range(20):
         x, y = rand_pair()
-        d = hamming_distance(x, y)
+        d = padded_window_mismatches(x, y, 1)
         q = gamma_quadrature(lambda t: math.exp(-t * d), C, beta)
         worst["imq_hamming"] = max(worst["imq_hamming"], abs(imq(x, y) - q) / q)
 

@@ -43,6 +43,7 @@ from oracles import (
     alignment_sum_by_count,
     alignment_total,
     count_occurrences,
+    eval_vector_encoded,
     gamma_quadrature,
 )
 
@@ -319,8 +320,6 @@ class TestStructuralProperties:
         # encode the letter mixture U = K^{-1} 1 / (1' K^{-1} 1); repeats
         # of U under the two-letter alignment kernel reproduce the
         # one-letter alignment kernel with letter value 1/sigma
-        from seqkern import VectorSequence, eval_vector_encoded
-
         mu, dmu, lam = 0.4, 0.7, 0.9
         K = exponential_letter_matrix(2, lam)
         params2 = AlignmentParams(AB, K, mu, dmu)
@@ -331,9 +330,9 @@ class TestStructuralProperties:
         k1 = alignment_kernel(
             AlignmentParams(ONE, np.array([[1.0 / sigma]]), mu, dmu))
         for m, m2 in itertools.product(range(4), repeat=2):
-            vu = VectorSequence(AB, np.tile(u, (m, 1)))
-            wu = VectorSequence(AB, np.tile(u, (m2, 1)))
-            lhs = eval_vector_encoded(k2, vu, wu)
+            vu = np.tile(u, (m, 1))
+            wu = np.tile(u, (m2, 1))
+            lhs = eval_vector_encoded(k2, AB, vu, wu)
             rhs = k1(Sequence(ONE, (0,) * m), Sequence(ONE, (0,) * m2))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,12 +12,10 @@ from seqkern import (
     HAS_MASSES,
     IdentityKernel,
     Kernel,
-    VectorSequence,
     alignment_kernel,
     centre_justified_kernel,
     empty,
     enumerate_sequences,
-    eval_vector_encoded,
     exp_hamming_kernel,
     enumerate_up_to,
     finite_spectrum_kernel,
@@ -32,7 +29,8 @@ from seqkern import (
     weighted_degree_kernel,
 )
 
-from conftest import random_distinct_sequences
+from conftest import Counting, random_distinct_sequences
+from oracles import eval_vector_encoded
 
 AB = Alphabet("AB")
 DNA = Alphabet("ACGT")
@@ -150,26 +148,6 @@ class TestNormalizedZeroSelfSimilarity:
         np.testing.assert_allclose(k.self_similarities(xs), 1.0, rtol=1e-15)
 
 
-class _Counting(Kernel):
-    """Forwards to ``base``, counting calls of each evaluation method."""
-
-    def __init__(self, base: Kernel):
-        self.base = base
-        self.calls: Counter = Counter()
-
-    def __call__(self, x, y) -> float:
-        self.calls["__call__"] += 1
-        return self.base(x, y)
-
-    def pairwise(self, xs, ys=None) -> np.ndarray:
-        self.calls["pairwise"] += 1
-        return self.base.pairwise(xs, ys)
-
-    def self_similarities(self, xs) -> np.ndarray:
-        self.calls["self_similarities"] += 1
-        return self.base.self_similarities(xs)
-
-
 NORMALIZED_BASES = [
     ("alignment", lambda: alignment_kernel(AlignmentParams.exponential(DNA, 1.0, 0.2, 0.0))),
     ("local_alignment",
@@ -192,7 +170,7 @@ class TestNormalizedEvaluatesTheBaseOnce:
     @pytest.mark.parametrize("name,make", NORMALIZED_BASES, ids=[n for n, _ in NORMALIZED_BASES])
     def test_base_calls(self, name, make):
         xs, ys = self._inputs()
-        base = _Counting(make())
+        base = Counting(make())
         k = base.normalized()
         k.pairwise(xs)
         assert base.calls == {"pairwise": 1}
@@ -219,14 +197,20 @@ class TestNormalizedEvaluatesTheBaseOnce:
         np.testing.assert_allclose(np.diag(K), 1.0, rtol=1e-15)
 
     def test_generic_tilts_keep_their_weight(self):
-        # a weight that is not the base's own normalisation is asked as before
-        base = _Counting(infinite_spectrum_kernel())
-        other = infinite_spectrum_kernel().normalized().weight
+        # any other weight is called once per sequence, never the base
+        base = Counting(infinite_spectrum_kernel())
+        seen = []
+
+        def other(x):
+            seen.append(x)
+            return infinite_spectrum_kernel()(x, x) ** -0.5
+
         k = tilt_kernel(base, other)
         xs, ys = self._inputs()
-        np.testing.assert_array_equal(
-            k.pairwise(xs, ys),
-            (other.many(xs)[:, None] * other.many(ys)[None, :]) * base.base.pairwise(xs, ys))
+        K = k.pairwise(xs, ys)
+        assert seen == xs + ys
+        ax, ay = np.array([other(x) for x in xs]), np.array([other(y) for y in ys])
+        np.testing.assert_array_equal(K, (ax[:, None] * ay[None, :]) * base.base.pairwise(xs, ys))
         assert base.calls == {"pairwise": 1}
 
 
@@ -414,14 +398,30 @@ class TestEvalVectorEncoded:
     def test_one_hot_recovers_kernel(self):
         k = exp_hamming_kernel(AB, 0.9)
         x, y = seq(AB, "AB"), seq(AB, "BBA")
-        v, w = VectorSequence.one_hot(x), VectorSequence.one_hot(y)
-        assert eval_vector_encoded(k, v, w) == pytest.approx(k(x, y), rel=1e-12)
+        v, w = np.eye(AB.size)[list(x.codes)], np.eye(AB.size)[list(y.codes)]
+        assert eval_vector_encoded(k, AB, v, w) == pytest.approx(k(x, y), rel=1e-12)
 
     def test_zero_column_annihilates(self):
         k = exp_hamming_kernel(AB, 0.9)
-        v = VectorSequence(AB, np.array([[0.0, 0.0]]))
-        w = VectorSequence.one_hot(seq(AB, "A"))
-        assert eval_vector_encoded(k, v, w) == 0.0
+        v = np.array([[0.0, 0.0]])
+        w = np.eye(AB.size)[list(seq(AB, "A").codes)]
+        assert eval_vector_encoded(k, AB, v, w) == 0.0
+
+    def test_empty_encodings_recover_the_empty_pair(self):
+        k = imq_hamming_kernel(1.5, 2.0)
+        z = np.zeros((0, AB.size))
+        assert eval_vector_encoded(k, AB, z, z) == pytest.approx(
+            k(empty(AB), empty(AB)), rel=1e-14)
+
+    def test_probability_rows_average_the_kernel(self):
+        # rows of letter probabilities expand to the expectation of k
+        # over independent letters drawn from them
+        k = exp_hamming_kernel(DNA, 0.7)
+        p = np.full((2, DNA.size), 1.0 / DNA.size)
+        y = seq(DNA, "GAT")
+        w = np.eye(DNA.size)[list(y.codes)]
+        expected = np.mean([k(x, y) for x in enumerate_sequences(DNA, 2)])
+        assert eval_vector_encoded(k, DNA, p, w) == pytest.approx(expected, rel=1e-12)
 
     def test_bilinearity_in_one_column(self):
         k = imq_hamming_kernel(1.0, 2.0)
@@ -429,21 +429,15 @@ class TestEvalVectorEncoded:
         c1, c2 = rng.normal(size=2), rng.normal(size=2)
         alpha, beta = 0.6, -1.3
         rest = rng.normal(size=2)
-        w = VectorSequence(AB, rng.normal(size=(2, 2)))
+        w = rng.normal(size=(2, 2))
 
         def vs(first_col):
-            return VectorSequence(AB, np.stack([first_col, rest]))
+            return np.stack([first_col, rest])
 
-        lhs = eval_vector_encoded(k, vs(alpha * c1 + beta * c2), w)
-        rhs = alpha * eval_vector_encoded(k, vs(c1), w) + beta * eval_vector_encoded(k, vs(c2), w)
+        lhs = eval_vector_encoded(k, AB, vs(alpha * c1 + beta * c2), w)
+        rhs = (alpha * eval_vector_encoded(k, AB, vs(c1), w)
+               + beta * eval_vector_encoded(k, AB, vs(c2), w))
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_dimension_mismatch_rejected(self):
-        k = exp_hamming_kernel(AB, 1.0)
-        v = VectorSequence(AB, np.eye(2))
-        w = VectorSequence(Alphabet("ACG"), np.eye(3))
-        with pytest.raises(DataError):
-            eval_vector_encoded(k, v, w)
 
     @pytest.mark.parametrize("L,letters", [(1, "AB"), (2, "AB"), (1, "ACG"), (2, "ACG")])
     def test_gram_rank_invariant_under_alphabet_reparameterization(self, L, letters):
@@ -461,12 +455,11 @@ class TestEvalVectorEncoded:
                 break
         basis = [T[:, i] for i in range(alphabet.size)]
         encoded = [
-            VectorSequence(alphabet, np.stack([basis[c] for c in s.codes])
-                           if len(s) else np.zeros((0, alphabet.size)))
+            np.stack([basis[c] for c in s.codes]) if len(s) else np.zeros((0, alphabet.size))
             for s in seqs
         ]
         G_rep = np.array([
-            [eval_vector_encoded(k, v, w) for w in encoded] for v in encoded
+            [eval_vector_encoded(k, alphabet, v, w) for w in encoded] for v in encoded
         ])
 
         def rank(M):

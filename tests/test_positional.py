@@ -15,7 +15,6 @@ from seqkern import (
     empty,
     enumerate_sequences,
     exp_hamming_kernel,
-    hamming_distance,
     imq_hamming_kernel,
     imq_hamming_lag_kernel,
     seq,
@@ -28,7 +27,7 @@ from seqkern.embedding import EuclideanKernel, embedding_kernel, random_ball_emb
 from seqkern.positional import _hamming_matrix
 from seqkern.seqcore import PROTEIN
 
-from conftest import random_distinct_sequences, random_sequence
+from conftest import Counting, random_distinct_sequences, random_sequence
 from oracles import (gamma_quadrature, padded_window_mismatches, positionwise_product,
                      window_matches)
 
@@ -46,7 +45,7 @@ class TestWeightedDegree:
         k = weighted_degree_kernel(1)
         x, y = seq(DNA, "ATGC"), seq(DNA, "TGC")
         assert k(x, y) == 0
-        assert k(x, y) == max(len(x), len(y)) - hamming_distance(x, y)
+        assert k(x, y) == max(len(x), len(y)) - padded_window_mismatches(x, y, 1)
 
     def test_lag_two_window_count(self):
         k = weighted_degree_kernel(2)
@@ -58,7 +57,7 @@ class TestWeightedDegree:
         for _ in range(100):
             x = random_sequence(rng, DNA, 8)
             y = random_sequence(rng, DNA, 8)
-            assert k(x, y) == max(len(x), len(y)) - hamming_distance(x, y)
+            assert k(x, y) == max(len(x), len(y)) - padded_window_mismatches(x, y, 1)
 
     def test_pairwise_matches_scalar(self):
         k = weighted_degree_kernel(2)
@@ -125,7 +124,7 @@ class TestBasePositionwise:
             x = random_sequence(rng, DNA, 7)
             y = random_sequence(rng, DNA, 7)
             assert k(x, y) == pytest.approx(
-                math.exp(-lam * hamming_distance(x, y)), rel=1e-12)
+                math.exp(-lam * padded_window_mismatches(x, y, 1)), rel=1e-12)
 
     def test_single_mismatch_value(self):
         k = exp_hamming_kernel(DNA, 1.0)
@@ -246,7 +245,7 @@ class TestImqHamming:
         k = imq_hamming_kernel(1.0, 2.0)
         wd = weighted_degree_kernel(1)
         x, y = seq(DNA, "ATGC"), seq(DNA, "TGCA")
-        assert hamming_distance(x, y) == 4
+        assert padded_window_mismatches(x, y, 1) == 4
         expected = (1 + max(len(x), len(y)) - wd(x, y)) ** -2.0
         assert k(x, y) == pytest.approx(expected, rel=1e-14)
         assert k(x, y) == pytest.approx(1.0 / 25.0, rel=1e-14)
@@ -259,7 +258,7 @@ class TestImqHamming:
         for _ in range(10):
             x = random_sequence(rng, DNA, 6)
             y = random_sequence(rng, DNA, 6)
-            d = hamming_distance(x, y)
+            d = padded_window_mismatches(x, y, 1)
             q = gamma_quadrature(lambda lam: math.exp(-lam * d), C, beta)
             assert k(x, y) == pytest.approx(q, rel=1e-6)
 
@@ -278,7 +277,7 @@ class TestImqHamming:
         ys = random_distinct_sequences(rng, DNA, 9, 12)
         for left, right in ((xs, None), (xs, ys)):
             right_ = left if right is None else right
-            d = np.array([[hamming_distance(x, y) for y in right_] for x in left])
+            d = np.array([[padded_window_mismatches(x, y, 1) for y in right_] for x in left])
             np.testing.assert_array_equal(_hamming_matrix(left, right), d)
             np.testing.assert_allclose(k.pairwise(left, right), (1.3 + d) ** -1.7, rtol=1e-15)
 
@@ -351,6 +350,15 @@ class TestWindowKernelsOnMixedLengths:
         value = lambda x, y: (1.3 + padded_window_mismatches(x, y, L)) ** -1.7
         for got, expected in self.blocks(k, value):
             np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("make", [weighted_degree_kernel,
+                                      lambda L: imq_hamming_lag_kernel(1.0, 1.0, L)],
+                             ids=["weighted_degree", "imq_hamming_lag"])
+    def test_window_length_must_be_positive(self, make):
+        for L in (0, -1):
+            with pytest.raises(DataError, match="must be >= 1"):
+                make(L)
+        assert make(1).L == 1
 
 
 class TestCentreJustified:
@@ -426,6 +434,19 @@ class TestShifted:
         G = s.pairwise(seqs)
         for i, j in itertools.product(range(6), repeat=2):
             assert G[i, j] == pytest.approx(oracle(seqs[i], seqs[j]), rel=1e-13)
+
+    def test_gram_is_symmetric_from_one_base_call_per_offset(self):
+        # mixed lengths with the empty sequence: each offset's base matrix
+        # B_l and its transpose give both one-sided terms, so mirror entries
+        # are the same sums and the diagonal is sum_l 2 B_l[i, i]
+        rng = np.random.default_rng(40)
+        xs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 39, 12)
+        base = Counting(exp_hamming_kernel(DNA, 0.5))
+        s = shifted_kernel(base, 2)
+        G = s.pairwise(xs)
+        assert np.array_equal(G, G.T)
+        assert base.calls == {"pairwise": 3}
+        assert np.array_equal(s.self_similarities(xs), np.diag(G))
 
     def test_indefinite_for_fast_decaying_base(self):
         # known limitation: the one-sided offset sums are not separately

@@ -8,13 +8,11 @@ from seqkern import (
     Alphabet,
     DataError,
     Sequence,
-    VectorSequence,
     empty,
     enumerate_sequences,
-    hamming_distance,
     seq,
-    window,
 )
+from seqkern.positional import _hamming_matrix
 from seqkern.seqcore import PROTEIN, encode_padded, shared_alphabet, window_ids
 
 
@@ -53,7 +51,7 @@ class TestAlphabet:
         x = Sequence.from_letters(a, ["Gly", "Ala"])
         assert len(x) == 2
         assert str(x) == "Gly,Ala"
-        assert hamming_distance(x, Sequence.from_letters(a, ["Gly", "Trp"])) == 1
+        assert _hamming_matrix([x], [Sequence.from_letters(a, ["Gly", "Trp"])])[0, 0] == 1
 
 
 class TestSequence:
@@ -77,37 +75,38 @@ class TestSequence:
 class TestHammingDistance:
     def test_identity(self):
         x = seq(DNA, "ATGC")
-        assert hamming_distance(x, x) == 0
+        assert _hamming_matrix([x], [x])[0, 0] == 0
 
     def test_stop_padding_shifts_everything(self):
         # A/T, T/G, G/C, C/$ all mismatch
-        assert hamming_distance(seq(DNA, "ATGC"), seq(DNA, "TGC")) == 4
+        assert _hamming_matrix([seq(DNA, "ATGC")], [seq(DNA, "TGC")])[0, 0] == 4
 
     def test_single_substitution(self):
-        assert hamming_distance(seq(DNA, "ACGT"), seq(DNA, "ACGA")) == 1
+        assert _hamming_matrix([seq(DNA, "ACGT")], [seq(DNA, "ACGA")])[0, 0] == 1
 
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(DataError):
-            hamming_distance(seq(DNA, "A"), seq(AB, "A"))
+            _hamming_matrix([seq(DNA, "A")], [seq(AB, "A")])
 
     @settings(max_examples=200, deadline=None)
     @given(dna_seq, dna_seq)
     def test_symmetric(self, x, y):
-        assert hamming_distance(x, y) == hamming_distance(y, x)
+        assert _hamming_matrix([x], [y])[0, 0] == _hamming_matrix([y], [x])[0, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(dna_seq, dna_seq, dna_seq)
     def test_triangle_inequality(self, x, y, z):
-        assert hamming_distance(x, z) <= hamming_distance(x, y) + hamming_distance(y, z)
+        assert (_hamming_matrix([x], [z])[0, 0]
+                <= _hamming_matrix([x], [y])[0, 0] + _hamming_matrix([y], [z])[0, 0])
 
     @settings(max_examples=200, deadline=None)
     @given(dna_seq, dna_seq)
     def test_bounded_by_max_length(self, x, y):
-        assert hamming_distance(x, y) <= max(len(x), len(y))
+        assert _hamming_matrix([x], [y])[0, 0] <= max(len(x), len(y))
 
     def test_max_length_bound_is_achievable(self):
         # disjoint letters: every padded position mismatches
-        assert hamming_distance(seq(DNA, "AAA"), seq(DNA, "CC")) == 3
+        assert _hamming_matrix([seq(DNA, "AAA")], [seq(DNA, "CC")])[0, 0] == 3
 
     @settings(max_examples=200, deadline=None)
     @given(dna_seq, dna_seq, st.integers(0, 3))
@@ -118,26 +117,11 @@ class TestHammingDistance:
         if len(x) >= len(y):
             return
         extended = x + Sequence(DNA, (code,))
-        delta = hamming_distance(extended, y) - hamming_distance(x, y)
+        delta = _hamming_matrix([extended], [y])[0, 0] - _hamming_matrix([x], [y])[0, 0]
         if code == y.codes[len(x)]:
             assert delta == -1
         else:
             assert delta == 0
-
-
-class TestWindow:
-    def test_direct_slice(self):
-        assert window(seq(DNA, "ATGC"), 0, 2) == seq(DNA, "AT")
-
-    def test_overlapping_padding_is_none(self):
-        assert window(seq(DNA, "ATGC"), 3, 2) is None
-
-    def test_empty_sequence_has_no_windows(self):
-        assert window(empty(DNA), 0, 1) is None
-
-    def test_window_length_must_be_positive(self):
-        with pytest.raises(ValueError):
-            window(seq(DNA, "A"), 0, 0)
 
 
 class TestStopPaddedCodes:
@@ -173,6 +157,51 @@ class TestStopPaddedCodes:
                 assert (a == b) == (u == v), (L, u, v)
 
 
+class TestWindow:
+    """Windows as the window kernels see them: ids from ``window_ids``."""
+
+    @staticmethod
+    def level(seqs, L, alphabet=DNA):
+        return list(window_ids(encode_padded(seqs), alphabet.size, L))[L - 1]
+
+    def test_direct_slice(self):
+        # ATGC[0:2] = AT and ATGC[1:3] = TG
+        ids = self.level([seq(DNA, "ATGC"), seq(DNA, "AT"), seq(DNA, "TG")], 2)
+        assert ids[0, 0] == ids[1, 0]
+        assert ids[0, 1] == ids[2, 0]
+        assert ids[0, 0] != ids[0, 1]
+
+    def test_window_past_the_end_reads_stop(self):
+        # ATGC at 3 is C$ (C$$ at width 3), as is GC at 1; CA is no such window
+        for L in (2, 3):
+            ids = self.level([seq(DNA, "ATGC"), seq(DNA, "GC"), seq(DNA, "CA")], L)
+            assert ids[0, 3] == ids[1, 1]
+            assert ids[0, 3] != ids[2, 0]
+
+    def test_empty_row_is_all_stop(self):
+        # every window of the empty row is all stop, like A's past its end
+        for L in (1, 2, 3):
+            ids = self.level([empty(DNA), seq(DNA, "AC"), seq(DNA, "A")], L)
+            assert set(ids[0]) == {ids[2, 1]}
+            assert ids[2, 1] not in set(ids[1]) | {ids[2, 0]}
+
+    def test_ids_stay_exact_past_int64_positional_codes(self):
+        # 21 ** 20 overflows int64, so only the renumbering keeps
+        # length-20 protein windows apart
+        rng = np.random.default_rng(8)
+        seqs = [Sequence(PROTEIN, tuple(int(c) for c in rng.integers(PROTEIN.size, size=n)))
+                for n in (12, 12, 9, 3, 0)]
+        seqs.append(seqs[0])
+        seqs.append(Sequence(PROTEIN, seqs[0].codes[:10] + seqs[1].codes[10:]))
+        codes = encode_padded(seqs)
+        windows = [[(str(s) + "$" * 40)[p : p + L] for s in seqs for p in range(codes.shape[1])]
+                   for L in range(1, 21)]
+        for L, ids in enumerate(window_ids(codes, PROTEIN.size, 20), start=1):
+            assert 0 <= ids.min() and ids.max() < codes.size
+            for (a, u), (b, v) in itertools.combinations(zip(ids.ravel(), windows[L - 1]), 2):
+                assert (a == b) == (u == v), (L, u, v)
+
+
 class TestEnumerateSequences:
     def test_length_zero(self):
         assert enumerate_sequences(AB, 0) == [empty(AB)]
@@ -188,18 +217,3 @@ class TestEnumerateSequences:
     def test_lexicographic_order(self):
         out = enumerate_sequences(AB, 2)
         assert [str(s) for s in out] == ["AA", "AB", "BA", "BB"]
-
-
-class TestVectorSequence:
-    def test_one_hot_round_trip(self):
-        x = seq(DNA, "GATC")
-        assert VectorSequence.one_hot(x).to_sequence() == x
-
-    def test_non_one_hot_rejected_on_decode(self):
-        v = VectorSequence(DNA, np.full((1, 4), 0.25))
-        with pytest.raises(DataError):
-            v.to_sequence()
-
-    def test_empty_round_trip(self):
-        x = empty(DNA)
-        assert VectorSequence.one_hot(x).to_sequence() == x

@@ -9,14 +9,12 @@ from seqkern import (
     Alphabet,
     AlignmentParams,
     DataError,
-    GappedKmerIndex,
     Sequence,
     alignment_kernel,
     empty,
     enumerate_sequences,
     enumerate_up_to,
     finite_spectrum_kernel,
-    gapped_kmer_feature,
     heavy_tailed_gapped_spectrum,
     infinite_spectrum_kernel,
     local_alignment_kernel,
@@ -29,7 +27,7 @@ from seqkern.seqcore import PROTEIN
 
 from conftest import random_distinct_sequences, random_sequence
 from oracles import (count_occurrences, finite_spectrum_value, gamma_quadrature,
-                     substring_counts)
+                     gapped_kmer_feature, substring_counts)
 
 AB = Alphabet("AB")
 DNA = Alphabet("ACGT")
@@ -173,20 +171,6 @@ class TestInfiniteSpectrum:
         assert w.min() > 0
 
 
-class TestGappedKmerIndex:
-    def test_gap_run_counting_includes_boundaries(self):
-        assert GappedKmerIndex((1, 2), 4).gap_runs == 2  # leading + trailing
-        assert GappedKmerIndex((0, 1, 2, 3), 4).gap_runs == 0
-        assert GappedKmerIndex((0, 3), 4).gap_runs == 1  # interior only
-        assert GappedKmerIndex((), 3).gap_runs == 1      # everything skipped
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            GappedKmerIndex((2, 1), 4)
-        with pytest.raises(DataError):
-            GappedKmerIndex((0, 4), 4)
-
-
 class TestGappedKmerFeature:
     def test_too_long_kmer_has_zero_feature(self):
         assert gapped_kmer_feature(seq(AB, "AAB"), seq(AB, "AB"), 0.3, 0.5) == 0.0
@@ -199,10 +183,33 @@ class TestGappedKmerFeature:
         assert gapped_kmer_feature(x, x, zeta, dmu) == pytest.approx(
             math.exp(0.5 * zeta * 2), rel=1e-14)
 
-    def test_enumeration_budget_enforced(self):
-        x = Sequence(AB, (0,) * 9)
-        with pytest.raises(DataError):
-            gapped_kmer_feature(seq(AB, "A"), x, 0.0, 0.5)
+    def test_gap_run_counting_includes_boundaries(self):
+        dmu = 0.7
+        x = seq(AB, "ABBA")
+
+        def f(v):
+            return gapped_kmer_feature(v, x, 0.0, dmu)
+
+        # BB only at (1, 2): a leading and a trailing run
+        assert f(seq(AB, "BB")) == pytest.approx(math.exp(-2 * dmu), rel=1e-14)
+        # AA only at (0, 3): one interior run
+        assert f(seq(AB, "AA")) == pytest.approx(math.exp(-dmu), rel=1e-14)
+        # AB at (0, 1) leaves a trailing run, at (0, 2) an interior and a trailing one
+        assert f(seq(AB, "AB")) == pytest.approx(math.exp(-dmu) + math.exp(-2 * dmu), rel=1e-14)
+        # the whole sequence leaves none; the empty kmer skips everything in one run
+        assert f(x) == 1.0
+        assert f(empty(AB)) == pytest.approx(math.exp(-dmu), rel=1e-14)
+        assert gapped_kmer_feature(empty(AB), empty(AB), 0.0, dmu) == 1.0
+
+    def test_infinite_start_penalty_keeps_only_the_whole_sequence(self):
+        # with delta_mu = inf only the gap-free selection J = [0, |x|)
+        # survives, so the feature indicates v == x
+        zeta = 0.4
+        for x in enumerate_up_to(AB, 3):
+            for v in enumerate_up_to(AB, 3):
+                expected = math.exp(0.5 * zeta * len(x)) if v == x else 0.0
+                assert gapped_kmer_feature(v, x, zeta, math.inf) == pytest.approx(
+                    expected, rel=1e-14), (str(v), str(x))
 
     @pytest.mark.parametrize("delta_mu", DMU_GRID)
     def test_feature_sum_equals_tilted_alignment_kernel(self, delta_mu):
