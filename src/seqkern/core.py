@@ -23,9 +23,11 @@ Build matrices, not loops of scalar calls: each scalar call is a whole
 
 Combinators here (positive sums, tilting, tensor products) preserve the
 discrete-mass property and build their matrices and diagonals from their
-parts'.  Normalisation, the tilt by ``k(x, x)**-0.5``, takes its weights
-from the base values of the same call, so each call evaluates the base
-once; those ``k(x, x)`` must be finite and positive.
+parts'; a normalizing tilt builds the optimizer's neighbour values
+(:meth:`Kernel.neighbour_values`) from its base's the same way.
+Normalisation, the tilt by ``k(x, x)**-0.5``, takes its weights from the
+base values of the same call, so each call evaluates the base once;
+those ``k(x, x)`` must be finite and positive.
 """
 
 from __future__ import annotations
@@ -135,12 +137,12 @@ class Kernel:
         return f"{type(self).__name__}({ps})"
 
 
-def _finite_positive(a: np.ndarray, xs: list, what: str) -> np.ndarray:
-    """``a``, or :class:`DataError` naming the first sequence whose entry
-    is not finite and positive."""
+def _finite_positive(a: np.ndarray, item: Callable[[int], object], what: str) -> np.ndarray:
+    """``a``, or :class:`DataError` naming ``item(i)`` for the first entry
+    ``i`` that is not finite and positive."""
     bad = np.flatnonzero(~(np.isfinite(a) & (a > 0)))
     if bad.size:
-        raise DataError(f"{what} must be finite and positive, got {a[bad[0]]} on {xs[bad[0]]!r}")
+        raise DataError(f"{what} must be finite and positive, got {a[bad[0]]} on {item(bad[0])!r}")
     return a
 
 
@@ -219,11 +221,11 @@ class TiltedKernel(Kernel):
         ``d = k(x, x)`` when given and asks the base otherwise, checked
         before the power, so a zero or infinite ``k(x, x)`` raises."""
         if self.weight is not None:
-            return _finite_positive(np.array([float(self.weight(x)) for x in xs]), xs,
-                                    "tilt weight")
+            return _finite_positive(np.array([float(self.weight(x)) for x in xs]),
+                                    xs.__getitem__, "tilt weight")
         if d is None:
             d = self.base.self_similarities(xs)
-        return _finite_positive(d, xs, "k(x, x) of a normalized kernel") ** -0.5
+        return _normalizing(d, xs.__getitem__)
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         xs = list(xs)
@@ -241,6 +243,25 @@ class TiltedKernel(Kernel):
         xs = list(xs)
         d = self.base.self_similarities(xs)
         return self._weights(xs, d) ** 2 * d
+
+    def neighbour_values(self, edits, ys) -> tuple[np.ndarray, np.ndarray]:
+        """A normalizing tilt: the base's :meth:`Kernel.neighbour_values`,
+        tilted as :meth:`pairwise` and :meth:`self_similarities` tilt,
+        with the neighbours' weights from the base's ``k(x, x)``; a
+        neighbour is built only to name a bad one.  A weight function
+        needs the neighbours, so it takes the build-and-score default."""
+        if self.weight is not None:
+            return Kernel.neighbour_values(self, edits, ys)
+        ys = list(ys)
+        K, d = self.base.neighbour_values(edits, ys)
+        az = _normalizing(d, lambda i: edits.neighbour(i)[1])
+        ay = self._weights(ys)
+        return (az[:, None] * ay[None, :]) * K, az ** 2 * d
+
+
+def _normalizing(d: np.ndarray, item: Callable[[int], object]) -> np.ndarray:
+    """The weights ``k(x, x)**-0.5`` of a normalizing tilt, from ``d``."""
+    return _finite_positive(d, item, "k(x, x) of a normalized kernel") ** -0.5
 
 
 def tilt_kernel(base: Kernel, weight: Callable[[Sequence], float]) -> TiltedKernel:

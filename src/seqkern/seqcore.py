@@ -217,16 +217,19 @@ def window_ids(codes: np.ndarray, stop: int, L: int) -> Iterator[np.ndarray]:
         yield ids
 
 
-def element_blocks(count: int, per_item: int) -> list[slice]:
+def element_blocks(count: int, per_item: int, cap: Optional[int] = None) -> list[slice]:
     """Cut ``range(count)`` into near-equal slices for a blocked loop.
 
-    Each slice holds at most ``BLOCK_ELEMENTS // per_item`` items (and
-    at least one), so a temporary of ``per_item`` elements per item
-    stays under the cap whatever ``count`` is.
+    Each slice holds at most ``cap // per_item`` items (and at least
+    one), so a temporary of ``per_item`` elements per item stays under
+    the cap whatever ``count`` is.  ``cap`` defaults to
+    ``BLOCK_ELEMENTS``, read at call time.
     """
     if count <= 0:
         return []
-    step = max(1, BLOCK_ELEMENTS // max(per_item, 1))
+    if cap is None:
+        cap = BLOCK_ELEMENTS
+    step = max(1, cap // max(per_item, 1))
     nblocks = -(-count // step)
     step = -(-count // nblocks)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]

@@ -6,12 +6,15 @@ programmes or closed forms.  The one exception is
 :func:`eval_vector_encoded`, a harness around ``kernel.pairwise`` that
 expands vector encodings over ordinary sequences; it checks
 reparameterisation identities, not the kernel's own values.
+:func:`random_ball_vector` is the random-ball embedding built one
+sequence at a time, with a generator constructed per sequence.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -195,3 +198,21 @@ def exhaustive_mmd_minimum(objective, alphabet, max_len: int):
             if v < best_val:
                 best_val, best_seq = v, s
     return best_seq, best_val
+
+
+def random_ball_vector(x: Sequence, seed: int, dim: int, scale_epsilon: float = 0.0) -> np.ndarray:
+    """The random-ball vector of ``x``, scaled by
+    ``|B|**((1 + eps)|x|/D)`` when ``scale_epsilon`` is positive, from a
+    ``Generator(Philox(key=...))`` constructed for ``x`` alone.  The key
+    is the blake2b digest of ``x``'s letters joined by ``"\\x1f"``,
+    keyed by the seed's 8 signed little-endian bytes."""
+    payload = "\x1f".join(x.letters).encode()
+    digest = hashlib.blake2b(payload, digest_size=16,
+                             key=seed.to_bytes(8, "little", signed=True)).digest()
+    rng = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+    direction = rng.standard_normal(dim)
+    direction /= np.linalg.norm(direction)
+    v = direction * rng.random() ** (1.0 / dim)
+    if scale_epsilon > 0:
+        v = x.alphabet.size ** ((1.0 + scale_epsilon) * len(x) / dim) * v
+    return v

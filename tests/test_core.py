@@ -29,6 +29,8 @@ from seqkern import (
     weighted_degree_kernel,
 )
 
+from seqkern.optimize import Edits
+
 from conftest import Counting, random_distinct_sequences
 from oracles import eval_vector_encoded
 
@@ -138,6 +140,18 @@ class TestNormalizedZeroSelfSimilarity:
         for call in calls:
             with pytest.raises(DataError, match=message):
                 call()
+
+    @pytest.mark.parametrize("name,make,letters", ZERO_DIAGONAL,
+                             ids=[n for n, _, _ in ZERO_DIAGONAL])
+    def test_optimizer_neighbours_are_named_as_on_the_default_path(self, name, make, letters):
+        # the tilt's own neighbour_values builds a neighbour only to name it
+        k = make().normalized()
+        edits = Edits.of(seq(DNA, letters[1] + "A"))
+        atoms = [seq(DNA, letters[0])]
+        with pytest.raises(DataError, match=r"k\(x, x\) .* got 0.0 on") as default:
+            Kernel.neighbour_values(k, edits, atoms)
+        with pytest.raises(DataError, match=re.escape(str(default.value))):
+            k.neighbour_values(edits, atoms)
 
     @pytest.mark.parametrize("name,make,letters", ZERO_DIAGONAL,
                              ids=[n for n, _, _ in ZERO_DIAGONAL])

@@ -16,6 +16,7 @@ from seqkern import (
     TableEmbedding,
     embedding_kernel,
     enumerate_up_to,
+    greedy_mmd_optimize,
     mmd,
     random_ball_embedding,
     scaled_embedding,
@@ -23,8 +24,10 @@ from seqkern import (
 )
 
 from conftest import random_distinct_sequences
+from oracles import random_ball_vector
 
 AB = Alphabet("AB")
+DNA = Alphabet("ACGT")
 ONE = Alphabet("A")
 PROTEIN = Alphabet("ACDEFGHIKLMNPQRSTVWY")
 
@@ -91,6 +94,53 @@ class TestRandomBallEmbedding:
             results = list(pool.map(lambda _: emb.vector(x).copy(), range(32)))
         for r in results[1:]:
             np.testing.assert_array_equal(results[0], r)
+
+    def test_concurrent_first_matrix_calls_agree(self):
+        # each call rekeys its own generator; overlapping batches fill one memo
+        rng = np.random.default_rng(35)
+        seqs = random_distinct_sequences(rng, PROTEIN, 200, 20)
+        emb = scaled_embedding(random_ball_embedding(seed=5, dim=16), 0.1, PROTEIN.size)
+        batches = [seqs[i % 5 * 30:][:80] for i in range(32)]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(emb.matrix, batches))
+        for batch, M in zip(batches, results):
+            expected = np.array([random_ball_vector(x, 5, 16, 0.1) for x in batch])
+            assert M.tobytes() == expected.tobytes()
+
+
+class TestBatchedVectors:
+    """Batches rekey one generator per call; the vectors equal those of a
+    generator constructed per sequence, bit for bit."""
+
+    @pytest.mark.parametrize("alphabet", [DNA, PROTEIN], ids=["dna", "protein"])
+    @pytest.mark.parametrize("dim", [1, 16, 64])
+    @pytest.mark.parametrize("seed", [0, 3, -5])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1], ids=["plain", "scaled"])
+    def test_equal_per_sequence_generators(self, alphabet, dim, seed, epsilon):
+        rng = np.random.default_rng(36)
+        seqs = random_distinct_sequences(rng, alphabet, 40, 30, min_len=1)
+        # the empty sequence, and a batch that repeats a sequence
+        batch = [Sequence(alphabet, ()), *seqs, seqs[3], Sequence(alphabet, ()), seqs[0]]
+        emb = random_ball_embedding(seed, dim)
+        if epsilon:
+            emb = scaled_embedding(emb, epsilon, alphabet.size)
+        expected = np.array([random_ball_vector(x, seed, dim, epsilon) for x in batch])
+        assert emb.vectors(batch).tobytes() == expected.tobytes()
+        assert emb._cache == {}
+        assert emb.matrix(batch).tobytes() == expected.tobytes()
+        assert len(emb._cache) == len(seqs) + 1
+        # rows read back from the memo, and single vectors, are the same
+        assert emb.matrix(batch[::-1]).tobytes() == expected[::-1].tobytes()
+        assert emb.vector(seqs[3]).tobytes() == expected[4].tobytes()
+
+    def test_wrong_size_is_a_data_error(self):
+        emb = FunctionEmbedding(lambda x: np.zeros(len(x) + 1), 2)
+        assert emb.matrix([seq(AB, "A")]).shape == (1, 2)
+        with pytest.raises(DataError, match="wrong size"):
+            emb.matrix([seq(AB, "A"), seq(AB, "AB")])
+        with pytest.raises(DataError, match="wrong size"):
+            emb.vectors([seq(AB, "ABA")])
+        assert emb.vectors([]).shape == (0, 2)
 
 
 class TestScaledEmbedding:
@@ -169,6 +219,18 @@ class TestEmbeddingKernel:
         assert all(u > v for u, v in zip(values, values[1:]))
         expected = math.sqrt(2.0 - 2.0 * math.exp(-1.0 / 4.0))
         assert values[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_optimizer_neighbours_are_not_memoised(self):
+        # the atoms and the start are read again and memoised; each step's
+        # ~1,100 neighbours are scored once, in a batch that is not
+        rng = np.random.default_rng(37)
+        atoms = random_distinct_sequences(rng, PROTEIN, 100, 17, min_len=10)
+        init = Sequence(PROTEIN, tuple(int(c) for c in rng.integers(20, size=28)))
+        emb = scaled_embedding(random_ball_embedding(seed=0, dim=64), 0.1, PROTEIN.size)
+        k = embedding_kernel(emb, EuclideanKernel("imq"))
+        trace = greedy_mmd_optimize(k, EmpiricalMeasure.uniform(atoms), init, max_steps=5)
+        assert len(trace.steps) == 6
+        assert len(emb._cache) <= len(atoms) + len(trace.steps)
 
     def test_table_embedding_lookup_miss(self):
         emb = TableEmbedding({"AB": np.array([0.5, 0.5])}, 2)

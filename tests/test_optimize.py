@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqkern import (
+    AlignmentParams,
     Alphabet,
     DataError,
     EmpiricalMeasure,
     EuclideanKernel,
     FunctionEmbedding,
+    Kernel,
     Sequence,
+    alignment_kernel,
     embedding_kernel,
     empty,
     exp_hamming_kernel,
@@ -17,8 +20,11 @@ from seqkern import (
     infinite_spectrum_kernel,
     length_statistics,
     mmd,
+    random_ball_embedding,
+    scaled_embedding,
     seq,
     single_edit_neighbors,
+    tilt_kernel,
 )
 
 import seqkern.optimize as optimize
@@ -206,14 +212,16 @@ class TestDistinctNeighbours:
     def test_each_step_scores_each_distinct_neighbour_once(self, name, make, monkeypatch):
         # every family is handed each distinct edit once per step; the
         # generic default builds those neighbours for one pairwise call,
-        # imq_hamming scores them from match counts and builds none
+        # imq_hamming scores them from match counts and builds none, and
+        # a normalized kernel hands them on to its base
         kernel = make()
         handed, built = [], []
         values = type(kernel).neighbour_values
         monkeypatch.setattr(type(kernel), "neighbour_values",
                             lambda k, edits, ys: handed.append(edits) or values(k, edits, ys))
-        pairwise = kernel.pairwise
-        monkeypatch.setattr(kernel, "pairwise",
+        scoring = getattr(kernel, "base", kernel)
+        pairwise = scoring.pairwise
+        monkeypatch.setattr(scoring, "pairwise",
                             lambda xs, ys=None: built.append(list(xs)) or pairwise(xs, ys))
         rng = np.random.default_rng(52)
         target = EmpiricalMeasure.uniform(random_distinct_sequences(rng, DNA, 5, 5, min_len=2))
@@ -304,6 +312,63 @@ class TestMatchCountScoring:
             got = [(str(s.edit), s.sequence, s.mmd.hex()) for s in trace.steps]
             expected = _score_every_neighbour(kernel, target, init, 6)
             assert got == [(e, s, v.hex()) for e, s, v in expected]
+
+
+def _embedding(scaled: bool):
+    emb = random_ball_embedding(seed=3, dim=16)
+    if scaled:
+        emb = scaled_embedding(emb, 0.1, PROTEIN.size)
+    return embedding_kernel(emb, EuclideanKernel("imq"))
+
+
+class TestNeighbourValueOverrides:
+    """Every ``neighbour_values`` override against the build-and-score
+    default, :meth:`Kernel.neighbour_values`, bit for bit."""
+
+    KERNELS = [
+        ("embedding", PROTEIN, lambda: _embedding(False)),
+        ("scaled_embedding", PROTEIN, lambda: _embedding(True)),
+        ("normalized_embedding", PROTEIN, lambda: _embedding(True).normalized()),
+        ("normalized_imq_hamming", PROTEIN, lambda: imq_hamming_kernel(1.0, 1.5).normalized()),
+        ("weighted_imq_hamming", PROTEIN,
+         lambda: tilt_kernel(imq_hamming_kernel(1.0, 1.5), lambda x: 1.0 / (1.0 + len(x)))),
+        ("normalized_alignment", DNA,
+         lambda: alignment_kernel(AlignmentParams.exponential(DNA, 1.0, 0.2, 0.0)).normalized()),
+    ]
+    IDS = [name for name, _, _ in KERNELS]
+
+    @pytest.mark.parametrize("name,alphabet,make", KERNELS, ids=IDS)
+    def test_equal_to_building_the_neighbours(self, name, alphabet, make):
+        rng = np.random.default_rng(56)
+        kernel = make()
+        assert type(kernel).neighbour_values is not Kernel.neighbour_values
+        atoms = [empty(alphabet)] + random_distinct_sequences(rng, alphabet, 12, 9, min_len=1)
+        for n in (0, 1, 7):
+            x = Sequence(alphabet, tuple(int(c) for c in rng.integers(alphabet.size, size=n)))
+            edits = Edits.of(x)
+            distinct = edits.take(edits.first_seen()[0])
+            for e in (edits, distinct):
+                K, d = kernel.neighbour_values(e, atoms)
+                K_ref, d_ref = Kernel.neighbour_values(kernel, e, atoms)
+                assert K.shape == (len(e), len(atoms))
+                assert K.tobytes() == K_ref.tobytes() and d.tobytes() == d_ref.tobytes()
+
+    @pytest.mark.parametrize("name,alphabet,make", KERNELS, ids=IDS)
+    def test_trace_equals_the_default_path(self, name, alphabet, make, monkeypatch):
+        rng = np.random.default_rng(57)
+        atoms = [empty(alphabet)] + random_distinct_sequences(rng, alphabet, 8, 9, min_len=1)
+        target = EmpiricalMeasure.uniform(atoms)
+        init = Sequence(alphabet, tuple(int(c) for c in rng.integers(alphabet.size, size=10)))
+
+        def steps(kernel):
+            trace = greedy_mmd_optimize(kernel, target, init, max_steps=4)
+            return [(str(s.edit), s.sequence, s.mmd.hex()) for s in trace.steps]
+
+        kernel = make()
+        got = steps(kernel)
+        monkeypatch.setattr(type(kernel), "neighbour_values", Kernel.neighbour_values)
+        assert got == steps(make())
+        assert len(got) > 1
 
 
 class TestLengthStatistics:
