@@ -90,8 +90,8 @@ def checked_letter_matrix(matrix, size: int) -> np.ndarray:
 
     A letter matrix is ``size x size``, finite, symmetric and strictly
     positive definite; raises :class:`DataError` naming the first
-    condition that fails.  Position-wise kernels pass the matrix
-    extended by the stop symbol.
+    condition that fails; one symmetric to within 1e-12 comes back exactly
+    symmetric.  Position-wise kernels pass the matrix extended by stop.
     """
     K = np.asarray(matrix, dtype=float)
     if K.shape != (size, size):
@@ -100,6 +100,8 @@ def checked_letter_matrix(matrix, size: int) -> np.ndarray:
         raise DataError("letter matrix entries must be finite")
     if not np.allclose(K, K.T, rtol=1e-12, atol=1e-12):
         raise DataError("letter matrix must be symmetric")
+    if not np.array_equal(K, K.T):
+        K = 0.5 * K + 0.5 * K.T
     eigmin = float(np.linalg.eigvalsh(K).min())
     if not eigmin > 0:
         raise DataError(f"letter matrix must be strictly positive definite "

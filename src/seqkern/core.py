@@ -289,9 +289,11 @@ class TensorKernel(Kernel):
         return {"left": self.left.family, "right": self.right.family}
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
+        xs = list(xs)
         x1, x2 = [p[0] for p in xs], [p[1] for p in xs]
         if ys is None:
             return self.left.pairwise(x1) * self.right.pairwise(x2)
+        ys = list(ys)
         y1, y2 = [p[0] for p in ys], [p[1] for p in ys]
         return self.left.pairwise(x1, y1) * self.right.pairwise(x2, y2)
 

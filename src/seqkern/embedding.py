@@ -251,10 +251,10 @@ class EmbeddingKernel(Kernel):
         ``pairwise`` over the built neighbours, bit for bit."""
         A = self.embedding.vectors(edits.sequences())
         d2 = _squared_distances(A, self.embedding.matrix(ys))
-        return self.euclidean.of_sqdist(d2), self.self_similarities(A)
+        return self.euclidean.of_sqdist(d2), np.ones(len(A))
 
     def self_similarities(self, xs) -> np.ndarray:
-        return np.ones(len(xs))
+        return np.ones(len(list(xs)))
 
 
 def random_ball_embedding(seed: int, dim: int) -> RandomBallEmbedding:

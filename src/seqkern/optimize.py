@@ -14,14 +14,14 @@ from the current sequence alone, so no neighbour is built to find them.
 The kernel scores the distinct ones through
 :meth:`Kernel.neighbour_values`, which by default builds those
 neighbours for one ``pairwise`` and one ``self_similarities`` call.
-Three kernels override it, each equal to the default bit for bit (times
+Four kernels override it, each equal to the default bit for bit (times
 per step from a 28-residue protein start, 2 vCPUs, BLAS at 2 threads):
 
-- ``imq_hamming``: a neighbour's Hamming distance to an atom follows
-  from the current sequence's prefix and suffix match counts against
-  that atom at shifts -1, 0 and +1, exact integers, so only the
-  accepted neighbour is ever built; against 300 atoms, about 4 ms
-  instead of about 16.
+- ``imq_hamming`` and ``exp_hamming``: a neighbour's Hamming distance
+  to an atom follows from the current sequence's prefix and suffix
+  match counts against that atom at shifts -1, 0 and +1, exact
+  integers, so only the accepted neighbour is ever built; against 300
+  atoms, about 4 ms instead of about 16.
 - ``embedding``: the neighbours' vectors in one batch, not memoised;
   the README's kernel (D = 64) against 100 atoms, about 24 ms.
 - normalized kernels: the base's values, tilted, so normalized

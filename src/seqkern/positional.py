@@ -7,10 +7,10 @@ notion of similarity (exponential Hamming, inverse-multiquadric Hamming,
 centre-justified and shifted variants).
 
 Matrices of the position-wise kernels are assembled without an
-``n x m x width`` temporary: Hamming-type kernels sum a letter table
-over stop-padded positions as BLAS products of one-hot encodings (a
-mismatch table counts Hamming distances exactly; a log letter table
-gives the products), in blocks of positions under ``BLOCK_ELEMENTS``.
+``n x m x width`` temporary: Hamming kernels take a function of exact
+Hamming distances, counted as BLAS products of one-hot encodings in
+blocks of positions under ``BLOCK_ELEMENTS``; ``base_positionwise``
+multiplies its letter table over positions left to right.
 Sequences are stop-padded with the stop code ``|B|``
 (``seqcore.encode_padded``), which indexes the stop row and column of
 a ``(|B|+1)``-dimensional letter table directly.  The two window
@@ -27,11 +27,9 @@ from the same code.  Build matrices, not loops of scalar calls.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .alignment import check_positive, checked_letter_matrix, exponential_letter_matrix
+from .alignment import check_positive, checked_letter_matrix
 from .core import (
     HAS_MASSES,
     LACKS_MASSES,
@@ -39,7 +37,7 @@ from .core import (
     tensor_kernel,
 )
 from .errors import DataError
-from .seqcore import Alphabet, element_blocks, encode_padded, window_ids
+from .seqcore import Alphabet, element_blocks, encode_padded, shared_alphabet, window_ids
 
 
 class LetterKernel:
@@ -65,14 +63,6 @@ class LetterKernel:
         self.extended = checked_letter_matrix(ext, n + 1)
         self.matrix = self.extended[:n, :n]
         self.stop_row = t
-
-    @classmethod
-    def exponential(cls, alphabet: Alphabet, lam: float) -> "LetterKernel":
-        """Mismatch kernel ``exp(-lam * 1(b != b'))`` with stop as a letter."""
-        check_positive(**{"lambda": lam})
-        n = alphabet.size
-        return cls(alphabet, exponential_letter_matrix(n, lam),
-                   stop_row=np.full(n, math.exp(-lam)))
 
 
 class WeightedDegreeKernel(Kernel):
@@ -102,7 +92,7 @@ class WeightedDegreeKernel(Kernel):
     def pairwise(self, xs, ys=None) -> np.ndarray:
         xs = list(xs)
         ys_ = xs if ys is None else list(ys)
-        ix, iy = _window_ids(xs, ys, self.L)
+        ix, iy = _window_ids(xs, None if ys is None else ys_, self.L)
         nwin = max(ix.shape[1] - self.L + 1, 0)
         # windows reaching past their sequence match nothing: -1 on the
         # left, -2 on the right
@@ -147,7 +137,8 @@ class BasePositionwiseKernel(Kernel):
     ``k(x, y) = prod_l k_s(x_(l), y_(l))``; the product truncates at
     ``max(|x|, |y|)`` because ``k_s(stop, stop) = 1``.  Strict positive
     definiteness of the letter kernel gives the product kernel discrete
-    masses.
+    masses.  Values multiply the table over positions left to right, so
+    a Gram is exactly symmetric and its diagonal is ``self_similarities``.
     """
 
     family = "base_positionwise"
@@ -162,23 +153,15 @@ class BasePositionwiseKernel(Kernel):
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ext = self.letter_kernel.extended
-        cx, cy, _ = _stop_coded(xs, ys)
-        mag = np.abs(ext)
-        out = _position_sum(cx, cy, np.log(np.where(mag > 0, mag, 1.0)))
-        np.exp(out, out=out)
-        # the log table drops zeros and signs; their counts are exact
-        if (ext == 0).any():
-            out[_position_sum(cx, cy, (ext == 0).astype(float)) > 0] = 0.0
-        if (ext < 0).any():
-            out[_position_sum(cx, cy, (ext < 0).astype(float)) % 2 == 1] *= -1.0
+        cx, cy, _ = _stop_coded(xs, ys, self.letter_kernel.alphabet)
+        out = np.ones((len(cx), len(cy)))
+        for l in range(cx.shape[1]):
+            out *= np.take(ext[cx[:, l]], cy[:, l], axis=1)
         return out
 
     def self_similarities(self, xs) -> np.ndarray:
-        """``k(x, x)``: the letter diagonal multiplied over positions left
-        to right; stop pads multiply by ``k_s(stop, stop) = 1``, which is
-        exact.  ``pairwise`` takes exp of a sum of logs instead, so its
-        diagonal can differ from this in the last bit."""
-        cx, _, _ = _stop_coded(xs, None)
+        """``k(x, x)``: the letter diagonal multiplied over positions."""
+        cx, _, _ = _stop_coded(xs, None, self.letter_kernel.alphabet)
         factors = np.diag(self.letter_kernel.extended)[cx]
         out = np.ones(len(cx))
         for l in range(cx.shape[1]):
@@ -186,91 +169,82 @@ class BasePositionwiseKernel(Kernel):
         return out
 
 
-def _stop_coded(xs, ys) -> tuple[np.ndarray, np.ndarray, int]:
+def _stop_coded(xs, ys, alphabet=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Stop-padded letter codes of ``xs`` and ``ys`` (``xs`` again when
     ``None``) at one common width, and the stop code ``|B|``.  Both
     sides are packed by one :func:`seqcore.encode_padded` call, which
-    rejects a second alphabet."""
+    rejects a second alphabet; so does ``alphabet``, when given."""
     xs = list(xs)
     seqs = xs if ys is None else xs + list(ys)
     codes = encode_padded(seqs)
+    _check_alphabet(seqs[:1], alphabet)
     cy = codes if ys is None else codes[len(xs):]
     return codes[:len(xs)], cy, seqs[0].alphabet.size if seqs else 0
 
 
-def _position_sum(cx: np.ndarray, cy: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``S[i, j] = sum_l table[cx[i, l], cy[j, l]]`` over equally wide codes.
-
-    Each block of positions is one BLAS product: the rows of ``table``
-    picked by ``cx`` (one-hot of ``cx`` times ``table``) against the
-    one-hot encoding of ``cy``.  No ``n x m x width`` array is formed;
-    blocks of positions keep both encodings under ``BLOCK_ELEMENTS``.
-    Positions past both sequences add ``table[stop, stop]``, so callers
-    keep that entry 0.  Sums of small integers are exact.
-    """
-    n, m, size = len(cx), len(cy), len(table)
-    onehot = np.eye(size)
-    out = np.zeros((n, m))
-    for blk in element_blocks(cx.shape[1], max(n, m) * size):
-        cols = (blk.stop - blk.start) * size
-        hx = table[cx[:, blk]].reshape(n, cols)
-        hy = onehot[cy[:, blk]].reshape(m, cols)
-        out += hx @ hy.T
-    return out
+def _check_alphabet(seqs, alphabet) -> None:
+    """:class:`DataError` naming both unless ``seqs`` share one alphabet
+    and it is ``alphabet`` (any when ``None``)."""
+    found = shared_alphabet(seqs)
+    if None not in (found, alphabet) and found != alphabet:
+        raise DataError(f"sequences over {found!r} given to a kernel over {alphabet!r}")
 
 
 def base_positionwise_kernel(letter_kernel: LetterKernel) -> BasePositionwiseKernel:
     return BasePositionwiseKernel(letter_kernel)
 
 
-class ExpHammingKernel(BasePositionwiseKernel):
-    """``exp(-lam * d_H(x, y))``: the mismatch-rate position-wise kernel."""
+class _OfHammingDistance(Kernel):
+    """``f(d_H(x, y))`` of the exact stop-padded Hamming distance, ``f``
+    applied in place by ``_of_distances``.  A diagonal is ``f(0)``, the
+    same ``f`` of the same exact zero as the Gram's.  Sequences must be
+    over ``alphabet``, any when ``None``."""
+
+    mass_status = HAS_MASSES
+    alphabet = None
+
+    def pairwise(self, xs, ys=None) -> np.ndarray:
+        return self._of_distances(_hamming_matrix(xs, ys, self.alphabet))
+
+    def self_similarities(self, xs) -> np.ndarray:
+        xs = list(xs)
+        _check_alphabet(xs, self.alphabet)
+        return self._of_distances(np.zeros(len(xs)))
+
+    def neighbour_values(self, edits, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the neighbours that ``edits`` reach, from the match
+        counts of the edited sequence (:func:`_edit_distances`); no
+        neighbour is built.  Equal to ``pairwise`` over the built
+        neighbours, bit for bit."""
+        d = _edit_distances(edits, ys, self.alphabet)
+        return self._of_distances(d), self._of_distances(np.zeros(len(d)))
+
+
+class ExpHammingKernel(_OfHammingDistance):
+    """``exp(-lam * d_H(x, y))``: the position-wise product of the
+    mismatch kernel ``exp(-lam * 1(b != b'))`` with stop as a letter."""
 
     family = "exp_hamming"
-    mass_status = HAS_MASSES
 
     def __init__(self, alphabet: Alphabet, lam: float):
-        super().__init__(LetterKernel.exponential(alphabet, lam))
+        check_positive(**{"lambda": lam})
+        self.alphabet = alphabet
         self.lam = float(lam)
 
     @property
     def params(self) -> dict:
         return {"lambda": self.lam}
 
+    def _of_distances(self, d: np.ndarray) -> np.ndarray:
+        d *= -self.lam
+        return np.exp(d, out=d)
+
 
 def exp_hamming_kernel(alphabet: Alphabet, lam: float) -> ExpHammingKernel:
     return ExpHammingKernel(alphabet, lam)
 
 
-class _ImqOfDistance(Kernel):
-    """``(C + d(x, y))**-beta`` of an integer distance with ``d(x, x) = 0``.
-
-    Matrices and diagonals take the same power of ``C + d``, so a Gram
-    diagonal equals :meth:`self_similarities` bit for bit.
-    """
-
-    mass_status = HAS_MASSES
-
-    def __init__(self, C: float = 1.0, beta: float = 2.0):
-        check_positive(C=C, beta=beta)
-        self.C = float(C)
-        self.beta = float(beta)
-
-    @property
-    def params(self) -> dict:
-        return {"C": self.C, "beta": self.beta}
-
-    def self_similarities(self, xs) -> np.ndarray:
-        """``k(x, x) = C**-beta``: a sequence is at distance 0 from itself."""
-        return self._of_distances(np.zeros(len(xs)))
-
-    def _of_distances(self, d: np.ndarray) -> np.ndarray:
-        """``(C + d)**-beta`` in place of the distances ``d``."""
-        d += self.C
-        return np.power(d, -self.beta, out=d)
-
-
-class ImqHammingKernel(_ImqOfDistance):
+class ImqHammingKernel(_OfHammingDistance):
     """Inverse-multiquadric Hamming kernel ``(C + d_H(x, y))**-beta``.
 
     The same similarity as the exponential Hamming kernel, but with a
@@ -282,26 +256,43 @@ class ImqHammingKernel(_ImqOfDistance):
     """
 
     family = "imq_hamming"
+    pairwise = _OfHammingDistance.pairwise  # bench/tracing.py wraps it in this __dict__
 
-    def pairwise(self, xs, ys=None) -> np.ndarray:
-        return self._of_distances(_hamming_matrix(xs, ys))
+    def __init__(self, C: float = 1.0, beta: float = 2.0):
+        check_positive(C=C, beta=beta)
+        self.C = float(C)
+        self.beta = float(beta)
 
-    def neighbour_values(self, edits, ys) -> tuple[np.ndarray, np.ndarray]:
-        """Values of the neighbours that ``edits`` reach, from the match
-        counts of the edited sequence (:func:`_edit_distances`); no
-        neighbour is built.  Equal to ``pairwise`` over the built
-        neighbours, bit for bit."""
-        d = _edit_distances(edits, ys)
-        return self._of_distances(d), self._of_distances(np.zeros(len(d)))
+    @property
+    def params(self) -> dict:
+        return {"C": self.C, "beta": self.beta}
 
-
-def _hamming_matrix(xs, ys=None) -> np.ndarray:
-    """Exact stop-padded Hamming distances, as floats."""
-    cx, cy, stop = _stop_coded(xs, ys)
-    return _position_sum(cx, cy, 1.0 - np.eye(stop + 1))
+    def _of_distances(self, d: np.ndarray) -> np.ndarray:
+        d += self.C
+        return np.power(d, -self.beta, out=d)
 
 
-def _edit_distances(edits, ys) -> np.ndarray:
+def _hamming_matrix(xs, ys=None, alphabet=None) -> np.ndarray:
+    """Exact stop-padded Hamming distances, as floats.
+
+    Each block of positions is one BLAS product of mismatch rows picked
+    by ``xs`` and the one-hot encoding of ``ys``, both under
+    ``BLOCK_ELEMENTS``; positions past both sequences add 0.
+    """
+    cx, cy, stop = _stop_coded(xs, ys, alphabet)
+    n, m, size = len(cx), len(cy), stop + 1
+    onehot = np.eye(size)
+    mismatch = 1.0 - onehot
+    out = np.zeros((n, m))
+    for blk in element_blocks(cx.shape[1], max(n, m) * size):
+        cols = (blk.stop - blk.start) * size
+        hx = mismatch[cx[:, blk]].reshape(n, cols)
+        hy = onehot[cy[:, blk]].reshape(m, cols)
+        out += hx @ hy.T
+    return out
+
+
+def _edit_distances(edits, ys, alphabet=None) -> np.ndarray:
     """Stop-padded Hamming distances, as floats, from each neighbour that
     single-letter ``edits`` of ``x`` reach to each of ``ys``.
 
@@ -324,6 +315,7 @@ def _edit_distances(edits, ys) -> np.ndarray:
     x = edits.x
     n, size, m = len(x), x.alphabet.size, len(ys)
     codes = encode_padded([x, *ys], max(n + 1, max(map(len, ys), default=0)))
+    _check_alphabet([x], alphabet)
     xc, at = codes[0, :n, None], codes[1:].T  # at[l, j]: letter l of atom j, or stop
     lengths = np.array([len(y) for y in ys])
     e0 = at[:n] == xc
@@ -356,7 +348,7 @@ def imq_hamming_kernel(C: float = 1.0, beta: float = 2.0) -> ImqHammingKernel:
     return ImqHammingKernel(C, beta)
 
 
-class ImqHammingLagKernel(_ImqOfDistance):
+class ImqHammingLagKernel(ImqHammingKernel):
     """Lag-L inverse-multiquadric Hamming kernel.
 
     ``(C + sum_l 1(x[l:l+L] != y[l:l+L]))**-beta`` where ``l`` runs over
@@ -368,6 +360,7 @@ class ImqHammingLagKernel(_ImqOfDistance):
     """
 
     family = "imq_hamming_lag"
+    neighbour_values = Kernel.neighbour_values  # an edit moves windows: build the neighbours
 
     def __init__(self, C: float = 1.0, beta: float = 2.0, L: int = 1):
         super().__init__(C, beta)

@@ -15,8 +15,8 @@ from seqkern import (
     DataError,
     HeavyTailedAlignmentGaps,
     HeavyTailedAlignmentMatches,
-    LetterKernel,
     alignment_kernel,
+    exp_hamming_kernel,
     local_alignment_kernel,
     seq,
 )
@@ -141,7 +141,7 @@ class TestParameterChecks:
 
     @pytest.mark.parametrize("bad", BAD_POSITIVE)
     def test_mismatch_rate(self, bad):
-        for make in (LetterKernel.exponential,
+        for make in (exp_hamming_kernel,
                      lambda ab, lam: AlignmentParams.exponential(ab, lam, 0.5, 0.5)):
             with pytest.raises(DataError, match="^lambda must be finite and positive"):
                 make(AB, bad)

@@ -212,8 +212,8 @@ class TestDistinctNeighbours:
     def test_each_step_scores_each_distinct_neighbour_once(self, name, make, monkeypatch):
         # every family is handed each distinct edit once per step; the
         # generic default builds those neighbours for one pairwise call,
-        # imq_hamming scores them from match counts and builds none, and
-        # a normalized kernel hands them on to its base
+        # the Hamming kernels score them from match counts and build none,
+        # and a normalized kernel hands them on to its base
         kernel = make()
         handed, built = [], []
         values = type(kernel).neighbour_values
@@ -239,7 +239,7 @@ class TestDistinctNeighbours:
             assert [str(edits.neighbour(i)[0]) for i in range(len(edits))] == list(first.values())
             assert len(edits) < len(neighbours)  # "GG", "AA", "TT" repeat insertions
             distinct_per_step.append(list(first))
-        assert built[2:] == ([] if name == "imq_hamming" else distinct_per_step)
+        assert built[2:] == ([] if name.endswith("_hamming") else distinct_per_step)
 
     @pytest.mark.parametrize("name,make", KERNELS, ids=[n for n, _ in KERNELS])
     def test_trace_equals_scoring_every_neighbour(self, name, make):
@@ -277,7 +277,7 @@ def starts_and_atoms(draw):
 
 
 class TestMatchCountScoring:
-    """``imq_hamming`` scores neighbours from the start's match counts."""
+    """The Hamming kernels score neighbours from the start's match counts."""
 
     @settings(max_examples=300, deadline=None)
     @given(starts_and_atoms())
@@ -330,6 +330,8 @@ class TestNeighbourValueOverrides:
         ("scaled_embedding", PROTEIN, lambda: _embedding(True)),
         ("normalized_embedding", PROTEIN, lambda: _embedding(True).normalized()),
         ("normalized_imq_hamming", PROTEIN, lambda: imq_hamming_kernel(1.0, 1.5).normalized()),
+        ("exp_hamming", PROTEIN, lambda: exp_hamming_kernel(PROTEIN, 0.3)),
+        ("normalized_exp_hamming", DNA, lambda: exp_hamming_kernel(DNA, 0.3).normalized()),
         ("weighted_imq_hamming", PROTEIN,
          lambda: tilt_kernel(imq_hamming_kernel(1.0, 1.5), lambda x: 1.0 / (1.0 + len(x)))),
         ("normalized_alignment", DNA,

@@ -27,7 +27,8 @@ from seqkern.embedding import EuclideanKernel, embedding_kernel, random_ball_emb
 from seqkern.positional import _hamming_matrix
 from seqkern.seqcore import PROTEIN
 
-from conftest import Counting, random_distinct_sequences, random_sequence
+from conftest import (SIGNED_LETTERS, Counting, exponential_letters, random_distinct_sequences,
+                      random_sequence, uneven_letters)
 from oracles import (gamma_quadrature, padded_window_mismatches, positionwise_product,
                      window_matches)
 
@@ -113,12 +114,12 @@ class TestWeightedDegree:
 
 class TestBasePositionwise:
     def test_empty_product_is_one(self):
-        k = base_positionwise_kernel(LetterKernel.exponential(DNA, 1.0))
+        k = base_positionwise_kernel(exponential_letters(DNA, 1.0))
         assert k(empty(DNA), empty(DNA)) == 1.0
 
     def test_exponential_letter_kernel_gives_exp_hamming(self):
         lam = 0.8
-        k = base_positionwise_kernel(LetterKernel.exponential(DNA, lam))
+        k = base_positionwise_kernel(exponential_letters(DNA, lam))
         rng = np.random.default_rng(2)
         for _ in range(100):
             x = random_sequence(rng, DNA, 7)
@@ -139,6 +140,19 @@ class TestBasePositionwise:
         w = np.linalg.eigvalsh(k.pairwise(seqs))
         assert w.min() > 0
 
+    def test_nearly_symmetric_letters_give_an_exactly_symmetric_gram(self):
+        # a table symmetric to within 1e-12 is averaged with its transpose;
+        # an exactly symmetric one comes back bit for bit
+        table = SIGNED_LETTERS.copy()
+        table[0, 2] += 1e-15
+        ext = LetterKernel(DNA, table).extended
+        assert np.array_equal(ext, ext.T) and ext[0, 2] == 0.5 * (table[0, 2] + table[2, 0])
+        assert LetterKernel(DNA, SIGNED_LETTERS).extended[:4, :4].tobytes() == \
+            SIGNED_LETTERS.tobytes()
+        seqs = [empty(DNA)] + random_distinct_sequences(np.random.default_rng(8), DNA, 40, 12)
+        G = base_positionwise_kernel(LetterKernel(DNA, table)).pairwise(seqs)
+        assert np.array_equal(G, G.T)
+
     def test_letter_kernel_must_be_spd(self):
         bad = np.ones((2, 2))
         with pytest.raises(DataError):
@@ -148,50 +162,38 @@ class TestBasePositionwise:
         with pytest.raises(DataError):
             LetterKernel(AB, np.eye(3))
 
-    # a letter table with zero and negative entries, where a log table
-    # alone is wrong (still strictly positive definite with the stop)
-    SIGNED = np.array([[1.0, 0.0, -0.3, 0.2], [0.0, 1.0, 0.1, -0.2],
-                       [-0.3, 0.1, 1.0, 0.0], [0.2, -0.2, 0.0, 1.0]])
-
     @staticmethod
-    def _check_pairwise_against_scalar(k, rel):
-        # one-hot position sums against the left-to-right product, on
-        # mixed lengths with the empty sequence, square and rectangular
+    def _check_pairwise_against_product(k, ext, rel):
+        # the left-to-right product of the letter table, on mixed lengths
+        # with the empty sequence, square and rectangular
         rng = np.random.default_rng(4)
         seqs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 30, 7, min_len=1)
         ys = random_distinct_sequences(rng, DNA, 9, 10)
         for G, left, right in ((k.pairwise(seqs), seqs, seqs), (k.pairwise(seqs, ys), seqs, ys)):
-            ext = k.letter_kernel.extended
             expected = np.array([[positionwise_product(x, y, ext) for y in right] for x in left])
             np.testing.assert_allclose(G, expected, rtol=rel, atol=0)
 
     def test_pairwise_matches_scalar(self):
-        self._check_pairwise_against_scalar(exp_hamming_kernel(DNA, 0.5), 1e-14)
+        # exp of the Hamming distance against the product of its letter factors
+        self._check_pairwise_against_product(exp_hamming_kernel(DNA, 0.5),
+                                             exponential_letters(DNA, 0.5).extended, 1e-14)
 
     @pytest.mark.parametrize("make", [
-        lambda: base_positionwise_kernel(LetterKernel(DNA, TestBasePositionwise.SIGNED)),
+        lambda: base_positionwise_kernel(LetterKernel(DNA, SIGNED_LETTERS)),
         lambda: base_positionwise_kernel(LetterKernel(
-            DNA, TestBasePositionwise.SIGNED, stop_row=[0.0, 0.1, -0.1, 0.2])),
+            DNA, SIGNED_LETTERS, stop_row=[0.0, 0.1, -0.1, 0.2])),
     ], ids=["signed_letters", "signed_letters_and_stop"])
     def test_pairwise_matches_scalar_signed_letters(self, make):
-        self._check_pairwise_against_scalar(make(), 1e-13)
-
-
-def _uneven_letters():
-    """A letter kernel on DNA whose diagonal is far from 1, so the order
-    of the products over positions shows in the last bits."""
-    rng = np.random.default_rng(40)
-    A = rng.normal(size=(5, 5))
-    M = A @ A.T + np.diag([0.9, 0.4, 1.7, 2.6, 0.0])
-    M /= M[4, 4]  # k_s(stop, stop) = 1
-    return LetterKernel(DNA, M[:4, :4], stop_row=M[4, :4])
+        # the same products in the same order: exact
+        k = make()
+        self._check_pairwise_against_product(k, k.letter_kernel.extended, 0.0)
 
 
 SELF_SIMILARITY_KERNELS = [
     ("imq_hamming", lambda: imq_hamming_kernel(0.7, 1.3)),
     ("imq_hamming_lag", lambda: imq_hamming_lag_kernel(1.5, 2.0, 3)),
     ("exp_hamming", lambda: exp_hamming_kernel(DNA, 0.5)),
-    ("base_positionwise", lambda: base_positionwise_kernel(_uneven_letters())),
+    ("base_positionwise", lambda: base_positionwise_kernel(uneven_letters())),
     ("weighted_degree_1", lambda: weighted_degree_kernel(1)),
     ("weighted_degree_3", lambda: weighted_degree_kernel(3)),
 ]
@@ -199,8 +201,7 @@ SELF_SIMILARITY_KERNELS = [
 
 class TestSelfSimilarities:
     """Vectorised diagonals equal ``k(x, x)`` bit for bit; a product over
-    positions equals the left-to-right product oracle instead, since
-    ``pairwise`` takes it as exp of a sum of logs."""
+    positions also equals the left-to-right product oracle."""
 
     @pytest.mark.parametrize("name,make", SELF_SIMILARITY_KERNELS,
                              ids=[n for n, _ in SELF_SIMILARITY_KERNELS])
@@ -457,20 +458,6 @@ class TestShifted:
         seqs = [s2 for L in range(4) for s2 in enumerate_sequences(AB, L)]
         w = np.linalg.eigvalsh(s.pairwise(seqs))
         assert w.min() < -1e-8 * np.trace(s.pairwise(seqs))
-
-
-@pytest.mark.parametrize("make", [
-    lambda: exp_hamming_kernel(DNA, 0.5),
-    lambda: imq_hamming_kernel(1.0, 2.0),
-    lambda: imq_hamming_lag_kernel(1.0, 2.0, 2),
-    lambda: weighted_degree_kernel(2),
-], ids=["exp_hamming", "imq_hamming", "imq_hamming_lag", "weighted_degree"])
-def test_pairwise_with_an_empty_side(make):
-    k = make()
-    xs = [seq(DNA, "ACG"), seq(DNA, "T")]
-    assert k.pairwise([], xs).shape == (0, 2)
-    assert k.pairwise(xs, []).shape == (2, 0)
-    assert k.pairwise([]).shape == (0, 0)
 
 
 class TestMixedAlphabets:

@@ -36,9 +36,8 @@ from seqkern import (
     weighted_degree_kernel,
 )
 from seqkern.alignment import exponential_letter_matrix
-from seqkern.positional import LetterKernel
 
-from conftest import random_distinct_sequences
+from conftest import exponential_letters, random_distinct_sequences
 
 AB = Alphabet("AB")
 DNA = Alphabet("ACGT")
@@ -55,7 +54,7 @@ def _cases():
         ("weighted_degree", weighted_degree_kernel(2), DNA, False),
         ("exp_hamming", exp_hamming_kernel(DNA, lam), DNA, False),
         ("base_positionwise",
-         base_positionwise_kernel(LetterKernel.exponential(DNA, 1.1)), DNA, False),
+         base_positionwise_kernel(exponential_letters(DNA, 1.1)), DNA, False),
         ("imq_hamming", imq_hamming_kernel(1.0, 2.0), DNA, False),
         ("imq_hamming_lag", imq_hamming_lag_kernel(1.0, 2.0, 2), DNA, False),
         ("centre_justified",

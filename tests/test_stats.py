@@ -32,8 +32,9 @@ from seqkern import (
     weighted_degree_kernel,
 )
 from seqkern.alignment import exponential_letter_matrix
-from seqkern.positional import LetterKernel
 from seqkern.stats import _multiplier_stats
+
+from conftest import exponential_letters
 
 AB = Alphabet("AB")
 DNA = Alphabet("ACGT")
@@ -67,7 +68,7 @@ def family_battery():
         ("weighted_degree", weighted_degree_kernel(2), dna_sampler),
         ("exp_hamming", exp_hamming_kernel(DNA, lam), dna_sampler),
         ("base_positionwise",
-         base_positionwise_kernel(LetterKernel.exponential(DNA, 1.2)), dna_sampler),
+         base_positionwise_kernel(exponential_letters(DNA, 1.2)), dna_sampler),
         ("imq_hamming", imq_hamming_kernel(1.0, 2.0), dna_sampler),
         ("imq_hamming_lag", imq_hamming_lag_kernel(1.0, 2.0, 2), dna_sampler),
         ("centre_justified",
