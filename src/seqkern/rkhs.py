@@ -10,11 +10,13 @@ blow-ups or singular Grams expose degenerate kernels.
 A :class:`GramMatrix` pays only for the factorisations its tasks use:
 construction tries one shifted Cholesky factorisation, which both
 validates ``K`` and certifies it nonsingular, and lets the eigenvalues
-decide only when that fails; ridge fits factor once more, and
-minimum-norm fits and the diagnostic use one Cholesky factor of a
-certified ``K``.  Eigenvalues alone serve the minimum eigenvalue, the
-PSD rule and the singularity rule of an uncertified Gram; eigenvectors
-are computed only for the solves that need them.  The diagnostic builds one
+decide only when that fails; a large Gram tries its leading quarter
+first, so a degenerate one is refused within its first pivots.  Ridge
+fits factor once more, and minimum-norm fits and the diagnostic use one
+Cholesky factor of a certified ``K``.  Eigenvalues alone serve the
+minimum eigenvalue, which is computed only when asked for, and the PSD
+and singularity rules of an uncertified Gram; eigenvectors are computed
+only for the solves that need them.  The diagnostic builds one
 Gram, over the largest set, and reads every smaller set's Gram as a
 leading block of it.  Triangular solves are blocked substitutions in
 numpy, O(n^2) per right-hand side.
@@ -50,7 +52,9 @@ class GramMatrix:
     (``rtol = SINGULAR_RTOL``), every eigenvalue exceeds
     ``2 rtol ||K||_inf >= 2 rtol lambda_max`` up to round-off, so the
     Gram is positive definite and nonsingular at relative tolerance
-    ``rtol``.  Otherwise the eigenvalues decide positive
+    ``rtol``.  A Gram of ``_PROBE_ROWS`` rows or more first tries the
+    certificate on its leading quarter, which holds whenever the whole
+    one does.  Otherwise the eigenvalues decide positive
     semidefiniteness (to round-off, ``PSD_RTOL tr(K)``), naming the
     minimum one in the error; the singularity rule needs them anyway.
 
@@ -59,8 +63,10 @@ class GramMatrix:
     the certificate, :meth:`is_singular` and :attr:`min_eigenvalue` use
     the cached :attr:`eigenvalues` (no eigenvectors), and the solves use
     the eigendecomposition :meth:`eig`, so every answer means what the
-    eigenvalue rule says it means.  :meth:`leading` gives the Gram of the
-    first ``n`` sequences as a block of this one.
+    eigenvalue rule says it means.  A certified Gram computes no
+    eigenvalue unless :attr:`min_eigenvalue` or :attr:`eigenvalues` is
+    read.  :meth:`leading` gives the Gram of the first ``n`` sequences
+    as a block of this one.
     """
 
     def __init__(self, kernel: Kernel, sequences: list, entries: np.ndarray):
@@ -203,12 +209,35 @@ def _cholesky(K: np.ndarray, shift: float) -> Optional[np.ndarray]:
         return None
 
 
+#: a shifted factorisation of at least this many rows first tries its
+#: leading quarter
+_PROBE_ROWS = 256
+
+
 def _certifies(K: np.ndarray) -> bool:
-    """Whether ``K - 2 SINGULAR_RTOL ||K||_inf I`` factorises."""
+    """Whether ``K - 2 SINGULAR_RTOL ||K||_inf I`` factorises.
+
+    Every leading block of a positive definite matrix is positive
+    definite, so a Gram of at least ``_PROBE_ROWS`` rows first tries its
+    leading quarter under the same shift, and so on down: a degenerate
+    Gram is refused within the block where its first pivots fail, and a
+    certified one pays about 1/64 more factorisation work.  A probe
+    rounds differently from the whole factorisation, so near the margin
+    it can refuse a Gram the whole would certify, never the reverse;
+    such a Gram takes the eigenvalue path.
+    """
     if not len(K):
         return False
     norm = float(np.abs(K).sum(axis=1).max())
-    return _cholesky(K, -2.0 * SINGULAR_RTOL * norm) is not None
+    return _factorises(K, -2.0 * SINGULAR_RTOL * norm)
+
+
+def _factorises(K: np.ndarray, shift: float) -> bool:
+    """Whether ``K + shift I`` factorises, its leading quarter tried first."""
+    n = len(K)
+    if n >= _PROBE_ROWS and not _factorises(K[: n // 4, : n // 4], shift):
+        return False
+    return _cholesky(K, shift) is not None
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:

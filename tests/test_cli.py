@@ -348,8 +348,8 @@ class TestDiagnoseCommand:
         monkeypatch.setattr(seqkern.rkhs, "gram", counting_gram)
         monkeypatch.setattr(seqkern.cli, "gram", counting_gram)
         out = tmp_path / "diag.csv"
-        code = main(["diagnose", "--alphabet", "AB", "--target", "A",
-                     "--cutoffs", "1,2,3", "--output", str(out)] + flags)
+        code = main(["diagnose", "--alphabet", "AB", "--target", "A", "--cutoffs", "1,2,3",
+                     "--min-eigenvalue", "--output", str(out)] + flags)
         assert code == 0
         assert built == [15]
         kernel = build_kernel(Alphabet("AB"), {f[2:]: v for f, v in zip(flags[::2], flags[1::2])})
@@ -364,9 +364,10 @@ class TestDiagnoseCommand:
             assert line == (f"set_size={row['set_size']} C={row['C']} "
                             f"min_eigenvalue={row['min_eigenvalue']}")
 
-    def test_certified_diagnose_factors_twice(self, tmp_path, monkeypatch):
-        # the certificate in construction and the factor behind every C;
-        # the leading blocks inherit the certificate
+    def test_certified_diagnose_factors_probe_certificate_and_factor(self, tmp_path,
+                                                                      monkeypatch):
+        # the certificate in construction, after its leading quarter, and
+        # the factor behind every C; the leading blocks inherit the certificate
         import seqkern.rkhs
         calls = []
 
@@ -379,11 +380,12 @@ class TestDiagnoseCommand:
                      "--output", str(tmp_path / "diag.csv"),
                      "--family", "imq_hamming", "--C", "1", "--beta", "2"])
         assert code == 0
-        assert calls == [341, 341]
+        assert calls == [85, 341, 341]
 
     def test_uncertified_diagnose_factors_only_for_certificates(self, tmp_path, monkeypatch):
-        # the Gram and each leading block try the certificate and fail;
-        # the eigenvalues the diagnostic needs anyway decide the PSD rule
+        # the Gram's leading quarter and each leading block try the
+        # certificate and fail, so the whole Gram never factors; the
+        # eigenvalues the diagnostic needs anyway decide the PSD rule
         import seqkern.rkhs
         calls = []
 
@@ -396,7 +398,49 @@ class TestDiagnoseCommand:
                      "--output", str(tmp_path / "diag.csv"),
                      "--family", "weighted_degree", "--L", "2"])
         assert code == 0
-        assert calls == [341, 21, 85]
+        assert calls == [85, 21, 85]
+
+    def test_certified_diagnose_solves_no_eigenvalues_unless_asked(self, tmp_path,
+                                                                  monkeypatch):
+        # the C values of a certified Gram come from its Cholesky factor;
+        # --min-eigenvalue pays one eigen-solve per set
+        calls = []
+
+        def counting_eigvalsh(K, _eigvalsh=np.linalg.eigvalsh):
+            calls.append(len(K))
+            return _eigvalsh(K)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        argv = ["diagnose", "--alphabet", "dna", "--target", "GA", "--cutoffs", "2,3,4",
+                "--output", str(tmp_path / "diag.csv"),
+                "--family", "imq_hamming", "--C", "1", "--beta", "2"]
+        assert main(argv) == 0
+        assert calls == []
+        assert main(argv + ["--min-eigenvalue"]) == 0
+        assert calls == [21, 85, 341]
+
+    @pytest.mark.parametrize("flags", [["--family", "imq_hamming", "--C", "1", "--beta", "2"],
+                                       ["--family", "weighted_degree", "--L", "2"]],
+                             ids=["imq_hamming", "weighted_degree"])
+    def test_min_eigenvalue_column_only_on_request(self, tmp_path, capsys, flags):
+        # the C column is the same bytes either way; the flag adds a column
+        # and a field to each printed line
+        argv = ["diagnose", "--alphabet", "dna", "--target", "GA", "--cutoffs", "2,3,4"] + flags
+        texts, printed = [], []
+        for name, extra in (("plain", []), ("eig", ["--min-eigenvalue"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(argv + extra + ["--output", str(out)]) == 0
+            texts.append(out.read_text().splitlines())
+            printed.append(capsys.readouterr().out.splitlines())
+        (plain, eig), (plain_out, eig_out) = texts, printed
+        assert plain[0] == "set_size,C"
+        assert eig[0] == "set_size,C,min_eigenvalue"
+        assert len(plain) == len(eig) == 4
+        assert [line.rsplit(",", 1)[0] for line in eig[1:]] == plain[1:]
+        for row, eig_row, line, eig_line in zip(plain[1:], eig[1:], plain_out, eig_out):
+            size, c = row.split(",")
+            assert line == f"set_size={size} C={c}"
+            assert eig_line == f"{line} min_eigenvalue={eig_row.rsplit(',', 1)[1]}"
 
     def test_set_files_in_any_order(self, tmp_path):
         # the largest set listed out of prefix order gives the C values
@@ -573,6 +617,9 @@ MALFORMED = [
     ("optimize", "normalize_trace", "maybe"),
     ("diagnose", "cutoffs", "1,x"),
     ("diagnose", "cutoffs", "2,-1"),
+    ("diagnose", "cutoffs", "3,2"),
+    ("diagnose", "cutoffs", "2,2"),
+    ("diagnose", "min_eigenvalue", "maybe"),
     ("synth", "n", "ten"),
     ("synth", "length", "4.0"),
     ("synth", "min_length", "short"),
@@ -675,7 +722,7 @@ class TestSectionFlags:
         for command, action in flag_actions(parser):
             section, key = action.dest.split(".")
             # the file holds a value of the key's type that differs from the flag's
-            if action.nargs == 0:  # --normalize
+            if action.nargs == 0:  # --normalize, --min-eigenvalue
                 in_file, value, want = "false", [], True
             elif action.choices:
                 in_file, value, want = action.choices[0], [action.choices[-1]], action.choices[-1]
@@ -690,8 +737,8 @@ class TestSectionFlags:
             sections = dict(zip(("kernel", "data", "run"), _gather(args)[:3]))
             assert sections[section][key] == want, (command, action.option_strings)
             checked += 1
-        # 19 flags common to the six subcommands, and 21 of their own
-        assert checked == 6 * 19 + 21
+        # 19 flags common to the six subcommands, and 22 of their own
+        assert checked == 6 * 19 + 22
 
     def test_kernel_option_beats_named_flag(self, tmp_path):
         fasta = tmp_path / "in.fasta"

@@ -34,7 +34,8 @@ from seqkern import (
     weighted_degree_kernel,
 )
 
-from seqkern.rkhs import PSD_RTOL, SINGULAR_RTOL
+import seqkern.rkhs
+from seqkern.rkhs import PSD_RTOL, SINGULAR_RTOL, _certifies
 
 from conftest import random_distinct_sequences
 
@@ -302,6 +303,98 @@ class TestCertifiedSolves:
         direct = np.linalg.solve(K + jitter * np.eye(len(K)), y)
         np.testing.assert_allclose(alpha, direct, rtol=1e-3)
         assert G._eig is None  # no eigendecomposition fallback
+
+
+def probe_gram(seed, kind, margin=1.0):
+    """A seeded PSD Gram of 256-700 rows for the certificate's probe.
+
+    ``spread``: well conditioned.  ``early`` and ``late``: one row
+    repeats an earlier one, inside the leading quarter or in the last
+    quarter, so the Gram is singular from that row on.  ``margin_*``:
+    the smallest eigenvalue is ``margin`` times the certificate's shift,
+    in a direction spread over every row or held by the leading eighth.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(256, 701))
+    if kind in ("spread", "early", "late"):
+        A = rng.normal(size=(n, 2 * n))
+        if kind != "spread":
+            j = int(rng.integers(1, 40)) if kind == "early" else int(rng.integers(3 * n // 4, n))
+            A[j] = A[int(rng.integers(j))]
+        K = A @ A.T
+    else:
+        m = n // 8 if kind == "margin_leading" else n
+        V = np.eye(n)
+        V[:m, :m] = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        V[m:, m:] = np.linalg.qr(rng.normal(size=(n - m, n - m)))[0]
+        w = rng.uniform(0.5, 2.0, size=n)
+        w[0] = 0.0
+        norm = np.abs((V * w) @ V.T).sum(axis=1).max()
+        w[0] = margin * 2 * SINGULAR_RTOL * norm
+        K = (V * w) @ V.T
+    return 0.5 * (K + K.T)
+
+
+def factorises(K, shift):
+    try:
+        np.linalg.cholesky(K + shift * np.eye(len(K)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.fixture
+def cholesky_sizes(monkeypatch):
+    """The sizes of the factorisations ``seqkern.rkhs`` tries, in order."""
+    sizes = []
+
+    def counting_cholesky(M, shift, _cholesky=seqkern.rkhs._cholesky):
+        sizes.append(len(M))
+        return _cholesky(M, shift)
+
+    monkeypatch.setattr(seqkern.rkhs, "_cholesky", counting_cholesky)
+    return sizes
+
+
+class TestCertificateProbe:
+    """The leading-quarter probe refuses early and never certifies wrongly."""
+
+    CASES = ([(kind, seed, 1.0) for kind in ("spread", "early", "late") for seed in range(3)]
+             + [(kind, seed, margin) for kind in ("margin_spread", "margin_leading")
+                for seed, margin in enumerate((0.5, 0.98, 1.0, 1.02, 2.0))])
+
+    @pytest.mark.parametrize("kind,seed,margin", CASES,
+                             ids=[f"{k}-{s}-{m}" for k, s, m in CASES])
+    def test_probe_decides_as_the_whole_factorisation(self, cholesky_sizes, kind, seed, margin):
+        K = probe_gram(50 + seed, kind, margin)
+        n = len(K)
+        shift = -2 * SINGULAR_RTOL * np.abs(K).sum(axis=1).max()
+        whole = factorises(K, shift)
+        certified = _certifies(K)
+        if certified:
+            assert whole
+        # away from the margin, rounding cannot move the decision
+        ratio = np.linalg.eigvalsh(K)[0] / -shift
+        if abs(ratio - 1.0) > 0.05:
+            assert certified == whole, ratio
+        if kind == "spread":
+            assert certified and cholesky_sizes == [n // 4, n]
+        elif kind == "early":
+            assert not certified and cholesky_sizes == [n // 4]
+        elif kind == "late":
+            assert not certified and cholesky_sizes == [n // 4, n]
+        elif kind == "margin_leading" and ratio < 0.95:
+            # the leading quarter holds the small eigenvalue and refuses
+            assert cholesky_sizes == [n // 4]
+
+    def test_singular_leading_block_refused_by_small_factorisations(self, cholesky_sizes):
+        # the first 21 sequences (DNA up to length 2) already span a
+        # singular window-count Gram, so the probe refuses the Gram of
+        # 1,365 within its 85-row block
+        K = weighted_degree_kernel(2).pairwise(enumerate_up_to(DNA, 5))
+        assert np.linalg.eigvalsh(K[:21, :21])[0] <= SINGULAR_RTOL * np.abs(K).max()
+        assert not _certifies(K)
+        assert cholesky_sizes == [85]
 
 
 class TestPredict:
