@@ -9,15 +9,16 @@ blow-ups or singular Grams expose degenerate kernels.
 
 A :class:`GramMatrix` pays only for the factorisations its tasks use:
 construction tries one shifted Cholesky factorisation, which both
-validates ``K`` and certifies it nonsingular, and lets the eigenvalues
-decide only when that fails; a large Gram tries its leading quarter
-first, so a degenerate one is refused within its first pivots.  Ridge
-fits factor once more, and minimum-norm fits and the diagnostic use one
-Cholesky factor of a certified ``K``.  Eigenvalues alone serve the
-minimum eigenvalue, which is computed only when asked for, and the PSD
-and singularity rules of an uncertified Gram; eigenvectors are computed
-only for the solves that need them.  The diagnostic builds one
-Gram, over the largest set, and reads every smaller set's Gram as a
+validates ``K`` and certifies it nonsingular; a large Gram tries its
+leading quarter first, so a degenerate one is refused within its first
+pivots.  An uncertified Gram decides its PSD and singularity rules by
+two more shifted factorisations, and lets the eigenvalues decide only
+where those are inconclusive.  Ridge fits factor once more, and
+minimum-norm fits and the diagnostic use one Cholesky factor of a
+certified ``K``.  Eigenvalues serve the minimum eigenvalue, which is
+computed only when asked for, and the inconclusive rules; eigenvectors
+are computed only for the solves that need them.  The diagnostic builds
+one Gram, over the largest set, and reads every smaller set's Gram as a
 leading block of it.  Triangular solves are blocked substitutions in
 numpy, O(n^2) per right-hand side.
 """
@@ -54,19 +55,21 @@ class GramMatrix:
     Gram is positive definite and nonsingular at relative tolerance
     ``rtol``.  A Gram of ``_PROBE_ROWS`` rows or more first tries the
     certificate on its leading quarter, which holds whenever the whole
-    one does.  Otherwise the eigenvalues decide positive
-    semidefiniteness (to round-off, ``PSD_RTOL tr(K)``), naming the
-    minimum one in the error; the singularity rule needs them anyway.
+    one does.  Otherwise positive semidefiniteness, the eigenvalue rule
+    ``lambda_min >= -PSD_RTOL tr(K)``, is proved if ``K + PSD_RTOL
+    tr(K) I`` factorises; only if it does not do the eigenvalues
+    decide, naming the minimum one in the error.
 
     A certified Gram's :meth:`is_singular`, :meth:`solve_pinv` and the
     diagnostic's ``(K^-1)_tt`` use a Cholesky factor of ``K``.  Without
-    the certificate, :meth:`is_singular` and :attr:`min_eigenvalue` use
-    the cached :attr:`eigenvalues` (no eigenvectors), and the solves use
-    the eigendecomposition :meth:`eig`, so every answer means what the
-    eigenvalue rule says it means.  A certified Gram computes no
+    the certificate, :meth:`is_singular` tries a shifted factorisation
+    first and reads the cached :attr:`eigenvalues` (no eigenvectors)
+    only when that succeeds, and the solves use the eigendecomposition
+    :meth:`eig`, so every answer means what the eigenvalue rule says it
+    means, up to round-off at its thresholds.  No Gram computes an
     eigenvalue unless :attr:`min_eigenvalue` or :attr:`eigenvalues` is
-    read.  :meth:`leading` gives the Gram of the first ``n`` sequences
-    as a block of this one.
+    read or a rule's factorisation is inconclusive.  :meth:`leading`
+    gives the Gram of the first ``n`` sequences as a block of this one.
     """
 
     def __init__(self, kernel: Kernel, sequences: list, entries: np.ndarray):
@@ -96,9 +99,16 @@ class GramMatrix:
         self._blocks: dict[int, GramMatrix] = {}
 
     def _check_psd(self) -> None:
-        """The eigenvalue rule: min eigenvalue >= -PSD_RTOL * trace."""
+        """The eigenvalue rule: min eigenvalue >= -PSD_RTOL * trace.
+
+        A factorisation of ``K + PSD_RTOL tr(K) I`` proves it; the
+        eigenvalues decide only when that fails.
+        """
         trace = float(np.trace(self.entries))
-        if self.min_eigenvalue < -PSD_RTOL * max(trace, 1e-300):
+        slack = PSD_RTOL * max(trace, 1e-300)
+        if _factorises(self.entries, slack):
+            return
+        if self.min_eigenvalue < -slack:
             raise NumericalError(
                 f"Gram matrix is not positive semidefinite "
                 f"(min eigenvalue {self.min_eigenvalue:.3e}, trace {trace:.3e})"
@@ -114,8 +124,8 @@ class GramMatrix:
         blocks of a certified Gram are certified too: by Cauchy
         interlacing ``lambda_min(K_B) >= lambda_min(K)``, and
         ``||K_B||_inf <= ||K||_inf``.  Otherwise a block tries its own
-        certificate, and without one its eigenvalues decide positive
-        semidefiniteness, since its singularity needs them anyway.
+        certificate, and without one applies the PSD rule with its own
+        trace, by factorisation and, if that fails, by eigenvalues.
         """
         if not 0 <= n <= len(self):
             raise DataError(f"a leading block of a Gram of {len(self)} cannot hold {n}")
@@ -151,11 +161,25 @@ class GramMatrix:
         return _cholesky(self.entries, 0.0) if self._certified else None
 
     def is_singular(self) -> bool:
+        """The eigenvalue rule: ``lambda_min <= SINGULAR_RTOL lambda_max``.
+
+        A certified Gram is not singular.  Otherwise, with ``mu`` the
+        larger of the largest diagonal entry and the mean row sum, both
+        at most ``lambda_max``, a failed factorisation of
+        ``K - SINGULAR_RTOL mu I`` proves the Gram singular, as does one
+        of a leading block by Cauchy interlacing; the eigenvalues decide
+        only when it succeeds.
+        """
         if self._certified:
             return False
+        K = self.entries
+        if not len(K):
+            return True
+        mu = max(float(K.diagonal().max()), float(K.sum()) / len(K))
+        if not _factorises(K, -SINGULAR_RTOL * mu):
+            return True
         w = self.eigenvalues
-        wmax = float(w[-1]) if len(self) else 0.0
-        return wmax <= 0.0 or float(w[0]) <= SINGULAR_RTOL * wmax
+        return float(w[0]) <= SINGULAR_RTOL * float(w[-1])
 
     def solve_ridge(self, b: np.ndarray, ridge: float) -> np.ndarray:
         """Solve ``(K + ridge I) a = b`` by Cholesky with jitter escalation."""
@@ -217,14 +241,7 @@ _PROBE_ROWS = 256
 def _certifies(K: np.ndarray) -> bool:
     """Whether ``K - 2 SINGULAR_RTOL ||K||_inf I`` factorises.
 
-    Every leading block of a positive definite matrix is positive
-    definite, so a Gram of at least ``_PROBE_ROWS`` rows first tries its
-    leading quarter under the same shift, and so on down: a degenerate
-    Gram is refused within the block where its first pivots fail, and a
-    certified one pays about 1/64 more factorisation work.  A probe
-    rounds differently from the whole factorisation, so near the margin
-    it can refuse a Gram the whole would certify, never the reverse;
-    such a Gram takes the eigenvalue path.
+    A Gram refused here is decided by the rules of an uncertified one.
     """
     if not len(K):
         return False
@@ -233,7 +250,17 @@ def _certifies(K: np.ndarray) -> bool:
 
 
 def _factorises(K: np.ndarray, shift: float) -> bool:
-    """Whether ``K + shift I`` factorises, its leading quarter tried first."""
+    """Whether ``K + shift I`` factorises, its leading quarter tried first.
+
+    Every leading block of a positive definite matrix is positive
+    definite, so a matrix of at least ``_PROBE_ROWS`` rows first tries
+    its leading quarter under the same shift, and so on down: a
+    degenerate Gram is refused within the block where its first pivots
+    fail, and one that factorises pays about 1/64 more factorisation
+    work.  A probe rounds differently from the whole factorisation, so
+    near the margin it can refuse a matrix the whole would factorise,
+    never the reverse.
+    """
     n = len(K)
     if n >= _PROBE_ROWS and not _factorises(K[: n // 4, : n // 4], shift):
         return False

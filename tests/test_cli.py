@@ -310,6 +310,11 @@ class TestOptimizeCommand:
         assert all(b <= a for a, b in zip(values, values[1:]))
 
 
+# a certified kernel and an uncertified, degenerate one
+DIAGNOSE_FLAGS = [["--family", "imq_hamming", "--C", "1", "--beta", "2"],
+                  ["--family", "weighted_degree", "--L", "2"]]
+
+
 class TestDiagnoseCommand:
     def test_identity_kernel_constant_one(self, tmp_path):
         out = tmp_path / "diag.csv"
@@ -331,9 +336,7 @@ class TestDiagnoseCommand:
         text = out.read_text()
         assert "inf" in text.splitlines()[1]
 
-    @pytest.mark.parametrize("flags", [["--family", "imq_hamming", "--C", "1", "--beta", "2"],
-                                       ["--family", "weighted_degree", "--L", "2"]],
-                             ids=["imq_hamming", "weighted_degree"])
+    @pytest.mark.parametrize("flags", DIAGNOSE_FLAGS, ids=["imq_hamming", "weighted_degree"])
     def test_builds_each_gram_once(self, tmp_path, monkeypatch, capsys, flags):
         # one Gram, over the largest set, serves every C and every
         # minimum eigenvalue, which come from eigenvalues alone
@@ -382,27 +385,39 @@ class TestDiagnoseCommand:
         assert code == 0
         assert calls == [85, 341, 341]
 
-    def test_uncertified_diagnose_factors_only_for_certificates(self, tmp_path, monkeypatch):
-        # the Gram's leading quarter and each leading block try the
-        # certificate and fail, so the whole Gram never factors; the
-        # eigenvalues the diagnostic needs anyway decide the PSD rule
+    def test_uncertified_diagnose_decides_by_factorisations(self, tmp_path, monkeypatch):
+        # (rows, sign of shift, factorised): the certificate fails on the
+        # Gram's leading quarter; the PSD rule (+) factorises the quarter
+        # and the whole; each block then tries its certificate (-), its
+        # PSD rule (+) and its singularity rule (-), which fails, as does
+        # the whole Gram's on its leading quarter; no eigenvalue is solved
         import seqkern.rkhs
         calls = []
 
-        def counting_cholesky(K, shift, _cholesky=seqkern.rkhs._cholesky):
-            calls.append(len(K))
-            return _cholesky(K, shift)
+        def recording_cholesky(K, shift, _cholesky=seqkern.rkhs._cholesky):
+            L = _cholesky(K, shift)
+            calls.append((len(K), int(np.sign(shift)), L is not None))
+            return L
 
-        monkeypatch.setattr(seqkern.rkhs, "_cholesky", counting_cholesky)
+        def no_eigen_solve(*args, **kwargs):
+            raise AssertionError("an eigen-solve ran")
+
+        monkeypatch.setattr(seqkern.rkhs, "_cholesky", recording_cholesky)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen_solve)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigen_solve)
         code = main(["diagnose", "--alphabet", "dna", "--target", "GA", "--cutoffs", "2,3,4",
                      "--output", str(tmp_path / "diag.csv"),
                      "--family", "weighted_degree", "--L", "2"])
         assert code == 0
-        assert calls == [85, 21, 85]
+        assert calls == [(85, -1, False), (85, 1, True), (341, 1, True),
+                         (21, -1, False), (21, 1, True), (21, -1, False),
+                         (85, -1, False), (85, 1, True), (85, -1, False),
+                         (85, -1, False)]
 
-    def test_certified_diagnose_solves_no_eigenvalues_unless_asked(self, tmp_path,
-                                                                  monkeypatch):
-        # the C values of a certified Gram come from its Cholesky factor;
+    @pytest.mark.parametrize("flags", DIAGNOSE_FLAGS, ids=["imq_hamming", "weighted_degree"])
+    def test_diagnose_solves_no_eigenvalues_unless_asked(self, tmp_path, monkeypatch, flags):
+        # the C values of a certified Gram come from its Cholesky factor,
+        # and an uncertified one is found singular by factorisations;
         # --min-eigenvalue pays one eigen-solve per set
         calls = []
 
@@ -412,16 +427,13 @@ class TestDiagnoseCommand:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         argv = ["diagnose", "--alphabet", "dna", "--target", "GA", "--cutoffs", "2,3,4",
-                "--output", str(tmp_path / "diag.csv"),
-                "--family", "imq_hamming", "--C", "1", "--beta", "2"]
+                "--output", str(tmp_path / "diag.csv")] + flags
         assert main(argv) == 0
         assert calls == []
         assert main(argv + ["--min-eigenvalue"]) == 0
         assert calls == [21, 85, 341]
 
-    @pytest.mark.parametrize("flags", [["--family", "imq_hamming", "--C", "1", "--beta", "2"],
-                                       ["--family", "weighted_degree", "--L", "2"]],
-                             ids=["imq_hamming", "weighted_degree"])
+    @pytest.mark.parametrize("flags", DIAGNOSE_FLAGS, ids=["imq_hamming", "weighted_degree"])
     def test_min_eigenvalue_column_only_on_request(self, tmp_path, capsys, flags):
         # the C column is the same bytes either way; the flag adds a column
         # and a field to each printed line

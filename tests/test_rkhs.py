@@ -121,21 +121,36 @@ class TestGram:
         with pytest.raises(NumericalError, match=f"min eigenvalue {wmin:.3e}"):
             gram(k, seqs)
 
-    @pytest.mark.parametrize("factor,accepted", [(0.5, True), (2.0, False)])
-    def test_psd_slack_is_the_eigenvalue_rule(self, factor, accepted):
-        # min eigenvalue -factor * PSD_RTOL * trace: accepted inside the
-        # slack, refused with that eigenvalue in the message outside it
+    @pytest.mark.parametrize("n", [6, 300])
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 0.98, 1.02, 2.0])
+    def test_psd_slack_is_the_eigenvalue_rule(self, factor, n):
+        # min eigenvalue -factor * PSD_RTOL * trace, on 6 rows and on 300,
+        # where the factorisation tries the leading quarter first: away
+        # from the slack the decision is the eigenvalue rule's, the
+        # factorisation alone accepts, and a refusal names the eigenvalue
         rng = np.random.default_rng(47)
-        V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        w = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        w = np.linspace(0.0, 5.0, n)
         w[0] = -factor * PSD_RTOL * w.sum()
         K = (V * w) @ V.T
-        seqs = random_distinct_sequences(rng, DNA, 6, 4)
-        if accepted:
-            assert len(GramMatrix(IdentityKernel(), seqs, K)) == 6
-        else:
-            with pytest.raises(NumericalError, match=f"min eigenvalue {w[0]:.3e}"):
-                GramMatrix(IdentityKernel(), seqs, K)
+        K = 0.5 * (K + K.T)
+        wmin = np.linalg.eigvalsh(K)[0]
+        accepted = wmin >= -PSD_RTOL * np.trace(K)
+        seqs = random_distinct_sequences(rng, DNA, n, 6)
+        try:
+            G = GramMatrix(IdentityKernel(), seqs, K)
+        except NumericalError as e:
+            assert f"min eigenvalue {wmin:.3e}" in str(e)
+            G = None
+        if abs(factor - 1.0) > 0.05:
+            assert (G is not None) == accepted
+            if accepted:
+                assert "eigenvalues" not in G.__dict__
+
+    def test_empty_grams_are_singular(self):
+        assert gram(imq_hamming_kernel(), []).is_singular()
+        G = gram(weighted_degree_kernel(2), WD_SETS["a1"])
+        assert not G._certified and G.leading(0).is_singular()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -224,6 +239,8 @@ class TestCertifiedSolves:
         K = G.entries
         singular = eig_is_singular(K)
         assert G.is_singular() == singular
+        # a singular Gram is found so by a failed factorisation alone
+        assert ("eigenvalues" in G.__dict__) == (not singular and not G._certified)
         y = np.random.default_rng(48).normal(size=len(seqs))
         np.testing.assert_allclose(G.solve_pinv(y), eig_pinv(K, y), rtol=1e-9, atol=1e-12)
         # certified Grams never decompose
@@ -286,6 +303,33 @@ class TestCertifiedSolves:
         assert C[0] == pytest.approx(math.sqrt((V[2] ** 2 / w).sum()), rel=1e-12)
         assert C[1] == math.inf
         assert block._eig is not None and G._eig is None
+        # the block's singularity factorisation succeeds, so its
+        # eigenvalues decide; the whole Gram's fails, which decides alone
+        assert "eigenvalues" in block.__dict__ and "eigenvalues" not in G.__dict__
+
+    @pytest.mark.parametrize("n", [6, 300])
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 0.98, 1.02, 2.0, 10.0])
+    def test_singularity_is_the_eigenvalue_rule(self, factor, n):
+        # min eigenvalue factor * SINGULAR_RTOL * lambda_max, with the top
+        # eigenvector along the ones vector, so the mean row sum is
+        # lambda_max: below the threshold the failed factorisation
+        # decides alone, above it the eigenvalues decide
+        rng = np.random.default_rng(50)
+        A = rng.normal(size=(n, n))
+        A[:, 0] = 1.0
+        V, _ = np.linalg.qr(A)
+        w = np.concatenate([[1.0], rng.uniform(0.2, 0.9, size=n - 1)])
+        w[-1] = factor * SINGULAR_RTOL
+        K = (V * w) @ V.T
+        K = 0.5 * (K + K.T)
+        G = GramMatrix(IdentityKernel(), random_distinct_sequences(rng, DNA, n, 6), K)
+        singular = G.is_singular()
+        if abs(factor - 1.0) > 0.05:
+            assert singular == eig_is_singular(K)
+        if singular and "eigenvalues" not in G.__dict__:
+            assert eig_is_singular(K)
+        if factor < 0.95:
+            assert "eigenvalues" not in G.__dict__
 
     def test_ridge_jitter_escalation_on_rank_deficient_gram(self):
         # a one-letter sequence has no length-2 window: its zero row
