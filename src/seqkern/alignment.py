@@ -136,8 +136,8 @@ class AlignmentParams:
     """Letter kernel and affine gap penalties for alignment kernels.
 
     ``mu`` penalises each inserted letter, ``delta_mu`` each insertion
-    run (``math.inf`` forbids insertions).  ``sigma = 1' K^{-1} 1`` and
-    ``zeta = 2 mu - log sigma + log |B|`` are derived.
+    run (``math.inf`` forbids insertions).  ``sigma = 1' K^{-1} 1`` is
+    derived.
     """
 
     alphabet: Alphabet
@@ -145,18 +145,12 @@ class AlignmentParams:
     mu: float
     delta_mu: float
     sigma: float = field(init=False)
-    zeta: float = field(init=False)
 
     def __post_init__(self):
-        n = self.alphabet.size
-        K = checked_letter_matrix(self.ks, n)
+        K = checked_letter_matrix(self.ks, self.alphabet.size)
         check_gap_penalties(self.mu, self.delta_mu)
         object.__setattr__(self, "ks", K)
-        sigma = sigma_of(K)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(
-            self, "zeta", 2.0 * self.mu - math.log(sigma) + math.log(n)
-        )
+        object.__setattr__(self, "sigma", sigma_of(K))
 
     @classmethod
     def exponential(
@@ -488,15 +482,10 @@ class AlignmentKernel(AlignmentSumKernel):
     family = "alignment"
 
     def __init__(self, params: AlignmentParams):
-        self.p = params
         self.ks, self.mu, self.delta_mu = params.ks, params.mu, params.delta_mu
         self.mass_status = (
             HAS_MASSES if has_discrete_masses_alignment(params) else LACKS_MASSES
         )
-
-    @property
-    def params(self) -> dict:
-        return {"mu": self.p.mu, "delta_mu": self.p.delta_mu, "sigma": self.p.sigma}
 
     __call__ = Kernel.__call__  # bench/tracing.py wraps it in this __dict__
 
@@ -540,11 +529,6 @@ class HeavyTailedAlignmentMatches(AlignmentSumKernel):
         # the closed-form flag cannot assert either way.
         self.mass_status = HAS_MASSES if mu > 0 else UNKNOWN_MASSES
 
-    @property
-    def params(self) -> dict:
-        return {"C": self.C, "beta": self.beta, "mu": self.mu,
-                "delta_mu": self.delta_mu}
-
     def base(self, L, nx, ny):
         return self.C + L
 
@@ -573,10 +557,6 @@ class HeavyTailedAlignmentGaps(AlignmentSumKernel):
         self.beta = float(beta)
         self.delta_mu = float(delta_mu)
         self.ks = checked_letter_matrix(ks, alphabet.size)
-
-    @property
-    def params(self) -> dict:
-        return {"C": self.C, "beta": self.beta, "delta_mu": self.delta_mu}
 
     def base(self, L, nx, ny):
         return self.C + (nx + ny - 2 * L)

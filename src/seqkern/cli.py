@@ -29,12 +29,12 @@ from typing import Optional
 import numpy as np
 
 from . import io
-from .config import FAMILIES, PAIR_FAMILIES, _to_bool, _to_float, _to_int, build_kernel
+from .config import KEYS, PAIR_FAMILIES, _to_bool, _to_float, _to_int, build_kernel
 from .errors import ConfigError, DataError, NumericalError
 from .optimize import greedy_mmd_optimize
 from .rkhs import (EmpiricalMeasure, discrete_mass_diagnostic, fit_regression, gram,
                    nested_order, predict_many)
-from .seqcore import Alphabet, Sequence, enumerate_sequences, enumerate_up_to
+from .seqcore import DNA, PROTEIN, Alphabet, Sequence, enumerate_sequences, enumerate_up_to
 from .stats import MIN_BOOTSTRAP, mmd_two_sample_test
 
 
@@ -47,9 +47,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alphabet", dest="run.alphabet",
                         help="'dna', 'protein', or explicit letters (default dna)")
     parser.add_argument("--output", dest="run.output", help="output CSV path")
-    # every family key has a hidden flag; `normalize` has none because it
+    # every kernel key of config.KEYS has a hidden flag; `normalize` has none because it
     # would collide with optimize's --normalize trace option
-    for key in sorted({"family"}.union(*(req | opt for req, opt in FAMILIES.values()))):
+    for key in sorted({"family", *KEYS}):
         flag = "--kernel-seed" if key == "seed" else "--" + key.replace("_", "-")
         parser.add_argument(flag, dest="kernel." + key, help=argparse.SUPPRESS)
     parser.add_argument("--kernel", action="append", default=[],
@@ -284,8 +284,7 @@ def cmd_synth(args) -> int:
     out = _need(run_cfg, "output", "output path")
     rng = np.random.default_rng(seed)
     if preset == "toy-regression":
-        dna = io.parse_alphabet("dna")
-        seqs = enumerate_sequences(dna, _to_int("length", run_cfg.get("length", 4), minimum=0))
+        seqs = enumerate_sequences(DNA, _to_int("length", run_cfg.get("length", 4), minimum=0))
         ids = [f"s{i:04d}" for i in range(len(seqs))]
         io.write_fasta(out, ids, seqs)
         labels_out = _need(run_cfg, "labels_output", "labels output path")
@@ -309,15 +308,14 @@ def cmd_synth(args) -> int:
             seqs.append(Sequence(alphabet, tuple(int(c) for c in codes)))
         io.write_fasta(out, [f"s{i:05d}" for i in range(n)], seqs)
     elif preset == "tcr-like":
-        protein = io.parse_alphabet("protein")
         n = _to_int("n", run_cfg.get("n", 100), minimum=1)
         lo = _to_int("min_length", run_cfg.get("min_length", 10), minimum=0)
         hi = _to_int("max_length", run_cfg.get("max_length", 17), minimum=lo)
         seqs = []
         for _ in range(n):
             length = int(rng.integers(lo, hi + 1))
-            codes = rng.integers(protein.size, size=length)
-            seqs.append(Sequence(protein, tuple(int(c) for c in codes)))
+            codes = rng.integers(PROTEIN.size, size=length)
+            seqs.append(Sequence(PROTEIN, tuple(int(c) for c in codes)))
         io.write_fasta(out, [f"s{i:05d}" for i in range(n)], seqs)
     else:
         raise ConfigError(

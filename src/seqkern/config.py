@@ -1,14 +1,21 @@
 """Kernel construction from flat key-value configuration sections.
 
-Every kernel family has a declared key set; unknown keys are rejected
-and missing required keys are reported by name.  Values arrive as
-strings (INI sections or command-line flags) and are coerced here.
+Each kernel family is declared once, as a row of :data:`FAMILIES`: its
+required keys, its optional keys and a builder ``(alphabet, values) ->
+Kernel``.  Each kernel key has one reader in :data:`KEYS`, which turns
+its value (a string from an INI section or a command-line flag) into
+what the builders read, or raises a :class:`ConfigError` naming the key.
+Unknown keys are rejected and missing required keys are reported by
+name.  A required key ``a|b`` is satisfied by either alternative.  A
+wrapper family requires ``inner``: the kernel that its ``inner_*`` keys
+configure (``inner_family = exp_hamming`` etc.).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,30 +26,6 @@ from . import spectrum as spec
 from .core import IdentityKernel, Kernel
 from .errors import ConfigError, DataError
 from .seqcore import Alphabet
-
-# family -> (required keys, optional keys)
-FAMILIES: dict[str, tuple[set, set]] = {
-    "identity": (set(), set()),
-    "weighted_degree": ({"L"}, set()),
-    "exp_hamming": ({"lambda"}, set()),
-    "imq_hamming": ({"C", "beta"}, set()),
-    "imq_hamming_lag": ({"C", "beta", "L"}, set()),
-    "centre_justified": (set(), set()),          # + inner_* keys
-    "shifted": ({"shift_max"}, set()),           # + inner_* keys
-    "alignment": ({"mu", "delta_mu"}, {"lambda", "k_s"}),
-    "local_alignment": ({"mu", "delta_mu"}, {"lambda", "k_s"}),
-    "ht_alignment_matches": ({"C", "beta", "mu", "delta_mu"}, set()),
-    "ht_alignment_gaps": ({"C", "beta", "delta_mu"}, {"lambda", "k_s"}),
-    "finite_spectrum": ({"L_max"}, set()),
-    "infinite_spectrum": (set(), set()),
-    "ht_gapped_spectrum": ({"C", "beta", "delta_mu"}, set()),
-    "embedding": ({"base", "D"}, {"seed", "scale_epsilon", "k_E", "gamma"}),
-}
-
-GENERIC_KEYS = {"family", "normalize"}
-
-#: families whose kernels act on (left, right) sequence pairs
-PAIR_FAMILIES = {"centre_justified"}
 
 
 def _to_float(key: str, value: str, minimum: Optional[float] = None) -> float:
@@ -69,19 +52,6 @@ def _to_int(key: str, value: str, minimum: Optional[int] = None) -> int:
     return number
 
 
-def _to_delta_mu(value: str) -> float:
-    if str(value).strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return _to_float("delta_mu", value, minimum=0)
-
-
-def _positive(cfg: dict, key: str) -> float:
-    number = _to_float(key, cfg[key])
-    if not number > 0:
-        raise ConfigError(f"key {key!r} must be positive, got {number:g}")
-    return number
-
-
 def _to_bool(key: str, value) -> bool:
     s = str(value).strip().lower()
     if s in ("1", "true", "yes", "on"):
@@ -91,27 +61,116 @@ def _to_bool(key: str, value) -> bool:
     raise ConfigError(f"key {key!r} must be a boolean, got {value!r}")
 
 
-def _letter_matrix(alphabet: Alphabet, cfg: dict) -> np.ndarray:
+def _positive(key: str, value: str) -> float:
+    number = _to_float(key, value)
+    if not number > 0:
+        raise ConfigError(f"key {key!r} must be positive, got {number:g}")
+    return number
+
+
+def _to_delta_mu(key: str, value: str) -> float:
+    if str(value).strip().lower() in ("inf", "infinity"):
+        return math.inf
+    return _to_float(key, value, minimum=0)
+
+
+def _read_letter_matrix(key: str, path: str) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read letter matrix {path!r}: {exc}")
+
+
+def _to_base(key: str, value: str) -> str:
+    base = str(value).strip()
+    if base != "random_ball" and not base.startswith("table:"):
+        raise ConfigError("embedding 'base' must be 'random_ball' or 'table:<path>'")
+    return base
+
+
+def _to_form(key: str, value: str) -> str:
+    form = str(value).strip()
+    if form not in ("imq", "rbf"):
+        raise ConfigError(f"key {key!r} must be 'imq' or 'rbf', got {form!r}")
+    return form
+
+
+#: kernel key -> its reader ``(key, value) -> value``
+KEYS: dict[str, Callable[[str, str], object]] = {
+    **dict.fromkeys(("C", "beta", "lambda"), _positive),
+    "mu": partial(_to_float, minimum=0),
+    "delta_mu": _to_delta_mu,
+    **dict.fromkeys(("L", "L_max", "D"), partial(_to_int, minimum=1)),
+    "shift_max": partial(_to_int, minimum=0),
+    "scale_epsilon": partial(_to_float, minimum=0),
+    "seed": _to_int,
+    "gamma": _to_float,
+    "k_s": _read_letter_matrix,
+    "base": _to_base,
+    "k_E": _to_form,
+}
+
+
+def _letter_matrix(alphabet: Alphabet, v: dict) -> np.ndarray:
     """Letter kernel from either a mismatch rate or an explicit CSV matrix."""
-    if "k_s" in cfg and "lambda" in cfg:
-        raise ConfigError("give either 'lambda' or 'k_s', not both")
-    if "k_s" in cfg:
-        try:
-            return np.loadtxt(cfg["k_s"], delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise DataError(f"cannot read letter matrix {cfg['k_s']!r}: {exc}")
-    return al.exponential_letter_matrix(alphabet.size, _positive(cfg, "lambda"))
+    if "k_s" in v:
+        return v["k_s"]
+    return al.exponential_letter_matrix(alphabet.size, v["lambda"])
 
 
-def _split_inner(cfg: dict) -> tuple[dict, dict]:
-    inner = {}
-    outer = {}
-    for key, value in cfg.items():
-        if key.startswith("inner_"):
-            inner[key[len("inner_"):]] = value
-        else:
-            outer[key] = value
-    return outer, inner
+def _alignment_params(alphabet: Alphabet, v: dict) -> al.AlignmentParams:
+    return al.AlignmentParams(alphabet, _letter_matrix(alphabet, v), v["mu"], v["delta_mu"])
+
+
+def _embedding(alphabet: Alphabet, v: dict) -> Kernel:
+    if v["base"] == "random_ball":
+        embedding: emb.Embedding = emb.random_ball_embedding(v["seed"], v["D"])
+    else:
+        embedding = emb.load_embedding_table(v["base"][len("table:"):], v["D"])
+    if v.get("scale_epsilon", 0.0) > 0:  # 0 disables scaling
+        embedding = emb.scaled_embedding(embedding, v["scale_epsilon"], alphabet.size)
+    try:
+        euclidean = emb.EuclideanKernel(v.get("k_E", "imq"), v.get("gamma", 1.0))
+    except DataError as exc:
+        raise ConfigError(f"key 'gamma': {exc}")
+    return emb.embedding_kernel(embedding, euclidean)
+
+
+# family -> (required keys, optional keys, builder)
+FAMILIES: dict[str, tuple[set, set, Callable[[Alphabet, dict], Kernel]]] = {
+    "identity": (set(), set(), lambda a, v: IdentityKernel()),
+    "weighted_degree": ({"L"}, set(), lambda a, v: pos.weighted_degree_kernel(v["L"])),
+    "exp_hamming": ({"lambda"}, set(), lambda a, v: pos.exp_hamming_kernel(a, v["lambda"])),
+    "imq_hamming": ({"C", "beta"}, set(),
+                    lambda a, v: pos.imq_hamming_kernel(v["C"], v["beta"])),
+    "imq_hamming_lag": ({"C", "beta", "L"}, set(),
+                        lambda a, v: pos.imq_hamming_lag_kernel(v["C"], v["beta"], v["L"])),
+    "centre_justified": ({"inner"}, set(),
+                         lambda a, v: pos.centre_justified_kernel(v["inner"])),
+    "shifted": ({"inner", "shift_max"}, set(),
+                lambda a, v: pos.shifted_kernel(v["inner"], v["shift_max"])),
+    "alignment": ({"mu", "delta_mu", "lambda|k_s"}, set(),
+                  lambda a, v: al.alignment_kernel(_alignment_params(a, v))),
+    "local_alignment": ({"mu", "delta_mu", "lambda|k_s"}, set(),
+                        lambda a, v: al.local_alignment_kernel(_alignment_params(a, v))),
+    "ht_alignment_matches": ({"C", "beta", "mu", "delta_mu"}, set(),
+                             lambda a, v: al.HeavyTailedAlignmentMatches(
+                                 a, v["C"], v["beta"], v["mu"], v["delta_mu"])),
+    "ht_alignment_gaps": ({"C", "beta", "delta_mu", "lambda|k_s"}, set(),
+                          lambda a, v: al.HeavyTailedAlignmentGaps(
+                              a, v["C"], v["beta"], v["delta_mu"], _letter_matrix(a, v))),
+    "finite_spectrum": ({"L_max"}, set(), lambda a, v: spec.finite_spectrum_kernel(v["L_max"])),
+    "infinite_spectrum": (set(), set(), lambda a, v: spec.infinite_spectrum_kernel()),
+    "ht_gapped_spectrum": ({"C", "beta", "delta_mu"}, set(),
+                           lambda a, v: spec.heavy_tailed_gapped_spectrum(
+                               a.size, v["C"], v["beta"], v["delta_mu"])),
+    "embedding": ({"base", "D"}, {"seed", "scale_epsilon", "k_E", "gamma"}, _embedding),
+}
+
+GENERIC_KEYS = {"family", "normalize"}
+
+#: families whose kernels act on (left, right) sequence pairs
+PAIR_FAMILIES = {"centre_justified"}
 
 
 def build_kernel(alphabet: Alphabet, cfg: dict,
@@ -121,7 +180,8 @@ def build_kernel(alphabet: Alphabet, cfg: dict,
     ``cfg`` must contain ``family``; family-specific keys are validated
     strictly.  ``normalize = true`` wraps the result so the diagonal
     becomes one.  Wrapper families take their inner kernel's keys with
-    an ``inner_`` prefix (``inner_family = exp_hamming`` etc.).
+    an ``inner_`` prefix.  ``default_seed`` is the ``seed`` of a family
+    whose configuration gives none.
     """
     cfg = {str(k): v for k, v in cfg.items()}
     family = cfg.get("family")
@@ -131,104 +191,33 @@ def build_kernel(alphabet: Alphabet, cfg: dict,
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise ConfigError(f"unknown kernel family {family!r} (known: {known})")
-    outer_cfg, inner_cfg = _split_inner(cfg)
-    required, optional = FAMILIES[family]
-    keys = set(outer_cfg) - GENERIC_KEYS
-    unknown = keys - required - optional
+    required, optional, build = FAMILIES[family]
+    inner = {k[len("inner_"):]: v for k, v in cfg.items() if k.startswith("inner_")}
+    keys = {k for k in cfg if not k.startswith("inner_")} - GENERIC_KEYS
+    alternatives = [key.split("|") for key in required - {"inner"}]
+    unknown = keys - optional.union(*alternatives)
     if unknown:
         raise ConfigError(
             f"unknown keys for family {family!r}: {', '.join(sorted(unknown))}"
         )
-    missing = required - keys
-    # alignment families: 'lambda'/'k_s' are an either-or requirement
-    if family in ("alignment", "local_alignment", "ht_alignment_gaps"):
-        if "lambda" not in keys and "k_s" not in keys:
-            missing = missing | {"lambda|k_s"}
+    missing = {"|".join(alts) for alts in alternatives if keys.isdisjoint(alts)}
     if missing:
         raise ConfigError(
             f"family {family!r} is missing keys: {', '.join(sorted(missing))}"
         )
-    if inner_cfg and family not in ("centre_justified", "shifted"):
+    for alts in alternatives:
+        if len(keys.intersection(alts)) > 1:
+            raise ConfigError(f"give either {' or '.join(map(repr, alts))}, not both")
+    if inner and "inner" not in required:
         raise ConfigError(f"family {family!r} does not take inner_* keys")
+    if "inner" in required and "family" not in inner:
+        raise ConfigError(f"family {family!r} needs an 'inner_family' key")
 
-    kernel = _build(family, alphabet, outer_cfg, inner_cfg, default_seed)
+    values = {"seed": default_seed,
+              **{key: KEYS[key](key, value) for key, value in cfg.items() if key in keys}}
+    if inner:
+        values["inner"] = build_kernel(alphabet, inner, default_seed)
+    kernel = build(alphabet, values)
     if "normalize" in cfg and _to_bool("normalize", cfg["normalize"]):
         kernel = kernel.normalized()
     return kernel
-
-
-def _build(family: str, alphabet: Alphabet, cfg: dict, inner_cfg: dict,
-           default_seed: int) -> Kernel:
-    if family == "identity":
-        return IdentityKernel()
-    if family == "weighted_degree":
-        return pos.weighted_degree_kernel(_to_int("L", cfg["L"], minimum=1))
-    if family == "exp_hamming":
-        return pos.exp_hamming_kernel(alphabet, _positive(cfg, "lambda"))
-    if family == "imq_hamming":
-        return pos.imq_hamming_kernel(_positive(cfg, "C"), _positive(cfg, "beta"))
-    if family == "imq_hamming_lag":
-        return pos.imq_hamming_lag_kernel(_positive(cfg, "C"), _positive(cfg, "beta"),
-                                          _to_int("L", cfg["L"], minimum=1))
-    if family in ("centre_justified", "shifted"):
-        if "family" not in inner_cfg:
-            raise ConfigError(f"family {family!r} needs an 'inner_family' key")
-        inner = build_kernel(alphabet, inner_cfg, default_seed)
-        if family == "centre_justified":
-            return pos.centre_justified_kernel(inner)
-        return pos.shifted_kernel(inner, _to_int("shift_max", cfg["shift_max"], minimum=0))
-    if family in ("alignment", "local_alignment"):
-        params = al.AlignmentParams(alphabet, _letter_matrix(alphabet, cfg),
-                                    _to_float("mu", cfg["mu"], minimum=0),
-                                    _to_delta_mu(cfg["delta_mu"]))
-        if family == "alignment":
-            return al.alignment_kernel(params)
-        return al.local_alignment_kernel(params)
-    if family == "ht_alignment_matches":
-        return al.HeavyTailedAlignmentMatches(
-            alphabet, _positive(cfg, "C"), _positive(cfg, "beta"),
-            _to_float("mu", cfg["mu"], minimum=0), _to_delta_mu(cfg["delta_mu"]),
-        )
-    if family == "ht_alignment_gaps":
-        return al.HeavyTailedAlignmentGaps(
-            alphabet, _positive(cfg, "C"), _positive(cfg, "beta"),
-            _to_delta_mu(cfg["delta_mu"]), _letter_matrix(alphabet, cfg),
-        )
-    if family == "finite_spectrum":
-        return spec.finite_spectrum_kernel(_to_int("L_max", cfg["L_max"], minimum=1))
-    if family == "infinite_spectrum":
-        return spec.infinite_spectrum_kernel()
-    if family == "ht_gapped_spectrum":
-        return spec.heavy_tailed_gapped_spectrum(
-            alphabet.size, _positive(cfg, "C"), _positive(cfg, "beta"),
-            _to_delta_mu(cfg["delta_mu"]),
-        )
-    if family == "embedding":
-        return _build_embedding(alphabet, cfg, default_seed)
-    raise ConfigError(f"unhandled family {family!r}")
-
-
-def _build_embedding(alphabet: Alphabet, cfg: dict, default_seed: int) -> Kernel:
-    dim = _to_int("D", cfg["D"], minimum=1)
-    seed = _to_int("seed", cfg.get("seed", default_seed))
-    base_spec = str(cfg["base"]).strip()
-    if base_spec == "random_ball":
-        base: emb.Embedding = emb.random_ball_embedding(seed, dim)
-    elif base_spec.startswith("table:"):
-        base = emb.load_embedding_table(base_spec[len("table:"):], dim)
-    else:
-        raise ConfigError(
-            "embedding 'base' must be 'random_ball' or 'table:<path>'"
-        )
-    # 0 disables scaling
-    eps = _to_float("scale_epsilon", cfg.get("scale_epsilon", 0.0), minimum=0)
-    embedding: emb.Embedding = base
-    if eps > 0:
-        embedding = emb.scaled_embedding(base, eps, alphabet.size)
-    form = str(cfg.get("k_E", "imq")).strip()
-    gamma = _to_float("gamma", cfg.get("gamma", 1.0))
-    try:
-        euclidean = emb.EuclideanKernel(form, gamma)
-    except DataError as exc:
-        raise ConfigError(str(exc))
-    return emb.embedding_kernel(embedding, euclidean)

@@ -61,10 +61,6 @@ class Kernel:
     family: str = "generic"
     mass_status: str = UNKNOWN_MASSES
 
-    @property
-    def params(self) -> dict:
-        return {}
-
     def __call__(self, x, y) -> float:
         """``k(x, y)``: the one-pair block ``pairwise([x], [y])[0, 0]``."""
         cls = type(self)
@@ -133,7 +129,9 @@ class Kernel:
         return TiltedKernel(self)
 
     def __repr__(self) -> str:
-        ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
+        """The class and its public attributes that are numbers, strings or kernels."""
+        ps = ", ".join(f"{k}={v}" for k, v in vars(self).items()
+                       if not k.startswith("_") and isinstance(v, (int, float, str, Kernel)))
         return f"{type(self).__name__}({ps})"
 
 
@@ -165,10 +163,6 @@ class SumKernel(Kernel):
             self.mass_status = HAS_MASSES
         else:
             self.mass_status = UNKNOWN_MASSES
-
-    @property
-    def params(self) -> dict:
-        return {"n_parts": len(self.parts)}
 
     def _total(self, values: Callable[[Kernel], np.ndarray]) -> np.ndarray:
         """``sum_n a_n * values(k_n)``, added up in the order of the parts."""
@@ -211,10 +205,6 @@ class TiltedKernel(Kernel):
         self.base = base
         self.weight = weight
         self.mass_status = base.mass_status
-
-    @property
-    def params(self) -> dict:
-        return {"base": self.base.family}
 
     def _weights(self, xs: list, d: Optional[np.ndarray] = None) -> np.ndarray:
         """Weights of ``xs``; a normalizing tilt takes them from the values
@@ -283,10 +273,6 @@ class TensorKernel(Kernel):
             self.mass_status = LACKS_MASSES
         else:
             self.mass_status = UNKNOWN_MASSES
-
-    @property
-    def params(self) -> dict:
-        return {"left": self.left.family, "right": self.right.family}
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         xs = list(xs)

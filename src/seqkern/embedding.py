@@ -223,22 +223,12 @@ class EmbeddingKernel(Kernel):
 
     family = "embedding"
 
-    def __init__(self, embedding: Embedding, euclidean: EuclideanKernel,
-                 mass_status: Optional[str] = None):
+    def __init__(self, embedding: Embedding, euclidean: EuclideanKernel):
         self.embedding = embedding
         self.euclidean = euclidean
-        if mass_status is not None:
-            self.mass_status = mass_status
-        elif isinstance(embedding, ScaledEmbedding) and isinstance(
-            embedding.base, RandomBallEmbedding
-        ):
-            self.mass_status = HAS_MASSES
-        else:
-            self.mass_status = UNKNOWN_MASSES
-
-    @property
-    def params(self) -> dict:
-        return {"dim": self.embedding.dim, "form": self.euclidean.form}
+        spread = (isinstance(embedding, ScaledEmbedding)
+                  and isinstance(embedding.base, RandomBallEmbedding))
+        self.mass_status = HAS_MASSES if spread else UNKNOWN_MASSES
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         A = self.embedding.matrix(xs)
@@ -265,9 +255,8 @@ def scaled_embedding(base: Embedding, epsilon: float, alphabet_size: int) -> Sca
     return ScaledEmbedding(base, epsilon, alphabet_size)
 
 
-def embedding_kernel(embedding: Embedding, euclidean: EuclideanKernel,
-                     mass_status: Optional[str] = None) -> EmbeddingKernel:
-    return EmbeddingKernel(embedding, euclidean, mass_status)
+def embedding_kernel(embedding: Embedding, euclidean: EuclideanKernel) -> EmbeddingKernel:
+    return EmbeddingKernel(embedding, euclidean)
 
 
 def load_embedding_table(path, dim: Optional[int] = None) -> TableEmbedding:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DataError
-from .seqcore import Alphabet, Sequence
+from .seqcore import DNA, PROTEIN, Alphabet, Sequence
 
 PAIR_MARKER = "|"
 
@@ -28,15 +28,12 @@ PAIR_MARKER = "|"
 def parse_alphabet(spec: str) -> Alphabet:
     """Resolve an alphabet name or explicit letter string.
 
-    ``dna`` (default ACGT), ``protein`` (the 20 amino acids), or any
-    string of distinct characters.
+    ``dna`` is :data:`seqcore.DNA` (ACGT), ``protein`` is
+    :data:`seqcore.PROTEIN` (the 20 amino acids), either name in any
+    case; any other string is its distinct characters.
     """
     name = spec.strip()
-    if name.lower() == "dna":
-        return Alphabet("ACGT")
-    if name.lower() == "protein":
-        return Alphabet("ACDEFGHIKLMNPQRSTVWY")
-    return Alphabet(name)
+    return {"dna": DNA, "protein": PROTEIN}.get(name.lower()) or Alphabet(name)
 
 
 def read_fasta(path, alphabet: Alphabet,

@@ -85,10 +85,6 @@ class WeightedDegreeKernel(Kernel):
             raise DataError("window length L must be >= 1")
         self.L = int(L)
 
-    @property
-    def params(self) -> dict:
-        return {"L": self.L}
-
     def pairwise(self, xs, ys=None) -> np.ndarray:
         xs = list(xs)
         ys_ = xs if ys is None else list(ys)
@@ -146,10 +142,6 @@ class BasePositionwiseKernel(Kernel):
 
     def __init__(self, letter_kernel: LetterKernel):
         self.letter_kernel = letter_kernel
-
-    @property
-    def params(self) -> dict:
-        return {"alphabet": "".join(self.letter_kernel.alphabet.letters)}
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ext = self.letter_kernel.extended
@@ -231,10 +223,6 @@ class ExpHammingKernel(_OfHammingDistance):
         self.alphabet = alphabet
         self.lam = float(lam)
 
-    @property
-    def params(self) -> dict:
-        return {"lambda": self.lam}
-
     def _of_distances(self, d: np.ndarray) -> np.ndarray:
         d *= -self.lam
         return np.exp(d, out=d)
@@ -262,10 +250,6 @@ class ImqHammingKernel(_OfHammingDistance):
         check_positive(C=C, beta=beta)
         self.C = float(C)
         self.beta = float(beta)
-
-    @property
-    def params(self) -> dict:
-        return {"C": self.C, "beta": self.beta}
 
     def _of_distances(self, d: np.ndarray) -> np.ndarray:
         d += self.C
@@ -368,10 +352,6 @@ class ImqHammingLagKernel(ImqHammingKernel):
             raise DataError("lag L must be >= 1")
         self.L = int(L)
 
-    @property
-    def params(self) -> dict:
-        return {**super().params, "L": self.L}
-
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ix, iy = _window_ids(xs, ys, self.L)
         return self._of_distances((ix.shape[1] - _count_equal(ix, iy)).astype(float))
@@ -411,10 +391,6 @@ class ShiftedKernel(Kernel):
         self.base = base
         self.shift_max = int(shift_max)
         self.mass_status = base.mass_status
-
-    @property
-    def params(self) -> dict:
-        return {"base": self.base.family, "shift_max": self.shift_max}
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         """A Gram is ``sum_l B_l + B_l^T`` with ``B_l = base(x[l:], x)``

@@ -121,9 +121,10 @@ class GramMatrix:
         """The Gram of the first ``n`` sequences: a leading block, cached.
 
         A block keeps the checks its own construction would make.  The
-        blocks of a certified Gram are certified too: by Cauchy
+        nonempty blocks of a certified Gram are certified too: by Cauchy
         interlacing ``lambda_min(K_B) >= lambda_min(K)``, and
-        ``||K_B||_inf <= ||K||_inf``.  Otherwise a block tries its own
+        ``||K_B||_inf <= ||K||_inf``; the empty block is uncertified,
+        like the empty Gram.  Otherwise a block tries its own
         certificate, and without one applies the PSD rule with its own
         trace, by factorisation and, if that fails, by eigenvalues.
         """
@@ -134,7 +135,8 @@ class GramMatrix:
         if n not in self._blocks:
             K = self.entries[:n, :n]
             block = GramMatrix.__new__(GramMatrix)
-            block._init(self.kernel, self.sequences[:n], K, self._certified or _certifies(K))
+            block._init(self.kernel, self.sequences[:n], K,
+                        (n > 0 and self._certified) or _certifies(K))
             if not block._certified:
                 block._check_psd()
             self._blocks[n] = block

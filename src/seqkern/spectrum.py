@@ -52,10 +52,6 @@ class FiniteSpectrumKernel(Kernel):
             raise DataError("L_max must be >= 1")
         self.L_max = int(L_max)
 
-    @property
-    def params(self) -> dict:
-        return {"L_max": self.L_max}
-
     __call__ = Kernel.__call__  # bench/tracing.py wraps it in this __dict__
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
@@ -163,10 +159,6 @@ class HeavyTailedGappedSpectrumKernel(AlignmentSumKernel):
         self.beta = float(beta)
         self.delta_mu = float(delta_mu)
         self.ks = np.eye(alphabet_size)
-
-    @property
-    def params(self) -> dict:
-        return {"C": self.C, "beta": self.beta, "delta_mu": self.delta_mu}
 
     def base(self, L, nx, ny):
         return self.C + 0.5 * (nx + ny) - L

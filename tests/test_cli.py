@@ -9,6 +9,7 @@ from seqkern.cli import _gather, build_parser, main, most_common_letter_count
 from seqkern.config import build_kernel
 from seqkern.errors import DataError
 from seqkern.io import fmt, parse_alphabet, read_fasta, read_labels, write_csv
+from seqkern.seqcore import DNA as SHARED_DNA, PROTEIN
 
 DNA = Alphabet("ACGT")
 
@@ -70,6 +71,9 @@ class TestFastaParsing:
         assert str(right) == "TG"
 
     def test_alphabets(self):
+        # the shared letter tables, so sequences read by name share one alphabet object
+        assert parse_alphabet("dna") is SHARED_DNA and parse_alphabet(" DNA ") is SHARED_DNA
+        assert parse_alphabet("Protein") is PROTEIN
         assert parse_alphabet("dna").letters == tuple("ACGT")
         assert parse_alphabet("protein").size == 20
         assert parse_alphabet("AB").letters == ("A", "B")
@@ -688,6 +692,10 @@ class TestMalformedValues:
         (["--family", "embedding", "--base", "random_ball", "--D", "0"], "D"),
         (["--family", "embedding", "--base", "random_ball", "--D", "4",
           "--scale-epsilon", "-0.1"], "scale_epsilon"),
+        (["--family", "embedding", "--base", "random_ball", "--D", "4", "--k-E", "cosine"],
+         "k_E"),
+        (["--family", "embedding", "--base", "random_ball", "--D", "4", "--k-E", "rbf",
+          "--gamma", "-1"], "gamma"),
     ])
     def test_out_of_range_kernel_value_exits_2(self, tmp_path, capsys, flags, key):
         code = main(["diagnose", "--target", "A", "--cutoffs", "1",

@@ -1,13 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from seqkern import Alphabet, ConfigError, DataError, seq
-from seqkern.config import build_kernel
+from seqkern.config import FAMILIES, build_kernel
+
+from conftest import CONFIGS
 
 DNA = Alphabet("ACGT")
 AB = Alphabet("AB")
+
+#: (family, key) for every required key of every family
+REQUIRED = [(family, key) for family, (required, _, _) in sorted(FAMILIES.items())
+            for key in sorted(required)]
 
 
 class TestFamilyValidation:
@@ -19,14 +26,20 @@ class TestFamilyValidation:
         with pytest.raises(ConfigError, match="unknown kernel family"):
             build_kernel(DNA, {"family": "gaussian"})
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            build_kernel(DNA, {"family": "imq_hamming", "C": "1", "beta": "2",
-                               "bandwidth": "3"})
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_unknown_key_rejected(self, family):
+        with pytest.raises(ConfigError, match="unknown keys for family .*: bandwidth$"):
+            build_kernel(DNA, {"family": family, **CONFIGS[family], "bandwidth": "3"})
 
-    def test_missing_key_reported(self):
-        with pytest.raises(ConfigError, match="missing keys"):
-            build_kernel(DNA, {"family": "imq_hamming", "C": "1"})
+    @pytest.mark.parametrize("family,key", REQUIRED, ids=[f"{f}-{k}" for f, k in REQUIRED])
+    def test_missing_key_reported(self, family, key):
+        # a wrapper's inner kernel is named by inner_family; 'a|b' needs either
+        dropped = ["inner_family"] if key == "inner" else key.split("|")
+        message = ("needs an 'inner_family' key" if key == "inner"
+                   else f"is missing keys: {key}")
+        cfg = {k: v for k, v in CONFIGS[family].items() if k not in dropped}
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            build_kernel(DNA, {"family": family, **cfg})
 
     def test_non_numeric_value(self):
         with pytest.raises(ConfigError, match="must be a number"):
@@ -34,6 +47,18 @@ class TestFamilyValidation:
 
 
 class TestFamilies:
+    def test_repr_lists_public_values(self):
+        leaf = {"family": "imq_hamming", "C": "1", "beta": "2"}
+        assert repr(build_kernel(DNA, leaf)) == "ImqHammingKernel(C=1.0, beta=2.0)"
+        wrapper = {"family": "shifted", "shift_max": "2",
+                   **{"inner_" + k: v for k, v in leaf.items()}}
+        assert repr(build_kernel(DNA, wrapper)) == (
+            "ShiftedKernel(base=ImqHammingKernel(C=1.0, beta=2.0), shift_max=2, "
+            "mass_status=has_discrete_masses)")
+        assert repr(build_kernel(DNA, {**leaf, "normalize": "true"})) == (
+            "TiltedKernel(base=ImqHammingKernel(C=1.0, beta=2.0), "
+            "mass_status=has_discrete_masses)")
+
     def test_imq_hamming(self):
         k = build_kernel(DNA, {"family": "imq_hamming", "C": "1", "beta": "2"})
         x, y = seq(DNA, "AT"), seq(DNA, "AA")

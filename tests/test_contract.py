@@ -43,32 +43,13 @@ from seqkern import (
 from seqkern.config import FAMILIES, PAIR_FAMILIES, build_kernel
 from seqkern.optimize import Edits
 
-from conftest import SIGNED_LETTERS, random_distinct_sequences, uneven_letters
+from conftest import CONFIGS, SIGNED_LETTERS, random_distinct_sequences, uneven_letters
 
 #: relative tolerance of the rows whose values round with the batch
 ROUNDING_RTOL = 1e-15
 
 ENGINE_FAMILIES = {"alignment", "local_alignment", "ht_alignment_matches",
                    "ht_alignment_gaps", "infinite_spectrum", "ht_gapped_spectrum"}
-
-# keys of every configuration family; the wrappers take exp_hamming inside
-CONFIGS = {
-    "identity": {},
-    "weighted_degree": {"L": "2"},
-    "exp_hamming": {"lambda": "0.3"},
-    "imq_hamming": {"C": "1.3", "beta": "1.7"},
-    "imq_hamming_lag": {"C": "1.5", "beta": "2", "L": "3"},
-    "centre_justified": {"inner_family": "exp_hamming", "inner_lambda": "0.3"},
-    "shifted": {"shift_max": "2", "inner_family": "exp_hamming", "inner_lambda": "0.3"},
-    "alignment": {"mu": "0.2", "delta_mu": "0", "lambda": "1"},
-    "local_alignment": {"mu": "0.3", "delta_mu": "0.5", "lambda": "1"},
-    "ht_alignment_matches": {"C": "1", "beta": "2", "mu": "0.5", "delta_mu": "0.5"},
-    "ht_alignment_gaps": {"C": "1", "beta": "2", "delta_mu": "0.5", "lambda": "1"},
-    "finite_spectrum": {"L_max": "3"},
-    "infinite_spectrum": {},
-    "ht_gapped_spectrum": {"C": "1", "beta": "2", "delta_mu": "0.5"},
-    "embedding": {"base": "random_ball", "D": "16", "scale_epsilon": "0.1"},
-}
 
 
 def _configured(cfg, in_sum=False):

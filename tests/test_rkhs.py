@@ -149,8 +149,12 @@ class TestGram:
 
     def test_empty_grams_are_singular(self):
         assert gram(imq_hamming_kernel(), []).is_singular()
+        assert GramMatrix(imq_hamming_kernel(), [], np.empty((0, 0))).is_singular()
         G = gram(weighted_degree_kernel(2), WD_SETS["a1"])
         assert not G._certified and G.leading(0).is_singular()
+        # the empty block of a certified Gram is uncertified, like the empty Gram
+        G = gram(imq_hamming_kernel(), [seq(DNA, "A"), seq(DNA, "C")])
+        assert G._certified and G.leading(0).is_singular()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
