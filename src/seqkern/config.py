@@ -123,14 +123,22 @@ def _alignment_params(alphabet: Alphabet, v: dict) -> al.AlignmentParams:
 
 
 def _embedding(alphabet: Alphabet, v: dict) -> Kernel:
+    """An embedding kernel; keys that its base or form would not read
+    are refused rather than ignored."""
+    form = v.get("k_E", "imq")
+    if "gamma" in v and form != "rbf":
+        raise ConfigError(f"key 'gamma' is read only with k_E = rbf, not {form!r}")
     if v["base"] == "random_ball":
-        embedding: emb.Embedding = emb.random_ball_embedding(v["seed"], v["D"])
+        embedding: emb.Embedding = emb.random_ball_embedding(
+            v.get("seed", v["default_seed"]), v["D"])
+    elif "seed" in v:
+        raise ConfigError("key 'seed' is read only with base = random_ball, not a table")
     else:
         embedding = emb.load_embedding_table(v["base"][len("table:"):], v["D"])
     if v.get("scale_epsilon", 0.0) > 0:  # 0 disables scaling
         embedding = emb.scaled_embedding(embedding, v["scale_epsilon"], alphabet.size)
     try:
-        euclidean = emb.EuclideanKernel(v.get("k_E", "imq"), v.get("gamma", 1.0))
+        euclidean = emb.EuclideanKernel(form, v.get("gamma", 1.0))
     except DataError as exc:
         raise ConfigError(f"key 'gamma': {exc}")
     return emb.embedding_kernel(embedding, euclidean)
@@ -213,7 +221,7 @@ def build_kernel(alphabet: Alphabet, cfg: dict,
     if "inner" in required and "family" not in inner:
         raise ConfigError(f"family {family!r} needs an 'inner_family' key")
 
-    values = {"seed": default_seed,
+    values = {"default_seed": default_seed,
               **{key: KEYS[key](key, value) for key, value in cfg.items() if key in keys}}
     if inner:
         values["inner"] = build_kernel(alphabet, inner, default_seed)

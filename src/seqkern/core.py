@@ -87,6 +87,11 @@ class Kernel:
         is exactly symmetric.  Otherwise one batch over ``xs + ys`` of
         every row-column index pair.  Families with vectorised matrix
         assembly override this.
+
+        Every override returns a fresh, writable float64 array that
+        shares no memory with anything the kernel keeps or returns
+        again: :func:`rkhs.gram` keeps the array as its Gram's entries,
+        and its factorisations shift their diagonal in place.
         """
         xs = list(xs)
         n = len(xs)

@@ -267,13 +267,16 @@ def _hamming_matrix(xs, ys=None, alphabet=None) -> np.ndarray:
     n, m, size = len(cx), len(cy), stop + 1
     onehot = np.eye(size)
     mismatch = 1.0 - onehot
-    out = np.zeros((n, m))
+    out = None
     for blk in element_blocks(cx.shape[1], max(n, m) * size):
         cols = (blk.stop - blk.start) * size
         hx = mismatch[cx[:, blk]].reshape(n, cols)
         hy = onehot[cy[:, blk]].reshape(m, cols)
-        out += hx @ hy.T
-    return out
+        if out is None:
+            out = hx @ hy.T
+        else:
+            out += hx @ hy.T
+    return np.zeros((n, m)) if out is None else out
 
 
 def _edit_distances(edits, ys, alphabet=None) -> np.ndarray:

@@ -21,6 +21,15 @@ are computed only for the solves that need them.  The diagnostic builds
 one Gram, over the largest set, and reads every smaller set's Gram as a
 leading block of it.  Triangular solves are blocked substitutions in
 numpy, O(n^2) per right-hand side.
+
+A Gram holds its entries, the cached Cholesky factor of ``K`` once a
+solve or the diagnostic asks for it, and an eigendecomposition only on
+demand.  A factorisation peaks at three n x n arrays: the entries, the
+factor and numpy's LAPACK work buffer.  A shifted factorisation adds its
+shift to the diagonal of the entries in place and writes the saved
+diagonal back afterwards, so no shifted copy is made, but one Gram, and
+its leading blocks, which are views of it, must not be factorised from
+two threads at once.
 """
 
 from __future__ import annotations
@@ -46,7 +55,8 @@ PSD_RTOL = 1e-8
 class GramMatrix:
     """Dense symmetric PSD matrix of pairwise kernel values.
 
-    Construction copies the entries and rejects non-finite and
+    The constructor copies the entries (:func:`gram` keeps the fresh
+    array of ``kernel.pairwise`` instead) and rejects non-finite and
     asymmetric ones; an exactly symmetric array is kept as it is, one
     off by round-off is averaged with its transpose.  It then tries the
     certificate: if ``K - 2 rtol ||K||_inf I`` factorises
@@ -73,7 +83,16 @@ class GramMatrix:
     """
 
     def __init__(self, kernel: Kernel, sequences: list, entries: np.ndarray):
-        entries = np.array(entries, dtype=float)
+        self._adopt(kernel, sequences, np.array(entries, dtype=float))
+
+    def _adopt(self, kernel: Kernel, sequences: list, entries: np.ndarray) -> None:
+        """Validate ``entries`` and keep them, not a copy.
+
+        The public constructor hands this its own copy; :func:`gram`
+        hands it the fresh array of ``kernel.pairwise``, which nothing
+        else holds.
+        """
+        entries = np.require(entries, dtype=float, requirements="W")
         n = len(sequences)
         if entries.shape != (n, n):
             raise DataError("Gram entries must be square over the sequences")
@@ -226,13 +245,23 @@ _TRIANGULAR_BLOCK = 64
 
 
 def _cholesky(K: np.ndarray, shift: float) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of ``K + shift I``, or None if it fails."""
-    M = K.copy()
-    M.flat[:: len(K) + 1] += shift
+    """Lower Cholesky factor of ``K + shift I``, or None if it fails.
+
+    A nonzero shift is added to ``K``'s diagonal in place, and the saved
+    diagonal is written back however the factorisation ends, so ``K``
+    (a Gram's entries, or a leading block of them) is left bit for bit
+    as it was and no shifted copy is made.
+    """
+    diagonal = K.diagonal().copy() if shift else None
     try:
-        return np.linalg.cholesky(M)
+        if shift:
+            np.fill_diagonal(K, diagonal + shift)
+        return np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
         return None
+    finally:
+        if shift:
+            np.fill_diagonal(K, diagonal)
 
 
 #: a shifted factorisation of at least this many rows first tries its
@@ -311,7 +340,9 @@ def gram(kernel: Kernel, sequences: Seq) -> GramMatrix:
     sequences = list(sequences)
     if len(set(sequences)) != len(sequences):
         raise DataError("gram() requires distinct sequences")
-    return GramMatrix(kernel, sequences, kernel.pairwise(sequences))
+    G = GramMatrix.__new__(GramMatrix)
+    G._adopt(kernel, sequences, kernel.pairwise(sequences))
+    return G
 
 
 @dataclass

@@ -696,6 +696,11 @@ class TestMalformedValues:
          "k_E"),
         (["--family", "embedding", "--base", "random_ball", "--D", "4", "--k-E", "rbf",
           "--gamma", "-1"], "gamma"),
+        # keys the embedding would not read: gamma without rbf, a table's seed
+        (["--family", "embedding", "--base", "random_ball", "--D", "4", "--gamma", "0.5"],
+         "gamma"),
+        (["--family", "embedding", "--base", "table:emb.csv", "--D", "2", "--kernel-seed", "5"],
+         "seed"),
     ])
     def test_out_of_range_kernel_value_exits_2(self, tmp_path, capsys, flags, key):
         code = main(["diagnose", "--target", "A", "--cutoffs", "1",

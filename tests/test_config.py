@@ -162,6 +162,22 @@ class TestFamilies:
         x = seq(DNA, "A")
         assert k(x, x) == 1.0
 
+    def test_embedding_gamma_needs_rbf(self):
+        # only the rbf form reads gamma; the imq default would ignore it
+        for form in ({}, {"k_E": "imq"}):
+            with pytest.raises(ConfigError, match="key 'gamma'"):
+                build_kernel(DNA, {"family": "embedding", "base": "random_ball",
+                                   "D": "4", "gamma": "0.5", **form})
+
+    def test_embedding_table_takes_no_seed(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("AT,0.5,0.25\nGC,-0.5,0.0\n")
+        cfg = {"family": "embedding", "base": f"table:{path}", "D": "2"}
+        with pytest.raises(ConfigError, match="key 'seed'"):
+            build_kernel(DNA, {**cfg, "seed": "5"})
+        # the run's default seed is no key of the configuration
+        build_kernel(DNA, cfg, default_seed=5)
+
     def test_ht_gapped_spectrum_inf(self):
         k = build_kernel(AB, {"family": "ht_gapped_spectrum", "C": "1",
                               "beta": "1", "delta_mu": "infinity"})

@@ -10,6 +10,8 @@ products round in their order.  For every row:
 - ``pairwise(xs)`` is exactly symmetric;
 - a rectangular block is the matching block of the Gram;
 - ``neighbour_values`` equals the build-and-score default;
+- ``pairwise`` returns a writable float64 array that no other call
+  shares, which :func:`rkhs.gram` keeps as its entries;
 - one-shot iterables give the values of lists, and empty sides empty
   matrices.
 
@@ -159,6 +161,19 @@ def test_block_is_the_matching_block_of_the_gram(name, make, inputs, rtol):
     G = k.pairwise(xs + ys)
     _assert_equal(k.pairwise(xs, ys), G[:n, n:], rtol)
     _assert_equal(k.pairwise(ys, xs), G[n:, :n], rtol)
+
+
+@pytest.mark.parametrize("name,make,inputs,rtol", ROWS, ids=IDS)
+def test_pairwise_returns_a_fresh_writable_array(name, make, inputs, rtol):
+    # gram() keeps what pairwise returns as its entries and shifts their
+    # diagonal in place, so no two results may share memory
+    k = make()
+    xs, ys = inputs()
+    for call in (lambda: k.pairwise(xs), lambda: k.pairwise(xs, ys)):
+        first, second = call(), call()
+        for K in (first, second):
+            assert K.dtype == np.float64 and K.flags.writeable
+        assert not np.shares_memory(first, second)
 
 
 # kernels on sequences with an override; the rest take the default itself

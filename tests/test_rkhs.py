@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from seqkern import (
     GramMatrix,
     IdentityKernel,
     NumericalError,
+    PROTEIN,
     Sequence,
     alignment_kernel,
     discrete_mass_diagnostic,
@@ -443,6 +445,92 @@ class TestCertificateProbe:
         assert np.linalg.eigvalsh(K[:21, :21])[0] <= SINGULAR_RTOL * np.abs(K).max()
         assert not _certifies(K)
         assert cholesky_sizes == [85]
+
+
+# one certified and one degenerate Gram over DNA up to length 4, 341
+# rows, so each certificate tries its 85-row leading quarter first; the
+# window counts give the empty and one-letter sequences zero rows, so
+# the plain Cholesky of the degenerate one fails and a ridge solve of it
+# escalates its jitter
+KEPT_CASES = {"imq_hamming": imq_hamming_kernel(1.0, 2.0),
+              "weighted_degree": weighted_degree_kernel(2)}
+KEPT_SEQS = enumerate_up_to(DNA, 4)
+KEPT_LABELS = np.random.default_rng(62).normal(size=len(KEPT_SEQS))
+
+#: what each operation does to a Gram over KEPT_SEQS
+GRAM_OPERATIONS = {
+    "certificate": lambda G: _certifies(G.entries),
+    "is_singular": lambda G: G.is_singular(),
+    "leading_block_is_singular": lambda G: G.leading(85).is_singular(),
+    "solve_ridge": lambda G: G.solve_ridge(KEPT_LABELS, 0.0),
+    "solve_pinv": lambda G: G.solve_pinv(KEPT_LABELS),
+    "diagnostic": lambda G: discrete_mass_diagnostic(
+        G.kernel, KEPT_SEQS[0], [KEPT_SEQS[:n] for n in (5, 21, 85, 341)], G),
+}
+
+
+class TestEntriesKept:
+    """A Gram holds one copy of its entries, and no factorisation of it,
+    whole, probed or of a leading block, changes them by a bit."""
+
+    def test_gram_peaks_at_the_entries_and_one_factor(self):
+        # the third n x n array of a factorisation, numpy's LAPACK work
+        # buffer, is allocated outside Python and invisible to tracemalloc
+        n = 1200
+        seqs = random_distinct_sequences(np.random.default_rng(61), PROTEIN, n, 17, min_len=10)
+        k = imq_hamming_kernel()
+        tracemalloc.start()
+        try:
+            G = gram(k, seqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G._certified
+        assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
+
+    def test_gram_keeps_the_kernel_array(self, monkeypatch):
+        k = imq_hamming_kernel()
+        K = k.pairwise(KEPT_SEQS)
+        monkeypatch.setattr(k, "pairwise", lambda xs, ys=None: K)
+        assert gram(k, KEPT_SEQS).entries is K
+
+    @pytest.mark.parametrize("operation", GRAM_OPERATIONS)
+    @pytest.mark.parametrize("name", KEPT_CASES)
+    def test_factorisations_leave_the_entries_as_they_were(self, name, operation):
+        k = KEPT_CASES[name]
+        expected = k.pairwise(KEPT_SEQS).tobytes()
+        G = gram(k, KEPT_SEQS)
+        assert G._certified == (name == "imq_hamming")
+        assert G.entries.tobytes() == expected
+        GRAM_OPERATIONS[operation](G)
+        assert G.entries.tobytes() == expected
+
+    def test_an_interrupted_factorisation_restores_the_diagonal(self, monkeypatch):
+        G = gram(weighted_degree_kernel(2), KEPT_SEQS)
+        expected = G.entries.copy()
+
+        def interrupted(M):
+            # the shift is in place, on the Gram's own entries
+            assert np.shares_memory(M, G.entries)
+            assert not np.array_equal(M.diagonal(), expected.diagonal())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np.linalg, "cholesky", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            G.solve_ridge(KEPT_LABELS, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            G.leading(85).is_singular()
+        assert G.entries.tobytes() == expected.tobytes()
+
+    def test_the_constructor_leaves_the_callers_array_alone(self):
+        k = weighted_degree_kernel(2)
+        A = k.pairwise(KEPT_SEQS)
+        expected = A.tobytes()
+        G = GramMatrix(k, KEPT_SEQS, A)
+        assert not np.shares_memory(G.entries, A)
+        for operation in GRAM_OPERATIONS.values():
+            operation(G)
+        assert A.tobytes() == expected
 
 
 class TestPredict:
