@@ -5,6 +5,16 @@ null of equal distributions it is degenerate, so its null law is
 approximated by resampling: by default, relabelling the pooled sample
 (a permutation test, exact for exchangeable data); alternatively, by a
 signed-multiplier scheme on the double-centred pooled Gram matrix.
+
+The permutation test marks each resample's relabelled first sample in a
+0/1 matrix ``S`` of N rows and B columns, one column per resample.  The
+relabellings are drawn in cache-sized blocks of resamples, one
+``Generator.permuted`` call per block, and equal one
+``Generator.permutation`` call per resample bit for bit, so ``S``, the
+generator's final state and every p-value are those of that loop.  The
+statistics of all resamples then come from one ``K @ S`` product, the
+row sums, the diagonal and the total of ``K``.  Memory is the N x N
+Gram plus N x B for ``S`` and for ``K @ S``.
 """
 
 from __future__ import annotations
@@ -16,8 +26,18 @@ import numpy as np
 
 from .core import Kernel
 from .errors import DataError
+from .seqcore import element_blocks
 
 MIN_BOOTSTRAP = 100
+
+#: Element cap on each block of relabellings drawn at once (int64, so
+#: 2**15 is 256 KB).  Drawing 1,000 resamples with m = N/2 (median of 15
+#: draws, two runs, 2 vCPUs) took 0.35 ms at N = 24 against 3.2-5.4 ms
+#: for one ``permutation`` call per resample, 2.8-4.6 against 9.0-9.3 ms
+#: at N = 200 and 15-16 against 18-28 ms at N = 1,000.  One whole block
+#: took 27-28 ms at N = 1,000, and caps of 2**13 and 2**18 were slower
+#: than 2**15 at N = 400 and 1,000.
+RELABEL_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -50,14 +70,38 @@ def mmd2_u_statistic(K: np.ndarray, m: int) -> float:
     return float(s_xx + s_yy - 2.0 * xy.sum() / (m * n))
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` at least ``minimum``; bools and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DataError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
+def _relabellings(N: int, m: int, n_boot: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """N x n_boot 0/1 matrix: column b marks the first m of the b-th permutation.
+
+    Each block's rows are permuted by one ``rng.permuted`` call, which
+    shuffles row after row as ``rng.permutation(N)`` would once per
+    resample, so ``S`` and the generator's final state equal that loop's.
+    """
+    S = np.zeros((N, n_boot))
+    labels = np.arange(N)
+    for blk in element_blocks(n_boot, N, RELABEL_BLOCK_ELEMENTS):
+        cols = np.arange(blk.start, blk.stop)
+        chosen = rng.permuted(np.broadcast_to(labels, (cols.size, N)), axis=1)[:, :m]
+        S[chosen, cols[:, None]] = 1.0
+    return S
+
+
 def _permutation_stats(K: np.ndarray, m: int, n_boot: int,
                        rng: np.random.Generator) -> np.ndarray:
     """U-statistics under random relabellings of the pooled sample."""
     N = K.shape[0]
     n = N - m
-    S = np.zeros((N, n_boot))
-    for b in range(n_boot):
-        S[rng.permutation(N)[:m], b] = 1.0
+    S = _relabellings(N, m, n_boot, rng)
     KS = K @ S
     diag = np.diag(K)
     tot = K.sum()
@@ -83,9 +127,12 @@ def _multiplier_stats(K: np.ndarray, m: int, n_boot: int,
     """
     N = K.shape[0]
     n = N - m
-    # H K H with H = I - 1/N, without forming H
-    Kt = K - K.mean(axis=0) - K.mean(axis=1)[:, None] + K.mean()
-    E = rng.integers(0, 2, size=(N, n_boot)) * 2.0 - 1.0
+    # H K H with H = I - 1/N, without forming H; in place, so one N x N temporary
+    Kt = K - K.mean(axis=0)
+    Kt -= K.mean(axis=1)[:, None]
+    Kt += K.mean()
+    E = rng.integers(0, 2, size=(N, n_boot)) * 2.0
+    E -= 1.0
     Ex, Ey = E[:m], E[m:]
     KtXX, KtYY, KtXY = Kt[:m, :m], Kt[m:, m:], Kt[:m, m:]
     # Rademacher signs square to one, so the diagonal correction is a constant trace
@@ -110,8 +157,8 @@ def mmd_two_sample_test(kernel: Kernel, sample_x, sample_y,
     sample_y = list(sample_y)
     if not sample_x or not sample_y:
         raise DataError("both samples must be nonempty")
-    if n_bootstrap < MIN_BOOTSTRAP:
-        raise DataError(f"n_bootstrap must be at least {MIN_BOOTSTRAP}")
+    n_bootstrap = _integer("n_bootstrap", n_bootstrap, MIN_BOOTSTRAP)
+    seed = _integer("seed", seed, 0)
     if not 0.0 < level < 1.0:
         raise DataError("level must be in (0, 1)")
     if method not in ("permutation", "multiplier"):
@@ -146,8 +193,9 @@ def power_curve(kernel: Kernel, sampler_p: Callable, sampler_q: Callable,
     seed-derived stream, so results are deterministic and independent
     of evaluation order.
     """
-    if trials < 10:
-        raise DataError("need at least 10 trials per size")
+    trials = _integer("trials", trials, 10)
+    seed = _integer("seed", seed, 0)
+    sizes = [_integer("sizes", n, 2) for n in sizes]
     out = []
     for si, n in enumerate(sizes):
         rejected = 0
@@ -160,5 +208,5 @@ def power_curve(kernel: Kernel, sampler_p: Callable, sampler_q: Callable,
                 seed=int(rng.integers(2**31)), method=method,
             )
             rejected += res.rejected
-        out.append((int(n), rejected / trials))
+        out.append((n, rejected / trials))
     return out

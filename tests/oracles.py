@@ -8,6 +8,11 @@ expands vector encodings over ordinary sequences; it checks
 reparameterisation identities, not the kernel's own values.
 :func:`random_ball_vector` is the random-ball embedding built one
 sequence at a time, with a generator constructed per sequence.
+:func:`relabellings_loop`, :func:`permutation_stats_loop` and
+:func:`multiplier_stats_expression` are the two-sample test's resampling
+statistics as first written: one ``Generator.permutation`` call per
+resample, and the multiplier path's centring and signs as single
+expressions.
 """
 
 from __future__ import annotations
@@ -216,3 +221,44 @@ def random_ball_vector(x: Sequence, seed: int, dim: int, scale_epsilon: float = 
     if scale_epsilon > 0:
         v = x.alphabet.size ** ((1.0 + scale_epsilon) * len(x) / dim) * v
     return v
+
+
+def relabellings_loop(N: int, m: int, n_boot: int, rng) -> np.ndarray:
+    """The relabelling matrix drawn by one ``rng.permutation(N)`` per resample."""
+    S = np.zeros((N, n_boot))
+    for b in range(n_boot):
+        S[rng.permutation(N)[:m], b] = 1.0
+    return S
+
+
+def permutation_stats_loop(K: np.ndarray, m: int, n_boot: int, rng) -> np.ndarray:
+    """U-statistics under the relabellings of :func:`relabellings_loop`."""
+    N = K.shape[0]
+    n = N - m
+    S = relabellings_loop(N, m, n_boot, rng)
+    KS = K @ S
+    diag = np.diag(K)
+    tot = K.sum()
+    rowsums = K.sum(axis=0)
+    sum_x_rows = rowsums @ S              # sum over K(x, .)
+    sum_xx_d = (S * KS).sum(axis=0)       # sum over K(x, x') incl. diagonal
+    tr_x = diag @ S
+    sum_xx = sum_xx_d - tr_x
+    sum_yy = (tot - 2.0 * sum_x_rows + sum_xx_d) - (diag.sum() - tr_x)
+    sum_xy = sum_x_rows - sum_xx_d
+    return (sum_xx / (m * (m - 1)) + sum_yy / (n * (n - 1))
+            - 2.0 * sum_xy / (m * n))
+
+
+def multiplier_stats_expression(K: np.ndarray, m: int, n_boot: int, rng) -> np.ndarray:
+    """Signed-multiplier statistics with the centring and signs as one expression each."""
+    N = K.shape[0]
+    n = N - m
+    Kt = K - K.mean(axis=0) - K.mean(axis=1)[:, None] + K.mean()
+    E = rng.integers(0, 2, size=(N, n_boot)) * 2.0 - 1.0
+    Ex, Ey = E[:m], E[m:]
+    KtXX, KtYY, KtXY = Kt[:m, :m], Kt[m:, m:], Kt[:m, m:]
+    xx = (Ex * (KtXX @ Ex)).sum(axis=0) - np.trace(KtXX)
+    yy = (Ey * (KtYY @ Ey)).sum(axis=0) - np.trace(KtYY)
+    xy = (Ex * (KtXY @ Ey)).sum(axis=0)
+    return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2.0 * xy / (m * n)

@@ -32,9 +32,12 @@ from seqkern import (
     weighted_degree_kernel,
 )
 from seqkern.alignment import exponential_letter_matrix
-from seqkern.stats import _multiplier_stats
+from seqkern.seqcore import element_blocks
+from seqkern.stats import (RELABEL_BLOCK_ELEMENTS, _multiplier_stats, _permutation_stats,
+                           _relabellings)
 
 from conftest import exponential_letters
+from oracles import multiplier_stats_expression, permutation_stats_loop, relabellings_loop
 
 AB = Alphabet("AB")
 DNA = Alphabet("ACGT")
@@ -132,6 +135,106 @@ class TestTestResult:
             mmd_two_sample_test(k, xs, xs, n_bootstrap=50)
         with pytest.raises(DataError):
             mmd_two_sample_test(k, xs, xs, method="jackknife")
+        # counts and seeds are integers: no bool, float or string slips
+        # through to numpy as a ValueError or TypeError
+        for bad in (-1, 1.5, 2.0, True, "3"):
+            with pytest.raises(DataError, match="seed"):
+                mmd_two_sample_test(k, xs, xs, n_bootstrap=150, seed=bad)
+        for bad in (150.5, 1e3, "200", True, np.float64(200)):
+            with pytest.raises(DataError, match="n_bootstrap"):
+                mmd_two_sample_test(k, xs, xs, n_bootstrap=bad)
+
+    def test_numpy_integers_are_accepted(self):
+        k = imq_hamming_kernel()
+        rng = np.random.default_rng(63)
+        xs = sample_sequences(rng, 5)
+        ys = sample_sequences(rng, 5)
+        plain = mmd_two_sample_test(k, xs, ys, n_bootstrap=150, seed=4)
+        res = mmd_two_sample_test(k, xs, ys, n_bootstrap=np.int32(150), seed=np.int64(4))
+        assert res == plain
+        assert type(res.seed) is int and type(res.n_bootstrap) is int
+
+
+def _pooled_gram(seed, m, n):
+    rng = np.random.default_rng(seed)
+    pooled = sample_sequences(rng, m) + sample_sequences(rng, n)
+    return imq_hamming_kernel(1.0, 2.0).pairwise(pooled)
+
+
+class TestRelabellings:
+    """The blocked draw equals one ``Generator.permutation`` per resample.
+
+    numpy does not document that ``Generator.permuted`` shuffles each
+    row as ``Generator.permutation`` would; these fail if a release
+    changes that.
+    """
+
+    @pytest.mark.parametrize("N,m,n_boot", [
+        (4, 2, 100),
+        (24, 12, 1000),
+        (300, 150, 1000),
+        (300, 150, 1001),                          # blocks of unequal size
+        (24, 5, 300),                              # m != N/2
+        (25, 13, 200),
+        (RELABEL_BLOCK_ELEMENTS + 1, (RELABEL_BLOCK_ELEMENTS + 1) // 2, 5),
+    ])
+    def test_bit_identical_to_the_loop(self, N, m, n_boot):
+        got_rng = np.random.default_rng(np.random.SeedSequence(N + n_boot))
+        want_rng = np.random.default_rng(np.random.SeedSequence(N + n_boot))
+        got = _relabellings(N, m, n_boot, got_rng)
+        want = relabellings_loop(N, m, n_boot, want_rng)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert (got.sum(axis=0) == m).all()
+
+    def test_cases_cover_uneven_and_single_resample_blocks(self):
+        sizes = lambda N, B: {s.stop - s.start
+                              for s in element_blocks(B, N, RELABEL_BLOCK_ELEMENTS)}
+        assert sizes(24, 1000) == {1000}
+        assert len(sizes(300, 1001)) == 2
+        assert sizes(RELABEL_BLOCK_ELEMENTS + 1, 5) == {1}
+
+    @pytest.mark.parametrize("m,n,n_boot", [(12, 12, 1000), (210, 190, 200), (7, 30, 150)])
+    def test_statistics_bit_identical_to_the_loop(self, m, n, n_boot):
+        K = _pooled_gram(70 + m, m, n)
+        got = _permutation_stats(K, m, n_boot, np.random.default_rng(3))
+        want = permutation_stats_loop(K, m, n_boot, np.random.default_rng(3))
+        assert np.array_equal(got, want)
+
+    def test_multiplier_bit_identical_to_the_expression(self):
+        for m, n in ((12, 12), (210, 190)):
+            K = _pooled_gram(71 + m, m, n)
+            got = _multiplier_stats(K, m, 200, np.random.default_rng(4))
+            want = multiplier_stats_expression(K, m, 200, np.random.default_rng(4))
+            assert np.array_equal(got, want)
+
+    # (mmd_observed, p_value * (n_bootstrap + 1)) recorded from the
+    # one-permutation-per-resample code; finite_spectrum's integer Gram
+    # makes the permutation statistics exact on any BLAS
+    PINNED = {
+        (24, "permutation", 0): (0.3573870573870579, 73),
+        (24, "permutation", 7): (0.3573870573870579, 79),
+        (24, "permutation", 2024): (0.3573870573870579, 83),
+        (24, "multiplier", 0): (0.3573870573870579, 76),
+        (24, "multiplier", 7): (0.3573870573870579, 66),
+        (24, "multiplier", 2024): (0.3573870573870579, 74),
+        (400, "permutation", 11): (0.03759398496240429, 34),
+        (400, "multiplier", 11): (0.03759398496240429, 17),
+    }
+
+    @pytest.mark.parametrize("N,method,seed", sorted(PINNED))
+    def test_pinned_results(self, N, method, seed):
+        if N == 24:
+            rng, m, n, n_boot = np.random.default_rng(68), 14, 10, 300
+        else:
+            rng, m, n, n_boot = np.random.default_rng(69), 210, 190, 200
+        xs = sample_sequences(rng, m, DNA, 2, 6)
+        ys = sample_sequences(rng, n, DNA, 3, 7 if N == 24 else 6)
+        res = mmd_two_sample_test(finite_spectrum_kernel(2), xs, ys,
+                                  n_bootstrap=n_boot, seed=seed, method=method)
+        obs, count = self.PINNED[N, method, seed]
+        assert res.mmd_observed == obs
+        assert res.p_value == count / (n_boot + 1)
 
 
 class TestCalibration:
@@ -252,3 +355,11 @@ class TestPowerCurve:
         sampler = lambda rng, n: sample_sequences(rng, n)
         with pytest.raises(DataError):
             power_curve(k, sampler, sampler, sizes=(5,), trials=5)
+        for kwargs, name in (({"sizes": (3.5,)}, "sizes"), ({"sizes": (1,)}, "sizes"),
+                             ({"trials": 10.0}, "trials"), ({"trials": True}, "trials"),
+                             ({"seed": -1}, "seed"), ({"seed": 2.0}, "seed")):
+            args = {"sizes": (5,), "trials": 10, **kwargs}
+            with pytest.raises(DataError, match=name):
+                power_curve(k, sampler, sampler, n_bootstrap=100, **args)
+        with pytest.raises(DataError, match="n_bootstrap"):
+            power_curve(k, sampler, sampler, sizes=(5,), trials=10, n_bootstrap=1e3)
