@@ -16,8 +16,9 @@ Sequences are stop-padded with the stop code ``|B|``
 a ``(|B|+1)``-dimensional letter table directly.  The two window
 kernels (weighted degree and lag-L Hamming) take exact integer ids of
 the stop-padded L-windows from ``seqcore.window_ids`` and count equal
-ids one position at a time; for the lag kernel stop is a letter, for
-the weighted degree a window reaching past its sequence matches nothing.
+ids in the narrowest integer types that hold them (:func:`_count_equal`);
+for the lag kernel stop is a letter, for the weighted degree a window
+reaching past its sequence matches nothing.
 
 Each family here implements ``pairwise``, and most also
 ``self_similarities``; ``k(x, y)`` is the one-pair block of ``pairwise``
@@ -99,6 +100,8 @@ class WeightedDegreeKernel(Kernel):
 
     def self_similarities(self, xs) -> np.ndarray:
         """``k(x, x)``: every window inside ``x`` matches itself."""
+        xs = list(xs)
+        _check_alphabet(xs, None)
         lengths = np.array([len(s) for s in xs], dtype=float)
         return np.maximum(lengths - (self.L - 1), 0.0)
 
@@ -116,11 +119,30 @@ def _window_ids(xs, ys, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _count_equal(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    """``out[i, j] = #{l : ix[i, l] == iy[j, l]}``, one position at a time."""
-    out = np.zeros((len(ix), len(iy)), dtype=np.int32)
-    for l in range(ix.shape[1]):
-        out += ix[:, l, None] == iy[None, :, l]
+    """``out[i, j] = #{l : ix[i, l] == iy[j, l]}`` for ids of at least -2.
+
+    The ids are cast once, position-major, to the narrowest signed type
+    that holds them, each position is compared into one reused bool
+    buffer, and the counts add up in the narrowest unsigned type that
+    holds the number of positions: exact integers, which the caller
+    converts to float.
+    """
+    top = max(ix.max(initial=0), iy.max(initial=0))
+    ids = _narrowest((np.int8, np.int16, np.int32, np.int64), top)
+    ax = np.ascontiguousarray(ix.T, dtype=ids)
+    ay = ax if iy is ix else np.ascontiguousarray(iy.T, dtype=ids)
+    counts = _narrowest((np.uint8, np.uint16, np.uint32), ix.shape[1])
+    out = np.zeros((len(ix), len(iy)), dtype=counts)
+    equal = np.empty(out.shape, dtype=bool)
+    for a, b in zip(ax, ay):
+        np.equal(a[:, None], b, out=equal)
+        out += equal.view(np.uint8)  # bools are bytes of 0 or 1: added without a cast
     return out
+
+
+def _narrowest(types, top: int):
+    """The first of ``types`` whose largest value is at least ``top``."""
+    return next(t for t in types if np.iinfo(t).max >= top)
 
 
 def weighted_degree_kernel(L: int) -> WeightedDegreeKernel:
@@ -357,7 +379,8 @@ class ImqHammingLagKernel(ImqHammingKernel):
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ix, iy = _window_ids(xs, ys, self.L)
-        return self._of_distances((ix.shape[1] - _count_equal(ix, iy)).astype(float))
+        d = _count_equal(ix, iy).astype(float)
+        return self._of_distances(np.subtract(ix.shape[1], d, out=d))
 
 
 def imq_hamming_lag_kernel(C: float = 1.0, beta: float = 2.0, L: int = 1) -> ImqHammingLagKernel:

@@ -12,7 +12,9 @@ sequence at a time, with a generator constructed per sequence.
 :func:`multiplier_stats_expression` are the two-sample test's resampling
 statistics as first written: one ``Generator.permutation`` call per
 resample, and the multiplier path's centring and signs as single
-expressions.
+expressions.  :func:`count_equal_loop` is the window families' match
+count as first written: int64 ids compared one position at a time into
+an int32 count.
 """
 
 from __future__ import annotations
@@ -262,3 +264,11 @@ def multiplier_stats_expression(K: np.ndarray, m: int, n_boot: int, rng) -> np.n
     yy = (Ey * (KtYY @ Ey)).sum(axis=0) - np.trace(KtYY)
     xy = (Ex * (KtXY @ Ey)).sum(axis=0)
     return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2.0 * xy / (m * n)
+
+
+def count_equal_loop(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """``out[i, j] = #{l : ix[i, l] == iy[j, l]}``, one position at a time."""
+    out = np.zeros((len(ix), len(iy)), dtype=np.int32)
+    for l in range(ix.shape[1]):
+        out += ix[:, l, None] == iy[None, :, l]
+    return out

@@ -22,15 +22,16 @@ from seqkern import (
     tensor_kernel,
     weighted_degree_kernel,
 )
+import seqkern.positional
 import seqkern.seqcore
 from seqkern.embedding import EuclideanKernel, embedding_kernel, random_ball_embedding
-from seqkern.positional import _hamming_matrix
+from seqkern.positional import _count_equal, _hamming_matrix, _window_ids
 from seqkern.seqcore import PROTEIN
 
 from conftest import (SIGNED_LETTERS, Counting, exponential_letters, random_distinct_sequences,
                       random_sequence, uneven_letters)
-from oracles import (gamma_quadrature, padded_window_mismatches, positionwise_product,
-                     window_matches)
+from oracles import (count_equal_loop, gamma_quadrature, padded_window_mismatches,
+                     positionwise_product, window_matches)
 
 DNA = Alphabet("ACGT")
 AB = Alphabet("AB")
@@ -362,6 +363,78 @@ class TestWindowKernelsOnMixedLengths:
         assert make(1).L == 1
 
 
+class TestCountEqual:
+    """The window families' match counter, and both families' Grams,
+    bit for bit against the per-position loop (``count_equal_loop``) at
+    each boundary of the counter's id and count types."""
+
+    @pytest.mark.parametrize("top", [1, 127, 128, 254, 256, 32767, 32768, 65534, 65536,
+                                     2**31 - 1, 2**31, 2**32])
+    def test_counter_at_id_type_boundaries(self, top):
+        # values that wrap onto -2, -1, 0 or 1 in a type too narrow for ``top``
+        wraps = [v for v in (254, 255, 256, 257, 65534, 65535, 65536, 65537,
+                             2**32 - 2, 2**32 - 1, 2**32) if v <= top]
+        pool = np.array([-2, -1, 0, 1, top - 1, top] + wraps)
+        rng = np.random.default_rng(top)
+        ix = rng.choice(pool, size=(40, 30))
+        iy = rng.choice(pool, size=(25, 30))
+        for a, b in ((ix, iy), (ix, ix), (iy, ix), (ix[:0], iy), (ix, iy[:0])):
+            got = _count_equal(a, b)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, count_equal_loop(a, b))
+
+    @pytest.mark.parametrize("width,dtype", [(0, np.uint8), (255, np.uint8), (256, np.uint16),
+                                             (65535, np.uint16), (65536, np.uint32)])
+    def test_counter_at_count_type_boundaries(self, width, dtype):
+        rng = np.random.default_rng(width)
+        ix = rng.integers(-2, 2, size=(3, width))
+        iy = rng.integers(-2, 2, size=(2, width))
+        ix[0] = iy[0] = 0
+        got = _count_equal(ix, iy)
+        assert got.dtype == dtype and got[0, 0] == width
+        np.testing.assert_array_equal(got, count_equal_loop(ix, iy))
+
+    RNG = np.random.default_rng(24)
+    SHORT = [empty(DNA), seq(DNA, "A"), seq(DNA, "AC")]
+    # the first long sequence three times: counts past 255 off the diagonal too
+    DNA_300 = random_distinct_sequences(RNG, DNA, 12, 300, min_len=280)
+    LONG = SHORT + DNA_300 + DNA_300[:1] * 2
+    LONG_YS = random_distinct_sequences(RNG, DNA, 7, 270, min_len=256)
+    # (L, xs, ys, a value the largest window id exceeds)
+    CASES = [
+        pytest.param(4, SHORT + random_distinct_sequences(RNG, DNA, 60, 40, min_len=20),
+                     random_distinct_sequences(RNG, DNA, 9, 30, min_len=2), 127,
+                     id="ids_past_127"),
+        pytest.param(6, random_distinct_sequences(RNG, PROTEIN, 300, 130, min_len=100),
+                     random_distinct_sequences(RNG, PROTEIN, 40, 110, min_len=1), 32767,
+                     id="ids_past_32767"),
+        pytest.param(1, LONG, LONG_YS, 0, id="positions_past_255_L1"),
+        pytest.param(3, LONG, LONG_YS, 0, id="positions_past_255_L3"),
+    ]
+
+    def blocks(self, xs, ys):
+        yield xs, None
+        yield xs, ys
+        yield ys, xs
+        yield xs, []
+        yield [], ys
+        yield [], None
+
+    @pytest.mark.parametrize("L,xs,ys,top", CASES)
+    def test_grams_equal_the_loop(self, L, xs, ys, top, monkeypatch):
+        assert _window_ids(xs, ys, L)[0].max() > top
+        wd, lag = weighted_degree_kernel(L), imq_hamming_lag_kernel(1.3, 1.7, L)
+        for left, right in self.blocks(xs, ys):
+            got = wd.pairwise(left, right)
+            with monkeypatch.context() as m:
+                m.setattr(seqkern.positional, "_count_equal", count_equal_loop)
+                np.testing.assert_array_equal(got, wd.pairwise(left, right))
+            # the lag kernel's ``width - count`` in the loop's int32, as first written
+            ix, iy = _window_ids(left, right, L)
+            expected = lag._of_distances((ix.shape[1] - count_equal_loop(ix, iy)).astype(float))
+            np.testing.assert_array_equal(lag.pairwise(left, right), expected)
+
+
 class TestCentreJustified:
     def test_identical_pairs(self):
         k = exp_hamming_kernel(DNA, 1.0)
@@ -481,10 +554,13 @@ class TestMixedAlphabets:
                     call()
                 assert repr(DNA) in str(err.value) and repr(PROTEIN) in str(err.value)
 
-    def test_self_similarities_reject_two_alphabets(self):
-        k = exp_hamming_kernel(DNA, 0.5)
-        with pytest.raises(DataError, match="different alphabets"):
-            k.self_similarities([seq(DNA, "A"), seq(PROTEIN, "AF")])
+    @pytest.mark.parametrize("name,make", KERNELS, ids=[n for n, _ in KERNELS])
+    def test_self_similarities_reject_two_alphabets(self, name, make):
+        k = make()
+        for xs in ([seq(DNA, "A"), seq(PROTEIN, "AF")], [seq(DNA, "ACG"), seq(PROTEIN, "ACGW")]):
+            with pytest.raises(DataError, match="different alphabets") as err:
+                k.self_similarities(xs)
+            assert repr(DNA) in str(err.value) and repr(PROTEIN) in str(err.value)
 
 
 class TestBoundedMemory:
@@ -496,9 +572,10 @@ class TestBoundedMemory:
         lambda: imq_hamming_kernel(1.0, 2.0),
         lambda: exp_hamming_kernel(DNA, 0.5),
         lambda: weighted_degree_kernel(3),
+        lambda: imq_hamming_lag_kernel(1.0, 2.0, 3),
         lambda: embedding_kernel(random_ball_embedding(1, TestBoundedMemory.WIDTH),
                                  EuclideanKernel("imq")),
-    ], ids=["imq_hamming", "exp_hamming", "weighted_degree", "embedding"])
+    ], ids=["imq_hamming", "exp_hamming", "weighted_degree", "imq_hamming_lag", "embedding"])
     def test_pairwise_peak_stays_below_one_byte_per_triple(self, make, monkeypatch):
         # with a small block cap the traced peak is a few (n x width)
         # arrays; one bool per (i, j, position) would already exceed it
