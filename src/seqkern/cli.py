@@ -124,9 +124,10 @@ def cmd_gram(args) -> int:
                 f"records {seen[s]!r} and {rec_id!r} hold the same sequence; "
                 f"Gram matrices are defined over distinct sequences")
         seen[s] = rec_id
-    G = gram(kernel, seqs)
+    # only the entries: a Gram's kept factor is freed before the CSV is written
+    entries = gram(kernel, seqs).entries
     out = _need(run_cfg, "output", "output path")
-    io.write_csv(out, ["id"] + ids, zip(ids, G.entries))
+    io.write_csv(out, ["id"] + ids, zip(ids, entries))
     return 0
 
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import weakref
 
 import numpy as np
 import pytest
@@ -200,6 +201,32 @@ class TestGramCommand:
                        "positive, got 0.0 on Sequence('A')\n")
         assert not out.exists()
 
+    def test_the_gram_is_freed_before_the_csv_is_written(self, tmp_path, monkeypatch):
+        # 341 sequences: the Gram keeps its certificate's factor, an n x n
+        # array that must not be held while write_csv builds its tables
+        import seqkern.cli
+        import seqkern.io
+        letters = [str(s) for s in enumerate_up_to(DNA, 4)]
+        fasta = tmp_path / "in.fasta"
+        write_fasta(fasta, [(f"s{i}", x) for i, x in enumerate(letters)])
+        grams = []
+
+        def recording_gram(kernel, seqs, _gram=seqkern.cli.gram):
+            G = _gram(kernel, seqs)
+            assert G._factor is not None
+            grams.append(weakref.ref(G))
+            return G
+
+        def checking_write_csv(*args, _write_csv=seqkern.io.write_csv, **kwargs):
+            assert len(grams) == 1 and grams[0]() is None
+            return _write_csv(*args, **kwargs)
+
+        monkeypatch.setattr(seqkern.cli, "gram", recording_gram)
+        monkeypatch.setattr(seqkern.io, "write_csv", checking_write_csv)
+        assert main(["gram", "--fasta", str(fasta), "--output", str(tmp_path / "gram.csv"),
+                     "--family", "imq_hamming", "--C", "1", "--beta", "2"]) == 0
+        assert len(grams) == 1
+
     def test_single_sequence(self, tmp_path):
         fasta = tmp_path / "in.fasta"
         write_fasta(fasta, [("only", "AT")])
@@ -373,9 +400,11 @@ class TestDiagnoseCommand:
 
     def test_certified_diagnose_factors_probe_certificate_and_factor(self, tmp_path,
                                                                       monkeypatch):
-        # the certificate in construction, after its leading quarter, and
-        # the factor behind every C; the leading blocks inherit the certificate
+        # the certificate in construction, after its leading quarter; the
+        # leading blocks inherit it, the 341-row set refines on its factor,
+        # and the two sets below REFINE_ROWS factor their own small blocks
         import seqkern.rkhs
+        assert 85 < seqkern.rkhs.REFINE_ROWS <= 341
         calls = []
 
         def counting_cholesky(K, shift, _cholesky=seqkern.rkhs._cholesky):
@@ -387,7 +416,9 @@ class TestDiagnoseCommand:
                      "--output", str(tmp_path / "diag.csv"),
                      "--family", "imq_hamming", "--C", "1", "--beta", "2"])
         assert code == 0
-        assert calls == [85, 341, 341]
+        assert calls[:2] == [85, 341]
+        assert 341 not in calls[2:]
+        assert calls == [85, 341, 21, 85]
 
     def test_uncertified_diagnose_decides_by_factorisations(self, tmp_path, monkeypatch):
         # (rows, sign of shift, factorised): the certificate fails on the

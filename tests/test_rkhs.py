@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from seqkern import (
 )
 
 import seqkern.rkhs
-from seqkern.rkhs import PSD_RTOL, SINGULAR_RTOL, _certifies
+from seqkern.rkhs import (PSD_RTOL, REFINE_ROWS, SINGULAR_RTOL, _certificate, _cholesky_solve,
+                          _solve_lower)
 
 from conftest import random_distinct_sequences
 
@@ -309,6 +311,7 @@ class TestCertifiedSolves:
         assert C[0] == pytest.approx(math.sqrt((V[2] ** 2 / w).sum()), rel=1e-12)
         assert C[1] == math.inf
         assert block._eig is not None and G._eig is None
+        assert G.solve_routes == Counter(eigen=1)
         # the block's singularity factorisation succeeds, so its
         # eigenvalues decide; the whole Gram's fails, which decides alone
         assert "eigenvalues" in block.__dict__ and "eigenvalues" not in G.__dict__
@@ -353,6 +356,7 @@ class TestCertifiedSolves:
         direct = np.linalg.solve(K + jitter * np.eye(len(K)), y)
         np.testing.assert_allclose(alpha, direct, rtol=1e-3)
         assert G._eig is None  # no eigendecomposition fallback
+        assert G.solve_routes == Counter(jitter=1)
 
 
 def probe_gram(seed, kind, margin=1.0):
@@ -420,7 +424,7 @@ class TestCertificateProbe:
         n = len(K)
         shift = -2 * SINGULAR_RTOL * np.abs(K).sum(axis=1).max()
         whole = factorises(K, shift)
-        certified = _certifies(K)
+        certified = _certificate(K) is not None
         if certified:
             assert whole
         # away from the margin, rounding cannot move the decision
@@ -443,7 +447,7 @@ class TestCertificateProbe:
         # 1,365 within its 85-row block
         K = weighted_degree_kernel(2).pairwise(enumerate_up_to(DNA, 5))
         assert np.linalg.eigvalsh(K[:21, :21])[0] <= SINGULAR_RTOL * np.abs(K).max()
-        assert not _certifies(K)
+        assert _certificate(K) is None
         assert cholesky_sizes == [85]
 
 
@@ -459,11 +463,12 @@ KEPT_LABELS = np.random.default_rng(62).normal(size=len(KEPT_SEQS))
 
 #: what each operation does to a Gram over KEPT_SEQS
 GRAM_OPERATIONS = {
-    "certificate": lambda G: _certifies(G.entries),
+    "certificate": lambda G: _certificate(G.entries),
     "is_singular": lambda G: G.is_singular(),
     "leading_block_is_singular": lambda G: G.leading(85).is_singular(),
     "solve_ridge": lambda G: G.solve_ridge(KEPT_LABELS, 0.0),
     "solve_pinv": lambda G: G.solve_pinv(KEPT_LABELS),
+    "leading_block_solve_pinv": lambda G: G.leading(300).solve_pinv(KEPT_LABELS[:300]),
     "diagnostic": lambda G: discrete_mass_diagnostic(
         G.kernel, KEPT_SEQS[0], [KEPT_SEQS[:n] for n in (5, 21, 85, 341)], G),
 }
@@ -531,6 +536,172 @@ class TestEntriesKept:
         for operation in GRAM_OPERATIONS.values():
             operation(G)
         assert A.tobytes() == expected
+
+
+def relative_error(x, reference):
+    return float(np.abs(x - reference).max() / np.abs(reference).max())
+
+
+def factorised_inverse_diagonal(K, t):
+    """``(K^-1)_tt`` from the Cholesky factor of ``K``, the squares added left to right."""
+    L = np.linalg.cholesky(K)
+    unit = np.zeros(len(K) - t)
+    unit[0] = 1.0
+    return float(np.cumsum(_solve_lower(L[t:, t:], unit) ** 2)[-1])
+
+
+def tcr_like(n, seed=63):
+    return random_distinct_sequences(np.random.default_rng(seed), PROTEIN, n, 17, min_len=10)
+
+
+# certified Grams of at least REFINE_ROWS rows: DNA up to length 5 (1,365
+# rows, lambda_min 0.41) and 1,000 tcr-like proteins; each case gives
+# the kernel and the nested sets of a diagnostic, the largest last
+REFINED_CASES = {
+    "imq_hamming_dna5": lambda: (imq_hamming_kernel(1.0, 2.0),
+                                 [enumerate_up_to(DNA, c) for c in (2, 3, 4, 5)]),
+    "exp_hamming_tcr": lambda: (exp_hamming_kernel(PROTEIN, 0.5),
+                                [tcr_like(1000)[:m] for m in (40, 300, 650, 1000)]),
+}
+
+
+class TestRefinedSolves:
+    """A large certified Gram solves on its certificate's factor alone,
+    and every other Gram, or a refinement that gives up, runs the
+    factorisations of a small Gram, bit for bit."""
+
+    @pytest.mark.parametrize("name", REFINED_CASES)
+    def test_refined_fits_match_direct_solves(self, cholesky_sizes, name):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        k, sets = REFINED_CASES[name]()
+        G = gram(k, sets[-1])
+        K = G.entries
+        n = len(K)
+        assert G._certified and n >= REFINE_ROWS
+        # one full-size factorisation, the certificate's
+        assert cholesky_sizes.count(n) == 1
+        built = len(cholesky_sizes)
+        y = np.random.default_rng(64).normal(size=n)
+        ridge = 1e-3 * np.trace(K) / n
+        alpha = G.solve_ridge(y, ridge)
+        beta = G.solve_pinv(y)
+        assert len(cholesky_sizes) == built
+        assert G.solve_routes == Counter(refined=2)
+        direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K + ridge * np.eye(n)), y)
+        assert relative_error(alpha, direct) <= 1e-12
+        direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), y)
+        assert relative_error(beta, direct) <= 1e-12
+
+    @pytest.mark.parametrize("name", REFINED_CASES)
+    def test_refined_diagnostic_matches_the_inverse(self, cholesky_sizes, name):
+        k, sets = REFINED_CASES[name]()
+        target = sets[0][3]
+        G = gram(k, sets[-1])
+        built = len(cholesky_sizes)
+        C = discrete_mass_diagnostic(k, target, sets, G)
+        # no set of REFINE_ROWS rows or more is factorised after the certificate
+        assert all(m < REFINE_ROWS for m in cholesky_sizes[built:])
+        large = sum(len(s) >= REFINE_ROWS for s in sets)
+        assert G.solve_routes == Counter(refined=large, factorised=len(sets) - large)
+        for c, s in zip(C, sets):
+            expected = math.sqrt(np.linalg.inv(G.entries[:len(s), :len(s)])[3, 3])
+            assert abs(c - expected) <= 1e-12 * expected
+
+    def test_a_ridge_far_above_lambda_min_is_factorised(self):
+        # the refinement diverges, gives up and drops the factor, so the
+        # minimum-norm fit after it factorises K as a small Gram would
+        G = gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS)
+        K = G.entries
+        assert G._factor is not None
+        ridge = 10.0 * np.trace(K) / len(K)
+        alpha = G.solve_ridge(KEPT_LABELS, ridge)
+        assert G._factor is None
+        assert G.solve_routes == Counter(factorised=1)
+        L = np.linalg.cholesky(K + ridge * np.eye(len(K)))
+        assert alpha.tobytes() == _cholesky_solve(L, KEPT_LABELS).tobytes()
+        beta = G.solve_pinv(KEPT_LABELS)
+        assert beta.tobytes() == _cholesky_solve(np.linalg.cholesky(K), KEPT_LABELS).tobytes()
+
+    @pytest.mark.parametrize("solve", ["pinv", "ridge", "diagnostic"])
+    def test_a_near_margin_gram_is_factorised(self, monkeypatch, solve):
+        # lambda_min 1.02 times the certificate's shift: certified, but
+        # the refinement grows the error about 50-fold a step, so its
+        # second correction fails to halve the backward error and it gives up
+        corrections = []
+
+        def counting_solve(factor, n, r, _solve=seqkern.rkhs._ShiftedFactor._solve):
+            corrections.append(n)
+            return _solve(factor, n, r)
+
+        monkeypatch.setattr(seqkern.rkhs._ShiftedFactor, "_solve", counting_solve)
+        K = probe_gram(57, "margin_spread", 1.02)
+        n = len(K)
+        seqs = random_distinct_sequences(np.random.default_rng(65), DNA, n, 8)
+        G = GramMatrix(IdentityKernel(), seqs, K)
+        assert G._certified and G._factor is not None
+        y = np.random.default_rng(66).normal(size=n)
+        if solve == "pinv":
+            got = G.solve_pinv(y)
+            want = _cholesky_solve(np.linalg.cholesky(K), y)
+        elif solve == "ridge":
+            ridge = 1e-3 * np.trace(K) / n
+            got = G.solve_ridge(y, ridge)
+            want = _cholesky_solve(np.linalg.cholesky(K + ridge * np.eye(n)), y)
+        else:
+            got = discrete_mass_diagnostic(G.kernel, seqs[2], [seqs], G)
+            want = np.array([math.sqrt(factorised_inverse_diagonal(K, 2))])
+        assert got.tobytes() == want.tobytes()
+        assert G.solve_routes == Counter(factorised=1)
+        assert G._factor is None
+        assert corrections == [n, n]
+
+    @pytest.mark.parametrize("n", [85, REFINE_ROWS - 1])
+    def test_grams_below_refine_rows_are_factorised(self, n):
+        k = imq_hamming_kernel(1.0, 2.0)
+        seqs = enumerate_up_to(DNA, 3) if n == 85 else tcr_like(n)
+        G = gram(k, seqs)
+        K = G.entries
+        assert G._certified and G._factor is None
+        y = np.random.default_rng(67).normal(size=n)
+        ridge = 1e-3 * np.trace(K) / n
+        L = np.linalg.cholesky(K + ridge * np.eye(n))
+        assert G.solve_ridge(y, ridge).tobytes() == _cholesky_solve(L, y).tobytes()
+        L = np.linalg.cholesky(K)
+        assert G.solve_pinv(y).tobytes() == _cholesky_solve(L, y).tobytes()
+        # each set's C comes from its own factor
+        sizes = (5, 21, n)
+        C = discrete_mass_diagnostic(k, seqs[1], [seqs[:m] for m in sizes], G)
+        want = [math.sqrt(factorised_inverse_diagonal(K[:m, :m], 1)) for m in sizes]
+        assert C.tobytes() == np.array(want).tobytes()
+        assert G.solve_routes == Counter(factorised=5)
+
+    def test_a_refined_solve_allocates_no_gram_sized_array(self):
+        n = 1200
+        G = gram(imq_hamming_kernel(), tcr_like(n, seed=61))
+        y = np.random.default_rng(68).normal(size=n)
+        tracemalloc.start()
+        try:
+            G.solve_ridge(y, 1e-3)
+            G.solve_pinv(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.solve_routes == Counter(refined=2)
+        assert peak < 0.1 * n * n * 8, peak / (n * n * 8)
+
+    def test_leading_blocks_refine_on_views_of_the_factor(self, cholesky_sizes):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        G = gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS)
+        del cholesky_sizes[:]
+        block = G.leading(300)
+        assert block._factor is G._factor
+        assert G.leading(REFINE_ROWS - 1)._factor is None
+        x = block.solve_pinv(KEPT_LABELS[:300])
+        assert cholesky_sizes == []
+        assert G.solve_routes == Counter(refined=1)
+        K = G.entries[:300, :300]
+        direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), KEPT_LABELS[:300])
+        assert relative_error(x, direct) <= 1e-12
 
 
 class TestPredict:
