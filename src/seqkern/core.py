@@ -90,8 +90,7 @@ class Kernel:
 
         Every override returns a fresh, writable float64 array that
         shares no memory with anything the kernel keeps or returns
-        again: :func:`rkhs.gram` keeps the array as its Gram's entries,
-        and its factorisations shift their diagonal in place.
+        again: :func:`rkhs.gram` keeps the array as its Gram's entries.
         """
         xs = list(xs)
         n = len(xs)

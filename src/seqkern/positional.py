@@ -7,18 +7,19 @@ notion of similarity (exponential Hamming, inverse-multiquadric Hamming,
 centre-justified and shifted variants).
 
 Matrices of the position-wise kernels are assembled without an
-``n x m x width`` temporary: Hamming kernels take a function of exact
-Hamming distances, counted as BLAS products of one-hot encodings in
-blocks of positions under ``BLOCK_ELEMENTS``; ``base_positionwise``
-multiplies its letter table over positions left to right.
-Sequences are stop-padded with the stop code ``|B|``
-(``seqcore.encode_padded``), which indexes the stop row and column of
-a ``(|B|+1)``-dimensional letter table directly.  The two window
-kernels (weighted degree and lag-L Hamming) take exact integer ids of
-the stop-padded L-windows from ``seqcore.window_ids`` and count equal
-ids in the narrowest integer types that hold them (:func:`_count_equal`);
-for the lag kernel stop is a letter, for the weighted degree a window
-reaching past its sequence matches nothing.
+``n x m x width`` temporary; ``base_positionwise`` multiplies its
+letter table over positions left to right.  Sequences are stop-padded
+with the stop code ``|B|`` (``seqcore.encode_padded``), which indexes
+the stop row and column of a ``(|B|+1)``-dimensional letter table
+directly.  The Hamming and window kernels count equal codes position by
+position in the narrowest integer types that hold them
+(:func:`_count_equal`): the Hamming kernels the stop-padded letters, the
+two window kernels (weighted degree and lag-L Hamming) exact integer ids
+of the stop-padded L-windows from ``seqcore.window_ids``.  The
+inverse-multiquadric and exponential families then look ``f`` of the
+distance up by match count in a table of ``width + 1`` values.  For the
+lag kernel stop is a letter, for the weighted degree a window reaching
+past its sequence matches nothing.
 
 Each family here implements ``pairwise``, and most also
 ``self_similarities``; ``k(x, y)`` is the one-pair block of ``pairwise``
@@ -210,15 +211,22 @@ def base_positionwise_kernel(letter_kernel: LetterKernel) -> BasePositionwiseKer
 
 class _OfHammingDistance(Kernel):
     """``f(d_H(x, y))`` of the exact stop-padded Hamming distance, ``f``
-    applied in place by ``_of_distances``.  A diagonal is ``f(0)``, the
-    same ``f`` of the same exact zero as the Gram's.  Sequences must be
-    over ``alphabet``, any when ``None``."""
+    applied in place by ``_of_distances``.  A matrix looks up the match
+    count ``m`` of the stop-coded letters (:func:`_count_equal`) in the
+    table ``f(width - m)`` over their common width; a diagonal is
+    ``f(0)``, the same ``f`` of the same exact zero as the Gram's.
+    Sequences must be over ``alphabet``, any when ``None``."""
 
     mass_status = HAS_MASSES
     alphabet = None
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
-        return self._of_distances(_hamming_matrix(xs, ys, self.alphabet))
+        cx, cy, _ = _stop_coded(xs, ys, self.alphabet)
+        return self._of_matches(_count_equal(cx, cx if ys is None else cy), cx.shape[1])
+
+    def _of_matches(self, counts: np.ndarray, width: int) -> np.ndarray:
+        """``f(width - counts)``, looked up in a table of ``width + 1`` values."""
+        return self._of_distances(np.arange(width, -1, -1, dtype=float))[counts]
 
     def self_similarities(self, xs) -> np.ndarray:
         xs = list(xs)
@@ -278,29 +286,6 @@ class ImqHammingKernel(_OfHammingDistance):
         return np.power(d, -self.beta, out=d)
 
 
-def _hamming_matrix(xs, ys=None, alphabet=None) -> np.ndarray:
-    """Exact stop-padded Hamming distances, as floats.
-
-    Each block of positions is one BLAS product of mismatch rows picked
-    by ``xs`` and the one-hot encoding of ``ys``, both under
-    ``BLOCK_ELEMENTS``; positions past both sequences add 0.
-    """
-    cx, cy, stop = _stop_coded(xs, ys, alphabet)
-    n, m, size = len(cx), len(cy), stop + 1
-    onehot = np.eye(size)
-    mismatch = 1.0 - onehot
-    out = None
-    for blk in element_blocks(cx.shape[1], max(n, m) * size):
-        cols = (blk.stop - blk.start) * size
-        hx = mismatch[cx[:, blk]].reshape(n, cols)
-        hy = onehot[cy[:, blk]].reshape(m, cols)
-        if out is None:
-            out = hx @ hy.T
-        else:
-            out += hx @ hy.T
-    return np.zeros((n, m)) if out is None else out
-
-
 def _edit_distances(edits, ys, alphabet=None) -> np.ndarray:
     """Stop-padded Hamming distances, as floats, from each neighbour that
     single-letter ``edits`` of ``x`` reach to each of ``ys``.
@@ -319,7 +304,8 @@ def _edit_distances(edits, ys, alphabet=None) -> np.ndarray:
     with ``[c == a_p] = 0`` past the atom's end (a letter never equals
     stop).  Each edit is one row of a ``(3n + 1) x |ys|`` table of
     length less shared matches, minus its letter's one-hot row: exact
-    integers, equal to :func:`_hamming_matrix` of the built neighbours.
+    integers, equal to the built neighbours' distances, ``width - m`` in
+    :meth:`_OfHammingDistance.pairwise`.
     """
     x = edits.x
     n, size, m = len(x), x.alphabet.size, len(ys)
@@ -379,8 +365,7 @@ class ImqHammingLagKernel(ImqHammingKernel):
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ix, iy = _window_ids(xs, ys, self.L)
-        d = _count_equal(ix, iy).astype(float)
-        return self._of_distances(np.subtract(ix.shape[1], d, out=d))
+        return self._of_matches(_count_equal(ix, iy), ix.shape[1])
 
 
 def imq_hamming_lag_kernel(C: float = 1.0, beta: float = 2.0, L: int = 1) -> ImqHammingLagKernel:

@@ -9,11 +9,15 @@ blow-ups or singular Grams expose degenerate kernels.
 
 A :class:`GramMatrix` pays only for the factorisations its tasks use:
 construction tries one shifted Cholesky factorisation, of ``K - cI``,
-which both validates ``K`` and certifies it nonsingular; a large Gram
-tries its leading quarter first, so a degenerate one is refused within
-its first pivots.  An uncertified Gram decides its PSD and singularity
-rules by two more shifted factorisations, and lets the eigenvalues
-decide only where those are inconclusive.
+which both validates ``K`` and certifies it nonsingular.  An
+uncertified Gram decides its PSD and singularity rules by two more
+shifted factorisations, and lets the eigenvalues decide only where
+those are inconclusive.  Every factorisation is one routine: at most
+``_ONE_CALL_ROWS`` (448) rows are one LAPACK call, and a larger matrix
+is factored left-looking in 64-column panels, each shifted on its own
+diagonal, stopping at the first diagonal block that fails, so a
+degenerate Gram is refused within the panel of its first failing
+pivot.
 
 A certified Gram of at least ``REFINE_ROWS`` rows keeps its
 certificate's factor ``F``, and its ridge and minimum-norm solves and
@@ -35,12 +39,10 @@ O(n^2) per right-hand side.
 A Gram holds its entries, the kept factor of a large certified Gram
 from construction, the cached Cholesky factor of ``K`` once a solve of
 any other certified Gram asks for it, and an eigendecomposition only on
-demand: two n x n arrays after a solve.  A factorisation peaks at three:
-the entries, the factor and numpy's LAPACK work buffer.  A shifted
-factorisation adds its shift to the diagonal of the entries in place and
-writes the saved diagonal back afterwards, so no shifted copy is made,
-but one Gram, and its leading blocks, which are views of it, must not be
-factorised from two threads at once.
+demand: two n x n arrays after a solve.  No factorisation writes the
+entries.  One of at most ``_ONE_CALL_ROWS`` rows peaks at the entries,
+a shifted copy, the factor and numpy's LAPACK work buffer; a larger one
+at the entries, the factor and one n x 64 panel.
 """
 
 from __future__ import annotations
@@ -83,12 +85,12 @@ class GramMatrix:
     (``rtol = SINGULAR_RTOL``), every eigenvalue exceeds
     ``2 rtol ||K||_inf >= 2 rtol lambda_max`` up to round-off, so the
     Gram is positive definite and nonsingular at relative tolerance
-    ``rtol``.  A Gram of ``_PROBE_ROWS`` rows or more first tries the
-    certificate on its leading quarter, which holds whenever the whole
-    one does.  Otherwise positive semidefiniteness, the eigenvalue rule
+    ``rtol``.  Otherwise positive semidefiniteness, the eigenvalue rule
     ``lambda_min >= -PSD_RTOL tr(K)``, is proved if ``K + PSD_RTOL
     tr(K) I`` factorises; only if it does not do the eigenvalues
-    decide, naming the minimum one in the error.
+    decide, naming the minimum one in the error.  No factorisation
+    writes the entries, and a blocked one stops at its first failing
+    panel (:func:`_cholesky`).
 
     A certified Gram of at least ``REFINE_ROWS`` rows keeps the
     certificate's factor: it holds two n x n arrays from construction,
@@ -224,7 +226,8 @@ class GramMatrix:
     @functools.cached_property
     def _certified_factor(self) -> Optional[np.ndarray]:
         """Cholesky factor of ``K`` if the certificate holds, else None."""
-        return _cholesky(self.entries, 0.0) if self._certified else None
+        factor = _cholesky(self.entries, 0.0) if self._certified else None
+        return None if factor is None else factor.F
 
     def is_singular(self) -> bool:
         """The eigenvalue rule: ``lambda_min <= SINGULAR_RTOL lambda_max``.
@@ -273,10 +276,10 @@ class GramMatrix:
         tr = max(float(np.trace(K)), 1e-300)
         jitter = 0.0
         while True:
-            L = _cholesky(K, ridge + jitter)
-            if L is not None:
+            factor = _cholesky(K, ridge + jitter)
+            if factor is not None:
                 self.solve_routes["jitter" if jitter else "factorised"] += 1
-                return _cholesky_solve(L, b)
+                return _cholesky_solve(factor.F, b)
             jitter = 1e-12 * tr if jitter == 0.0 else jitter * 10.0
             if jitter > 1e-6 * tr:
                 break
@@ -321,33 +324,55 @@ class GramMatrix:
         return float((V[i] ** 2 / w).sum())
 
 
-#: row block of the triangular solves; their cost is O(n^2 + n * block^2)
+#: row block of the triangular solves and panel of the blocked
+#: factorisation; their cost is O(n^2 + n * block^2)
 _TRIANGULAR_BLOCK = 64
 
+#: a factorisation of at most this many rows is one ``np.linalg.cholesky``
+#: call, a larger one is blocked: on 2 vCPUs, for tcr-like ``imq_hamming``
+#: Grams, one call wins at 384 rows (1.8 against 2.0 ms), the two tie near
+#: 448, and blocked wins at 512 (3.2 against 4.1 ms) and 1,000 (11.6
+#: against 20.3)
+_ONE_CALL_ROWS = 448
 
-def _cholesky(K: np.ndarray, shift: float) -> Optional[np.ndarray]:
+
+def _cholesky(K: np.ndarray, shift: float) -> Optional[_ShiftedFactor]:
     """Lower Cholesky factor of ``K + shift I``, or None if it fails.
 
-    A nonzero shift is added to ``K``'s diagonal in place, and the saved
-    diagonal is written back however the factorisation ends, so ``K``
-    (a Gram's entries, or a leading block of them) is left bit for bit
-    as it was and no shifted copy is made.
+    ``K`` is only read.  At most ``_ONE_CALL_ROWS`` rows are one
+    ``np.linalg.cholesky`` of a shifted copy.  More are factored
+    left-looking in panels of ``_TRIANGULAR_BLOCK`` columns (Golub and
+    Van Loan, *Matrix Computations*, 4th ed., 4.2.9; LAPACK xPOTRF): the
+    panel ``P = K[j:, j:e] - F[j:, :j] F[j:e, :j]^T`` takes the shift on
+    its diagonal, its diagonal block ``D`` is factored by one call, and
+    the rows below are ``P inv(D)^T``.  The first diagonal block that
+    fails returns None, so a degenerate Gram is refused within the panel
+    of its first failing pivot.  A panel reads only earlier columns, so
+    the factor of a leading block of whole panels is the leading block of
+    the factor, bit for bit; the inverted diagonal blocks are kept for
+    :meth:`_ShiftedFactor._solve`.
     """
-    diagonal = K.diagonal().copy() if shift else None
+    n = len(K)
     try:
-        if shift:
-            np.fill_diagonal(K, diagonal + shift)
-        return np.linalg.cholesky(K)
+        if n <= _ONE_CALL_ROWS:
+            if shift:
+                K = np.array(K)
+                np.fill_diagonal(K, K.diagonal() + shift)
+            return _ShiftedFactor(np.linalg.cholesky(K))
+        B = _TRIANGULAR_BLOCK
+        F = np.zeros((n, n))
+        inverses = []
+        for lo in range(0, n, B):
+            hi = min(lo + B, n)
+            P = K[lo:, lo:hi] - F[lo:, :lo] @ F[lo:hi, :lo].T
+            D = P[: hi - lo]
+            np.fill_diagonal(D, D.diagonal() + shift)
+            F[lo:hi, lo:hi] = np.linalg.cholesky(D)
+            inverses.append(np.tril(np.linalg.inv(F[lo:hi, lo:hi])))
+            F[hi:, lo:hi] = P[hi - lo:] @ inverses[-1].T
+        return _ShiftedFactor(F, inverses)
     except np.linalg.LinAlgError:
         return None
-    finally:
-        if shift:
-            np.fill_diagonal(K, diagonal)
-
-
-#: a shifted factorisation of at least this many rows first tries its
-#: leading quarter
-_PROBE_ROWS = 256
 
 
 def _certificate(K: np.ndarray) -> Optional[_ShiftedFactor]:
@@ -358,31 +383,15 @@ def _certificate(K: np.ndarray) -> Optional[_ShiftedFactor]:
     if not len(K):
         return None
     norm = float(np.abs(K).sum(axis=1).max())
-    F = _probed_cholesky(K, -2.0 * SINGULAR_RTOL * norm)
-    return None if F is None else _ShiftedFactor(F, norm)
-
-
-def _probed_cholesky(K: np.ndarray, shift: float) -> Optional[np.ndarray]:
-    """Factor of ``K + shift I``, or None, its leading quarter tried first.
-
-    Every leading block of a positive definite matrix is positive
-    definite, so a matrix of at least ``_PROBE_ROWS`` rows first tries
-    its leading quarter under the same shift, and so on down: a
-    degenerate Gram is refused within the block where its first pivots
-    fail, and one that factorises pays about 1/64 more factorisation
-    work.  A probe rounds differently from the whole factorisation, so
-    near the margin it can refuse a matrix the whole would factorise,
-    never the reverse.
-    """
-    n = len(K)
-    if n >= _PROBE_ROWS and _probed_cholesky(K[: n // 4, : n // 4], shift) is None:
-        return None
-    return _cholesky(K, shift)
+    factor = _cholesky(K, -2.0 * SINGULAR_RTOL * norm)
+    if factor is not None:
+        factor.norm = norm
+    return factor
 
 
 def _factorises(K: np.ndarray, shift: float) -> bool:
-    """Whether ``K + shift I`` factorises, its leading quarter tried first."""
-    return _probed_cholesky(K, shift) is not None
+    """Whether ``K + shift I`` factorises."""
+    return _cholesky(K, shift) is not None
 
 
 #: corrections a refinement may spend, its first solve included
@@ -392,20 +401,26 @@ _EPS = float(np.finfo(float).eps)
 
 
 class _ShiftedFactor:
-    """The certificate's factor ``F`` of ``K - cI``, kept for refinement.
+    """A lower Cholesky factor ``F`` of ``K + shift I``, from :func:`_cholesky`.
 
+    The certificate's factor, of ``K - cI``, is kept for refinement:
     ``refine`` solves ``(K + sI) x = b`` for any ``s >= 0``, with ``K``
     the certified Gram or a leading block of it, whose factor is the
     leading block of ``F``.  Each correction costs one product with
     ``K`` and two triangular solves with ``F``, whose 64-row diagonal
-    blocks are inverted once, on the first solve, so a solve is matrix
-    products only: no n x n array is allocated.
+    blocks are inverted by a blocked factorisation, or else once, on the
+    first solve, so a solve is matrix products only: no n x n array is
+    allocated.
     """
 
-    def __init__(self, F: np.ndarray, norm: float):
+    #: ``||K||_inf`` of the certified Gram, at least that of a block; set
+    #: by :func:`_certificate`
+    norm: float
+
+    def __init__(self, F: np.ndarray, inverse_blocks: Optional[list[np.ndarray]] = None):
         self.F = F
-        #: ``||K||_inf`` of the certified Gram, at least that of a block
-        self.norm = norm
+        if inverse_blocks is not None:
+            self._inverse_blocks = inverse_blocks
 
     @functools.cached_property
     def _inverse_blocks(self) -> list[np.ndarray]:

@@ -14,7 +14,9 @@ statistics as first written: one ``Generator.permutation`` call per
 resample, and the multiplier path's centring and signs as single
 expressions.  :func:`count_equal_loop` is the window families' match
 count as first written: int64 ids compared one position at a time into
-an int32 count.
+an int32 count.  :func:`hamming_matrix_onehot` is the Hamming families'
+distances as first written: BLAS products of mismatch and one-hot
+encodings of the library's stop-padded codes, in blocks of positions.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from collections import Counter
 import numpy as np
 from scipy.integrate import quad
 
-from seqkern.seqcore import Sequence, enumerate_sequences
+from seqkern.positional import _stop_coded
+from seqkern.seqcore import Sequence, element_blocks, enumerate_sequences
 
 
 def enum_alignments(nx: int, ny: int):
@@ -271,4 +274,24 @@ def count_equal_loop(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     out = np.zeros((len(ix), len(iy)), dtype=np.int32)
     for l in range(ix.shape[1]):
         out += ix[:, l, None] == iy[None, :, l]
+    return out
+
+
+def hamming_matrix_onehot(xs, ys=None, alphabet=None) -> np.ndarray:
+    """Exact stop-padded Hamming distances, as floats.
+
+    Each block of positions is one BLAS product of mismatch rows picked
+    by ``xs`` and the one-hot encoding of ``ys``, both under
+    ``BLOCK_ELEMENTS``; positions past both sequences add 0.
+    """
+    cx, cy, stop = _stop_coded(xs, ys, alphabet)
+    n, m, size = len(cx), len(cy), stop + 1
+    onehot = np.eye(size)
+    mismatch = 1.0 - onehot
+    out = np.zeros((n, m))
+    for blk in element_blocks(cx.shape[1], max(n, m) * size):
+        cols = (blk.stop - blk.start) * size
+        hx = mismatch[cx[:, blk]].reshape(n, cols)
+        hy = onehot[cy[:, blk]].reshape(m, cols)
+        out += hx @ hy.T
     return out

@@ -398,13 +398,13 @@ class TestDiagnoseCommand:
             assert line == (f"set_size={row['set_size']} C={row['C']} "
                             f"min_eigenvalue={row['min_eigenvalue']}")
 
-    def test_certified_diagnose_factors_probe_certificate_and_factor(self, tmp_path,
-                                                                      monkeypatch):
-        # the certificate in construction, after its leading quarter; the
+    def test_certified_diagnose_factors_the_certificate_and_small_blocks(self, tmp_path,
+                                                                           monkeypatch):
+        # the certificate in construction, one call of 341 rows; the
         # leading blocks inherit it, the 341-row set refines on its factor,
         # and the two sets below REFINE_ROWS factor their own small blocks
         import seqkern.rkhs
-        assert 85 < seqkern.rkhs.REFINE_ROWS <= 341
+        assert 85 < seqkern.rkhs.REFINE_ROWS <= 341 <= seqkern.rkhs._ONE_CALL_ROWS
         calls = []
 
         def counting_cholesky(K, shift, _cholesky=seqkern.rkhs._cholesky):
@@ -416,16 +416,13 @@ class TestDiagnoseCommand:
                      "--output", str(tmp_path / "diag.csv"),
                      "--family", "imq_hamming", "--C", "1", "--beta", "2"])
         assert code == 0
-        assert calls[:2] == [85, 341]
-        assert 341 not in calls[2:]
-        assert calls == [85, 341, 21, 85]
+        assert calls == [341, 21, 85]
 
     def test_uncertified_diagnose_decides_by_factorisations(self, tmp_path, monkeypatch):
-        # (rows, sign of shift, factorised): the certificate fails on the
-        # Gram's leading quarter; the PSD rule (+) factorises the quarter
-        # and the whole; each block then tries its certificate (-), its
-        # PSD rule (+) and its singularity rule (-), which fails, as does
-        # the whole Gram's on its leading quarter; no eigenvalue is solved
+        # (rows, sign of shift, factorised): the certificate fails; the
+        # PSD rule (+) factorises; each block then tries its certificate
+        # (-), its PSD rule (+) and its singularity rule (-), which fails,
+        # as does the whole Gram's; no eigenvalue is solved
         import seqkern.rkhs
         calls = []
 
@@ -444,10 +441,10 @@ class TestDiagnoseCommand:
                      "--output", str(tmp_path / "diag.csv"),
                      "--family", "weighted_degree", "--L", "2"])
         assert code == 0
-        assert calls == [(85, -1, False), (85, 1, True), (341, 1, True),
+        assert calls == [(341, -1, False), (341, 1, True),
                          (21, -1, False), (21, 1, True), (21, -1, False),
                          (85, -1, False), (85, 1, True), (85, -1, False),
-                         (85, -1, False)]
+                         (341, -1, False)]
 
     @pytest.mark.parametrize("flags", DIAGNOSE_FLAGS, ids=["imq_hamming", "weighted_degree"])
     def test_diagnose_solves_no_eigenvalues_unless_asked(self, tmp_path, monkeypatch, flags):

@@ -165,8 +165,8 @@ def test_block_is_the_matching_block_of_the_gram(name, make, inputs, rtol):
 
 @pytest.mark.parametrize("name,make,inputs,rtol", ROWS, ids=IDS)
 def test_pairwise_returns_a_fresh_writable_array(name, make, inputs, rtol):
-    # gram() keeps what pairwise returns as its entries and shifts their
-    # diagonal in place, so no two results may share memory
+    # gram() keeps what pairwise returns as its entries, so no two results
+    # may share memory: writing one Gram's entries would change another's
     k = make()
     xs, ys = inputs()
     for call in (lambda: k.pairwise(xs), lambda: k.pairwise(xs, ys)):

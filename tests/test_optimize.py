@@ -29,10 +29,10 @@ from seqkern import (
 
 import seqkern.optimize as optimize
 from seqkern.optimize import Edits
-from seqkern.positional import _edit_distances, _hamming_matrix
+from seqkern.positional import _edit_distances
 from seqkern.seqcore import PROTEIN
 from conftest import random_distinct_sequences
-from oracles import exhaustive_mmd_minimum
+from oracles import exhaustive_mmd_minimum, hamming_matrix_onehot
 
 AB = Alphabet("AB")
 ONE = Alphabet("A")
@@ -298,7 +298,7 @@ class TestMatchCountScoring:
         assert [first_seen[k] for k in slot] == neighbours
         got = _edit_distances(distinct, atoms)
         assert got.dtype == np.float64 and got.shape == (len(first_seen), len(atoms))
-        assert got.tobytes() == _hamming_matrix(first_seen, atoms).tobytes()
+        assert got.tobytes() == hamming_matrix_onehot(first_seen, atoms).tobytes()
 
     @pytest.mark.parametrize("C,beta", [(1.0, 2.0), (0.5, 1.3), (2.0, 0.5)])
     def test_protein_trace_equals_scoring_every_neighbour(self, C, beta):

@@ -25,13 +25,13 @@ from seqkern import (
 import seqkern.positional
 import seqkern.seqcore
 from seqkern.embedding import EuclideanKernel, embedding_kernel, random_ball_embedding
-from seqkern.positional import _count_equal, _hamming_matrix, _window_ids
+from seqkern.positional import _count_equal, _window_ids
 from seqkern.seqcore import PROTEIN
 
 from conftest import (SIGNED_LETTERS, Counting, exponential_letters, random_distinct_sequences,
                       random_sequence, uneven_letters)
-from oracles import (count_equal_loop, gamma_quadrature, padded_window_mismatches,
-                     positionwise_product, window_matches)
+from oracles import (count_equal_loop, gamma_quadrature, hamming_matrix_onehot,
+                     padded_window_mismatches, positionwise_product, window_matches)
 
 DNA = Alphabet("ACGT")
 AB = Alphabet("AB")
@@ -280,7 +280,7 @@ class TestImqHamming:
         for left, right in ((xs, None), (xs, ys)):
             right_ = left if right is None else right
             d = np.array([[padded_window_mismatches(x, y, 1) for y in right_] for x in left])
-            np.testing.assert_array_equal(_hamming_matrix(left, right), d)
+            np.testing.assert_array_equal(hamming_matrix_onehot(left, right), d)
             np.testing.assert_allclose(k.pairwise(left, right), (1.3 + d) ** -1.7, rtol=1e-15)
 
     def test_parameter_validation(self):
@@ -364,9 +364,11 @@ class TestWindowKernelsOnMixedLengths:
 
 
 class TestCountEqual:
-    """The window families' match counter, and both families' Grams,
-    bit for bit against the per-position loop (``count_equal_loop``) at
-    each boundary of the counter's id and count types."""
+    """The match counter, and the Grams of the window and Hamming
+    families, bit for bit against the per-position loop
+    (``count_equal_loop``) and the one-hot products
+    (``hamming_matrix_onehot``) at each boundary of the counter's id and
+    count types."""
 
     @pytest.mark.parametrize("top", [1, 127, 128, 254, 256, 32767, 32768, 65534, 65536,
                                      2**31 - 1, 2**31, 2**32])
@@ -433,6 +435,15 @@ class TestCountEqual:
             ix, iy = _window_ids(left, right, L)
             expected = lag._of_distances((ix.shape[1] - count_equal_loop(ix, iy)).astype(float))
             np.testing.assert_array_equal(lag.pairwise(left, right), expected)
+
+    @pytest.mark.parametrize("L,xs,ys,top", CASES)
+    def test_hamming_grams_equal_the_onehot_products(self, L, xs, ys, top):
+        # f of the one-hot products' distances, as first written
+        alphabet = xs[0].alphabet
+        for k in (imq_hamming_kernel(1.3, 1.7), exp_hamming_kernel(alphabet, 0.5)):
+            for left, right in self.blocks(xs, ys):
+                expected = k._of_distances(hamming_matrix_onehot(left, right))
+                assert k.pairwise(left, right).tobytes() == expected.tobytes()
 
 
 class TestCentreJustified:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 from collections import Counter
@@ -38,8 +39,8 @@ from seqkern import (
 )
 
 import seqkern.rkhs
-from seqkern.rkhs import (PSD_RTOL, REFINE_ROWS, SINGULAR_RTOL, _certificate, _cholesky_solve,
-                          _solve_lower)
+from seqkern.rkhs import (PSD_RTOL, REFINE_ROWS, SINGULAR_RTOL, _ONE_CALL_ROWS, _TRIANGULAR_BLOCK,
+                          _certificate, _cholesky, _cholesky_solve, _solve_lower)
 
 from conftest import random_distinct_sequences
 
@@ -125,11 +126,11 @@ class TestGram:
         with pytest.raises(NumericalError, match=f"min eigenvalue {wmin:.3e}"):
             gram(k, seqs)
 
-    @pytest.mark.parametrize("n", [6, 300])
+    @pytest.mark.parametrize("n", [6, 300, 600])
     @pytest.mark.parametrize("factor", [0.0, 0.5, 0.98, 1.02, 2.0])
     def test_psd_slack_is_the_eigenvalue_rule(self, factor, n):
-        # min eigenvalue -factor * PSD_RTOL * trace, on 6 rows and on 300,
-        # where the factorisation tries the leading quarter first: away
+        # min eigenvalue -factor * PSD_RTOL * trace, on 6 and 300 rows,
+        # factorised by one call, and on 600, in 64-column panels: away
         # from the slack the decision is the eigenvalue rule's, the
         # factorisation alone accepts, and a refusal names the eigenvalue
         rng = np.random.default_rng(47)
@@ -360,7 +361,7 @@ class TestCertifiedSolves:
 
 
 def probe_gram(seed, kind, margin=1.0):
-    """A seeded PSD Gram of 256-700 rows for the certificate's probe.
+    """A seeded PSD Gram of 256-700 rows for the certificate.
 
     ``spread``: well conditioned.  ``early`` and ``late``: one row
     repeats an earlier one, inside the leading quarter or in the last
@@ -397,6 +398,13 @@ def factorises(K, shift):
     return True
 
 
+def first_failing_pivot(K, shift):
+    """The row whose pivot stops LAPACK's factorisation of ``K + shift I``, or None."""
+    scipy_lapack = pytest.importorskip("scipy.linalg.lapack")
+    _, info = scipy_lapack.dpotrf(K + shift * np.eye(len(K)), lower=True)
+    return info - 1 if info > 0 else None
+
+
 @pytest.fixture
 def cholesky_sizes(monkeypatch):
     """The sizes of the factorisations ``seqkern.rkhs`` tries, in order."""
@@ -410,8 +418,28 @@ def cholesky_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def factored_blocks(monkeypatch):
+    """The sizes of the matrices ``np.linalg.cholesky`` factors, in order:
+    the diagonal blocks of a blocked factorisation, or one whole matrix."""
+    sizes = []
+
+    def counting_cholesky(M, _cholesky=np.linalg.cholesky):
+        sizes.append(len(M))
+        return _cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return sizes
+
+
+def panel_sizes(n):
+    """The diagonal blocks that factorising ``n`` rows in panels factors."""
+    return [min(_TRIANGULAR_BLOCK, n - lo) for lo in range(0, n, _TRIANGULAR_BLOCK)]
+
+
 class TestCertificateProbe:
-    """The leading-quarter probe refuses early and never certifies wrongly."""
+    """The blocked certificate is its own leading-block probe: it refuses
+    within the panel of the first failing pivot and never certifies wrongly."""
 
     CASES = ([(kind, seed, 1.0) for kind in ("spread", "early", "late") for seed in range(3)]
              + [(kind, seed, margin) for kind in ("margin_spread", "margin_leading")
@@ -419,43 +447,56 @@ class TestCertificateProbe:
 
     @pytest.mark.parametrize("kind,seed,margin", CASES,
                              ids=[f"{k}-{s}-{m}" for k, s, m in CASES])
-    def test_probe_decides_as_the_whole_factorisation(self, cholesky_sizes, kind, seed, margin):
+    def test_probe_decides_as_the_whole_factorisation(self, cholesky_sizes, factored_blocks,
+                                                      kind, seed, margin):
         K = probe_gram(50 + seed, kind, margin)
         n = len(K)
         shift = -2 * SINGULAR_RTOL * np.abs(K).sum(axis=1).max()
         whole = factorises(K, shift)
+        pivot = first_failing_pivot(K, shift)
+        factored_blocks.clear()  # only the certificate's
         certified = _certificate(K) is not None
         if certified:
             assert whole
         # away from the margin, rounding cannot move the decision
         ratio = np.linalg.eigvalsh(K)[0] / -shift
-        if abs(ratio - 1.0) > 0.05:
+        decisive = abs(ratio - 1.0) > 0.05
+        if decisive:
             assert certified == whole, ratio
+        assert cholesky_sizes == [n]
+        if n <= _ONE_CALL_ROWS:
+            assert factored_blocks == [n]
+        elif certified:
+            assert factored_blocks == panel_sizes(n)
+        elif decisive:
+            # a refused Gram stops within the panel of its first failing pivot
+            assert factored_blocks == panel_sizes(n)[: pivot // _TRIANGULAR_BLOCK + 1]
         if kind == "spread":
-            assert certified and cholesky_sizes == [n // 4, n]
+            assert certified
         elif kind == "early":
-            assert not certified and cholesky_sizes == [n // 4]
+            assert not certified and pivot < 40
         elif kind == "late":
-            assert not certified and cholesky_sizes == [n // 4, n]
-        elif kind == "margin_leading" and ratio < 0.95:
-            # the leading quarter holds the small eigenvalue and refuses
-            assert cholesky_sizes == [n // 4]
+            assert not certified and pivot >= 3 * n // 4
+        elif kind == "margin_leading" and ratio < 0.95 and n > _ONE_CALL_ROWS:
+            # the leading eighth holds the small eigenvalue and refuses
+            assert len(factored_blocks) <= (n // 8 - 1) // _TRIANGULAR_BLOCK + 1
 
-    def test_singular_leading_block_refused_by_small_factorisations(self, cholesky_sizes):
+    def test_singular_leading_block_refused_by_small_factorisations(self, cholesky_sizes,
+                                                                    factored_blocks):
         # the first 21 sequences (DNA up to length 2) already span a
-        # singular window-count Gram, so the probe refuses the Gram of
-        # 1,365 within its 85-row block
+        # singular window-count Gram, so the certificate refuses the Gram
+        # of 1,365 within its first 64-row panel
         K = weighted_degree_kernel(2).pairwise(enumerate_up_to(DNA, 5))
         assert np.linalg.eigvalsh(K[:21, :21])[0] <= SINGULAR_RTOL * np.abs(K).max()
         assert _certificate(K) is None
-        assert cholesky_sizes == [85]
+        assert cholesky_sizes == [len(K)]
+        assert factored_blocks == [_TRIANGULAR_BLOCK]
 
 
 # one certified and one degenerate Gram over DNA up to length 4, 341
-# rows, so each certificate tries its 85-row leading quarter first; the
-# window counts give the empty and one-letter sequences zero rows, so
-# the plain Cholesky of the degenerate one fails and a ridge solve of it
-# escalates its jitter
+# rows, each factorised by one call; the window counts give the empty
+# and one-letter sequences zero rows, so the plain Cholesky of the
+# degenerate one fails and a ridge solve of it escalates its jitter
 KEPT_CASES = {"imq_hamming": imq_hamming_kernel(1.0, 2.0),
               "weighted_degree": weighted_degree_kernel(2)}
 KEPT_SEQS = enumerate_up_to(DNA, 4)
@@ -476,11 +517,11 @@ GRAM_OPERATIONS = {
 
 class TestEntriesKept:
     """A Gram holds one copy of its entries, and no factorisation of it,
-    whole, probed or of a leading block, changes them by a bit."""
+    whole, refused or of a leading block, changes them by a bit."""
 
     def test_gram_peaks_at_the_entries_and_one_factor(self):
-        # the third n x n array of a factorisation, numpy's LAPACK work
-        # buffer, is allocated outside Python and invisible to tracemalloc
+        # 1,200 rows are factored in panels: the entries, the factor and
+        # one n x 64 panel at a time (2.18 copies), no LAPACK work buffer
         n = 1200
         seqs = random_distinct_sequences(np.random.default_rng(61), PROTEIN, n, 17, min_len=10)
         k = imq_hamming_kernel()
@@ -510,13 +551,13 @@ class TestEntriesKept:
         GRAM_OPERATIONS[operation](G)
         assert G.entries.tobytes() == expected
 
-    def test_an_interrupted_factorisation_restores_the_diagonal(self, monkeypatch):
+    def test_an_interrupted_factorisation_leaves_the_entries_alone(self, monkeypatch):
         G = gram(weighted_degree_kernel(2), KEPT_SEQS)
         expected = G.entries.copy()
 
         def interrupted(M):
-            # the shift is in place, on the Gram's own entries
-            assert np.shares_memory(M, G.entries)
+            # the shift is on a copy, never on the Gram's own entries
+            assert not np.shares_memory(M, G.entries)
             assert not np.array_equal(M.diagonal(), expected.diagonal())
             raise KeyboardInterrupt
 
@@ -571,15 +612,16 @@ class TestRefinedSolves:
     factorisations of a small Gram, bit for bit."""
 
     @pytest.mark.parametrize("name", REFINED_CASES)
-    def test_refined_fits_match_direct_solves(self, cholesky_sizes, name):
+    def test_refined_fits_match_direct_solves(self, cholesky_sizes, factored_blocks, name):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         k, sets = REFINED_CASES[name]()
         G = gram(k, sets[-1])
         K = G.entries
         n = len(K)
-        assert G._certified and n >= REFINE_ROWS
-        # one full-size factorisation, the certificate's
-        assert cholesky_sizes.count(n) == 1
+        assert G._certified and n > _ONE_CALL_ROWS
+        # one factorisation, the certificate's, in 64-column panels
+        assert cholesky_sizes == [n]
+        assert factored_blocks == panel_sizes(n)
         built = len(cholesky_sizes)
         y = np.random.default_rng(64).normal(size=n)
         ridge = 1e-3 * np.trace(K) / n
@@ -702,6 +744,89 @@ class TestRefinedSolves:
         K = G.entries[:300, :300]
         direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), KEPT_LABELS[:300])
         assert relative_error(x, direct) <= 1e-12
+
+
+# sizes at the one-call size, one row above it, and one row either side
+# of whole panels
+BLOCKED_SIZES = sorted({_ONE_CALL_ROWS, _ONE_CALL_ROWS + 1}
+                       | {k * _TRIANGULAR_BLOCK + d for k in (9, 16) for d in (-1, 1)})
+
+
+@pytest.fixture(scope="module")
+def tcr_gram():
+    return imq_hamming_kernel(1.0, 2.0).pairwise(tcr_like(max(BLOCKED_SIZES)))
+
+
+class TestBlockedCholesky:
+    """One routine factors every Gram: above ``_ONE_CALL_ROWS`` rows in
+    64-column panels that read the entries and never write them."""
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("n", BLOCKED_SIZES)
+    def test_factor_matches_scipy(self, tcr_gram, n, sign):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        K = tcr_gram[:n, :n]
+        # the certificate's shift, or a ridge
+        shift = -2 * SINGULAR_RTOL * np.abs(K).sum(axis=1).max() if sign < 0 else 1e-3
+        factor = _cholesky(K, shift)
+        want = scipy_linalg.cholesky(K + shift * np.eye(n), lower=True)
+        assert relative_error(factor.F, want) <= 1e-14
+        # a blocked factorisation keeps the inverses it computed, those a
+        # factor inverts on its own
+        assert ("_inverse_blocks" in vars(factor)) == (n > _ONE_CALL_ROWS)
+        rebuilt = seqkern.rkhs._ShiftedFactor(factor.F)
+        assert len(factor._inverse_blocks) == len(rebuilt._inverse_blocks)
+        for kept, inverted in zip(factor._inverse_blocks, rebuilt._inverse_blocks):
+            assert kept.tobytes() == inverted.tobytes()
+
+    @pytest.mark.parametrize("n", [_ONE_CALL_ROWS, _ONE_CALL_ROWS + 1])
+    def test_factorisations_leave_the_matrix_as_it_was(self, n):
+        # a certified imq_hamming Gram, and a window-count Gram refused in
+        # its first rows, whole and as a leading-block view
+        seqs = enumerate_up_to(DNA, 5)[:n]
+        for k, certified in ((imq_hamming_kernel(1.0, 2.0), True),
+                             (weighted_degree_kernel(2), False)):
+            K = k.pairwise(seqs)
+            expected = K.tobytes()
+            for M in (K, K[: n - 1, : n - 1]):
+                assert (_cholesky(M, -1e-9) is not None) == certified
+                assert _cholesky(M, 0.0) is not None or not certified
+                assert _cholesky(M, 0.5) is not None
+                assert K.tobytes() == expected
+
+    def test_leading_panels_factor_as_the_whole(self, tcr_gram):
+        # a panel reads only the columns before it
+        K = tcr_gram
+        whole = _cholesky(K, -1e-9)
+        for m in range(_TRIANGULAR_BLOCK, len(K), _TRIANGULAR_BLOCK):
+            if m > _ONE_CALL_ROWS:
+                block = _cholesky(K[:m, :m], -1e-9)
+                assert block.F.tobytes() == np.ascontiguousarray(whole.F[:m, :m]).tobytes()
+
+    def test_two_threads_factor_one_gram_alike(self, tcr_gram):
+        K = tcr_gram
+        alone = _cholesky(K, 1e-3).F.tobytes()
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            factors = list(pool.map(lambda _: _cholesky(K, 1e-3).F.tobytes(), range(4)))
+        assert factors == [alone] * 4
+
+    def test_direct_solves_on_a_blocked_factor_match_scipy(self, tcr_gram):
+        # a ridge far above lambda_min gives up refining, so both fits
+        # factorise the Gram in panels (refined fits: TestRefinedSolves)
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        K = tcr_gram
+        n = len(K)
+        assert n > _ONE_CALL_ROWS
+        G = GramMatrix(imq_hamming_kernel(1.0, 2.0), tcr_like(n), K)
+        y = np.random.default_rng(69).normal(size=n)
+        ridge = 10.0 * np.trace(K) / n
+        alpha = G.solve_ridge(y, ridge)
+        beta = G.solve_pinv(y)
+        assert G.solve_routes == Counter(factorised=2)
+        direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K + ridge * np.eye(n)), y)
+        assert relative_error(alpha, direct) <= 1e-12
+        direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), y)
+        assert relative_error(beta, direct) <= 1e-12
 
 
 class TestPredict:

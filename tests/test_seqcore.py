@@ -12,7 +12,7 @@ from seqkern import (
     enumerate_sequences,
     seq,
 )
-from seqkern.positional import _hamming_matrix
+from oracles import hamming_matrix_onehot
 from seqkern.seqcore import PROTEIN, encode_padded, shared_alphabet, window_ids
 
 
@@ -51,7 +51,7 @@ class TestAlphabet:
         x = Sequence.from_letters(a, ["Gly", "Ala"])
         assert len(x) == 2
         assert str(x) == "Gly,Ala"
-        assert _hamming_matrix([x], [Sequence.from_letters(a, ["Gly", "Trp"])])[0, 0] == 1
+        assert hamming_matrix_onehot([x], [Sequence.from_letters(a, ["Gly", "Trp"])])[0, 0] == 1
 
 
 class TestSequence:
@@ -75,38 +75,38 @@ class TestSequence:
 class TestHammingDistance:
     def test_identity(self):
         x = seq(DNA, "ATGC")
-        assert _hamming_matrix([x], [x])[0, 0] == 0
+        assert hamming_matrix_onehot([x], [x])[0, 0] == 0
 
     def test_stop_padding_shifts_everything(self):
         # A/T, T/G, G/C, C/$ all mismatch
-        assert _hamming_matrix([seq(DNA, "ATGC")], [seq(DNA, "TGC")])[0, 0] == 4
+        assert hamming_matrix_onehot([seq(DNA, "ATGC")], [seq(DNA, "TGC")])[0, 0] == 4
 
     def test_single_substitution(self):
-        assert _hamming_matrix([seq(DNA, "ACGT")], [seq(DNA, "ACGA")])[0, 0] == 1
+        assert hamming_matrix_onehot([seq(DNA, "ACGT")], [seq(DNA, "ACGA")])[0, 0] == 1
 
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(DataError):
-            _hamming_matrix([seq(DNA, "A")], [seq(AB, "A")])
+            hamming_matrix_onehot([seq(DNA, "A")], [seq(AB, "A")])
 
     @settings(max_examples=200, deadline=None)
     @given(dna_seq, dna_seq)
     def test_symmetric(self, x, y):
-        assert _hamming_matrix([x], [y])[0, 0] == _hamming_matrix([y], [x])[0, 0]
+        assert hamming_matrix_onehot([x], [y])[0, 0] == hamming_matrix_onehot([y], [x])[0, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(dna_seq, dna_seq, dna_seq)
     def test_triangle_inequality(self, x, y, z):
-        assert (_hamming_matrix([x], [z])[0, 0]
-                <= _hamming_matrix([x], [y])[0, 0] + _hamming_matrix([y], [z])[0, 0])
+        assert (hamming_matrix_onehot([x], [z])[0, 0]
+                <= hamming_matrix_onehot([x], [y])[0, 0] + hamming_matrix_onehot([y], [z])[0, 0])
 
     @settings(max_examples=200, deadline=None)
     @given(dna_seq, dna_seq)
     def test_bounded_by_max_length(self, x, y):
-        assert _hamming_matrix([x], [y])[0, 0] <= max(len(x), len(y))
+        assert hamming_matrix_onehot([x], [y])[0, 0] <= max(len(x), len(y))
 
     def test_max_length_bound_is_achievable(self):
         # disjoint letters: every padded position mismatches
-        assert _hamming_matrix([seq(DNA, "AAA")], [seq(DNA, "CC")])[0, 0] == 3
+        assert hamming_matrix_onehot([seq(DNA, "AAA")], [seq(DNA, "CC")])[0, 0] == 3
 
     @settings(max_examples=200, deadline=None)
     @given(dna_seq, dna_seq, st.integers(0, 3))
@@ -117,7 +117,8 @@ class TestHammingDistance:
         if len(x) >= len(y):
             return
         extended = x + Sequence(DNA, (code,))
-        delta = _hamming_matrix([extended], [y])[0, 0] - _hamming_matrix([x], [y])[0, 0]
+        delta = (hamming_matrix_onehot([extended], [y])[0, 0]
+                 - hamming_matrix_onehot([x], [y])[0, 0])
         if code == y.codes[len(x)]:
             assert delta == -1
         else:
