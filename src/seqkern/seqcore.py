@@ -56,6 +56,14 @@ class Alphabet:
         except KeyError:
             raise DataError(f"letter {letter!r} is not in the alphabet") from None
 
+    def codes(self, letters: Iterable[str]) -> tuple[Optional[int], ...]:
+        """The code of each letter, ``None`` for one outside the alphabet.
+
+        One dictionary lookup per letter, so a caller checks a whole
+        string with one ``None in codes`` instead of a lookup per letter.
+        """
+        return tuple(map(self._index.get, letters))
+
     def __contains__(self, letter: str) -> bool:
         return letter in self._index
 
@@ -93,7 +101,12 @@ class Sequence:
 
     @classmethod
     def from_letters(cls, alphabet: Alphabet, letters: Iterable[str]) -> "Sequence":
-        return cls(alphabet, tuple(alphabet.index(b) for b in letters))
+        if not isinstance(letters, str):
+            letters = tuple(letters)
+        codes = alphabet.codes(letters)
+        if None in codes:
+            alphabet.index(letters[codes.index(None)])  # raises, naming the first
+        return cls(alphabet, codes)
 
     @property
     def letters(self) -> tuple[str, ...]:

@@ -9,7 +9,8 @@ from seqkern import Alphabet, enumerate_sequences, enumerate_up_to, imq_hamming_
 from seqkern.cli import _gather, build_parser, main, most_common_letter_count
 from seqkern.config import build_kernel
 from seqkern.errors import DataError
-from seqkern.io import fmt, parse_alphabet, read_fasta, read_labels, write_csv
+from seqkern.io import _distinct_bits, fmt, parse_alphabet, read_fasta, read_labels, write_csv
+from seqkern.rkhs import gram
 from seqkern.seqcore import DNA as SHARED_DNA, PROTEIN
 
 DNA = Alphabet("ACGT")
@@ -40,6 +41,17 @@ class TestFastaParsing:
         p.write_text(">ok\nACGT\n>bad\nACGX\n")
         with pytest.raises(Exception, match="bad"):
             read_fasta(p, DNA)
+
+    def test_invalid_letter_message_names_the_first(self, tmp_path):
+        p = tmp_path / "a.fasta"
+        p.write_text(">ok\nACGT\n>bad\nAC\nGXZ\n")
+        with pytest.raises(DataError) as info:
+            read_fasta(p, DNA)
+        assert str(info.value) == f"{p}: record 'bad' contains letter 'X' outside the alphabet"
+        p.write_text(">pair\nAZC|GX\n")
+        with pytest.raises(DataError) as info:
+            read_fasta(p, DNA, allow_pairs=True)
+        assert str(info.value) == f"{p}: record 'pair' contains letter 'Z' outside the alphabet"
 
     def test_duplicate_id_rejected(self, tmp_path):
         p = tmp_path / "a.fasta"
@@ -85,6 +97,24 @@ class TestLabels:
         p = tmp_path / "labels.csv"
         p.write_text("id,label\ns1,2.0\ns2,-1\n")
         assert read_labels(p) == {"s1": 2.0, "s2": -1.0}
+
+    @pytest.mark.parametrize("before", ["# labels\n", "\n", "  \n# a\n\n"])
+    def test_header_after_comments_and_blank_lines(self, tmp_path, before):
+        p = tmp_path / "labels.csv"
+        p.write_text(before + "id,label\ns1,2.0\n")
+        assert read_labels(p) == {"s1": 2.0}
+
+    def test_no_header_after_a_comment(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("# labels\ns1,2.0\ns2,-1\n")
+        assert read_labels(p) == {"s1": 2.0, "s2": -1.0}
+
+    def test_header_only_on_the_first_data_line(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("# labels\ns1,2.0\nid,label\n")
+        with pytest.raises(DataError) as info:
+            read_labels(p)
+        assert str(info.value) == f"{p}:3: label is not a number"
 
 
 def reference_csv(header, rows):
@@ -137,6 +167,57 @@ class TestWriteCsv:
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert lines[1] == "r0,3,0.25,inf,0.5,-0,-inf,tail"
         assert lines[2] == "r1,-2,0.33333333333333331,inf,0,t"
+
+    def test_keys_equal_in_their_low_fields(self, tmp_path):
+        # powers of two share all 52 mantissa bits; 1 + k 2**-20 and
+        # 1 + k 2**-36 first differ in the fields at bits 32 and 16
+        powers = np.array([1.0, 0.5, 2.0 ** -10, 2.0 ** -40, 4.0, 2.0 ** 60, -0.25])
+        rows = [("p", powers), ("q", 1 + np.arange(10) * 2.0 ** -20),
+                ("r", 1 + np.arange(10) * 2.0 ** -36), ("s", powers[::-1])]
+        self.check(tmp_path, ["id"] + ["c"] * 10, rows)
+
+    def test_keys_one_ulp_apart(self, tmp_path):
+        x = np.array([1 / 3, 1.0, 1e-300, -2.5])
+        up, down = np.nextafter(x, np.inf), np.nextafter(x, -np.inf)
+        self.check(tmp_path, ["a"], [("x", x), ("up", up), ("down", down),
+                                     ("all", np.concatenate([up, x, down]))])
+
+    def test_signed_zeros_in_one_array(self, tmp_path):
+        self.check(tmp_path, ["a"], [("z", np.array([0.0, -0.0, 0.0, -0.0, 1.0]))])
+        assert (tmp_path / "out.csv").read_text() == "a\nz,0,-0,0,-0,1\n"
+
+    def test_keys_no_field_separates(self, tmp_path):
+        # three keys: two agree in bits 0-15, two in bits 16-31, all in bits 32-63
+        bits = np.float64(1.5).view(np.int64) + np.array([0, 1 << 16, 1, 0, 1])
+        self.check(tmp_path, ["a"], [("k", bits.view(np.float64))])
+
+    def test_more_distinct_values_than_the_lookup_handles(self, tmp_path):
+        rng = np.random.default_rng(2)
+        R = rng.normal(size=(270, 270))
+        assert len(np.unique(R)) > 2 ** 16
+        self.check(tmp_path, ["id"] + [str(i) for i in range(270)],
+                   [(i, R[i]) for i in range(270)])
+
+    def test_few_valued_gram_of_300_sequences(self, tmp_path):
+        seqs = enumerate_up_to(DNA, 4)[:300]
+        K = gram(imq_hamming_kernel(1.0, 2.0), seqs).entries
+        assert len(np.unique(K)) == 5
+        ids = [f"s{i}" for i in range(300)]
+        self.check(tmp_path, ["id"] + ids, [(i, r) for i, r in zip(ids, K)])
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 0.5, 2.0 ** -10, 2.0 ** -40, 0.25, 1.0],
+        [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 0.0],
+        (np.float64(1.5).view(np.int64)
+         + np.array([0, 1 << 16, 1, 1 << 32, 1 << 48, 1])).view(np.float64),
+        np.arange(70_000) * 0.1,
+        [],
+    ])
+    def test_distinct_bits_equals_a_sorting_inverse(self, values):
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
+        keys, inverse = _distinct_bits(bits)
+        want_keys, want_inverse = np.unique(bits, return_inverse=True)
+        assert np.array_equal(keys, want_keys) and np.array_equal(inverse, want_inverse)
 
     def test_footer_and_no_arrays(self, tmp_path):
         path = tmp_path / "out.csv"

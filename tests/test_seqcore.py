@@ -68,6 +68,16 @@ class TestSequence:
         with pytest.raises(DataError):
             seq(DNA, "ATX")
 
+    def test_foreign_letter_message_names_the_first(self):
+        for letters in ("ATXGZ", iter("ATXGZ"), ["A", "X", "Z"]):
+            with pytest.raises(DataError) as info:
+                Sequence.from_letters(DNA, letters)
+            assert str(info.value) == "letter 'X' is not in the alphabet"
+
+    def test_codes_mark_foreign_letters_with_none(self):
+        assert DNA.codes("AGX") == (0, 2, None)
+        assert Sequence.from_letters(DNA, iter("TGA")).codes == (3, 2, 0)
+
     def test_concatenation(self):
         assert seq(AB, "AB") + seq(AB, "BA") == seq(AB, "ABBA")
 
