@@ -33,12 +33,14 @@ the minimum eigenvalue, which is computed only when asked for, and the
 inconclusive rules; eigenvectors are computed only for the solves that
 need them.  The diagnostic builds one Gram, over the largest set, and
 reads every smaller set's Gram as a leading block of it, which shares
-the kept factor.  Triangular solves are blocked substitutions in numpy,
-O(n^2) per right-hand side.
+the kept factor whatever its size.  Every Cholesky solve is
+:meth:`_ShiftedFactor.solve`, blocked substitutions in numpy, O(n^2)
+per right-hand side.
 
 A Gram holds its entries, the kept factor of a large certified Gram
-from construction, the cached Cholesky factor of ``K`` once a solve of
-any other certified Gram asks for it, and an eigendecomposition only on
+from construction (with the inverses of its 64-row diagonal blocks once
+it refines), the cached Cholesky factor of ``K`` once a solve of any
+other certified Gram asks for it, and an eigendecomposition only on
 demand: two n x n arrays after a solve.  No factorisation writes the
 entries.  One of at most ``_ONE_CALL_ROWS`` rows peaks at the entries,
 a shifted copy, the factor and numpy's LAPACK work buffer; a larger one
@@ -66,12 +68,13 @@ SINGULAR_RTOL = 1e-10
 PSD_RTOL = 1e-8
 
 #: a certified Gram of at least this many rows keeps its certificate's
-#: factor and solves on it by refinement; a smaller one factorises.  On
-#: 2 vCPUs a ridge and a minimum-norm fit of a tcr-like ``imq_hamming``
-#: Gram refine in half the time of factorising at 256 rows (1.1 against
-#: 2.3 ms) and tie at 128, where a refinement's Python-level steps cost
-#: as much as a factorisation
-REFINE_ROWS = 256
+#: factor and solves on it by refinement; a smaller one factorises.  A
+#: ridge and a minimum-norm fit of a tcr-like ``imq_hamming`` Gram, 2
+#: vCPUs, 2 BLAS threads, median of 150, in us (one ridge fit in brackets):
+#:   rows              10         64         96        128         192          256
+#:   refined    152 (116)  277 (229)  383 (321)  486 (411)   715 (626)    995 (860)
+#:   factorised   63 (32)  202 (101)  307 (155)  656 (326)  1296 (680)  2288 (1295)
+REFINE_ROWS = 128
 
 
 class GramMatrix:
@@ -95,11 +98,13 @@ class GramMatrix:
     A certified Gram of at least ``REFINE_ROWS`` rows keeps the
     certificate's factor: it holds two n x n arrays from construction,
     and :meth:`solve_ridge`, :meth:`solve_pinv` and the diagnostic's
-    ``(K^-1)_tt`` refine on that factor without factorising again.  A
-    refinement that gives up drops the factor, and the solve runs the
-    code of a smaller certified Gram: :meth:`solve_ridge` factors
-    ``K + ridge I`` (with jitter escalation), and :meth:`solve_pinv` and
-    ``(K^-1)_tt`` use a cached Cholesky factor of ``K``.  Without the
+    ``(K^-1)_tt`` refine on that factor without factorising again, as
+    do its leading blocks.  A refinement that gives up drops the factor,
+    and the solve runs the code of a smaller certified Gram:
+    :meth:`solve_ridge` factors ``K + ridge I`` (with jitter
+    escalation), and :meth:`solve_pinv` and ``(K^-1)_tt`` use a cached
+    Cholesky factor of ``K``; every route but the eigendecomposition
+    solves by :meth:`_ShiftedFactor.solve`.  Without the
     certificate, :meth:`is_singular` tries a shifted factorisation
     first and reads the cached :attr:`eigenvalues` (no eigenvectors)
     only when that succeeds, and the solves use the eigendecomposition
@@ -138,8 +143,8 @@ class GramMatrix:
                 raise NumericalError("Gram matrix is not symmetric")
             entries = 0.5 * (entries + entries.T)
         certificate = _certificate(entries)
-        self._init(kernel, sequences, entries, certificate is not None, certificate,
-                   collections.Counter())
+        self._init(kernel, sequences, entries, certificate is not None,
+                   certificate if n >= REFINE_ROWS else None, collections.Counter())
         # K - sI > 0 with s > 0: certified Grams are positive definite
         if not self._certified:
             self._check_psd()
@@ -151,7 +156,7 @@ class GramMatrix:
         self.sequences = list(sequences)
         self.entries = entries
         self._certified = certified
-        self._factor = factor if len(entries) >= REFINE_ROWS else None
+        self._factor = factor
         self.solve_routes = solve_routes
         self._eig: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._blocks: dict[int, GramMatrix] = {}
@@ -183,11 +188,10 @@ class GramMatrix:
         interlacing ``lambda_min(K_B) >= lambda_min(K)``, and
         ``||K_B||_inf <= ||K||_inf``; the empty block is uncertified,
         like the empty Gram.  The leading block of a kept factor factors
-        the leading block of the Gram, so a block of ``REFINE_ROWS`` rows
-        or more refines on a view of this Gram's factor.  Otherwise a
-        block tries its own certificate, and without one applies the PSD
-        rule with its own trace, by factorisation and, if that fails, by
-        eigenvalues.
+        the leading block of the Gram, so a block of any size refines on a
+        view of this Gram's factor.  Otherwise a block tries its own
+        certificate, and without one applies the PSD rule with its own
+        trace, by factorisation and, if that fails, by eigenvalues.
         """
         if not 0 <= n <= len(self):
             raise DataError(f"a leading block of a Gram of {len(self)} cannot hold {n}")
@@ -200,6 +204,8 @@ class GramMatrix:
             else:
                 factor = _certificate(K)
                 certified = factor is not None
+                if n < REFINE_ROWS:
+                    factor = None
             block = GramMatrix.__new__(GramMatrix)
             block._init(self.kernel, self.sequences[:n], K, certified, factor,
                         self.solve_routes)
@@ -224,10 +230,9 @@ class GramMatrix:
         return float(self.eigenvalues[0]) if len(self) else 0.0
 
     @functools.cached_property
-    def _certified_factor(self) -> Optional[np.ndarray]:
+    def _certified_factor(self) -> Optional[_ShiftedFactor]:
         """Cholesky factor of ``K`` if the certificate holds, else None."""
-        factor = _cholesky(self.entries, 0.0) if self._certified else None
-        return None if factor is None else factor.F
+        return _cholesky(self.entries, 0.0) if self._certified else None
 
     def is_singular(self) -> bool:
         """The eigenvalue rule: ``lambda_min <= SINGULAR_RTOL lambda_max``.
@@ -279,7 +284,7 @@ class GramMatrix:
             factor = _cholesky(K, ridge + jitter)
             if factor is not None:
                 self.solve_routes["jitter" if jitter else "factorised"] += 1
-                return _cholesky_solve(factor.F, b)
+                return factor.solve(b)
             jitter = 1e-12 * tr if jitter == 0.0 else jitter * 10.0
             if jitter > 1e-6 * tr:
                 break
@@ -295,10 +300,10 @@ class GramMatrix:
         x = self._refined(b, 0.0)
         if x is not None:
             return x
-        L = self._certified_factor
-        if L is not None:
+        factor = self._certified_factor
+        if factor is not None:
             self.solve_routes["factorised"] += 1
-            return _cholesky_solve(L, b)
+            return factor.solve(b)
         self.solve_routes["eigen"] += 1
         w, V = self.eig()
         wmax = float(w.max()) if len(self) else 0.0
@@ -313,12 +318,12 @@ class GramMatrix:
         x = self._refined(unit, 0.0)
         if x is not None:
             return float(x[i])
-        L = self._certified_factor
-        if L is not None:
+        factor = self._certified_factor
+        if factor is not None:
             self.solve_routes["factorised"] += 1
-            # rows above i of L^-1 e_i vanish; the squares add left to right,
-            # not pairwise as np.sum would add them
-            return float(np.cumsum(_solve_lower(L[i:, i:], unit[i:]) ** 2)[-1])
+            # K^-1 = F^-T F^-1, so (K^-1)_ii = ||F^-1 e_i||^2
+            z = factor.solve(unit, forward=True)
+            return float(z @ z)
         self.solve_routes["eigen"] += 1
         w, V = self.eig()
         return float((V[i] ** 2 / w).sum())
@@ -350,7 +355,7 @@ def _cholesky(K: np.ndarray, shift: float) -> Optional[_ShiftedFactor]:
     of its first failing pivot.  A panel reads only earlier columns, so
     the factor of a leading block of whole panels is the leading block of
     the factor, bit for bit; the inverted diagonal blocks are kept for
-    :meth:`_ShiftedFactor._solve`.
+    :meth:`_ShiftedFactor.solve`.
     """
     n = len(K)
     try:
@@ -407,10 +412,12 @@ class _ShiftedFactor:
     ``refine`` solves ``(K + sI) x = b`` for any ``s >= 0``, with ``K``
     the certified Gram or a leading block of it, whose factor is the
     leading block of ``F``.  Each correction costs one product with
-    ``K`` and two triangular solves with ``F``, whose 64-row diagonal
-    blocks are inverted by a blocked factorisation, or else once, on the
-    first solve, so a solve is matrix products only: no n x n array is
-    allocated.
+    ``K`` and one :meth:`solve`, whose sweeps multiply by the inverses of
+    the 64-row diagonal blocks if the factor holds them, and otherwise
+    call ``np.linalg.solve`` on each block, under a third of the cost of
+    inverting it.  So only a reused factor holds inverses: a blocked
+    factorisation's, or one that ``refine`` inverts before its first
+    correction.  No n x n array is allocated.
     """
 
     #: ``||K||_inf`` of the certified Gram, at least that of a block; set
@@ -429,19 +436,26 @@ class _ShiftedFactor:
         F, B = self.F, _TRIANGULAR_BLOCK
         return [np.tril(np.linalg.inv(F[lo:lo + B, lo:lo + B])) for lo in range(0, len(F), B)]
 
-    def _solve(self, n: int, r: np.ndarray) -> np.ndarray:
-        """``(F_n F_n^T)^-1 r`` for ``F_n`` the leading n x n block of ``F``."""
-        F, B, inverses = self.F, _TRIANGULAR_BLOCK, self._inverse_blocks
-        x = np.array(r, dtype=float)
-        starts = range(0, n, B)
-        for lo, D in zip(starts, inverses):
-            hi = min(lo + B, n)
+    def solve(self, b: np.ndarray, forward: bool = False) -> np.ndarray:
+        """``(F_n F_n^T)^-1 b``, or with ``forward`` only ``F_n^-1 b``, for
+        ``F_n`` the leading n x n block of ``F`` and ``n = len(b)``."""
+        F, B, n = self.F, _TRIANGULAR_BLOCK, len(b)
+        blocks = [(lo, min(lo + B, n)) for lo in range(0, n, B)]
+        inverses = vars(self).get("_inverse_blocks")
+        if inverses is None:
+            apply, diagonal = np.linalg.solve, [F[lo:hi, lo:hi] for lo, hi in blocks]
+        else:
+            apply, diagonal = np.matmul, [D[: hi - lo, : hi - lo]
+                                          for D, (lo, hi) in zip(inverses, blocks)]
+        x = np.array(b, dtype=float)
+        for (lo, hi), D in zip(blocks, diagonal):
             x[lo:hi] -= F[lo:hi, :lo] @ x[:lo]
-            x[lo:hi] = D[: hi - lo, : hi - lo] @ x[lo:hi]
-        for lo, D in reversed(list(zip(starts, inverses))):
-            hi = min(lo + B, n)
+            x[lo:hi] = apply(D, x[lo:hi])
+        if forward:
+            return x
+        for (lo, hi), D in reversed(list(zip(blocks, diagonal))):
             x[lo:hi] -= F[hi:n, lo:hi].T @ x[hi:]
-            x[lo:hi] = D[: hi - lo, : hi - lo].T @ x[lo:hi]
+            x[lo:hi] = apply(D.T, x[lo:hi])
         return x
 
     def refine(self, K: np.ndarray, b: np.ndarray, s: float) -> Optional[np.ndarray]:
@@ -457,11 +471,12 @@ class _ShiftedFactor:
         n = len(K)
         b = np.asarray(b, dtype=float)
         scale = float(np.abs(b).max())
+        self._inverse_blocks  # inverted once, for every correction
         x = np.zeros(n)
         r = b
         last = math.inf
         for _ in range(_REFINE_STEPS):
-            x += self._solve(n, r)
+            x += self.solve(r)
             r = b - (K @ x + s * x)
             residual = float(np.abs(r).max())
             bound = (self.norm + s) * float(np.abs(x).max()) + scale
@@ -471,31 +486,6 @@ class _ShiftedFactor:
                 return None
             last = residual / bound
         return None
-
-
-def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``L^-1 b`` by blocked forward substitution."""
-    x = np.array(b, dtype=float)
-    for lo in range(0, len(L), _TRIANGULAR_BLOCK):
-        hi = lo + _TRIANGULAR_BLOCK
-        x[lo:hi] -= L[lo:hi, :lo] @ x[:lo]
-        x[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], x[lo:hi])
-    return x
-
-
-def _solve_upper(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``L^-T b`` by blocked back substitution."""
-    x = np.array(b, dtype=float)
-    for hi in range(len(L), 0, -_TRIANGULAR_BLOCK):
-        lo = max(hi - _TRIANGULAR_BLOCK, 0)
-        x[lo:hi] -= L[hi:, lo:hi].T @ x[hi:]
-        x[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi].T, x[lo:hi])
-    return x
-
-
-def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(L L^T)^-1 b`` in O(n^2) work."""
-    return _solve_upper(L, _solve_lower(L, b))
 
 
 def gram(kernel: Kernel, sequences: Seq) -> GramMatrix:
@@ -534,8 +524,8 @@ def fit_regression(G: GramMatrix, y: np.ndarray, ridge: float = 0.0) -> Regressi
     y = np.asarray(y, dtype=float)
     if y.shape != (len(G),):
         raise DataError("label vector must match the Gram dimension")
-    if ridge < 0:
-        raise DataError("ridge must be nonnegative")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise DataError(f"ridge must be finite and nonnegative, got {ridge}")
     if ridge > 0:
         alpha = G.solve_ridge(y, ridge)
     else:
@@ -644,7 +634,7 @@ def discrete_mass_diagnostic(kernel: Kernel, target, nested_sets,
     ``K_B`` is a leading block of it (see :meth:`GramMatrix.leading`);
     ``G``, that Gram of ``kernel``, is used as it is if given.  The
     blocks of a certified Gram that keeps its factor refine on views of
-    it, so no set of ``REFINE_ROWS`` rows or more is factorised again.
+    it, so no set is factorised again.
     """
     nested_sets = [list(s) for s in nested_sets]
     order = nested_order(target, nested_sets)

@@ -479,11 +479,11 @@ class TestDiagnoseCommand:
             assert line == (f"set_size={row['set_size']} C={row['C']} "
                             f"min_eigenvalue={row['min_eigenvalue']}")
 
-    def test_certified_diagnose_factors_the_certificate_and_small_blocks(self, tmp_path,
-                                                                           monkeypatch):
+    def test_certified_diagnose_factors_only_the_certificate(self, tmp_path,
+                                                           monkeypatch):
         # the certificate in construction, one call of 341 rows; the
-        # leading blocks inherit it, the 341-row set refines on its factor,
-        # and the two sets below REFINE_ROWS factor their own small blocks
+        # leading blocks inherit it, and every set, those below
+        # REFINE_ROWS too, refines on a view of its factor
         import seqkern.rkhs
         assert 85 < seqkern.rkhs.REFINE_ROWS <= 341 <= seqkern.rkhs._ONE_CALL_ROWS
         calls = []
@@ -497,7 +497,7 @@ class TestDiagnoseCommand:
                      "--output", str(tmp_path / "diag.csv"),
                      "--family", "imq_hamming", "--C", "1", "--beta", "2"])
         assert code == 0
-        assert calls == [341, 21, 85]
+        assert calls == [341]
 
     def test_uncertified_diagnose_decides_by_factorisations(self, tmp_path, monkeypatch):
         # (rows, sign of shift, factorised): the certificate fails; the

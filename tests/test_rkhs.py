@@ -1,7 +1,12 @@
 import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +45,7 @@ from seqkern import (
 
 import seqkern.rkhs
 from seqkern.rkhs import (PSD_RTOL, REFINE_ROWS, SINGULAR_RTOL, _ONE_CALL_ROWS, _TRIANGULAR_BLOCK,
-                          _certificate, _cholesky, _cholesky_solve, _solve_lower)
+                          _ShiftedFactor, _certificate, _cholesky)
 
 from conftest import random_distinct_sequences
 
@@ -205,6 +210,19 @@ class TestRegression:
         G = gram(k, [seq(DNA, "A"), seq(DNA, "C")])
         with pytest.raises(DataError):
             fit_regression(G, np.zeros(3))
+
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf])
+    def test_non_finite_ridge_refused(self, ridge):
+        # a NaN ridge fails `ridge > 0` and would run the minimum-norm fit;
+        # an infinite one passes refinement's first test and would return
+        # its first correction, not the limit 0
+        G = gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS)
+        kept = G._factor
+        assert kept is not None
+        with pytest.raises(DataError, match="finite"):
+            fit_regression(G, KEPT_LABELS, ridge)
+        assert G.solve_routes == Counter()
+        assert G._factor is kept
 
     def test_ridge_solution_matches_direct_solve(self):
         k = exp_hamming_kernel(DNA, 0.8)
@@ -584,11 +602,12 @@ def relative_error(x, reference):
 
 
 def factorised_inverse_diagonal(K, t):
-    """``(K^-1)_tt`` from the Cholesky factor of ``K``, the squares added left to right."""
-    L = np.linalg.cholesky(K)
-    unit = np.zeros(len(K) - t)
-    unit[0] = 1.0
-    return float(np.cumsum(_solve_lower(L[t:, t:], unit) ** 2)[-1])
+    """``(K^-1)_tt`` as the squared norm of the forward sweep of ``e_t`` on
+    a fresh Cholesky factor of ``K``."""
+    unit = np.zeros(len(K))
+    unit[t] = 1.0
+    z = _cholesky(K, 0.0).solve(unit, forward=True)
+    return float(z @ z)
 
 
 def tcr_like(n, seed=63):
@@ -607,9 +626,9 @@ REFINED_CASES = {
 
 
 class TestRefinedSolves:
-    """A large certified Gram solves on its certificate's factor alone,
-    and every other Gram, or a refinement that gives up, runs the
-    factorisations of a small Gram, bit for bit."""
+    """A large certified Gram and its leading blocks solve on its
+    certificate's factor alone, and every other Gram, or a refinement
+    that gives up, runs the factorisations of a small Gram, bit for bit."""
 
     @pytest.mark.parametrize("name", REFINED_CASES)
     def test_refined_fits_match_direct_solves(self, cholesky_sizes, factored_blocks, name):
@@ -641,10 +660,11 @@ class TestRefinedSolves:
         G = gram(k, sets[-1])
         built = len(cholesky_sizes)
         C = discrete_mass_diagnostic(k, target, sets, G)
-        # no set of REFINE_ROWS rows or more is factorised after the certificate
-        assert all(m < REFINE_ROWS for m in cholesky_sizes[built:])
-        large = sum(len(s) >= REFINE_ROWS for s in sets)
-        assert G.solve_routes == Counter(refined=large, factorised=len(sets) - large)
+        # every set, the small ones too, refines on a view of the
+        # certificate's factor: nothing is factorised after it
+        assert len(cholesky_sizes) == built
+        assert min(map(len, sets)) < REFINE_ROWS
+        assert G.solve_routes == Counter(refined=len(sets))
         for c, s in zip(C, sets):
             expected = math.sqrt(np.linalg.inv(G.entries[:len(s), :len(s)])[3, 3])
             assert abs(c - expected) <= 1e-12 * expected
@@ -659,36 +679,38 @@ class TestRefinedSolves:
         alpha = G.solve_ridge(KEPT_LABELS, ridge)
         assert G._factor is None
         assert G.solve_routes == Counter(factorised=1)
-        L = np.linalg.cholesky(K + ridge * np.eye(len(K)))
-        assert alpha.tobytes() == _cholesky_solve(L, KEPT_LABELS).tobytes()
+        assert alpha.tobytes() == _cholesky(K, ridge).solve(KEPT_LABELS).tobytes()
         beta = G.solve_pinv(KEPT_LABELS)
-        assert beta.tobytes() == _cholesky_solve(np.linalg.cholesky(K), KEPT_LABELS).tobytes()
+        assert beta.tobytes() == _cholesky(K, 0.0).solve(KEPT_LABELS).tobytes()
 
     @pytest.mark.parametrize("solve", ["pinv", "ridge", "diagnostic"])
     def test_a_near_margin_gram_is_factorised(self, monkeypatch, solve):
         # lambda_min 1.02 times the certificate's shift: certified, but
         # the refinement grows the error about 50-fold a step, so its
         # second correction fails to halve the backward error and it gives up
-        corrections = []
-
-        def counting_solve(factor, n, r, _solve=seqkern.rkhs._ShiftedFactor._solve):
-            corrections.append(n)
-            return _solve(factor, n, r)
-
-        monkeypatch.setattr(seqkern.rkhs._ShiftedFactor, "_solve", counting_solve)
         K = probe_gram(57, "margin_spread", 1.02)
         n = len(K)
         seqs = random_distinct_sequences(np.random.default_rng(65), DNA, n, 8)
         G = GramMatrix(IdentityKernel(), seqs, K)
-        assert G._certified and G._factor is not None
+        kept = G._factor
+        assert G._certified and kept is not None
+        # the corrections are the solves on the kept factor
+        corrections = []
+
+        def counting_solve(factor, b, forward=False, _solve=_ShiftedFactor.solve):
+            if factor is kept:
+                corrections.append(len(b))
+            return _solve(factor, b, forward)
+
+        monkeypatch.setattr(_ShiftedFactor, "solve", counting_solve)
         y = np.random.default_rng(66).normal(size=n)
         if solve == "pinv":
             got = G.solve_pinv(y)
-            want = _cholesky_solve(np.linalg.cholesky(K), y)
+            want = _cholesky(K, 0.0).solve(y)
         elif solve == "ridge":
             ridge = 1e-3 * np.trace(K) / n
             got = G.solve_ridge(y, ridge)
-            want = _cholesky_solve(np.linalg.cholesky(K + ridge * np.eye(n)), y)
+            want = _cholesky(K, ridge).solve(y)
         else:
             got = discrete_mass_diagnostic(G.kernel, seqs[2], [seqs], G)
             want = np.array([math.sqrt(factorised_inverse_diagonal(K, 2))])
@@ -698,7 +720,8 @@ class TestRefinedSolves:
         assert corrections == [n, n]
 
     @pytest.mark.parametrize("n", [85, REFINE_ROWS - 1])
-    def test_grams_below_refine_rows_are_factorised(self, n):
+    def test_grams_below_refine_rows_are_factorised(self, cholesky_sizes, n):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
         k = imq_hamming_kernel(1.0, 2.0)
         seqs = enumerate_up_to(DNA, 3) if n == 85 else tcr_like(n)
         G = gram(k, seqs)
@@ -706,15 +729,24 @@ class TestRefinedSolves:
         assert G._certified and G._factor is None
         y = np.random.default_rng(67).normal(size=n)
         ridge = 1e-3 * np.trace(K) / n
-        L = np.linalg.cholesky(K + ridge * np.eye(n))
-        assert G.solve_ridge(y, ridge).tobytes() == _cholesky_solve(L, y).tobytes()
-        L = np.linalg.cholesky(K)
-        assert G.solve_pinv(y).tobytes() == _cholesky_solve(L, y).tobytes()
-        # each set's C comes from its own factor
+        alpha = G.solve_ridge(y, ridge)
+        assert alpha.tobytes() == _cholesky(K, ridge).solve(y).tobytes()
+        direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K + ridge * np.eye(n)), y)
+        assert relative_error(alpha, direct) <= 1e-12
+        beta = G.solve_pinv(y)
+        assert beta.tobytes() == _cholesky(K, 0.0).solve(y).tobytes()
+        assert relative_error(beta, scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), y)) <= 1e-12
+        # each set's C comes from its own factor; the whole Gram's is the
+        # one the minimum-norm fit cached
         sizes = (5, 21, n)
+        del cholesky_sizes[:]
         C = discrete_mass_diagnostic(k, seqs[1], [seqs[:m] for m in sizes], G)
+        assert cholesky_sizes == [5, 21]
         want = [math.sqrt(factorised_inverse_diagonal(K[:m, :m], 1)) for m in sizes]
         assert C.tobytes() == np.array(want).tobytes()
+        for c, m in zip(C, sizes):
+            expected = math.sqrt(np.linalg.inv(K[:m, :m])[1, 1])
+            assert abs(c - expected) <= 1e-12 * expected
         assert G.solve_routes == Counter(factorised=5)
 
     def test_a_refined_solve_allocates_no_gram_sized_array(self):
@@ -732,18 +764,21 @@ class TestRefinedSolves:
         assert peak < 0.1 * n * n * 8, peak / (n * n * 8)
 
     def test_leading_blocks_refine_on_views_of_the_factor(self, cholesky_sizes):
+        # every nonempty block shares the factor, whatever its size
         scipy_linalg = pytest.importorskip("scipy.linalg")
         G = gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS)
+        assert G.leading(0)._factor is None
         del cholesky_sizes[:]
-        block = G.leading(300)
-        assert block._factor is G._factor
-        assert G.leading(REFINE_ROWS - 1)._factor is None
-        x = block.solve_pinv(KEPT_LABELS[:300])
+        sizes = (300, REFINE_ROWS - 1, 21, 1)
+        for m in sizes:
+            assert G.leading(m)._factor is G._factor
+        solved = [G.leading(m).solve_pinv(KEPT_LABELS[:m]) for m in sizes]
         assert cholesky_sizes == []
-        assert G.solve_routes == Counter(refined=1)
-        K = G.entries[:300, :300]
-        direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), KEPT_LABELS[:300])
-        assert relative_error(x, direct) <= 1e-12
+        assert G.solve_routes == Counter(refined=len(sizes))
+        for m, x in zip(sizes, solved):
+            K = G.entries[:m, :m]
+            direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), KEPT_LABELS[:m])
+            assert relative_error(x, direct) <= 1e-12
 
 
 # sizes at the one-call size, one row above it, and one row either side
@@ -827,6 +862,92 @@ class TestBlockedCholesky:
         assert relative_error(alpha, direct) <= 1e-12
         direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), y)
         assert relative_error(beta, direct) <= 1e-12
+
+
+# one-block factors, one row either side of a whole block, the largest
+# one-call factor and the smallest blocked one
+TRIANGULAR_SIZES = [1, _TRIANGULAR_BLOCK - 1, _TRIANGULAR_BLOCK, _TRIANGULAR_BLOCK + 1,
+                    _ONE_CALL_ROWS, _ONE_CALL_ROWS + 1]
+
+
+class TestTriangularSolve:
+    """``_ShiftedFactor.solve`` is every Cholesky solve: whole or on a
+    leading block, with inverted diagonal blocks or ``np.linalg.solve``
+    on them, its full solve and its forward sweep match scipy's."""
+
+    @pytest.mark.parametrize("n", TRIANGULAR_SIZES)
+    def test_solves_match_scipy_with_and_without_inverses(self, tcr_gram, n):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        K = tcr_gram[:n, :n]
+        factor = _certificate(K)
+        F = factor.F
+        # a blocked factorisation keeps its inverses; a one-call factor
+        # has none until a refinement inverts its blocks
+        assert ("_inverse_blocks" in vars(factor)) == (n > _ONE_CALL_ROWS)
+        y = np.random.default_rng(70).normal(size=n)
+        rows = sorted({1, _TRIANGULAR_BLOCK + 1, n - 1, n} & set(range(1, n + 1)))
+
+        def solves(f):
+            return [(f.solve(y[:m]), f.solve(y[:m], forward=True)) for m in rows]
+
+        before = solves(factor)
+        assert factor.refine(K, y, 0.0) is not None
+        assert "_inverse_blocks" in vars(factor)
+        inverted = solves(factor)
+        plain = _ShiftedFactor(F)
+        direct = solves(plain)
+        assert "_inverse_blocks" not in vars(plain)
+        for results in (before, inverted, direct):
+            for m, (x, z) in zip(rows, results):
+                Fm = F[:m, :m]
+                assert relative_error(x, scipy_linalg.cho_solve((Fm, True), y[:m])) <= 1e-13
+                want = scipy_linalg.solve_triangular(Fm, y[:m], lower=True)
+                assert relative_error(z, want) <= 1e-13
+        for (x, z), (u, v) in zip(inverted, direct):
+            assert relative_error(x, u) <= 1e-13
+            assert relative_error(z, v) <= 1e-13
+
+
+class TestNumpyAlone:
+    """The library needs numpy alone: scipy is a test dependency only."""
+
+    SCRIPT = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy raises ImportError
+        import numpy as np
+        from seqkern import (Alphabet, discrete_mass_diagnostic, enumerate_up_to,
+                             fit_regression, gram, imq_hamming_kernel)
+
+        k = imq_hamming_kernel(1.0, 2.0)
+        for cutoff in (3, 5):
+            sets = [enumerate_up_to(Alphabet("ACGT"), c) for c in range(1, cutoff + 1)]
+            G = gram(k, sets[-1])
+            n = len(G)
+            y = np.random.default_rng(cutoff).normal(size=n)
+            tr = float(np.trace(G.entries))
+            for ridge in (1e-3 * tr / n, 0.0, 10.0 * tr / n):
+                a = fit_regression(G, y, ridge).coefficients
+                assert np.abs(G.entries @ a + ridge * a - y).max() < 1e-9
+            C = discrete_mass_diagnostic(k, sets[0][1], sets, G)
+            assert np.all(np.isfinite(C)) and np.all(np.diff(C) >= -1e-12)
+            print(n, sorted(G.solve_routes.items()))
+        loaded = [m for m, v in sys.modules.items() if m.split(".")[0] == "scipy" and v]
+        assert not loaded, loaded
+    """)
+
+    def test_fits_and_diagnostics_run_without_scipy(self):
+        src = str(Path(seqkern.rkhs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        # 85 rows factorise every solve; above _ONE_CALL_ROWS two fits
+        # refine, the large ridge gives up and factorises in panels, and so
+        # do the diagnostic's sets once the factor is dropped
+        assert 85 < REFINE_ROWS and 1365 > _ONE_CALL_ROWS
+        assert done.stdout.splitlines() == ["85 [('factorised', 6)]",
+                                            "1365 [('factorised', 6), ('refined', 2)]"]
 
 
 class TestPredict:
