@@ -13,9 +13,9 @@ with the stop code ``|B|`` (``seqcore.encode_padded``), which indexes
 the stop row and column of a ``(|B|+1)``-dimensional letter table
 directly.  The Hamming and window kernels count equal codes position by
 position in the narrowest integer types that hold them
-(:func:`_count_equal`): the Hamming kernels the stop-padded letters, the
-two window kernels (weighted degree and lag-L Hamming) exact integer ids
-of the stop-padded L-windows from ``seqcore.window_ids``.  The
+(:func:`_count_equal`): exact integer ids of the stop-padded L-windows
+from ``seqcore.window_ids``, which at ``L = 1``, for the Hamming
+kernels, are the stop-padded letters themselves.  The
 inverse-multiquadric and exponential families then look ``f`` of the
 distance up by match count in a table of ``width + 1`` values.  For the
 lag kernel stop is a letter, for the weighted degree a window reaching
@@ -107,12 +107,14 @@ class WeightedDegreeKernel(Kernel):
         return np.maximum(lengths - (self.L - 1), 0.0)
 
 
-def _window_ids(xs, ys, L: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_ids(xs, ys, L: int, alphabet=None) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the stop-padded L-windows of ``xs`` and ``ys`` (``xs``
     again when ``None``) at every position below the longest length,
-    from :func:`seqcore.window_ids` over both sides at once."""
+    from :func:`seqcore.window_ids` over both sides at once; at ``L = 1``
+    the stop-coded letters themselves.  Sequences must be over
+    ``alphabet``, any when ``None``."""
     xs = list(xs)
-    cx, cy, stop = _stop_coded(xs, ys)
+    cx, cy, stop = _stop_coded(xs, ys, alphabet)
     codes = cx if ys is None else np.vstack([cx, cy])
     for ids in window_ids(codes, stop, L):
         pass
@@ -210,19 +212,22 @@ def base_positionwise_kernel(letter_kernel: LetterKernel) -> BasePositionwiseKer
 
 
 class _OfHammingDistance(Kernel):
-    """``f(d_H(x, y))`` of the exact stop-padded Hamming distance, ``f``
-    applied in place by ``_of_distances``.  A matrix looks up the match
-    count ``m`` of the stop-coded letters (:func:`_count_equal`) in the
-    table ``f(width - m)`` over their common width; a diagonal is
-    ``f(0)``, the same ``f`` of the same exact zero as the Gram's.
-    Sequences must be over ``alphabet``, any when ``None``."""
+    """``f(d_H(x, y))`` of the exact stop-padded Hamming distance between
+    the ``L``-windows, ``f`` applied in place by ``_of_distances``.  A
+    matrix looks up the match count ``m`` of the window ids
+    (:func:`_window_ids`, the stop-coded letters at ``L = 1``;
+    :func:`_count_equal`) in the table ``f(width - m)`` over their
+    common width; a diagonal is ``f(0)``, the same ``f`` of the same
+    exact zero as the Gram's.  Sequences must be over ``alphabet``, any
+    when ``None``."""
 
     mass_status = HAS_MASSES
     alphabet = None
+    L = 1
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
-        cx, cy, _ = _stop_coded(xs, ys, self.alphabet)
-        return self._of_matches(_count_equal(cx, cx if ys is None else cy), cx.shape[1])
+        ix, iy = _window_ids(xs, ys, self.L, self.alphabet)
+        return self._of_matches(_count_equal(ix, iy), ix.shape[1])
 
     def _of_matches(self, counts: np.ndarray, width: int) -> np.ndarray:
         """``f(width - counts)``, looked up in a table of ``width + 1`` values."""
@@ -355,6 +360,7 @@ class ImqHammingLagKernel(ImqHammingKernel):
     """
 
     family = "imq_hamming_lag"
+    pairwise = _OfHammingDistance.pairwise  # bench/tracing.py wraps it in this __dict__
     neighbour_values = Kernel.neighbour_values  # an edit moves windows: build the neighbours
 
     def __init__(self, C: float = 1.0, beta: float = 2.0, L: int = 1):
@@ -362,10 +368,6 @@ class ImqHammingLagKernel(ImqHammingKernel):
         if L < 1:
             raise DataError("lag L must be >= 1")
         self.L = int(L)
-
-    def pairwise(self, xs, ys=None) -> np.ndarray:
-        ix, iy = _window_ids(xs, ys, self.L)
-        return self._of_matches(_count_equal(ix, iy), ix.shape[1])
 
 
 def imq_hamming_lag_kernel(C: float = 1.0, beta: float = 2.0, L: int = 1) -> ImqHammingLagKernel:

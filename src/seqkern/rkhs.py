@@ -12,17 +12,19 @@ construction tries one shifted Cholesky factorisation, of ``K - cI``,
 which both validates ``K`` and certifies it nonsingular.  An
 uncertified Gram decides its PSD and singularity rules by two more
 shifted factorisations, and lets the eigenvalues decide only where
-those are inconclusive.  Every factorisation is one routine: at most
-``_ONE_CALL_ROWS`` (448) rows are one LAPACK call, and a larger matrix
-is factored left-looking in 64-column panels, each shifted on its own
-diagonal, stopping at the first diagonal block that fails, so a
+those are inconclusive.  Every factorisation is one routine, and
+``REFINE_ROWS`` (128) is its one size rule: fewer rows are one LAPACK
+call, and a larger matrix is factored left-looking in 64-column panels,
+each shifted on its own diagonal, keeping the inverses of its diagonal
+blocks and stopping at the first diagonal block that fails, so a
 degenerate Gram is refused within the panel of its first failing
 pivot.
 
-A certified Gram of at least ``REFINE_ROWS`` rows keeps its
-certificate's factor ``F``, and its ridge and minimum-norm solves and
-the diagnostic's ``(K^-1)_tt`` factorise nothing more: they solve
-``(K + sI) x = b`` by fixed-precision iterative refinement,
+A factor built in panels holds those inverses, and a certified Gram
+keeps its certificate's factor ``F`` exactly when it does.  Its ridge
+and minimum-norm solves and the diagnostic's ``(K^-1)_tt`` then
+factorise nothing more: they solve ``(K + sI) x = b`` by
+fixed-precision iterative refinement,
 ``x <- x + F^-T F^-1 (b - (K + sI) x)``, which contracts by
 ``(c + s) / (lambda_min - c)``.  A refinement that stops contracting
 gives up, drops the factor, and runs the code of a smaller Gram: ridge
@@ -38,13 +40,13 @@ the kept factor whatever its size.  Every Cholesky solve is
 per right-hand side.
 
 A Gram holds its entries, the kept factor of a large certified Gram
-from construction (with the inverses of its 64-row diagonal blocks once
-it refines), the cached Cholesky factor of ``K`` once a solve of any
-other certified Gram asks for it, and an eigendecomposition only on
-demand: two n x n arrays after a solve.  No factorisation writes the
-entries.  One of at most ``_ONE_CALL_ROWS`` rows peaks at the entries,
-a shifted copy, the factor and numpy's LAPACK work buffer; a larger one
-at the entries, the factor and one n x 64 panel.
+with the inverses of its 64-row diagonal blocks from construction, the
+cached Cholesky factor of ``K`` once a solve of any other certified
+Gram asks for it, and an eigendecomposition only on demand: two n x n
+arrays after a solve.  No factorisation writes the entries.  One of
+fewer than ``REFINE_ROWS`` rows peaks at the entries, a shifted copy,
+the factor and numpy's LAPACK work buffer; a larger one at the entries,
+the factor and one n x 64 panel.
 """
 
 from __future__ import annotations
@@ -67,13 +69,16 @@ SINGULAR_RTOL = 1e-10
 #: PSD validation slack: smallest eigenvalue >= -PSD_RTOL * trace
 PSD_RTOL = 1e-8
 
-#: a certified Gram of at least this many rows keeps its certificate's
-#: factor and solves on it by refinement; a smaller one factorises.  A
-#: ridge and a minimum-norm fit of a tcr-like ``imq_hamming`` Gram, 2
-#: vCPUs, 2 BLAS threads, median of 150, in us (one ridge fit in brackets):
-#:   rows              10         64         96        128         192          256
-#:   refined    152 (116)  277 (229)  383 (321)  486 (411)   715 (626)    995 (860)
-#:   factorised   63 (32)  202 (101)  307 (155)  656 (326)  1296 (680)  2288 (1295)
+#: the one size rule of the factorisations: at least this many rows are
+#: factored in 64-column panels that keep their inverted diagonal blocks,
+#: and a certified Gram keeps that factor and solves on it by refinement;
+#: fewer are one LAPACK call, and each solve factorises.  A certificate, a
+#: ridge fit, a minimum-norm fit and one ``(K^-1)_tt`` of a tcr-like
+#: ``imq_hamming`` Gram, 2 vCPUs, 2 BLAS threads, median of 150, in us
+#: (the certificate and the ridge fit alone in brackets):
+#:   rows              64         96         128          160          192
+#:   refined    438 (331)  607 (468)   781 (604)   1067 (801)  1416 (1237)
+#:   factorised 321 (166)  478 (255)   972 (573)  1605 (1096)  2479 (1635)
 REFINE_ROWS = 128
 
 
@@ -96,16 +101,17 @@ class GramMatrix:
     panel (:func:`_cholesky`).
 
     A certified Gram of at least ``REFINE_ROWS`` rows keeps the
-    certificate's factor: it holds two n x n arrays from construction,
-    and :meth:`solve_ridge`, :meth:`solve_pinv` and the diagnostic's
-    ``(K^-1)_tt`` refine on that factor without factorising again, as
-    do its leading blocks.  A refinement that gives up drops the factor,
-    and the solve runs the code of a smaller certified Gram:
-    :meth:`solve_ridge` factors ``K + ridge I`` (with jitter
-    escalation), and :meth:`solve_pinv` and ``(K^-1)_tt`` use a cached
-    Cholesky factor of ``K``; every route but the eigendecomposition
-    solves by :meth:`_ShiftedFactor.solve`.  Without the
-    certificate, :meth:`is_singular` tries a shifted factorisation
+    certificate's factor, which :func:`_cholesky` built in panels with
+    the inverses of its diagonal blocks: it holds two n x n arrays from
+    construction, and :meth:`solve_ridge`, :meth:`solve_pinv` and the
+    diagnostic's ``(K^-1)_tt`` refine on that factor without
+    factorising again, as do its leading blocks.  A refinement that
+    gives up drops the factor, and the solve runs the code of a smaller
+    certified Gram: :meth:`solve_ridge` factors ``K + ridge I`` (with
+    jitter escalation), and :meth:`solve_pinv` and ``(K^-1)_tt`` use a
+    cached Cholesky factor of ``K``; every route but the
+    eigendecomposition solves by :meth:`_ShiftedFactor.solve`.  Without
+    the certificate, :meth:`is_singular` tries a shifted factorisation
     first and reads the cached :attr:`eigenvalues` (no eigenvectors)
     only when that succeeds, and the solves use the eigendecomposition
     :meth:`eig`, so every answer means what the eigenvalue rule says it
@@ -143,8 +149,8 @@ class GramMatrix:
                 raise NumericalError("Gram matrix is not symmetric")
             entries = 0.5 * (entries + entries.T)
         certificate = _certificate(entries)
-        self._init(kernel, sequences, entries, certificate is not None,
-                   certificate if n >= REFINE_ROWS else None, collections.Counter())
+        self._init(kernel, sequences, entries, certificate is not None, certificate,
+                   collections.Counter())
         # K - sI > 0 with s > 0: certified Grams are positive definite
         if not self._certified:
             self._check_psd()
@@ -156,7 +162,8 @@ class GramMatrix:
         self.sequences = list(sequences)
         self.entries = entries
         self._certified = certified
-        self._factor = factor
+        # kept exactly when it holds inverses, from at least REFINE_ROWS rows
+        self._factor = factor if factor and factor.inverses else None
         self.solve_routes = solve_routes
         self._eig: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._blocks: dict[int, GramMatrix] = {}
@@ -190,8 +197,9 @@ class GramMatrix:
         like the empty Gram.  The leading block of a kept factor factors
         the leading block of the Gram, so a block of any size refines on a
         view of this Gram's factor.  Otherwise a block tries its own
-        certificate, and without one applies the PSD rule with its own
-        trace, by factorisation and, if that fails, by eigenvalues.
+        certificate, keeps its factor by the rule of a whole Gram, and
+        without one applies the PSD rule with its own trace, by
+        factorisation and, if that fails, by eigenvalues.
         """
         if not 0 <= n <= len(self):
             raise DataError(f"a leading block of a Gram of {len(self)} cannot hold {n}")
@@ -204,8 +212,6 @@ class GramMatrix:
             else:
                 factor = _certificate(K)
                 certified = factor is not None
-                if n < REFINE_ROWS:
-                    factor = None
             block = GramMatrix.__new__(GramMatrix)
             block._init(self.kernel, self.sequences[:n], K, certified, factor,
                         self.solve_routes)
@@ -333,18 +339,11 @@ class GramMatrix:
 #: factorisation; their cost is O(n^2 + n * block^2)
 _TRIANGULAR_BLOCK = 64
 
-#: a factorisation of at most this many rows is one ``np.linalg.cholesky``
-#: call, a larger one is blocked: on 2 vCPUs, for tcr-like ``imq_hamming``
-#: Grams, one call wins at 384 rows (1.8 against 2.0 ms), the two tie near
-#: 448, and blocked wins at 512 (3.2 against 4.1 ms) and 1,000 (11.6
-#: against 20.3)
-_ONE_CALL_ROWS = 448
-
 
 def _cholesky(K: np.ndarray, shift: float) -> Optional[_ShiftedFactor]:
     """Lower Cholesky factor of ``K + shift I``, or None if it fails.
 
-    ``K`` is only read.  At most ``_ONE_CALL_ROWS`` rows are one
+    ``K`` is only read.  Fewer than ``REFINE_ROWS`` rows are one
     ``np.linalg.cholesky`` of a shifted copy.  More are factored
     left-looking in panels of ``_TRIANGULAR_BLOCK`` columns (Golub and
     Van Loan, *Matrix Computations*, 4th ed., 4.2.9; LAPACK xPOTRF): the
@@ -359,7 +358,7 @@ def _cholesky(K: np.ndarray, shift: float) -> Optional[_ShiftedFactor]:
     """
     n = len(K)
     try:
-        if n <= _ONE_CALL_ROWS:
+        if n < REFINE_ROWS:
             if shift:
                 K = np.array(K)
                 np.fill_diagonal(K, K.diagonal() + shift)
@@ -408,45 +407,37 @@ _EPS = float(np.finfo(float).eps)
 class _ShiftedFactor:
     """A lower Cholesky factor ``F`` of ``K + shift I``, from :func:`_cholesky`.
 
-    The certificate's factor, of ``K - cI``, is kept for refinement:
-    ``refine`` solves ``(K + sI) x = b`` for any ``s >= 0``, with ``K``
-    the certified Gram or a leading block of it, whose factor is the
-    leading block of ``F``.  Each correction costs one product with
-    ``K`` and one :meth:`solve`, whose sweeps multiply by the inverses of
-    the 64-row diagonal blocks if the factor holds them, and otherwise
-    call ``np.linalg.solve`` on each block, under a third of the cost of
-    inverting it.  So only a reused factor holds inverses: a blocked
-    factorisation's, or one that ``refine`` inverts before its first
-    correction.  No n x n array is allocated.
+    A factor of at least ``REFINE_ROWS`` rows holds :attr:`inverses`,
+    the inverted 64-row diagonal blocks of its panels, and only such a
+    factor is kept for refinement: ``refine`` solves ``(K + sI) x = b``
+    for any ``s >= 0``, with ``K`` the certified Gram or a leading block
+    of it, whose factor is the leading block of ``F``.  Each correction
+    costs one product with ``K`` and one :meth:`solve`, whose sweeps
+    multiply by the inverses if the factor holds them, and otherwise,
+    on a one-call factor, call ``np.linalg.solve`` on each block, under
+    a third of the cost of inverting it.  No n x n array is allocated.
     """
 
     #: ``||K||_inf`` of the certified Gram, at least that of a block; set
     #: by :func:`_certificate`
     norm: float
 
-    def __init__(self, F: np.ndarray, inverse_blocks: Optional[list[np.ndarray]] = None):
+    def __init__(self, F: np.ndarray, inverses: Optional[list[np.ndarray]] = None):
         self.F = F
-        if inverse_blocks is not None:
-            self._inverse_blocks = inverse_blocks
-
-    @functools.cached_property
-    def _inverse_blocks(self) -> list[np.ndarray]:
         # the leading block of a lower triangle's inverse inverts its
         # leading block, so a truncated last block needs no inverse of its own
-        F, B = self.F, _TRIANGULAR_BLOCK
-        return [np.tril(np.linalg.inv(F[lo:lo + B, lo:lo + B])) for lo in range(0, len(F), B)]
+        self.inverses = inverses
 
     def solve(self, b: np.ndarray, forward: bool = False) -> np.ndarray:
         """``(F_n F_n^T)^-1 b``, or with ``forward`` only ``F_n^-1 b``, for
         ``F_n`` the leading n x n block of ``F`` and ``n = len(b)``."""
         F, B, n = self.F, _TRIANGULAR_BLOCK, len(b)
         blocks = [(lo, min(lo + B, n)) for lo in range(0, n, B)]
-        inverses = vars(self).get("_inverse_blocks")
-        if inverses is None:
+        if self.inverses is None:
             apply, diagonal = np.linalg.solve, [F[lo:hi, lo:hi] for lo, hi in blocks]
         else:
             apply, diagonal = np.matmul, [D[: hi - lo, : hi - lo]
-                                          for D, (lo, hi) in zip(inverses, blocks)]
+                                          for D, (lo, hi) in zip(self.inverses, blocks)]
         x = np.array(b, dtype=float)
         for (lo, hi), D in zip(blocks, diagonal):
             x[lo:hi] -= F[lo:hi, :lo] @ x[:lo]
@@ -471,7 +462,6 @@ class _ShiftedFactor:
         n = len(K)
         b = np.asarray(b, dtype=float)
         scale = float(np.abs(b).max())
-        self._inverse_blocks  # inverted once, for every correction
         x = np.zeros(n)
         r = b
         last = math.inf
@@ -610,7 +600,7 @@ def nested_order(target, nested_sets) -> list:
         s = list(s)
         cur = set(s)
         if target not in cur:
-            raise DataError("every nested set must contain the target sequence")
+            raise DataError(f"target {target!r} is absent from a nested set (size {len(s)})")
         if len(cur) != len(s):
             raise DataError("a nested set lists a sequence twice")
         if not prev < cur:

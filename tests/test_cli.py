@@ -481,11 +481,11 @@ class TestDiagnoseCommand:
 
     def test_certified_diagnose_factors_only_the_certificate(self, tmp_path,
                                                            monkeypatch):
-        # the certificate in construction, one call of 341 rows; the
-        # leading blocks inherit it, and every set, those below
-        # REFINE_ROWS too, refines on a view of its factor
+        # the certificate in construction, of 341 rows in 64-column
+        # panels; the leading blocks inherit it, and every set, those
+        # below REFINE_ROWS too, refines on a view of its factor
         import seqkern.rkhs
-        assert 85 < seqkern.rkhs.REFINE_ROWS <= 341 <= seqkern.rkhs._ONE_CALL_ROWS
+        assert 85 < seqkern.rkhs.REFINE_ROWS <= 341
         calls = []
 
         def counting_cholesky(K, shift, _cholesky=seqkern.rkhs._cholesky):
@@ -589,6 +589,24 @@ class TestDiagnoseCommand:
             assert [int(r["set_size"]) for r in rows] == [5, 21, 85]
             values.append([float(r["C"]) for r in rows])
         np.testing.assert_allclose(values[1], values[0], rtol=1e-14)
+
+    def test_set_file_without_the_target_refused(self, tmp_path, capsys):
+        # the second of three sets lacks the target: a data error naming
+        # the target and that set's size, and no output
+        paths = []
+        for i, letters in enumerate((["GA", "C"], ["C", "T", "AC"], ["GA", "C", "T", "AC"])):
+            path = tmp_path / f"set{i}.fasta"
+            write_fasta(path, [(f"s{j}", x) for j, x in enumerate(letters)])
+            paths.append(str(path))
+        out = tmp_path / "diag.csv"
+        code = main(["diagnose", "--alphabet", "dna", "--target", "GA",
+                     "--set-files", ",".join(paths), "--output", str(out),
+                     "--family", "imq_hamming", "--C", "1", "--beta", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "'GA'" in err and "size 3" in err
+        assert not out.exists()
 
     def test_imq_stabilizes(self, tmp_path):
         out = tmp_path / "diag.csv"

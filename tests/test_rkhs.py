@@ -44,8 +44,8 @@ from seqkern import (
 )
 
 import seqkern.rkhs
-from seqkern.rkhs import (PSD_RTOL, REFINE_ROWS, SINGULAR_RTOL, _ONE_CALL_ROWS, _TRIANGULAR_BLOCK,
-                          _ShiftedFactor, _certificate, _cholesky)
+from seqkern.rkhs import (PSD_RTOL, REFINE_ROWS, SINGULAR_RTOL, _TRIANGULAR_BLOCK, _ShiftedFactor,
+                          _certificate, _cholesky)
 
 from conftest import random_distinct_sequences
 
@@ -134,8 +134,8 @@ class TestGram:
     @pytest.mark.parametrize("n", [6, 300, 600])
     @pytest.mark.parametrize("factor", [0.0, 0.5, 0.98, 1.02, 2.0])
     def test_psd_slack_is_the_eigenvalue_rule(self, factor, n):
-        # min eigenvalue -factor * PSD_RTOL * trace, on 6 and 300 rows,
-        # factorised by one call, and on 600, in 64-column panels: away
+        # min eigenvalue -factor * PSD_RTOL * trace, on 6 rows, factorised
+        # by one call, and on 300 and 600, in 64-column panels: away
         # from the slack the decision is the eigenvalue rule's, the
         # factorisation alone accepts, and a refusal names the eigenvalue
         rng = np.random.default_rng(47)
@@ -378,8 +378,8 @@ class TestCertifiedSolves:
         assert G.solve_routes == Counter(jitter=1)
 
 
-def probe_gram(seed, kind, margin=1.0):
-    """A seeded PSD Gram of 256-700 rows for the certificate.
+def probe_gram(seed, kind, margin=1.0, n=None):
+    """A seeded PSD Gram of ``n`` rows, or 256-700, for the certificate.
 
     ``spread``: well conditioned.  ``early`` and ``late``: one row
     repeats an earlier one, inside the leading quarter or in the last
@@ -388,7 +388,7 @@ def probe_gram(seed, kind, margin=1.0):
     in a direction spread over every row or held by the leading eighth.
     """
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(256, 701))
+    n = n or int(rng.integers(256, 701))
     if kind in ("spread", "early", "late"):
         A = rng.normal(size=(n, 2 * n))
         if kind != "spread":
@@ -459,15 +459,18 @@ class TestCertificateProbe:
     """The blocked certificate is its own leading-block probe: it refuses
     within the panel of the first failing pivot and never certifies wrongly."""
 
-    CASES = ([(kind, seed, 1.0) for kind in ("spread", "early", "late") for seed in range(3)]
-             + [(kind, seed, margin) for kind in ("margin_spread", "margin_leading")
-                for seed, margin in enumerate((0.5, 0.98, 1.0, 1.02, 2.0))])
+    # seeded sizes of 256-700 rows, and one row either side of REFINE_ROWS
+    CASES = ([(kind, seed, 1.0, None) for kind in ("spread", "early", "late") for seed in range(3)]
+             + [(kind, seed, margin, None) for kind in ("margin_spread", "margin_leading")
+                for seed, margin in enumerate((0.5, 0.98, 1.0, 1.02, 2.0))]
+             + [(kind, 0, 1.0, n) for kind in ("spread", "early", "late")
+                for n in (REFINE_ROWS - 1, REFINE_ROWS, REFINE_ROWS + 1)])
 
-    @pytest.mark.parametrize("kind,seed,margin", CASES,
-                             ids=[f"{k}-{s}-{m}" for k, s, m in CASES])
+    @pytest.mark.parametrize("kind,seed,margin,size", CASES,
+                             ids=[f"{k}-{s}-{m}" + (f"-{n}" if n else "") for k, s, m, n in CASES])
     def test_probe_decides_as_the_whole_factorisation(self, cholesky_sizes, factored_blocks,
-                                                      kind, seed, margin):
-        K = probe_gram(50 + seed, kind, margin)
+                                                      kind, seed, margin, size):
+        K = probe_gram(50 + seed, kind, margin, size)
         n = len(K)
         shift = -2 * SINGULAR_RTOL * np.abs(K).sum(axis=1).max()
         whole = factorises(K, shift)
@@ -482,7 +485,7 @@ class TestCertificateProbe:
         if decisive:
             assert certified == whole, ratio
         assert cholesky_sizes == [n]
-        if n <= _ONE_CALL_ROWS:
+        if n < REFINE_ROWS:
             assert factored_blocks == [n]
         elif certified:
             assert factored_blocks == panel_sizes(n)
@@ -495,7 +498,7 @@ class TestCertificateProbe:
             assert not certified and pivot < 40
         elif kind == "late":
             assert not certified and pivot >= 3 * n // 4
-        elif kind == "margin_leading" and ratio < 0.95 and n > _ONE_CALL_ROWS:
+        elif kind == "margin_leading" and ratio < 0.95 and n >= REFINE_ROWS:
             # the leading eighth holds the small eigenvalue and refuses
             assert len(factored_blocks) <= (n // 8 - 1) // _TRIANGULAR_BLOCK + 1
 
@@ -512,7 +515,7 @@ class TestCertificateProbe:
 
 
 # one certified and one degenerate Gram over DNA up to length 4, 341
-# rows, each factorised by one call; the window counts give the empty
+# rows, each factorised in 64-column panels; the window counts give the empty
 # and one-letter sequences zero rows, so the plain Cholesky of the
 # degenerate one fails and a ridge solve of it escalates its jitter
 KEPT_CASES = {"imq_hamming": imq_hamming_kernel(1.0, 2.0),
@@ -576,7 +579,7 @@ class TestEntriesKept:
         def interrupted(M):
             # the shift is on a copy, never on the Gram's own entries
             assert not np.shares_memory(M, G.entries)
-            assert not np.array_equal(M.diagonal(), expected.diagonal())
+            assert not np.array_equal(M.diagonal(), expected.diagonal()[:len(M)])
             raise KeyboardInterrupt
 
         monkeypatch.setattr(np.linalg, "cholesky", interrupted)
@@ -637,7 +640,7 @@ class TestRefinedSolves:
         G = gram(k, sets[-1])
         K = G.entries
         n = len(K)
-        assert G._certified and n > _ONE_CALL_ROWS
+        assert G._certified and n >= REFINE_ROWS
         # one factorisation, the certificate's, in 64-column panels
         assert cholesky_sizes == [n]
         assert factored_blocks == panel_sizes(n)
@@ -749,6 +752,33 @@ class TestRefinedSolves:
             assert abs(c - expected) <= 1e-12 * expected
         assert G.solve_routes == Counter(factorised=5)
 
+    @pytest.mark.parametrize("n", [REFINE_ROWS - 1, REFINE_ROWS, REFINE_ROWS + 1])
+    def test_a_gram_keeps_its_factor_from_refine_rows(self, monkeypatch, n):
+        # the certificate's factor is kept exactly when it was built in
+        # panels, with one inverted diagonal block per panel, so no
+        # refinement inverts anything
+        G = gram(imq_hamming_kernel(1.0, 2.0), tcr_like(n))
+        assert G._certified
+        assert (G._factor is not None) == (n >= REFINE_ROWS)
+        inversions = []
+
+        def counting_inv(M, _inv=np.linalg.inv):
+            inversions.append(len(M))
+            return _inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        y = np.random.default_rng(71).normal(size=n)
+        if G._factor is None:
+            G.solve_pinv(y)
+            assert G.solve_routes == Counter(factorised=1)
+            return
+        assert len(G._factor.inverses) == math.ceil(n / _TRIANGULAR_BLOCK)
+        assert G._factor.refine(G.entries, y, 0.0) is not None
+        G.solve_ridge(y, 1e-3 * np.trace(G.entries) / n)
+        G.solve_pinv(y)
+        assert G.solve_routes == Counter(refined=2)
+        assert inversions == []
+
     def test_a_refined_solve_allocates_no_gram_sized_array(self):
         n = 1200
         G = gram(imq_hamming_kernel(), tcr_like(n, seed=61))
@@ -781,9 +811,9 @@ class TestRefinedSolves:
             assert relative_error(x, direct) <= 1e-12
 
 
-# sizes at the one-call size, one row above it, and one row either side
-# of whole panels
-BLOCKED_SIZES = sorted({_ONE_CALL_ROWS, _ONE_CALL_ROWS + 1}
+# sizes one row below REFINE_ROWS (one call), at it and one row above it
+# (in panels), and one row either side of whole panels
+BLOCKED_SIZES = sorted({REFINE_ROWS - 1, REFINE_ROWS, REFINE_ROWS + 1}
                        | {k * _TRIANGULAR_BLOCK + d for k in (9, 16) for d in (-1, 1)})
 
 
@@ -793,7 +823,7 @@ def tcr_gram():
 
 
 class TestBlockedCholesky:
-    """One routine factors every Gram: above ``_ONE_CALL_ROWS`` rows in
+    """One routine factors every Gram: from ``REFINE_ROWS`` rows on in
     64-column panels that read the entries and never write them."""
 
     @pytest.mark.parametrize("sign", [-1, 1])
@@ -806,15 +836,16 @@ class TestBlockedCholesky:
         factor = _cholesky(K, shift)
         want = scipy_linalg.cholesky(K + shift * np.eye(n), lower=True)
         assert relative_error(factor.F, want) <= 1e-14
-        # a blocked factorisation keeps the inverses it computed, those a
-        # factor inverts on its own
-        assert ("_inverse_blocks" in vars(factor)) == (n > _ONE_CALL_ROWS)
-        rebuilt = seqkern.rkhs._ShiftedFactor(factor.F)
-        assert len(factor._inverse_blocks) == len(rebuilt._inverse_blocks)
-        for kept, inverted in zip(factor._inverse_blocks, rebuilt._inverse_blocks):
-            assert kept.tobytes() == inverted.tobytes()
+        # a factorisation in panels keeps the inverses it computed, those of
+        # its diagonal blocks; a one-call factor holds none
+        assert (factor.inverses is not None) == (n >= REFINE_ROWS)
+        if factor.inverses is not None:
+            F, B = factor.F, _TRIANGULAR_BLOCK
+            assert len(factor.inverses) == math.ceil(n / B)
+            for lo, kept in zip(range(0, n, B), factor.inverses):
+                assert kept.tobytes() == np.tril(np.linalg.inv(F[lo:lo + B, lo:lo + B])).tobytes()
 
-    @pytest.mark.parametrize("n", [_ONE_CALL_ROWS, _ONE_CALL_ROWS + 1])
+    @pytest.mark.parametrize("n", [REFINE_ROWS - 1, REFINE_ROWS, REFINE_ROWS + 1])
     def test_factorisations_leave_the_matrix_as_it_was(self, n):
         # a certified imq_hamming Gram, and a window-count Gram refused in
         # its first rows, whole and as a leading-block view
@@ -834,7 +865,7 @@ class TestBlockedCholesky:
         K = tcr_gram
         whole = _cholesky(K, -1e-9)
         for m in range(_TRIANGULAR_BLOCK, len(K), _TRIANGULAR_BLOCK):
-            if m > _ONE_CALL_ROWS:
+            if m >= REFINE_ROWS:
                 block = _cholesky(K[:m, :m], -1e-9)
                 assert block.F.tobytes() == np.ascontiguousarray(whole.F[:m, :m]).tobytes()
 
@@ -851,7 +882,7 @@ class TestBlockedCholesky:
         scipy_linalg = pytest.importorskip("scipy.linalg")
         K = tcr_gram
         n = len(K)
-        assert n > _ONE_CALL_ROWS
+        assert n >= REFINE_ROWS
         G = GramMatrix(imq_hamming_kernel(1.0, 2.0), tcr_like(n), K)
         y = np.random.default_rng(69).normal(size=n)
         ridge = 10.0 * np.trace(K) / n
@@ -865,9 +896,9 @@ class TestBlockedCholesky:
 
 
 # one-block factors, one row either side of a whole block, the largest
-# one-call factor and the smallest blocked one
+# one-call factor and the two smallest in panels
 TRIANGULAR_SIZES = [1, _TRIANGULAR_BLOCK - 1, _TRIANGULAR_BLOCK, _TRIANGULAR_BLOCK + 1,
-                    _ONE_CALL_ROWS, _ONE_CALL_ROWS + 1]
+                    REFINE_ROWS - 1, REFINE_ROWS, REFINE_ROWS + 1]
 
 
 class TestTriangularSolve:
@@ -880,10 +911,10 @@ class TestTriangularSolve:
         scipy_linalg = pytest.importorskip("scipy.linalg")
         K = tcr_gram[:n, :n]
         factor = _certificate(K)
-        F = factor.F
-        # a blocked factorisation keeps its inverses; a one-call factor
-        # has none until a refinement inverts its blocks
-        assert ("_inverse_blocks" in vars(factor)) == (n > _ONE_CALL_ROWS)
+        F, inverses = factor.F, factor.inverses
+        # a factorisation in panels keeps its inverses; a one-call factor
+        # has none, and a refinement inverts nothing
+        assert (inverses is not None) == (n >= REFINE_ROWS)
         y = np.random.default_rng(70).normal(size=n)
         rows = sorted({1, _TRIANGULAR_BLOCK + 1, n - 1, n} & set(range(1, n + 1)))
 
@@ -892,18 +923,18 @@ class TestTriangularSolve:
 
         before = solves(factor)
         assert factor.refine(K, y, 0.0) is not None
-        assert "_inverse_blocks" in vars(factor)
-        inverted = solves(factor)
+        assert factor.inverses is inverses
+        after = solves(factor)
         plain = _ShiftedFactor(F)
         direct = solves(plain)
-        assert "_inverse_blocks" not in vars(plain)
-        for results in (before, inverted, direct):
+        assert plain.inverses is None
+        for results in (before, after, direct):
             for m, (x, z) in zip(rows, results):
                 Fm = F[:m, :m]
                 assert relative_error(x, scipy_linalg.cho_solve((Fm, True), y[:m])) <= 1e-13
                 want = scipy_linalg.solve_triangular(Fm, y[:m], lower=True)
                 assert relative_error(z, want) <= 1e-13
-        for (x, z), (u, v) in zip(inverted, direct):
+        for (x, z), (u, v) in zip(before, direct):
             assert relative_error(x, u) <= 1e-13
             assert relative_error(z, v) <= 1e-13
 
@@ -942,10 +973,10 @@ class TestNumpyAlone:
         done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        # 85 rows factorise every solve; above _ONE_CALL_ROWS two fits
+        # 85 rows factorise every solve; from REFINE_ROWS on two fits
         # refine, the large ridge gives up and factorises in panels, and so
         # do the diagnostic's sets once the factor is dropped
-        assert 85 < REFINE_ROWS and 1365 > _ONE_CALL_ROWS
+        assert 85 < REFINE_ROWS <= 1365
         assert done.stdout.splitlines() == ["85 [('factorised', 6)]",
                                             "1365 [('factorised', 6), ('refined', 2)]"]
 
