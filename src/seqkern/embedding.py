@@ -188,9 +188,15 @@ class EuclideanKernel:
         self.gamma = float(gamma)
 
     def of_sqdist(self, d2):
+        """The kernel at squared distances ``d2``, computed in one fresh
+        array, so a Gram peaks at ``d2`` and its values."""
+        d2 = np.asarray(d2, dtype=float)
+        f = np.empty_like(d2)
         if self.form == "imq":
-            return 1.0 / (1.0 + d2)
-        return np.exp(-self.gamma * d2)
+            np.divide(1.0, np.add(d2, 1.0, out=f), out=f)
+        else:
+            np.exp(np.multiply(d2, -self.gamma, out=f), out=f)
+        return f[()]  # a scalar for a scalar d2
 
 
 #: Element cap on each ``rows x len(B) x D`` difference block of

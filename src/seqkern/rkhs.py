@@ -20,33 +20,33 @@ blocks and stopping at the first diagonal block that fails, so a
 degenerate Gram is refused within the panel of its first failing
 pivot.
 
-A factor built in panels holds those inverses, and a certified Gram
-keeps its certificate's factor ``F`` exactly when it does.  Its ridge
-and minimum-norm solves and the diagnostic's ``(K^-1)_tt`` then
-factorise nothing more: they solve ``(K + sI) x = b`` by
-fixed-precision iterative refinement,
-``x <- x + F^-T F^-1 (b - (K + sI) x)``, which contracts by
-``(c + s) / (lambda_min - c)``.  A refinement that stops contracting
-gives up, drops the factor, and runs the code of a smaller Gram: ridge
-fits factor ``K + ridge I``, with jitter escalation, and minimum-norm
-fits and the diagnostic use one Cholesky factor of a certified ``K``.
-Uncertified Grams solve by the eigendecomposition.  Eigenvalues serve
-the minimum eigenvalue, which is computed only when asked for, and the
-inconclusive rules; eigenvectors are computed only for the solves that
-need them.  The diagnostic builds one Gram, over the largest set, and
-reads every smaller set's Gram as a leading block of it, which shares
-the kept factor whatever its size.  Every Cholesky solve is
-:meth:`_ShiftedFactor.solve`, blocked substitutions in numpy, O(n^2)
-per right-hand side.
+Ridge fits, minimum-norm fits and the diagnostic's ``(K^-1)_tt`` are
+one solve of ``(K + sI) x = b``, :meth:`GramMatrix._solve`, and ridge 0
+is the minimum-norm fit.  A certified Gram of at least ``REFINE_ROWS``
+rows keeps its certificate's factor ``F`` and solves by fixed-precision
+iterative refinement, ``x <- x + F^-T F^-1 (b - (K + sI) x)``, which
+contracts by ``(c + s) / (lambda_min - c)``; a refinement that stops
+contracting gives up and drops the factor.  Without a kept factor, a
+system that is provably positive definite (a certified Gram, or a
+shift above the PSD rule's slack) is solved directly: by one LAPACK
+``gesv`` below ``REFINE_ROWS`` rows, which is backward stable on it,
+and from there on by :meth:`_ShiftedFactor.solve` on a factor of
+``K + sI`` in panels.  Every other system solves by the
+eigendecomposition, dropping the eigenvalues of ``K + sI`` at or below
+``SINGULAR_RTOL`` times the largest, so a singular Gram still gives the
+minimum-norm answer.  Eigenvalues serve the minimum eigenvalue, which
+is computed only when asked for, and the inconclusive rules;
+eigenvectors are computed only for the solves that need them.  The
+diagnostic builds one Gram, over the largest set, and reads every
+smaller set's Gram as a leading block of it, which shares the kept
+factor whatever its size.
 
 A Gram holds its entries, the kept factor of a large certified Gram
-with the inverses of its 64-row diagonal blocks from construction, the
-cached Cholesky factor of ``K`` once a solve of any other certified
-Gram asks for it, and an eigendecomposition only on demand: two n x n
-arrays after a solve.  No factorisation writes the entries.  One of
-fewer than ``REFINE_ROWS`` rows peaks at the entries, a shifted copy,
-the factor and numpy's LAPACK work buffer; a larger one at the entries,
-the factor and one n x 64 panel.
+with the inverses of its 64-row diagonal blocks from construction, and
+an eigendecomposition only on demand.  No factorisation writes the
+entries.  One of fewer than ``REFINE_ROWS`` rows peaks at the entries,
+a shifted copy, the factor and numpy's LAPACK work buffer; a larger one
+at the entries, the factor and one n x 64 panel.
 """
 
 from __future__ import annotations
@@ -72,13 +72,15 @@ PSD_RTOL = 1e-8
 #: the one size rule of the factorisations: at least this many rows are
 #: factored in 64-column panels that keep their inverted diagonal blocks,
 #: and a certified Gram keeps that factor and solves on it by refinement;
-#: fewer are one LAPACK call, and each solve factorises.  A certificate, a
-#: ridge fit, a minimum-norm fit and one ``(K^-1)_tt`` of a tcr-like
-#: ``imq_hamming`` Gram, 2 vCPUs, 2 BLAS threads, median of 150, in us
-#: (the certificate and the ridge fit alone in brackets):
-#:   rows              64         96         128          160          192
-#:   refined    438 (331)  607 (468)   781 (604)   1067 (801)  1416 (1237)
-#:   factorised 321 (166)  478 (255)   972 (573)  1605 (1096)  2479 (1635)
+#: fewer are one LAPACK call, and each solve is one ``np.linalg.solve``.
+#: A certificate, a ridge fit, a minimum-norm fit and one ``(K^-1)_tt`` of
+#: a tcr-like ``imq_hamming`` Gram, 2 vCPUs, 2 BLAS threads, median of
+#: 200, in us (the certificate and the ridge fit alone in brackets):
+#:   rows          96         128          160          192          256
+#:   refined  560 (441)   743 (605)    986 (809)  1229 (1031)  1654 (1418)
+#:   direct   295 (159)   707 (408)   1054 (617)   1683 (999)  2889 (1648)
+#: The four tasks cross over between 144 and 160 rows, but every further
+#: solve costs a refinement O(n^2) and a direct solve O(n^3).
 REFINE_ROWS = 128
 
 
@@ -103,28 +105,24 @@ class GramMatrix:
     A certified Gram of at least ``REFINE_ROWS`` rows keeps the
     certificate's factor, which :func:`_cholesky` built in panels with
     the inverses of its diagonal blocks: it holds two n x n arrays from
-    construction, and :meth:`solve_ridge`, :meth:`solve_pinv` and the
-    diagnostic's ``(K^-1)_tt`` refine on that factor without
-    factorising again, as do its leading blocks.  A refinement that
-    gives up drops the factor, and the solve runs the code of a smaller
-    certified Gram: :meth:`solve_ridge` factors ``K + ridge I`` (with
-    jitter escalation), and :meth:`solve_pinv` and ``(K^-1)_tt`` use a
-    cached Cholesky factor of ``K``; every route but the
-    eigendecomposition solves by :meth:`_ShiftedFactor.solve`.  Without
+    construction.  :meth:`solve_ridge`, :meth:`solve_pinv` and the
+    diagnostic's ``(K^-1)_tt`` are each one call of :meth:`_solve`,
+    which refines on that factor without factorising again, as do the
+    leading blocks; a refinement that gives up drops the factor.  Without
     the certificate, :meth:`is_singular` tries a shifted factorisation
     first and reads the cached :attr:`eigenvalues` (no eigenvectors)
-    only when that succeeds, and the solves use the eigendecomposition
-    :meth:`eig`, so every answer means what the eigenvalue rule says it
-    means, up to round-off at its thresholds.  No Gram computes an
-    eigenvalue unless :attr:`min_eigenvalue` or :attr:`eigenvalues` is
-    read or a rule's factorisation is inconclusive.  :meth:`leading`
-    gives the Gram of the first ``n`` sequences as a block of this one.
+    only when that succeeds, and a solve that the PSD rule's slack does
+    not prove positive definite uses the eigendecomposition :meth:`eig`,
+    so every answer means what the eigenvalue rule says it means, up to
+    round-off at its thresholds.  No Gram computes an eigenvalue unless
+    :attr:`min_eigenvalue` or :attr:`eigenvalues` is read or a rule's
+    factorisation is inconclusive.  :meth:`leading` gives the Gram of the
+    first ``n`` sequences as a block of this one.
 
     :attr:`solve_routes`, a :class:`collections.Counter` shared with the
     leading blocks, counts each solve by the route that answered it:
-    ``refined``, ``factorised`` (a Cholesky factor of ``K``, or of
-    ``K + ridge I``), ``jitter`` (a ridge factorisation that needed
-    jitter) or ``eigen``.
+    ``refined``, ``factorised`` (``gesv``, or a factor in panels, of
+    ``K + sI``) or ``eigen``.
     """
 
     def __init__(self, kernel: Kernel, sequences: list, entries: np.ndarray):
@@ -235,11 +233,6 @@ class GramMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0]) if len(self) else 0.0
 
-    @functools.cached_property
-    def _certified_factor(self) -> Optional[_ShiftedFactor]:
-        """Cholesky factor of ``K`` if the certificate holds, else None."""
-        return _cholesky(self.entries, 0.0) if self._certified else None
-
     def is_singular(self) -> bool:
         """The eigenvalue rule: ``lambda_min <= SINGULAR_RTOL lambda_max``.
 
@@ -261,78 +254,60 @@ class GramMatrix:
         w = self.eigenvalues
         return float(w[0]) <= SINGULAR_RTOL * float(w[-1])
 
-    def _refined(self, b: np.ndarray, shift: float) -> Optional[np.ndarray]:
-        """``(K + shift I)^-1 b`` refined on the kept factor, or None.
-
-        None without a kept factor, or when the refinement gives up; a
-        factor that failed to solve one system is dropped, so later
-        solves factorise at once and the Gram never holds two factors.
-        """
-        if self._factor is None:
-            return None
-        x = self._factor.refine(self.entries, b, shift)
-        if x is None:
-            self._factor = None
-        else:
-            self.solve_routes["refined"] += 1
-        return x
-
     def solve_ridge(self, b: np.ndarray, ridge: float) -> np.ndarray:
-        """Solve ``(K + ridge I) a = b``: refined on a kept factor, or by
-        Cholesky with jitter escalation."""
-        x = self._refined(b, ridge)
-        if x is not None:
-            return x
-        K = self.entries
-        tr = max(float(np.trace(K)), 1e-300)
-        jitter = 0.0
-        while True:
-            factor = _cholesky(K, ridge + jitter)
-            if factor is not None:
-                self.solve_routes["jitter" if jitter else "factorised"] += 1
-                return factor.solve(b)
-            jitter = 1e-12 * tr if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-6 * tr:
-                break
-        # eigendecomposition fallback
-        self.solve_routes["eigen"] += 1
-        w, V = self.eig()
-        w = np.maximum(w + ridge, 0.0)
-        inv = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-        return V @ (inv * (V.T @ b))
+        """Solve ``(K + ridge I) a = b``; ridge 0 is :meth:`solve_pinv`."""
+        return self._solve(b, ridge)
 
     def solve_pinv(self, b: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares solution of ``K a = b``."""
-        x = self._refined(b, 0.0)
-        if x is not None:
-            return x
-        factor = self._certified_factor
-        if factor is not None:
-            self.solve_routes["factorised"] += 1
-            return factor.solve(b)
-        self.solve_routes["eigen"] += 1
-        w, V = self.eig()
-        wmax = float(w.max()) if len(self) else 0.0
-        cut = SINGULAR_RTOL * max(wmax, 1e-300)
-        inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-        return V @ (inv * (V.T @ b))
+        return self._solve(b, 0.0)
 
     def _inverse_diagonal(self, i: int) -> float:
         """``(K^-1)_ii`` of a Gram that is not singular."""
         unit = np.zeros(len(self))
         unit[i] = 1.0
-        x = self._refined(unit, 0.0)
-        if x is not None:
-            return float(x[i])
-        factor = self._certified_factor
-        if factor is not None:
-            self.solve_routes["factorised"] += 1
-            # K^-1 = F^-T F^-1, so (K^-1)_ii = ||F^-1 e_i||^2
-            z = factor.solve(unit, forward=True)
-            return float(z @ z)
+        return float(self._solve(unit, 0.0)[i])
+
+    def _solve(self, b: np.ndarray, shift: float) -> np.ndarray:
+        """``(K + shift I)^-1 b``, minimum-norm where ``K + shift I`` is
+        singular, by the first route that applies:
+
+        - ``refined`` on the kept factor; a refinement that gives up
+          drops the factor;
+        - ``factorised`` where ``K + shift I`` is provably positive
+          definite, for a certified Gram or a shift above the PSD rule's
+          slack ``PSD_RTOL tr(K)``: one ``np.linalg.solve`` below
+          ``REFINE_ROWS`` rows, else a factor in panels, if it factorises;
+        - ``eigen``, dropping the eigenvalues of ``K + shift I`` at or
+          below ``SINGULAR_RTOL`` times the largest.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.shape != (len(self),):
+            raise DataError(f"a right-hand side of shape {b.shape} "
+                            f"does not fit a Gram of {len(self)} rows")
+        if not (math.isfinite(shift) and shift >= 0):
+            raise DataError(f"ridge must be finite and nonnegative, got {shift}")
+        K = self.entries
+        if self._factor is not None:
+            x = self._factor.refine(K, b, shift)
+            if x is not None:
+                self.solve_routes["refined"] += 1
+                return x
+            self._factor = None
+        if self._certified or shift > PSD_RTOL * float(np.trace(K)):
+            if len(K) < REFINE_ROWS:
+                self.solve_routes["factorised"] += 1
+                return np.linalg.solve(_shifted(K, shift), b)
+            factor = _cholesky(K, shift)
+            if factor is not None:
+                self.solve_routes["factorised"] += 1
+                return factor.solve(b)
         self.solve_routes["eigen"] += 1
         w, V = self.eig()
-        return float((V[i] ** 2 / w).sum())
+        w = w + shift
+        kept = w > SINGULAR_RTOL * w.max(initial=0.0)
+        inv = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
+        return V @ (inv * (V.T @ b))
 
 
 #: row block of the triangular solves and panel of the blocked
@@ -359,10 +334,7 @@ def _cholesky(K: np.ndarray, shift: float) -> Optional[_ShiftedFactor]:
     n = len(K)
     try:
         if n < REFINE_ROWS:
-            if shift:
-                K = np.array(K)
-                np.fill_diagonal(K, K.diagonal() + shift)
-            return _ShiftedFactor(np.linalg.cholesky(K))
+            return _ShiftedFactor(np.linalg.cholesky(_shifted(K, shift)))
         B = _TRIANGULAR_BLOCK
         F = np.zeros((n, n))
         inverses = []
@@ -377,6 +349,15 @@ def _cholesky(K: np.ndarray, shift: float) -> Optional[_ShiftedFactor]:
         return _ShiftedFactor(F, inverses)
     except np.linalg.LinAlgError:
         return None
+
+
+def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
+    """``K + shift I`` in a new array, or ``K`` itself for no shift."""
+    if not shift:
+        return K
+    K = np.array(K)
+    np.fill_diagonal(K, K.diagonal() + shift)
+    return K
 
 
 def _certificate(K: np.ndarray) -> Optional[_ShiftedFactor]:
@@ -407,15 +388,15 @@ _EPS = float(np.finfo(float).eps)
 class _ShiftedFactor:
     """A lower Cholesky factor ``F`` of ``K + shift I``, from :func:`_cholesky`.
 
-    A factor of at least ``REFINE_ROWS`` rows holds :attr:`inverses`,
-    the inverted 64-row diagonal blocks of its panels, and only such a
-    factor is kept for refinement: ``refine`` solves ``(K + sI) x = b``
-    for any ``s >= 0``, with ``K`` the certified Gram or a leading block
-    of it, whose factor is the leading block of ``F``.  Each correction
-    costs one product with ``K`` and one :meth:`solve`, whose sweeps
-    multiply by the inverses if the factor holds them, and otherwise,
-    on a one-call factor, call ``np.linalg.solve`` on each block, under
-    a third of the cost of inverting it.  No n x n array is allocated.
+    A factor of fewer than ``REFINE_ROWS`` rows is only a pass or fail of
+    the certificate, PSD and singularity rules.  One of at least
+    ``REFINE_ROWS`` rows holds :attr:`inverses`, the inverted 64-row
+    diagonal blocks of its panels, and :meth:`solve` multiplies by them.
+    A certified Gram keeps its certificate's factor for :meth:`refine`,
+    which solves ``(K + sI) x = b`` for any ``s >= 0``, with ``K`` the
+    certified Gram or a leading block of it, whose factor is the leading
+    block of ``F``.  Each correction costs one product with ``K`` and one
+    :meth:`solve`.  No n x n array is allocated.
     """
 
     #: ``||K||_inf`` of the certified Gram, at least that of a block; set
@@ -428,25 +409,19 @@ class _ShiftedFactor:
         # leading block, so a truncated last block needs no inverse of its own
         self.inverses = inverses
 
-    def solve(self, b: np.ndarray, forward: bool = False) -> np.ndarray:
-        """``(F_n F_n^T)^-1 b``, or with ``forward`` only ``F_n^-1 b``, for
-        ``F_n`` the leading n x n block of ``F`` and ``n = len(b)``."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``(F_n F_n^T)^-1 b`` for ``F_n`` the leading n x n block of ``F``
+        and ``n = len(b)``: forward and back sweeps in 64-row blocks."""
         F, B, n = self.F, _TRIANGULAR_BLOCK, len(b)
         blocks = [(lo, min(lo + B, n)) for lo in range(0, n, B)]
-        if self.inverses is None:
-            apply, diagonal = np.linalg.solve, [F[lo:hi, lo:hi] for lo, hi in blocks]
-        else:
-            apply, diagonal = np.matmul, [D[: hi - lo, : hi - lo]
-                                          for D, (lo, hi) in zip(self.inverses, blocks)]
+        diagonal = [D[: hi - lo, : hi - lo] for D, (lo, hi) in zip(self.inverses, blocks)]
         x = np.array(b, dtype=float)
         for (lo, hi), D in zip(blocks, diagonal):
             x[lo:hi] -= F[lo:hi, :lo] @ x[:lo]
-            x[lo:hi] = apply(D, x[lo:hi])
-        if forward:
-            return x
+            x[lo:hi] = D @ x[lo:hi]
         for (lo, hi), D in reversed(list(zip(blocks, diagonal))):
             x[lo:hi] -= F[hi:n, lo:hi].T @ x[hi:]
-            x[lo:hi] = apply(D.T, x[lo:hi])
+            x[lo:hi] = D.T @ x[lo:hi]
         return x
 
     def refine(self, K: np.ndarray, b: np.ndarray, s: float) -> Optional[np.ndarray]:
@@ -506,20 +481,14 @@ class RegressionFit:
 def fit_regression(G: GramMatrix, y: np.ndarray, ridge: float = 0.0) -> RegressionFit:
     """Fit ``f = sum_n a_n k(s_n, .)`` to labels ``y``.
 
-    ``ridge > 0`` solves ``(K + ridge I) a = y``; ``ridge = 0`` returns
-    the minimum-norm least-squares coefficients, which is what exposes
+    Solves ``(K + ridge I) a = y`` for a finite ``ridge >= 0``; ridge 0
+    is the minimum-norm least-squares fit, which is what exposes
     degenerate kernels: labels orthogonal to the Gram's column space
-    simply project to zero.
+    simply project to zero.  :meth:`GramMatrix._solve` refuses labels not
+    one per support sequence and any other ridge with :class:`DataError`.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (len(G),):
-        raise DataError("label vector must match the Gram dimension")
-    if not (math.isfinite(ridge) and ridge >= 0):
-        raise DataError(f"ridge must be finite and nonnegative, got {ridge}")
-    if ridge > 0:
-        alpha = G.solve_ridge(y, ridge)
-    else:
-        alpha = G.solve_pinv(y)
+    # the same solve either way; the names let a profile tell the fits apart
+    alpha = G.solve_pinv(y) if ridge == 0 else G.solve_ridge(y, ridge)
     return RegressionFit(G.kernel, G.sequences, alpha, ridge)
 
 

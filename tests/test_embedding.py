@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -50,6 +51,15 @@ class TestEuclideanKernel:
     def test_imq_value_at_distance_two(self):
         k = EuclideanKernel("imq")
         assert k.of_sqdist(2.0 ** 2) == pytest.approx(0.2, rel=1e-14)
+
+    @pytest.mark.parametrize("form", ["imq", "rbf"])
+    def test_values_are_the_closed_forms_bit_for_bit(self, form):
+        k = EuclideanKernel(form, 0.7)
+        d2 = np.random.default_rng(3).exponential(size=(40, 30))
+        d2[0, 0] = 0.0
+        want = 1.0 / (1.0 + d2) if form == "imq" else np.exp(-0.7 * d2)
+        assert k.of_sqdist(d2).tobytes() == want.tobytes()
+        assert k.of_sqdist(float(d2[1, 2])) == want[1, 2]
 
     def test_validation(self):
         with pytest.raises(DataError):
@@ -200,6 +210,22 @@ class TestScaledEmbedding:
 
 
 class TestEmbeddingKernel:
+    @pytest.mark.parametrize("form", ["imq", "rbf"])
+    def test_gram_peaks_at_the_distances_and_the_values(self, form):
+        # the squared distances and one array of kernel values, no
+        # temporary of their size; the embedding's vectors are n x 16
+        n = 2000
+        seqs = random_distinct_sequences(np.random.default_rng(61), PROTEIN, n, 17, min_len=10)
+        emb = scaled_embedding(random_ball_embedding(seed=3, dim=16), 0.1, PROTEIN.size)
+        k = embedding_kernel(emb, EuclideanKernel(form, 0.7))
+        tracemalloc.start()
+        try:
+            k.pairwise(seqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * n * 8, peak / (n * n * 8)
+
     def test_unit_self_similarity(self):
         k = embedding_kernel(random_ball_embedding(seed=4, dim=6),
                              EuclideanKernel("imq"))

@@ -213,9 +213,9 @@ class TestRegression:
 
     @pytest.mark.parametrize("ridge", [math.nan, math.inf])
     def test_non_finite_ridge_refused(self, ridge):
-        # a NaN ridge fails `ridge > 0` and would run the minimum-norm fit;
-        # an infinite one passes refinement's first test and would return
-        # its first correction, not the limit 0
+        # a NaN ridge would give NaN coefficients; an infinite one passes
+        # refinement's first test and would return its first correction,
+        # not the limit 0
         G = gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS)
         kept = G._factor
         assert kept is not None
@@ -241,6 +241,12 @@ def eig_pinv(K, b, rtol=SINGULAR_RTOL):
     w, V = np.linalg.eigh(K)
     inv = np.where(w > rtol * w.max(), 1.0 / np.where(w > rtol * w.max(), w, 1.0), 0.0)
     return V @ (inv * (V.T @ b))
+
+
+def rank_deficient_gram():
+    """The uncertified window-count Gram over a one-letter sequence, which
+    has no length-2 window, and the eight of length 3: rank deficient."""
+    return gram(weighted_degree_kernel(2), [seq(AB, "A")] + WD_SETS["a1"])
 
 
 def eig_is_singular(K, rtol=SINGULAR_RTOL):
@@ -359,23 +365,19 @@ class TestCertifiedSolves:
         if factor < 0.95:
             assert "eigenvalues" not in G.__dict__
 
-    def test_ridge_jitter_escalation_on_rank_deficient_gram(self):
+    def test_ridge_zero_on_a_rank_deficient_gram_is_the_minimum_norm_fit(self):
         # a one-letter sequence has no length-2 window: its zero row
-        # stops the plain Cholesky of K at the first pivot, so the solve
-        # escalates to the first jitter
-        G = gram(weighted_degree_kernel(2), [seq(AB, "A")] + WD_SETS["a1"])
+        # stops the plain Cholesky of K at the first pivot, and the
+        # uncertified Gram solves by its eigendecomposition
+        G = rank_deficient_gram()
         K = G.entries
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(K)
         y = np.random.default_rng(49).normal(size=len(K))
         alpha = G.solve_ridge(y, 0.0)
-        # the null-space part of the answer is y_null / jitter, so this
-        # pins the jitter; round-off perturbs it by about eps ||K|| / jitter
-        jitter = 1e-12 * np.trace(K)
-        direct = np.linalg.solve(K + jitter * np.eye(len(K)), y)
-        np.testing.assert_allclose(alpha, direct, rtol=1e-3)
-        assert G._eig is None  # no eigendecomposition fallback
-        assert G.solve_routes == Counter(jitter=1)
+        np.testing.assert_allclose(alpha, eig_pinv(K, y), rtol=1e-9, atol=1e-12)
+        assert np.abs(alpha).max() < 1.0
+        assert G.solve_routes == Counter(eigen=1)
 
 
 def probe_gram(seed, kind, margin=1.0, n=None):
@@ -517,7 +519,7 @@ class TestCertificateProbe:
 # one certified and one degenerate Gram over DNA up to length 4, 341
 # rows, each factorised in 64-column panels; the window counts give the empty
 # and one-letter sequences zero rows, so the plain Cholesky of the
-# degenerate one fails and a ridge solve of it escalates its jitter
+# degenerate one fails and its minimum-norm solves use the eigendecomposition
 KEPT_CASES = {"imq_hamming": imq_hamming_kernel(1.0, 2.0),
               "weighted_degree": weighted_degree_kernel(2)}
 KEPT_SEQS = enumerate_up_to(DNA, 4)
@@ -604,13 +606,18 @@ def relative_error(x, reference):
     return float(np.abs(x - reference).max() / np.abs(reference).max())
 
 
-def factorised_inverse_diagonal(K, t):
-    """``(K^-1)_tt`` as the squared norm of the forward sweep of ``e_t`` on
-    a fresh Cholesky factor of ``K``."""
-    unit = np.zeros(len(K))
+def unit_vector(n, t):
+    unit = np.zeros(n)
     unit[t] = 1.0
-    z = _cholesky(K, 0.0).solve(unit, forward=True)
-    return float(z @ z)
+    return unit
+
+
+def near_margin_gram(n=None):
+    """A certified Gram whose lambda_min is 1.02 times the certificate's
+    shift, of 256-700 rows or ``n``."""
+    K = probe_gram(57, "margin_spread", 1.02, n)
+    seqs = random_distinct_sequences(np.random.default_rng(65), DNA, len(K), 8)
+    return GramMatrix(IdentityKernel(), seqs, K)
 
 
 def tcr_like(n, seed=63):
@@ -630,8 +637,9 @@ REFINED_CASES = {
 
 class TestRefinedSolves:
     """A large certified Gram and its leading blocks solve on its
-    certificate's factor alone, and every other Gram, or a refinement
-    that gives up, runs the factorisations of a small Gram, bit for bit."""
+    certificate's factor alone; a smaller certified Gram solves by one
+    ``np.linalg.solve``, and a refinement that gives up by a factor of
+    ``K + sI`` in panels, bit for bit."""
 
     @pytest.mark.parametrize("name", REFINED_CASES)
     def test_refined_fits_match_direct_solves(self, cholesky_sizes, factored_blocks, name):
@@ -674,7 +682,7 @@ class TestRefinedSolves:
 
     def test_a_ridge_far_above_lambda_min_is_factorised(self):
         # the refinement diverges, gives up and drops the factor, so the
-        # minimum-norm fit after it factorises K as a small Gram would
+        # minimum-norm fit after it factorises K in panels
         G = gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS)
         K = G.entries
         assert G._factor is not None
@@ -691,19 +699,17 @@ class TestRefinedSolves:
         # lambda_min 1.02 times the certificate's shift: certified, but
         # the refinement grows the error about 50-fold a step, so its
         # second correction fails to halve the backward error and it gives up
-        K = probe_gram(57, "margin_spread", 1.02)
-        n = len(K)
-        seqs = random_distinct_sequences(np.random.default_rng(65), DNA, n, 8)
-        G = GramMatrix(IdentityKernel(), seqs, K)
+        G = near_margin_gram()
+        K, seqs, n = G.entries, G.sequences, len(G)
         kept = G._factor
         assert G._certified and kept is not None
         # the corrections are the solves on the kept factor
         corrections = []
 
-        def counting_solve(factor, b, forward=False, _solve=_ShiftedFactor.solve):
+        def counting_solve(factor, b, _solve=_ShiftedFactor.solve):
             if factor is kept:
                 corrections.append(len(b))
-            return _solve(factor, b, forward)
+            return _solve(factor, b)
 
         monkeypatch.setattr(_ShiftedFactor, "solve", counting_solve)
         y = np.random.default_rng(66).normal(size=n)
@@ -716,7 +722,7 @@ class TestRefinedSolves:
             want = _cholesky(K, ridge).solve(y)
         else:
             got = discrete_mass_diagnostic(G.kernel, seqs[2], [seqs], G)
-            want = np.array([math.sqrt(factorised_inverse_diagonal(K, 2))])
+            want = np.array([math.sqrt(_cholesky(K, 0.0).solve(unit_vector(n, 2))[2])])
         assert got.tobytes() == want.tobytes()
         assert G.solve_routes == Counter(factorised=1)
         assert G._factor is None
@@ -733,19 +739,19 @@ class TestRefinedSolves:
         y = np.random.default_rng(67).normal(size=n)
         ridge = 1e-3 * np.trace(K) / n
         alpha = G.solve_ridge(y, ridge)
-        assert alpha.tobytes() == _cholesky(K, ridge).solve(y).tobytes()
+        assert alpha.tobytes() == np.linalg.solve(K + ridge * np.eye(n), y).tobytes()
         direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K + ridge * np.eye(n)), y)
         assert relative_error(alpha, direct) <= 1e-12
         beta = G.solve_pinv(y)
-        assert beta.tobytes() == _cholesky(K, 0.0).solve(y).tobytes()
+        assert beta.tobytes() == np.linalg.solve(K, y).tobytes()
         assert relative_error(beta, scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), y)) <= 1e-12
-        # each set's C comes from its own factor; the whole Gram's is the
-        # one the minimum-norm fit cached
+        # each set's C comes from one np.linalg.solve of its own block;
+        # no solve factorises
         sizes = (5, 21, n)
         del cholesky_sizes[:]
         C = discrete_mass_diagnostic(k, seqs[1], [seqs[:m] for m in sizes], G)
-        assert cholesky_sizes == [5, 21]
-        want = [math.sqrt(factorised_inverse_diagonal(K[:m, :m], 1)) for m in sizes]
+        assert cholesky_sizes == []
+        want = [math.sqrt(np.linalg.solve(K[:m, :m], unit_vector(m, 1))[1]) for m in sizes]
         assert C.tobytes() == np.array(want).tobytes()
         for c, m in zip(C, sizes):
             expected = math.sqrt(np.linalg.inv(K[:m, :m])[1, 1])
@@ -809,6 +815,85 @@ class TestRefinedSolves:
             K = G.entries[:m, :m]
             direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), KEPT_LABELS[:m])
             assert relative_error(x, direct) <= 1e-12
+
+
+#: a fresh Gram and the route of its first solve: certified and solved by
+#: one call, kept and refined, kept but refused by the refinement and
+#: factorised in panels, and uncertified, rank deficient and solved by
+#: eigenvalues
+SOLVE_CASES = {
+    "certified": (lambda: gram(imq_hamming_kernel(1.0, 2.0), enumerate_up_to(DNA, 2)),
+                  "factorised"),
+    "kept": (lambda: gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS), "refined"),
+    "near_margin": (near_margin_gram, "factorised"),
+    "rank_deficient": (rank_deficient_gram, "eigen"),
+}
+
+
+class TestSolve:
+    """Ridge fits, minimum-norm fits and ``(K^-1)_tt`` are one solve."""
+
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_ridge_zero_is_the_minimum_norm_fit(self, name):
+        make, route = SOLVE_CASES[name]
+        ridge_fit, pinv_fit = make(), make()
+        y = np.random.default_rng(72).normal(size=len(ridge_fit))
+        alpha = ridge_fit.solve_ridge(y, 0.0)
+        assert alpha.tobytes() == pinv_fit.solve_pinv(y).tobytes()
+        assert ridge_fit.solve_routes == pinv_fit.solve_routes == Counter({route: 1})
+
+    @pytest.mark.parametrize("cutoff", [2, 4], ids=["21", "341"])
+    def test_a_bad_ridge_or_right_hand_side_is_refused(self, cutoff):
+        # a one-call Gram and one that keeps its factor
+        G = gram(imq_hamming_kernel(1.0, 2.0), enumerate_up_to(DNA, cutoff))
+        kept = G._factor
+        assert (kept is not None) == (cutoff == 4)
+        y = np.random.default_rng(73).normal(size=len(G))
+        for ridge in (-1.0, math.nan, -math.inf):
+            with pytest.raises(DataError, match="finite and nonnegative"):
+                G.solve_ridge(y, ridge)
+        for b in (y[:5], np.append(y, 1.0), y[:, None]):
+            with pytest.raises(DataError, match=rf"{b.shape}.* {len(G)} rows"):
+                G.solve_pinv(b)
+        assert G.solve_routes == Counter()
+        assert G._factor is kept
+
+    def test_a_near_margin_gram_is_solved_backward_stably(self):
+        # one np.linalg.solve (LAPACK gesv) of a certified Gram whose
+        # lambda_min is only 1.02 times the certificate's shift
+        G = near_margin_gram(100)
+        K, n = G.entries, len(G)
+        assert G._certified and n < REFINE_ROWS
+        norm = np.abs(K).sum(axis=1).max()
+        for b in (np.random.default_rng(74).normal(size=n), unit_vector(n, 2)):
+            x = G.solve_pinv(b)
+            backward = np.abs(K @ x - b).max() / (norm * np.abs(x).max() + np.abs(b).max())
+            assert backward <= 1e-13, backward
+        assert G.solve_routes == Counter(factorised=2)
+
+    @pytest.mark.parametrize("rows", ["9", "341"])
+    @pytest.mark.parametrize("slack", [0.5, 1.0, 2.0])
+    def test_an_uncertified_gram_factorises_only_above_the_psd_slack(self, rows, slack):
+        # K + sI is proved positive definite only for s > PSD_RTOL tr(K),
+        # the slack the PSD rule granted
+        G = rank_deficient_gram() if rows == "9" else gram(weighted_degree_kernel(2), KEPT_SEQS)
+        K, n = G.entries, len(G)
+        assert not G._certified
+        shift = slack * PSD_RTOL * np.trace(K)
+        y = np.random.default_rng(75).normal(size=n)
+        x = G.solve_ridge(y, shift)
+        if slack > 1.0:
+            assert G.solve_routes == Counter(factorised=1)
+            want = (np.linalg.solve(K + shift * np.eye(n), y) if n < REFINE_ROWS
+                    else _cholesky(K, shift).solve(y))
+            assert x.tobytes() == want.tobytes()
+        else:
+            assert G.solve_routes == Counter(eigen=1)
+            w, V = np.linalg.eigh(K)
+            w = w + shift
+            inv = np.where(w > SINGULAR_RTOL * w.max(), 1.0 / w, 0.0)
+            np.testing.assert_allclose(x, V @ (inv * (V.T @ y)), rtol=1e-9,
+                                       atol=1e-12 * np.abs(x).max())
 
 
 # sizes one row below REFINE_ROWS (one call), at it and one row above it
@@ -895,48 +980,38 @@ class TestBlockedCholesky:
         assert relative_error(beta, direct) <= 1e-12
 
 
-# one-block factors, one row either side of a whole block, the largest
-# one-call factor and the two smallest in panels
+# leading blocks of one block, one row either side of a whole block, and
+# either side of REFINE_ROWS
 TRIANGULAR_SIZES = [1, _TRIANGULAR_BLOCK - 1, _TRIANGULAR_BLOCK, _TRIANGULAR_BLOCK + 1,
                     REFINE_ROWS - 1, REFINE_ROWS, REFINE_ROWS + 1]
 
 
 class TestTriangularSolve:
-    """``_ShiftedFactor.solve`` is every Cholesky solve: whole or on a
-    leading block, with inverted diagonal blocks or ``np.linalg.solve``
-    on them, its full solve and its forward sweep match scipy's."""
+    """``_ShiftedFactor.solve`` is every Cholesky solve: on a factor in
+    panels, whole or on a leading block of any size, its sweeps multiply
+    by the inverted diagonal blocks and match scipy's."""
 
-    @pytest.mark.parametrize("n", TRIANGULAR_SIZES)
-    def test_solves_match_scipy_with_and_without_inverses(self, tcr_gram, n):
+    @pytest.mark.parametrize("n", [REFINE_ROWS, REFINE_ROWS + 1])
+    def test_solves_match_scipy(self, tcr_gram, n):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         K = tcr_gram[:n, :n]
         factor = _certificate(K)
         F, inverses = factor.F, factor.inverses
-        # a factorisation in panels keeps its inverses; a one-call factor
-        # has none, and a refinement inverts nothing
-        assert (inverses is not None) == (n >= REFINE_ROWS)
+        assert len(inverses) == math.ceil(n / _TRIANGULAR_BLOCK)
         y = np.random.default_rng(70).normal(size=n)
-        rows = sorted({1, _TRIANGULAR_BLOCK + 1, n - 1, n} & set(range(1, n + 1)))
+        rows = [m for m in TRIANGULAR_SIZES if m <= n]
 
-        def solves(f):
-            return [(f.solve(y[:m]), f.solve(y[:m], forward=True)) for m in rows]
+        def solves():
+            return [factor.solve(y[:m]) for m in rows]
 
-        before = solves(factor)
+        before = solves()
+        # a refinement inverts nothing and keeps the factor as it was
         assert factor.refine(K, y, 0.0) is not None
         assert factor.inverses is inverses
-        after = solves(factor)
-        plain = _ShiftedFactor(F)
-        direct = solves(plain)
-        assert plain.inverses is None
-        for results in (before, after, direct):
-            for m, (x, z) in zip(rows, results):
-                Fm = F[:m, :m]
-                assert relative_error(x, scipy_linalg.cho_solve((Fm, True), y[:m])) <= 1e-13
-                want = scipy_linalg.solve_triangular(Fm, y[:m], lower=True)
-                assert relative_error(z, want) <= 1e-13
-        for (x, z), (u, v) in zip(before, direct):
-            assert relative_error(x, u) <= 1e-13
-            assert relative_error(z, v) <= 1e-13
+        after = solves()
+        for m, x, u in zip(rows, before, after):
+            assert relative_error(x, scipy_linalg.cho_solve((F[:m, :m], True), y[:m])) <= 1e-13
+            assert x.tobytes() == u.tobytes()
 
 
 class TestNumpyAlone:
