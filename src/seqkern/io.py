@@ -24,6 +24,7 @@ of 15 in two runs) took 80-91 ms: :func:`write_csv` 47-55 ms,
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -155,6 +156,8 @@ def read_labels(path) -> dict[str, float]:
                 value = float(parts[1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: label is not a number") from exc
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: label is not finite: {parts[1]}")
             if parts[0] in out:
                 raise DataError(f"{path}:{lineno}: duplicate ID {parts[0]!r}")
             out[parts[0]] = value

@@ -25,10 +25,11 @@ one solve of ``(K + sI) x = b``, :meth:`GramMatrix._solve`, and ridge 0
 is the minimum-norm fit.  A certified Gram of at least ``REFINE_ROWS``
 rows keeps its certificate's factor ``F`` and solves by fixed-precision
 iterative refinement, ``x <- x + F^-T F^-1 (b - (K + sI) x)``, which
-contracts by ``(c + s) / (lambda_min - c)``; a refinement that stops
-contracting gives up and drops the factor.  Without a kept factor, a
-system that is provably positive definite (a certified Gram, or a
-shift above the PSD rule's slack) is solved directly: by one LAPACK
+contracts by ``(c + s) / (lambda_min - c)``, a bound that grows with
+``s``; a refinement that stops contracting gives up on that system
+alone, which is solved as without the factor, and the Gram keeps it.
+A provably positive definite system (a certified Gram, or a shift
+above the PSD rule's slack) is solved directly: by one LAPACK
 ``gesv`` below ``REFINE_ROWS`` rows, which is backward stable on it,
 and from there on by :meth:`_ShiftedFactor.solve` on a factor of
 ``K + sI`` in panels.  Every other system solves by the
@@ -108,7 +109,7 @@ class GramMatrix:
     construction.  :meth:`solve_ridge`, :meth:`solve_pinv` and the
     diagnostic's ``(K^-1)_tt`` are each one call of :meth:`_solve`,
     which refines on that factor without factorising again, as do the
-    leading blocks; a refinement that gives up drops the factor.  Without
+    leading blocks; a refinement that gives up keeps the factor.  Without
     the certificate, :meth:`is_singular` tries a shifted factorisation
     first and reads the cached :attr:`eigenvalues` (no eigenvectors)
     only when that succeeds, and a solve that the PSD rule's slack does
@@ -122,7 +123,9 @@ class GramMatrix:
     :attr:`solve_routes`, a :class:`collections.Counter` shared with the
     leading blocks, counts each solve by the route that answered it:
     ``refined``, ``factorised`` (``gesv``, or a factor in panels, of
-    ``K + sI``) or ``eigen``.
+    ``K + sI``) or ``eigen``.  :attr:`factorisations`, shared alike,
+    counts each factorisation: a Cholesky one by the key of
+    :func:`_cholesky`, an eigen-solve by ``("eigh" | "eigvalsh", rows)``.
     """
 
     def __init__(self, kernel: Kernel, sequences: list, entries: np.ndarray):
@@ -146,16 +149,17 @@ class GramMatrix:
             if np.abs(entries - entries.T).max() > 1e-12 * np.abs(entries).max():
                 raise NumericalError("Gram matrix is not symmetric")
             entries = 0.5 * (entries + entries.T)
-        certificate = _certificate(entries)
+        factorisations = collections.Counter()
+        certificate = _certificate(entries, factorisations)
         self._init(kernel, sequences, entries, certificate is not None, certificate,
-                   collections.Counter())
+                   collections.Counter(), factorisations)
         # K - sI > 0 with s > 0: certified Grams are positive definite
         if not self._certified:
             self._check_psd()
 
     def _init(self, kernel: Kernel, sequences: list, entries: np.ndarray,
               certified: bool, factor: Optional[_ShiftedFactor],
-              solve_routes: collections.Counter) -> None:
+              solve_routes: collections.Counter, factorisations: collections.Counter) -> None:
         self.kernel = kernel
         self.sequences = list(sequences)
         self.entries = entries
@@ -163,6 +167,7 @@ class GramMatrix:
         # kept exactly when it holds inverses, from at least REFINE_ROWS rows
         self._factor = factor if factor and factor.inverses else None
         self.solve_routes = solve_routes
+        self.factorisations = factorisations
         self._eig: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._blocks: dict[int, GramMatrix] = {}
 
@@ -174,7 +179,7 @@ class GramMatrix:
         """
         trace = float(np.trace(self.entries))
         slack = PSD_RTOL * max(trace, 1e-300)
-        if _factorises(self.entries, slack):
+        if _cholesky(self.entries, slack, "psd", self.factorisations):
             return
         if self.min_eigenvalue < -slack:
             raise NumericalError(
@@ -208,11 +213,11 @@ class GramMatrix:
             if n > 0 and self._certified:
                 certified, factor = True, self._factor
             else:
-                factor = _certificate(K)
+                factor = _certificate(K, self.factorisations)
                 certified = factor is not None
             block = GramMatrix.__new__(GramMatrix)
             block._init(self.kernel, self.sequences[:n], K, certified, factor,
-                        self.solve_routes)
+                        self.solve_routes, self.factorisations)
             if not block._certified:
                 block._check_psd()
             self._blocks[n] = block
@@ -220,13 +225,14 @@ class GramMatrix:
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
-            w, V = np.linalg.eigh(self.entries)
-            self._eig = (w, V)
+            self.factorisations["eigh", len(self)] += 1
+            self._eig = np.linalg.eigh(self.entries)
         return self._eig
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order, without eigenvectors."""
+        self.factorisations["eigvalsh", len(self)] += 1
         return np.linalg.eigvalsh(self.entries)
 
     @property
@@ -249,7 +255,7 @@ class GramMatrix:
         if not len(K):
             return True
         mu = max(float(K.diagonal().max()), float(K.sum()) / len(K))
-        if not _factorises(K, -SINGULAR_RTOL * mu):
+        if not _cholesky(K, -SINGULAR_RTOL * mu, "singular", self.factorisations):
             return True
         w = self.eigenvalues
         return float(w[0]) <= SINGULAR_RTOL * float(w[-1])
@@ -272,8 +278,8 @@ class GramMatrix:
         """``(K + shift I)^-1 b``, minimum-norm where ``K + shift I`` is
         singular, by the first route that applies:
 
-        - ``refined`` on the kept factor; a refinement that gives up
-          drops the factor;
+        - ``refined`` on the kept factor, if the refinement does not
+          give up;
         - ``factorised`` where ``K + shift I`` is provably positive
           definite, for a certified Gram or a shift above the PSD rule's
           slack ``PSD_RTOL tr(K)``: one ``np.linalg.solve`` below
@@ -287,18 +293,20 @@ class GramMatrix:
                             f"does not fit a Gram of {len(self)} rows")
         if not (math.isfinite(shift) and shift >= 0):
             raise DataError(f"ridge must be finite and nonnegative, got {shift}")
+        if not np.isfinite(b).all():
+            i = int(np.argmax(~np.isfinite(b)))
+            raise DataError(f"right-hand side entry {i} is not finite: {b[i]}")
         K = self.entries
         if self._factor is not None:
             x = self._factor.refine(K, b, shift)
             if x is not None:
                 self.solve_routes["refined"] += 1
                 return x
-            self._factor = None
         if self._certified or shift > PSD_RTOL * float(np.trace(K)):
             if len(K) < REFINE_ROWS:
                 self.solve_routes["factorised"] += 1
                 return np.linalg.solve(_shifted(K, shift), b)
-            factor = _cholesky(K, shift)
+            factor = _cholesky(K, shift, "solve", self.factorisations)
             if factor is not None:
                 self.solve_routes["factorised"] += 1
                 return factor.solve(b)
@@ -315,7 +323,8 @@ class GramMatrix:
 _TRIANGULAR_BLOCK = 64
 
 
-def _cholesky(K: np.ndarray, shift: float) -> Optional[_ShiftedFactor]:
+def _cholesky(K: np.ndarray, shift: float, purpose: str,
+              record: collections.Counter) -> Optional[_ShiftedFactor]:
     """Lower Cholesky factor of ``K + shift I``, or None if it fails.
 
     ``K`` is only read.  Fewer than ``REFINE_ROWS`` rows are one
@@ -329,26 +338,31 @@ def _cholesky(K: np.ndarray, shift: float) -> Optional[_ShiftedFactor]:
     of its first failing pivot.  A panel reads only earlier columns, so
     the factor of a leading block of whole panels is the leading block of
     the factor, bit for bit; the inverted diagonal blocks are kept for
-    :meth:`_ShiftedFactor.solve`.
+    :meth:`_ShiftedFactor.solve`.  Each call counts one ``record[purpose,
+    n, blocks, succeeded]``: ``purpose`` is ``certificate``, ``psd``,
+    ``singular`` or ``solve``, ``blocks`` those tried, a failing one too.
     """
-    n = len(K)
+    n, blocks = len(K), 1
     try:
         if n < REFINE_ROWS:
-            return _ShiftedFactor(np.linalg.cholesky(_shifted(K, shift)))
-        B = _TRIANGULAR_BLOCK
-        F = np.zeros((n, n))
-        inverses = []
-        for lo in range(0, n, B):
-            hi = min(lo + B, n)
-            P = K[lo:, lo:hi] - F[lo:, :lo] @ F[lo:hi, :lo].T
-            D = P[: hi - lo]
-            np.fill_diagonal(D, D.diagonal() + shift)
-            F[lo:hi, lo:hi] = np.linalg.cholesky(D)
-            inverses.append(np.tril(np.linalg.inv(F[lo:hi, lo:hi])))
-            F[hi:, lo:hi] = P[hi - lo:] @ inverses[-1].T
-        return _ShiftedFactor(F, inverses)
+            factor = _ShiftedFactor(np.linalg.cholesky(_shifted(K, shift)))
+        else:
+            B = _TRIANGULAR_BLOCK
+            F = np.zeros((n, n))
+            inverses = []
+            for blocks, lo in enumerate(range(0, n, B), start=1):
+                hi = min(lo + B, n)
+                P = K[lo:, lo:hi] - F[lo:, :lo] @ F[lo:hi, :lo].T
+                D = P[: hi - lo]
+                np.fill_diagonal(D, D.diagonal() + shift)
+                F[lo:hi, lo:hi] = np.linalg.cholesky(D)
+                inverses.append(np.tril(np.linalg.inv(F[lo:hi, lo:hi])))
+                F[hi:, lo:hi] = P[hi - lo:] @ inverses[-1].T
+            factor = _ShiftedFactor(F, inverses)
     except np.linalg.LinAlgError:
-        return None
+        factor = None
+    record[purpose, n, blocks, factor is not None] += 1
+    return factor
 
 
 def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
@@ -360,7 +374,7 @@ def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
     return K
 
 
-def _certificate(K: np.ndarray) -> Optional[_ShiftedFactor]:
+def _certificate(K: np.ndarray, record: collections.Counter) -> Optional[_ShiftedFactor]:
     """The factor of ``K - 2 SINGULAR_RTOL ||K||_inf I``, or None.
 
     A Gram refused here is decided by the rules of an uncertified one.
@@ -368,15 +382,10 @@ def _certificate(K: np.ndarray) -> Optional[_ShiftedFactor]:
     if not len(K):
         return None
     norm = float(np.abs(K).sum(axis=1).max())
-    factor = _cholesky(K, -2.0 * SINGULAR_RTOL * norm)
+    factor = _cholesky(K, -2.0 * SINGULAR_RTOL * norm, "certificate", record)
     if factor is not None:
         factor.norm = norm
     return factor
-
-
-def _factorises(K: np.ndarray, shift: float) -> bool:
-    """Whether ``K + shift I`` factorises."""
-    return _cholesky(K, shift) is not None
 
 
 #: corrections a refinement may spend, its first solve included

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,23 @@ DNA = Alphabet("ACGT")
 
 def write_fasta(path, records):
     path.write_text("".join(f">{rid}\n{letters}\n" for rid, letters in records))
+
+
+@pytest.fixture
+def cli_grams(monkeypatch):
+    """The Grams built, in order, read through the public ``gram`` of the
+    library and of the CLI."""
+    import seqkern.cli
+    import seqkern.rkhs
+    grams = []
+
+    def recording_gram(kernel, seqs, _gram=seqkern.rkhs.gram):
+        grams.append(_gram(kernel, seqs))
+        return grams[-1]
+
+    for owner in (seqkern.rkhs, seqkern.cli):
+        monkeypatch.setattr(owner, "gram", recording_gram)
+    return grams
 
 
 def read_matrix_csv(path):
@@ -349,16 +367,23 @@ class TestRegressCommand:
         assert "zero spread" in capsys.readouterr().err
         assert "normalized_rmse=0" in out.read_text()
 
-    def test_missing_label_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize("labels,error", [
+        ("id,label\na,1\n", "labels missing for FASTA IDs: b"),
+        # a non-finite label would make every coefficient and prediction NaN
+        ("id,label\na,1\nb,nan\n", ":3: label is not finite: nan"),
+        ("id,label\na,-inf\nb,1\n", ":2: label is not finite: -inf")])
+    def test_missing_or_non_finite_label_is_data_error(self, tmp_path, capsys, labels, error):
         fasta = tmp_path / "in.fasta"
         write_fasta(fasta, [("a", "AT"), ("b", "GC")])
-        labels = tmp_path / "labels.csv"
-        labels.write_text("id,label\na,1\n")
+        path = tmp_path / "labels.csv"
+        path.write_text(labels)
         out = tmp_path / "pred.csv"
-        code = main(["regress", "--fasta", str(fasta), "--labels", str(labels),
+        code = main(["regress", "--fasta", str(fasta), "--labels", str(path),
                      "--output", str(out), "--family", "imq_hamming",
                      "--C", "1", "--beta", "2"])
         assert code == 3
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMmdTestCommand:
@@ -449,24 +474,14 @@ class TestDiagnoseCommand:
         assert "inf" in text.splitlines()[1]
 
     @pytest.mark.parametrize("flags", DIAGNOSE_FLAGS, ids=["imq_hamming", "weighted_degree"])
-    def test_builds_each_gram_once(self, tmp_path, monkeypatch, capsys, flags):
+    def test_builds_each_gram_once(self, tmp_path, cli_grams, capsys, flags):
         # one Gram, over the largest set, serves every C and every
         # minimum eigenvalue, which come from eigenvalues alone
-        import seqkern.cli
-        import seqkern.rkhs
-        built = []
-
-        def counting_gram(kernel, seqs, _gram=seqkern.rkhs.gram):
-            built.append(len(seqs))
-            return _gram(kernel, seqs)
-
-        monkeypatch.setattr(seqkern.rkhs, "gram", counting_gram)
-        monkeypatch.setattr(seqkern.cli, "gram", counting_gram)
         out = tmp_path / "diag.csv"
         code = main(["diagnose", "--alphabet", "AB", "--target", "A", "--cutoffs", "1,2,3",
                      "--min-eigenvalue", "--output", str(out)] + flags)
         assert code == 0
-        assert built == [15]
+        assert [len(G) for G in cli_grams] == [15]
         kernel = build_kernel(Alphabet("AB"), {f[2:]: v for f, v in zip(flags[::2], flags[1::2])})
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
@@ -479,72 +494,51 @@ class TestDiagnoseCommand:
             assert line == (f"set_size={row['set_size']} C={row['C']} "
                             f"min_eigenvalue={row['min_eigenvalue']}")
 
-    def test_certified_diagnose_factors_only_the_certificate(self, tmp_path,
-                                                           monkeypatch):
-        # the certificate in construction, of 341 rows in 64-column
+    def test_certified_diagnose_factors_only_the_certificate(self, tmp_path, cli_grams):
+        # the certificate in construction, of 341 rows in six 64-column
         # panels; the leading blocks inherit it, and every set, those
         # below REFINE_ROWS too, refines on a view of its factor
-        import seqkern.rkhs
-        assert 85 < seqkern.rkhs.REFINE_ROWS <= 341
-        calls = []
-
-        def counting_cholesky(K, shift, _cholesky=seqkern.rkhs._cholesky):
-            calls.append(len(K))
-            return _cholesky(K, shift)
-
-        monkeypatch.setattr(seqkern.rkhs, "_cholesky", counting_cholesky)
         code = main(["diagnose", "--alphabet", "dna", "--target", "GA", "--cutoffs", "2,3,4",
                      "--output", str(tmp_path / "diag.csv"),
                      "--family", "imq_hamming", "--C", "1", "--beta", "2"])
         assert code == 0
-        assert calls == [341]
+        [G] = cli_grams
+        assert G.factorisations == Counter({("certificate", 341, 6, True): 1})
+        assert G.solve_routes == Counter(refined=3)
 
-    def test_uncertified_diagnose_decides_by_factorisations(self, tmp_path, monkeypatch):
-        # (rows, sign of shift, factorised): the certificate fails; the
-        # PSD rule (+) factorises; each block then tries its certificate
-        # (-), its PSD rule (+) and its singularity rule (-), which fails,
-        # as does the whole Gram's; no eigenvalue is solved
-        import seqkern.rkhs
-        calls = []
-
-        def recording_cholesky(K, shift, _cholesky=seqkern.rkhs._cholesky):
-            L = _cholesky(K, shift)
-            calls.append((len(K), int(np.sign(shift)), L is not None))
-            return L
-
-        def no_eigen_solve(*args, **kwargs):
-            raise AssertionError("an eigen-solve ran")
-
-        monkeypatch.setattr(seqkern.rkhs, "_cholesky", recording_cholesky)
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen_solve)
-        monkeypatch.setattr(np.linalg, "eigh", no_eigen_solve)
+    def test_uncertified_diagnose_decides_by_factorisations(self, tmp_path, cli_grams):
+        # the certificate fails in its first panel; the PSD rule
+        # factorises; each block then tries its certificate, its PSD rule
+        # and its singularity rule, which fails, as does the whole Gram's;
+        # no eigenvalue is solved
         code = main(["diagnose", "--alphabet", "dna", "--target", "GA", "--cutoffs", "2,3,4",
                      "--output", str(tmp_path / "diag.csv"),
                      "--family", "weighted_degree", "--L", "2"])
         assert code == 0
-        assert calls == [(341, -1, False), (341, 1, True),
-                         (21, -1, False), (21, 1, True), (21, -1, False),
-                         (85, -1, False), (85, 1, True), (85, -1, False),
-                         (341, -1, False)]
+        [G] = cli_grams
+        assert G.factorisations == Counter({
+            ("certificate", 341, 1, False): 1, ("psd", 341, 6, True): 1,
+            ("certificate", 21, 1, False): 1, ("psd", 21, 1, True): 1,
+            ("singular", 21, 1, False): 1,
+            ("certificate", 85, 1, False): 1, ("psd", 85, 1, True): 1,
+            ("singular", 85, 1, False): 1,
+            ("singular", 341, 1, False): 1})
+        assert G.solve_routes == Counter()
 
     @pytest.mark.parametrize("flags", DIAGNOSE_FLAGS, ids=["imq_hamming", "weighted_degree"])
-    def test_diagnose_solves_no_eigenvalues_unless_asked(self, tmp_path, monkeypatch, flags):
+    def test_diagnose_solves_no_eigenvalues_unless_asked(self, tmp_path, cli_grams, flags):
         # the C values of a certified Gram come from its Cholesky factor,
         # and an uncertified one is found singular by factorisations;
-        # --min-eigenvalue pays one eigen-solve per set
-        calls = []
-
-        def counting_eigvalsh(K, _eigvalsh=np.linalg.eigvalsh):
-            calls.append(len(K))
-            return _eigvalsh(K)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        # --min-eigenvalue pays one eigenvalue solve per set, and nothing else
         argv = ["diagnose", "--alphabet", "dna", "--target", "GA", "--cutoffs", "2,3,4",
                 "--output", str(tmp_path / "diag.csv")] + flags
         assert main(argv) == 0
-        assert calls == []
         assert main(argv + ["--min-eigenvalue"]) == 0
-        assert calls == [21, 85, 341]
+        plain, asked = cli_grams
+        assert not any(key[0] in ("eigh", "eigvalsh") for key in plain.factorisations)
+        assert asked.factorisations - plain.factorisations == Counter(
+            {("eigvalsh", 21): 1, ("eigvalsh", 85): 1, ("eigvalsh", 341): 1})
+        assert plain.factorisations - asked.factorisations == Counter()
 
     @pytest.mark.parametrize("flags", DIAGNOSE_FLAGS, ids=["imq_hamming", "weighted_degree"])
     def test_min_eigenvalue_column_only_on_request(self, tmp_path, capsys, flags):

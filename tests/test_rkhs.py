@@ -211,19 +211,6 @@ class TestRegression:
         with pytest.raises(DataError):
             fit_regression(G, np.zeros(3))
 
-    @pytest.mark.parametrize("ridge", [math.nan, math.inf])
-    def test_non_finite_ridge_refused(self, ridge):
-        # a NaN ridge would give NaN coefficients; an infinite one passes
-        # refinement's first test and would return its first correction,
-        # not the limit 0
-        G = gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS)
-        kept = G._factor
-        assert kept is not None
-        with pytest.raises(DataError, match="finite"):
-            fit_regression(G, KEPT_LABELS, ridge)
-        assert G.solve_routes == Counter()
-        assert G._factor is kept
-
     def test_ridge_solution_matches_direct_solve(self):
         k = exp_hamming_kernel(DNA, 0.8)
         rng = np.random.default_rng(43)
@@ -335,11 +322,16 @@ class TestCertifiedSolves:
         w, V = np.linalg.eigh(K[:5, :5])
         assert C[0] == pytest.approx(math.sqrt((V[2] ** 2 / w).sum()), rel=1e-12)
         assert C[1] == math.inf
-        assert block._eig is not None and G._eig is None
         assert G.solve_routes == Counter(eigen=1)
-        # the block's singularity factorisation succeeds, so its
-        # eigenvalues decide; the whole Gram's fails, which decides alone
-        assert "eigenvalues" in block.__dict__ and "eigenvalues" not in G.__dict__
+        # the block shares the Gram's record: the block's singularity
+        # factorisation succeeds, so its eigenvalues decide, and its solve
+        # is by eigenvectors; the whole Gram's fails, which decides alone
+        assert block.factorisations is G.factorisations
+        assert G.factorisations == Counter({
+            ("certificate", 6, 1, False): 1, ("psd", 6, 1, True): 1,
+            ("certificate", 5, 1, False): 1, ("psd", 5, 1, True): 1,
+            ("singular", 5, 1, True): 1, ("eigvalsh", 5): 1, ("eigh", 5): 1,
+            ("singular", 6, 1, False): 1})
 
     @pytest.mark.parametrize("n", [6, 300])
     @pytest.mark.parametrize("factor", [0.0, 0.5, 0.98, 1.02, 2.0, 10.0])
@@ -425,36 +417,14 @@ def first_failing_pivot(K, shift):
     return info - 1 if info > 0 else None
 
 
-@pytest.fixture
-def cholesky_sizes(monkeypatch):
-    """The sizes of the factorisations ``seqkern.rkhs`` tries, in order."""
-    sizes = []
-
-    def counting_cholesky(M, shift, _cholesky=seqkern.rkhs._cholesky):
-        sizes.append(len(M))
-        return _cholesky(M, shift)
-
-    monkeypatch.setattr(seqkern.rkhs, "_cholesky", counting_cholesky)
-    return sizes
+def cholesky(K, shift):
+    """:func:`_cholesky` of ``K + shift I``, recorded apart from any Gram."""
+    return _cholesky(K, shift, "solve", Counter())
 
 
-@pytest.fixture
-def factored_blocks(monkeypatch):
-    """The sizes of the matrices ``np.linalg.cholesky`` factors, in order:
-    the diagonal blocks of a blocked factorisation, or one whole matrix."""
-    sizes = []
-
-    def counting_cholesky(M, _cholesky=np.linalg.cholesky):
-        sizes.append(len(M))
-        return _cholesky(M)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-    return sizes
-
-
-def panel_sizes(n):
-    """The diagonal blocks that factorising ``n`` rows in panels factors."""
-    return [min(_TRIANGULAR_BLOCK, n - lo) for lo in range(0, n, _TRIANGULAR_BLOCK)]
+def panels(n):
+    """The diagonal blocks that a factorisation of ``n`` rows factors."""
+    return 1 if n < REFINE_ROWS else math.ceil(n / _TRIANGULAR_BLOCK)
 
 
 class TestCertificateProbe:
@@ -470,15 +440,14 @@ class TestCertificateProbe:
 
     @pytest.mark.parametrize("kind,seed,margin,size", CASES,
                              ids=[f"{k}-{s}-{m}" + (f"-{n}" if n else "") for k, s, m, n in CASES])
-    def test_probe_decides_as_the_whole_factorisation(self, cholesky_sizes, factored_blocks,
-                                                      kind, seed, margin, size):
+    def test_probe_decides_as_the_whole_factorisation(self, kind, seed, margin, size):
         K = probe_gram(50 + seed, kind, margin, size)
         n = len(K)
         shift = -2 * SINGULAR_RTOL * np.abs(K).sum(axis=1).max()
         whole = factorises(K, shift)
         pivot = first_failing_pivot(K, shift)
-        factored_blocks.clear()  # only the certificate's
-        certified = _certificate(K) is not None
+        record = Counter()
+        certified = _certificate(K, record) is not None
         if certified:
             assert whole
         # away from the margin, rounding cannot move the decision
@@ -486,14 +455,14 @@ class TestCertificateProbe:
         decisive = abs(ratio - 1.0) > 0.05
         if decisive:
             assert certified == whole, ratio
-        assert cholesky_sizes == [n]
-        if n < REFINE_ROWS:
-            assert factored_blocks == [n]
-        elif certified:
-            assert factored_blocks == panel_sizes(n)
+        # one factorisation, of the whole Gram
+        [(purpose, rows, blocks, succeeded)] = record.elements()
+        assert (purpose, rows, succeeded) == ("certificate", n, certified)
+        if n < REFINE_ROWS or certified:
+            assert blocks == panels(n)
         elif decisive:
             # a refused Gram stops within the panel of its first failing pivot
-            assert factored_blocks == panel_sizes(n)[: pivot // _TRIANGULAR_BLOCK + 1]
+            assert blocks == pivot // _TRIANGULAR_BLOCK + 1
         if kind == "spread":
             assert certified
         elif kind == "early":
@@ -502,18 +471,17 @@ class TestCertificateProbe:
             assert not certified and pivot >= 3 * n // 4
         elif kind == "margin_leading" and ratio < 0.95 and n >= REFINE_ROWS:
             # the leading eighth holds the small eigenvalue and refuses
-            assert len(factored_blocks) <= (n // 8 - 1) // _TRIANGULAR_BLOCK + 1
+            assert blocks <= (n // 8 - 1) // _TRIANGULAR_BLOCK + 1
 
-    def test_singular_leading_block_refused_by_small_factorisations(self, cholesky_sizes,
-                                                                    factored_blocks):
+    def test_singular_leading_block_refused_by_small_factorisations(self):
         # the first 21 sequences (DNA up to length 2) already span a
         # singular window-count Gram, so the certificate refuses the Gram
         # of 1,365 within its first 64-row panel
         K = weighted_degree_kernel(2).pairwise(enumerate_up_to(DNA, 5))
         assert np.linalg.eigvalsh(K[:21, :21])[0] <= SINGULAR_RTOL * np.abs(K).max()
-        assert _certificate(K) is None
-        assert cholesky_sizes == [len(K)]
-        assert factored_blocks == [_TRIANGULAR_BLOCK]
+        record = Counter()
+        assert _certificate(K, record) is None
+        assert record == Counter({("certificate", len(K), 1, False): 1})
 
 
 # one certified and one degenerate Gram over DNA up to length 4, 341
@@ -527,7 +495,7 @@ KEPT_LABELS = np.random.default_rng(62).normal(size=len(KEPT_SEQS))
 
 #: what each operation does to a Gram over KEPT_SEQS
 GRAM_OPERATIONS = {
-    "certificate": lambda G: _certificate(G.entries),
+    "certificate": lambda G: _certificate(G.entries, G.factorisations),
     "is_singular": lambda G: G.is_singular(),
     "leading_block_is_singular": lambda G: G.leading(85).is_singular(),
     "solve_ridge": lambda G: G.solve_ridge(KEPT_LABELS, 0.0),
@@ -642,7 +610,7 @@ class TestRefinedSolves:
     ``K + sI`` in panels, bit for bit."""
 
     @pytest.mark.parametrize("name", REFINED_CASES)
-    def test_refined_fits_match_direct_solves(self, cholesky_sizes, factored_blocks, name):
+    def test_refined_fits_match_direct_solves(self, name):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         k, sets = REFINED_CASES[name]()
         G = gram(k, sets[-1])
@@ -650,14 +618,13 @@ class TestRefinedSolves:
         n = len(K)
         assert G._certified and n >= REFINE_ROWS
         # one factorisation, the certificate's, in 64-column panels
-        assert cholesky_sizes == [n]
-        assert factored_blocks == panel_sizes(n)
-        built = len(cholesky_sizes)
+        certificate = Counter({("certificate", n, panels(n), True): 1})
+        assert G.factorisations == certificate
         y = np.random.default_rng(64).normal(size=n)
         ridge = 1e-3 * np.trace(K) / n
         alpha = G.solve_ridge(y, ridge)
         beta = G.solve_pinv(y)
-        assert len(cholesky_sizes) == built
+        assert G.factorisations == certificate
         assert G.solve_routes == Counter(refined=2)
         direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K + ridge * np.eye(n)), y)
         assert relative_error(alpha, direct) <= 1e-12
@@ -665,34 +632,54 @@ class TestRefinedSolves:
         assert relative_error(beta, direct) <= 1e-12
 
     @pytest.mark.parametrize("name", REFINED_CASES)
-    def test_refined_diagnostic_matches_the_inverse(self, cholesky_sizes, name):
+    def test_refined_diagnostic_matches_the_inverse(self, name):
         k, sets = REFINED_CASES[name]()
         target = sets[0][3]
         G = gram(k, sets[-1])
-        built = len(cholesky_sizes)
         C = discrete_mass_diagnostic(k, target, sets, G)
         # every set, the small ones too, refines on a view of the
         # certificate's factor: nothing is factorised after it
-        assert len(cholesky_sizes) == built
+        n = len(G)
+        assert G.factorisations == Counter({("certificate", n, panels(n), True): 1})
         assert min(map(len, sets)) < REFINE_ROWS
         assert G.solve_routes == Counter(refined=len(sets))
         for c, s in zip(C, sets):
             expected = math.sqrt(np.linalg.inv(G.entries[:len(s), :len(s)])[3, 3])
             assert abs(c - expected) <= 1e-12 * expected
 
-    def test_a_ridge_far_above_lambda_min_is_factorised(self):
-        # the refinement diverges, gives up and drops the factor, so the
-        # minimum-norm fit after it factorises K in panels
-        G = gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS)
-        K = G.entries
-        assert G._factor is not None
-        ridge = 10.0 * np.trace(K) / len(K)
-        alpha = G.solve_ridge(KEPT_LABELS, ridge)
-        assert G._factor is None
+    # a ridge far above lambda_min on the Gram over DNA up to length 4, and
+    # 1e-3 tr(K)/n on exp_hamming's over DNA up to length 5, whose
+    # lambda_min is small enough that this ridge too stops the refinement
+    # contracting: (kernel, largest cutoff, ridge over tr(K)/n)
+    GIVE_UP_CASES = {"imq_hamming_far_ridge": (imq_hamming_kernel(1.0, 2.0), 4, 10.0),
+                     "exp_hamming_dna5": (exp_hamming_kernel(DNA, 0.5), 5, 1e-3)}
+
+    @pytest.mark.parametrize("name", GIVE_UP_CASES)
+    def test_a_kept_factor_survives_a_give_up(self, name):
+        # the refinement gives up, so the ridge fit alone factorises K + sI
+        # in panels; the Gram keeps its factor, and the minimum-norm fit
+        # and every set of the diagnostic after it refine on that
+        k, cutoff, scale = self.GIVE_UP_CASES[name]
+        sets = [enumerate_up_to(DNA, c) for c in range(2, cutoff + 1)]
+        G = gram(k, sets[-1])
+        K, n = G.entries, len(G)
+        kept = G._factor
+        assert kept is not None
+        y = np.random.default_rng(76).normal(size=n)
+        ridge = scale * np.trace(K) / n
+        alpha = G.solve_ridge(y, ridge)
         assert G.solve_routes == Counter(factorised=1)
-        assert alpha.tobytes() == _cholesky(K, ridge).solve(KEPT_LABELS).tobytes()
-        beta = G.solve_pinv(KEPT_LABELS)
-        assert beta.tobytes() == _cholesky(K, 0.0).solve(KEPT_LABELS).tobytes()
+        assert alpha.tobytes() == cholesky(K, ridge).solve(y).tobytes()
+        beta = G.solve_pinv(y)
+        C = discrete_mass_diagnostic(k, sets[0][3], sets, G)
+        assert G._factor is kept
+        assert G.solve_routes == Counter(factorised=1, refined=1 + len(sets))
+        assert G.factorisations == Counter({("certificate", n, panels(n), True): 1,
+                                            ("solve", n, panels(n), True): 1})
+        assert relative_error(beta, cholesky(K, 0.0).solve(y)) <= 1e-12
+        for c, s in zip(C, sets):
+            expected = math.sqrt(np.linalg.inv(K[:len(s), :len(s)])[3, 3])
+            assert abs(c - expected) <= 1e-12 * expected
 
     @pytest.mark.parametrize("solve", ["pinv", "ridge", "diagnostic"])
     def test_a_near_margin_gram_is_factorised(self, monkeypatch, solve):
@@ -715,21 +702,23 @@ class TestRefinedSolves:
         y = np.random.default_rng(66).normal(size=n)
         if solve == "pinv":
             got = G.solve_pinv(y)
-            want = _cholesky(K, 0.0).solve(y)
+            want = cholesky(K, 0.0).solve(y)
         elif solve == "ridge":
             ridge = 1e-3 * np.trace(K) / n
             got = G.solve_ridge(y, ridge)
-            want = _cholesky(K, ridge).solve(y)
+            want = cholesky(K, ridge).solve(y)
         else:
             got = discrete_mass_diagnostic(G.kernel, seqs[2], [seqs], G)
-            want = np.array([math.sqrt(_cholesky(K, 0.0).solve(unit_vector(n, 2))[2])])
+            want = np.array([math.sqrt(cholesky(K, 0.0).solve(unit_vector(n, 2))[2])])
         assert got.tobytes() == want.tobytes()
         assert G.solve_routes == Counter(factorised=1)
-        assert G._factor is None
+        assert G._factor is kept
+        assert G.factorisations == Counter({("certificate", n, panels(n), True): 1,
+                                            ("solve", n, panels(n), True): 1})
         assert corrections == [n, n]
 
     @pytest.mark.parametrize("n", [85, REFINE_ROWS - 1])
-    def test_grams_below_refine_rows_are_factorised(self, cholesky_sizes, n):
+    def test_grams_below_refine_rows_are_factorised(self, n):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         k = imq_hamming_kernel(1.0, 2.0)
         seqs = enumerate_up_to(DNA, 3) if n == 85 else tcr_like(n)
@@ -746,11 +735,10 @@ class TestRefinedSolves:
         assert beta.tobytes() == np.linalg.solve(K, y).tobytes()
         assert relative_error(beta, scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), y)) <= 1e-12
         # each set's C comes from one np.linalg.solve of its own block;
-        # no solve factorises
+        # nothing is factorised after the certificate
         sizes = (5, 21, n)
-        del cholesky_sizes[:]
         C = discrete_mass_diagnostic(k, seqs[1], [seqs[:m] for m in sizes], G)
-        assert cholesky_sizes == []
+        assert G.factorisations == Counter({("certificate", n, 1, True): 1})
         want = [math.sqrt(np.linalg.solve(K[:m, :m], unit_vector(m, 1))[1]) for m in sizes]
         assert C.tobytes() == np.array(want).tobytes()
         for c, m in zip(C, sizes):
@@ -759,31 +747,27 @@ class TestRefinedSolves:
         assert G.solve_routes == Counter(factorised=5)
 
     @pytest.mark.parametrize("n", [REFINE_ROWS - 1, REFINE_ROWS, REFINE_ROWS + 1])
-    def test_a_gram_keeps_its_factor_from_refine_rows(self, monkeypatch, n):
+    def test_a_gram_keeps_its_factor_from_refine_rows(self, n):
         # the certificate's factor is kept exactly when it was built in
-        # panels, with one inverted diagonal block per panel, so no
-        # refinement inverts anything
+        # panels, with one inverted diagonal block per panel; only a
+        # factorisation inverts, and no refinement factorises
         G = gram(imq_hamming_kernel(1.0, 2.0), tcr_like(n))
         assert G._certified
         assert (G._factor is not None) == (n >= REFINE_ROWS)
-        inversions = []
-
-        def counting_inv(M, _inv=np.linalg.inv):
-            inversions.append(len(M))
-            return _inv(M)
-
-        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        certificate = Counter({("certificate", n, panels(n), True): 1})
+        assert G.factorisations == certificate
         y = np.random.default_rng(71).normal(size=n)
         if G._factor is None:
             G.solve_pinv(y)
             assert G.solve_routes == Counter(factorised=1)
             return
-        assert len(G._factor.inverses) == math.ceil(n / _TRIANGULAR_BLOCK)
+        inverses = G._factor.inverses
+        assert len(inverses) == math.ceil(n / _TRIANGULAR_BLOCK)
         assert G._factor.refine(G.entries, y, 0.0) is not None
         G.solve_ridge(y, 1e-3 * np.trace(G.entries) / n)
         G.solve_pinv(y)
         assert G.solve_routes == Counter(refined=2)
-        assert inversions == []
+        assert G._factor.inverses is inverses and G.factorisations == certificate
 
     def test_a_refined_solve_allocates_no_gram_sized_array(self):
         n = 1200
@@ -799,17 +783,18 @@ class TestRefinedSolves:
         assert G.solve_routes == Counter(refined=2)
         assert peak < 0.1 * n * n * 8, peak / (n * n * 8)
 
-    def test_leading_blocks_refine_on_views_of_the_factor(self, cholesky_sizes):
+    def test_leading_blocks_refine_on_views_of_the_factor(self):
         # every nonempty block shares the factor, whatever its size
         scipy_linalg = pytest.importorskip("scipy.linalg")
         G = gram(imq_hamming_kernel(1.0, 2.0), KEPT_SEQS)
         assert G.leading(0)._factor is None
-        del cholesky_sizes[:]
         sizes = (300, REFINE_ROWS - 1, 21, 1)
         for m in sizes:
             assert G.leading(m)._factor is G._factor
         solved = [G.leading(m).solve_pinv(KEPT_LABELS[:m]) for m in sizes]
-        assert cholesky_sizes == []
+        # the certificate, and the empty block's PSD rule
+        assert G.factorisations == Counter({("certificate", len(G), panels(len(G)), True): 1,
+                                            ("psd", 0, 1, True): 1})
         assert G.solve_routes == Counter(refined=len(sizes))
         for m, x in zip(sizes, solved):
             K = G.entries[:m, :m]
@@ -849,12 +834,23 @@ class TestSolve:
         kept = G._factor
         assert (kept is not None) == (cutoff == 4)
         y = np.random.default_rng(73).normal(size=len(G))
-        for ridge in (-1.0, math.nan, -math.inf):
+        # a NaN ridge would give NaN coefficients; an infinite one passes
+        # refinement's first test and would return its first correction,
+        # not the limit 0
+        for ridge in (-1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DataError, match="finite and nonnegative"):
-                G.solve_ridge(y, ridge)
+                fit_regression(G, y, ridge)
         for b in (y[:5], np.append(y, 1.0), y[:, None]):
             with pytest.raises(DataError, match=rf"{b.shape}.* {len(G)} rows"):
                 G.solve_pinv(b)
+        # a non-finite entry would make every coefficient NaN
+        for bad in (math.nan, math.inf, -math.inf):
+            b = y.copy()
+            b[[7, 9]] = bad
+            with pytest.raises(DataError, match=f"entry 7 is not finite: {bad}"):
+                G.solve_pinv(b)
+            with pytest.raises(DataError, match=f"entry 7 is not finite: {bad}"):
+                fit_regression(G, b, 0.1)
         assert G.solve_routes == Counter()
         assert G._factor is kept
 
@@ -885,7 +881,7 @@ class TestSolve:
         if slack > 1.0:
             assert G.solve_routes == Counter(factorised=1)
             want = (np.linalg.solve(K + shift * np.eye(n), y) if n < REFINE_ROWS
-                    else _cholesky(K, shift).solve(y))
+                    else cholesky(K, shift).solve(y))
             assert x.tobytes() == want.tobytes()
         else:
             assert G.solve_routes == Counter(eigen=1)
@@ -918,7 +914,9 @@ class TestBlockedCholesky:
         K = tcr_gram[:n, :n]
         # the certificate's shift, or a ridge
         shift = -2 * SINGULAR_RTOL * np.abs(K).sum(axis=1).max() if sign < 0 else 1e-3
-        factor = _cholesky(K, shift)
+        record = Counter()
+        factor = _cholesky(K, shift, "solve", record)
+        assert record == Counter({("solve", n, panels(n), True): 1})
         want = scipy_linalg.cholesky(K + shift * np.eye(n), lower=True)
         assert relative_error(factor.F, want) <= 1e-14
         # a factorisation in panels keeps the inverses it computed, those of
@@ -940,30 +938,31 @@ class TestBlockedCholesky:
             K = k.pairwise(seqs)
             expected = K.tobytes()
             for M in (K, K[: n - 1, : n - 1]):
-                assert (_cholesky(M, -1e-9) is not None) == certified
-                assert _cholesky(M, 0.0) is not None or not certified
-                assert _cholesky(M, 0.5) is not None
+                assert (cholesky(M, -1e-9) is not None) == certified
+                assert cholesky(M, 0.0) is not None or not certified
+                assert cholesky(M, 0.5) is not None
                 assert K.tobytes() == expected
 
     def test_leading_panels_factor_as_the_whole(self, tcr_gram):
         # a panel reads only the columns before it
         K = tcr_gram
-        whole = _cholesky(K, -1e-9)
+        whole = cholesky(K, -1e-9)
         for m in range(_TRIANGULAR_BLOCK, len(K), _TRIANGULAR_BLOCK):
             if m >= REFINE_ROWS:
-                block = _cholesky(K[:m, :m], -1e-9)
+                block = cholesky(K[:m, :m], -1e-9)
                 assert block.F.tobytes() == np.ascontiguousarray(whole.F[:m, :m]).tobytes()
 
     def test_two_threads_factor_one_gram_alike(self, tcr_gram):
         K = tcr_gram
-        alone = _cholesky(K, 1e-3).F.tobytes()
+        alone = cholesky(K, 1e-3).F.tobytes()
         with concurrent.futures.ThreadPoolExecutor(2) as pool:
-            factors = list(pool.map(lambda _: _cholesky(K, 1e-3).F.tobytes(), range(4)))
+            factors = list(pool.map(lambda _: cholesky(K, 1e-3).F.tobytes(), range(4)))
         assert factors == [alone] * 4
 
     def test_direct_solves_on_a_blocked_factor_match_scipy(self, tcr_gram):
-        # a ridge far above lambda_min gives up refining, so both fits
-        # factorise the Gram in panels (refined fits: TestRefinedSolves)
+        # a ridge far above lambda_min gives up refining, so that fit
+        # factorises K + sI in panels; the minimum-norm fit after it
+        # refines on the kept factor (refined fits: TestRefinedSolves)
         scipy_linalg = pytest.importorskip("scipy.linalg")
         K = tcr_gram
         n = len(K)
@@ -973,7 +972,7 @@ class TestBlockedCholesky:
         ridge = 10.0 * np.trace(K) / n
         alpha = G.solve_ridge(y, ridge)
         beta = G.solve_pinv(y)
-        assert G.solve_routes == Counter(factorised=2)
+        assert G.solve_routes == Counter(factorised=1, refined=1)
         direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K + ridge * np.eye(n)), y)
         assert relative_error(alpha, direct) <= 1e-12
         direct = scipy_linalg.cho_solve(scipy_linalg.cho_factor(K), y)
@@ -995,7 +994,7 @@ class TestTriangularSolve:
     def test_solves_match_scipy(self, tcr_gram, n):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         K = tcr_gram[:n, :n]
-        factor = _certificate(K)
+        factor = _certificate(K, Counter())
         F, inverses = factor.F, factor.inverses
         assert len(inverses) == math.ceil(n / _TRIANGULAR_BLOCK)
         y = np.random.default_rng(70).normal(size=n)
@@ -1048,12 +1047,12 @@ class TestNumpyAlone:
         done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        # 85 rows factorise every solve; from REFINE_ROWS on two fits
-        # refine, the large ridge gives up and factorises in panels, and so
-        # do the diagnostic's sets once the factor is dropped
+        # 85 rows factorise every solve; from REFINE_ROWS on the large
+        # ridge alone gives up and factorises in panels, and every other
+        # fit and set refines on the kept factor
         assert 85 < REFINE_ROWS <= 1365
         assert done.stdout.splitlines() == ["85 [('factorised', 6)]",
-                                            "1365 [('factorised', 6), ('refined', 2)]"]
+                                            "1365 [('factorised', 1), ('refined', 7)]"]
 
 
 class TestPredict:
