@@ -74,7 +74,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import HAS_MASSES, LACKS_MASSES, UNKNOWN_MASSES, Kernel
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_nonnegative, check_positive
 from .seqcore import Alphabet, Sequence, encode_padded
 
 
@@ -111,17 +111,9 @@ def checked_letter_matrix(matrix, size: int) -> np.ndarray:
 
 def check_gap_penalties(mu: float, delta_mu: float) -> None:
     """:class:`DataError` unless ``mu >= 0`` is finite and ``delta_mu >= 0`` or inf."""
-    if not 0 <= mu < math.inf:
-        raise DataError(f"gap extension penalty mu must be finite and >= 0, got {mu}")
+    check_nonnegative(**{"gap extension penalty mu": mu})
     if not delta_mu >= 0:
         raise DataError(f"gap start penalty delta_mu must be >= 0 or inf, got {delta_mu}")
-
-
-def check_positive(**values: float) -> None:
-    """:class:`DataError` naming the first of ``values`` not finite and positive."""
-    for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise DataError(f"{name} must be finite and positive, got {value}")
 
 
 def sigma_of(ks_matrix: np.ndarray) -> float:
@@ -232,10 +224,12 @@ def alignment_R_pairs(seqs, i: np.ndarray, j: np.ndarray, ks: np.ndarray, mu: fl
     the local one.  Rows are zero-padded to one length: the batch's
     largest ``min(|x|, |y|) + 1``, or 1 when ``ltype`` marks nothing, so
     ``R[:, 0]`` is then the kernel value.  Raises :class:`DataError`
-    unless ``ks`` is ``|B| x |B|`` for the sequences' alphabet, and
+    unless ``ks`` is ``|B| x |B|`` for the sequences' alphabet and the gap
+    penalties pass :func:`check_gap_penalties`, and
     :class:`NumericalError` naming the lengths of the first pair whose
     sums overflow.
     """
+    check_gap_penalties(mu, delta_mu)
     K = np.asarray(ks, dtype=float)
     codes = encode_padded(seqs)
     size = seqs[0].alphabet.size if seqs else K.shape[0]

@@ -104,7 +104,7 @@ KEYS: dict[str, Callable[[str, str], object]] = {
     "shift_max": partial(_to_int, minimum=0),
     "scale_epsilon": partial(_to_float, minimum=0),
     "seed": _to_int,
-    "gamma": _to_float,
+    "gamma": _positive,
     "k_s": _read_letter_matrix,
     "base": _to_base,
     "k_E": _to_form,
@@ -129,19 +129,18 @@ def _embedding(alphabet: Alphabet, v: dict) -> Kernel:
     if "gamma" in v and form != "rbf":
         raise ConfigError(f"key 'gamma' is read only with k_E = rbf, not {form!r}")
     if v["base"] == "random_ball":
-        embedding: emb.Embedding = emb.random_ball_embedding(
-            v.get("seed", v["default_seed"]), v["D"])
+        try:
+            embedding: emb.Embedding = emb.random_ball_embedding(
+                v.get("seed", v["default_seed"]), v["D"])
+        except DataError as exc:
+            raise ConfigError(f"key 'seed': {exc}")
     elif "seed" in v:
         raise ConfigError("key 'seed' is read only with base = random_ball, not a table")
     else:
         embedding = emb.load_embedding_table(v["base"][len("table:"):], v["D"])
     if v.get("scale_epsilon", 0.0) > 0:  # 0 disables scaling
         embedding = emb.scaled_embedding(embedding, v["scale_epsilon"], alphabet.size)
-    try:
-        euclidean = emb.EuclideanKernel(form, v.get("gamma", 1.0))
-    except DataError as exc:
-        raise ConfigError(f"key 'gamma': {exc}")
-    return emb.embedding_kernel(embedding, euclidean)
+    return emb.embedding_kernel(embedding, emb.EuclideanKernel(form, v.get("gamma", 1.0)))
 
 
 # family -> (required keys, optional keys, builder)

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence as Seq
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_positive
 from .seqcore import Sequence
 
 HAS_MASSES = "has_discrete_masses"
@@ -160,8 +160,7 @@ class SumKernel(Kernel):
         parts = [(float(w), k) for w, k in parts]
         if not parts:
             raise DataError("sum_kernel needs at least one part")
-        if any(w <= 0 for w, _ in parts):
-            raise DataError("sum_kernel weights must be positive")
+        check_positive(**{f"sum_kernel weight {i}": w for i, (w, _) in enumerate(parts)})
         self.parts = parts
         if any(k.mass_status == HAS_MASSES for _, k in parts):
             self.mass_status = HAS_MASSES

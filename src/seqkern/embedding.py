@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import HAS_MASSES, Kernel, UNKNOWN_MASSES
-from .errors import DataError
+from .errors import DataError, check_integer, check_positive
 from .seqcore import Sequence, element_blocks
 
 
@@ -36,9 +36,7 @@ class Embedding:
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise DataError("embedding dimension must be >= 1")
-        self.dim = int(dim)
+        self.dim = check_integer("dim", dim, 1)
         self._cache: dict[Sequence, np.ndarray] = {}
 
     def _compute(self, xs: list[Sequence]) -> np.ndarray:
@@ -80,7 +78,8 @@ class RandomBallEmbedding(Embedding):
 
     def __init__(self, dim: int, seed: int):
         super().__init__(dim)
-        self.seed = int(seed)
+        # hashed as 8 signed bytes
+        self.seed = check_integer("seed", seed, -2**63, 2**63 - 1)
         self._seed_bytes = self.seed.to_bytes(8, "little", signed=True)
 
     def _compute(self, xs: list[Sequence]) -> np.ndarray:
@@ -121,14 +120,11 @@ class ScaledEmbedding(Embedding):
     """
 
     def __init__(self, base: Embedding, epsilon: float, alphabet_size: int):
-        if epsilon <= 0:
-            raise DataError("epsilon must be positive")
-        if alphabet_size < 1:
-            raise DataError("alphabet_size must be >= 1")
+        check_positive(epsilon=epsilon)
         super().__init__(base.dim)
         self.base = base
         self.epsilon = float(epsilon)
-        self.alphabet_size = int(alphabet_size)
+        self.alphabet_size = check_integer("alphabet_size", alphabet_size, 1)
 
     def _compute(self, xs: list[Sequence]) -> np.ndarray:
         # base.vectors, not base.matrix: only the scaled vector is read
@@ -182,8 +178,7 @@ class EuclideanKernel:
     def __init__(self, form: str, gamma: float = 1.0):
         if form not in ("imq", "rbf"):
             raise DataError("Euclidean kernel form must be 'imq' or 'rbf'")
-        if form == "rbf" and gamma <= 0:
-            raise DataError("rbf gamma must be positive")
+        check_positive(gamma=gamma)
         self.form = form
         self.gamma = float(gamma)
 
@@ -266,7 +261,11 @@ def embedding_kernel(embedding: Embedding, euclidean: EuclideanKernel) -> Embedd
 
 
 def load_embedding_table(path, dim: Optional[int] = None) -> TableEmbedding:
-    """Read a CSV of ``sequence, v0, v1, ...`` rows into a table embedding."""
+    """Read a CSV of ``sequence, v0, v1, ...`` rows into a table embedding.
+
+    A malformed or non-finite entry is a :class:`DataError` naming
+    ``path:line``.
+    """
     table = {}
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -285,6 +284,8 @@ def load_embedding_table(path, dim: Optional[int] = None) -> TableEmbedding:
                 vec = np.array([float(p) for p in parts[1:]])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad vector entry") from exc
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path}:{lineno}: vector entry is not finite")
             if dim is None:
                 dim = vec.size
             if vec.size != dim:

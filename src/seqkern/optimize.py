@@ -43,14 +43,13 @@ one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import Kernel
-from .errors import DataError
+from .errors import DataError, NumericalError, check_integer, check_nonnegative
 from .rkhs import EmpiricalMeasure
 from .seqcore import Sequence, shared_alphabet
 
@@ -222,7 +221,10 @@ class _MmdToTarget:
 
     def _mmd(self, K: np.ndarray, self_sim: np.ndarray) -> np.ndarray:
         m2 = self_sim + self.tt - 2.0 * (K @ self.w)
-        return np.sqrt(np.maximum(m2, 0.0))
+        m = np.sqrt(np.maximum(m2, 0.0))
+        if not np.isfinite(m).all():
+            raise NumericalError(f"the MMD to the target is not finite: {m[~np.isfinite(m)][0]}")
+        return m
 
 
 def greedy_mmd_optimize(kernel: Kernel, target: EmpiricalMeasure,
@@ -235,12 +237,11 @@ def greedy_mmd_optimize(kernel: Kernel, target: EmpiricalMeasure,
     strict descent up to round-off, which guarantees termination);
     otherwise stops with ``converged=True``.  ``converged=False`` means
     the step budget ran out first.  The start and the target atoms must
-    share one alphabet.
+    share one alphabet; an MMD that is not finite, at the start or at a
+    neighbour, is a :class:`NumericalError`.
     """
-    if max_steps < 1:
-        raise DataError("max_steps must be >= 1")
-    if not (math.isfinite(min_improvement) and min_improvement >= 0):
-        raise DataError(f"min_improvement must be finite and >= 0, got {min_improvement}")
+    max_steps = check_integer("max_steps", max_steps, 1)
+    check_nonnegative(min_improvement=min_improvement)
     if len(target) == 0:
         raise DataError("target measure must be nonempty")
     shared_alphabet([init, *target.atoms])

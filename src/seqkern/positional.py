@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignment import check_positive, checked_letter_matrix
+from .alignment import checked_letter_matrix
 from .core import (
     HAS_MASSES,
     LACKS_MASSES,
     Kernel,
     tensor_kernel,
 )
-from .errors import DataError
+from .errors import DataError, check_integer, check_positive
 from .seqcore import Alphabet, element_blocks, encode_padded, shared_alphabet, window_ids
 
 
@@ -83,9 +83,7 @@ class WeightedDegreeKernel(Kernel):
     mass_status = LACKS_MASSES
 
     def __init__(self, L: int):
-        if L < 1:
-            raise DataError("window length L must be >= 1")
-        self.L = int(L)
+        self.L = check_integer("L", L, 1)
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         xs = list(xs)
@@ -365,9 +363,7 @@ class ImqHammingLagKernel(ImqHammingKernel):
 
     def __init__(self, C: float = 1.0, beta: float = 2.0, L: int = 1):
         super().__init__(C, beta)
-        if L < 1:
-            raise DataError("lag L must be >= 1")
-        self.L = int(L)
+        self.L = check_integer("L", L, 1)
 
 
 def imq_hamming_lag_kernel(C: float = 1.0, beta: float = 2.0, L: int = 1) -> ImqHammingLagKernel:
@@ -399,10 +395,8 @@ class ShiftedKernel(Kernel):
     family = "shifted"
 
     def __init__(self, base: Kernel, shift_max: int):
-        if shift_max < 0:
-            raise DataError("shift_max must be >= 0")
         self.base = base
-        self.shift_max = int(shift_max)
+        self.shift_max = check_integer("shift_max", shift_max, 0)
         self.mass_status = base.mass_status
 
     def pairwise(self, xs, ys=None) -> np.ndarray:

@@ -61,7 +61,7 @@ from typing import Optional, Sequence as Seq
 import numpy as np
 
 from .core import Kernel
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_integer, check_nonnegative
 
 #: relative eigenvalue floor below which a Gram matrix counts as
 #: singular; the minimum-norm solve drops eigenvalues below it too
@@ -142,9 +142,7 @@ class GramMatrix:
         n = len(sequences)
         if entries.shape != (n, n):
             raise DataError("Gram entries must be square over the sequences")
-        if not np.isfinite(entries).all():
-            i, j = np.argwhere(~np.isfinite(entries))[0]
-            raise NumericalError(f"Gram entry ({i}, {j}) is not finite: {entries[i, j]}")
+        check_finite(entries)
         if not np.array_equal(entries, entries.T):
             if np.abs(entries - entries.T).max() > 1e-12 * np.abs(entries).max():
                 raise NumericalError("Gram matrix is not symmetric")
@@ -174,12 +172,13 @@ class GramMatrix:
     def _check_psd(self) -> None:
         """The eigenvalue rule: min eigenvalue >= -PSD_RTOL * trace.
 
-        A factorisation of ``K + PSD_RTOL tr(K) I`` proves it; the
-        eigenvalues decide only when that fails.
+        The empty Gram holds it by definition.  Otherwise a factorisation
+        of ``K + PSD_RTOL tr(K) I`` proves it; the eigenvalues decide only
+        when that fails.
         """
         trace = float(np.trace(self.entries))
         slack = PSD_RTOL * max(trace, 1e-300)
-        if _cholesky(self.entries, slack, "psd", self.factorisations):
+        if not len(self) or _cholesky(self.entries, slack, "psd", self.factorisations):
             return
         if self.min_eigenvalue < -slack:
             raise NumericalError(
@@ -204,8 +203,7 @@ class GramMatrix:
         without one applies the PSD rule with its own trace, by
         factorisation and, if that fails, by eigenvalues.
         """
-        if not 0 <= n <= len(self):
-            raise DataError(f"a leading block of a Gram of {len(self)} cannot hold {n}")
+        n = check_integer("n", n, 0, len(self))
         if n == len(self):
             return self
         if n not in self._blocks:
@@ -291,8 +289,7 @@ class GramMatrix:
         if b.shape != (len(self),):
             raise DataError(f"a right-hand side of shape {b.shape} "
                             f"does not fit a Gram of {len(self)} rows")
-        if not (math.isfinite(shift) and shift >= 0):
-            raise DataError(f"ridge must be finite and nonnegative, got {shift}")
+        check_nonnegative(ridge=shift)
         if not np.isfinite(b).all():
             i = int(np.argmax(~np.isfinite(b)))
             raise DataError(f"right-hand side entry {i} is not finite: {b[i]}")
@@ -460,6 +457,14 @@ class _ShiftedFactor:
                 return None
             last = residual / bound
         return None
+
+
+def check_finite(K: np.ndarray) -> None:
+    """:class:`NumericalError` naming the first entry of the Gram ``K``
+    that is not finite."""
+    if not np.isfinite(K).all():
+        i, j = np.argwhere(~np.isfinite(K))[0]
+        raise NumericalError(f"Gram entry ({i}, {j}) is not finite: {K[i, j]}")
 
 
 def gram(kernel: Kernel, sequences: Seq) -> GramMatrix:

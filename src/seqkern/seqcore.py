@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_integer
 
 STOP = "$"
 
@@ -181,14 +181,14 @@ def enumerate_sequences(alphabet: Alphabet, L: int) -> list[Sequence]:
     n = alphabet.size
     return [
         Sequence(alphabet, codes)
-        for codes in itertools.product(range(n), repeat=L)
+        for codes in itertools.product(range(n), repeat=check_integer("L", L, 0))
     ]
 
 
 def enumerate_up_to(alphabet: Alphabet, L_max: int) -> list[Sequence]:
     """All sequences of length at most ``L_max``, shortest first."""
     out: list[Sequence] = []
-    for L in range(L_max + 1):
+    for L in range(check_integer("L_max", L_max, 0) + 1):
         out.extend(enumerate_sequences(alphabet, L))
     return out
 

@@ -20,10 +20,10 @@ import math
 
 import numpy as np
 
-from .alignment import AlignmentSumKernel, check_gap_penalties, check_positive
+from .alignment import AlignmentSumKernel, check_gap_penalties
 from .alignment import alignment_dp_R  # noqa: F401 (bench/tracing.py wraps it here)
 from .core import HAS_MASSES, LACKS_MASSES, Kernel
-from .errors import DataError
+from .errors import check_integer, check_positive
 from .seqcore import element_blocks, encode_padded, window_ids
 
 
@@ -48,9 +48,7 @@ class FiniteSpectrumKernel(Kernel):
     mass_status = LACKS_MASSES
 
     def __init__(self, L_max: int):
-        if L_max < 1:
-            raise DataError("L_max must be >= 1")
-        self.L_max = int(L_max)
+        self.L_max = check_integer("L_max", L_max, 1)
 
     __call__ = Kernel.__call__  # bench/tracing.py wraps it in this __dict__
 
@@ -158,7 +156,7 @@ class HeavyTailedGappedSpectrumKernel(AlignmentSumKernel):
         self.C = float(C)
         self.beta = float(beta)
         self.delta_mu = float(delta_mu)
-        self.ks = np.eye(alphabet_size)
+        self.ks = np.eye(check_integer("alphabet_size", alphabet_size, 1))
 
     def base(self, L, nx, ny):
         return self.C + 0.5 * (nx + ny) - L

@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .core import Kernel
-from .errors import DataError
+from .errors import DataError, check_integer
+from .rkhs import check_finite
 from .seqcore import element_blocks
 
 MIN_BOOTSTRAP = 100
@@ -68,15 +69,6 @@ def mmd2_u_statistic(K: np.ndarray, m: int) -> float:
     s_xx = (xx.sum() - np.trace(xx)) / (m * (m - 1))
     s_yy = (yy.sum() - np.trace(yy)) / (n * (n - 1))
     return float(s_xx + s_yy - 2.0 * xy.sum() / (m * n))
-
-
-def _integer(name: str, value, minimum: int) -> int:
-    """``value`` as an ``int`` at least ``minimum``; bools and floats are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DataError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
 
 
 def _relabellings(N: int, m: int, n_boot: int,
@@ -151,14 +143,15 @@ def mmd_two_sample_test(kernel: Kernel, sample_x, sample_y,
     (default; relabel the pooled sample) or ``"multiplier"`` (signed
     multipliers on the centred Gram).  The p-value uses the add-one
     correction ``(1 + #{resample >= observed}) / (1 + n_bootstrap)`` and
-    the result is deterministic given the seed.
+    the result is deterministic given the seed.  A pooled Gram entry
+    that is not finite is a :class:`NumericalError`.
     """
     sample_x = list(sample_x)
     sample_y = list(sample_y)
     if not sample_x or not sample_y:
         raise DataError("both samples must be nonempty")
-    n_bootstrap = _integer("n_bootstrap", n_bootstrap, MIN_BOOTSTRAP)
-    seed = _integer("seed", seed, 0)
+    n_bootstrap = check_integer("n_bootstrap", n_bootstrap, MIN_BOOTSTRAP)
+    seed = check_integer("seed", seed, 0)
     if not 0.0 < level < 1.0:
         raise DataError("level must be in (0, 1)")
     if method not in ("permutation", "multiplier"):
@@ -166,6 +159,7 @@ def mmd_two_sample_test(kernel: Kernel, sample_x, sample_y,
     pooled = sample_x + sample_y
     m = len(sample_x)
     K = kernel.pairwise(pooled)
+    check_finite(K)
     obs = mmd2_u_statistic(K, m)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     stats_fn = _permutation_stats if method == "permutation" else _multiplier_stats
@@ -193,9 +187,9 @@ def power_curve(kernel: Kernel, sampler_p: Callable, sampler_q: Callable,
     seed-derived stream, so results are deterministic and independent
     of evaluation order.
     """
-    trials = _integer("trials", trials, 10)
-    seed = _integer("seed", seed, 0)
-    sizes = [_integer("sizes", n, 2) for n in sizes]
+    trials = check_integer("trials", trials, 10)
+    seed = check_integer("seed", seed, 0)
+    sizes = [check_integer("sizes", n, 2) for n in sizes]
     out = []
     for si, n in enumerate(sizes):
         rejected = 0

@@ -401,6 +401,23 @@ class TestMmdTestCommand:
         assert float(rows[0]["p_value"]) >= 0.05
         assert rows[0]["rejected"] == "0"
 
+    def test_non_finite_embedding_table_is_data_error(self, tmp_path, capsys):
+        # it once exited 0 with mmd_observed=nan and rejected=1
+        kmers = ["ACGT", "AAAA", "CCCC", "GGGG", "TTTT", "ACGA", "TGCA", "GATC"]
+        table = tmp_path / "tab.csv"
+        table.write_text("".join(f"{s},0.1,{'nan' if i == 0 else i}\n"
+                                 for i, s in enumerate(kmers)))
+        xf, yf = tmp_path / "x.fasta", tmp_path / "y.fasta"
+        write_fasta(xf, [(f"x{i}", s) for i, s in enumerate(kmers[:4])])
+        write_fasta(yf, [(f"y{i}", s) for i, s in enumerate(kmers[4:])])
+        out = tmp_path / "res.csv"
+        code = main(["mmd-test", "--fasta-x", str(xf), "--fasta-y", str(yf),
+                     "--output", str(out), "--family", "embedding",
+                     "--base", f"table:{table}", "--D", "2", "--n-bootstrap", "100"])
+        assert code == 3
+        assert f"data error: {table}:1: vector entry is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_under_seed(self, tmp_path):
         xf = tmp_path / "x.fasta"
         yf = tmp_path / "y.fasta"
@@ -828,6 +845,22 @@ class TestMalformedValues:
                      "--output", str(tmp_path / "o.csv")] + flags)
         assert code == 2
         assert f"configuration error: key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--kernel-seed=99999999999999999999999",
+                                      "--kernel-seed=-99999999999999999999999",
+                                      "--seed=99999999999999999999999"],
+                             ids=["kernel_seed", "negative_kernel_seed", "run_seed"])
+    def test_embedding_seed_beyond_64_bits_exits_2(self, tmp_path, capsys, flag):
+        # it once crashed with an OverflowError from hashing the seed;
+        # the run's --seed is the kernel's default seed
+        fasta = tmp_path / "two.fasta"
+        write_fasta(fasta, [("a", "ACGT"), ("b", "ACGA")])
+        out = tmp_path / "g.csv"
+        code = main(["gram", "--fasta", str(fasta), "--output", str(out), "--family",
+                     "embedding", "--base", "random_ball", "--D", "4", flag])
+        assert code == 2
+        assert "configuration error: key 'seed': seed must be at" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_letter_matrix_file_stays_a_data_error(self, tmp_path, capsys):
         # the file's contents are data: an indefinite k_s is exit 3

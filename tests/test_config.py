@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqkern import Alphabet, ConfigError, DataError, seq
-from seqkern.config import FAMILIES, build_kernel
+from seqkern.config import FAMILIES, KEYS, build_kernel
 
 from conftest import CONFIGS
 
@@ -15,6 +15,16 @@ AB = Alphabet("AB")
 #: (family, key) for every required key of every family
 REQUIRED = [(family, key) for family, (required, _, _) in sorted(FAMILIES.items())
             for key in sorted(required)]
+
+
+#: (family, key) for every numeric key, required or optional, of every family
+NUMERIC = [(family, key) for family, (required, optional, _) in sorted(FAMILIES.items())
+           for key in sorted({k for keys in required | optional for k in keys.split("|")}
+                             & set(KEYS) - {"k_s", "base", "k_E"})]
+
+#: values out of range, not finite, too large for 64 bits or no number at all
+BAD_VALUES = ["0", "-1", "2.5", "nan", "inf", "1e400", "99999999999999999999999",
+              "-99999999999999999999999", "", "true"]
 
 
 class TestFamilyValidation:
@@ -40,6 +50,16 @@ class TestFamilyValidation:
         cfg = {k: v for k, v in CONFIGS[family].items() if k not in dropped}
         with pytest.raises(ConfigError, match=re.escape(message) + "$"):
             build_kernel(DNA, {"family": family, **cfg})
+
+    @pytest.mark.parametrize("family,key", NUMERIC, ids=[f"{f}-{k}" for f, k in NUMERIC])
+    def test_no_value_escapes_as_a_stray_exception(self, family, key):
+        # only the rbf form reads gamma
+        cfg = {"family": family, **CONFIGS[family], **({"k_E": "rbf"} if key == "gamma" else {})}
+        for value in BAD_VALUES:
+            try:
+                build_kernel(DNA, {**cfg, key: value})
+            except (ConfigError, DataError):
+                pass
 
     def test_non_numeric_value(self):
         with pytest.raises(ConfigError, match="must be a number"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,6 +19,7 @@ from seqkern import (
     embedding_kernel,
     enumerate_up_to,
     greedy_mmd_optimize,
+    load_embedding_table,
     mmd,
     random_ball_embedding,
     scaled_embedding,
@@ -264,6 +266,15 @@ class TestEmbeddingKernel:
         assert k(seq(AB, "AB"), seq(AB, "AB")) == 1.0
         with pytest.raises(DataError):
             k(seq(AB, "BA"), seq(AB, "AB"))
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_table_with_a_non_finite_entry_is_refused(self, tmp_path, entry):
+        # a NaN row once made the two-sample test reject with mmd_observed = nan
+        path = tmp_path / "tab.csv"
+        path.write_text(f"# sequence,v0,v1\nAC,0.5,1\nACGT,0.1,{entry}\n")
+        message = rf"^{re.escape(str(path))}:3: vector entry is not finite"
+        with pytest.raises(DataError, match=message):
+            load_embedding_table(path)
 
     def test_symmetry_and_psd(self):
         emb = scaled_embedding(random_ball_embedding(seed=6, dim=8), 0.2, AB.size)

@@ -1,7 +1,8 @@
 """Names the benchmark tracer wraps, and parameter checks at every
-kernel constructor."""
+public constructor and entry point."""
 
 import math
+import re
 import types
 import warnings
 from pathlib import Path
@@ -13,12 +14,30 @@ from seqkern import (
     Alphabet,
     AlignmentParams,
     DataError,
+    EmpiricalMeasure,
+    EuclideanKernel,
+    FunctionEmbedding,
     HeavyTailedAlignmentGaps,
     HeavyTailedAlignmentMatches,
+    TableEmbedding,
+    alignment_dp_R,
     alignment_kernel,
+    enumerate_sequences,
+    enumerate_up_to,
     exp_hamming_kernel,
+    fit_regression,
+    gram,
+    greedy_mmd_optimize,
+    imq_hamming_kernel,
+    imq_hamming_lag_kernel,
     local_alignment_kernel,
+    mmd_two_sample_test,
+    random_ball_embedding,
+    scaled_embedding,
     seq,
+    shifted_kernel,
+    sum_kernel,
+    weighted_degree_kernel,
 )
 from seqkern.alignment import checked_letter_matrix, exponential_letter_matrix
 from seqkern.positional import ImqHammingKernel, ImqHammingLagKernel
@@ -109,9 +128,96 @@ def _gap_constructors():
     }
 
 
+DNA = Alphabet("ACGT")
+XS = [seq(DNA, s) for s in ("AC", "GT", "CAT")]
+
+
+def _optimize(**options):
+    return greedy_mmd_optimize(imq_hamming_kernel(), EmpiricalMeasure.uniform(XS), XS[0],
+                               **options)
+
+
+#: integer parameter -> (a call with the bad value in its place, the name
+#: its DataError gives, its minimum, bad values beyond the shared ones)
+INTEGERS = {
+    "WeightedDegreeKernel.L": (weighted_degree_kernel, "L", 1, ()),
+    "ImqHammingLagKernel.L": (lambda v: imq_hamming_lag_kernel(1.0, 2.0, v), "L", 1, ()),
+    "FiniteSpectrumKernel.L_max": (finite_spectrum_kernel, "L_max", 1, ()),
+    "ShiftedKernel.shift_max": (lambda v: shifted_kernel(imq_hamming_kernel(), v),
+                                "shift_max", 0, ()),
+    "RandomBallEmbedding.dim": (lambda v: random_ball_embedding(0, v), "dim", 1, ()),
+    "TableEmbedding.dim": (lambda v: TableEmbedding({}, v), "dim", 1, ()),
+    "FunctionEmbedding.dim": (lambda v: FunctionEmbedding(len, v), "dim", 1, ()),
+    "ScaledEmbedding.alphabet_size": (
+        lambda v: scaled_embedding(random_ball_embedding(0, 2), 0.1, v), "alphabet_size", 1, ()),
+    "RandomBallEmbedding.seed": (lambda v: random_ball_embedding(v, 2), "seed", -2**63,
+                                 (2**63,)),
+    "heavy_tailed_gapped_spectrum.alphabet_size": (
+        lambda v: heavy_tailed_gapped_spectrum(v, 1.0, 2.0, 0.5), "alphabet_size", 1, ()),
+    "greedy_mmd_optimize.max_steps": (lambda v: _optimize(max_steps=v), "max_steps", 1, ()),
+    "GramMatrix.leading": (lambda v: gram(imq_hamming_kernel(), XS).leading(v), "n", 0,
+                           (len(XS) + 1,)),
+    "enumerate_sequences.L": (lambda v: enumerate_sequences(DNA, v), "L", 0, ()),
+    "enumerate_up_to.L_max": (lambda v: enumerate_up_to(DNA, v), "L_max", 0, ()),
+    "mmd_two_sample_test.n_bootstrap": (
+        lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS, n_bootstrap=v),
+        "n_bootstrap", 100, ()),
+    "mmd_two_sample_test.seed": (lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS,
+                                                               seed=v), "seed", 0, ()),
+}
+
+#: real parameter -> (a call with the bad value in its place, the name its
+#: DataError gives); each SumKernel weight is checked and named on its own
+POSITIVE = {
+    "ScaledEmbedding.epsilon": (lambda v: scaled_embedding(random_ball_embedding(0, 2), v, 4),
+                                "epsilon"),
+    "EuclideanKernel.gamma": (lambda v: EuclideanKernel("rbf", v), "gamma"),
+    "SumKernel.first_weight": (lambda v: sum_kernel([(v, imq_hamming_kernel()),
+                                                     (1.0, imq_hamming_kernel())]),
+                               "sum_kernel weight 0"),
+    "SumKernel.last_weight": (lambda v: sum_kernel([(1.0, imq_hamming_kernel()),
+                                                    (v, imq_hamming_kernel())]),
+                              "sum_kernel weight 1"),
+}
+NONNEGATIVE = {
+    "AlignmentParams.mu": (lambda v: AlignmentParams(AB, KS, v, 0.5),
+                           "gap extension penalty mu"),
+    "HeavyTailedAlignmentMatches.mu": (
+        lambda v: HeavyTailedAlignmentMatches(AB, 1.0, 2.0, v, 0.5), "gap extension penalty mu"),
+    "alignment_dp_R.mu": (lambda v: alignment_dp_R(seq(AB, "AB"), seq(AB, "BAB"), KS, v, 0.5),
+                          "gap extension penalty mu"),
+    "fit_regression.ridge": (lambda v: fit_regression(gram(imq_hamming_kernel(), XS),
+                                                      np.ones(len(XS)), v), "ridge"),
+    "greedy_mmd_optimize.min_improvement": (lambda v: _optimize(min_improvement=v),
+                                            "min_improvement"),
+}
+
+PARAMETER_CASES = (
+    [pytest.param(call, name, bad, id=f"{param}={bad!r}")
+     for param, (call, name, minimum, more) in INTEGERS.items()
+     for bad in (2.5, True, math.nan, minimum - 1, *more)]
+    + [pytest.param(call, name, bad, id=f"{param}={bad!r}")
+       for param, (call, name) in POSITIVE.items() for bad in BAD_POSITIVE]
+    + [pytest.param(call, name, bad, id=f"{param}={bad!r}")
+       for param, (call, name) in NONNEGATIVE.items() for bad in (math.nan, math.inf, -0.5)]
+)
+
+
 class TestParameterChecks:
     """Non-finite or out-of-range parameters are a :class:`DataError`
     naming the parameter, raised before any kernel value exists."""
+
+    @pytest.mark.parametrize("call, name, bad", PARAMETER_CASES)
+    def test_a_bad_value_is_a_data_error_naming_the_parameter(self, call, name, bad):
+        with pytest.raises(DataError, match=rf"^{re.escape(name)} must be "):
+            call(bad)
+
+    def test_integers_of_any_kind_are_kept_as_int(self):
+        k = weighted_degree_kernel(np.int64(3))
+        assert k.L == 3 and type(k.L) is int
+        for seed in (-2**63, 2**63 - 1):
+            assert random_ball_embedding(seed, 2).seed == seed
+        assert len(enumerate_up_to(DNA, np.uint8(1))) == 5
 
     @pytest.mark.parametrize("bad", BAD_POSITIVE)
     @pytest.mark.parametrize("which", ["C", "beta"])
@@ -121,12 +227,6 @@ class TestParameterChecks:
         args = {"C": 1.0, "beta": 2.0, which: bad}
         with pytest.raises(DataError, match=rf"^{which} must be finite and positive"):
             make(args["C"], args["beta"])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
-    def test_gap_extension_penalty(self, bad):
-        for family in ("alignment_params", "ht_alignment_matches"):
-            with pytest.raises(DataError, match="gap extension penalty mu"):
-                _gap_constructors()[family](bad, 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, -0.5])
     @pytest.mark.parametrize("family", sorted(_gap_constructors()))

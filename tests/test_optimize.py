@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from seqkern import (
     EuclideanKernel,
     FunctionEmbedding,
     Kernel,
+    NumericalError,
     Sequence,
     alignment_kernel,
     embedding_kernel,
@@ -183,6 +186,19 @@ class TestGreedyDescent:
         with pytest.raises(DataError, match="different alphabets") as err:
             greedy_mmd_optimize(make(), target, seq(DNA, "A"))
         assert repr(DNA) in str(err.value) and repr(PROTEIN) in str(err.value)
+
+
+    @pytest.mark.parametrize("bad, atoms", [("GG", ["CC", "GG"]), ("AC", ["CC", "TTT"])],
+                             ids=["at_the_start", "at_a_neighbour"])
+    def test_a_non_finite_objective_is_a_numerical_error(self, bad, atoms):
+        # it once stopped at step 0 as converged, with an MMD of nan; "AC"
+        # is a neighbour of the start "A"
+        bad = seq(DNA, bad)
+        emb = FunctionEmbedding(lambda x: [math.nan if x == bad else len(x), sum(x.codes)], 2)
+        k = embedding_kernel(emb, EuclideanKernel("imq"))
+        target = EmpiricalMeasure.uniform([seq(DNA, a) for a in atoms])
+        with pytest.raises(NumericalError, match="^the MMD to the target is not finite: nan"):
+            greedy_mmd_optimize(k, target, seq(DNA, "A"))
 
 
 def _score_every_neighbour(kernel, target, init, max_steps):

@@ -358,7 +358,7 @@ class TestWindowKernelsOnMixedLengths:
                              ids=["weighted_degree", "imq_hamming_lag"])
     def test_window_length_must_be_positive(self, make):
         for L in (0, -1):
-            with pytest.raises(DataError, match="must be >= 1"):
+            with pytest.raises(DataError, match="^L must be at least 1"):
                 make(L)
         assert make(1).L == 1
 

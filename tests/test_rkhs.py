@@ -166,6 +166,19 @@ class TestGram:
         G = gram(imq_hamming_kernel(), [seq(DNA, "A"), seq(DNA, "C")])
         assert G._certified and G.leading(0).is_singular()
 
+    def test_empty_grams_are_decided_without_a_factorisation(self):
+        # the empty Gram is PSD by definition: there is nothing to factorise
+        for G in (gram(imq_hamming_kernel(), []),
+                  GramMatrix(imq_hamming_kernel(), [], np.zeros((0, 0)))):
+            assert G.factorisations == Counter()
+        for G in (gram(weighted_degree_kernel(2), WD_SETS["a1"]),
+                  gram(imq_hamming_kernel(), [seq(DNA, "A"), seq(DNA, "C")])):
+            before = Counter(G.factorisations)
+            B = G.leading(0)
+            assert G.factorisations == before
+            assert B.is_singular()
+            assert B.solve_pinv(np.zeros(0)).shape == (0,)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
         K = np.eye(3)
@@ -792,9 +805,8 @@ class TestRefinedSolves:
         for m in sizes:
             assert G.leading(m)._factor is G._factor
         solved = [G.leading(m).solve_pinv(KEPT_LABELS[:m]) for m in sizes]
-        # the certificate, and the empty block's PSD rule
-        assert G.factorisations == Counter({("certificate", len(G), panels(len(G)), True): 1,
-                                            ("psd", 0, 1, True): 1})
+        # the certificate alone: the empty block is PSD without a factorisation
+        assert G.factorisations == Counter({("certificate", len(G), panels(len(G)), True): 1})
         assert G.solve_routes == Counter(refined=len(sizes))
         for m, x in zip(sizes, solved):
             K = G.entries[:m, :m]
@@ -838,7 +850,7 @@ class TestSolve:
         # refinement's first test and would return its first correction,
         # not the limit 0
         for ridge in (-1.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(DataError, match="finite and nonnegative"):
+            with pytest.raises(DataError, match="^ridge must be finite and >= 0"):
                 fit_regression(G, y, ridge)
         for b in (y[:5], np.append(y, 1.0), y[:, None]):
             with pytest.raises(DataError, match=rf"{b.shape}.* {len(G)} rows"):

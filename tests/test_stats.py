@@ -8,9 +8,11 @@ from seqkern import (
     AlignmentParams,
     DataError,
     EuclideanKernel,
+    FunctionEmbedding,
     HeavyTailedAlignmentGaps,
     HeavyTailedAlignmentMatches,
     IdentityKernel,
+    NumericalError,
     Sequence,
     alignment_kernel,
     base_positionwise_kernel,
@@ -143,6 +145,17 @@ class TestTestResult:
         for bad in (150.5, 1e3, "200", True, np.float64(200)):
             with pytest.raises(DataError, match="n_bootstrap"):
                 mmd_two_sample_test(k, xs, xs, n_bootstrap=bad)
+
+    @pytest.mark.parametrize("method", ["permutation", "multiplier"])
+    def test_a_non_finite_pooled_gram_is_a_numerical_error(self, method):
+        # it once gave mmd_observed = nan, p = 1 / (1 + n_bootstrap) and a rejection
+        bad = seq(DNA, "GT")
+        emb = FunctionEmbedding(lambda x: [math.nan if x == bad else len(x), x.codes[0]], 2)
+        k = embedding_kernel(emb, EuclideanKernel("imq"))
+        xs = [seq(DNA, "AC"), bad]
+        ys = [seq(DNA, "CA"), seq(DNA, "TTA")]
+        with pytest.raises(NumericalError, match=r"^Gram entry \(0, 1\) is not finite: nan"):
+            mmd_two_sample_test(k, xs, ys, n_bootstrap=100, method=method)
 
     def test_numpy_integers_are_accepted(self):
         k = imq_hamming_kernel()
