@@ -39,7 +39,7 @@ from .embedding import (
     random_ball_embedding,
     scaled_embedding,
 )
-from .errors import ConfigError, DataError, NumericalError, SeqKernError
+from .errors import ConfigError, DataError, NumericalError, ParameterError, SeqKernError
 from .optimize import (
     Edit,
     Edits,

@@ -74,12 +74,14 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import HAS_MASSES, LACKS_MASSES, UNKNOWN_MASSES, Kernel
-from .errors import DataError, NumericalError, check_nonnegative, check_positive
+from .errors import DataError, NumericalError, ParameterError, check_nonnegative, check_positive
 from .seqcore import Alphabet, Sequence, encode_padded
 
 
 def exponential_letter_matrix(size: int, lam: float) -> np.ndarray:
-    """Letter matrix ``exp(-lam * 1(b != b'))`` restricted to the alphabet."""
+    """Letter matrix ``exp(-lam * 1(b != b'))`` restricted to the alphabet,
+    for a finite ``lam > 0``."""
+    check_positive(**{"lambda": lam})
     K = np.full((size, size), math.exp(-lam))
     np.fill_diagonal(K, 1.0)
     return K
@@ -110,10 +112,10 @@ def checked_letter_matrix(matrix, size: int) -> np.ndarray:
 
 
 def check_gap_penalties(mu: float, delta_mu: float) -> None:
-    """:class:`DataError` unless ``mu >= 0`` is finite and ``delta_mu >= 0`` or inf."""
+    """:class:`ParameterError` unless ``mu >= 0`` is finite and ``delta_mu >= 0`` or inf."""
     check_nonnegative(**{"gap extension penalty mu": mu})
     if not delta_mu >= 0:
-        raise DataError(f"gap start penalty delta_mu must be >= 0 or inf, got {delta_mu}")
+        raise ParameterError(f"gap start penalty delta_mu must be >= 0 or inf, got {delta_mu}")
 
 
 def sigma_of(ks_matrix: np.ndarray) -> float:
@@ -148,7 +150,6 @@ class AlignmentParams:
     def exponential(
         cls, alphabet: Alphabet, lam: float, mu: float, delta_mu: float
     ) -> "AlignmentParams":
-        check_positive(**{"lambda": lam})
         return cls(alphabet, exponential_letter_matrix(alphabet.size, lam), mu, delta_mu)
 
 

@@ -2,9 +2,12 @@
 
 Each kernel family is declared once, as a row of :data:`FAMILIES`: its
 required keys, its optional keys and a builder ``(alphabet, values) ->
-Kernel``.  Each kernel key has one reader in :data:`KEYS`, which turns
+Kernel``.  Each kernel key has one reader in :data:`KEYS`, which parses
 its value (a string from an INI section or a command-line flag) into
-what the builders read, or raises a :class:`ConfigError` naming the key.
+what the builders read, or raises a :class:`ConfigError` naming the key
+when it cannot.  Readers check no ranges: the constructors that the
+builders call check their own parameters and raise
+:class:`~seqkern.errors.ParameterError` naming the parameter.
 Unknown keys are rejected and missing required keys are reported by
 name.  A required key ``a|b`` is satisfied by either alternative.  A
 wrapper family requires ``inner``: the kernel that its ``inner_*`` keys
@@ -13,8 +16,6 @@ configure (``inner_family = exp_hamming`` etc.).
 
 from __future__ import annotations
 
-import math
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,18 +29,13 @@ from .errors import ConfigError, DataError
 from .seqcore import Alphabet
 
 
-def _to_float(key: str, value: str, minimum: Optional[float] = None) -> float:
-    """``value`` as a finite float, at least ``minimum`` when given;
-    anything else is a :class:`ConfigError` naming ``key``."""
+def _to_float(key: str, value: str) -> float:
+    """``value`` as a float (``inf`` and ``nan`` included); anything else
+    is a :class:`ConfigError` naming ``key``."""
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"key {key!r} must be a number, got {value!r}")
-    if not math.isfinite(number):
-        raise ConfigError(f"key {key!r} must be a finite number, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"key {key!r} must be at least {minimum:g}, got {number:g}")
-    return number
 
 
 def _to_int(key: str, value: str, minimum: Optional[int] = None) -> int:
@@ -61,19 +57,6 @@ def _to_bool(key: str, value) -> bool:
     raise ConfigError(f"key {key!r} must be a boolean, got {value!r}")
 
 
-def _positive(key: str, value: str) -> float:
-    number = _to_float(key, value)
-    if not number > 0:
-        raise ConfigError(f"key {key!r} must be positive, got {number:g}")
-    return number
-
-
-def _to_delta_mu(key: str, value: str) -> float:
-    if str(value).strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return _to_float(key, value, minimum=0)
-
-
 def _read_letter_matrix(key: str, path: str) -> np.ndarray:
     try:
         return np.loadtxt(path, delimiter=",", ndmin=2)
@@ -88,26 +71,14 @@ def _to_base(key: str, value: str) -> str:
     return base
 
 
-def _to_form(key: str, value: str) -> str:
-    form = str(value).strip()
-    if form not in ("imq", "rbf"):
-        raise ConfigError(f"key {key!r} must be 'imq' or 'rbf', got {form!r}")
-    return form
-
-
 #: kernel key -> its reader ``(key, value) -> value``
 KEYS: dict[str, Callable[[str, str], object]] = {
-    **dict.fromkeys(("C", "beta", "lambda"), _positive),
-    "mu": partial(_to_float, minimum=0),
-    "delta_mu": _to_delta_mu,
-    **dict.fromkeys(("L", "L_max", "D"), partial(_to_int, minimum=1)),
-    "shift_max": partial(_to_int, minimum=0),
-    "scale_epsilon": partial(_to_float, minimum=0),
-    "seed": _to_int,
-    "gamma": _positive,
+    **dict.fromkeys(("C", "beta", "lambda", "mu", "delta_mu", "scale_epsilon", "gamma"),
+                    _to_float),
+    **dict.fromkeys(("L", "L_max", "D", "shift_max", "seed"), _to_int),
     "k_s": _read_letter_matrix,
     "base": _to_base,
-    "k_E": _to_form,
+    "k_E": lambda key, value: str(value).strip(),
 }
 
 
@@ -128,19 +99,17 @@ def _embedding(alphabet: Alphabet, v: dict) -> Kernel:
     form = v.get("k_E", "imq")
     if "gamma" in v and form != "rbf":
         raise ConfigError(f"key 'gamma' is read only with k_E = rbf, not {form!r}")
+    euclidean = emb.EuclideanKernel(form, v.get("gamma", 1.0))
     if v["base"] == "random_ball":
-        try:
-            embedding: emb.Embedding = emb.random_ball_embedding(
-                v.get("seed", v["default_seed"]), v["D"])
-        except DataError as exc:
-            raise ConfigError(f"key 'seed': {exc}")
+        embedding: emb.Embedding = emb.random_ball_embedding(
+            v.get("seed", v["default_seed"]), v["D"])
     elif "seed" in v:
         raise ConfigError("key 'seed' is read only with base = random_ball, not a table")
     else:
         embedding = emb.load_embedding_table(v["base"][len("table:"):], v["D"])
-    if v.get("scale_epsilon", 0.0) > 0:  # 0 disables scaling
+    if v.get("scale_epsilon", 0.0) != 0:  # 0 disables scaling
         embedding = emb.scaled_embedding(embedding, v["scale_epsilon"], alphabet.size)
-    return emb.embedding_kernel(embedding, emb.EuclideanKernel(form, v.get("gamma", 1.0)))
+    return emb.embedding_kernel(embedding, euclidean)
 
 
 # family -> (required keys, optional keys, builder)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import HAS_MASSES, Kernel, UNKNOWN_MASSES
-from .errors import DataError, check_integer, check_positive
+from .errors import DataError, NumericalError, ParameterError, check_integer, check_positive
 from .seqcore import Sequence, element_blocks
 
 
@@ -36,7 +36,8 @@ class Embedding:
     """
 
     def __init__(self, dim: int):
-        self.dim = check_integer("dim", dim, 1)
+        # a vector's length must be a numpy array dimension
+        self.dim = check_integer("dim", dim, 1, np.iinfo(np.intp).max)
         self._cache: dict[Sequence, np.ndarray] = {}
 
     def _compute(self, xs: list[Sequence]) -> np.ndarray:
@@ -129,8 +130,12 @@ class ScaledEmbedding(Embedding):
     def _compute(self, xs: list[Sequence]) -> np.ndarray:
         # base.vectors, not base.matrix: only the scaled vector is read
         # again, from this memo
-        scales = {n: self.alphabet_size ** ((1.0 + self.epsilon) * n / self.dim)
-                  for n in set(map(len, xs))}
+        try:
+            scales = {n: self.alphabet_size ** ((1.0 + self.epsilon) * n / self.dim)
+                      for n in set(map(len, xs))}
+        except OverflowError:
+            raise NumericalError(f"the scale of length {max(map(len, xs))} overflows "
+                                 f"at epsilon {self.epsilon:g}, dim {self.dim}") from None
         scale = np.array([scales[len(x)] for x in xs])
         return scale[:, None] * self.base.vectors(xs)
 
@@ -177,7 +182,7 @@ class EuclideanKernel:
 
     def __init__(self, form: str, gamma: float = 1.0):
         if form not in ("imq", "rbf"):
-            raise DataError("Euclidean kernel form must be 'imq' or 'rbf'")
+            raise ParameterError(f"Euclidean kernel form must be 'imq' or 'rbf', got {form!r}")
         check_positive(gamma=gamma)
         self.form = form
         self.gamma = float(gamma)
@@ -264,8 +269,11 @@ def load_embedding_table(path, dim: Optional[int] = None) -> TableEmbedding:
     """Read a CSV of ``sequence, v0, v1, ...`` rows into a table embedding.
 
     A malformed or non-finite entry is a :class:`DataError` naming
-    ``path:line``.
+    ``path:line``; a ``dim`` that breaks its rule is refused before the
+    file is read.
     """
+    if dim is not None:
+        dim = Embedding(dim).dim  # the dim rule, before the file is read
     table = {}
     try:
         fh = open(path, "r", encoding="utf-8")

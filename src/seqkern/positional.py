@@ -92,7 +92,7 @@ class WeightedDegreeKernel(Kernel):
         nwin = max(ix.shape[1] - self.L + 1, 0)
         # windows reaching past their sequence match nothing: -1 on the
         # left, -2 on the right
-        end = np.arange(nwin) + self.L
+        end = np.arange(self.L, self.L + nwin)
         ix = np.where(end <= np.array([len(s) for s in xs])[:, None], ix[:, :nwin], -1)
         iy = np.where(end <= np.array([len(s) for s in ys_])[:, None], iy[:, :nwin], -2)
         return _count_equal(ix, iy).astype(float)
@@ -399,6 +399,13 @@ class ShiftedKernel(Kernel):
         self.shift_max = check_integer("shift_max", shift_max, 0)
         self.mass_status = base.mass_status
 
+    def _offsets(self, seqs) -> list[tuple[int, int]]:
+        """``(l, times)`` over the offsets whose terms differ: from the
+        longest of ``seqs`` on, every offset cuts them all to empty, so
+        the first such term stands for ``times`` equal ones."""
+        last = min(self.shift_max, max(map(len, seqs), default=0))
+        return [(l, 1) for l in range(last)] + [(last, self.shift_max - last + 1)]
+
     def pairwise(self, xs, ys=None) -> np.ndarray:
         """A Gram is ``sum_l B_l + B_l^T`` with ``B_l = base(x[l:], x)``
         over the rows: one base call per offset, exactly symmetric.  A
@@ -406,15 +413,15 @@ class ShiftedKernel(Kernel):
         xs = list(xs)
         if ys is None:
             total = np.zeros((len(xs), len(xs)))
-            for l in range(self.shift_max + 1):
+            for l, times in self._offsets(xs):
                 B = self.base.pairwise([x[l:] for x in xs], xs)
-                total += B + B.T  # the sum first keeps the total exactly symmetric
+                total += times * (B + B.T)  # the sum first keeps the total exactly symmetric
             return total
         ys = list(ys)
         total = np.zeros((len(xs), len(ys)))
-        for l in range(self.shift_max + 1):
-            total += self.base.pairwise([x[l:] for x in xs], ys)
-            total += self.base.pairwise(xs, [y[l:] for y in ys])
+        for l, times in self._offsets(xs + ys):
+            total += times * self.base.pairwise([x[l:] for x in xs], ys)
+            total += times * self.base.pairwise(xs, [y[l:] for y in ys])
         return total
 
     def self_similarities(self, xs) -> np.ndarray:
@@ -422,10 +429,10 @@ class ShiftedKernel(Kernel):
         matrices, computed in row blocks under ``BLOCK_ELEMENTS``."""
         xs = list(xs)
         out = np.zeros(len(xs))
-        for l in range(self.shift_max + 1):
+        for l, times in self._offsets(xs):
             for blk in element_blocks(len(xs), len(xs)):
                 rows = xs[blk]
-                out[blk] += 2 * np.diag(self.base.pairwise([x[l:] for x in rows], rows))
+                out[blk] += times * 2 * np.diag(self.base.pairwise([x[l:] for x in rows], rows))
         return out
 
 

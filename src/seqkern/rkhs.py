@@ -61,7 +61,7 @@ from typing import Optional, Sequence as Seq
 import numpy as np
 
 from .core import Kernel
-from .errors import DataError, NumericalError, check_integer, check_nonnegative
+from .errors import DataError, NumericalError, check_finite, check_integer, check_nonnegative
 
 #: relative eigenvalue floor below which a Gram matrix counts as
 #: singular; the minimum-norm solve drops eigenvalues below it too
@@ -142,7 +142,7 @@ class GramMatrix:
         n = len(sequences)
         if entries.shape != (n, n):
             raise DataError("Gram entries must be square over the sequences")
-        check_finite(entries)
+        check_finite(entries, "Gram")
         if not np.array_equal(entries, entries.T):
             if np.abs(entries - entries.T).max() > 1e-12 * np.abs(entries).max():
                 raise NumericalError("Gram matrix is not symmetric")
@@ -290,9 +290,7 @@ class GramMatrix:
             raise DataError(f"a right-hand side of shape {b.shape} "
                             f"does not fit a Gram of {len(self)} rows")
         check_nonnegative(ridge=shift)
-        if not np.isfinite(b).all():
-            i = int(np.argmax(~np.isfinite(b)))
-            raise DataError(f"right-hand side entry {i} is not finite: {b[i]}")
+        check_finite(b, "right-hand side", DataError)
         K = self.entries
         if self._factor is not None:
             x = self._factor.refine(K, b, shift)
@@ -459,14 +457,6 @@ class _ShiftedFactor:
         return None
 
 
-def check_finite(K: np.ndarray) -> None:
-    """:class:`NumericalError` naming the first entry of the Gram ``K``
-    that is not finite."""
-    if not np.isfinite(K).all():
-        i, j = np.argwhere(~np.isfinite(K))[0]
-        raise NumericalError(f"Gram entry ({i}, {j}) is not finite: {K[i, j]}")
-
-
 def gram(kernel: Kernel, sequences: Seq) -> GramMatrix:
     """Assemble and validate the Gram matrix over distinct sequences."""
     sequences = list(sequences)
@@ -512,8 +502,11 @@ def predict(fit: RegressionFit, x) -> float:
 
 
 def predict_many(fit: RegressionFit, xs) -> np.ndarray:
-    k = fit.kernel.pairwise(list(xs), fit.support)
-    return k @ fit.coefficients
+    """The fitted function at each of ``xs``; a prediction that is not
+    finite is a :class:`NumericalError`."""
+    predictions = fit.kernel.pairwise(list(xs), fit.support) @ fit.coefficients
+    check_finite(predictions, "prediction")
+    return predictions
 
 
 @dataclass(frozen=True)
@@ -556,7 +549,8 @@ def mmd(kernel: Kernel, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     ``sqrt(E_mumu k + E_nunu k - 2 E_munu k)`` with the square clamped at
     zero against round-off.  Zero for equal measures; for degenerate
     kernels it can also vanish on genuinely different measures, which is
-    exactly the failure mode the flexible kernels rule out.
+    exactly the failure mode the flexible kernels rule out.  A square
+    that is not finite is a :class:`NumericalError`.
     """
     a = list(mu.atoms)
     b = list(nu.atoms)
@@ -564,8 +558,10 @@ def mmd(kernel: Kernel, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     K_bb = kernel.pairwise(b)
     K_ab = kernel.pairwise(a, b)
     wa, wb = mu.weights, nu.weights
-    m2 = wa @ K_aa @ wa + wb @ K_bb @ wb - 2.0 * (wa @ K_ab @ wb)
-    return math.sqrt(max(float(m2), 0.0))
+    m2 = float(wa @ K_aa @ wa + wb @ K_bb @ wb - 2.0 * (wa @ K_ab @ wb))
+    if not math.isfinite(m2):
+        raise NumericalError(f"the squared MMD is not finite: {m2}")
+    return math.sqrt(max(m2, 0.0))
 
 
 def nested_order(target, nested_sets) -> list:

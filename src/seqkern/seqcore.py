@@ -212,19 +212,23 @@ def encode_padded(seqs: list[Sequence], width: Optional[int] = None) -> np.ndarr
 
 
 def window_ids(codes: np.ndarray, stop: int, L: int) -> Iterator[np.ndarray]:
-    """For ``l = 1 .. L``, the ids of the windows ``codes[i, p : p + l]``.
+    """For ``l = 1 .. min(L, max(width, 1))``, the ids of the windows
+    ``codes[i, p : p + l]``.
 
     ``codes`` is stop-padded and read as ``stop`` past its end too; two
     windows share an id iff they are equal as strings over the letters
     plus stop.  Ids grow one letter at a time and are renumbered by
     ``np.unique`` after each, so they stay below the number of windows
-    and are exact for any ``L`` and alphabet.
+    and are exact for any ``L`` and alphabet.  Past the width a window
+    grows by stops alone, which split no ids, so the last level yielded
+    tells the length-``L`` windows apart whatever ``L`` is.
     """
     width = codes.shape[1]
-    padded = np.pad(codes, ((0, 0), (0, L - 1)), constant_values=stop)
+    levels = min(L, max(width, 1))
+    padded = np.pad(codes, ((0, 0), (0, levels - 1)), constant_values=stop)
     ids = codes
     yield ids
-    for t in range(1, L):
+    for t in range(1, levels):
         ids = ids * (stop + 1) + padded[:, t : t + width]
         ids = np.unique(ids.ravel(), return_inverse=True)[1].reshape(ids.shape)
         yield ids

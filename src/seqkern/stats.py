@@ -25,8 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Kernel
-from .errors import DataError, check_integer
-from .rkhs import check_finite
+from .errors import DataError, ParameterError, check_finite, check_integer
 from .seqcore import element_blocks
 
 MIN_BOOTSTRAP = 100
@@ -150,16 +149,17 @@ def mmd_two_sample_test(kernel: Kernel, sample_x, sample_y,
     sample_y = list(sample_y)
     if not sample_x or not sample_y:
         raise DataError("both samples must be nonempty")
-    n_bootstrap = check_integer("n_bootstrap", n_bootstrap, MIN_BOOTSTRAP)
+    # each resample is a column of an array
+    n_bootstrap = check_integer("n_bootstrap", n_bootstrap, MIN_BOOTSTRAP, np.iinfo(np.intp).max)
     seed = check_integer("seed", seed, 0)
     if not 0.0 < level < 1.0:
-        raise DataError("level must be in (0, 1)")
+        raise ParameterError(f"level must be in (0, 1), got {level}")
     if method not in ("permutation", "multiplier"):
-        raise DataError("method must be 'permutation' or 'multiplier'")
+        raise ParameterError(f"method must be 'permutation' or 'multiplier', got {method!r}")
     pooled = sample_x + sample_y
     m = len(sample_x)
     K = kernel.pairwise(pooled)
-    check_finite(K)
+    check_finite(K, "Gram")
     obs = mmd2_u_statistic(K, m)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     stats_fn = _permutation_stats if method == "permutation" else _multiplier_stats

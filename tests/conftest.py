@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from seqkern import DNA, Alphabet, Kernel, LetterKernel, Sequence
 from seqkern.alignment import exponential_letter_matrix
+from seqkern.config import FAMILIES, KEYS
 
 
 @pytest.fixture
@@ -101,3 +102,12 @@ CONFIGS = {
     "ht_gapped_spectrum": {"C": "1", "beta": "2", "delta_mu": "0.5"},
     "embedding": {"base": "random_ball", "D": "16", "scale_epsilon": "0.1"},
 }
+
+#: (family, key) for every numeric key, required or optional, of every family
+NUMERIC = [(family, key) for family, (required, optional, _) in sorted(FAMILIES.items())
+           for key in sorted({k for keys in required | optional for k in keys.split("|")}
+                             & set(KEYS) - {"k_s", "base", "k_E"})]
+
+#: values out of range, not finite, too large for 64 bits or no number at all
+BAD_VALUES = ["0", "-1", "2.5", "nan", "inf", "1e400", "99999999999999999999999",
+              "-99999999999999999999999", "", "true"]

@@ -14,6 +14,8 @@ from seqkern.io import _distinct_bits, fmt, parse_alphabet, read_fasta, read_lab
 from seqkern.rkhs import gram
 from seqkern.seqcore import DNA as SHARED_DNA, PROTEIN
 
+from conftest import BAD_VALUES, CONFIGS, NUMERIC
+
 DNA = Alphabet("ACGT")
 
 
@@ -751,23 +753,17 @@ class TestSynthRanges:
 
 
 # every [run] key read as a number, a boolean or a choice, with a subcommand
-# that reads it and a value that is malformed for its type or out of range
+# that reads it and a value that is malformed for its type, or out of a
+# range that the CLI itself checks
 MALFORMED = [
     ("gram", "seed", "x1"),
     ("gram", "seed", "-1"),
     ("regress", "ridge", "small"),
-    ("regress", "ridge", "-1"),
     ("regress", "train_fraction", "half"),
     ("mmd-test", "n_bootstrap", "many"),
-    ("mmd-test", "n_bootstrap", "0"),
     ("mmd-test", "level", "5%"),
-    ("mmd-test", "level", "2"),
-    ("mmd-test", "method", "jackknife"),
     ("optimize", "max_steps", "10.5"),
-    ("optimize", "max_steps", "0"),
     ("optimize", "min_improvement", "tiny"),
-    ("optimize", "min_improvement", "-1e-3"),
-    ("optimize", "min_improvement", "nan"),
     ("optimize", "normalize_trace", "maybe"),
     ("diagnose", "cutoffs", "1,x"),
     ("diagnose", "cutoffs", "2,-1"),
@@ -779,6 +775,31 @@ MALFORMED = [
     ("synth", "min_length", "short"),
     ("synth", "max_length", ""),
 ]
+
+# [run] keys whose ranges the library checks, with a subcommand that reads
+# each, a value out of range and the start of the message naming it
+RUN_OUT_OF_RANGE = [
+    ("regress", "ridge", "-1", "ridge must be finite and >= 0"),
+    ("mmd-test", "n_bootstrap", "0", "n_bootstrap must be at least 100"),
+    ("mmd-test", "level", "2", "level must be in (0, 1)"),
+    ("mmd-test", "method", "jackknife", "method must be 'permutation' or 'multiplier'"),
+    ("optimize", "max_steps", "0", "max_steps must be at least 1"),
+    ("optimize", "min_improvement", "-1e-3", "min_improvement must be finite and >= 0"),
+    ("optimize", "min_improvement", "nan", "min_improvement must be finite and >= 0"),
+]
+
+
+def run_data_flags(tmp_path, command):
+    """The data flags of ``command``, naming small FASTA and label files
+    written to ``tmp_path``: mixed lengths, the empty sequence among them."""
+    x, y, labels = tmp_path / "x.fasta", tmp_path / "y.fasta", tmp_path / "labels.csv"
+    write_fasta(x, [("a", "ACGT"), ("b", "ACG"), ("c", ""), ("d", "TTGCA")])
+    write_fasta(y, [("e", "AC"), ("f", "GGT"), ("g", "CA")])
+    labels.write_text("id,label\na,1\nb,2\nc,0\nd,3\n")
+    return {"gram": ["--fasta", str(x)],
+            "regress": ["--fasta", str(x), "--labels", str(labels)],
+            "mmd-test": ["--fasta-x", str(x), "--fasta-y", str(y)],
+            "optimize": ["--target-fasta", str(x)]}[command]
 
 
 class TestMalformedValues:
@@ -794,57 +815,75 @@ class TestMalformedValues:
         assert code == 2
         assert f"configuration error: key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags,key", [
-        (["--family", "imq_hamming", "--C", "nan", "--beta", "2"], "C"),
+    @pytest.mark.parametrize("command,key,value,message", RUN_OUT_OF_RANGE,
+                             ids=[f"{c}-{k}={v}" for c, k, v, _ in RUN_OUT_OF_RANGE])
+    def test_out_of_range_run_value_exits_2_naming_parameter(self, tmp_path, capsys, command,
+                                                             key, value, message):
+        # the library checks these where the value is used, after the data are read
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\n{key} = {value}\n")
+        code = main([command, "--config", str(cfg), "--output", str(tmp_path / "o.csv"),
+                     "--family", "identity", *run_data_flags(tmp_path, command)])
+        assert code == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--family", "imq_hamming", "--C", "nan", "--beta", "2"],
+         "C must be finite and positive, got nan"),
         (["--family", "local_alignment", "--mu", "inf", "--delta-mu", "0.5", "--lambda", "1"],
-         "mu"),
+         "gap extension penalty mu must be finite and >= 0, got inf"),
         (["--family", "embedding", "--base", "random_ball", "--D", "4",
-          "--scale-epsilon", "inf"], "scale_epsilon"),
-        (["--family", "imq_hamming", "--C", "1", "--beta=-inf"], "beta"),
+          "--scale-epsilon", "inf"], "epsilon must be finite and positive, got inf"),
+        (["--family", "imq_hamming", "--C", "1", "--beta=-inf"],
+         "beta must be finite and positive, got -inf"),
     ], ids=["C=nan", "mu=inf", "scale_epsilon=inf", "beta=-inf"])
-    def test_non_finite_kernel_value_exits_2(self, tmp_path, capsys, flags, key):
+    def test_non_finite_kernel_value_exits_2(self, tmp_path, capsys, flags, message):
         code = main(["diagnose", "--target", "A", "--cutoffs", "1",
                      "--output", str(tmp_path / "o.csv")] + flags)
         assert code == 2
-        assert f"key {key!r} must be a finite number" in capsys.readouterr().err
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags,key", [
-        (["--family", "imq_hamming", "--C", "-1", "--beta", "2"], "C"),
-        (["--family", "imq_hamming", "--C", "1", "--beta", "0"], "beta"),
-        (["--family", "imq_hamming_lag", "--C", "1", "--beta", "2", "--L", "0"], "L"),
-        (["--family", "weighted_degree", "--L", "0"], "L"),
-        (["--family", "exp_hamming", "--lambda", "-0.5"], "lambda"),
+    @pytest.mark.parametrize("flags,message", [
+        (["--family", "imq_hamming", "--C", "-1", "--beta", "2"], "C must be finite and positive"),
+        (["--family", "imq_hamming", "--C", "1", "--beta", "0"],
+         "beta must be finite and positive"),
+        (["--family", "imq_hamming_lag", "--C", "1", "--beta", "2", "--L", "0"],
+         "L must be at least 1"),
+        (["--family", "weighted_degree", "--L", "0"], "L must be at least 1"),
+        (["--family", "exp_hamming", "--lambda", "-0.5"], "lambda must be finite and positive"),
         (["--family", "shifted", "--shift-max", "-1", "--kernel", "inner_family=identity"],
-         "shift_max"),
-        (["--family", "alignment", "--mu", "-1", "--delta-mu", "0", "--lambda", "1"], "mu"),
+         "shift_max must be at least 0"),
+        (["--family", "alignment", "--mu", "-1", "--delta-mu", "0", "--lambda", "1"],
+         "gap extension penalty mu must be finite and >= 0"),
         (["--family", "local_alignment", "--mu", "1", "--delta-mu", "-0.5", "--lambda", "1"],
-         "delta_mu"),
-        (["--family", "alignment", "--mu", "1", "--delta-mu", "0", "--lambda", "0"], "lambda"),
+         "gap start penalty delta_mu must be >= 0 or inf"),
+        (["--family", "alignment", "--mu", "1", "--delta-mu", "0", "--lambda", "0"],
+         "lambda must be finite and positive"),
         (["--family", "ht_alignment_matches", "--C", "1", "--beta", "2", "--mu", "-0.1",
-          "--delta-mu", "0"], "mu"),
+          "--delta-mu", "0"], "gap extension penalty mu must be finite and >= 0"),
         (["--family", "ht_alignment_gaps", "--C", "0", "--beta", "2", "--delta-mu", "0",
-          "--lambda", "1"], "C"),
+          "--lambda", "1"], "C must be finite and positive"),
         (["--family", "ht_gapped_spectrum", "--C", "1", "--beta", "-2", "--delta-mu", "0"],
-         "beta"),
-        (["--family", "finite_spectrum", "--L-max", "0"], "L_max"),
-        (["--family", "embedding", "--base", "random_ball", "--D", "0"], "D"),
+         "beta must be finite and positive"),
+        (["--family", "finite_spectrum", "--L-max", "0"], "L_max must be at least 1"),
+        (["--family", "embedding", "--base", "random_ball", "--D", "0"], "dim must be at least 1"),
         (["--family", "embedding", "--base", "random_ball", "--D", "4",
-          "--scale-epsilon", "-0.1"], "scale_epsilon"),
+          "--scale-epsilon", "-0.1"], "epsilon must be finite and positive"),
         (["--family", "embedding", "--base", "random_ball", "--D", "4", "--k-E", "cosine"],
-         "k_E"),
+         "Euclidean kernel form must be 'imq' or 'rbf', got 'cosine'"),
         (["--family", "embedding", "--base", "random_ball", "--D", "4", "--k-E", "rbf",
-          "--gamma", "-1"], "gamma"),
+          "--gamma", "-1"], "gamma must be finite and positive"),
         # keys the embedding would not read: gamma without rbf, a table's seed
         (["--family", "embedding", "--base", "random_ball", "--D", "4", "--gamma", "0.5"],
-         "gamma"),
+         "key 'gamma' is read only with k_E = rbf"),
         (["--family", "embedding", "--base", "table:emb.csv", "--D", "2", "--kernel-seed", "5"],
-         "seed"),
+         "key 'seed' is read only with base = random_ball"),
     ])
-    def test_out_of_range_kernel_value_exits_2(self, tmp_path, capsys, flags, key):
+    def test_out_of_range_kernel_value_exits_2(self, tmp_path, capsys, flags, message):
         code = main(["diagnose", "--target", "A", "--cutoffs", "1",
                      "--output", str(tmp_path / "o.csv")] + flags)
         assert code == 2
-        assert f"configuration error: key {key!r}" in capsys.readouterr().err
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--kernel-seed=99999999999999999999999",
                                       "--kernel-seed=-99999999999999999999999",
@@ -859,7 +898,7 @@ class TestMalformedValues:
         code = main(["gram", "--fasta", str(fasta), "--output", str(out), "--family",
                      "embedding", "--base", "random_ball", "--D", "4", flag])
         assert code == 2
-        assert "configuration error: key 'seed': seed must be at" in capsys.readouterr().err
+        assert "configuration error: seed must be at" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_letter_matrix_file_stays_a_data_error(self, tmp_path, capsys):
@@ -883,6 +922,49 @@ class TestMalformedValues:
                      "--output", str(tmp_path / "o.csv")])
         assert code == 2
         assert "key 'cutoffs' must be an integer, got 'x'" in capsys.readouterr().err
+
+
+BIG = "99999999999999999999999"
+#: in-range values whose Grams fail numerically (exit 4): the length
+#: scale overflows, and the equal terms of the offsets past every
+#: sequence make the shifted sum indefinite
+NUMERICAL = {("embedding", "scale_epsilon", BIG): "overflows",
+             ("shifted", "shift_max", BIG): "not positive semidefinite"}
+
+
+class TestValueSweep:
+    """No value of a numeric key escapes ``main`` as an exception: a Gram
+    is written (exit 0) or the value is refused, naming its key or
+    parameter (exit 2)."""
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("family,key", NUMERIC, ids=[f"{f}-{k}" for f, k in NUMERIC])
+    def test_kernel_key(self, tmp_path, capsys, family, key, value):
+        # only the rbf form reads gamma
+        cfg = {**CONFIGS[family], **({"k_E": "rbf"} if key == "gamma" else {}), key: value}
+        flags = [flag for item in cfg.items() for flag in ("--kernel", "=".join(item))]
+        code = main(["gram", "--output", str(tmp_path / "o.csv"), "--family", family, *flags,
+                     *run_data_flags(tmp_path, "gram")])
+        err = capsys.readouterr().err
+        if (family, key, value) in NUMERICAL:
+            assert code == 4 and NUMERICAL[family, key, value] in err
+        else:
+            assert code in (0, 2), err
+            assert code == 0 or err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("command,key", [
+        ("regress", "ridge"), ("mmd-test", "n_bootstrap"), ("mmd-test", "level"),
+        ("optimize", "max_steps"), ("optimize", "min_improvement")])
+    def test_run_key(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\n{key} = {value}\n")
+        code = main([command, "--config", str(cfg), "--output", str(tmp_path / "o.csv"),
+                     "--family", "imq_hamming", "--C", "1", "--beta", "2",
+                     *run_data_flags(tmp_path, command)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert code == 0 or err.startswith("configuration error: ")
 
 
 def flag_actions(parser):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from seqkern import Alphabet, ConfigError, DataError, seq
-from seqkern.config import FAMILIES, KEYS, build_kernel
+from seqkern.config import FAMILIES, build_kernel
 
-from conftest import CONFIGS
+from conftest import BAD_VALUES, CONFIGS, NUMERIC
 
 DNA = Alphabet("ACGT")
 AB = Alphabet("AB")
@@ -15,16 +15,6 @@ AB = Alphabet("AB")
 #: (family, key) for every required key of every family
 REQUIRED = [(family, key) for family, (required, _, _) in sorted(FAMILIES.items())
             for key in sorted(required)]
-
-
-#: (family, key) for every numeric key, required or optional, of every family
-NUMERIC = [(family, key) for family, (required, optional, _) in sorted(FAMILIES.items())
-           for key in sorted({k for keys in required | optional for k in keys.split("|")}
-                             & set(KEYS) - {"k_s", "base", "k_E"})]
-
-#: values out of range, not finite, too large for 64 bits or no number at all
-BAD_VALUES = ["0", "-1", "2.5", "nan", "inf", "1e400", "99999999999999999999999",
-              "-99999999999999999999999", "", "true"]
 
 
 class TestFamilyValidation:

@@ -13,12 +13,14 @@ import pytest
 from seqkern import (
     Alphabet,
     AlignmentParams,
+    ConfigError,
     DataError,
     EmpiricalMeasure,
     EuclideanKernel,
     FunctionEmbedding,
     HeavyTailedAlignmentGaps,
     HeavyTailedAlignmentMatches,
+    ParameterError,
     TableEmbedding,
     alignment_dp_R,
     alignment_kernel,
@@ -30,6 +32,7 @@ from seqkern import (
     greedy_mmd_optimize,
     imq_hamming_kernel,
     imq_hamming_lag_kernel,
+    load_embedding_table,
     local_alignment_kernel,
     mmd_two_sample_test,
     random_ball_embedding,
@@ -145,9 +148,11 @@ INTEGERS = {
     "FiniteSpectrumKernel.L_max": (finite_spectrum_kernel, "L_max", 1, ()),
     "ShiftedKernel.shift_max": (lambda v: shifted_kernel(imq_hamming_kernel(), v),
                                 "shift_max", 0, ()),
-    "RandomBallEmbedding.dim": (lambda v: random_ball_embedding(0, v), "dim", 1, ()),
+    "RandomBallEmbedding.dim": (lambda v: random_ball_embedding(0, v), "dim", 1, (2**63,)),
     "TableEmbedding.dim": (lambda v: TableEmbedding({}, v), "dim", 1, ()),
     "FunctionEmbedding.dim": (lambda v: FunctionEmbedding(len, v), "dim", 1, ()),
+    # checked before the file is read, so the file need not exist
+    "load_embedding_table.dim": (lambda v: load_embedding_table("absent.csv", v), "dim", 1, ()),
     "ScaledEmbedding.alphabet_size": (
         lambda v: scaled_embedding(random_ball_embedding(0, 2), 0.1, v), "alphabet_size", 1, ()),
     "RandomBallEmbedding.seed": (lambda v: random_ball_embedding(v, 2), "seed", -2**63,
@@ -161,7 +166,7 @@ INTEGERS = {
     "enumerate_up_to.L_max": (lambda v: enumerate_up_to(DNA, v), "L_max", 0, ()),
     "mmd_two_sample_test.n_bootstrap": (
         lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS, n_bootstrap=v),
-        "n_bootstrap", 100, ()),
+        "n_bootstrap", 100, (2**63,)),
     "mmd_two_sample_test.seed": (lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS,
                                                                seed=v), "seed", 0, ()),
 }
@@ -192,6 +197,18 @@ NONNEGATIVE = {
                                             "min_improvement"),
 }
 
+#: parameter with a rule of its own -> (a call with the bad value in its
+#: place, the name its error gives, bad values)
+OWN_RULES = {
+    "EuclideanKernel.form": (EuclideanKernel, "Euclidean kernel form", ("cosine", "IMQ", None)),
+    "mmd_two_sample_test.level": (
+        lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS, level=v), "level",
+        (0.0, 1.0, -0.5, math.nan)),
+    "mmd_two_sample_test.method": (
+        lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS, method=v), "method",
+        ("jackknife", "Permutation")),
+}
+
 PARAMETER_CASES = (
     [pytest.param(call, name, bad, id=f"{param}={bad!r}")
      for param, (call, name, minimum, more) in INTEGERS.items()
@@ -200,16 +217,24 @@ PARAMETER_CASES = (
        for param, (call, name) in POSITIVE.items() for bad in BAD_POSITIVE]
     + [pytest.param(call, name, bad, id=f"{param}={bad!r}")
        for param, (call, name) in NONNEGATIVE.items() for bad in (math.nan, math.inf, -0.5)]
+    + [pytest.param(call, name, bad, id=f"{param}={bad!r}")
+       for param, (call, name, bads) in OWN_RULES.items() for bad in bads]
 )
 
 
 class TestParameterChecks:
-    """Non-finite or out-of-range parameters are a :class:`DataError`
-    naming the parameter, raised before any kernel value exists."""
+    """Non-finite or out-of-range parameters are a :class:`ParameterError`
+    naming the parameter, raised before any kernel value exists: a
+    :class:`DataError` to a library caller, a configuration error (exit
+    2) to the CLI."""
+
+    def test_a_parameter_error_is_both_a_data_and_a_configuration_error(self):
+        assert issubclass(ParameterError, DataError)
+        assert issubclass(ParameterError, ConfigError)
 
     @pytest.mark.parametrize("call, name, bad", PARAMETER_CASES)
-    def test_a_bad_value_is_a_data_error_naming_the_parameter(self, call, name, bad):
-        with pytest.raises(DataError, match=rf"^{re.escape(name)} must be "):
+    def test_a_bad_value_is_a_parameter_error_naming_the_parameter(self, call, name, bad):
+        with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must be "):
             call(bad)
 
     def test_integers_of_any_kind_are_kept_as_int(self):
@@ -225,13 +250,13 @@ class TestParameterChecks:
     def test_power_law_parameters(self, family, which, bad):
         make = _power_law_constructors()[family]
         args = {"C": 1.0, "beta": 2.0, which: bad}
-        with pytest.raises(DataError, match=rf"^{which} must be finite and positive"):
+        with pytest.raises(ParameterError, match=rf"^{which} must be finite and positive"):
             make(args["C"], args["beta"])
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, -0.5])
     @pytest.mark.parametrize("family", sorted(_gap_constructors()))
     def test_gap_start_penalty(self, family, bad):
-        with pytest.raises(DataError, match="gap start penalty delta_mu"):
+        with pytest.raises(ParameterError, match="gap start penalty delta_mu"):
             _gap_constructors()[family](0.5, bad)
 
     @pytest.mark.parametrize("family", sorted(_gap_constructors()))
@@ -242,8 +267,9 @@ class TestParameterChecks:
     @pytest.mark.parametrize("bad", BAD_POSITIVE)
     def test_mismatch_rate(self, bad):
         for make in (exp_hamming_kernel,
-                     lambda ab, lam: AlignmentParams.exponential(ab, lam, 0.5, 0.5)):
-            with pytest.raises(DataError, match="^lambda must be finite and positive"):
+                     lambda ab, lam: AlignmentParams.exponential(ab, lam, 0.5, 0.5),
+                     lambda ab, lam: exponential_letter_matrix(ab.size, lam)):
+            with pytest.raises(ParameterError, match="^lambda must be finite and positive"):
                 make(AB, bad)
 
     def test_non_finite_letter_matrix_is_named_as_such(self):

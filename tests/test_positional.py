@@ -27,6 +27,7 @@ import seqkern.seqcore
 from seqkern.embedding import EuclideanKernel, embedding_kernel, random_ball_embedding
 from seqkern.positional import _count_equal, _window_ids
 from seqkern.seqcore import PROTEIN
+from seqkern.spectrum import finite_spectrum_kernel
 
 from conftest import (SIGNED_LETTERS, Counting, exponential_letters, random_distinct_sequences,
                       random_sequence, uneven_letters)
@@ -353,6 +354,18 @@ class TestWindowKernelsOnMixedLengths:
         for got, expected in self.blocks(k, value):
             np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("L", [13, 10_000, 2**62, 10**23])
+    def test_a_window_longer_than_every_sequence_gives_the_values_at_12(self, L):
+        # past the width a window grows by stops alone; 10**23 once raised
+        # TypeError from np.pad, 2**62 numpy's "array is too big"
+        for make in (weighted_degree_kernel, lambda L: imq_hamming_lag_kernel(1.3, 1.7, L),
+                     finite_spectrum_kernel):
+            k, at_12 = make(L), make(12)
+            for left, right in ((self.XS, None), (self.XS, self.YS), (self.YS, self.XS[:4])):
+                np.testing.assert_array_equal(k.pairwise(left, right), at_12.pairwise(left, right))
+            np.testing.assert_array_equal(k.self_similarities(self.XS),
+                                          at_12.self_similarities(self.XS))
+
     @pytest.mark.parametrize("make", [weighted_degree_kernel,
                                       lambda L: imq_hamming_lag_kernel(1.0, 1.0, L)],
                              ids=["weighted_degree", "imq_hamming_lag"])
@@ -532,6 +545,25 @@ class TestShifted:
         assert np.array_equal(G, G.T)
         assert base.calls == {"pairwise": 3}
         assert np.array_equal(s.self_similarities(xs), np.diag(G))
+
+    def test_offsets_past_every_sequence_are_one_term_times_their_count(self):
+        # from the longest sequence on, every offset cuts all to empty; a
+        # shift beyond 64 bits once looped without end
+        k = exp_hamming_kernel(DNA, 0.5)
+        rng = np.random.default_rng(41)
+        xs = [empty(DNA)] + random_distinct_sequences(rng, DNA, 9, 5)
+        ys = random_distinct_sequences(rng, DNA, 4, 7)
+        s, oracle = shifted_kernel(k, 12), _shifted_oracle(k, 12)
+        for left, right in ((xs, xs), (xs, ys), (ys, xs)):
+            np.testing.assert_allclose(s.pairwise(left, right),
+                                       [[oracle(x, y) for y in right] for x in left], rtol=1e-13)
+        G = s.pairwise(xs)
+        np.testing.assert_allclose(G, [[oracle(x, y) for y in xs] for x in xs], rtol=1e-13)
+        np.testing.assert_array_equal(G, G.T)
+        np.testing.assert_array_equal(s.self_similarities(xs), np.diag(G))
+        E = k.pairwise([empty(DNA)] * len(xs), xs)
+        np.testing.assert_allclose(shifted_kernel(k, 10**30).pairwise(xs), 1e30 * (E + E.T),
+                                   rtol=1e-12)
 
     def test_indefinite_for_fast_decaying_base(self):
         # known limitation: the one-sided offset sums are not separately

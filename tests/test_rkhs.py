@@ -16,6 +16,8 @@ from seqkern import (
     AlignmentParams,
     DataError,
     EmpiricalMeasure,
+    EuclideanKernel,
+    FunctionEmbedding,
     GramMatrix,
     IdentityKernel,
     NumericalError,
@@ -23,6 +25,7 @@ from seqkern import (
     Sequence,
     alignment_kernel,
     discrete_mass_diagnostic,
+    embedding_kernel,
     empty,
     enumerate_sequences,
     enumerate_up_to,
@@ -46,6 +49,8 @@ from seqkern import (
 import seqkern.rkhs
 from seqkern.rkhs import (PSD_RTOL, REFINE_ROWS, SINGULAR_RTOL, _TRIANGULAR_BLOCK, _ShiftedFactor,
                           _certificate, _cholesky)
+
+from seqkern.errors import check_finite
 
 from conftest import random_distinct_sequences
 
@@ -178,6 +183,15 @@ class TestGram:
             assert G.factorisations == before
             assert B.is_singular()
             assert B.solve_pinv(np.zeros(0)).shape == (0,)
+
+    def test_check_finite_names_the_first_bad_entry(self):
+        K = np.eye(3)
+        K[2, 0] = K[1, 2] = math.nan
+        with pytest.raises(NumericalError, match=r"^Gram entry \(1, 2\) is not finite: nan$"):
+            check_finite(K, "Gram")
+        with pytest.raises(DataError, match="^weight entry 2 is not finite: -inf$"):
+            check_finite(np.array([0.0, 1.0, -math.inf, math.nan]), "weight", DataError)
+        check_finite(np.ones((2, 2)), "Gram")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -1067,7 +1081,21 @@ class TestNumpyAlone:
                                             "1365 [('factorised', 1), ('refined', 7)]"]
 
 
+def nan_at_ac_kernel():
+    """An embedding kernel whose embedding maps AC to NaN."""
+    emb = FunctionEmbedding(lambda x: [math.nan if str(x) == "AC" else len(x), sum(x.codes)], 2)
+    return embedding_kernel(emb, EuclideanKernel("imq"))
+
+
 class TestPredict:
+    def test_a_prediction_that_is_not_finite_is_refused(self):
+        # it once answered [nan, 1.485]
+        k = nan_at_ac_kernel()
+        fit = fit_regression(gram(k, [seq(DNA, "A"), seq(DNA, "GG")]), np.array([1.0, 2.0]))
+        assert np.isfinite(predict_many(fit, [seq(DNA, "T"), seq(DNA, "CA")])).all()
+        with pytest.raises(NumericalError, match="^prediction entry 0 is not finite: nan"):
+            predict_many(fit, [seq(DNA, "AC"), seq(DNA, "T")])
+
     def test_zero_coefficients(self):
         k = imq_hamming_kernel()
         G = gram(k, [seq(DNA, "A"), seq(DNA, "CG")])
@@ -1096,6 +1124,14 @@ class TestPredict:
 
 
 class TestMmd:
+    def test_a_squared_mmd_that_is_not_finite_is_refused(self):
+        # it once answered nan
+        k = nan_at_ac_kernel()
+        nu = EmpiricalMeasure.point(seq(DNA, "G"))
+        assert math.isfinite(mmd(k, EmpiricalMeasure.uniform([seq(DNA, "CA")]), nu))
+        with pytest.raises(NumericalError, match="^the squared MMD is not finite: nan"):
+            mmd(k, EmpiricalMeasure.uniform([seq(DNA, "AC"), seq(DNA, "T")]), nu)
+
     def test_identical_measures(self):
         k = imq_hamming_kernel()
         m = EmpiricalMeasure.uniform([seq(DNA, "AT"), seq(DNA, "GG")])

@@ -173,7 +173,7 @@ class TestWindow:
 
     @staticmethod
     def level(seqs, L, alphabet=DNA):
-        return list(window_ids(encode_padded(seqs), alphabet.size, L))[L - 1]
+        return list(window_ids(encode_padded(seqs), alphabet.size, L))[-1]
 
     def test_direct_slice(self):
         # ATGC[0:2] = AT and ATGC[1:3] = TG
