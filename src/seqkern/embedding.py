@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import HAS_MASSES, Kernel, UNKNOWN_MASSES
-from .errors import DataError, NumericalError, ParameterError, check_integer, check_positive
+from .errors import (MAX_FLOATS, DataError, NumericalError, ParameterError, check_integer,
+                     check_positive)
 from .seqcore import Sequence, element_blocks
 
 
@@ -36,8 +37,8 @@ class Embedding:
     """
 
     def __init__(self, dim: int):
-        # a vector's length must be a numpy array dimension
-        self.dim = check_integer("dim", dim, 1, np.iinfo(np.intp).max)
+        # a vector must fit one numpy array
+        self.dim = check_integer("dim", dim, 1, MAX_FLOATS)
         self._cache: dict[Sequence, np.ndarray] = {}
 
     def _compute(self, xs: list[Sequence]) -> np.ndarray:
@@ -207,14 +208,22 @@ class EuclideanKernel:
 DIFFERENCE_BLOCK_ELEMENTS = 2**16
 
 
-def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _squared_distances(A: np.ndarray, B: Optional[np.ndarray] = None) -> np.ndarray:
     """``d2[i, j] = |A[i] - B[j]|^2`` from exact differences, not
     ``|a|^2 + |b|^2 - 2 a.b``, which cancels on the long shells of
-    scaled embeddings; row blocks bound the memory."""
+    scaled embeddings; row blocks bound the memory.  Without ``B``
+    (``B = A``) a row block is computed on and right of the diagonal
+    and mirrored: ``(a - b)^2 = (b - a)^2`` exactly, so the mirror is
+    the entries it stands for, bit for bit."""
+    upper = B is None
+    B = A if upper else B
     d2 = np.empty((len(A), len(B)))
     for blk in element_blocks(len(A), B.size, DIFFERENCE_BLOCK_ELEMENTS):
-        diff = A[blk, None, :] - B[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=d2[blk])
+        lo = blk.start if upper else 0
+        diff = A[blk, None, :] - B[None, lo:, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=d2[blk, lo:])
+        if upper:
+            d2[lo:, blk] = d2[blk, lo:].T
     return d2
 
 
@@ -238,7 +247,7 @@ class EmbeddingKernel(Kernel):
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         A = self.embedding.matrix(xs)
-        B = A if ys is None else self.embedding.matrix(ys)
+        B = None if ys is None else self.embedding.matrix(ys)
         return self.euclidean.of_sqdist(_squared_distances(A, B))
 
     def neighbour_values(self, edits, ys) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,11 @@ import math
 import numpy as np
 
 
+#: the most float64 entries one numpy array holds: its bytes must fit a
+#: signed index, or numpy refuses it as "array is too big"
+MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 class SeqKernError(Exception):
     """Base class for all package errors."""
 

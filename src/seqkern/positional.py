@@ -17,7 +17,10 @@ position in the narrowest integer types that hold them
 from ``seqcore.window_ids``, which at ``L = 1``, for the Hamming
 kernels, are the stop-padded letters themselves.  The
 inverse-multiquadric and exponential families then look ``f`` of the
-distance up by match count in a table of ``width + 1`` values.  For the
+distance up by match count in a table of ``width + 1`` values, and the
+weighted degree the count itself, one row block of
+``seqcore.ROW_BLOCK_ELEMENTS`` at a time (:func:`_of_counts`), so the
+counts never take an ``n x m`` array.  For the
 lag kernel stop is a letter, for the weighted degree a window reaching
 past its sequence matches nothing.
 
@@ -39,7 +42,8 @@ from .core import (
     tensor_kernel,
 )
 from .errors import DataError, check_integer, check_positive
-from .seqcore import Alphabet, element_blocks, encode_padded, shared_alphabet, window_ids
+from .seqcore import (ROW_BLOCK_ELEMENTS, Alphabet, element_blocks, encode_padded, shared_alphabet,
+                      window_ids)
 
 
 class LetterKernel:
@@ -95,7 +99,7 @@ class WeightedDegreeKernel(Kernel):
         end = np.arange(self.L, self.L + nwin)
         ix = np.where(end <= np.array([len(s) for s in xs])[:, None], ix[:, :nwin], -1)
         iy = np.where(end <= np.array([len(s) for s in ys_])[:, None], iy[:, :nwin], -2)
-        return _count_equal(ix, iy).astype(float)
+        return _of_counts(ix, iy, np.arange(nwin + 1, dtype=float))
 
     def self_similarities(self, xs) -> np.ndarray:
         """``k(x, x)``: every window inside ``x`` matches itself."""
@@ -125,19 +129,29 @@ def _count_equal(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     The ids are cast once, position-major, to the narrowest signed type
     that holds them, each position is compared into one reused bool
     buffer, and the counts add up in the narrowest unsigned type that
-    holds the number of positions: exact integers, which the caller
-    converts to float.
+    holds the number of positions: exact integers, which
+    :func:`_of_counts` looks up, one row block of ``ix`` at a time.
     """
     top = max(ix.max(initial=0), iy.max(initial=0))
     ids = _narrowest((np.int8, np.int16, np.int32, np.int64), top)
     ax = np.ascontiguousarray(ix.T, dtype=ids)
-    ay = ax if iy is ix else np.ascontiguousarray(iy.T, dtype=ids)
+    ay = np.ascontiguousarray(iy.T, dtype=ids)
     counts = _narrowest((np.uint8, np.uint16, np.uint32), ix.shape[1])
     out = np.zeros((len(ix), len(iy)), dtype=counts)
     equal = np.empty(out.shape, dtype=bool)
     for a, b in zip(ax, ay):
         np.equal(a[:, None], b, out=equal)
         out += equal.view(np.uint8)  # bools are bytes of 0 or 1: added without a cast
+    return out
+
+
+def _of_counts(ix: np.ndarray, iy: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table[_count_equal(ix, iy)]``, counted and looked up one row
+    block at a time, so the counts and the compared bools never take
+    more than ``ROW_BLOCK_ELEMENTS`` each."""
+    out = np.empty((len(ix), len(iy)))
+    for blk in element_blocks(len(ix), len(iy), ROW_BLOCK_ELEMENTS):
+        np.take(table, _count_equal(ix[blk], iy), out=out[blk], mode="clip")
     return out
 
 
@@ -225,11 +239,8 @@ class _OfHammingDistance(Kernel):
 
     def pairwise(self, xs, ys=None) -> np.ndarray:
         ix, iy = _window_ids(xs, ys, self.L, self.alphabet)
-        return self._of_matches(_count_equal(ix, iy), ix.shape[1])
-
-    def _of_matches(self, counts: np.ndarray, width: int) -> np.ndarray:
-        """``f(width - counts)``, looked up in a table of ``width + 1`` values."""
-        return self._of_distances(np.arange(width, -1, -1, dtype=float))[counts]
+        width = ix.shape[1]
+        return _of_counts(ix, iy, self._of_distances(np.arange(width, -1, -1, dtype=float)))
 
     def self_similarities(self, xs) -> np.ndarray:
         xs = list(xs)

@@ -44,10 +44,14 @@ factor whatever its size.
 
 A Gram holds its entries, the kept factor of a large certified Gram
 with the inverses of its 64-row diagonal blocks from construction, and
-an eigendecomposition only on demand.  No factorisation writes the
-entries.  One of fewer than ``REFINE_ROWS`` rows peaks at the entries,
-a shifted copy, the factor and numpy's LAPACK work buffer; a larger one
-at the entries, the factor and one n x 64 panel.
+an eigendecomposition only on demand.  Its entries are validated by one
+pass over row blocks (:func:`_scan`), which finds non-finite entries,
+checks exact symmetry and sums ``||K||_inf`` for the certificate
+without an n x n temporary.  No factorisation writes the entries.  One
+of fewer than ``REFINE_ROWS`` rows peaks at the entries, a shifted
+copy, the factor and numpy's LAPACK work buffer; a larger one at the
+entries, the factor, one n x 64 panel buffer that every panel reuses,
+and the inverted diagonal blocks, another n x 64.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ import numpy as np
 
 from .core import Kernel
 from .errors import DataError, NumericalError, check_finite, check_integer, check_nonnegative
+from .seqcore import ROW_BLOCK_ELEMENTS, element_blocks
 
 #: relative eigenvalue floor below which a Gram matrix counts as
 #: singular; the minimum-norm solve drops eigenvalues below it too
@@ -76,12 +81,13 @@ PSD_RTOL = 1e-8
 #: fewer are one LAPACK call, and each solve is one ``np.linalg.solve``.
 #: A certificate, a ridge fit, a minimum-norm fit and one ``(K^-1)_tt`` of
 #: a tcr-like ``imq_hamming`` Gram, 2 vCPUs, 2 BLAS threads, median of
-#: 200, in us (the certificate and the ridge fit alone in brackets):
+#: 200, in us (the certificate and the ridge fit alone in brackets), with
+#: the panels' products written in place:
 #:   rows          96         128          160          192          256
-#:   refined  560 (441)   743 (605)    986 (809)  1229 (1031)  1654 (1418)
-#:   direct   295 (159)   707 (408)   1054 (617)   1683 (999)  2889 (1648)
-#: The four tasks cross over between 144 and 160 rows, but every further
-#: solve costs a refinement O(n^2) and a direct solve O(n^3).
+#:   refined  751 (586)   969 (786)  1506 (1207)  1796 (1536)  2544 (2120)
+#:   direct   411 (230)   952 (548)  1802 (1125)  2524 (1601)  5075 (3235)
+#: The four tasks tie at 128 rows and refined wins from 160, and every
+#: further solve costs a refinement O(n^2) and a direct solve O(n^3).
 REFINE_ROWS = 128
 
 
@@ -89,9 +95,10 @@ class GramMatrix:
     """Dense symmetric PSD matrix of pairwise kernel values.
 
     The constructor copies the entries (:func:`gram` keeps the fresh
-    array of ``kernel.pairwise`` instead) and rejects non-finite and
-    asymmetric ones; an exactly symmetric array is kept as it is, one
-    off by round-off is averaged with its transpose.  It then tries the
+    array of ``kernel.pairwise`` instead) and, in one pass over row
+    blocks (:func:`_scan`), rejects non-finite and asymmetric ones; an
+    exactly symmetric array is kept as it is, one off by round-off is
+    averaged with its transpose in place.  It then tries the
     certificate: if ``K - 2 rtol ||K||_inf I`` factorises
     (``rtol = SINGULAR_RTOL``), every eigenvalue exceeds
     ``2 rtol ||K||_inf >= 2 rtol lambda_max`` up to round-off, so the
@@ -142,13 +149,12 @@ class GramMatrix:
         n = len(sequences)
         if entries.shape != (n, n):
             raise DataError("Gram entries must be square over the sequences")
-        check_finite(entries, "Gram")
-        if not np.array_equal(entries, entries.T):
-            if np.abs(entries - entries.T).max() > 1e-12 * np.abs(entries).max():
-                raise NumericalError("Gram matrix is not symmetric")
-            entries = 0.5 * (entries + entries.T)
+        norm, symmetric = _scan(entries)
+        if not symmetric:
+            _average_transpose(entries)
+            norm = _scan(entries)[0]
         factorisations = collections.Counter()
-        certificate = _certificate(entries, factorisations)
+        certificate = _certificate(entries, norm, factorisations)
         self._init(kernel, sequences, entries, certificate is not None, certificate,
                    collections.Counter(), factorisations)
         # K - sI > 0 with s > 0: certified Grams are positive definite
@@ -211,7 +217,7 @@ class GramMatrix:
             if n > 0 and self._certified:
                 certified, factor = True, self._factor
             else:
-                factor = _certificate(K, self.factorisations)
+                factor = _certificate(K, _scan(K)[0], self.factorisations)
                 certified = factor is not None
             block = GramMatrix.__new__(GramMatrix)
             block._init(self.kernel, self.sequences[:n], K, certified, factor,
@@ -328,7 +334,11 @@ def _cholesky(K: np.ndarray, shift: float, purpose: str,
     Van Loan, *Matrix Computations*, 4th ed., 4.2.9; LAPACK xPOTRF): the
     panel ``P = K[j:, j:e] - F[j:, :j] F[j:e, :j]^T`` takes the shift on
     its diagonal, its diagonal block ``D`` is factored by one call, and
-    the rows below are ``P inv(D)^T``.  The first diagonal block that
+    the rows below are ``P inv(D)^T``.  Both products are written in
+    place, ``P`` into one contiguous buffer of n x 64 that every panel
+    reuses and ``P inv(D)^T`` into ``F``, so a factorisation allocates
+    nothing per panel but the inverse of ``D``, and BLAS computes the
+    products of fresh arrays, bit for bit.  The first diagonal block that
     fails returns None, so a degenerate Gram is refused within the panel
     of its first failing pivot.  A panel reads only earlier columns, so
     the factor of a leading block of whole panels is the leading block of
@@ -344,20 +354,65 @@ def _cholesky(K: np.ndarray, shift: float, purpose: str,
         else:
             B = _TRIANGULAR_BLOCK
             F = np.zeros((n, n))
+            panel = np.empty(n * B)
             inverses = []
             for blocks, lo in enumerate(range(0, n, B), start=1):
                 hi = min(lo + B, n)
-                P = K[lo:, lo:hi] - F[lo:, :lo] @ F[lo:hi, :lo].T
+                # contiguous, like the fresh array of ``K - F F^T``, so BLAS
+                # writes the same product
+                P = panel[: (n - lo) * (hi - lo)].reshape(n - lo, hi - lo)
+                np.matmul(F[lo:, :lo], F[lo:hi, :lo].T, out=P)
+                np.subtract(K[lo:, lo:hi], P, out=P)
                 D = P[: hi - lo]
                 np.fill_diagonal(D, D.diagonal() + shift)
                 F[lo:hi, lo:hi] = np.linalg.cholesky(D)
                 inverses.append(np.tril(np.linalg.inv(F[lo:hi, lo:hi])))
-                F[hi:, lo:hi] = P[hi - lo:] @ inverses[-1].T
+                np.matmul(P[hi - lo:], inverses[-1].T, out=F[hi:, lo:hi])
             factor = _ShiftedFactor(F, inverses)
     except np.linalg.LinAlgError:
         factor = None
     record[purpose, n, blocks, factor is not None] += 1
     return factor
+
+
+def _scan(K: np.ndarray) -> tuple[float, bool]:
+    """``||K||_inf`` and whether ``K`` equals its transpose exactly, in
+    one pass over row blocks, with a :class:`NumericalError` naming the
+    first entry that is not finite.
+
+    A block's absolute row sums give the norm, and only a block whose
+    sums are not all finite (a NaN or infinite entry, or a sum that
+    overflows) is searched entry by entry.  Symmetry compares the
+    block's columns on and below the diagonal with its rows on and right
+    of it, and stops once one entry differs.
+    """
+    n = len(K)
+    norm, symmetric = 0.0, True
+    for blk in element_blocks(n, n, ROW_BLOCK_ELEMENTS):
+        rows = K[blk]
+        sums = np.abs(rows).sum(axis=1)
+        if not np.isfinite(sums).all():
+            check_finite(K[: blk.stop], "Gram")
+        norm = max(norm, float(sums.max()))
+        lo = blk.start
+        symmetric = symmetric and np.array_equal(K[lo:, blk], rows[:, lo:].T)
+    return norm, symmetric
+
+
+def _average_transpose(K: np.ndarray) -> None:
+    """``K <- (K + K^T) / 2`` in place, over row blocks of the upper
+    triangle, or a :class:`NumericalError` if an entry differs from its
+    mirror by more than ``1e-12 max |K|``, which round-off does not."""
+    blocks = element_blocks(len(K), len(K), ROW_BLOCK_ELEMENTS)
+    gap = max(float(np.abs(K[blk] - K[:, blk].T).max()) for blk in blocks)
+    if gap > 1e-12 * max(float(np.abs(K[blk]).max()) for blk in blocks):
+        raise NumericalError("Gram matrix is not symmetric")
+    for blk in blocks:
+        lo = blk.start
+        mean = K[blk, lo:] + K[lo:, blk].T
+        mean *= 0.5
+        K[blk, lo:] = mean
+        K[lo:, blk] = mean.T
 
 
 def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
@@ -369,14 +424,15 @@ def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
     return K
 
 
-def _certificate(K: np.ndarray, record: collections.Counter) -> Optional[_ShiftedFactor]:
-    """The factor of ``K - 2 SINGULAR_RTOL ||K||_inf I``, or None.
+def _certificate(K: np.ndarray, norm: float,
+                 record: collections.Counter) -> Optional[_ShiftedFactor]:
+    """The factor of ``K - 2 SINGULAR_RTOL norm I``, or None, for ``norm``
+    the ``||K||_inf`` of :func:`_scan`.
 
     A Gram refused here is decided by the rules of an uncertified one.
     """
     if not len(K):
         return None
-    norm = float(np.abs(K).sum(axis=1).max())
     factor = _cholesky(K, -2.0 * SINGULAR_RTOL * norm, "certificate", record)
     if factor is not None:
         factor.norm = norm

@@ -20,6 +20,17 @@ STOP = "$"
 #: Element cap on each temporary of the vectorised kernels' blocked loops.
 BLOCK_ELEMENTS = 2**20
 
+#: Element cap on each row block of the passes over a whole n x n matrix
+#: that keep no n x n temporary: the window families' match counts and
+#: ``rkhs``'s validation scan.  Tcr-like ``imq_hamming`` Grams, 2 vCPUs,
+#: median of 15 (counts) and 30 (scan), in ms; whole-matrix passes first:
+#:   n                 whole    2**16   2**18   2**20
+#:   counts   1,600     24.2     18.0    15.0    15.3
+#:   counts   1,000      9.7      7.0     6.2     6.7
+#:   scan     1,600     21.5      9.8     9.1    12.9
+#:   scan     1,365     12.4      7.0     7.3     9.4
+ROW_BLOCK_ELEMENTS = 2**18
+
 
 class Alphabet:
     """An ordered set of distinct letters with a reserved stop symbol.

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Kernel
-from .errors import DataError, ParameterError, check_finite, check_integer
+from .errors import MAX_FLOATS, DataError, ParameterError, check_finite, check_integer
 from .seqcore import element_blocks
 
 MIN_BOOTSTRAP = 100
@@ -149,8 +149,9 @@ def mmd_two_sample_test(kernel: Kernel, sample_x, sample_y,
     sample_y = list(sample_y)
     if not sample_x or not sample_y:
         raise DataError("both samples must be nonempty")
-    # each resample is a column of an array
-    n_bootstrap = check_integer("n_bootstrap", n_bootstrap, MIN_BOOTSTRAP, np.iinfo(np.intp).max)
+    # each resample is a column of the pooled sample's N x n_bootstrap arrays
+    n_bootstrap = check_integer("n_bootstrap", n_bootstrap, MIN_BOOTSTRAP,
+                                MAX_FLOATS // (len(sample_x) + len(sample_y)))
     seed = check_integer("seed", seed, 0)
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must be in (0, 1), got {level}")

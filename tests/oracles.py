@@ -17,6 +17,8 @@ count as first written: int64 ids compared one position at a time into
 an int32 count.  :func:`hamming_matrix_onehot` is the Hamming families'
 distances as first written: BLAS products of mismatch and one-hot
 encodings of the library's stop-padded codes, in blocks of positions.
+:func:`cholesky_panels_copying` is the blocked Cholesky factorisation as
+first written, making each panel's products in fresh arrays.
 """
 
 from __future__ import annotations
@@ -295,3 +297,25 @@ def hamming_matrix_onehot(xs, ys=None, alphabet=None) -> np.ndarray:
         hy = onehot[cy[:, blk]].reshape(m, cols)
         out += hx @ hy.T
     return out
+
+
+def cholesky_panels_copying(K: np.ndarray, shift: float, block: int = 64):
+    """``(F, inverses)`` of ``K + shift I`` in panels of ``block`` columns,
+    or None where a diagonal block does not factorise: each panel
+    ``K[j:, j:e] - F[j:, :j] F[j:e, :j]^T`` and the rows below its
+    diagonal block are fresh arrays."""
+    n = len(K)
+    F = np.zeros((n, n))
+    inverses = []
+    try:
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            P = K[lo:, lo:hi] - F[lo:, :lo] @ F[lo:hi, :lo].T
+            D = P[: hi - lo]
+            np.fill_diagonal(D, D.diagonal() + shift)
+            F[lo:hi, lo:hi] = np.linalg.cholesky(D)
+            inverses.append(np.tril(np.linalg.inv(F[lo:hi, lo:hi])))
+            F[hi:, lo:hi] = P[hi - lo:] @ inverses[-1].T
+    except np.linalg.LinAlgError:
+        return None
+    return F, inverses

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seqkern import Alphabet, enumerate_sequences, enumerate_up_to, imq_hamming_kernel, seq
-from seqkern.cli import _gather, build_parser, main, most_common_letter_count
+from seqkern.cli import _gather, _parser, build_parser, main, most_common_letter_count
 from seqkern.config import build_kernel
 from seqkern.errors import DataError
 from seqkern.io import _distinct_bits, fmt, parse_alphabet, read_fasta, read_labels, write_csv
@@ -901,6 +901,19 @@ class TestMalformedValues:
         assert "configuration error: seed must be at" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flags,name", [
+        ("gram", ["--family", "embedding", "--base", "random_ball", "--D", str(2**62)], "dim"),
+        ("mmd-test", ["--family", "imq_hamming", "--C", "1", "--beta", "2",
+                      "--n-bootstrap", str(2**62)], "n_bootstrap")], ids=["D", "n_bootstrap"])
+    def test_a_size_past_numpys_largest_array_exits_2(self, tmp_path, capsys, command, flags,
+                                                      name):
+        # both once exited 1 with numpy's "array is too big"
+        out = tmp_path / "o.csv"
+        code = main([command, "--output", str(out), *flags, *run_data_flags(tmp_path, command)])
+        assert code == 2
+        assert f"configuration error: {name} must be at most" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_letter_matrix_file_stays_a_data_error(self, tmp_path, capsys):
         # the file's contents are data: an indefinite k_s is exit 3
         path = tmp_path / "ks.csv"
@@ -977,6 +990,20 @@ def flag_actions(parser):
 
 
 class TestSectionFlags:
+    def test_main_parses_with_one_parser_that_keeps_no_values(self, tmp_path):
+        # built once per process; build_parser() still gives a fresh one
+        assert _parser() is _parser()
+        assert build_parser() is not build_parser()
+        fasta = tmp_path / "in.fasta"
+        write_fasta(fasta, [("a", "AT"), ("b", "GC")])
+        first = _parser().parse_args(["gram", "--fasta", str(fasta), "--C", "3",
+                                          "--kernel", "beta=5"])
+        second = _parser().parse_args(["gram"])
+        assert (vars(first)["kernel.C"], first.kernel) == ("3", ["beta=5"])
+        assert (vars(second)["kernel.C"], second.kernel, vars(second)["data.fasta"]) == (
+            None, [], None)
+        assert vars(second) == vars(build_parser().parse_args(["gram"]))
+
     def test_every_flag_overrides_its_ini_key(self, tmp_path):
         parser = build_parser()
         checked = 0

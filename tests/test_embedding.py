@@ -26,6 +26,8 @@ from seqkern import (
     seq,
 )
 
+import seqkern.embedding
+
 from conftest import random_distinct_sequences
 from oracles import random_ball_vector
 
@@ -227,6 +229,19 @@ class TestEmbeddingKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * n * n * 8, peak / (n * n * 8)
+
+    @pytest.mark.parametrize("rows", [1, 5, 64])
+    def test_a_gram_mirrors_its_upper_triangle_bit_for_bit(self, rows, monkeypatch):
+        # the triangle's row blocks against the rectangular block over the
+        # same sequences, which computes every difference
+        n, dim = 61, 16
+        monkeypatch.setattr(seqkern.embedding, "DIFFERENCE_BLOCK_ELEMENTS", rows * n * dim)
+        seqs = random_distinct_sequences(np.random.default_rng(62), PROTEIN, n, 17, min_len=10)
+        emb = scaled_embedding(random_ball_embedding(seed=3, dim=dim), 0.1, PROTEIN.size)
+        k = embedding_kernel(emb, EuclideanKernel("imq"))
+        G = k.pairwise(seqs)
+        assert G.tobytes() == k.pairwise(seqs, seqs).tobytes()
+        assert np.array_equal(G, G.T) and np.all(np.diag(G) == 1.0)
 
     def test_unit_self_similarity(self):
         k = embedding_kernel(random_ball_embedding(seed=4, dim=6),

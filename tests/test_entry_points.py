@@ -43,6 +43,7 @@ from seqkern import (
     weighted_degree_kernel,
 )
 from seqkern.alignment import checked_letter_matrix, exponential_letter_matrix
+from seqkern.errors import MAX_FLOATS
 from seqkern.positional import ImqHammingKernel, ImqHammingLagKernel
 from seqkern.spectrum import (
     finite_spectrum_kernel,
@@ -148,7 +149,8 @@ INTEGERS = {
     "FiniteSpectrumKernel.L_max": (finite_spectrum_kernel, "L_max", 1, ()),
     "ShiftedKernel.shift_max": (lambda v: shifted_kernel(imq_hamming_kernel(), v),
                                 "shift_max", 0, ()),
-    "RandomBallEmbedding.dim": (lambda v: random_ball_embedding(0, v), "dim", 1, (2**63,)),
+    "RandomBallEmbedding.dim": (lambda v: random_ball_embedding(0, v), "dim", 1,
+                                (2**62, MAX_FLOATS + 1, 2**63)),
     "TableEmbedding.dim": (lambda v: TableEmbedding({}, v), "dim", 1, ()),
     "FunctionEmbedding.dim": (lambda v: FunctionEmbedding(len, v), "dim", 1, ()),
     # checked before the file is read, so the file need not exist
@@ -166,7 +168,7 @@ INTEGERS = {
     "enumerate_up_to.L_max": (lambda v: enumerate_up_to(DNA, v), "L_max", 0, ()),
     "mmd_two_sample_test.n_bootstrap": (
         lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS, n_bootstrap=v),
-        "n_bootstrap", 100, (2**63,)),
+        "n_bootstrap", 100, (MAX_FLOATS // (2 * len(XS)) + 1, 2**62, 2**63)),
     "mmd_two_sample_test.seed": (lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS,
                                                                seed=v), "seed", 0, ()),
 }

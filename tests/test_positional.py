@@ -450,6 +450,21 @@ class TestCountEqual:
             np.testing.assert_array_equal(lag.pairwise(left, right), expected)
 
     @pytest.mark.parametrize("L,xs,ys,top", CASES)
+    def test_grams_in_row_blocks_equal_one_block(self, L, xs, ys, top, monkeypatch):
+        # blocks of 1 and 7 rows against the whole matrix as one block
+        alphabet = xs[0].alphabet
+        kernels = [weighted_degree_kernel(L), imq_hamming_lag_kernel(1.3, 1.7, L),
+                   imq_hamming_kernel(1.3, 1.7), exp_hamming_kernel(alphabet, 0.5)]
+        for left, right in self.blocks(xs, ys):
+            columns = len(left if right is None else right)
+            for rows in (1, 7):
+                grams = []
+                for cap in (2**62, rows * columns):
+                    monkeypatch.setattr(seqkern.positional, "ROW_BLOCK_ELEMENTS", cap)
+                    grams.append([k.pairwise(left, right).tobytes() for k in kernels])
+                assert grams[0] == grams[1]
+
+    @pytest.mark.parametrize("L,xs,ys,top", CASES)
     def test_hamming_grams_equal_the_onehot_products(self, L, xs, ys, top):
         # f of the one-hot products' distances, as first written
         alphabet = xs[0].alphabet
@@ -607,7 +622,29 @@ class TestMixedAlphabets:
 
 
 class TestBoundedMemory:
-    """Gram assembly never forms an ``n x n x width`` temporary."""
+    """Gram assembly never forms an ``n x n x width`` temporary, and the
+    match-count families no ``n x n`` one besides the Gram."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: imq_hamming_kernel(1.0, 2.0),
+        lambda: exp_hamming_kernel(DNA, 0.5),
+        lambda: weighted_degree_kernel(3),
+    ], ids=["imq_hamming", "exp_hamming", "weighted_degree"])
+    def test_counts_take_no_n_by_n_array(self, make, monkeypatch):
+        # the counts and the compared bools once took one byte per entry
+        # each, beside the Gram's eight; the window ids take O(n width)
+        monkeypatch.setattr(seqkern.positional, "ROW_BLOCK_ELEMENTS", 2**14)
+        n = 1000
+        seqs = random_distinct_sequences(np.random.default_rng(15), DNA, n, 20, min_len=10)
+        k = make()
+        tracemalloc.start()
+        try:
+            G = k.pairwise(seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.shape == (n, n)
+        assert peak < n * n * 9, peak / (n * n)
 
     N, WIDTH = 96, 1500
 

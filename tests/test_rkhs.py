@@ -53,6 +53,7 @@ from seqkern.rkhs import (PSD_RTOL, REFINE_ROWS, SINGULAR_RTOL, _TRIANGULAR_BLOC
 from seqkern.errors import check_finite
 
 from conftest import random_distinct_sequences
+from oracles import cholesky_panels_copying
 
 AB = Alphabet("AB")
 ONE = Alphabet("A")
@@ -200,6 +201,72 @@ class TestGram:
         seqs = [seq(DNA, s) for s in ("A", "C", "G")]
         with pytest.raises(NumericalError, match=r"entry \(0, 2\) is not finite"):
             GramMatrix(IdentityKernel(), seqs, K)
+
+
+class TestScan:
+    """One pass over row blocks validates a Gram: its errors and its
+    averaging are those of the whole-matrix checks, whatever the blocks."""
+
+    N = 40
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # blocks of 3 rows: a 40-row Gram spans 14
+        monkeypatch.setattr(seqkern.rkhs, "ROW_BLOCK_ELEMENTS", 3 * self.N)
+
+    def entries(self):
+        seqs = enumerate_up_to(DNA, 3)[:self.N]
+        return seqs, imq_hamming_kernel(1.0, 2.0).pairwise(seqs)
+
+    @pytest.mark.parametrize("first,later", [((17, 5), (23, 2)), ((6, 30), (7, 1)),
+                                             ((39, 0), (39, 39)), ((0, 39), (12, 12))])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_the_first_entry_that_is_not_finite_is_named(self, first, later, bad):
+        seqs, K = self.entries()
+        K[later] = math.nan
+        K[first] = bad
+        with pytest.raises(NumericalError, match=rf"^Gram entry \({first[0]}, {first[1]}\) "
+                                                 rf"is not finite: {bad}$"):
+            GramMatrix(imq_hamming_kernel(1.0, 2.0), seqs, K)
+
+    def test_finite_entries_whose_row_sums_overflow_pass(self):
+        K = np.full((self.N, self.N), 1e307)
+        with np.errstate(over="ignore"):
+            assert seqkern.rkhs._scan(K) == (math.inf, True)
+
+    @pytest.mark.parametrize("where", [(1, 0), (20, 3), (3, 20), (39, 38)])
+    def test_asymmetry_above_round_off_is_refused(self, where):
+        seqs, K = self.entries()
+        K[where] *= 1.0 + 1e-11
+        with pytest.raises(NumericalError, match="^Gram matrix is not symmetric$"):
+            GramMatrix(imq_hamming_kernel(1.0, 2.0), seqs, K)
+
+    def test_round_off_asymmetry_is_averaged(self, monkeypatch):
+        seqs, K = self.entries()
+        rng = np.random.default_rng(90)
+        K *= 1.0 + 1e-15 * rng.integers(-2, 3, size=K.shape)
+        assert not np.array_equal(K, K.T)
+        norms = []
+        certify = seqkern.rkhs._certificate
+        monkeypatch.setattr(seqkern.rkhs, "_certificate",
+                            lambda K, norm, record: norms.append(norm) or certify(K, norm, record))
+        G = GramMatrix(imq_hamming_kernel(1.0, 2.0), seqs, K)
+        mean = 0.5 * (K + K.T)
+        assert G.entries.tobytes() == mean.tobytes()
+        # the certificate's shift is that of the averaged entries' norm
+        assert norms == [float(np.abs(mean).sum(axis=1).max())]
+        assert G._certified
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, N])
+    def test_norm_and_symmetry_are_those_of_the_whole_matrix(self, n):
+        _, K = self.entries()
+        K = K[:n, :n]
+        norm = float(np.abs(K).sum(axis=1).max()) if n else 0.0
+        assert seqkern.rkhs._scan(K) == (norm, True)
+        if n > 1:
+            A = np.array(K)
+            A[n - 1, 0] = -A[n - 1, 0]
+            assert seqkern.rkhs._scan(A) == (norm, False)
 
 
 class TestRegression:
@@ -449,6 +516,11 @@ def cholesky(K, shift):
     return _cholesky(K, shift, "solve", Counter())
 
 
+def certificate(K, record):
+    """:func:`_certificate` of ``K`` with its ``||K||_inf`` as first written."""
+    return _certificate(K, float(np.abs(K).sum(axis=1).max()), record)
+
+
 def panels(n):
     """The diagonal blocks that a factorisation of ``n`` rows factors."""
     return 1 if n < REFINE_ROWS else math.ceil(n / _TRIANGULAR_BLOCK)
@@ -474,7 +546,7 @@ class TestCertificateProbe:
         whole = factorises(K, shift)
         pivot = first_failing_pivot(K, shift)
         record = Counter()
-        certified = _certificate(K, record) is not None
+        certified = certificate(K, record) is not None
         if certified:
             assert whole
         # away from the margin, rounding cannot move the decision
@@ -507,7 +579,7 @@ class TestCertificateProbe:
         K = weighted_degree_kernel(2).pairwise(enumerate_up_to(DNA, 5))
         assert np.linalg.eigvalsh(K[:21, :21])[0] <= SINGULAR_RTOL * np.abs(K).max()
         record = Counter()
-        assert _certificate(K, record) is None
+        assert certificate(K, record) is None
         assert record == Counter({("certificate", len(K), 1, False): 1})
 
 
@@ -522,7 +594,7 @@ KEPT_LABELS = np.random.default_rng(62).normal(size=len(KEPT_SEQS))
 
 #: what each operation does to a Gram over KEPT_SEQS
 GRAM_OPERATIONS = {
-    "certificate": lambda G: _certificate(G.entries, G.factorisations),
+    "certificate": lambda G: certificate(G.entries, G.factorisations),
     "is_singular": lambda G: G.is_singular(),
     "leading_block_is_singular": lambda G: G.leading(85).is_singular(),
     "solve_ridge": lambda G: G.solve_ridge(KEPT_LABELS, 0.0),
@@ -537,10 +609,12 @@ class TestEntriesKept:
     """A Gram holds one copy of its entries, and no factorisation of it,
     whole, refused or of a leading block, changes them by a bit."""
 
-    def test_gram_peaks_at_the_entries_and_one_factor(self):
-        # 1,200 rows are factored in panels: the entries, the factor and
-        # one n x 64 panel at a time (2.18 copies), no LAPACK work buffer
-        n = 1200
+    @pytest.mark.parametrize("n", [512, 1200])
+    def test_gram_peaks_at_the_entries_and_one_factor(self, n):
+        # a Gram of n >= 512 rows is factored in panels: the entries, the
+        # factor, one reused n x 64 panel and the n x 64 inverted diagonal
+        # blocks, with no n x n temporary in assembly, scan or panels (the
+        # panels once made two fresh n x 64 arrays each: 3.3-3.5 units)
         seqs = random_distinct_sequences(np.random.default_rng(61), PROTEIN, n, 17, min_len=10)
         k = imq_hamming_kernel()
         tracemalloc.start()
@@ -550,7 +624,8 @@ class TestEntriesKept:
         finally:
             tracemalloc.stop()
         assert G._certified
-        assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
+        unit = n * _TRIANGULAR_BLOCK * 8
+        assert peak <= 2 * n * n * 8 + 3 * unit, (peak - 2 * n * n * 8) / unit
 
     def test_gram_keeps_the_kernel_array(self, monkeypatch):
         k = imq_hamming_kernel()
@@ -969,6 +1044,20 @@ class TestBlockedCholesky:
                 assert cholesky(M, 0.5) is not None
                 assert K.tobytes() == expected
 
+    @pytest.mark.parametrize("shift", ["certificate", "zero", "ridge", "failing"])
+    @pytest.mark.parametrize("n", [n for n in BLOCKED_SIZES if n >= REFINE_ROWS])
+    def test_panels_equal_the_copying_panels(self, tcr_gram, n, shift):
+        # the products written in place are those of fresh arrays, bit for bit
+        K = tcr_gram[:n, :n]
+        s = {"certificate": -2 * SINGULAR_RTOL * np.abs(K).sum(axis=1).max(), "zero": 0.0,
+             "ridge": 1e-3, "failing": -1.01 * np.linalg.eigvalsh(K[:100, :100])[0]}[shift]
+        got = _cholesky(K, s, "solve", Counter())
+        want = cholesky_panels_copying(K, s, _TRIANGULAR_BLOCK)
+        assert (got is None) == (want is None) == (shift == "failing")
+        if got is not None:
+            assert got.F.tobytes() == want[0].tobytes()
+            assert [a.tobytes() for a in got.inverses] == [a.tobytes() for a in want[1]]
+
     def test_leading_panels_factor_as_the_whole(self, tcr_gram):
         # a panel reads only the columns before it
         K = tcr_gram
@@ -1020,7 +1109,7 @@ class TestTriangularSolve:
     def test_solves_match_scipy(self, tcr_gram, n):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         K = tcr_gram[:n, :n]
-        factor = _certificate(K, Counter())
+        factor = certificate(K, Counter())
         F, inverses = factor.F, factor.inverses
         assert len(inverses) == math.ceil(n / _TRIANGULAR_BLOCK)
         y = np.random.default_rng(70).normal(size=n)
