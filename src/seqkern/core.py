@@ -24,7 +24,9 @@ Build matrices, not loops of scalar calls: each scalar call is a whole
 Combinators here (positive sums, tilting, tensor products) preserve the
 discrete-mass property and build their matrices and diagonals from their
 parts'; a normalizing tilt builds the optimizer's neighbour values
-(:meth:`Kernel.neighbour_values`) from its base's the same way.
+(:meth:`Kernel.neighbour_values`) from its base's the same way, against
+a target prepared once per run (:meth:`Kernel.prepare_target`): its
+base's and the atoms' weights.
 Normalisation, the tilt by ``k(x, x)**-0.5``, takes its weights from the
 base values of the same call, so each call evaluates the base once;
 those ``k(x, x)`` must be finite and positive.
@@ -111,17 +113,25 @@ class Kernel:
         i = np.arange(len(xs))
         return self.batch(xs, i, i)
 
-    def neighbour_values(self, edits, ys: Seq) -> tuple[np.ndarray, np.ndarray]:
+    def prepare_target(self, atoms: Seq):
+        """What :meth:`neighbour_values` reads of the target's ``atoms``,
+        made once per optimizer run: by default the atoms, as a list.  A
+        family that overrides :meth:`neighbour_values` prepares what its
+        scoring reads instead."""
+        return list(atoms)
+
+    def neighbour_values(self, edits, target) -> tuple[np.ndarray, np.ndarray]:
         """``(K, d)`` for the neighbours ``z_i`` that single-letter
         ``edits`` (an :class:`optimize.Edits`) of one sequence reach:
-        ``K[i, j] = k(z_i, ys[j])`` and ``d[i] = k(z_i, z_i)``.
+        ``K[i, j] = k(z_i, a_j)`` for the atoms ``a_j`` that
+        :meth:`prepare_target` made ``target`` of, and ``d[i] = k(z_i, z_i)``.
 
         Builds the neighbours and asks :meth:`pairwise` and
         :meth:`self_similarities`; a family that can score edits without
         building them overrides this.
         """
         zs = edits.sequences()
-        return self.pairwise(zs, ys), self.self_similarities(zs)
+        return self.pairwise(zs, target), self.self_similarities(zs)
 
     def normalized(self) -> "Kernel":
         """Tilt by ``k(x, x)**-0.5`` so the diagonal becomes 1.
@@ -237,18 +247,26 @@ class TiltedKernel(Kernel):
         d = self.base.self_similarities(xs)
         return self._weights(xs, d) ** 2 * d
 
-    def neighbour_values(self, edits, ys) -> tuple[np.ndarray, np.ndarray]:
+    def prepare_target(self, atoms):
+        """A normalizing tilt: the base's prepared target and the atoms'
+        weights; a weight function takes the default."""
+        if self.weight is not None:
+            return Kernel.prepare_target(self, atoms)
+        atoms = list(atoms)
+        return self.base.prepare_target(atoms), self._weights(atoms)
+
+    def neighbour_values(self, edits, target) -> tuple[np.ndarray, np.ndarray]:
         """A normalizing tilt: the base's :meth:`Kernel.neighbour_values`,
         tilted as :meth:`pairwise` and :meth:`self_similarities` tilt,
-        with the neighbours' weights from the base's ``k(x, x)``; a
-        neighbour is built only to name a bad one.  A weight function
-        needs the neighbours, so it takes the build-and-score default."""
+        with the neighbours' weights from the base's ``k(x, x)`` and the
+        atoms' from the target; a neighbour is built only to name a bad
+        one.  A weight function needs the neighbours, so it takes the
+        build-and-score default."""
         if self.weight is not None:
-            return Kernel.neighbour_values(self, edits, ys)
-        ys = list(ys)
-        K, d = self.base.neighbour_values(edits, ys)
+            return Kernel.neighbour_values(self, edits, target)
+        base_target, ay = target
+        K, d = self.base.neighbour_values(edits, base_target)
         az = _normalizing(d, lambda i: edits.neighbour(i)[1])
-        ay = self._weights(ys)
         return (az[:, None] * ay[None, :]) * K, az ** 2 * d
 
 

@@ -33,7 +33,8 @@ class Embedding:
     Memoisation is idempotent (the value is a pure function of the
     sequence), so concurrent first evaluations agree.  :meth:`vectors`
     computes without memoising; the optimizer's neighbours, each scored
-    once, go that way, so the memo holds only what is read again.
+    once, go that way through :meth:`neighbour_vectors`, so the memo
+    holds only what is read again.  A batch must fit one numpy array.
     """
 
     def __init__(self, dim: int):
@@ -45,14 +46,34 @@ class Embedding:
         """The vectors of ``xs``, one row each."""
         raise NotImplementedError
 
+    def _compute_edits(self, edits) -> np.ndarray:
+        """The vectors of the neighbours that ``edits`` reach, one row
+        each; by default the built neighbours' :meth:`_compute`."""
+        return self._compute(edits.sequences())
+
     def vectors(self, xs) -> np.ndarray:
         """The ``(len(xs), D)`` vectors of ``xs``, neither read from nor
         added to the memo."""
         xs = list(xs)
-        if not xs:
+        return self._batch(len(xs), lambda: self._compute(xs))
+
+    def neighbour_vectors(self, edits) -> np.ndarray:
+        """The vectors of the neighbours that single-letter ``edits``
+        (an :class:`optimize.Edits`) reach, as :meth:`vectors` gives
+        them; subclasses that can read the edits without building the
+        neighbours override :meth:`_compute_edits`."""
+        return self._batch(len(edits), lambda: self._compute_edits(edits))
+
+    def _batch(self, count: int, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """``compute()``'s ``(count, D)`` vectors, refused as a
+        :class:`ParameterError` when they cannot fit one numpy array."""
+        if count * self.dim > MAX_FLOATS:
+            raise ParameterError(f"dim must be at most {MAX_FLOATS // count} for a batch of "
+                                 f"{count} sequences, got {self.dim}")
+        if not count:
             return np.zeros((0, self.dim))
-        v = np.asarray(self._compute(xs), dtype=float)
-        if v.shape != (len(xs), self.dim):
+        v = np.asarray(compute(), dtype=float)
+        if v.shape != (count, self.dim):
             raise DataError("embedding returned a vector of the wrong size")
         return v
 
@@ -66,6 +87,14 @@ class Embedding:
         if missing:
             cache.update(zip(missing, self.vectors(missing)))
         return np.stack([cache[x] for x in xs]) if xs else np.zeros((0, self.dim))
+
+
+_SEP = b"\x1f"
+
+
+def _utf8_letters(alphabet) -> list[bytes]:
+    """The UTF-8 bytes of ``alphabet``'s letters, indexed by code."""
+    return [b.encode() for b in alphabet.letters]
 
 
 class RandomBallEmbedding(Embedding):
@@ -85,28 +114,59 @@ class RandomBallEmbedding(Embedding):
         self._seed_bytes = self.seed.to_bytes(8, "little", signed=True)
 
     def _compute(self, xs: list[Sequence]) -> np.ndarray:
-        """One Philox per call, rekeyed per sequence.  Philox is counter
-        based, so key ``k`` with counter 0 and an empty buffer is the
-        stream of ``Philox(key=k)``, whose constructor would also gather
-        entropy for a seed it never uses.  The key is the blake2b digest
-        of the UTF-8 letters joined by the byte 0x1f, keyed by the seed,
-        read as a little-endian 128-bit integer: its two 64-bit words in
-        order."""
+        encoded = {}  # alphabet -> its UTF-8 letters, indexed by code
+
+        def joined(x):
+            letters = encoded.get(x.alphabet)
+            if letters is None:
+                letters = encoded[x.alphabet] = _utf8_letters(x.alphabet)
+            return _SEP.join([letters[c] for c in x.codes])
+
+        return self._draw(len(xs), map(joined, xs))
+
+    def _compute_edits(self, edits) -> np.ndarray:
+        """The neighbours' joined letters spliced from ``x``'s: the
+        letters before the edit, each followed by the separator, then the
+        written letter, then those after it, each preceded by one."""
+        x = edits.x
+        letters = _utf8_letters(x.alphabet)
+        own = [letters[c] for c in x.codes]
+        n = len(own)
+        head = [b""] * (n + 1)  # head[p]: own[:p], each followed by the separator
+        tail = [b""] * (n + 1)  # tail[p]: own[p:], each preceded by the separator
+        for p in range(n):
+            head[p + 1] = head[p] + own[p] + _SEP
+            tail[n - 1 - p] = _SEP + own[n - 1 - p] + tail[n - p]
+
+        def joined(kind, p, c):
+            if kind == edits.DELETION:
+                return head[p] + own[p + 1] + tail[p + 2] if p + 1 < n else head[p][:-1]
+            return head[p] + letters[c] + tail[p + (kind == edits.SUBSTITUTION)]
+
+        return self._draw(len(edits), (joined(*r) for r in edits.rows()))
+
+    def _draw(self, count: int, keys) -> np.ndarray:
+        """The vectors keyed by ``count`` joined letter strings ``keys``:
+        one Philox, rekeyed per vector through one state dict and key
+        buffer.  Philox is counter based, so key ``k`` with counter 0 and
+        an empty buffer is the stream of ``Philox(key=k)``, whose
+        constructor would also gather entropy for a seed it never uses.
+        The key is the blake2b digest of the UTF-8 letters joined by the
+        byte 0x1f, keyed by the seed, read as a little-endian 128-bit
+        integer: its two 64-bit words in order."""
         bit_generator = np.random.Philox(key=0)
         rng = np.random.Generator(bit_generator)
         state = bit_generator.state
-        counter = np.zeros(4, dtype=np.uint64)
+        key = np.zeros(2, dtype="<u8")
+        key_bytes = memoryview(key).cast("B")
+        state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
+        state["buffer_pos"] = 4
         keyed = hashlib.blake2b(digest_size=16, key=self._seed_bytes)
-        encoded = {}  # alphabet -> its UTF-8 letters, indexed by code
-        out = np.empty((len(xs), self.dim))
-        for row, x in zip(out, xs):
-            letters = encoded.get(x.alphabet)
-            if letters is None:
-                letters = encoded[x.alphabet] = [b.encode() for b in x.alphabet.letters]
+        out = np.empty((count, self.dim))
+        for row, joined in zip(out, keys):
             h = keyed.copy()
-            h.update(b"\x1f".join([letters[c] for c in x.codes]))
-            state["state"] = {"counter": counter, "key": np.frombuffer(h.digest(), dtype="<u8")}
-            state["buffer_pos"] = 4
+            h.update(joined)
+            key_bytes[:] = h.digest()
             bit_generator.state = state
             rng.standard_normal(out=row)
             row /= math.sqrt(row.dot(row))  # np.linalg.norm of a vector, inlined
@@ -131,14 +191,21 @@ class ScaledEmbedding(Embedding):
     def _compute(self, xs: list[Sequence]) -> np.ndarray:
         # base.vectors, not base.matrix: only the scaled vector is read
         # again, from this memo
+        return self._scaled([len(x) for x in xs], lambda: self.base.vectors(xs))
+
+    def _compute_edits(self, edits) -> np.ndarray:
+        return self._scaled(edits.lengths().tolist(), lambda: self.base.neighbour_vectors(edits))
+
+    def _scaled(self, lengths: list[int], base: Callable[[], np.ndarray]) -> np.ndarray:
+        """The ``base()`` vectors of sequences of ``lengths``, scaled."""
         try:
             scales = {n: self.alphabet_size ** ((1.0 + self.epsilon) * n / self.dim)
-                      for n in set(map(len, xs))}
+                      for n in set(lengths)}
         except OverflowError:
-            raise NumericalError(f"the scale of length {max(map(len, xs))} overflows "
+            raise NumericalError(f"the scale of length {max(lengths)} overflows "
                                  f"at epsilon {self.epsilon:g}, dim {self.dim}") from None
-        scale = np.array([scales[len(x)] for x in xs])
-        return scale[:, None] * self.base.vectors(xs)
+        scale = np.array([scales[n] for n in lengths])
+        return scale[:, None] * base()
 
 
 class FunctionEmbedding(Embedding):
@@ -250,13 +317,17 @@ class EmbeddingKernel(Kernel):
         B = None if ys is None else self.embedding.matrix(ys)
         return self.euclidean.of_sqdist(_squared_distances(A, B))
 
-    def neighbour_values(self, edits, ys) -> tuple[np.ndarray, np.ndarray]:
+    def prepare_target(self, atoms) -> np.ndarray:
+        """The atoms' vectors."""
+        return self.embedding.matrix(atoms)
+
+    def neighbour_values(self, edits, target) -> tuple[np.ndarray, np.ndarray]:
         """Values of the neighbours that ``edits`` reach, from one batch
-        of their vectors, not memoised: each is scored once.  Equal to
-        ``pairwise`` over the built neighbours, bit for bit."""
-        A = self.embedding.vectors(edits.sequences())
-        d2 = _squared_distances(A, self.embedding.matrix(ys))
-        return self.euclidean.of_sqdist(d2), np.ones(len(A))
+        of their vectors (:meth:`Embedding.neighbour_vectors`), not
+        memoised: each is scored once.  Equal to ``pairwise`` over the
+        built neighbours, bit for bit."""
+        A = self.embedding.neighbour_vectors(edits)
+        return self.euclidean.of_sqdist(_squared_distances(A, target)), np.ones(len(A))
 
     def self_similarities(self, xs) -> np.ndarray:
         return np.ones(len(list(xs)))

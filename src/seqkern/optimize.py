@@ -13,20 +13,27 @@ A step's edits are arrays (:class:`Edits`), and the duplicates follow
 from the current sequence alone, so no neighbour is built to find them.
 The kernel scores the distinct ones through
 :meth:`Kernel.neighbour_values`, which by default builds those
-neighbours for one ``pairwise`` and one ``self_similarities`` call.
-Four kernels override it, each equal to the default bit for bit (times
-per step from a 28-residue protein start, 2 vCPUs, BLAS at 2 threads):
+neighbours for one ``pairwise`` and one ``self_similarities`` call,
+against a target that :meth:`Kernel.prepare_target` makes once per run
+(by default the atoms).  Six families override both, each equal to the
+default bit for bit (times per step from a 28-residue protein start, 2
+vCPUs, BLAS at 2 threads, best of 15):
 
-- ``imq_hamming`` and ``exp_hamming``: a neighbour's Hamming distance
-  to an atom follows from the current sequence's prefix and suffix
-  match counts against that atom at shifts -1, 0 and +1, exact
-  integers, so only the accepted neighbour is ever built; against 300
-  atoms, about 4 ms instead of about 16.
-- ``embedding``: the neighbours' vectors in one batch, not memoised;
-  the README's kernel (D = 64) against 100 atoms, about 24 ms.
-- normalized kernels: the base's values, tilted, so normalized
-  ``imq_hamming`` keeps the match counts; about 2 ms instead of about
-  6 against 100 atoms.
+- ``imq_hamming``, ``exp_hamming``, ``imq_hamming_lag`` and
+  ``weighted_degree`` build no neighbour: a neighbour's matching
+  L-windows against an atom follow from the current sequence's prefix
+  and suffix window-match counts against that atom at shifts -1, 0 and
+  +1, plus at most L windows across the edit, exact integers, and the
+  target is the atoms' stop-padded codes, encoded once.  Against 300
+  atoms ``imq_hamming`` takes about 1.9 ms, ``weighted_degree`` (L = 3)
+  about 1.2 ms and ``imq_hamming_lag`` (L = 3) about 2.2 ms, where
+  building every neighbour took about 8 ms for each of the last two.
+- ``embedding``: the neighbours' vectors in one batch, hashed straight
+  from the edits and not memoised, against the atoms' vectors; the
+  README's kernel (D = 64) against 100 atoms, about 19 ms.
+- normalized kernels: the base's values, tilted, with the atoms'
+  weights in the target, so normalized ``imq_hamming`` keeps the match
+  counts; about 1.3 ms against 100 atoms.
 
 Sums and tilts by a weight function take the default.
 
@@ -161,7 +168,14 @@ class Edits:
                                  n_sub + n + ins_origin * size + np.arange(size)], axis=None)
         return first, (np.cumsum(first) - 1)[origin]
 
-    def _rows(self):
+    def lengths(self) -> np.ndarray:
+        """The lengths of the neighbours these edits reach."""
+        step = np.zeros(3, dtype=np.intp)
+        step[self.DELETION], step[self.INSERTION] = -1, 1
+        return len(self.x) + step[self.kind]
+
+    def rows(self):
+        """``(kind, position, code)`` of each edit, as Python integers."""
         return zip(self.kind.tolist(), self.position.tolist(), self.code.tolist())
 
     def neighbour(self, i: int) -> tuple[Edit, Sequence]:
@@ -172,7 +186,7 @@ class Edits:
     def sequences(self) -> list[Sequence]:
         """The neighbours these edits reach, in order."""
         alphabet, codes = self.x.alphabet, self.x.codes
-        return [Sequence(alphabet, _applied(codes, k, p, c)) for k, p, c in self._rows()]
+        return [Sequence(alphabet, _applied(codes, k, p, c)) for k, p, c in self.rows()]
 
 
 def _edit(alphabet, kind: int, p: int, c: int) -> Edit:
@@ -195,11 +209,12 @@ def single_edit_neighbors(x: Sequence) -> list[tuple[Edit, Sequence]]:
     """
     alphabet, codes = x.alphabet, x.codes
     return [(_edit(alphabet, k, p, c), Sequence(alphabet, _applied(codes, k, p, c)))
-            for k, p, c in Edits.of(x)._rows()]
+            for k, p, c in Edits.of(x).rows()]
 
 
 class _MmdToTarget:
-    """MMD(delta_x, target) with the target-target double sum cached."""
+    """MMD(delta_x, target) with the target-target double sum cached and
+    the atoms prepared once for the kernel's neighbour scoring."""
 
     def __init__(self, kernel: Kernel, target: EmpiricalMeasure):
         self.kernel = kernel
@@ -207,6 +222,7 @@ class _MmdToTarget:
         self.w = target.weights
         K_tt = kernel.pairwise(self.atoms)
         self.tt = float(self.w @ K_tt @ self.w)
+        self.prepared = kernel.prepare_target(self.atoms)
 
     def __call__(self, x: Sequence) -> float:
         return self.many([x])[0]
@@ -216,8 +232,9 @@ class _MmdToTarget:
 
     def of_edits(self, edits: Edits) -> np.ndarray:
         """The MMD of each neighbour that ``edits`` reach, from the
-        kernel's :meth:`Kernel.neighbour_values`."""
-        return self._mmd(*self.kernel.neighbour_values(edits, self.atoms))
+        kernel's :meth:`Kernel.neighbour_values` against the prepared
+        target."""
+        return self._mmd(*self.kernel.neighbour_values(edits, self.prepared))
 
     def _mmd(self, K: np.ndarray, self_sim: np.ndarray) -> np.ndarray:
         m2 = self_sim + self.tt - 2.0 * (K @ self.w)

@@ -28,6 +28,13 @@ Each family here implements ``pairwise``, and most also
 ``self_similarities``; ``k(x, y)`` is the one-pair block of ``pairwise``
 (``core.Kernel.__call__``), so a scalar value and a matrix entry come
 from the same code.  Build matrices, not loops of scalar calls.
+
+The Hamming families, the lag kernel and the weighted degree score the
+optimizer's single-letter edits without building a neighbour
+(:func:`_edit_windows`): a neighbour's matching windows against an atom
+are prefix and suffix sums over the current sequence's windows, plus at
+most ``L`` windows across the edit, against the atoms' stop-padded codes
+that ``prepare_target`` encodes once per run (:class:`_StopPadded`).
 """
 
 from __future__ import annotations
@@ -105,8 +112,21 @@ class WeightedDegreeKernel(Kernel):
         """``k(x, x)``: every window inside ``x`` matches itself."""
         xs = list(xs)
         _check_alphabet(xs, None)
-        lengths = np.array([len(s) for s in xs], dtype=float)
+        return self._windows_inside(np.array([len(s) for s in xs], dtype=float))
+
+    def _windows_inside(self, lengths: np.ndarray) -> np.ndarray:
         return np.maximum(lengths - (self.L - 1), 0.0)
+
+    def prepare_target(self, atoms) -> "_StopPadded":
+        return _StopPadded(atoms)
+
+    def neighbour_values(self, edits, target) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the neighbours that ``edits`` reach, from the window
+        match counts of the edited sequence (:func:`_edit_windows`); no
+        neighbour is built.  Equal to ``pairwise`` over the built
+        neighbours, bit for bit."""
+        K = _edit_windows(edits, target, self.L, strict=True)
+        return K, self._windows_inside(edits.lengths().astype(float))
 
 
 def _window_ids(xs, ys, L: int, alphabet=None) -> tuple[np.ndarray, np.ndarray]:
@@ -247,12 +267,15 @@ class _OfHammingDistance(Kernel):
         _check_alphabet(xs, self.alphabet)
         return self._of_distances(np.zeros(len(xs)))
 
-    def neighbour_values(self, edits, ys) -> tuple[np.ndarray, np.ndarray]:
-        """Values of the neighbours that ``edits`` reach, from the match
-        counts of the edited sequence (:func:`_edit_distances`); no
+    def prepare_target(self, atoms) -> "_StopPadded":
+        return _StopPadded(atoms, self.alphabet)
+
+    def neighbour_values(self, edits, target) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the neighbours that ``edits`` reach, from the window
+        match counts of the edited sequence (:func:`_edit_windows`); no
         neighbour is built.  Equal to ``pairwise`` over the built
         neighbours, bit for bit."""
-        d = _edit_distances(edits, ys, self.alphabet)
+        d = _edit_windows(edits, target, self.L, alphabet=self.alphabet)
         return self._of_distances(d), self._of_distances(np.zeros(len(d)))
 
 
@@ -300,50 +323,136 @@ class ImqHammingKernel(_OfHammingDistance):
         return np.power(d, -self.beta, out=d)
 
 
-def _edit_distances(edits, ys, alphabet=None) -> np.ndarray:
-    """Stop-padded Hamming distances, as floats, from each neighbour that
-    single-letter ``edits`` of ``x`` reach to each of ``ys``.
+class _StopPadded:
+    """A target's atoms as the window families' edit scoring reads them:
+    stop-padded codes, position-major, and lengths.  :meth:`rows` pads
+    the codes further with stop when a longer sequence asks for more
+    positions, and keeps them."""
 
-    Against an atom ``a`` of length ``m``, let ``e_s[l] = [x_l ==
-    a_(l+s)]``, ``E(p)`` count the matches ``e_0`` before ``p`` and
-    ``S_s(p)`` those of ``e_s`` from ``p`` to ``n = |x|``.  A neighbour's
-    distance is its stop-padded length ``max(., m)`` less its matches:
+    def __init__(self, atoms, alphabet=None):
+        atoms = list(atoms)
+        self._codes = np.ascontiguousarray(encode_padded(atoms).T)
+        _check_alphabet(atoms[:1], alphabet)
+        self.alphabet = atoms[0].alphabet if atoms else None
+        self.stop = self.alphabet.size if atoms else 0
+        self.lengths = np.array([len(a) for a in atoms])
 
-    - substitution of ``c`` at ``p``: ``E(n) - e_0[p] + [c == a_p]``
-      over length ``n``;
-    - deletion at ``p``: ``E(p) + S_-1(p + 1)`` over ``n - 1``;
-    - insertion of ``c`` at ``p``: ``E(p) + [c == a_p] + S_+1(p)`` over
-      ``n + 1``;
+    def rows(self, width: int) -> np.ndarray:
+        """``out[l, j]``: letter ``l`` of atom ``j``, or stop, for ``l < width``."""
+        codes = self._codes  # read once: a concurrent call may replace it
+        short = width - len(codes)
+        if short > 0:
+            pad = np.full((short, len(self.lengths)), self.stop, dtype=codes.dtype)
+            codes = self._codes = np.concatenate([codes, pad])
+        return codes[:width]
 
-    with ``[c == a_p] = 0`` past the atom's end (a letter never equals
-    stop).  Each edit is one row of a ``(3n + 1) x |ys|`` table of
-    length less shared matches, minus its letter's one-hot row: exact
-    integers, equal to the built neighbours' distances, ``width - m`` in
-    :meth:`_OfHammingDistance.pairwise`.
+
+def _edit_windows(edits, target: _StopPadded, L: int = 1, strict: bool = False,
+                  alphabet=None) -> np.ndarray:
+    """For each neighbour ``z`` that single-letter ``edits`` of ``x``
+    reach and each atom ``a`` of ``target``, as exact integers in floats:
+    the stop-padded distance ``max(|z|, |a|) - M`` between their
+    L-windows, or with ``strict`` the count ``M`` itself, where ``M``
+    counts the positions ``l < |z|`` whose windows ``z[l:l+L]`` and
+    ``a[l:l+L]`` are equal, as stop-padded strings or, with ``strict``,
+    as windows inside both (stop matches nothing).  Sequences must be
+    over ``alphabet``, any when ``None``.
+
+    Let ``e_s[k] = [x_k == a_(k+s)]`` for the stop-padded ``x`` and ``a``,
+    ``w_s[l]`` be 1 where all ``L`` of ``e_s[l .. l+L-1]`` are, ``E(p)``
+    count the ``w_0`` before ``p`` and ``S_s(p)`` the ``w_s`` from ``p`` to
+    ``n = |x|``.  A neighbour's ``M`` is the sum of its windows wholly
+    before the edit at ``p``, ``E(p - L + 1)``; those wholly after it,
+    which are ``x``'s shifted by the edit: ``S_0(p + 1)`` for a
+    substitution, ``S_-1(p + 1)`` for a deletion and ``S_+1(p)`` for an
+    insertion; and the at most ``L`` windows that cover the edit.  One of
+    those matches when its letter-match count is ``L``: its letters before
+    ``p`` from the prefix sums of ``e_0``, those after from the prefix
+    sums of the same ``e_s``, and the written letter ``c`` from the atom's
+    one-hot row, ``[c == a_p]``, which is 0 past the atom's end.
+
+    Each edit is one row of a ``(3n + 1) x |target|`` table of the
+    windows off the edit plus those covering a deletion, and one row of
+    the written letter's hits times the count of covering windows whose
+    other letters all match.  At ``L = 1``, ``w_s = e_s``, the only
+    covering window is the letter itself, and the hits are the one-hot
+    rows: the stop-padded Hamming distance of ``imq_hamming``.  A window
+    of ``L`` at least the longest neighbour's or atom's length, plus one,
+    reads every letter of both and stop beyond, so longer ones are cut to
+    that, as ``seqcore.window_ids`` cuts them.
     """
     x = edits.x
-    n, size, m = len(x), x.alphabet.size, len(ys)
-    codes = encode_padded([x, *ys], max(n + 1, max(map(len, ys), default=0)))
     _check_alphabet([x], alphabet)
-    xc, at = codes[0, :n, None], codes[1:].T  # at[l, j]: letter l of atom j, or stop
-    lengths = np.array([len(y) for y in ys])
-    e0 = at[:n] == xc
-    E = np.zeros((n + 1, m), dtype=np.int64)
-    np.cumsum(e0, axis=0, out=E[1:])
-    S_plus = _suffix_sums(at[1:n + 1] == xc)  # S_+1(p), p = 0..n
-    S_minus = _suffix_sums(at[:max(n - 1, 0)] == xc[1:])[:n]  # S_-1(p + 1), p = 0..n-1
-    table = np.concatenate([np.maximum(n, lengths) - (E[n] - e0),
-                            np.maximum(n - 1, lengths) - (E[:n] + S_minus),
-                            np.maximum(n + 1, lengths) - (E + S_plus)]).astype(float)
+    _check_alphabet([x], target.alphabet)
+    n, size, lengths = len(x), x.alphabet.size, target.lengths
+    m = len(lengths)
+    L = min(L, max(n + 1, lengths.max(initial=0)) + 1)
+    K = n + L - 1  # positions of x read: its letters, then stop to the last window's end
+    at = target.rows(K + 1)  # at[l, j]: letter l of atom j, or stop
+    xc = np.array(x.codes + (size + strict,) * (L - 1), dtype=np.int64)[:, None]
+    e0 = at[:K] == xc
+    e_plus = at[1:K + 1] == xc
+    e_minus = at[:max(K - 1, 0)] == xc[1:]  # e_-1[k], k = 1 .. K-1
+    if L == 1:
+        w0, w_plus, w_minus = e0, e_plus, e_minus
+    else:
+        C0, C_plus, C_minus = _prefix_sums(e0), _prefix_sums(e_plus), _prefix_sums(e_minus)
+        w0 = C0[L:n + L] - C0[:n] == L
+        w_plus = C_plus[L:n + L] - C_plus[:n] == L
+        w_minus = C_minus[L:n - 1 + L] - C_minus[:max(n - 1, 0)] == L  # w_-1[l], l = 1 .. n-1
+    E = _prefix_sums(w0)
+    S_plus = _suffix_sums(w_plus)  # S_+1(p), p = 0..n
+    S_minus = _suffix_sums(w_minus)[:n]  # S_-1(p + 1), p = 0..n-1
     # one-hot rows of the atoms' letters at p = 0..n, then a zero row for deletions
     hits = np.zeros(((n + 1) * size + 1, m), dtype=bool)
     hits[:-1] = (at[:n + 1, None, :] == np.arange(size)[:, None]).reshape(-1, m)
+    if L == 1:
+        before, covered = E, w0
+    else:
+        before = E[np.maximum(np.arange(n + 1) - (L - 1), 0)]  # E(p - L + 1)
+        covered = E[1:] - before[:n]  # x's windows covering p
+    # windows off the edit: of a substitution, a deletion and an insertion at p
+    off_edit = [E[n] - covered, before[:n] + S_minus, before + S_plus]
+    if L > 1:
+        counts = _narrowest((np.uint8, np.uint16, np.uint32, np.uint64), L)
+        cover = [np.zeros((n, m), counts), np.zeros((n, m), counts), np.zeros((n + 1, m), counts)]
+        for t in range(min(L, n + 1)):  # the window starting t before the edit
+            head = C0[t:n + 1] - C0[:n + 1 - t]  # e_0 over [p - t, p), p = t..n
+            cover[0][t:] += head[:n - t] + C0[L:n - t + L] - C0[t + 1:n + 1] == L - 1
+            cover[2][t:] += head + C_plus[L - 1:n - t + L] - C_plus[t:n + 1] == L - 1
+            if t:
+                cover[1][t:] += head[:n - t] + C_minus[L:n - t + L] - C_minus[t:n] == L
+        off_edit[1] += cover[1]
+        one_hot = hits[:-1].reshape(n + 1, size, m)
+        hits = np.concatenate([(one_hot[:n] * cover[0][:, None]).reshape(-1, m),
+                               (one_hot * cover[2][:, None]).reshape(-1, m),
+                               np.zeros((1, m), counts)])
+    if strict:
+        table = np.concatenate(off_edit).astype(float)
+    else:
+        table = np.concatenate([np.maximum(n, lengths) - off_edit[0],
+                                np.maximum(n - 1, lengths) - off_edit[1],
+                                np.maximum(n + 1, lengths) - off_edit[2]]).astype(float)
     kind, position, code = edits.kind, edits.position, edits.code
     offset = np.zeros(3, dtype=np.intp)
     offset[edits.DELETION], offset[edits.INSERTION] = n, 2 * n
     d = table.take(position + offset[kind], axis=0)
-    d -= hits.take(np.where(code < 0, len(hits) - 1, position * size + code), axis=0)
+    row = np.where(code < 0, len(hits) - 1, position * size + code)
+    if L > 1:
+        row[kind == edits.INSERTION] += n * size
+    written = hits.take(row, axis=0)
+    if strict:
+        d += written
+    else:
+        d -= written
     return d
+
+
+def _prefix_sums(e: np.ndarray) -> np.ndarray:
+    """``out[p] = e[:p].sum(axis=0)`` for ``p = 0 .. len(e)``."""
+    out = np.zeros((len(e) + 1, e.shape[1]), dtype=np.int64)
+    np.cumsum(e, axis=0, out=out[1:])
+    return out
 
 
 def _suffix_sums(e: np.ndarray) -> np.ndarray:
@@ -370,7 +479,6 @@ class ImqHammingLagKernel(ImqHammingKernel):
 
     family = "imq_hamming_lag"
     pairwise = _OfHammingDistance.pairwise  # bench/tracing.py wraps it in this __dict__
-    neighbour_values = Kernel.neighbour_values  # an edit moves windows: build the neighbours
 
     def __init__(self, C: float = 1.0, beta: float = 2.0, L: int = 1):
         super().__init__(C, beta)

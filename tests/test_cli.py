@@ -9,7 +9,7 @@ import pytest
 from seqkern import Alphabet, enumerate_sequences, enumerate_up_to, imq_hamming_kernel, seq
 from seqkern.cli import _gather, _parser, build_parser, main, most_common_letter_count
 from seqkern.config import build_kernel
-from seqkern.errors import DataError
+from seqkern.errors import MAX_FLOATS, DataError
 from seqkern.io import _distinct_bits, fmt, parse_alphabet, read_fasta, read_labels, write_csv
 from seqkern.rkhs import gram
 from seqkern.seqcore import DNA as SHARED_DNA, PROTEIN
@@ -465,6 +465,23 @@ class TestOptimizeCommand:
         assert values[0] == 1.0
         assert all(b <= a for a, b in zip(values, values[1:]))
 
+    def test_a_lag_window_longer_than_every_sequence_gives_the_same_trace(self, tmp_path):
+        # the empty atom, atoms shorter than the window, and a start (two
+        # copies of a random atom) longer than it: past every letter a
+        # window grows by stops alone, so any L past 12 is L = 12, even one
+        # beyond 64 bits
+        fasta = tmp_path / "mixed.fasta"
+        fasta.write_text(">e\n\n>a\nA\n>b\nACGTACG\n>c\nTTGA\n>d\nACGTACGTAC\n")
+        traces = []
+        for L in ("12", BIG):
+            out = tmp_path / f"trace_{len(L)}.csv"
+            assert main(["optimize", "--target-fasta", str(fasta), "--output", str(out),
+                         "--family", "imq_hamming_lag", "--C", "1", "--beta", "2",
+                         "--L", L]) == 0
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]
+        assert traces[0].count(b"\n") > 3  # the header, the start and some steps
+
 
 # a certified kernel and an uncertified, degenerate one
 DIAGNOSE_FLAGS = [["--family", "imq_hamming", "--C", "1", "--beta", "2"],
@@ -903,8 +920,12 @@ class TestMalformedValues:
 
     @pytest.mark.parametrize("command,flags,name", [
         ("gram", ["--family", "embedding", "--base", "random_ball", "--D", str(2**62)], "dim"),
+        # the most one vector may hold, but not a batch of them
+        ("gram", ["--family", "embedding", "--base", "random_ball", "--D", str(MAX_FLOATS)],
+         "dim"),
         ("mmd-test", ["--family", "imq_hamming", "--C", "1", "--beta", "2",
-                      "--n-bootstrap", str(2**62)], "n_bootstrap")], ids=["D", "n_bootstrap"])
+                      "--n-bootstrap", str(2**62)], "n_bootstrap")],
+        ids=["D", "D_batch", "n_bootstrap"])
     def test_a_size_past_numpys_largest_array_exits_2(self, tmp_path, capsys, command, flags,
                                                       name):
         # both once exited 1 with numpy's "array is too big"

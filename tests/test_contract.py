@@ -186,15 +186,16 @@ NEIGHBOUR_ROWS = [r for r in ROWS if isinstance(r[2]()[0][0], Sequence)
 def test_neighbour_values_equal_building_the_neighbours(name, make, inputs, rtol):
     k = make()
     _, atoms = inputs()
+    target, default_target = k.prepare_target(atoms), Kernel.prepare_target(k, atoms)
     for x in (empty(DNA), seq(DNA, "G"), seq(DNA, "ACGTTGCAACGT")):
         edits = Edits.of(x)
         try:
-            K_ref, d_ref = Kernel.neighbour_values(k, edits, atoms)
+            K_ref, d_ref = Kernel.neighbour_values(k, edits, default_target)
         except DataError as err:  # a neighbour normalized kernels cannot take, named alike
             with pytest.raises(DataError, match=re.escape(str(err))):
-                k.neighbour_values(edits, atoms)
+                k.neighbour_values(edits, target)
             continue
-        K, d = k.neighbour_values(edits, atoms)
+        K, d = k.neighbour_values(edits, target)
         assert K.shape == (len(edits), len(atoms))
         _assert_equal(K, K_ref, rtol)
         _assert_equal(d, d_ref, rtol)
@@ -225,7 +226,8 @@ def test_sequences_over_another_alphabet_are_rejected(name, make, inputs, rtol, 
     xs = [Sequence(other, (0, 1)), Sequence(other, (1, 0, other.size - 1)), empty(other)]
     calls = (lambda: k.pairwise(xs), lambda: k.pairwise(xs[:1], xs[1:]),
              lambda: k.self_similarities(xs), lambda: k(xs[0], xs[1]),
-             lambda: k.neighbour_values(Edits.of(xs[1]), xs))
+             lambda: k.neighbour_values(Edits.of(xs[1]), k.prepare_target(xs)),
+             lambda: k.neighbour_values(Edits.of(xs[1]), k.prepare_target([seq(DNA, "AC")])))
     for call in calls:
         with pytest.raises(DataError, match=re.escape(repr(other))) as err:
             call()

@@ -137,9 +137,18 @@ class TestNormalizedZeroSelfSimilarity:
         edits = Edits.of(seq(DNA, letters[1] + "A"))
         atoms = [seq(DNA, letters[0])]
         with pytest.raises(DataError, match=r"k\(x, x\) .* got 0.0 on") as default:
-            Kernel.neighbour_values(k, edits, atoms)
+            Kernel.neighbour_values(k, edits, Kernel.prepare_target(k, atoms))
         with pytest.raises(DataError, match=re.escape(str(default.value))):
-            k.neighbour_values(edits, atoms)
+            k.neighbour_values(edits, k.prepare_target(atoms))
+
+    @pytest.mark.parametrize("name,make,letters", ZERO_DIAGONAL,
+                             ids=[n for n, _, _ in ZERO_DIAGONAL])
+    def test_an_optimizer_target_is_named_when_prepared(self, name, make, letters):
+        # the atoms' weights are made once, with the prepared target
+        k = make().normalized()
+        atoms = [seq(DNA, s) for s in letters]
+        with pytest.raises(DataError, match=re.escape(f"got 0.0 on {atoms[1]!r}")):
+            k.prepare_target(atoms)
 
     @pytest.mark.parametrize("name,make,letters", ZERO_DIAGONAL,
                              ids=[n for n, _, _ in ZERO_DIAGONAL])

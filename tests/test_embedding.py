@@ -27,6 +27,8 @@ from seqkern import (
 )
 
 import seqkern.embedding
+from seqkern.errors import MAX_FLOATS, ParameterError
+from seqkern.optimize import Edits
 
 from conftest import random_distinct_sequences
 from oracles import random_ball_vector
@@ -146,6 +148,35 @@ class TestBatchedVectors:
         # rows read back from the memo, and single vectors, are the same
         assert emb.matrix(batch[::-1]).tobytes() == expected[::-1].tobytes()
         assert emb.vector(seqs[3]).tobytes() == expected[4].tobytes()
+
+    @pytest.mark.parametrize("alphabet", [ONE, DNA, Alphabet(["Al", "é", "ß9"])],
+                             ids=["one", "dna", "multibyte"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1], ids=["plain", "scaled"])
+    def test_neighbours_hashed_from_the_edits_equal_per_sequence_generators(self, alphabet,
+                                                                            epsilon):
+        # every edit kind at both ends and inside, without building a neighbour
+        emb = random_ball_embedding(-5, 16)
+        if epsilon:
+            emb = scaled_embedding(emb, epsilon, alphabet.size)
+        rng = np.random.default_rng(38)
+        for n in (0, 1, 2, 6):
+            edits = Edits.of(Sequence(alphabet, tuple(int(c) for c in
+                                                      rng.integers(alphabet.size, size=n))))
+            expected = np.array([random_ball_vector(z, -5, 16, epsilon)
+                                 for z in edits.sequences()]).reshape(len(edits), 16)
+            assert emb.neighbour_vectors(edits).tobytes() == expected.tobytes()
+        assert emb._cache == {}
+
+    def test_a_batch_past_one_array_is_a_parameter_error(self):
+        # one vector of MAX_FLOATS entries is a legal size; three are not
+        emb = random_ball_embedding(0, MAX_FLOATS)
+        seqs = [seq(AB, "A"), seq(AB, "B"), seq(AB, "AB")]
+        for call, count in ((lambda: emb.vectors(seqs), 3), (lambda: emb.matrix(seqs), 3),
+                            # the two insertions into the empty sequence
+                            (lambda: emb.neighbour_vectors(Edits.of(seq(AB, ""))), 2)):
+            message = f"dim must be at most {MAX_FLOATS // count} for a batch of {count} sequences"
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                call()
 
     def test_wrong_size_is_a_data_error(self):
         emb = FunctionEmbedding(lambda x: np.zeros(len(x) + 1), 2)

@@ -206,6 +206,9 @@ OWN_RULES = {
     "mmd_two_sample_test.level": (
         lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS, level=v), "level",
         (0.0, 1.0, -0.5, math.nan)),
+    # one vector fits numpy's largest array; a batch of len(XS) must fit too
+    "Embedding.vectors.dim": (lambda v: random_ball_embedding(0, v).vectors(XS), "dim",
+                              (MAX_FLOATS // len(XS) + 1, MAX_FLOATS)),
     "mmd_two_sample_test.method": (
         lambda v: mmd_two_sample_test(imq_hamming_kernel(), XS, XS, method=v), "method",
         ("jackknife", "Permutation")),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from seqkern import (
     exp_hamming_kernel,
     greedy_mmd_optimize,
     imq_hamming_kernel,
+    imq_hamming_lag_kernel,
     infinite_spectrum_kernel,
     length_statistics,
     mmd,
@@ -28,14 +30,16 @@ from seqkern import (
     seq,
     single_edit_neighbors,
     tilt_kernel,
+    weighted_degree_kernel,
 )
 
 import seqkern.optimize as optimize
 from seqkern.optimize import Edits
-from seqkern.positional import _edit_distances
+from seqkern.positional import _edit_windows
 from seqkern.seqcore import PROTEIN
 from conftest import random_distinct_sequences
-from oracles import exhaustive_mmd_minimum, hamming_matrix_onehot
+from oracles import (exhaustive_mmd_minimum, hamming_matrix_onehot, padded_window_mismatches,
+                     window_matches)
 
 AB = Alphabet("AB")
 ONE = Alphabet("A")
@@ -226,15 +230,19 @@ class TestDistinctNeighbours:
 
     @pytest.mark.parametrize("name,make", KERNELS, ids=[n for n, _ in KERNELS])
     def test_each_step_scores_each_distinct_neighbour_once(self, name, make, monkeypatch):
-        # every family is handed each distinct edit once per step; the
-        # generic default builds those neighbours for one pairwise call,
-        # the Hamming kernels score them from match counts and build none,
-        # and a normalized kernel hands them on to its base
+        # every family is handed each distinct edit once per step, against
+        # the one target prepared for the run; the generic default builds
+        # those neighbours for one pairwise call, the Hamming kernels score
+        # them from match counts and build none, and a normalized kernel
+        # hands them on to its base
         kernel = make()
-        handed, built = [], []
-        values = type(kernel).neighbour_values
+        handed, targets, prepared, built = [], [], [], []
+        values, prepare = type(kernel).neighbour_values, type(kernel).prepare_target
+        monkeypatch.setattr(type(kernel), "prepare_target",
+                            lambda k, atoms: prepared.append(prepare(k, atoms)) or prepared[-1])
         monkeypatch.setattr(type(kernel), "neighbour_values",
-                            lambda k, edits, ys: handed.append(edits) or values(k, edits, ys))
+                            lambda k, edits, target: handed.append(edits) or targets.append(target)
+                            or values(k, edits, target))
         scoring = getattr(kernel, "base", kernel)
         pairwise = scoring.pairwise
         monkeypatch.setattr(scoring, "pairwise",
@@ -244,6 +252,7 @@ class TestDistinctNeighbours:
         trace = greedy_mmd_optimize(kernel, target, seq(DNA, "GGAATT"), max_steps=6)
         currents = [s.sequence for s in trace.steps]
         assert len(handed) == len(trace.steps) - (0 if trace.converged else 1)
+        assert len(prepared) == 1 and all(t is prepared[0] for t in targets)
         assert built[:2] == [list(target.atoms), [currents[0]]]  # the target Gram, the start
         distinct_per_step = []
         for current, edits in zip(currents, handed):
@@ -293,7 +302,8 @@ def starts_and_atoms(draw):
 
 
 class TestMatchCountScoring:
-    """The Hamming kernels score neighbours from the start's match counts."""
+    """The Hamming and window kernels score neighbours from the start's
+    match counts."""
 
     @settings(max_examples=300, deadline=None)
     @given(starts_and_atoms())
@@ -312,9 +322,26 @@ class TestMatchCountScoring:
         distinct = edits.take(first)
         assert distinct.sequences() == first_seen
         assert [first_seen[k] for k in slot] == neighbours
-        got = _edit_distances(distinct, atoms)
+        got = _edit_windows(distinct, imq_hamming_kernel().prepare_target(atoms))
         assert got.dtype == np.float64 and got.shape == (len(first_seen), len(atoms))
         assert got.tobytes() == hamming_matrix_onehot(first_seen, atoms).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(starts_and_atoms(), st.sampled_from([1, 2, 3, 5, 40]))
+    def test_window_scores_equal_those_of_the_built_neighbours(self, case, L):
+        # one prepared target for the start and its first neighbour, one
+        # letter longer: its codes are padded further for the second
+        x, atoms = case
+        target = imq_hamming_kernel().prepare_target(atoms)
+        for start in (x, Sequence(x.alphabet, x.codes + (0,))):
+            edits = Edits.of(start)
+            zs = edits.sequences()
+            lag = [[padded_window_mismatches(z, a, L) for a in atoms] for z in zs]
+            inside = [[window_matches(z, a, L) for a in atoms] for z in zs]
+            for strict, expected in ((False, lag), (True, inside)):
+                got = _edit_windows(edits, target, L, strict)
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.array(expected, dtype=float).reshape(got.shape).tobytes()
 
     @pytest.mark.parametrize("C,beta", [(1.0, 2.0), (0.5, 1.3), (2.0, 0.5)])
     def test_protein_trace_equals_scoring_every_neighbour(self, C, beta):
@@ -339,43 +366,69 @@ def _embedding(scaled: bool):
 
 class TestNeighbourValueOverrides:
     """Every ``neighbour_values`` override against the build-and-score
-    default, :meth:`Kernel.neighbour_values`, bit for bit."""
+    default, :meth:`Kernel.neighbour_values` on :meth:`Kernel.prepare_target`'s
+    atom list, bit for bit.  Each row's atoms are the empty one (unless
+    its ``k(a, a)`` is 0, as for a normalized weighted degree, whose atoms
+    then start at ``min_len``) and random ones of at most 9 letters."""
 
     KERNELS = [
-        ("embedding", PROTEIN, lambda: _embedding(False)),
-        ("scaled_embedding", PROTEIN, lambda: _embedding(True)),
-        ("normalized_embedding", PROTEIN, lambda: _embedding(True).normalized()),
-        ("normalized_imq_hamming", PROTEIN, lambda: imq_hamming_kernel(1.0, 1.5).normalized()),
-        ("exp_hamming", PROTEIN, lambda: exp_hamming_kernel(PROTEIN, 0.3)),
-        ("normalized_exp_hamming", DNA, lambda: exp_hamming_kernel(DNA, 0.3).normalized()),
+        ("embedding", PROTEIN, lambda: _embedding(False), 0),
+        ("scaled_embedding", PROTEIN, lambda: _embedding(True), 0),
+        ("normalized_embedding", PROTEIN, lambda: _embedding(True).normalized(), 0),
+        ("normalized_imq_hamming", PROTEIN, lambda: imq_hamming_kernel(1.0, 1.5).normalized(), 0),
+        ("exp_hamming", PROTEIN, lambda: exp_hamming_kernel(PROTEIN, 0.3), 0),
+        ("normalized_exp_hamming", DNA, lambda: exp_hamming_kernel(DNA, 0.3).normalized(), 0),
+        ("weighted_degree_L1", DNA, lambda: weighted_degree_kernel(1), 0),
+        ("weighted_degree_L3", PROTEIN, lambda: weighted_degree_kernel(3), 0),
+        ("normalized_weighted_degree_L3", DNA, lambda: weighted_degree_kernel(3).normalized(), 3),
+        ("imq_hamming_lag_L1", PROTEIN, lambda: imq_hamming_lag_kernel(1.0, 1.5, 1), 0),
+        ("imq_hamming_lag_L3", DNA, lambda: imq_hamming_lag_kernel(1.0, 1.5, 3), 0),
+        # longer than every atom and every neighbour
+        ("imq_hamming_lag_L20", DNA, lambda: imq_hamming_lag_kernel(1.0, 1.5, 20), 0),
+        ("normalized_imq_hamming_lag_L3", PROTEIN,
+         lambda: imq_hamming_lag_kernel(2.0, 0.5, 3).normalized(), 0),
         ("weighted_imq_hamming", PROTEIN,
-         lambda: tilt_kernel(imq_hamming_kernel(1.0, 1.5), lambda x: 1.0 / (1.0 + len(x)))),
+         lambda: tilt_kernel(imq_hamming_kernel(1.0, 1.5), lambda x: 1.0 / (1.0 + len(x))), 0),
         ("normalized_alignment", DNA,
-         lambda: alignment_kernel(AlignmentParams.exponential(DNA, 1.0, 0.2, 0.0)).normalized()),
+         lambda: alignment_kernel(AlignmentParams.exponential(DNA, 1.0, 0.2, 0.0)).normalized(),
+         0),
     ]
-    IDS = [name for name, _, _ in KERNELS]
+    IDS = [name for name, _, _, _ in KERNELS]
 
-    @pytest.mark.parametrize("name,alphabet,make", KERNELS, ids=IDS)
-    def test_equal_to_building_the_neighbours(self, name, alphabet, make):
+    @staticmethod
+    def _atoms(rng, alphabet, count, min_len):
+        atoms = random_distinct_sequences(rng, alphabet, count, 9, min_len=max(min_len, 1))
+        return atoms if min_len else [empty(alphabet)] + atoms
+
+    @pytest.mark.parametrize("name,alphabet,make,min_len", KERNELS, ids=IDS)
+    def test_equal_to_building_the_neighbours(self, name, alphabet, make, min_len):
         rng = np.random.default_rng(56)
         kernel = make()
         assert type(kernel).neighbour_values is not Kernel.neighbour_values
-        atoms = [empty(alphabet)] + random_distinct_sequences(rng, alphabet, 12, 9, min_len=1)
-        for n in (0, 1, 7):
+        atoms = self._atoms(rng, alphabet, 12, min_len)
+        # one target for starts of growing length: the last, longer than
+        # every atom, makes the prepared codes pad themselves further
+        target, default_target = kernel.prepare_target(atoms), Kernel.prepare_target(kernel, atoms)
+        for n in (0, 1, 7, 12):
             x = Sequence(alphabet, tuple(int(c) for c in rng.integers(alphabet.size, size=n)))
             edits = Edits.of(x)
             distinct = edits.take(edits.first_seen()[0])
             for e in (edits, distinct):
-                K, d = kernel.neighbour_values(e, atoms)
-                K_ref, d_ref = Kernel.neighbour_values(kernel, e, atoms)
+                try:
+                    K_ref, d_ref = Kernel.neighbour_values(kernel, e, default_target)
+                except DataError as err:  # a neighbour with k(z, z) = 0, named alike
+                    with pytest.raises(DataError, match=re.escape(str(err))):
+                        kernel.neighbour_values(e, target)
+                    continue
+                K, d = kernel.neighbour_values(e, target)
                 assert K.shape == (len(e), len(atoms))
                 assert K.tobytes() == K_ref.tobytes() and d.tobytes() == d_ref.tobytes()
 
-    @pytest.mark.parametrize("name,alphabet,make", KERNELS, ids=IDS)
-    def test_trace_equals_the_default_path(self, name, alphabet, make, monkeypatch):
+    @pytest.mark.parametrize("name,alphabet,make,min_len", KERNELS, ids=IDS)
+    def test_trace_equals_the_default_path(self, name, alphabet, make, min_len, monkeypatch):
         rng = np.random.default_rng(57)
-        atoms = [empty(alphabet)] + random_distinct_sequences(rng, alphabet, 8, 9, min_len=1)
-        target = EmpiricalMeasure.uniform(atoms)
+        target = EmpiricalMeasure.uniform(self._atoms(rng, alphabet, 8, min_len))
+        # longer than every atom
         init = Sequence(alphabet, tuple(int(c) for c in rng.integers(alphabet.size, size=10)))
 
         def steps(kernel):
@@ -384,6 +437,7 @@ class TestNeighbourValueOverrides:
 
         kernel = make()
         got = steps(kernel)
+        monkeypatch.setattr(type(kernel), "prepare_target", Kernel.prepare_target)
         monkeypatch.setattr(type(kernel), "neighbour_values", Kernel.neighbour_values)
         assert got == steps(make())
         assert len(got) > 1
