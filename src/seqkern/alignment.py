@@ -323,7 +323,8 @@ def _chunk_R(cx: np.ndarray, cy: np.ndarray, nx: np.ndarray, ny: np.ndarray,
     are ``(column, count * pair)`` arrays, so the insertion product over
     the reached counts is one matrix product however few the pairs.  A
     marker splits the scores once into unmarked and marked parts, so a
-    row's count shift is two products.
+    row's count shift is two products, or one where no unmarked pair
+    scores.
     """
     P, mx, my = len(nx), int(nx.max()), int(ny.max())
     nl = 1 if lmat is None else int(np.minimum(nx, ny).max()) + 1
@@ -336,6 +337,8 @@ def _chunk_R(cx: np.ndarray, cy: np.ndarray, nx: np.ndarray, ny: np.ndarray,
     if lmat is not None:
         marked = lmat[X[:, None, :], Y[None, :, :]]
         S, S_marked = S * ~marked, S * marked  # unmarked and marked matches
+        if not S.any():  # every scoring pair marked, as under ltype "all"
+            S = None
     e_ext, e_open = _gap_factors(mu, delta_mu)
     gaps = e_open > 0
     if gaps:
@@ -376,9 +379,12 @@ def _chunk_R(cx: np.ndarray, cy: np.ndarray, nx: np.ndarray, ny: np.ndarray,
                     ix += np.multiply(m, e_open, out=tmp)
                 if i == 1:
                     m[0, 0] = 0.0  # the global start cell is row 0's alone
-                np.multiply(S[i - 1], inn, out=m[:, 1:])
-                if lmat is not None:
-                    m[1:, 1:] += np.multiply(S_marked[i - 1], inn[:-1], out=tmp[1:, 1:])
+                if S is None:  # count 0 keeps the zeros it was allocated with
+                    np.multiply(S_marked[i - 1], inn[:-1], out=m[1:, 1:])
+                else:
+                    np.multiply(S[i - 1], inn, out=m[:, 1:])
+                    if lmat is not None:
+                        m[1:, 1:] += np.multiply(S_marked[i - 1], inn[:-1], out=tmp[1:, 1:])
             np.add(m, ix, out=mix_c)
             np.copyto(mix_c, 0.0, where=padded_col)
             if gaps:

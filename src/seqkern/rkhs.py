@@ -127,6 +127,11 @@ class GramMatrix:
     factorisation is inconclusive.  :meth:`leading` gives the Gram of the
     first ``n`` sequences as a block of this one.
 
+    :attr:`certificate_shift` is the shift ``-2 rtol ||K||_inf`` that the
+    certificate tried, whether or not it factorised, and None for the
+    empty Gram, which is not tried; a nonempty block of a certified Gram
+    reports the shift of that Gram's certificate, which certified it.
+
     :attr:`solve_routes`, a :class:`collections.Counter` shared with the
     leading blocks, counts each solve by the route that answered it:
     ``refined``, ``factorised`` (``gesv``, or a factor in panels, of
@@ -154,8 +159,8 @@ class GramMatrix:
             _average_transpose(entries)
             norm = _scan(entries)[0]
         factorisations = collections.Counter()
-        certificate = _certificate(entries, norm, factorisations)
-        self._init(kernel, sequences, entries, certificate is not None, certificate,
+        shift, certificate = _certificate(entries, norm, factorisations)
+        self._init(kernel, sequences, entries, certificate is not None, certificate, shift,
                    collections.Counter(), factorisations)
         # K - sI > 0 with s > 0: certified Grams are positive definite
         if not self._certified:
@@ -163,11 +168,13 @@ class GramMatrix:
 
     def _init(self, kernel: Kernel, sequences: list, entries: np.ndarray,
               certified: bool, factor: Optional[_ShiftedFactor],
+              certificate_shift: Optional[float],
               solve_routes: collections.Counter, factorisations: collections.Counter) -> None:
         self.kernel = kernel
         self.sequences = list(sequences)
         self.entries = entries
         self._certified = certified
+        self.certificate_shift = certificate_shift
         # kept exactly when it holds inverses, from at least REFINE_ROWS rows
         self._factor = factor if factor and factor.inverses else None
         self.solve_routes = solve_routes
@@ -215,12 +222,12 @@ class GramMatrix:
         if n not in self._blocks:
             K = self.entries[:n, :n]
             if n > 0 and self._certified:
-                certified, factor = True, self._factor
+                certified, factor, shift = True, self._factor, self.certificate_shift
             else:
-                factor = _certificate(K, _scan(K)[0], self.factorisations)
+                shift, factor = _certificate(K, _scan(K)[0], self.factorisations)
                 certified = factor is not None
             block = GramMatrix.__new__(GramMatrix)
-            block._init(self.kernel, self.sequences[:n], K, certified, factor,
+            block._init(self.kernel, self.sequences[:n], K, certified, factor, shift,
                         self.solve_routes, self.factorisations)
             if not block._certified:
                 block._check_psd()
@@ -424,19 +431,21 @@ def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
     return K
 
 
-def _certificate(K: np.ndarray, norm: float,
-                 record: collections.Counter) -> Optional[_ShiftedFactor]:
-    """The factor of ``K - 2 SINGULAR_RTOL norm I``, or None, for ``norm``
-    the ``||K||_inf`` of :func:`_scan`.
+def _certificate(K: np.ndarray, norm: float, record: collections.Counter
+                 ) -> tuple[Optional[float], Optional[_ShiftedFactor]]:
+    """The shift ``-2 SINGULAR_RTOL norm`` and the factor of ``K`` shifted
+    by it, or None, for ``norm`` the ``||K||_inf`` of :func:`_scan`; both
+    None for the empty ``K``, which is not tried.
 
     A Gram refused here is decided by the rules of an uncertified one.
     """
     if not len(K):
-        return None
-    factor = _cholesky(K, -2.0 * SINGULAR_RTOL * norm, "certificate", record)
+        return None, None
+    shift = -2.0 * SINGULAR_RTOL * norm
+    factor = _cholesky(K, shift, "certificate", record)
     if factor is not None:
         factor.norm = norm
-    return factor
+    return shift, factor
 
 
 #: corrections a refinement may spend, its first solve included

@@ -185,6 +185,22 @@ class TestGram:
             assert B.is_singular()
             assert B.solve_pinv(np.zeros(0)).shape == (0,)
 
+    def test_certificate_shift_is_that_of_the_certifying_factorisation(self):
+        norm = lambda K: float(np.abs(K).sum(axis=1).max())
+        assert gram(imq_hamming_kernel(), []).certificate_shift is None
+        # a certified Gram's blocks were certified by its certificate
+        G = gram(imq_hamming_kernel(1.0, 2.0), enumerate_up_to(DNA, 2))
+        assert G._certified
+        assert G.certificate_shift == -2 * SINGULAR_RTOL * norm(G.entries)
+        assert G.leading(5).certificate_shift == G.certificate_shift
+        assert G.leading(0).certificate_shift is None
+        # an uncertified Gram's blocks try their own, failing or not
+        G = gram(weighted_degree_kernel(2), WD_SETS["a1"])
+        assert not G._certified
+        assert G.certificate_shift == -2 * SINGULAR_RTOL * norm(G.entries)
+        B = G.leading(2)
+        assert B.certificate_shift == -2 * SINGULAR_RTOL * norm(B.entries)
+
     def test_check_finite_names_the_first_bad_entry(self):
         K = np.eye(3)
         K[2, 0] = K[1, 2] = math.nan
@@ -241,20 +257,16 @@ class TestScan:
         with pytest.raises(NumericalError, match="^Gram matrix is not symmetric$"):
             GramMatrix(imq_hamming_kernel(1.0, 2.0), seqs, K)
 
-    def test_round_off_asymmetry_is_averaged(self, monkeypatch):
+    def test_round_off_asymmetry_is_averaged(self):
         seqs, K = self.entries()
         rng = np.random.default_rng(90)
         K *= 1.0 + 1e-15 * rng.integers(-2, 3, size=K.shape)
         assert not np.array_equal(K, K.T)
-        norms = []
-        certify = seqkern.rkhs._certificate
-        monkeypatch.setattr(seqkern.rkhs, "_certificate",
-                            lambda K, norm, record: norms.append(norm) or certify(K, norm, record))
         G = GramMatrix(imq_hamming_kernel(1.0, 2.0), seqs, K)
         mean = 0.5 * (K + K.T)
         assert G.entries.tobytes() == mean.tobytes()
         # the certificate's shift is that of the averaged entries' norm
-        assert norms == [float(np.abs(mean).sum(axis=1).max())]
+        assert G.certificate_shift == -2 * SINGULAR_RTOL * float(np.abs(mean).sum(axis=1).max())
         assert G._certified
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, N])
@@ -517,8 +529,8 @@ def cholesky(K, shift):
 
 
 def certificate(K, record):
-    """:func:`_certificate` of ``K`` with its ``||K||_inf`` as first written."""
-    return _certificate(K, float(np.abs(K).sum(axis=1).max()), record)
+    """:func:`_certificate`'s factor of ``K`` with its ``||K||_inf`` as first written."""
+    return _certificate(K, float(np.abs(K).sum(axis=1).max()), record)[1]
 
 
 def panels(n):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from seqkern import (
     weighted_degree_kernel,
 )
 from seqkern.alignment import exponential_letter_matrix
-from seqkern.seqcore import element_blocks
+from seqkern.seqcore import ROW_BLOCK_ELEMENTS, element_blocks
 from seqkern.stats import (RELABEL_BLOCK_ELEMENTS, _multiplier_stats, _permutation_stats,
-                           _relabellings)
+                           _relabellings, mmd2_u_statistic)
 
 from conftest import exponential_letters
 from oracles import multiplier_stats_expression, permutation_stats_loop, relabellings_loop
@@ -233,21 +234,81 @@ class TestRelabellings:
         (24, "multiplier", 2024): (0.3573870573870579, 74),
         (400, "permutation", 11): (0.03759398496240429, 34),
         (400, "multiplier", 11): (0.03759398496240429, 17),
+        # three row blocks of the quadratic forms
+        (640, "permutation", 13): (-0.01046686502010985, 622),
+        (640, "multiplier", 13): (-0.01046686502010985, 644),
     }
 
     @pytest.mark.parametrize("N,method,seed", sorted(PINNED))
     def test_pinned_results(self, N, method, seed):
         if N == 24:
-            rng, m, n, n_boot = np.random.default_rng(68), 14, 10, 300
+            rng, m, n, n_boot, y_lengths = np.random.default_rng(68), 14, 10, 300, (3, 7)
+        elif N == 400:
+            rng, m, n, n_boot, y_lengths = np.random.default_rng(69), 210, 190, 200, (3, 6)
         else:
-            rng, m, n, n_boot = np.random.default_rng(69), 210, 190, 200
+            rng, m, n, n_boot, y_lengths = np.random.default_rng(70), 330, 310, 1000, (2, 6)
+            assert len(element_blocks(N, n_boot, ROW_BLOCK_ELEMENTS)) == 3
         xs = sample_sequences(rng, m, DNA, 2, 6)
-        ys = sample_sequences(rng, n, DNA, 3, 7 if N == 24 else 6)
+        ys = sample_sequences(rng, n, DNA, *y_lengths)
         res = mmd_two_sample_test(finite_spectrum_kernel(2), xs, ys,
                                   n_bootstrap=n_boot, seed=seed, method=method)
         obs, count = self.PINNED[N, method, seed]
         assert res.mmd_observed == obs
         assert res.p_value == count / (n_boot + 1)
+
+
+class TestBlockedForms:
+    """Statistics from several row blocks of the upper block triangle.
+
+    Off-diagonal blocks count twice and the sums fall in another order
+    than the full product's, so they agree with the dense oracles to
+    ``1e-12 max |K|``, not bit for bit; an integer Gram keeps every
+    partial sum exact, and there they are equal.
+    """
+
+    @pytest.mark.parametrize("m,n", [(300, 300), (410, 250), (250, 420)])
+    @pytest.mark.parametrize("method", ["permutation", "multiplier"])
+    def test_several_blocks_agree_with_the_oracles(self, m, n, method):
+        n_boot = 1000
+        assert len(element_blocks(m + n, n_boot, ROW_BLOCK_ELEMENTS)) >= 3
+        assert len(element_blocks(max(m, n), n_boot, ROW_BLOCK_ELEMENTS)) >= 2
+        K = _pooled_gram(72 + m, m, n)
+        got_fn, want_fn = {"permutation": (_permutation_stats, permutation_stats_loop),
+                           "multiplier": (_multiplier_stats, multiplier_stats_expression)}[method]
+        got = got_fn(K, m, n_boot, np.random.default_rng(m + n))
+        want = want_fn(K, m, n_boot, np.random.default_rng(m + n))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(K).max()
+        # the same p-value, from a count strictly between 0 and n_boot
+        obs = mmd2_u_statistic(K, m)
+        assert 0 < (got >= obs).sum() < n_boot
+        assert (got >= obs).sum() == (want >= obs).sum()
+
+    def test_an_integer_gram_is_exact_across_blocks(self):
+        rng = np.random.default_rng(73)
+        pooled = sample_sequences(rng, 350, DNA, 2, 6) + sample_sequences(rng, 330, DNA, 2, 6)
+        K = finite_spectrum_kernel(2).pairwise(pooled)
+        assert np.array_equal(K, np.round(K))
+        assert len(element_blocks(len(K), 1000, ROW_BLOCK_ELEMENTS)) == 3
+        got = _permutation_stats(K, 350, 1000, np.random.default_rng(8))
+        want = permutation_stats_loop(K, 350, 1000, np.random.default_rng(8))
+        assert np.array_equal(got, want)
+
+    def test_the_multiplier_holds_no_second_gram(self):
+        # N x B signs are far below N x N, so an N x N centred Gram shows
+        N, m, n_boot = 1200, 600, 200
+        K = _pooled_gram(74, m, N - m)
+        assert len(element_blocks(m, max(m, n_boot), ROW_BLOCK_ELEMENTS)) >= 2
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(K, m, n_boot, np.random.default_rng(9))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(_multiplier_stats) < K.nbytes
+        assert peak(multiplier_stats_expression) > K.nbytes
 
 
 class TestCalibration:
